@@ -1,12 +1,13 @@
-//! FLEET-DS: snapshot-side lookup latency — the flat linear scan the
-//! original `PolicySnapshot` used versus the frozen sorted / interval
-//! indexes (DESIGN §3.19), at region counts from a single driver to a
-//! fleet-scale consolidated node. This is the microbench behind the
-//! `reproduce fleet` sub-linear p99 claim.
+//! FLEET-DS: snapshot-side lookup latency — the paper's flat linear scan
+//! (`kop_bench::baseline::linear_scan`) versus the frozen sorted /
+//! layered indexes every check uses (DESIGN §3.19), at region counts from
+//! a single driver to a fleet-scale consolidated node. This is the
+//! microbench behind the `reproduce fleet` sub-linear p99 claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use kop_bench::baseline::linear_scan;
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
 use kop_policy::{FrozenKind, FrozenStore};
 
@@ -49,9 +50,9 @@ fn bench_store_lookup(c: &mut Criterion) {
         // Worst-case hit: the rule at the end of the scan order.
         let hot = VAddr(0x10_0000 + (n as u64 - 1) * STRIDE + 8);
 
-        let flat = FrozenStore::flat(disjoint_regions(n));
+        let flat = disjoint_regions(n);
         group.bench_with_input(BenchmarkId::new("flat_scan_hit", n), &n, |b, _| {
-            b.iter(|| black_box(flat.lookup_frozen(black_box(hot), Size(8), AccessFlags::RW)))
+            b.iter(|| black_box(linear_scan(&flat, black_box(hot), Size(8), AccessFlags::RW)))
         });
 
         let sorted = FrozenStore::build(disjoint_regions(n));
@@ -69,7 +70,14 @@ fn bench_store_lookup(c: &mut Criterion) {
         // Default-deny miss: below every rule.
         let miss = VAddr(0xdead);
         group.bench_with_input(BenchmarkId::new("flat_scan_miss", n), &n, |b, _| {
-            b.iter(|| black_box(flat.lookup_frozen(black_box(miss), Size(8), AccessFlags::RW)))
+            b.iter(|| {
+                black_box(linear_scan(
+                    &flat,
+                    black_box(miss),
+                    Size(8),
+                    AccessFlags::RW,
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("frozen_sorted_miss", n), &n, |b, _| {
             b.iter(|| black_box(sorted.lookup_frozen(black_box(miss), Size(8), AccessFlags::RW)))

@@ -18,10 +18,10 @@ use kop_e1000e::{DriverError, E1000Driver, MemSpace};
 use kop_faultline::{FaultPlan, Trigger};
 use kop_kernel::{Kernel, KernelConfig};
 use kop_net::{tool, EtherType, MacAddr, ToolConfig};
-use kop_policy::store::{make_store, StoreKind};
-use kop_policy::{DefaultAction, PolicyModule};
+use kop_policy::{DefaultAction, Lookup, PolicyModule, StoreKind};
 use kop_sim::{cdf_points, histogram, median, MachineProfile, Summary, TrialRunner};
 
+use crate::baseline;
 use crate::corpus;
 use crate::setup;
 
@@ -653,66 +653,85 @@ pub fn analysis() -> FigureData {
     }
 }
 
-/// ABL-DS: guard-check latency across policy data structures × region
-/// count — quantifying §3.1/§4.2's sketched alternatives. Wall-clock
-/// measured on the host (relative ordering is the result).
+/// ABL-DS: guard-check latency of the paper's linear table walk against
+/// the two frozen indexes every production check uses (§3.1/§4.2's
+/// sketched alternatives, as built): the one-probe sorted index over
+/// disjoint rules and the layered index the same rules freeze to under
+/// one overlapping shared window. Wall-clock measured on the host
+/// (relative ordering is the result).
 pub fn ablation_ds() -> FigureData {
+    use kop_policy::{FrozenKind, FrozenStore};
+
     let counts = [2usize, 8, 16, 64, 256, 1024];
     let lookups = 200_000u64;
-    let mut series = Vec::new();
-    let mut headlines = Vec::new();
-    for kind in StoreKind::ALL {
-        let mut points = Vec::new();
-        for &n in &counts {
-            let table_backed = matches!(
-                kind,
-                StoreKind::Table
-                    | StoreKind::BloomFront
-                    | StoreKind::CuckooFront
-                    | StoreKind::Cached
-            );
-            if table_backed && n > 64 {
-                continue; // fixed 64-entry backing table
-            }
-            let mut store = make_store(kind);
-            for i in 0..n as u64 {
-                store
-                    .insert(
-                        Region::new(
-                            VAddr(0x10_0000 + i * 0x10_000),
-                            Size(0x1000),
-                            Protection::READ_WRITE,
-                        )
-                        .expect("region"),
-                    )
-                    .expect("insert");
-            }
-            // Skewed access pattern: 90% hit the last-inserted (worst-case
-            // for the scan) region, 10% sweep the others.
-            let hot = 0x10_0000 + (n as u64 - 1) * 0x10_000;
-            let start = Instant::now();
-            let mut acc = 0u64;
-            for i in 0..lookups {
-                let addr = if i % 10 != 0 {
-                    hot + (i % 0x800)
-                } else {
-                    0x10_0000 + (i % n as u64) * 0x10_000 + (i % 0x800)
-                };
-                let r = store.lookup(VAddr(addr), Size(8), AccessFlags::RW);
-                acc = acc.wrapping_add(matches!(r, kop_policy::store::Lookup::Permitted(_)) as u64);
-            }
-            let ns = start.elapsed().as_nanos() as f64 / lookups as f64;
-            assert!(acc > 0, "lookups must hit");
-            points.push((n as f64, ns));
+    // Skewed access pattern: 90% hit the last-inserted (worst-case for
+    // the scan) region, 10% sweep the others.
+    let ns_per_lookup = |n: usize, lookup: &dyn Fn(VAddr) -> Lookup| {
+        let hot = 0x10_0000 + (n as u64 - 1) * 0x10_000;
+        let start = Instant::now();
+        let mut acc = 0u64;
+        for i in 0..lookups {
+            let addr = if i % 10 != 0 {
+                hot + (i % 0x800)
+            } else {
+                0x10_0000 + (i % n as u64) * 0x10_000 + (i % 0x800)
+            };
+            acc += matches!(lookup(VAddr(addr)), Lookup::Permitted(_)) as u64;
         }
-        if let Some(&(_, ns64)) = points.iter().find(|(n, _)| *n == 64.0) {
-            headlines.push((format!("{}_ns_at_64", kind.name()), ns64));
+        assert_eq!(acc, lookups, "every lookup hits a granting rule");
+        start.elapsed().as_nanos() as f64 / lookups as f64
+    };
+    let mut series: Vec<Series> = [
+        "flat-scan",
+        FrozenKind::Sorted.name(),
+        FrozenKind::Interval.name(),
+    ]
+    .into_iter()
+    .map(|label| Series {
+        label: label.into(),
+        points: Vec::new(),
+    })
+    .collect();
+    for &n in &counts {
+        let regions: Vec<Region> = (0..n as u64)
+            .map(|i| {
+                Region::new(
+                    VAddr(0x10_0000 + i * 0x10_000),
+                    Size(0x1000),
+                    Protection::READ_WRITE,
+                )
+                .expect("region")
+            })
+            .collect();
+        let disjoint = FrozenStore::build(regions.clone());
+        assert_eq!(disjoint.kind(), FrozenKind::Sorted);
+        let mut windowed = regions.clone();
+        windowed.push(
+            Region::new(
+                VAddr(0x10_0000),
+                Size(n as u64 * 0x10_000),
+                Protection::READ_ONLY,
+            )
+            .expect("shared window"),
+        );
+        let overlapping = FrozenStore::build(windowed);
+        assert_eq!(overlapping.kind(), FrozenKind::Interval);
+        let structures: [&dyn Fn(VAddr) -> Lookup; 3] = [
+            &|a| baseline::linear_scan(&regions, a, Size(8), AccessFlags::RW),
+            &|a| disjoint.lookup_frozen(a, Size(8), AccessFlags::RW),
+            &|a| overlapping.lookup_frozen(a, Size(8), AccessFlags::RW),
+        ];
+        for (s, lookup) in series.iter_mut().zip(structures) {
+            s.points.push((n as f64, ns_per_lookup(n, lookup)));
         }
-        series.push(Series {
-            label: kind.name().to_string(),
-            points,
-        });
     }
+    let headlines = series
+        .iter()
+        .map(|s| {
+            let at_64 = s.points.iter().find(|(n, _)| *n == 64.0).expect("n=64");
+            (format!("{}_ns_at_64", s.label), at_64.1)
+        })
+        .collect();
     FigureData {
         id: "ablation-ds",
         title: "policy-structure ablation: ns/guard-check vs region count (host wall-clock)".into(),
@@ -720,8 +739,9 @@ pub fn ablation_ds() -> FigureData {
         series,
         headlines,
         notes: vec![
-            "paper §4.2: linear scan is fine to ~64 regions; beyond that a logarithmic or popularity structure should win".into(),
-            "expected ordering at large n: cached/splay (hot hits) < sorted/interval (log n) < table (linear)".into(),
+            "paper §4.2: linear scan is fine to ~64 regions; beyond that a logarithmic structure should win".into(),
+            "flat-scan: the paper's table walk; frozen-sorted: one binary search over disjoint rules; frozen-interval: the same rules under one overlapping window, one binary search per layer".into(),
+            "expected ordering at large n: frozen-sorted < frozen-interval (two layers) < flat-scan (linear)".into(),
         ],
     }
 }
@@ -2269,8 +2289,9 @@ pub fn opt() -> FigureData {
 }
 
 /// The SMP guard-path figure (`reproduce smp`): guarded check rate and
-/// multi-queue TX throughput vs thread count, for the mutex-store
-/// baseline, the lock-free snapshot path, and snapshot + per-thread
+/// multi-queue TX throughput vs thread count, for the mutex baseline
+/// (one lock around every check, [`baseline::LockedPolicy`]), the
+/// lock-free snapshot path, and snapshot + per-thread
 /// guard TLB — plus a writer-churn phase proving revoked grants are
 /// never admitted (DESIGN §3.13).
 ///
@@ -2281,7 +2302,7 @@ pub fn opt() -> FigureData {
 /// storm never admits a stale access (asserted at every scale, every
 /// run). Guard-TLB hits + misses reconcile exactly with guard calls.
 pub fn smp() -> FigureData {
-    use kop_policy::{CheckPath, GuardTlb};
+    use kop_policy::{GuardTlb, PolicyCheck};
     use kop_trace::CounterRegistry;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AO};
     use std::sync::Barrier;
@@ -2302,7 +2323,7 @@ pub fn smp() -> FigureData {
 
     #[derive(Clone, Copy, PartialEq)]
     enum Path {
-        MutexStore,
+        Mutex,
         Snapshot,
         SnapshotTlb,
     }
@@ -2314,16 +2335,14 @@ pub fn smp() -> FigureData {
         let mut best = 0.0f64;
         for _ in 0..repeats {
             let pm = setup::two_region_policy();
-            pm.set_check_path(match path {
-                Path::MutexStore => CheckPath::MutexStore,
-                _ => CheckPath::Snapshot,
-            });
+            let locked = baseline::LockedPolicy::new(std::sync::Arc::clone(&pm));
             let barrier = Barrier::new(n);
             let base = kop_core::layout::DIRECT_MAP_BASE;
             let worst_ns = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..n)
                     .map(|t| {
                         let pm = std::sync::Arc::clone(&pm);
+                        let locked = locked.clone();
                         let barrier = &barrier;
                         s.spawn(move || {
                             let tlb = GuardTlb::with_prefix("smp.rate");
@@ -2339,7 +2358,10 @@ pub fn smp() -> FigureData {
                                         Size(8),
                                         AccessFlags::RW,
                                     ),
-                                    _ => pm.check(addr, Size(8), AccessFlags::RW),
+                                    Path::Snapshot => pm.check(addr, Size(8), AccessFlags::RW),
+                                    Path::Mutex => {
+                                        locked.carat_guard(addr, Size(8), AccessFlags::RW)
+                                    }
                                 };
                                 debug_assert!(r.is_ok());
                                 std::hint::black_box(&r);
@@ -2364,7 +2386,7 @@ pub fn smp() -> FigureData {
     let mut rate_1t = std::collections::HashMap::new();
     let mut rate_4t = std::collections::HashMap::new();
     for (label, path) in [
-        ("checkrate_mutex", Path::MutexStore),
+        ("checkrate_mutex", Path::Mutex),
         ("checkrate_snapshot", Path::Snapshot),
         ("checkrate_snapshot_tlb", Path::SnapshotTlb),
     ] {
@@ -2405,11 +2427,6 @@ pub fn smp() -> FigureData {
             let mut best = 0.0f64;
             for _ in 0..repeats.min(3) {
                 let pm = setup::two_region_policy();
-                pm.set_check_path(if use_tlb {
-                    CheckPath::Snapshot
-                } else {
-                    CheckPath::MutexStore
-                });
                 let registry = CounterRegistry::new();
                 let report =
                     if use_tlb {
@@ -2425,7 +2442,8 @@ pub fn smp() -> FigureData {
                             mem
                         })
                     } else {
-                        kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| std::sync::Arc::clone(&pm))
+                        let locked = baseline::LockedPolicy::new(std::sync::Arc::clone(&pm));
+                        kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| locked.clone())
                     }
                     .expect("mq tx run");
                 assert_eq!(
@@ -2534,7 +2552,7 @@ pub fn smp() -> FigureData {
         );
         assert!(
             mutex_scaling <= 1.5,
-            "mutex store must not scale past 1.5x (got {mutex_scaling:.2}x)"
+            "mutex path must not scale past 1.5x (got {mutex_scaling:.2}x)"
         );
         assert!(
             tlb_ns <= mutex_ns * 1.10,
@@ -2544,7 +2562,7 @@ pub fn smp() -> FigureData {
 
     let notes = vec![
         "checkrate_*: N threads hammer one shared PolicyModule with permitted accesses (Mchecks/s, best of repeats)".into(),
-        "mutex path serializes every guard on the store lock; snapshot path is lock-free RCU-style; +TLB adds a per-thread per-site grant cache".into(),
+        "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +TLB adds a per-thread per-site grant cache".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
             "writer churn: {churns} grant/revoke pairs against {} concurrent TLB readers -> 0 stale admits (asserted)",
@@ -3573,7 +3591,11 @@ pub fn fleet() -> FigureData {
             let module = (next() % modules as u64) * REGIONS_PER_MODULE as u64;
             for _ in 0..64 {
                 let k = module + next() % REGIONS_PER_MODULE as u64;
-                let off = if next() % 4 == 0 { 0x8000 } else { next() % 0xff8 };
+                let off = if next() % 4 == 0 {
+                    0x8000
+                } else {
+                    next() % 0xff8
+                };
                 out.push((
                     VAddr(FLEET_BASE + k * REGION_STRIDE + off),
                     Size(8),
@@ -3649,10 +3671,13 @@ pub fn fleet() -> FigureData {
     let sweep = |n: usize| -> (f64, f64, f64) {
         let regions = fleet_regions(n);
         let probes = fleet_probes(n, probe_count);
-        let flat = FrozenStore::flat(regions.clone());
         let sorted = FrozenStore::build(regions.clone());
-        assert_eq!(sorted.kind(), FrozenKind::Sorted, "disjoint fleet freezes sorted");
-        let mut overlapping = regions;
+        assert_eq!(
+            sorted.kind(),
+            FrozenKind::Sorted,
+            "disjoint fleet freezes sorted"
+        );
+        let mut overlapping = regions.clone();
         overlapping.push(
             Region::new(
                 VAddr(FLEET_BASE),
@@ -3662,11 +3687,33 @@ pub fn fleet() -> FigureData {
             .expect("shared window"),
         );
         let interval = FrozenStore::build(overlapping);
-        assert_eq!(interval.kind(), FrozenKind::Interval, "overlap freezes interval");
+        assert_eq!(
+            interval.kind(),
+            FrozenKind::Interval,
+            "overlap freezes interval"
+        );
         (
-            p99_ns(|&(a, s, f)| { black_box(flat.lookup_frozen(a, s, f)); }, &probes, repeats),
-            p99_ns(|&(a, s, f)| { black_box(sorted.lookup_frozen(a, s, f)); }, &probes, repeats),
-            p99_ns(|&(a, s, f)| { black_box(interval.lookup_frozen(a, s, f)); }, &probes, repeats),
+            p99_ns(
+                |&(a, s, f)| {
+                    black_box(baseline::linear_scan(&regions, a, s, f));
+                },
+                &probes,
+                repeats,
+            ),
+            p99_ns(
+                |&(a, s, f)| {
+                    black_box(sorted.lookup_frozen(a, s, f));
+                },
+                &probes,
+                repeats,
+            ),
+            p99_ns(
+                |&(a, s, f)| {
+                    black_box(interval.lookup_frozen(a, s, f));
+                },
+                &probes,
+                repeats,
+            ),
         )
     };
     let mut flat_pts = Vec::new();
@@ -3721,33 +3768,37 @@ pub fn fleet() -> FigureData {
     }
     headlines.push(("flat_p99_growth_1_to_256".into(), flat_growth));
     headlines.push(("frozen_sorted_p99_growth_1_to_256".into(), sorted_growth));
-    headlines.push(("frozen_interval_p99_growth_1_to_256".into(), interval_growth));
+    headlines.push((
+        "frozen_interval_p99_growth_1_to_256".into(),
+        interval_growth,
+    ));
 
-    // Authoritative store-kind sweep: the unbounded kinds carry a
-    // 64-module consolidated rule set, and their frozen snapshots
-    // answer exactly like the linear scan (structural, always on).
+    // Store-kind sweep: each kind's published snapshot answers exactly
+    // like the linear scan over its own rule list (structural, always
+    // on). The sorted kind carries a 64-module consolidated rule set,
+    // reloaded in reverse order; the table kind its 64-rule cap.
     {
         let n = 64.min(*fleet_sizes.last().expect("sizes"));
-        let regions = fleet_regions(n);
         let probes = fleet_probes(n, 256);
-        let reference = FrozenStore::flat(regions.clone());
-        for kind in [StoreKind::Sorted, StoreKind::Splay, StoreKind::Interval] {
-            let mut store = make_store(kind);
-            for r in &regions {
-                store.insert(*r).expect("fleet rules accepted");
+        for kind in StoreKind::ALL {
+            let mut rules = fleet_regions(n);
+            if kind == StoreKind::Table {
+                rules.truncate(kop_policy::MAX_REGIONS);
             }
-            let frozen = FrozenStore::build(store.snapshot());
+            rules.reverse();
+            let pm = PolicyModule::with_kind(kind);
+            pm.replace_regions(rules).expect("fleet rules admitted");
+            let (snap, listed) = (pm.policy_snapshot(), pm.regions());
             for &(a, s, f) in &probes {
                 assert_eq!(
-                    frozen.lookup_frozen(a, s, f),
-                    reference.lookup_frozen(a, s, f),
-                    "frozen {} snapshot diverges from the linear scan",
-                    kind
+                    snap.lookup(a, s, f),
+                    baseline::linear_scan(&listed, a, s, f),
+                    "{kind} snapshot diverges from the linear scan"
                 );
             }
         }
         notes.push(format!(
-            "store-kind sweep: sorted/splay/interval carry {} consolidated rules; frozen snapshots bit-identical to the flat scan (table-family kinds cap at 64 rules and sit out)",
+            "store-kind sweep: the sorted kind carries {} consolidated rules (the table kind its 64-rule cap); published snapshots bit-identical to the flat scan",
             n * REGIONS_PER_MODULE
         ));
     }
@@ -3765,10 +3816,9 @@ pub fn fleet() -> FigureData {
         let ns = Arc::new(NamespaceStore::new(Arc::new(
             PolicyModule::two_region_paper_policy(),
         )));
-        // Tenants sweep the unbounded store kinds round-robin.
-        let tenant_kinds = [StoreKind::Table, StoreKind::Sorted, StoreKind::Interval];
+        // Tenants sweep the store kinds round-robin.
         for t in 0..fleet {
-            let pm = PolicyModule::with_kind(tenant_kinds[t % tenant_kinds.len()]);
+            let pm = PolicyModule::with_kind(StoreKind::ALL[t % StoreKind::ALL.len()]);
             for r in Arc::clone(ns.global()).regions() {
                 pm.add_region(r).expect("tenant ruleset");
             }
@@ -3879,9 +3929,14 @@ pub fn fleet() -> FigureData {
                         if re != u64::MAX && pm.revocation_epoch() < re {
                             stale.fetch_add(1, AO::SeqCst);
                         }
-                        let rep =
-                            kop_net::run_forward(&mut drv, &mut gen, &mut ledger, per_chunk, budget)
-                                .expect("storm chunk");
+                        let rep = kop_net::run_forward(
+                            &mut drv,
+                            &mut gen,
+                            &mut ledger,
+                            per_chunk,
+                            budget,
+                        )
+                        .expect("storm chunk");
                         forwarded += rep.forwarded;
                         dropped += rep.wire_dropped;
                     }
@@ -3916,7 +3971,11 @@ pub fn fleet() -> FigureData {
                 regs += 1;
             }
             let bumped = ns.revoke_all();
-            assert_eq!(bumped, fleet + 1, "every tenant plus the global policy bumped");
+            assert_eq!(
+                bumped,
+                fleet + 1,
+                "every tenant plus the global policy bumped"
+            );
             revoke_epoch.store(pm.revocation_epoch(), AO::SeqCst);
             let forwarded = handle.join().expect("storm worker");
             (forwarded, regs)
@@ -4014,7 +4073,9 @@ pub fn fleet() -> FigureData {
         for staged_mod in staged {
             let res = kernel.reserve_module(&staged_mod).expect("reserve");
             let lowered = staged_mod.lower(&res, kernel.tracer());
-            kernel.commit_module(staged_mod, res, lowered).expect("commit");
+            kernel
+                .commit_module(staged_mod, res, lowered)
+                .expect("commit");
         }
         let commit_wall = t1.elapsed().as_secs_f64();
         assert_eq!(
@@ -4058,10 +4119,7 @@ pub fn fleet() -> FigureData {
     {
         let tracer = kop_trace::Tracer::with_capacity(kop_trace::DEFAULT_CAPACITY);
         let ns = NamespaceStore::new(Arc::new(PolicyModule::two_region_paper_policy()));
-        ns.register(
-            "nic0",
-            Arc::new(PolicyModule::two_region_paper_policy()),
-        );
+        ns.register("nic0", Arc::new(PolicyModule::two_region_paper_policy()));
         let mem = kop_e1000e::GuardedMem::with_tracer(
             DirectMem::with_defaults(E1000Device::default()),
             ns.resolve("nic0"),

@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod corpus;
 pub mod figures;
 pub mod setup;

@@ -8,9 +8,9 @@
 //! (identical layout, so guard sites classify the same on every queue),
 //! and the **only** shared object between workers is the policy — which
 //! is exactly the contention point the `reproduce smp` figure measures.
-//! With the mutex check path every guard on every queue serializes on one
-//! lock; with the snapshot path (plus per-queue guard TLBs) queues scale
-//! independently.
+//! With a lock around the check (the figure's mutex baseline) every guard
+//! on every queue serializes; with the lock-free snapshot path (plus
+//! per-queue guard TLBs) queues scale independently.
 
 use std::time::{Duration, Instant};
 

@@ -273,7 +273,8 @@ impl Kernel {
             });
         }
 
-        let heap_base = VAddr(DIRECT_MAP_BASE + (1 << 30)); // 1 GiB into the direct map
+        // The heap starts 1 GiB into the direct map.
+        let heap_base = VAddr(DIRECT_MAP_BASE + (1 << 30));
         // Binds the global policy to namespace id 1; per-module policies
         // get fresh ids as they register.
         let namespaces = Arc::new(NamespaceStore::new(Arc::clone(&policy)));

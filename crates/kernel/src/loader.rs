@@ -22,7 +22,7 @@ use kop_compiler::{CompilerKey, SignedModule};
 use kop_core::{KernelError, KernelResult, VAddr};
 use kop_ir::{verify_module, GlobalInit, Module};
 use kop_policy::NamespaceStore;
-use kop_trace::{assign_guard_sites, GuardSite, Producer, SiteTable, Tracer, TraceEvent};
+use kop_trace::{assign_guard_sites, GuardSite, Producer, SiteTable, TraceEvent, Tracer};
 
 use crate::kernel::{Kernel, KernelConfig};
 

@@ -1,14 +1,9 @@
 //! [`FrozenStore`] — the immutable snapshot-side region structure.
 //!
-//! Mutable stores ([`crate::store::RegionStore`]) keep `lookup(&mut self)`
-//! because self-adjusting structures (splay, last-hit cache) reorganize on
-//! reads. The *published* side must not: the SMP check path (DESIGN §3.13)
-//! reads a snapshot concurrently from every core, so it needs a `&self`
-//! lookup. Historically [`crate::snapshot::PolicySnapshot`] answered that
-//! with a flat `Vec<Region>` scan — O(n) per check, which is exactly the
-//! scaling wall the fleet experiment measures. `FrozenStore` is built once
-//! at publish time from `RegionStore::snapshot()` and serves O(log n)
-//! lookups with **bit-exact** flat-scan semantics:
+//! Every guard check is answered here. The SMP check path (DESIGN §3.13)
+//! reads a snapshot concurrently from every core, so lookup takes `&self`;
+//! the index is built once at publish time from the policy's rule list
+//! and serves O(log n) lookups with **bit-exact** flat-scan semantics:
 //!
 //! * Permitted(r) where `r` is the *first region in store order* that
 //!   covers the whole access and grants the intent,
@@ -16,10 +11,10 @@
 //!   order,
 //! * else NoMatch.
 //!
-//! Store order is whatever `RegionStore::snapshot()` returned (insertion
-//! order for the table, base order for the trees) — the frozen index
-//! remembers each region's position so the tiebreak is preserved even when
-//! the search visits regions out of order.
+//! Store order is the rule list's order (insertion order for the table,
+//! base order for the sorted kind) — the frozen index remembers each
+//! region's position so the tiebreak is preserved even when the search
+//! visits regions out of order.
 
 use kop_core::{AccessFlags, Region, Size, VAddr};
 
@@ -28,9 +23,6 @@ use crate::store::Lookup;
 /// How a [`FrozenStore`] indexes its regions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrozenKind {
-    /// Linear scan over store order — the legacy structure, kept as the
-    /// measured baseline and for tiny sets where a scan wins.
-    Flat,
     /// Disjoint regions sorted by base: one `partition_point` probe.
     Sorted,
     /// Overlapping regions: layered decomposition — base-sorted regions
@@ -46,7 +38,6 @@ impl FrozenKind {
     /// Name for reports.
     pub fn name(self) -> &'static str {
         match self {
-            FrozenKind::Flat => "flat",
             FrozenKind::Sorted => "frozen-sorted",
             FrozenKind::Interval => "frozen-interval",
         }
@@ -63,7 +54,6 @@ struct Entry {
 
 #[derive(Clone, Debug)]
 enum Index {
-    Flat,
     /// Base-sorted, pairwise-disjoint regions (store-order positions are
     /// irrelevant for disjoint sets: at most one region covers an access).
     Sorted(Vec<Region>),
@@ -86,8 +76,8 @@ pub struct FrozenStore {
 
 impl FrozenStore {
     /// Build the best index for this region set: a one-probe sorted array
-    /// when the set is pairwise disjoint, an augmented interval tree
-    /// otherwise. `regions` is the store-order snapshot.
+    /// when the set is pairwise disjoint, the layered index otherwise.
+    /// `regions` is the rule list in store order.
     pub fn build(regions: Vec<Region>) -> FrozenStore {
         let mut sorted: Vec<(usize, Region)> = regions.iter().copied().enumerate().collect();
         sorted.sort_by_key(|(_, r)| r.base);
@@ -114,19 +104,9 @@ impl FrozenStore {
         FrozenStore { regions, index }
     }
 
-    /// Build a flat-scan store over the same regions — the legacy baseline
-    /// the `store_lookup` bench and the fleet figure measure against.
-    pub fn flat(regions: Vec<Region>) -> FrozenStore {
-        FrozenStore {
-            regions,
-            index: Index::Flat,
-        }
-    }
-
     /// Which index this store built.
     pub fn kind(&self) -> FrozenKind {
         match self.index {
-            Index::Flat => FrozenKind::Flat,
             Index::Sorted(_) => FrozenKind::Sorted,
             Index::Interval(_) => FrozenKind::Interval,
         }
@@ -153,21 +133,6 @@ impl FrozenStore {
     #[inline]
     pub fn lookup_frozen(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Lookup {
         match &self.index {
-            Index::Flat => {
-                let mut covering: Option<Region> = None;
-                for r in &self.regions {
-                    if r.covers(addr, size) {
-                        if r.prot.allows(flags) {
-                            return Lookup::Permitted(*r);
-                        }
-                        covering.get_or_insert(*r);
-                    }
-                }
-                match covering {
-                    Some(r) => Lookup::Forbidden(r),
-                    None => Lookup::NoMatch,
-                }
-            }
             Index::Sorted(sorted) => {
                 // Disjoint: the only candidate is the last region with
                 // base <= addr.
@@ -308,22 +273,30 @@ mod tests {
     }
 
     #[test]
-    fn flat_baseline_matches_build() {
-        let regions = vec![
-            r(0x0, 0x100000, Protection::NONE),
-            r(0x10000, 0x10000, Protection::READ_ONLY),
-            r(0x14000, 0x1000, Protection::READ_WRITE),
+    fn access_straddling_adjacent_rules_is_not_covered() {
+        // Adjacent rules do not merge: one rule must cover the whole
+        // access, in both index shapes.
+        let adjacent = vec![
+            r(0x1000, 0x100, Protection::ALL),
+            r(0x1100, 0x100, Protection::ALL),
         ];
-        let flat = FrozenStore::flat(regions.clone());
-        let built = FrozenStore::build(regions);
-        assert_eq!(flat.kind(), FrozenKind::Flat);
-        for addr in (0u64..0x120000).step_by(0x1000) {
-            for flags in [AccessFlags::READ, AccessFlags::WRITE] {
+        let mut windowed = adjacent.clone();
+        windowed.push(r(0x800, 0x100, Protection::ALL));
+        windowed.push(r(0x0, 0x4000, Protection::NONE));
+        for regions in [adjacent, windowed] {
+            let f = FrozenStore::build(regions.clone());
+            for (addr, size) in [(0x10f8u64, 8u64), (0x10fc, 8), (0x10f9, 8)] {
                 assert_eq!(
-                    flat.lookup_frozen(VAddr(addr), Size(8), flags),
-                    built.lookup_frozen(VAddr(addr), Size(8), flags),
+                    f.lookup_frozen(VAddr(addr), Size(size), AccessFlags::READ),
+                    scan(&regions, VAddr(addr), Size(size), AccessFlags::READ),
+                    "{:?} at {addr:#x}",
+                    f.kind()
                 );
             }
+            assert!(!matches!(
+                f.lookup_frozen(VAddr(0x10fc), Size(8), AccessFlags::READ),
+                Lookup::Permitted(_)
+            ));
         }
     }
 

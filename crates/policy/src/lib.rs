@@ -7,20 +7,17 @@
 //!
 //! This crate implements:
 //!
-//! * [`store::RegionStore`] — the interface every policy data structure
-//!   implements,
-//! * [`table::RegionTable`] — the paper's structure: a fixed 64-entry array
-//!   searched linearly (O(n), cache-friendly, supports overlapping rules),
-//! * the alternatives the paper sketches for future work (§3.1, §4.2):
-//!   [`sorted::SortedRegionTable`] (binary search),
-//!   [`splay::SplayRegionTree`] (popularity-adaptive),
-//!   [`interval::IntervalTree`] (the "Linux rbtree" comparator),
-//!   [`bloom::BloomFrontTable`] and [`cuckoo::CuckooFrontTable`] (AMQ
-//!   filter fronts — Bloom and deletable cuckoo, both cited in §3.1), and
-//!   [`cache::CachedTable`] (last-hit cache, CARAT CAKE style),
-//! * [`module::PolicyModule`] — the loadable policy module itself: a
-//!   store + default action + violation action + statistics, exposing the
-//!   `carat_guard` entry point,
+//! * [`module::PolicyModule`] — the loadable policy module itself: one
+//!   rule list + default action + violation action + statistics,
+//!   exposing the `carat_guard` entry point,
+//! * [`store::StoreKind`] — the list's admission contract: the paper's
+//!   64-entry table (insertion order, overlapping rules allowed) or the
+//!   sorted table it sketches for scaling (§4.2: base order, no cap,
+//!   overlaps rejected),
+//! * [`frozen::FrozenStore`] — the immutable index every check is
+//!   answered from: one binary search over disjoint rules, a layered
+//!   decomposition over overlapping ones, both bit-exact with the paper's
+//!   linear scan,
 //! * [`manager::PolicyCmd`] — the binary ioctl protocol spoken by the
 //!   `policy-manager` user-space tool,
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]
@@ -31,22 +28,15 @@
 
 #![warn(missing_docs)]
 
-pub mod bloom;
-pub mod cache;
-pub mod cuckoo;
 pub mod frozen;
 pub mod hot;
-pub mod interval;
 pub mod intrinsics;
 pub mod manager;
 pub mod module;
 pub mod namespace;
 pub mod snapshot;
-pub mod sorted;
-pub mod splay;
 pub mod stats;
 pub mod store;
-pub mod table;
 pub mod tlb;
 pub mod vlog;
 
@@ -55,14 +45,12 @@ pub use hot::{HotPolicy, HotSite};
 pub use intrinsics::IntrinsicPolicy;
 pub use manager::{PolicyCmd, PolicyCmdError, PolicyResponse};
 pub use module::{
-    CheckPath, ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule,
-    ViolationAction,
+    ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule, ViolationAction,
 };
 pub use namespace::{NamespaceStore, GLOBAL_NAMESPACE, NAMESPACE_SHARDS};
 pub use snapshot::{GenerationSubscriber, PolicySnapshot, SnapshotStore, SNAPSHOT_HISTORY_CAP};
 pub use stats::GuardStats;
-pub use store::{PolicyError, RegionStore, StoreKind};
-pub use table::{RegionTable, MAX_REGIONS};
+pub use store::{Lookup, PolicyError, StoreKind, MAX_REGIONS};
 pub use tlb::{GuardTlb, SiteMap, TlbPolicy, TLB_WAYS};
 pub use vlog::ViolationLog;
 

@@ -83,6 +83,9 @@ const RESP_STATS: u8 = 0x82;
 const RESP_INTRINSICS: u8 = 0x83;
 const RESP_ERR: u8 = 0xff;
 
+/// Encoded size of one region: base, length, protection bits.
+const REGION_LEN: usize = 24;
+
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -96,6 +99,14 @@ fn get_u64(data: &[u8], off: &mut usize) -> Result<u64, PolicyCmdError> {
     bytes.copy_from_slice(&data[*off..end]);
     *off = end;
     Ok(u64::from_le_bytes(bytes))
+}
+
+/// Capacity for a list of `count` items of `item_len` encoded bytes each:
+/// never more than the bytes left in `data` could hold, so a forged count
+/// cannot drive the allocation.
+fn list_capacity(count: u64, item_len: usize, data: &[u8], off: usize) -> usize {
+    let fits = data.len().saturating_sub(off) / item_len;
+    usize::try_from(count).map_or(fits, |n| n.min(fits))
 }
 
 fn put_region(out: &mut Vec<u8>, r: &Region) {
@@ -308,7 +319,7 @@ impl PolicyResponse {
             RESP_OK => Ok(PolicyResponse::Ok),
             RESP_REGIONS => {
                 let n = get_u64(data, &mut off)?;
-                let mut regions = Vec::with_capacity(n as usize);
+                let mut regions = Vec::with_capacity(list_capacity(n, REGION_LEN, data, off));
                 for _ in 0..n {
                     regions.push(get_region(data, &mut off)?);
                 }
@@ -330,7 +341,7 @@ impl PolicyResponse {
             }
             RESP_INTRINSICS => {
                 let n = get_u64(data, &mut off)?;
-                let mut ids = Vec::with_capacity(n as usize);
+                let mut ids = Vec::with_capacity(list_capacity(n, 8, data, off));
                 for _ in 0..n {
                     let id = get_u64(data, &mut off)?;
                     ids.push(
@@ -341,11 +352,12 @@ impl PolicyResponse {
                 Ok(PolicyResponse::Intrinsics(ids))
             }
             RESP_ERR => {
-                let len = get_u64(data, &mut off)? as usize;
-                let end = off + len;
-                if end > data.len() {
-                    return Err(PolicyCmdError("truncated error string".into()));
-                }
+                let len = get_u64(data, &mut off)?;
+                let end = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| off.checked_add(len))
+                    .filter(|&end| end <= data.len())
+                    .ok_or_else(|| PolicyCmdError("truncated error string".into()))?;
                 let msg = String::from_utf8_lossy(&data[off..end]).into_owned();
                 Ok(PolicyResponse::Err(msg))
             }

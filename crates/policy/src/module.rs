@@ -1,4 +1,4 @@
-//! The policy module itself: a region store + default action + violation
+//! The policy module itself: a rule list + default action + violation
 //! action + statistics behind the `carat_guard` entry point.
 //!
 //! §3.1: *"this module is inserted into the kernel and provides a single
@@ -10,15 +10,11 @@
 //! # SMP structure
 //!
 //! The check path is read-mostly, so it is split RCU-style (DESIGN
-//! §3.13): mutations go through a mutex-protected authoritative
-//! [`RegionStore`] and republish an immutable [`PolicySnapshot`]; checks
-//! default to the lock-free snapshot path ([`CheckPath::Snapshot`]) and
-//! touch no lock at all. Default/violation actions and the intrinsic
-//! table are atomics/published snapshots for the same reason. The
-//! pre-SMP behaviour is still available as [`CheckPath::MutexStore`]
-//! (it is the baseline the `reproduce smp` figure measures against, and
-//! the only path that exercises self-adjusting stores' read-side
-//! reorganization).
+//! §3.13): mutations edit a mutex-protected rule list, pass it through
+//! the [`StoreKind`]'s admission contract, and republish an immutable
+//! [`PolicySnapshot`]; checks read only the published snapshot and touch
+//! no lock at all. Default/violation actions and the intrinsic table are
+//! atomics/published snapshots for the same reason.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -34,7 +30,7 @@ use kop_trace::CounterRegistry;
 use crate::intrinsics::IntrinsicPolicy;
 use crate::snapshot::{PolicySnapshot, SnapshotStore};
 use crate::stats::{GuardStats, GuardStatsSnapshot};
-use crate::store::{make_store, Lookup, PolicyError, RegionStore, StoreKind};
+use crate::store::{admit, Lookup, PolicyError, StoreKind};
 use crate::vlog::ViolationLog;
 use crate::PolicyCheck;
 
@@ -127,17 +123,6 @@ impl ViolationAction {
     }
 }
 
-/// Which lookup path [`PolicyModule::check`] takes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckPath {
-    /// The pre-SMP path: every check locks the authoritative store. Kept
-    /// as the measured baseline, and because self-adjusting stores
-    /// (splay, cached) only reorganize on this path.
-    MutexStore,
-    /// The lock-free path: checks read the published snapshot (default).
-    Snapshot,
-}
-
 /// Outcome of an enforced guard check.
 #[derive(Debug)]
 pub enum GuardOutcome {
@@ -159,9 +144,9 @@ impl GuardOutcome {
     }
 }
 
-/// A classified check: the result plus, when a region grant permitted it
-/// via the snapshot path, the granting region and the generation it was
-/// observed under — what the guard TLB memoizes.
+/// A classified check: the result plus, when a region grant permitted it,
+/// the granting region and the generation it was observed under — what
+/// the guard TLB memoizes.
 pub struct ClassifiedCheck {
     /// The check result, identical to [`PolicyModule::check`]'s.
     pub result: Result<(), Violation>,
@@ -194,13 +179,14 @@ struct IntrinsicSnapshot {
 /// assert!(pm.check(VAddr(0x9000), Size(8), AccessFlags::READ).is_err());
 /// ```
 pub struct PolicyModule {
-    /// Authoritative store — mutations only (plus the MutexStore check
-    /// path). Every mutation republishes `snapshot` before releasing the
-    /// lock, so generation order matches mutation order.
-    store: Mutex<Box<dyn RegionStore + Send + Sync>>,
-    /// The published lock-free read path.
+    /// The admission contract every mutation of `rules` passes.
+    kind: StoreKind,
+    /// The authoritative rule list in store order — mutations only. Every
+    /// mutation republishes `snapshot` before releasing the lock, so
+    /// generation order matches mutation order.
+    rules: Mutex<Vec<Region>>,
+    /// The published lock-free read path: every check is answered here.
     snapshot: SnapshotStore,
-    check_path: AtomicU8,
     /// Authoritative intrinsic table (mutations only).
     intrinsics: Mutex<IntrinsicPolicy>,
     /// Published intrinsic table for lock-free checks.
@@ -224,18 +210,18 @@ pub struct PolicyModule {
 }
 
 impl PolicyModule {
-    /// A policy module backed by the paper's 64-entry table, default deny,
-    /// panic on violation.
+    /// A policy module under the paper's 64-entry table contract, default
+    /// deny, panic on violation.
     pub fn new() -> PolicyModule {
         Self::with_kind(StoreKind::Table)
     }
 
-    /// A policy module backed by a chosen structure.
+    /// A policy module under a chosen admission contract.
     pub fn with_kind(kind: StoreKind) -> PolicyModule {
         PolicyModule {
-            store: Mutex::new(make_store(kind)),
-            snapshot: SnapshotStore::new(kind),
-            check_path: AtomicU8::new(1), // Snapshot
+            kind,
+            rules: Mutex::new(Vec::new()),
+            snapshot: SnapshotStore::new(),
             intrinsics: Mutex::new(IntrinsicPolicy::new()),
             intrinsic_snap: ArcSwap::from_pointee(IntrinsicSnapshot {
                 allowed: Vec::new(),
@@ -322,71 +308,60 @@ impl PolicyModule {
         pm
     }
 
-    /// Backing structure kind.
+    /// The admission contract this module's rule list follows.
     pub fn store_kind(&self) -> StoreKind {
-        self.snapshot.load().kind()
+        self.kind
     }
 
-    /// Which lookup path [`Self::check`] takes.
-    pub fn check_path(&self) -> CheckPath {
-        match self.check_path.load(Ordering::Relaxed) {
-            0 => CheckPath::MutexStore,
-            _ => CheckPath::Snapshot,
-        }
-    }
-
-    /// Select the lookup path (the SMP figure measures both).
-    pub fn set_check_path(&self, path: CheckPath) {
-        let v = match path {
-            CheckPath::MutexStore => 0,
-            CheckPath::Snapshot => 1,
-        };
-        self.check_path.store(v, Ordering::Relaxed);
-    }
-
-    /// Republish the snapshot from the locked authoritative store.
-    fn republish(&self, store: &dyn RegionStore) {
-        self.snapshot.publish(store.kind(), store.snapshot());
+    /// Admit `next` as the whole rule list and publish it. On error the
+    /// rule list, the generation and the publish count are untouched.
+    fn install(&self, rules: &mut Vec<Region>, next: Vec<Region>) -> Result<(), PolicyError> {
+        *rules = admit(self.kind, next)?;
+        self.snapshot.publish(rules.clone());
+        Ok(())
     }
 
     /// Add a firewall rule.
     pub fn add_region(&self, region: Region) -> Result<(), PolicyError> {
-        let mut store = self.store.lock();
-        store.insert(region)?;
-        self.republish(&**store);
-        Ok(())
+        let mut rules = self.rules.lock();
+        let mut next = rules.clone();
+        next.push(region);
+        self.install(&mut rules, next)
     }
 
-    /// Remove the rule with this base address.
+    /// Remove the rule with this base address. The rest keep their store
+    /// order, so the list stays admissible.
     pub fn remove_region(&self, base: VAddr) -> Result<Region, PolicyError> {
-        let mut store = self.store.lock();
-        let removed = store.remove(base)?;
-        self.republish(&**store);
+        let mut rules = self.rules.lock();
+        let idx = rules
+            .iter()
+            .position(|r| r.base == base)
+            .ok_or(PolicyError::NoSuchRegion { base })?;
+        let removed = rules.remove(idx);
+        self.snapshot.publish(rules.clone());
         Ok(removed)
     }
 
     /// Drop all rules.
     pub fn clear_regions(&self) {
-        let mut store = self.store.lock();
-        store.clear();
-        self.republish(&**store);
+        let mut rules = self.rules.lock();
+        rules.clear();
+        self.snapshot.publish(Vec::new());
     }
 
     /// Atomically replace the whole rule set in one publish: readers see
     /// either the old set or the new set, never a half-built mixture
-    /// (the "firewall ruleset reload" the torn-table test leans on).
+    /// (the "firewall ruleset reload" the torn-table test leans on). The
+    /// new list is admitted whole, O(n log n), and accepted exactly when
+    /// adding its rules one by one to an empty module would accept them
+    /// all; otherwise the first such rejection is returned and nothing
+    /// changes.
     pub fn replace_regions(
         &self,
         regions: impl IntoIterator<Item = Region>,
     ) -> Result<(), PolicyError> {
-        let mut store = self.store.lock();
-        let mut fresh = make_store(store.kind());
-        for r in regions {
-            fresh.insert(r)?;
-        }
-        *store = fresh;
-        self.republish(&**store);
-        Ok(())
+        let mut rules = self.rules.lock();
+        self.install(&mut rules, regions.into_iter().collect())
     }
 
     /// Force a revocation epoch: republish the (unchanged) rule set so the
@@ -396,9 +371,8 @@ impl PolicyModule {
     /// against a grant observed before the swap. Returns the new
     /// generation.
     pub fn bump_epoch(&self) -> u64 {
-        let store = self.store.lock();
-        self.republish(&**store);
-        self.snapshot.generation()
+        let rules = self.rules.lock();
+        self.snapshot.publish(rules.clone())
     }
 
     /// The namespace id this policy is bound to (0 = unbound). One
@@ -697,10 +671,9 @@ impl PolicyModule {
     /// The pure check: classify the access, update stats, log violations.
     /// Does **not** apply the violation action — see [`Self::enforce`].
     ///
-    /// On the default [`CheckPath::Snapshot`] this takes **no lock**:
-    /// one pinned snapshot load, a frozen-table lookup, and relaxed
-    /// counter updates (the denial paths additionally take the cold log
-    /// mutex).
+    /// Takes **no lock**: one pinned snapshot load, a frozen-table
+    /// lookup, and relaxed counter updates (the denial paths additionally
+    /// take the cold log mutex).
     pub fn check(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
         if self.vacuous(size, flags) {
             self.stats.record_permitted();
@@ -711,16 +684,13 @@ impl PolicyModule {
             self.log.push(v);
             return Err(v);
         }
-        let lookup = match self.check_path() {
-            CheckPath::Snapshot => self.snapshot.load().lookup(addr, size, flags),
-            CheckPath::MutexStore => self.store.lock().lookup(addr, size, flags),
-        };
+        let lookup = self.snapshot.load().lookup(addr, size, flags);
         self.settle(addr, size, flags, lookup)
     }
 
-    /// The check the guard TLB uses: always the lock-free snapshot path,
-    /// and reports which region granted a permit (plus the generation it
-    /// was observed under) so the caller may memoize it.
+    /// The check the guard TLB uses: [`Self::check`], reporting which
+    /// region granted a permit (plus the generation it was observed
+    /// under) so the caller may memoize it.
     pub fn check_classified(&self, addr: VAddr, size: Size, flags: AccessFlags) -> ClassifiedCheck {
         if self.vacuous(size, flags) {
             self.stats.record_permitted();
@@ -793,6 +763,7 @@ impl PolicyCheck for std::sync::Arc<PolicyModule> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MAX_REGIONS;
     use kop_core::layout::{DIRECT_MAP_BASE, KERNEL_HALF_BASE};
     use kop_core::Protection;
 
@@ -975,26 +946,158 @@ mod tests {
         }
     }
 
+    /// The paper's table walk over `pm.regions()`, falling back to the
+    /// default action: the verdict `check` must reproduce.
+    fn scan_verdict(
+        pm: &PolicyModule,
+        addr: VAddr,
+        size: Size,
+        flags: AccessFlags,
+    ) -> Result<(), ViolationKind> {
+        let mut covered = false;
+        for r in pm.regions() {
+            if r.covers(addr, size) {
+                if r.prot.allows(flags) {
+                    return Ok(());
+                }
+                covered = true;
+            }
+        }
+        match (covered, pm.default_action()) {
+            (true, _) => Err(ViolationKind::InsufficientPermissions),
+            (false, DefaultAction::Allow) => Ok(()),
+            (false, DefaultAction::Deny) => Err(ViolationKind::NoMatchingRegion),
+        }
+    }
+
     #[test]
-    fn both_check_paths_agree_for_every_store_kind() {
+    fn check_agrees_with_linear_scan_for_every_store_kind() {
         for kind in StoreKind::ALL {
             let pm = PolicyModule::with_kind(kind);
             pm.add_region(
                 Region::new(VAddr(0x10_0000), Size(0x1000), Protection::READ_ONLY).unwrap(),
             )
             .unwrap();
-            for (addr, size, flags) in [
-                (0x10_0800u64, 8u64, AccessFlags::READ),
-                (0x10_0800, 8, AccessFlags::WRITE),
-                (0x20_0000, 8, AccessFlags::READ),
-                (0x10_0ff8, 16, AccessFlags::READ),
-            ] {
-                pm.set_check_path(CheckPath::Snapshot);
-                let snap = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                pm.set_check_path(CheckPath::MutexStore);
-                let mutex = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                assert_eq!(snap, mutex, "{kind} diverged at {addr:#x}");
+            for default in [DefaultAction::Deny, DefaultAction::Allow] {
+                pm.set_default_action(default);
+                for (addr, size, flags) in [
+                    (0x10_0800u64, 8u64, AccessFlags::READ),
+                    (0x10_0800, 8, AccessFlags::WRITE),
+                    (0x20_0000, 8, AccessFlags::READ),
+                    (0x10_0ff8, 16, AccessFlags::READ),
+                ] {
+                    let (addr, size) = (VAddr(addr), Size(size));
+                    assert_eq!(
+                        pm.check(addr, size, flags).map_err(|v| v.kind),
+                        scan_verdict(&pm, addr, size, flags),
+                        "{kind} diverged at {addr}"
+                    );
+                }
             }
+        }
+    }
+
+    fn rw(base: u64, len: u64) -> Region {
+        Region::new(VAddr(base), Size(len), Protection::READ_WRITE).unwrap()
+    }
+
+    #[test]
+    fn table_caps_at_64_rules() {
+        let pm = PolicyModule::new();
+        for i in 0..MAX_REGIONS as u64 {
+            pm.add_region(rw(i * 0x1000, 0x800)).unwrap();
+        }
+        assert_eq!(
+            pm.add_region(rw(0x100_0000, 0x800)),
+            Err(PolicyError::TableFull { capacity: 64 })
+        );
+        assert_eq!(pm.region_count(), 64);
+        // The sorted kind has no cap.
+        let sorted = PolicyModule::with_kind(StoreKind::Sorted);
+        sorted
+            .replace_regions((0..=MAX_REGIONS as u64).map(|i| rw(i * 0x1000, 0x800)))
+            .unwrap();
+        assert_eq!(sorted.region_count(), 65);
+    }
+
+    #[test]
+    fn removal_keeps_insertion_order() {
+        let pm = PolicyModule::new();
+        for base in [0x3000, 0x1000, 0x2000] {
+            pm.add_region(rw(base, 0x100)).unwrap();
+        }
+        assert_eq!(pm.remove_region(VAddr(0x1000)).unwrap().base, VAddr(0x1000));
+        let bases: Vec<VAddr> = pm.regions().iter().map(|r| r.base).collect();
+        assert_eq!(bases, vec![VAddr(0x3000), VAddr(0x2000)]);
+        assert_eq!(
+            pm.remove_region(VAddr(0x1000)),
+            Err(PolicyError::NoSuchRegion {
+                base: VAddr(0x1000)
+            })
+        );
+    }
+
+    #[test]
+    fn sorted_kind_rejects_overlap_and_keeps_base_order() {
+        let pm = PolicyModule::with_kind(StoreKind::Sorted);
+        pm.add_region(rw(0x3000, 0x1000)).unwrap();
+        pm.add_region(rw(0x1000, 0x1000)).unwrap();
+        // Overlap with the predecessor, then with the successor.
+        assert_eq!(
+            pm.add_region(rw(0x1800, 0x1000)),
+            Err(PolicyError::Overlap {
+                existing: rw(0x1000, 0x1000)
+            })
+        );
+        assert_eq!(
+            pm.add_region(rw(0x2800, 0x1000)),
+            Err(PolicyError::Overlap {
+                existing: rw(0x3000, 0x1000)
+            })
+        );
+        // Adjacent is not overlapping.
+        pm.add_region(rw(0x2000, 0x1000)).unwrap();
+        let bases: Vec<u64> = pm.regions().iter().map(|r| r.base.raw()).collect();
+        assert_eq!(bases, vec![0x1000, 0x2000, 0x3000]);
+        // The table kind accepts the same overlap.
+        let table = PolicyModule::new();
+        table.add_region(rw(0x1000, 0x1000)).unwrap();
+        table.add_region(rw(0x1800, 0x1000)).unwrap();
+    }
+
+    #[test]
+    fn duplicate_base_rejected_by_every_kind() {
+        for kind in StoreKind::ALL {
+            let pm = PolicyModule::with_kind(kind);
+            pm.add_region(rw(0x1000, 0x1000)).unwrap();
+            assert_eq!(
+                pm.add_region(rw(0x1000, 0x2000)),
+                Err(PolicyError::DuplicateBase {
+                    existing: rw(0x1000, 0x1000)
+                }),
+                "{kind}"
+            );
+            assert_eq!(pm.region_count(), 1);
+        }
+    }
+
+    #[test]
+    fn failed_replace_changes_nothing() {
+        for kind in StoreKind::ALL {
+            let pm = PolicyModule::with_kind(kind);
+            pm.replace_regions([rw(0x1000, 0x1000), rw(0x4000, 0x1000)])
+                .unwrap();
+            let (regions, gen, publishes) =
+                (pm.regions(), pm.store_generation(), pm.snapshot_publishes());
+            let dup = [rw(0x8000, 0x100), rw(0x9000, 0x100), rw(0x8000, 0x200)];
+            assert!(matches!(
+                pm.replace_regions(dup),
+                Err(PolicyError::DuplicateBase { .. })
+            ));
+            assert_eq!(pm.regions(), regions, "{kind}");
+            assert_eq!(pm.store_generation(), gen, "{kind}");
+            assert_eq!(pm.snapshot_publishes(), publishes, "{kind}");
+            assert!(pm.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
         }
     }
 

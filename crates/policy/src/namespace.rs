@@ -113,15 +113,17 @@ impl NamespaceStore {
 
     /// The namespace id for `module`, if registered.
     pub fn namespace_of(&self, module: &str) -> Option<u64> {
-        self.shards[shard_of(module)].read().get(module).map(|e| e.ns)
+        self.shards[shard_of(module)]
+            .read()
+            .get(module)
+            .map(|e| e.ns)
     }
 
     /// The policy that governs `module`: its own namespace if registered,
     /// else the global fall-back. This is the loader/check-path resolver;
     /// one shard read-lock (uncontended unless that shard is registering).
     pub fn resolve(&self, module: &str) -> Arc<PolicyModule> {
-        self.get(module)
-            .unwrap_or_else(|| Arc::clone(&self.global))
+        self.get(module).unwrap_or_else(|| Arc::clone(&self.global))
     }
 
     /// Drop `module`'s namespace (its modules fall back to the global

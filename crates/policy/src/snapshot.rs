@@ -6,8 +6,8 @@
 //! store. [`SnapshotStore`] therefore keeps an immutable
 //! [`PolicySnapshot`] behind an `arc-swap` atomic pointer: readers load
 //! the snapshot and run `lookup` with zero locks; writers rebuild a fresh
-//! snapshot from the authoritative (mutex-protected) store and publish it
-//! whole. A reader mid-check keeps the snapshot it pinned alive — it can
+//! snapshot from the authoritative (mutex-protected) rule list and publish
+//! it whole. A reader mid-check keeps the snapshot it pinned alive — it can
 //! never observe a torn table — and reclamation of the old snapshot is
 //! deferred until the last reader drops it.
 //!
@@ -38,7 +38,7 @@ use kop_core::{AccessFlags, Region, Size, VAddr};
 use kop_trace::Counter;
 
 use crate::frozen::{FrozenKind, FrozenStore};
-use crate::store::{Lookup, StoreKind};
+use crate::store::Lookup;
 
 /// How many `(generation, regions)` pairs the store retains for
 /// [`SnapshotStore::regions_at`]. The translation validator re-derives
@@ -60,22 +60,20 @@ pub type GenerationSubscriber = Box<dyn Fn(u64) + Send + Sync>;
 /// first covering region makes it [`Lookup::Forbidden`]; otherwise
 /// [`Lookup::NoMatch`]. Lookups are served by a [`FrozenStore`] built at
 /// publish time: a one-probe sorted array when the regions are disjoint,
-/// an augmented interval tree when they overlap — O(log n) either way,
-/// with bit-exact flat-scan semantics (store-order any-grant-wins).
+/// a layered index when they overlap — O(log n) either way, with
+/// bit-exact flat-scan semantics (store-order any-grant-wins).
 pub struct PolicySnapshot {
     generation: u64,
-    kind: StoreKind,
     /// The frozen index (also owns the store-order region list).
     frozen: FrozenStore,
 }
 
 impl PolicySnapshot {
-    /// Build a snapshot over `regions` (in the authoritative store's
-    /// snapshot order) at `generation`.
-    pub fn build(kind: StoreKind, regions: Vec<Region>, generation: u64) -> PolicySnapshot {
+    /// Build a snapshot over `regions` (the rule list in store order) at
+    /// `generation`.
+    pub fn build(regions: Vec<Region>, generation: u64) -> PolicySnapshot {
         PolicySnapshot {
             generation,
-            kind,
             frozen: FrozenStore::build(regions),
         }
     }
@@ -83,11 +81,6 @@ impl PolicySnapshot {
     /// The generation this snapshot was published at.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The kind of the authoritative store this snapshot was built from.
-    pub fn kind(&self) -> StoreKind {
-        self.kind
     }
 
     /// Number of regions.
@@ -100,7 +93,7 @@ impl PolicySnapshot {
         self.frozen.is_empty()
     }
 
-    /// The regions, in the authoritative store's order.
+    /// The regions, in store order.
     pub fn regions(&self) -> &[Region] {
         self.frozen.regions()
     }
@@ -127,7 +120,6 @@ impl std::fmt::Debug for PolicySnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicySnapshot")
             .field("generation", &self.generation)
-            .field("kind", &self.kind)
             .field("regions", &self.frozen.len())
             .field("frozen", &self.frozen.kind())
             .finish()
@@ -137,7 +129,7 @@ impl std::fmt::Debug for PolicySnapshot {
 /// The epoch/RCU cell: current snapshot + generation + publish counter.
 ///
 /// Writers must be externally serialized (the policy module publishes
-/// while holding its store mutex); readers are lock-free.
+/// while holding its rule-list mutex); readers are lock-free.
 pub struct SnapshotStore {
     current: ArcSwap<PolicySnapshot>,
     /// Stored *after* the snapshot pointer on publish; the TLB validity
@@ -154,12 +146,12 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// An empty store of the given kind at generation 1.
-    pub fn new(kind: StoreKind) -> SnapshotStore {
+    /// An empty store at generation 1.
+    pub fn new() -> SnapshotStore {
         let mut history = VecDeque::with_capacity(SNAPSHOT_HISTORY_CAP);
         history.push_back((1, Vec::new()));
         SnapshotStore {
-            current: ArcSwap::from_pointee(PolicySnapshot::build(kind, Vec::new(), 1)),
+            current: ArcSwap::from_pointee(PolicySnapshot::build(Vec::new(), 1)),
             generation: AtomicU64::new(1),
             publishes: Counter::new("policy.snapshot_publishes"),
             history: Mutex::new(history),
@@ -186,10 +178,10 @@ impl SnapshotStore {
     }
 
     /// Rebuild and publish a new snapshot; returns the new generation.
-    /// Callers serialize publishes (the policy module holds its store
+    /// Callers serialize publishes (the policy module holds its rule-list
     /// mutex across mutate + publish, so generation order matches
     /// mutation order).
-    pub fn publish(&self, kind: StoreKind, regions: Vec<Region>) -> u64 {
+    pub fn publish(&self, regions: Vec<Region>) -> u64 {
         let gen = self.generation.load(Ordering::SeqCst) + 1;
         {
             let mut history = self.history.lock();
@@ -199,7 +191,7 @@ impl SnapshotStore {
             }
         }
         self.current
-            .store(Arc::new(PolicySnapshot::build(kind, regions, gen)));
+            .store(Arc::new(PolicySnapshot::build(regions, gen)));
         // Snapshot first, generation second: a TLB that sees the new
         // generation is guaranteed the new snapshot is already live.
         self.generation.store(gen, Ordering::SeqCst);
@@ -233,6 +225,12 @@ impl SnapshotStore {
     }
 }
 
+impl Default for SnapshotStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +242,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_matches_nothing() {
-        let s = SnapshotStore::new(StoreKind::Table);
+        let s = SnapshotStore::new();
         assert_eq!(s.generation(), 1);
         assert_eq!(
             s.load().lookup(VAddr(0x1000), Size(8), AccessFlags::READ),
@@ -254,11 +252,8 @@ mod tests {
 
     #[test]
     fn publish_bumps_generation_and_swaps_table() {
-        let s = SnapshotStore::new(StoreKind::Table);
-        let g = s.publish(
-            StoreKind::Table,
-            vec![r(0x1000, 0x1000, Protection::READ_WRITE)],
-        );
+        let s = SnapshotStore::new();
+        let g = s.publish(vec![r(0x1000, 0x1000, Protection::READ_WRITE)]);
         assert_eq!(g, 2);
         assert_eq!(s.generation(), 2);
         assert_eq!(s.publish_counter().get(), 1);
@@ -266,7 +261,7 @@ mod tests {
             s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
             Lookup::Permitted(_)
         ));
-        let g = s.publish(StoreKind::Table, Vec::new());
+        let g = s.publish(Vec::new());
         assert_eq!(g, 3);
         assert_eq!(
             s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
@@ -276,15 +271,15 @@ mod tests {
 
     #[test]
     fn history_answers_recent_generations_and_forgets_old_ones() {
-        let s = SnapshotStore::new(StoreKind::Table);
+        let s = SnapshotStore::new();
         assert_eq!(s.regions_at(1), Some(Vec::new()));
         let region = r(0x1000, 0x1000, Protection::READ_WRITE);
-        let g = s.publish(StoreKind::Table, vec![region]);
+        let g = s.publish(vec![region]);
         assert_eq!(s.regions_at(g), Some(vec![region]));
         assert_eq!(s.regions_at(g + 1), None, "future generation unknown");
         // Push the first generation out of the bounded window.
         for _ in 0..SNAPSHOT_HISTORY_CAP {
-            s.publish(StoreKind::Table, vec![region]);
+            s.publish(vec![region]);
         }
         assert_eq!(s.regions_at(1), None, "evicted from bounded history");
         assert_eq!(s.regions_at(s.generation()), Some(vec![region]));
@@ -293,12 +288,12 @@ mod tests {
     #[test]
     fn subscribers_see_every_publish_in_order() {
         use std::sync::Mutex as StdMutex;
-        let s = SnapshotStore::new(StoreKind::Table);
+        let s = SnapshotStore::new();
         let seen = Arc::new(StdMutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         s.subscribe(Box::new(move |gen| sink.lock().unwrap().push(gen)));
-        s.publish(StoreKind::Table, Vec::new());
-        s.publish(StoreKind::Table, Vec::new());
+        s.publish(Vec::new());
+        s.publish(Vec::new());
         assert_eq!(*seen.lock().unwrap(), vec![2, 3]);
     }
 
@@ -310,7 +305,7 @@ mod tests {
             r(0x3000, 0x1000, Protection::READ_ONLY),
             r(0x8000, 0x100, Protection::NONE),
         ];
-        let snap = PolicySnapshot::build(StoreKind::Table, disjoint.clone(), 1);
+        let snap = PolicySnapshot::build(disjoint.clone(), 1);
         assert_eq!(snap.frozen_kind(), FrozenKind::Sorted);
         let probes = [
             (0x1800u64, 8u64, AccessFlags::RW),
@@ -351,7 +346,7 @@ mod tests {
             r(0x1000, 0x1000, Protection::NONE),
             r(0x1000, 0x1000, Protection::READ_WRITE),
         ];
-        let snap = PolicySnapshot::build(StoreKind::Table, regions, 1);
+        let snap = PolicySnapshot::build(regions, 1);
         assert_eq!(
             snap.frozen_kind(),
             FrozenKind::Interval,

@@ -5,7 +5,7 @@
 //! never a torn one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
 use kop_policy::{DefaultAction, PolicyModule, StoreKind, ViolationAction};
@@ -22,14 +22,18 @@ fn checks_race_mutations_without_tearing() {
         // A permanent region that must never stop matching.
         pm.add_region(region(0x100_0000, 0x1000)).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        // Mutation starts only once every checker has checked, so checks
+        // race the mutations however the threads are scheduled.
+        let checking = Arc::new(Barrier::new(5));
 
         let checkers: Vec<_> = (0..4)
             .map(|_| {
                 let pm = Arc::clone(&pm);
                 let stop = Arc::clone(&stop);
+                let checking = Arc::clone(&checking);
                 std::thread::spawn(move || {
                     let mut permitted = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         // The permanent region must always permit.
                         let r = pm.check(VAddr(0x100_0800), Size(8), AccessFlags::RW);
                         assert!(r.is_ok(), "{kind}: permanent rule disappeared");
@@ -37,6 +41,12 @@ fn checks_race_mutations_without_tearing() {
                         // A churned region may permit or deny — either is
                         // fine, it must just not panic or tear.
                         let _ = pm.check(VAddr(0x200_0000), Size(8), AccessFlags::READ);
+                        if permitted == 1 {
+                            checking.wait();
+                        }
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     permitted
                 })
@@ -46,7 +56,9 @@ fn checks_race_mutations_without_tearing() {
         let mutator = {
             let pm = Arc::clone(&pm);
             let stop = Arc::clone(&stop);
+            let checking = Arc::clone(&checking);
             std::thread::spawn(move || {
+                checking.wait();
                 for i in 0..500u64 {
                     let r = region(0x200_0000, 0x1000);
                     let _ = pm.add_region(r);

@@ -1,27 +1,26 @@
-//! Property tests for the frozen snapshot-side index (DESIGN §3.19).
+//! Property tests for the frozen snapshot-side index (DESIGN §3.19) and
+//! the rule list's admission contract.
 //!
 //! Two families:
 //!
-//! 1. **Lookup parity** — [`FrozenStore`] (every index shape, including
-//!    the fleet-scale interval tree) must agree *bit-for-bit* with the
+//! 1. **Lookup parity** — [`FrozenStore`] (both index shapes, including
+//!    the fleet-scale layered index) must agree *bit-for-bit* with the
 //!    reference linear scan over the same region vector: same verdict
 //!    class and the same witness region, including store-order
 //!    tiebreaks among overlapping rules. Checked for arbitrary
-//!    (overlapping) sets, for every authoritative store kind's
-//!    snapshot, and at 5,000 regions.
+//!    (overlapping) sets, for every store kind's published snapshot, and
+//!    at 5,000 regions.
 //!
-//! 2. **Insert-validation uniformity** — all 7 [`StoreKind`]s must
-//!    classify duplicate-base, zero-size, and overflowing inserts
-//!    identically, and end up with identical rule sets, for arbitrary
-//!    insert sequences. A store that silently swallowed (or
-//!    mis-ordered) a validation error would desynchronize the fleet's
-//!    per-tenant stores from the reference.
+//! 2. **Admission** — for both [`StoreKind`]s, `add_region` must return
+//!    exactly what a one-rule-at-a-time linear reference of the insert
+//!    contract returns, and one `replace_regions` over the same list must
+//!    accept exactly the lists that run of inserts accepts, end with the
+//!    same `regions()`, and fail with the run's first error.
 
 use proptest::prelude::*;
 
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
-use kop_policy::store::{make_store, Lookup, PolicyError, StoreKind};
-use kop_policy::FrozenStore;
+use kop_policy::{FrozenStore, Lookup, PolicyError, PolicyModule, StoreKind, MAX_REGIONS};
 
 /// The reference semantics, straight from the paper's flat table: the
 /// first granting region in store order wins; otherwise the first
@@ -78,7 +77,7 @@ fn arb_access() -> impl Strategy<Value = (VAddr, Size, AccessFlags)> {
         .prop_map(|(off, size, f)| (VAddr(0x10_0000 + off * 0x10), Size(size), flags_of(f)))
 }
 
-/// Disjoint regions on a grid (acceptable to every store kind).
+/// Disjoint regions on a grid (admissible under every store kind).
 fn arb_disjoint(max: usize) -> impl Strategy<Value = Vec<Region>> {
     proptest::collection::vec((0u64..200, 1u64..0x1000, 0u32..4), 1..max).prop_map(|specs| {
         let mut used = std::collections::BTreeSet::new();
@@ -88,25 +87,91 @@ fn arb_disjoint(max: usize) -> impl Strategy<Value = Vec<Region>> {
                 continue;
             }
             out.push(
-                Region::new(VAddr(0x10_0000 + slot * 0x1000), Size(len), prot_of(p))
-                    .expect("fits"),
+                Region::new(VAddr(0x10_0000 + slot * 0x1000), Size(len), prot_of(p)).expect("fits"),
             );
         }
         out
     })
 }
 
-/// One error class per validation outcome, so sequences compare across
-/// store kinds without caring about error payload details.
-fn classify_insert(r: Result<(), PolicyError>) -> &'static str {
-    match r {
-        Ok(()) => "ok",
-        Err(PolicyError::DuplicateBase { .. }) => "duplicate-base",
-        Err(PolicyError::ZeroLength) => "zero-length",
-        Err(PolicyError::Overflow) => "overflow",
-        Err(PolicyError::Overlap { .. }) => "overlap",
-        Err(e) => panic!("unexpected insert error: {e}"),
+/// The insert contract one rule at a time, with linear scans — the
+/// oracle for admission. Degenerate rules and duplicate bases are
+/// rejected first, then the table's cap or the sorted kind's overlap
+/// with the predecessor, then the successor, in base order.
+fn reference_insert(
+    kind: StoreKind,
+    rules: &mut Vec<Region>,
+    region: Region,
+) -> Result<(), PolicyError> {
+    if region.len.raw() == 0 {
+        return Err(PolicyError::ZeroLength);
     }
+    if region.base.checked_add(region.len.raw() - 1).is_none() {
+        return Err(PolicyError::Overflow);
+    }
+    if let Some(&existing) = rules.iter().find(|r| r.base == region.base) {
+        return Err(PolicyError::DuplicateBase { existing });
+    }
+    match kind {
+        StoreKind::Table => {
+            if rules.len() >= MAX_REGIONS {
+                return Err(PolicyError::TableFull {
+                    capacity: MAX_REGIONS,
+                });
+            }
+            rules.push(region);
+        }
+        StoreKind::Sorted => {
+            let pred = rules
+                .iter()
+                .filter(|r| r.base < region.base)
+                .max_by_key(|r| r.base);
+            let succ = rules
+                .iter()
+                .filter(|r| r.base > region.base)
+                .min_by_key(|r| r.base);
+            for &existing in [pred, succ].into_iter().flatten() {
+                if existing.overlaps(&region) {
+                    return Err(PolicyError::Overlap { existing });
+                }
+            }
+            rules.push(region);
+            rules.sort_by_key(|r| r.base);
+        }
+    }
+    Ok(())
+}
+
+/// Insert sequences that reach every outcome: grid rules that are
+/// mostly disjoint, some spanning their neighbours (overlap; mid-slot
+/// ones can overlap on both sides), shared slots (duplicate bases),
+/// zero-length and overflowing rules, and runs long enough to fill the
+/// 64-rule table. Half the sequences are clean — distinct slots, no
+/// degenerate or mid-slot rules — so whole reloads also succeed.
+fn arb_inserts() -> impl Strategy<Value = Vec<Region>> {
+    let specs = proptest::collection::vec((0u64..160, 1u64..0x3000, 0u32..4, 0u32..24), 1..110);
+    (any::<bool>(), specs).prop_map(|(clean, specs)| {
+        let mut slots = std::collections::BTreeSet::new();
+        specs
+            .into_iter()
+            .filter(|&(slot, _, _, shape)| !clean || (shape > 1 && slots.insert(slot)))
+            .map(|(slot, len, p, shape)| {
+                let grid = 0x10_0000 + slot * 0x1000;
+                let (base, len) = match shape {
+                    0 => (grid, 0),
+                    1 => (u64::MAX - 0x10, 0x100),
+                    2 => (grid, len),
+                    3..=5 if !clean => (grid + 0x800, len),
+                    _ => (grid, len.min(0xfff)),
+                };
+                Region {
+                    base: VAddr(base),
+                    len: Size(len),
+                    prot: prot_of(p),
+                }
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -120,101 +185,68 @@ proptest! {
         accesses in proptest::collection::vec(arb_access(), 1..96),
     ) {
         let frozen = FrozenStore::build(regions.clone());
-        let flat = FrozenStore::flat(regions.clone());
         for &(addr, size, flags) in &accesses {
             let expect = linear_scan(&regions, addr, size, flags);
             prop_assert_eq!(
                 frozen.lookup_frozen(addr, size, flags), expect,
                 "frozen index {} diverges at {:?}", frozen.kind().name(), addr
             );
-            prop_assert_eq!(
-                flat.lookup_frozen(addr, size, flags), expect,
-                "flat baseline diverges at {:?}", addr
-            );
         }
     }
 
-    /// Every authoritative store's snapshot, frozen, still answers
-    /// exactly like the store itself (and like the linear scan).
+    /// Every store kind's published snapshot answers exactly like the
+    /// linear scan over its own `regions()`.
     #[test]
-    fn frozen_snapshot_agrees_with_every_store_kind(
+    fn published_snapshot_agrees_with_every_store_kind(
         regions in arb_disjoint(48),
         accesses in proptest::collection::vec(arb_access(), 1..48),
     ) {
         for kind in StoreKind::ALL {
-            let mut store = make_store(kind);
+            let pm = PolicyModule::with_kind(kind);
             for r in &regions {
-                store.insert(*r).expect("disjoint regions accepted");
+                pm.add_region(*r).expect("disjoint regions admitted");
             }
-            let snap = store.snapshot();
-            let frozen = FrozenStore::build(snap.clone());
+            let snap = pm.policy_snapshot();
+            let listed = pm.regions();
             for &(addr, size, flags) in &accesses {
-                let expect = linear_scan(&snap, addr, size, flags);
                 prop_assert_eq!(
-                    frozen.lookup_frozen(addr, size, flags), expect,
-                    "frozen {} of {} snapshot diverges", frozen.kind().name(), kind
-                );
-                // The mutable store path must agree on the verdict class
-                // (witness regions are identical for disjoint sets).
-                prop_assert_eq!(
-                    store.lookup(addr, size, flags), expect,
-                    "store {} diverges from its own frozen snapshot", kind
+                    snap.lookup(addr, size, flags),
+                    linear_scan(&listed, addr, size, flags),
+                    "{} snapshot of {} diverges", snap.frozen_kind().name(), kind
                 );
             }
         }
     }
 
-    /// Duplicate-base, zero-size, and overflow inserts classify
-    /// identically across all 7 store kinds, and the surviving rule
-    /// sets are identical.
+    /// `add_region` matches the reference insert result for result, and
+    /// one `replace_regions` over the same list accepts exactly when the
+    /// whole run does, failing with the run's first error and otherwise
+    /// ending with the same rules.
     #[test]
-    fn insert_validation_uniform_across_all_kinds(
-        specs in proptest::collection::vec((0u64..40, 0u64..0x1000, 0u32..4, 0u32..16), 1..48),
-    ) {
-        // Build the insert sequence: mostly valid disjoint grid slots,
-        // with natural duplicate bases (shared slots), explicit
-        // zero-size rules, and the occasional overflow.
-        let inserts: Vec<Region> = specs
-            .iter()
-            .map(|&(slot, len, p, degenerate)| match degenerate {
-                0 => Region {
-                    base: VAddr(0x10_0000 + slot * 0x1000),
-                    len: Size(0),
-                    prot: prot_of(p),
-                },
-                1 => Region {
-                    base: VAddr(u64::MAX - 0x10),
-                    len: Size(0x100),
-                    prot: prot_of(p),
-                },
-                _ => Region {
-                    base: VAddr(0x10_0000 + slot * 0x1000),
-                    len: Size(len.clamp(1, 0xfff)),
-                    prot: prot_of(p),
-                },
-            })
-            .collect();
-
-        let mut reference: Option<(Vec<&'static str>, Vec<Region>)> = None;
+    fn replace_admits_exactly_what_a_run_of_inserts_admits(inserts in arb_inserts()) {
         for kind in StoreKind::ALL {
-            let mut store = make_store(kind);
-            let outcomes: Vec<&'static str> = inserts
-                .iter()
-                .map(|r| classify_insert(store.insert(*r)))
-                .collect();
-            let mut snap = store.snapshot();
-            snap.sort_by_key(|r| r.base);
-            match &reference {
-                None => reference = Some((outcomes, snap)),
-                Some((ref_outcomes, ref_snap)) => {
-                    prop_assert_eq!(
-                        &outcomes, ref_outcomes,
-                        "store {} classifies inserts differently", kind
-                    );
-                    prop_assert_eq!(
-                        &snap, ref_snap,
-                        "store {} retains different rules", kind
-                    );
+            let run = PolicyModule::with_kind(kind);
+            let mut reference = Vec::new();
+            let mut first_err = None;
+            for r in &inserts {
+                let want = reference_insert(kind, &mut reference, *r);
+                prop_assert_eq!(run.add_region(*r), want.clone(), "{} insert {:?}", kind, r);
+                if first_err.is_none() {
+                    first_err = want.err();
+                }
+            }
+            prop_assert_eq!(run.regions(), reference.clone(), "{} rules", kind);
+
+            let whole = PolicyModule::with_kind(kind);
+            let result = whole.replace_regions(inserts.iter().copied());
+            match first_err {
+                None => {
+                    prop_assert_eq!(result, Ok(()), "{}", kind);
+                    prop_assert_eq!(whole.regions(), reference, "{} rules", kind);
+                }
+                Some(e) => {
+                    prop_assert_eq!(result, Err(e), "{}", kind);
+                    prop_assert!(whole.regions().is_empty(), "{} failed replace kept rules", kind);
                 }
             }
         }
@@ -227,7 +259,9 @@ proptest! {
 fn frozen_agrees_with_linear_scan_at_5000_regions() {
     let mut state = 0x243f_6a88_85a3_08d3u64; // deterministic LCG
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         state >> 33
     };
     let mut regions = Vec::with_capacity(5000);
@@ -238,7 +272,6 @@ fn frozen_agrees_with_linear_scan_at_5000_regions() {
         regions.push(Region::new(VAddr(base), Size(len), prot).unwrap());
     }
     let frozen = FrozenStore::build(regions.clone());
-    let flat = FrozenStore::flat(regions.clone());
     assert_eq!(frozen.len(), 5000);
     for _ in 0..4000 {
         let addr = VAddr(0x10_0000 + (next() % 0x81_0000));
@@ -246,6 +279,5 @@ fn frozen_agrees_with_linear_scan_at_5000_regions() {
         let flags = flags_of((next() % 3) as u32);
         let expect = linear_scan(&regions, addr, size, flags);
         assert_eq!(frozen.lookup_frozen(addr, size, flags), expect);
-        assert_eq!(flat.lookup_frozen(addr, size, flags), expect);
     }
 }

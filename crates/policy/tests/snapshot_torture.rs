@@ -1,7 +1,8 @@
 //! Concurrency torture tests for the SMP guard path: N readers hammer
 //! `check` while a writer grants/revokes — no torn tables, no stale
 //! admits after a revoke returns, generations monotonic, and the
-//! lock-free paths agree with the mutex path on every input.
+//! lock-free check agrees with a linear scan of the published rules on
+//! every input.
 //!
 //! The stale-admit detector uses an odd/even state counter to rule out
 //! TOCTOU false positives: the writer stores `2k` (even) *before* it
@@ -17,7 +18,7 @@ use std::sync::Arc;
 
 use kop_core::error::ViolationKind;
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
-use kop_policy::{CheckPath, GuardTlb, PolicyModule, StoreKind};
+use kop_policy::{DefaultAction, GuardTlb, PolicyModule, StoreKind};
 
 use proptest::prelude::*;
 
@@ -209,7 +210,7 @@ fn concurrent_stats_reconcile_exactly() {
 }
 
 // ---------------------------------------------------------------------
-// Property tests: the lock-free paths agree with the mutex path.
+// Property tests: the lock-free check agrees with the paper's table walk.
 // ---------------------------------------------------------------------
 
 fn arb_prot() -> impl Strategy<Value = Protection> {
@@ -227,6 +228,30 @@ fn arb_region() -> impl Strategy<Value = Region> {
         .prop_map(|(slot, pages, prot)| region(0x1000 * slot, 0x1000 * pages, prot))
 }
 
+/// The paper's table walk over `pm.regions()`, falling back to the
+/// default action: the verdict `check` must reproduce.
+fn scan_verdict(
+    pm: &PolicyModule,
+    addr: VAddr,
+    size: Size,
+    flags: AccessFlags,
+) -> Result<(), ViolationKind> {
+    let mut covered = false;
+    for r in pm.regions() {
+        if r.covers(addr, size) {
+            if r.prot.allows(flags) {
+                return Ok(());
+            }
+            covered = true;
+        }
+    }
+    match (covered, pm.default_action()) {
+        (true, _) => Err(ViolationKind::InsufficientPermissions),
+        (false, DefaultAction::Allow) => Ok(()),
+        (false, DefaultAction::Deny) => Err(ViolationKind::NoMatchingRegion),
+    }
+}
+
 fn arb_flags() -> impl Strategy<Value = AccessFlags> {
     prop_oneof![
         Just(AccessFlags::READ),
@@ -240,26 +265,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn snapshot_path_agrees_with_mutex_path(
+    fn check_agrees_with_linear_scan_of_regions(
         regions in proptest::collection::vec(arb_region(), 0..10),
         probes in proptest::collection::vec(
             (0u64..0x40_000, prop_oneof![Just(1u64), Just(2), Just(4), Just(8)], arb_flags()),
             1..20,
         ),
+        allow in any::<bool>(),
     ) {
-        for kind in [StoreKind::Table, StoreKind::Sorted, StoreKind::Interval] {
+        for kind in StoreKind::ALL {
             let pm = PolicyModule::with_kind(kind);
+            if allow {
+                pm.set_default_action(DefaultAction::Allow);
+            }
             for r in &regions {
-                // Some stores reject duplicate bases — skip those rules
-                // on both paths alike.
+                // Inadmissible rules (duplicate bases, sorted-kind
+                // overlaps) are rejected; the scan sees what was kept.
                 let _ = pm.add_region(*r);
             }
             for &(addr, size, flags) in &probes {
-                pm.set_check_path(CheckPath::Snapshot);
-                let snap = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                pm.set_check_path(CheckPath::MutexStore);
-                let mutex = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                prop_assert_eq!(snap, mutex, "paths diverged ({:?} {:#x})", kind, addr);
+                let (addr, size) = (VAddr(addr), Size(size));
+                let check = pm.check(addr, size, flags).map_err(|v| v.kind);
+                prop_assert_eq!(
+                    check, scan_verdict(&pm, addr, size, flags),
+                    "check diverged ({:?} {:?})", kind, addr
+                );
             }
         }
     }
@@ -299,21 +329,17 @@ proptest! {
 
 #[test]
 fn malformed_access_kinds_survive_concurrency() {
-    // The precheck path (malformed/overflow) is lock-free and must
-    // classify identically on both check paths.
+    // The precheck path (malformed/overflow) runs before any lookup.
     let pm = PolicyModule::new();
-    for path in [CheckPath::Snapshot, CheckPath::MutexStore] {
-        pm.set_check_path(path);
-        // Size-0 with intent flags is the vacuous range-guard case —
-        // allowed. Only the flag-less shape is malformed.
-        assert!(pm.check(VAddr(0x1000), Size(0), AccessFlags::READ).is_ok());
-        let v = pm
-            .check(VAddr(0x1000), Size(0), AccessFlags::NONE)
-            .unwrap_err();
-        assert_eq!(v.kind, ViolationKind::MalformedAccess);
-        let v = pm
-            .check(VAddr(u64::MAX), Size(8), AccessFlags::READ)
-            .unwrap_err();
-        assert_eq!(v.kind, ViolationKind::AddressOverflow);
-    }
+    // Size-0 with intent flags is the vacuous range-guard case —
+    // allowed. Only the flag-less shape is malformed.
+    assert!(pm.check(VAddr(0x1000), Size(0), AccessFlags::READ).is_ok());
+    let v = pm
+        .check(VAddr(0x1000), Size(0), AccessFlags::NONE)
+        .unwrap_err();
+    assert_eq!(v.kind, ViolationKind::MalformedAccess);
+    let v = pm
+        .check(VAddr(u64::MAX), Size(8), AccessFlags::READ)
+        .unwrap_err();
+    assert_eq!(v.kind, ViolationKind::AddressOverflow);
 }

@@ -118,9 +118,8 @@ fn insmod_storm_under_mq_forwarding_holds_invariants() {
                 let mut rounds = 0u64;
                 let mut seen_revoked = false;
                 loop {
-                    let tenants: Vec<Arc<PolicyModule>> = (0..2)
-                        .map(|qi| ns.resolve(&format!("nic{qi}")))
-                        .collect();
+                    let tenants: Vec<Arc<PolicyModule>> =
+                        (0..2).map(|qi| ns.resolve(&format!("nic{qi}"))).collect();
                     let before: Vec<u64> = tenants.iter().map(|p| p.stats().checks).collect();
                     let report = run_mq_forward(2, 120, 64, 9_000 + rounds, 64, |qi| {
                         GuardedMem::new(
@@ -185,7 +184,9 @@ fn insmod_storm_under_mq_forwarding_holds_invariants() {
     let buf = kernel.kmalloc(4 * 8).expect("buffer");
     for i in [0usize, 17, STORM_MODULES - 1] {
         let mut interp = Interp::new(&mut kernel).unwrap();
-        let ret = interp.call(&format!("storm{i}"), "work", &[buf.raw()]).unwrap();
+        let ret = interp
+            .call(&format!("storm{i}"), "work", &[buf.raw()])
+            .unwrap();
         assert_eq!(ret, Some(3), "storm{i} computes through guarded memory");
         assert!(interp.stats().guards > 0, "storm{i} executed live guards");
     }
@@ -212,7 +213,10 @@ fn namespace_registration_is_monotone_and_falls_back_to_global() {
 
     // Removal falls back to the global policy.
     assert!(kernel.clear_module_policy("b"));
-    assert!(!kernel.clear_module_policy("b"), "second removal is a no-op");
+    assert!(
+        !kernel.clear_module_policy("b"),
+        "second removal is a no-op"
+    );
     assert!(Arc::ptr_eq(&ns.resolve("b"), &global));
     assert_eq!(ns.len(), 1);
 }
