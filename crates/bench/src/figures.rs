@@ -1418,8 +1418,9 @@ pub fn exec() -> FigureData {
 /// identical — ExecStats and ring/frame/@stats/TDT bytes on the TX
 /// loop, ForwardReports on the datapath; (c) steady state answers every
 /// interpreter guard inline with zero deopts, and fast admits still
-/// reconcile (`policy.checks` == guard count); (d) enabling the tracer
-/// forces the general path and per-site attribution reconciles exactly;
+/// reconcile (`policy.checks` == guard count); (d) with the tracer on
+/// the tier stays promoted — every guard inline, zero deopts — and its
+/// per-site hits equal a traced general-bytecode pass exactly;
 /// (e) a policy publish drops the tier atomically — zero stale admits —
 /// and lazy re-promotion restores it at the new generation; (f) the
 /// promotion-warmed guard TLB preseeds without phantom checks.
@@ -1632,10 +1633,19 @@ pub fn jit() -> FigureData {
     // baseline reports a large-but-finite reduction.
     let vm_reduction = general_over / promoted_over.max(1.0);
 
-    // Traced correctness pass: with the tracer enabled the promoted
-    // dispatch must fall back to the general bytecode, so per-site
-    // attribution reconciles exactly.
-    let (traced_checks, traced_guards) = {
+    // Traced correctness pass: with the tracer on, the promoted tier
+    // stays promoted (every guard inline, zero deopts), and its batched
+    // per-site attribution equals a traced general-bytecode pass over
+    // the same packets, site for site.
+    struct TracedOut {
+        stats: ExecStats,
+        admits: u64,
+        deopts: u64,
+        checks: u64,
+        inline: u64,
+        sites: Vec<(String, u64)>,
+    }
+    let traced_pass = |engine: Engine| -> TracedOut {
         let tp = if quick() { 512 } else { 2_048 };
         let out = compile_module(
             corpus::parse(corpus::MINI_E1000E_IR),
@@ -1652,29 +1662,10 @@ pub fn jit() -> FigureData {
         let ring = kernel.kmalloc(RING_BYTES).expect("ring");
         let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
         let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");
-        kernel.tracer().set_enabled(true);
-        {
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(Engine::Bytecode);
-            for p in 0..profile_pkts {
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("profile xmit");
-            }
-        }
-        kernel.tracer().set_enabled(false);
-        assert!(kernel.promote_hot("mini-e1000e", 1).expect("promote") > 0);
-        kernel.tracer().set_enabled(true);
-        let before = kernel.tracer().total_checks();
-        let (stats, admits) = {
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(Engine::Promoted);
-            for p in 0..tp {
+        let xmit_n = |kernel: &mut Kernel, n: u64, engine: Engine| {
+            let mut interp = Interp::new(kernel).expect("interp");
+            interp.set_engine(engine);
+            for p in 0..n {
                 let slot = p & 255;
                 interp
                     .call(
@@ -1684,18 +1675,58 @@ pub fn jit() -> FigureData {
                     )
                     .expect("traced xmit");
             }
-            (interp.stats(), interp.inline_admits())
+            (
+                interp.stats(),
+                interp.inline_admits(),
+                interp.inline_deopts(),
+            )
         };
+        kernel.tracer().set_enabled(true);
+        xmit_n(&mut kernel, profile_pkts, Engine::Bytecode);
+        kernel.tracer().set_enabled(false);
+        assert!(kernel.promote_hot("mini-e1000e", 1).expect("promote") > 0);
+        // The measured window's profile starts from zero.
+        kernel.tracer().reset_profiles();
+        kernel.tracer().set_enabled(true);
+        let (stats, admits, deopts) = xmit_n(&mut kernel, tp, engine);
+        let profile = kernel.tracer().profile_snapshot();
+        TracedOut {
+            stats,
+            admits,
+            deopts,
+            checks: kernel.tracer().total_checks(),
+            inline: profile.iter().map(|(_, p)| p.inline).sum(),
+            sites: profile
+                .into_iter()
+                .map(|(m, p)| (m.label, p.hits))
+                .collect(),
+        }
+    };
+    let (traced_checks, traced_guards, traced_admits) = {
+        let general = traced_pass(Engine::Bytecode);
+        let promoted = traced_pass(Engine::Promoted);
+        assert_eq!(promoted.stats, general.stats, "traced ExecStats must match");
         assert_eq!(
-            admits, 0,
-            "a traced run takes the general path so attribution stays exact"
+            promoted.admits, promoted.stats.guards,
+            "with tracing on, every guard is still answered by the inline tier"
         );
-        let delta = kernel.tracer().total_checks() - before;
+        assert_eq!(promoted.deopts, 0, "tracing causes no deopts");
+        for t in [&general, &promoted] {
+            assert_eq!(
+                t.checks, t.stats.guards,
+                "per-site profile totals must reconcile with the guard counter"
+            );
+        }
         assert_eq!(
-            delta, stats.guards,
-            "per-site profile totals must reconcile with the guard counter"
+            promoted.inline, promoted.admits,
+            "every inline admit profiled as inline"
         );
-        (delta, stats.guards)
+        assert_eq!(general.inline, 0);
+        assert_eq!(
+            promoted.sites, general.sites,
+            "per-site hits equal a traced general-bytecode pass over the same packets"
+        );
+        (promoted.checks, promoted.stats.guards, promoted.admits)
     };
 
     // Invalidation and lazy re-promotion: a policy publish drops the
@@ -1943,8 +1974,8 @@ pub fn jit() -> FigureData {
         "x=0 baseline build, x=1 guarded general bytecode, x=2 guarded promoted tier (TX ns/packet)".into(),
         "promotion: tracer envelopes -> covering region of the current snapshot -> inlined [lo,hi)+perm+generation, self-validated by the translation validator before install".into(),
         format!(
-            "steady state: {} inline admits, {} deopts; traced pass reconciled {} profiled checks == {} guards",
-            promoted.inline_admits, promoted.inline_deopts, traced_checks, traced_guards
+            "steady state: {} inline admits, {} deopts; traced promoted pass: {traced_admits} inline admits, 0 deopts, {traced_checks} profiled checks == {traced_guards} guards, per-site hits == traced bytecode",
+            promoted.inline_admits, promoted.inline_deopts
         ),
         format!(
             "epoch bump dropped the tier atomically (generation +{bump_generation_delta}), zero stale admits, tick() re-promoted"
@@ -1994,6 +2025,7 @@ pub fn jit() -> FigureData {
             ("vm_inline_deopts".into(), promoted.inline_deopts as f64),
             ("vm_guards_per_packet".into(), guards_per_packet as f64),
             ("vm_traced_checks".into(), traced_checks as f64),
+            ("vm_traced_inline_admits".into(), traced_admits as f64),
             ("bump_generation_delta".into(), bump_generation_delta as f64),
             ("fwd_baseline_ns_frame".into(), fwd_base_best),
             ("fwd_general_ns_frame".into(), fwd_general_best),

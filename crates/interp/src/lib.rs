@@ -29,7 +29,7 @@ use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, BlockId, CastOp, IcmpPred, Inst, Terminator, Type, Value};
 use kop_kernel::{Kernel, ModuleImage};
 use kop_policy::module::GuardOutcome;
-use kop_trace::{GuardDecision, Producer, SiteId, TraceEvent, Tracer};
+use kop_trace::{GuardDecision, InlineBatch, Producer, SiteId, TraceEvent};
 use kop_vm::HostFn;
 
 mod vm;
@@ -51,11 +51,14 @@ pub enum Engine {
     Bytecode,
     /// The bytecode VM with the promoted tier enabled: functions whose
     /// hot guard sites were re-lowered with inlined bounds dispatch
-    /// through the promoted code; everything else (and every run with
-    /// tracing on, which needs per-check events) falls back to the
-    /// general bytecode. Observable semantics are still identical —
-    /// a promoted guard that cannot fast-admit deopts into the exact
-    /// general policy path.
+    /// through the promoted code, tracing on or off; everything else
+    /// runs the general bytecode. Observable semantics are still
+    /// identical — a promoted guard that cannot fast-admit deopts into
+    /// the exact general policy path. With tracing on, an inline admit
+    /// is counted against its site (hits and address envelope, batched
+    /// per frame) but emits no ring events and is not timed; a deopt
+    /// emits the full GuardEnter/GuardExit pair and a timed profile
+    /// entry, like any general-path guard.
     Promoted,
 }
 
@@ -137,6 +140,12 @@ pub struct Interp<'k> {
     /// epoch so a fleet-wide revoke (which bumps no generation) deopts
     /// promoted guards promptly. 0 while no promoted frame runs.
     vm_promoted_epoch: u64,
+    /// Inline admits of promoted frames entered with tracing on, tallied
+    /// per guard site and not yet handed to the tracer. Flushed with
+    /// `vm_pending_fast_permits` at frame entry/exit in one
+    /// `Tracer::record_inline` call, so per-site hits reconcile with
+    /// `stats.guards` for any post-call observer.
+    vm_inline_batch: InlineBatch,
 }
 
 const DEFAULT_FUEL: u64 = 50_000_000;
@@ -191,6 +200,7 @@ impl<'k> Interp<'k> {
             vm_policy: None,
             vm_pending_fast_permits: 0,
             vm_promoted_epoch: 0,
+            vm_inline_batch: InlineBatch::default(),
         })
     }
 
@@ -221,6 +231,7 @@ impl<'k> Interp<'k> {
             vm_policy: None,
             vm_pending_fast_permits: 0,
             vm_promoted_epoch: 0,
+            vm_inline_batch: InlineBatch::default(),
         }
     }
 
@@ -621,16 +632,57 @@ impl<'k> Interp<'k> {
         }
     }
 
-    /// Clone the kernel tracer iff tracing is on and the guard has a
-    /// site identity; the owned Arc lets us emit events without holding
-    /// a borrow across `note_violation`/`do_panic`.
-    fn guard_tracer(&self, site: Option<SiteId>) -> Option<(Arc<Tracer>, SiteId)> {
-        let site = site?;
+    /// Run one policy check. When tracing is on and the guard has a site
+    /// identity, bracket it with GuardEnter/GuardExit events and fold its
+    /// host-timed latency (and, for a memory guard, its `[addr, addr +
+    /// size)` span) into the site's profile. The tracer is borrowed only
+    /// for the records; the caller acts on the outcome after.
+    fn checked(
+        &self,
+        site: Option<SiteId>,
+        span: Option<(VAddr, Size)>,
+        check: impl FnOnce() -> GuardOutcome,
+    ) -> GuardOutcome {
         let tracer = self.kernel.tracer();
-        if tracer.enabled() {
-            Some((Arc::clone(tracer), site))
-        } else {
-            None
+        let Some(site) = site.filter(|_| tracer.enabled()) else {
+            return check();
+        };
+        tracer.record(Producer::Interp, TraceEvent::GuardEnter { site });
+        let t0 = std::time::Instant::now();
+        let outcome = check();
+        let ns = (t0.elapsed().as_nanos() as u64).max(1);
+        let decision = Self::decision_of(&outcome);
+        tracer.record(
+            Producer::Interp,
+            TraceEvent::GuardExit { site, decision, ns },
+        );
+        match span {
+            // Envelope-aware recording: the profile keeps the [lo, hi)
+            // address range each site actually touched, which the
+            // promotion pass later checks against the baked bound.
+            Some((addr, size)) => {
+                tracer.record_check_at(site, ns, decision.is_denied(), addr.raw(), size.raw())
+            }
+            None => tracer.record_check(site, ns, decision.is_denied()),
+        }
+        outcome
+    }
+
+    /// Act on a policy outcome: `Ok(true)` when the guarded operation
+    /// must be squashed, `Err` when the kernel panicked or the module's
+    /// violation budget ran out.
+    fn settle(&mut self, module: &str, outcome: GuardOutcome) -> KernelResult<bool> {
+        match outcome {
+            GuardOutcome::Allowed => Ok(false),
+            GuardOutcome::Denied(_) => Ok(true),
+            GuardOutcome::Quarantined(v) => {
+                // Squash the access and charge the module; the kernel
+                // unloads it when the budget runs out — and stays alive
+                // either way.
+                self.kernel.note_violation(module, v)?;
+                Ok(true)
+            }
+            GuardOutcome::Panicked(e) => Err(self.kernel.do_panic(e)),
         }
     }
 
@@ -664,7 +716,7 @@ impl<'k> Interp<'k> {
 
     /// A `carat_guard` memory-access check. Shared by the tree and
     /// bytecode engines (the bytecode engine also enters here from fused
-    /// guard-access superinstructions).
+    /// guard-access superinstructions and promoted deopts).
     fn run_mem_guard(
         &mut self,
         module: &str,
@@ -677,47 +729,17 @@ impl<'k> Interp<'k> {
         // Per-module policy (§5): guards consult the policy governing
         // the module that executed them.
         let policy = self.kernel.policy_for(module);
-        let tracing = self.guard_tracer(site);
-        if let Some((tracer, site)) = &tracing {
-            tracer.record(Producer::Interp, TraceEvent::GuardEnter { site: *site });
+        let outcome = self.checked(site, Some((addr, size)), || {
+            policy.enforce(addr, size, flags)
+        });
+        if self.settle(module, outcome)? {
+            self.squash_next = true;
         }
-        let t0 = tracing.as_ref().map(|_| std::time::Instant::now());
-        let outcome = policy.enforce(addr, size, flags);
-        if let Some((tracer, site)) = &tracing {
-            let ns = t0.map_or(1, |t| i128::max(1, t.elapsed().as_nanos() as i128) as u64);
-            let decision = Self::decision_of(&outcome);
-            tracer.record(
-                Producer::Interp,
-                TraceEvent::GuardExit {
-                    site: *site,
-                    decision,
-                    ns,
-                },
-            );
-            // Envelope-aware recording: the profile keeps the [lo, hi)
-            // address range each site actually touched, which the
-            // promotion pass later checks against the baked bound.
-            tracer.record_check_at(*site, ns, decision.is_denied(), addr.raw(), size.raw());
-        }
-        match outcome {
-            GuardOutcome::Allowed => Ok(()),
-            GuardOutcome::Denied(_) => {
-                self.squash_next = true;
-                Ok(())
-            }
-            GuardOutcome::Quarantined(v) => {
-                // Squash the access and charge the module; the kernel
-                // unloads it when the budget runs out — and stays alive
-                // either way.
-                self.kernel.note_violation(module, v)?;
-                self.squash_next = true;
-                Ok(())
-            }
-            GuardOutcome::Panicked(e) => Err(self.kernel.do_panic(e)),
-        }
+        Ok(())
     }
 
-    /// A `carat_intrinsic_guard` check preceding a privileged builtin.
+    /// A `carat_intrinsic_guard` check preceding a privileged builtin;
+    /// a refusal squashes the intrinsic itself.
     fn run_intrinsic_guard(
         &mut self,
         module: &str,
@@ -726,39 +748,11 @@ impl<'k> Interp<'k> {
     ) -> KernelResult<()> {
         self.stats.guards += 1;
         let policy = self.kernel.policy_for(module);
-        let tracing = self.guard_tracer(site);
-        if let Some((tracer, site)) = &tracing {
-            tracer.record(Producer::Interp, TraceEvent::GuardEnter { site: *site });
+        let outcome = self.checked(site, None, || policy.enforce_intrinsic(id));
+        if self.settle(module, outcome)? {
+            self.squash_intrinsic = true;
         }
-        let t0 = tracing.as_ref().map(|_| std::time::Instant::now());
-        let outcome = policy.enforce_intrinsic(id);
-        if let Some((tracer, site)) = &tracing {
-            let ns = t0.map_or(1, |t| i128::max(1, t.elapsed().as_nanos() as i128) as u64);
-            let decision = Self::decision_of(&outcome);
-            tracer.record(
-                Producer::Interp,
-                TraceEvent::GuardExit {
-                    site: *site,
-                    decision,
-                    ns,
-                },
-            );
-            tracer.record_check(*site, ns, decision.is_denied());
-        }
-        match outcome {
-            GuardOutcome::Allowed => Ok(()),
-            GuardOutcome::Denied(_) => {
-                // Squash the intrinsic itself.
-                self.squash_intrinsic = true;
-                Ok(())
-            }
-            GuardOutcome::Quarantined(v) => {
-                self.kernel.note_violation(module, v)?;
-                self.squash_intrinsic = true;
-                Ok(())
-            }
-            GuardOutcome::Panicked(e) => Err(self.kernel.do_panic(e)),
-        }
+        Ok(())
     }
 
     /// The kernel ABI available to modules. Privileged builtins (§5

@@ -53,19 +53,22 @@ impl<'k> Interp<'k> {
         args: Vec<u64>,
     ) -> KernelResult<Option<u64>> {
         // Promoted dispatch: on the promoted engine, a function the
-        // promotion pass re-lowered runs its inline-bounds code instead.
-        // Tracing runs always take the general tier — the fast admit
-        // emits no per-check events, and reconciliation (trace hits ==
-        // policy checks, exact per-site) must hold to the guard.
-        let promoted =
-            if self.engine() == crate::Engine::Promoted && !self.kernel.tracer().enabled() {
-                // One tier load yields function + bake epoch together, so
-                // the frame can't pair one tier's code with another's
-                // epoch.
-                compiled.promoted_entry(idx)
-            } else {
-                None
-            };
+        // promotion pass re-lowered runs its inline-bounds code instead,
+        // tracing on or off. One tier load yields function + bake epoch
+        // together, so the frame can't pair one tier's code with
+        // another's epoch.
+        let promoted = if self.engine() == crate::Engine::Promoted {
+            compiled.promoted_entry(idx)
+        } else {
+            None
+        };
+        // A promoted frame entered with tracing on counts each inline
+        // admit per site (`vm_inline_batch`, flushed with the fast
+        // permits) so per-site hits still reconcile with the guard
+        // count; a deopt takes the full traced general path. Decided
+        // once per frame: the untraced frame's admit carries no tracer
+        // test at all.
+        let traced = promoted.is_some() && self.kernel.tracer().enabled();
         let cf = match &promoted {
             Some((p, _)) => p.as_ref(),
             None => compiled.func(idx),
@@ -109,7 +112,11 @@ impl<'k> Interp<'k> {
         let mut regs = self.vm_frames.pop().unwrap_or_default();
         regs.clear();
         regs.resize(cf.n_regs, 0);
-        let result = self.vm_run(ctx, compiled, cf, &mut regs);
+        let result = if traced {
+            self.vm_run::<true>(ctx, compiled, cf, &mut regs)
+        } else {
+            self.vm_run::<false>(ctx, compiled, cf, &mut regs)
+        };
         self.vm_frames.push(regs);
         self.vm_flush_fast_permits();
         self.vm_policy = saved_policy;
@@ -133,10 +140,13 @@ impl<'k> Interp<'k> {
     }
 
     /// Drain the fast admits accumulated this frame into the governing
-    /// policy's `checks`/`permitted` counters with one counted add.
-    /// Runs at every frame entry (before the policy slot changes hands)
-    /// and exit, so the pending count always lands on the policy it was
-    /// accumulated against.
+    /// policy's `checks`/`permitted` counters with one counted add, and
+    /// any per-site inline tallies of a traced frame into the tracer
+    /// with one batched call (one profiler lock). Runs at every frame
+    /// entry (before the policy slot changes hands) and exit, so the
+    /// pending count always lands on the policy it was accumulated
+    /// against. Every batched admit is also a pending fast permit, so an
+    /// untraced frame pays one emptiness test for the batch.
     #[inline]
     fn vm_flush_fast_permits(&mut self) {
         if self.vm_pending_fast_permits > 0 {
@@ -144,6 +154,11 @@ impl<'k> Interp<'k> {
             self.vm_pending_fast_permits = 0;
             if let Some(p) = self.vm_policy.as_deref() {
                 p.record_fast_permits(n);
+            }
+            if !self.vm_inline_batch.is_empty() {
+                self.kernel
+                    .tracer()
+                    .record_inline(&mut self.vm_inline_batch);
             }
         }
     }
@@ -154,13 +169,14 @@ impl<'k> Interp<'k> {
     /// operands. The fast admit still counts as a guard and as a policy
     /// check (batched: `vm_pending_fast_permits`, flushed at frame
     /// boundaries), so every reconciliation invariant —
-    /// `stats.guards == policy.checks` — survives promotion. A
-    /// degenerate request (zero size, empty flags, wrapping range)
-    /// always deopts; the general path owns the malformed-input
-    /// verdicts.
+    /// `stats.guards == policy.checks` — survives promotion; in a
+    /// `TRACED` frame it is also tallied against its site for the
+    /// tracer (hits and envelope, no events, no timing). A degenerate
+    /// request (zero size, empty flags, wrapping range) always deopts;
+    /// the general path owns the malformed-input verdicts.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn vm_inline_guard(
+    fn vm_inline_guard<const TRACED: bool>(
         &mut self,
         ctx: &ModuleCtx,
         lo: u64,
@@ -188,6 +204,11 @@ impl<'k> Interp<'k> {
             self.stats.guards += 1;
             self.vm_pending_fast_permits += 1;
             self.vm_inline_admits += 1;
+            if TRACED {
+                if let Some(site) = site {
+                    self.vm_inline_batch.admit(site, addr, size);
+                }
+            }
             return Ok(());
         }
         self.vm_inline_deopts += 1;
@@ -230,8 +251,9 @@ impl<'k> Interp<'k> {
     /// The dispatch loop. `pc` indexes `cf.code`; every op charges one
     /// fuel unit up front (fused guard-access ops charge a second for
     /// the access, preserving the tree's per-IR-instruction fuel
-    /// checkpoints).
-    fn vm_run(
+    /// checkpoints). `TRACED` is set for a promoted frame entered with
+    /// tracing on (see [`Self::vm_inline_guard`]).
+    fn vm_run<const TRACED: bool>(
         &mut self,
         ctx: &ModuleCtx,
         compiled: &CompiledModule,
@@ -475,7 +497,7 @@ impl<'k> Interp<'k> {
                     let ga = self.vm_src(regs, *gaddr);
                     let gs = self.vm_src(regs, *gsize);
                     let gf = self.vm_src(regs, *gflags) as u32;
-                    self.vm_inline_guard(ctx, *lo, *hi, *perm, *gen, ga, gs, gf, *site)?;
+                    self.vm_inline_guard::<TRACED>(ctx, *lo, *hi, *perm, *gen, ga, gs, gf, *site)?;
                     self.burn(1)?;
                     self.stats.mem_accesses += 1;
                     let addr = VAddr(self.vm_src(regs, *ptr));
@@ -504,7 +526,7 @@ impl<'k> Interp<'k> {
                     let ga = self.vm_src(regs, *gaddr);
                     let gs = self.vm_src(regs, *gsize);
                     let gf = self.vm_src(regs, *gflags) as u32;
-                    self.vm_inline_guard(ctx, *lo, *hi, *perm, *gen, ga, gs, gf, *site)?;
+                    self.vm_inline_guard::<TRACED>(ctx, *lo, *hi, *perm, *gen, ga, gs, gf, *site)?;
                     self.burn(1)?;
                     self.stats.mem_accesses += 1;
                     let addr = VAddr(self.vm_src(regs, *ptr));
@@ -528,7 +550,7 @@ impl<'k> Interp<'k> {
                     let a = self.vm_src(regs, *addr);
                     let s = self.vm_src(regs, *size);
                     let f = self.vm_src(regs, *flags) as u32;
-                    self.vm_inline_guard(ctx, *lo, *hi, *perm, *gen, a, s, f, *site)?;
+                    self.vm_inline_guard::<TRACED>(ctx, *lo, *hi, *perm, *gen, a, s, f, *site)?;
                 }
                 Op::Guard {
                     site,

@@ -217,9 +217,15 @@ impl Kernel {
                 // registry; everything else is tracefs business.
                 let mut parts = text.split_whitespace();
                 if parts.next() == Some("lifecycle") {
-                    let reply = match parts.next() {
-                        Some(module) => lc.render_module(module),
-                        None => lc.render(),
+                    let reply = match (parts.next(), parts.next()) {
+                        (None, _) => lc.render(),
+                        (Some(module), None) => lc.render_module(module),
+                        (Some(_), Some(_)) => {
+                            return Err(KernelError::BadIoctl(format!(
+                                "malformed lifecycle request {:?}; usage: lifecycle [MODULE]",
+                                text.trim()
+                            )))
+                        }
                     };
                     return Ok(reply.into_bytes());
                 }
@@ -982,6 +988,36 @@ mod tests {
         let out = kernel.ioctl(TRACE_DEV, b"lifecycle ghost").unwrap();
         assert_eq!(out, b"ghost: unknown");
         assert!(kernel.ioctl(TRACE_DEV, b"tracing_on").is_ok());
+        // A trailing word is refused, not silently ignored.
+        for req in ["lifecycle a b", "lifecycle rogue rogue", "tracing_on 0 1"] {
+            assert!(
+                matches!(
+                    kernel.ioctl(TRACE_DEV, req.as_bytes()),
+                    Err(KernelError::BadIoctl(_))
+                ),
+                "{req:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// `lifecycle` takes at most one module name; any request,
+        /// arbitrary text included, is answered or refused, never a
+        /// panic.
+        #[test]
+        fn lifecycle_request_takes_at_most_one_module(
+            words in proptest::collection::vec("\\PC{0,8}", 0..4),
+            junk in "\\PC{0,24}",
+        ) {
+            let (kernel, _) = Kernel::boot_default();
+            let req = format!("lifecycle {}", words.join(" "));
+            let args = req.split_whitespace().count() - 1;
+            let reply = kernel.ioctl(TRACE_DEV, req.as_bytes());
+            proptest::prop_assert_eq!(reply.is_ok(), args <= 1, "{:?} -> {:?}", req, reply);
+            let _ = kernel.ioctl(TRACE_DEV, junk.as_bytes());
+        }
     }
 
     #[test]

@@ -30,7 +30,16 @@
 //! Every emission site does `tracer.enabled()` first — one relaxed atomic
 //! load, no lock, no allocation. The acceptance bar (guarded TX with
 //! tracing compiled in but disabled regresses < 2%) is asserted by the
-//! root `tests/trace.rs`.
+//! `reproduce trace` figure (`kop_bench::figures::trace`).
+//!
+//! ## Enabled-path cost
+//!
+//! A general-path guard check costs two ring events, two clock reads and
+//! a profiler update. A promoted guard answered by its baked bound costs
+//! neither: the executor counts it per site in an [`InlineBatch`] and
+//! hands the batch over once per frame ([`Tracer::record_inline`]), so
+//! per-site hits and envelopes stay exact while the ring and the
+//! latency histogram see only the timed checks.
 
 #![warn(missing_docs)]
 
@@ -49,7 +58,7 @@ use parking_lot::Mutex;
 
 pub use counter::{Counter, CounterRegistry};
 pub use event::{GuardDecision, Producer, TraceEvent, TraceRecord};
-pub use profile::{latency_bucket, SiteProfile, LATENCY_BUCKETS};
+pub use profile::{latency_bucket, InlineBatch, SiteProfile, LATENCY_BUCKETS};
 pub use sites::{
     assign_guard_sites, canonical_site_text, GuardSite, SiteId, SiteKind, SiteMeta, SiteTable,
     GUARD_SYMBOL, INTRINSIC_GUARD_SYMBOL,
@@ -159,6 +168,22 @@ impl Tracer {
         self.profiler
             .lock()
             .record_at(site, ns, denied, Some((addr, size)));
+    }
+
+    /// Fold a batch of inline admits (guards a promoted tier answered
+    /// from a baked bound) into the per-site profiles under one profiler
+    /// lock. Each admit counts as a hit and widens its site's envelope,
+    /// but carries no latency and emits no ring event. No-op while
+    /// disabled; the batch is emptied either way.
+    pub fn record_inline(&self, batch: &mut InlineBatch) {
+        if batch.is_empty() {
+            return;
+        }
+        if self.enabled() {
+            self.profiler.lock().record_inline(batch);
+        } else {
+            batch.clear();
+        }
     }
 
     /// Consistent snapshot of the ring, sequences, and drop counters.
@@ -328,12 +353,14 @@ impl std::fmt::Debug for Tracer {
 pub mod control {
     use super::*;
 
-    /// Handle one request. Commands, mirroring tracefs file UX:
+    /// Handle one request: whitespace-separated words, mirroring
+    /// tracefs file UX. The whole grammar:
     ///
     /// * `tracing_on` → `"0"` / `"1"`
     /// * `tracing_on 0|1` → `"ok"` (enable/disable)
     /// * `trace` → the retained ring, one record per line
-    /// * `top` / `top N` → the top-N guard-sites table (default 10)
+    /// * `top` / `top N` → the top-N guard-sites table (default 10; `N`
+    ///   is unsigned decimal digits)
     /// * `counters` → the unified counter registry, `name=value` lines
     /// * `rx` (alias `forward`) → the receive/forwarding datapath slice
     ///   of the registry: every counter whose leaf name starts with
@@ -341,61 +368,64 @@ pub mod control {
     /// * `perfetto` → chrome://tracing JSON for the retained ring
     /// * `clear` → `"ok"` (drop retained records)
     ///
-    /// Unknown commands return `Err` with a usage string.
+    /// Anything else — an unknown command, a malformed argument, or a
+    /// trailing word — returns `Err` with a usage string and changes
+    /// nothing.
     pub fn handle(tracer: &Tracer, request: &str) -> Result<String, String> {
         let req = request.trim();
-        let mut parts = req.split_whitespace();
-        match (parts.next(), parts.next()) {
-            (Some("tracing_on"), None) => Ok(if tracer.enabled() { "1" } else { "0" }.to_string()),
-            (Some("tracing_on"), Some("1")) => {
-                tracer.set_enabled(true);
+        let usage = || {
+            format!(
+                "unknown trace command {req:?}; \
+                 usage: tracing_on [0|1] | trace | top [N] | counters | rx | perfetto | clear"
+            )
+        };
+        let words: Vec<&str> = req.split_whitespace().collect();
+        match words[..] {
+            ["tracing_on"] => Ok(if tracer.enabled() { "1" } else { "0" }.to_string()),
+            ["tracing_on", on @ ("0" | "1")] => {
+                tracer.set_enabled(on == "1");
                 Ok("ok".to_string())
             }
-            (Some("tracing_on"), Some("0")) => {
-                tracer.set_enabled(false);
-                Ok("ok".to_string())
-            }
-            (Some("trace"), None) => Ok(report::dump(tracer)),
-            (Some("top"), n) => {
-                let n = n.and_then(|s| s.parse().ok()).unwrap_or(10);
-                Ok(report::top_sites(tracer, n))
-            }
-            (Some("counters"), None) => {
-                let mut s = String::new();
-                for (name, v) in tracer.counters().snapshot() {
-                    s.push_str(&name);
-                    s.push('=');
-                    s.push_str(&v.to_string());
-                    s.push('\n');
-                }
-                Ok(s)
-            }
-            (Some("rx") | Some("forward"), None) => {
-                let mut s = String::new();
-                for (name, v) in tracer.counters().snapshot() {
-                    let leaf = name.rsplit('.').next().unwrap_or(&name);
-                    if leaf.starts_with("rx_")
-                        || leaf.starts_with("irq_")
-                        || leaf.starts_with("poll_")
-                    {
-                        s.push_str(&name);
-                        s.push('=');
-                        s.push_str(&v.to_string());
-                        s.push('\n');
-                    }
-                }
-                Ok(s)
-            }
-            (Some("perfetto"), None) => Ok(perfetto::export_json(tracer)),
-            (Some("clear"), None) => {
+            ["trace"] => Ok(report::dump(tracer)),
+            ["top"] => Ok(report::top_sites(tracer, 10)),
+            ["top", n] => count(n)
+                .map(|n| report::top_sites(tracer, n))
+                .ok_or_else(usage),
+            ["counters"] => Ok(counter_lines(tracer, |_| true)),
+            ["rx" | "forward"] => Ok(counter_lines(tracer, |leaf| {
+                leaf.starts_with("rx_") || leaf.starts_with("irq_") || leaf.starts_with("poll_")
+            })),
+            ["perfetto"] => Ok(perfetto::export_json(tracer)),
+            ["clear"] => {
                 tracer.clear();
                 Ok("ok".to_string())
             }
-            _ => Err(format!(
-                "unknown trace command {req:?}; \
-                 usage: tracing_on [0|1] | trace | top [N] | counters | rx | perfetto | clear"
-            )),
+            _ => Err(usage()),
         }
+    }
+
+    /// `N` of `top N`: unsigned decimal digits that fit a `usize`.
+    fn count(word: &str) -> Option<usize> {
+        if word.bytes().all(|b| b.is_ascii_digit()) {
+            word.parse().ok()
+        } else {
+            None
+        }
+    }
+
+    /// `name=value` lines for every registered counter whose leaf name
+    /// (after the last `.`) passes `keep`.
+    fn counter_lines(tracer: &Tracer, keep: impl Fn(&str) -> bool) -> String {
+        let mut s = String::new();
+        for (name, v) in tracer.counters().snapshot() {
+            if keep(name.rsplit('.').next().unwrap_or(&name)) {
+                s.push_str(&name);
+                s.push('=');
+                s.push_str(&v.to_string());
+                s.push('\n');
+            }
+        }
+        s
     }
 }
 

@@ -5,6 +5,14 @@
 //! old events, but the profiler never loses a check, so per-site totals
 //! reconcile exactly with the aggregate guard-check count (asserted by
 //! the root `tests/trace.rs`).
+//!
+//! Checks arrive two ways. A *timed* check (the general guard path)
+//! lands one at a time with its host latency. An *inline* admit (a
+//! promoted guard answered by its baked bound) is counted per site in
+//! an [`InlineBatch`] the executor owns and folded in a batch at a frame
+//! boundary: it adds to `hits` and the address envelope, never to the
+//! latency histogram. So Σ`hits` == guards and Σ`hist` + Σ`inline` ==
+//! guards.
 
 use crate::sites::SiteId;
 
@@ -20,13 +28,19 @@ pub fn latency_bucket(ns: u64) -> usize {
 /// Aggregated profile of one guard site.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SiteProfile {
-    /// Total checks observed at this site.
+    /// Total checks observed at this site, timed and inline.
     pub hits: u64,
+    /// Checks answered by a baked bound (the promoted tier's inline
+    /// admit): counted in `hits` and folded into the envelope, never
+    /// timed. `hist`, `total_ns` and [`SiteProfile::mean_ns`] describe
+    /// only the [`SiteProfile::timed`] checks.
+    pub inline: u64,
     /// Checks that did not come back `Allowed`.
     pub denied: u64,
-    /// Sum of check latencies (host ns).
+    /// Sum of timed check latencies (host ns).
     pub total_ns: u64,
-    /// log2 latency histogram; `hist[i]` counts checks in `[2^i, 2^(i+1))` ns.
+    /// log2 latency histogram of the timed checks; `hist[i]` counts
+    /// checks in `[2^i, 2^(i+1))` ns.
     pub hist: [u64; LATENCY_BUCKETS],
     /// Lowest guarded address attributed to this site (`u64::MAX` when no
     /// check ever carried an address).
@@ -40,6 +54,7 @@ impl Default for SiteProfile {
     fn default() -> SiteProfile {
         SiteProfile {
             hits: 0,
+            inline: 0,
             denied: 0,
             total_ns: 0,
             hist: [0; LATENCY_BUCKETS],
@@ -50,9 +65,15 @@ impl Default for SiteProfile {
 }
 
 impl SiteProfile {
-    /// Mean check latency in ns (0 when no hits).
+    /// Checks that went through the timed general path (`hits -
+    /// inline`); equals the histogram total.
+    pub fn timed(&self) -> u64 {
+        self.hits - self.inline
+    }
+
+    /// Mean latency of the timed checks in ns (0 when none was timed).
     pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.hits).unwrap_or(0)
+        self.total_ns.checked_div(self.timed()).unwrap_or(0)
     }
 
     /// Index of the highest non-empty histogram bucket, if any.
@@ -68,6 +89,82 @@ impl SiteProfile {
     }
 }
 
+/// One site's inline admits since the last flush.
+#[derive(Clone, Copy, Debug)]
+struct InlineTally {
+    site: SiteId,
+    hits: u64,
+    lo: u64,
+    hi: u64,
+}
+
+/// Inline admits not yet handed to the profiler, counted per site.
+///
+/// The executor of promoted code owns one and calls
+/// [`InlineBatch::admit`] for every guard a baked bound answers while
+/// tracing is on, then hands the batch to
+/// [`crate::Tracer::record_inline`] at a frame boundary: one profiler
+/// lock per flush instead of a lock, two ring events and two clock
+/// reads per guard. `admit` is O(1) (a dense slot per raw [`SiteId`]
+/// plus a list of the sites touched since the last flush) and stops
+/// allocating once every site and the touched list have been seen at
+/// their largest.
+#[derive(Debug, Default)]
+pub struct InlineBatch {
+    /// Raw site id → 1 + index into `pending`; 0 while the site has no
+    /// pending admit.
+    slot: Vec<u32>,
+    pending: Vec<InlineTally>,
+}
+
+impl InlineBatch {
+    /// Count one inline admit of `[addr, addr + size)` at `site`.
+    #[inline]
+    pub fn admit(&mut self, site: SiteId, addr: u64, size: u64) {
+        let end = addr.saturating_add(size);
+        let idx = site.0 as usize;
+        if idx >= self.slot.len() {
+            self.slot.resize(idx + 1, 0);
+        }
+        match self.slot[idx] {
+            0 => {
+                self.pending.push(InlineTally {
+                    site,
+                    hits: 1,
+                    lo: addr,
+                    hi: end,
+                });
+                self.slot[idx] = self.pending.len() as u32;
+            }
+            s => {
+                let t = &mut self.pending[s as usize - 1];
+                t.hits += 1;
+                t.lo = t.lo.min(addr);
+                t.hi = t.hi.max(end);
+            }
+        }
+    }
+
+    /// No admit is pending.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Drop every pending admit.
+    pub(crate) fn clear(&mut self) {
+        self.drain().for_each(drop);
+    }
+
+    /// Empty the batch, yielding each touched site's tally.
+    fn drain(&mut self) -> impl Iterator<Item = InlineTally> + '_ {
+        let slot = &mut self.slot;
+        self.pending
+            .drain(..)
+            .inspect(move |t| slot[t.site.0 as usize] = 0)
+    }
+}
+
 /// Dense per-site profile store, indexed by raw [`SiteId`].
 #[derive(Debug, Default)]
 pub(crate) struct Profiler {
@@ -75,6 +172,14 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
+    fn entry(&mut self, site: SiteId) -> &mut SiteProfile {
+        let idx = site.0 as usize;
+        if idx >= self.per_site.len() {
+            self.per_site.resize(idx + 1, SiteProfile::default());
+        }
+        &mut self.per_site[idx]
+    }
+
     pub(crate) fn record(&mut self, site: SiteId, ns: u64, denied: bool) {
         self.record_at(site, ns, denied, None);
     }
@@ -86,11 +191,7 @@ impl Profiler {
         denied: bool,
         span: Option<(u64, u64)>,
     ) {
-        let idx = site.0 as usize;
-        if idx >= self.per_site.len() {
-            self.per_site.resize(idx + 1, SiteProfile::default());
-        }
-        let p = &mut self.per_site[idx];
+        let p = self.entry(site);
         p.hits += 1;
         if denied {
             p.denied += 1;
@@ -100,6 +201,17 @@ impl Profiler {
         if let Some((addr, size)) = span {
             p.lo_addr = p.lo_addr.min(addr);
             p.hi_addr = p.hi_addr.max(addr.saturating_add(size));
+        }
+    }
+
+    /// Fold a batch of inline admits in, leaving the batch empty.
+    pub(crate) fn record_inline(&mut self, batch: &mut InlineBatch) {
+        for t in batch.drain() {
+            let p = self.entry(t.site);
+            p.hits += t.hits;
+            p.inline += t.hits;
+            p.lo_addr = p.lo_addr.min(t.lo);
+            p.hi_addr = p.hi_addr.max(t.hi);
         }
     }
 
@@ -154,6 +266,39 @@ mod tests {
         p.record_at(SiteId(1), 10, false, Some((0x1040, 16)));
         assert_eq!(p.get(SiteId(1)).envelope(), Some((0x1000, 0x1050)));
         assert_eq!(p.get(SiteId(1)).hits, 3);
+    }
+
+    #[test]
+    fn inline_batch_counts_hits_and_envelope_but_no_latency() {
+        let mut p = Profiler::default();
+        p.record_at(SiteId(3), 100, false, Some((0x2000, 8)));
+        let mut b = InlineBatch::default();
+        assert!(b.is_empty());
+        b.admit(SiteId(3), 0x2040, 8);
+        b.admit(SiteId(3), 0x1ff0, 4);
+        b.admit(SiteId(5), 0x9000, 16);
+        p.record_inline(&mut b);
+        assert!(b.is_empty(), "a flush empties the batch");
+        let prof = p.get(SiteId(3));
+        assert_eq!((prof.hits, prof.inline, prof.timed()), (3, 2, 1));
+        assert_eq!(prof.hist.iter().sum::<u64>(), prof.timed());
+        assert_eq!(prof.mean_ns(), 100, "inline admits are never timed");
+        assert_eq!(prof.envelope(), Some((0x1ff0, 0x2048)));
+        assert_eq!(p.get(SiteId(5)).envelope(), Some((0x9000, 0x9010)));
+        assert_eq!(p.get(SiteId(5)).mean_ns(), 0);
+        assert_eq!(p.total_hits(), 4);
+
+        // The emptied batch starts every site afresh.
+        b.admit(SiteId(5), 0x9000, 8);
+        b.admit(SiteId(3), 0x2000, 8);
+        p.record_inline(&mut b);
+        assert_eq!(p.get(SiteId(5)).inline, 2);
+        assert_eq!(p.get(SiteId(3)).inline, 3);
+        b.admit(SiteId(4), 0, 8);
+        b.clear();
+        p.record_inline(&mut b);
+        assert_eq!(p.get(SiteId(4)).hits, 0);
+        assert_eq!(p.total_hits(), 6);
     }
 
     #[test]

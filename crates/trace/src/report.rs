@@ -7,7 +7,9 @@ use crate::sites::SiteMeta;
 use crate::Tracer;
 
 /// Render the top-`n` guard sites by hit count as an aligned text table,
-/// mirroring `perf report` / ftrace's `trace_stat` output.
+/// mirroring `perf report` / ftrace's `trace_stat` output. `INLINE` is
+/// the share of `HITS` a baked bound answered untimed; `MEAN_NS`
+/// averages the rest.
 pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     let mut rows: Vec<(SiteMeta, SiteProfile)> = tracer.profile_snapshot();
     rows.sort_by(|a, b| {
@@ -23,8 +25,8 @@ pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     let _ = writeln!(s, "# top guard sites ({} checks total)", total);
     let _ = writeln!(
         s,
-        "{:<6} {:<28} {:<10} {:>10} {:>8} {:>8} {:>9}",
-        "SITE", "LABEL", "MODULE", "HITS", "%", "DENIED", "MEAN_NS"
+        "{:<6} {:<28} {:<10} {:>10} {:>8} {:>10} {:>8} {:>9}",
+        "SITE", "LABEL", "MODULE", "HITS", "%", "INLINE", "DENIED", "MEAN_NS"
     );
     for (meta, prof) in &rows {
         let pct = if total == 0 {
@@ -34,12 +36,13 @@ pub fn top_sites(tracer: &Tracer, n: usize) -> String {
         };
         let _ = writeln!(
             s,
-            "{:<6} {:<28} {:<10} {:>10} {:>7.1}% {:>8} {:>9}",
+            "{:<6} {:<28} {:<10} {:>10} {:>7.1}% {:>10} {:>8} {:>9}",
             meta.id.0,
             truncate(&meta.label, 28),
             truncate(&meta.module, 10),
             prof.hits,
             pct,
+            prof.inline,
             prof.denied,
             prof.mean_ns()
         );

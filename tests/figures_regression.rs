@@ -442,8 +442,10 @@ fn jit_figure_shape_and_promotion_audits() {
     // forwarding) are gated inside jit() to the quick smoke run on a
     // release build; the correctness invariants — identical ExecStats
     // and ring/frame/@stats/TDT bytes across general and promoted,
-    // every steady-state guard answered inline with zero deopts, exact
-    // traced-pass reconciliation, atomic drop on epoch bump with
+    // every steady-state guard answered inline with zero deopts, the
+    // traced promoted pass (every guard still inline, zero deopts,
+    // per-site hits equal to a traced bytecode pass), atomic drop on
+    // epoch bump with
     // re-promotion via tick() — are asserted unconditionally inside
     // jit() on every run. Here we pin the figure's shape and headline
     // arithmetic.
@@ -471,6 +473,11 @@ fn jit_figure_shape_and_promotion_audits() {
         "mini-e1000e TX path is 10 guarded accesses"
     );
     assert!(fig.headline("vm_traced_checks").unwrap() > 0.0);
+    // Tracing kept the tier on: every traced check was an inline admit.
+    assert_eq!(
+        fig.headline("vm_traced_inline_admits"),
+        fig.headline("vm_traced_checks")
+    );
 
     // Invalidation: the epoch bump advanced the generation at least once.
     assert!(fig.headline("bump_generation_delta").unwrap() >= 1.0);

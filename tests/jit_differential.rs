@@ -28,7 +28,7 @@ use carat_kop::interp::{Engine, ExecStats, Interp};
 use carat_kop::ir::{verify_module, BinOp, GlobalInit, IcmpPred, IrBuilder, Type, Value};
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::policy::{DefaultAction, HotSite, PolicyModule, ViolationAction};
-use carat_kop::trace::{CounterRegistry, Tracer, DEFAULT_CAPACITY};
+use carat_kop::trace::{CounterRegistry, Producer, Tracer, DEFAULT_CAPACITY};
 use carat_kop::vm::PromotionSpec;
 use kop_core::AccessFlags;
 
@@ -163,10 +163,16 @@ struct Observation {
     global: Vec<u8>,
     inline_admits: u64,
     inline_deopts: u64,
+    /// The tracer's view of the measured call (all empty/zero unless
+    /// traced): per-site `(label, hits)`, total checks, and Σ`inline`.
+    site_hits: Vec<(String, u64)>,
+    traced_checks: u64,
+    profiled_inline: u64,
 }
 
 /// Compile, load, optionally profile-and-promote, then run `@run(buf,
-/// seed)` once on `engine` and collect the observable state.
+/// seed)` once on `engine` — with the kernel tracer on when `traced` —
+/// and collect the observable state.
 fn observe(
     module: carat_kop::ir::Module,
     opts: &CompileOptions,
@@ -174,6 +180,7 @@ fn observe(
     engine: Engine,
     deny_all: bool,
     promote: bool,
+    traced: bool,
 ) -> Observation {
     let out = compile_module(module, opts, &key()).expect("compiles");
     let policy = if deny_all {
@@ -234,6 +241,8 @@ fn observe(
 
     let s0 = policy.stats();
     let v0 = policy.violation_log().len();
+    kernel.tracer().reset_profiles();
+    kernel.tracer().set_enabled(traced);
     let mut interp = Interp::new(&mut kernel).expect("interp");
     interp.set_engine(engine);
     let result = interp
@@ -243,6 +252,8 @@ fn observe(
     let inline_admits = interp.inline_admits();
     let inline_deopts = interp.inline_deopts();
     drop(interp);
+    kernel.tracer().set_enabled(false);
+    let profile = kernel.tracer().profile_snapshot();
 
     let s1 = policy.stats();
     let mut mem = vec![0u8; 64];
@@ -260,12 +271,18 @@ fn observe(
         global: gbytes,
         inline_admits,
         inline_deopts,
+        profiled_inline: profile.iter().map(|(_, p)| p.inline).sum(),
+        site_hits: profile
+            .into_iter()
+            .map(|(m, p)| (m.label, p.hits))
+            .collect(),
+        traced_checks: kernel.tracer().total_checks(),
     }
 }
 
-/// The fields every engine must agree on (the inline counters are
-/// deliberately excluded — they are the promoted tier's private
-/// bookkeeping, asserted separately).
+/// The fields every engine must agree on (the inline counters and the
+/// tracer's view are deliberately excluded — they are asserted
+/// separately).
 fn comparable(o: &Observation) -> impl PartialEq + std::fmt::Debug + '_ {
     (
         &o.result,
@@ -280,7 +297,10 @@ proptest! {
 
     /// Allow-all (paper two-region policy): tree, bytecode, and the
     /// profiled-then-promoted engine agree on every observable, and the
-    /// promoted run answers *every* guard from an inlined bound.
+    /// promoted run answers *every* guard from an inlined bound — with
+    /// the tracer off and on. Traced, all three attribute the same hits
+    /// to the same sites and reconcile with the guard count; the
+    /// promoted run's hits are all inline.
     #[test]
     fn three_engines_agree_and_promotion_admits_inline(
         steps in proptest::collection::vec(arb_step(), 1..16),
@@ -291,18 +311,30 @@ proptest! {
         verify_module(&module).expect("generated program verifies");
 
         for opts in [CompileOptions::carat_kop(), CompileOptions::optimized()] {
-            let tree = observe(module.clone(), &opts, seed, Engine::Tree, false, false);
-            let vm = observe(module.clone(), &opts, seed, Engine::Bytecode, false, false);
-            let jit = observe(module.clone(), &opts, seed, Engine::Promoted, false, true);
-            prop_assert_eq!(comparable(&tree), comparable(&vm));
-            prop_assert_eq!(comparable(&tree), comparable(&jit));
-            prop_assert!(tree.result.is_ok());
-            prop_assert_eq!(tree.inline_admits, 0);
-            // Same program, same seed, same initial memory: the profile
-            // pass visited exactly the measured run's sites, so every
-            // guard admits inline and none deopts.
-            prop_assert_eq!(jit.inline_admits, jit.stats.guards);
-            prop_assert_eq!(jit.inline_deopts, 0);
+            for traced in [false, true] {
+                let run = |engine, promote| {
+                    observe(module.clone(), &opts, seed, engine, false, promote, traced)
+                };
+                let tree = run(Engine::Tree, false);
+                let vm = run(Engine::Bytecode, false);
+                let jit = run(Engine::Promoted, true);
+                prop_assert_eq!(comparable(&tree), comparable(&vm));
+                prop_assert_eq!(comparable(&tree), comparable(&jit));
+                prop_assert!(tree.result.is_ok());
+                prop_assert_eq!(tree.inline_admits, 0);
+                // Same program, same seed, same initial memory: the
+                // profile pass visited exactly the measured run's sites,
+                // so every guard admits inline and none deopts.
+                prop_assert_eq!(jit.inline_admits, jit.stats.guards);
+                prop_assert_eq!(jit.inline_deopts, 0);
+                prop_assert_eq!(&tree.site_hits, &vm.site_hits);
+                prop_assert_eq!(&tree.site_hits, &jit.site_hits);
+                for o in [&tree, &vm, &jit] {
+                    prop_assert_eq!(o.traced_checks, if traced { o.stats.guards } else { 0 });
+                }
+                prop_assert_eq!(vm.profiled_inline, 0);
+                prop_assert_eq!(jit.profiled_inline, if traced { jit.inline_admits } else { 0 });
+            }
         }
     }
 
@@ -318,9 +350,9 @@ proptest! {
         let module = build_program(&steps, loop_n);
 
         let opts = CompileOptions::carat_kop();
-        let tree = observe(module.clone(), &opts, seed, Engine::Tree, true, false);
-        let vm = observe(module.clone(), &opts, seed, Engine::Bytecode, true, false);
-        let jit = observe(module.clone(), &opts, seed, Engine::Promoted, true, true);
+        let tree = observe(module.clone(), &opts, seed, Engine::Tree, true, false, false);
+        let vm = observe(module.clone(), &opts, seed, Engine::Bytecode, true, false, false);
+        let jit = observe(module.clone(), &opts, seed, Engine::Promoted, true, true, false);
         prop_assert_eq!(comparable(&tree), comparable(&vm));
         prop_assert_eq!(comparable(&tree), comparable(&jit));
         prop_assert_eq!(jit.inline_admits, 0);
@@ -403,6 +435,29 @@ fn stale_generation_promotion_deopts_every_guard() {
     let s1 = policy.stats();
     assert_eq!(s1.checks - s0.checks, stats.guards);
     assert_eq!(s1.permitted - s0.permitted, stats.guards);
+
+    // Traced, a deopt keeps the full general path too: one
+    // GuardEnter/GuardExit pair and one timed profile entry per check,
+    // nothing counted inline.
+    let tracer = Arc::clone(kernel.tracer());
+    tracer.reset_profiles();
+    tracer.set_enabled(true);
+    let events0 = tracer.seq(Producer::Interp);
+    let mut interp = Interp::new(&mut kernel).expect("interp");
+    interp.set_engine(Engine::Promoted);
+    interp
+        .call("random", "run", &[buf.raw(), 3])
+        .expect("traced promoted run");
+    let guards = interp.stats().guards;
+    assert_eq!(interp.inline_admits(), 0);
+    assert_eq!(interp.inline_deopts(), guards);
+    drop(interp);
+    assert_eq!(tracer.seq(Producer::Interp) - events0, 2 * guards);
+    assert_eq!(tracer.total_checks(), guards);
+    for (meta, prof) in tracer.profile_snapshot() {
+        assert_eq!(prof.inline, 0, "{}", meta.label);
+        assert_eq!(prof.hist.iter().sum::<u64>(), prof.hits, "{}", meta.label);
+    }
 }
 
 /// Profile one guarded TX pass and return the promotion requests plus

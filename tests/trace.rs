@@ -7,15 +7,17 @@
 //! profiles, the `/dev/trace` chardev, the perfetto exporter) all agree
 //! with each other and with the interpreter's own counters.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use carat_kop::compiler::{compile_module, CompileOptions, CompilerKey};
 use carat_kop::core::KernelError;
-use carat_kop::interp::Interp;
+use carat_kop::interp::{Engine, Interp};
 use carat_kop::ir::parse_module;
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::policy::{PolicyModule, ViolationAction};
-use carat_kop::trace::{self, Producer, TraceEvent};
+use carat_kop::trace::{self, Producer, SiteId, TraceEvent, Tracer};
+use carat_kop::vm::Op;
 
 const DRIVERISH_SRC: &str = r#"
 module "drv"
@@ -257,4 +259,162 @@ fn dev_trace_chardev_controls_and_reads_the_tracer() {
     io(&mut kernel, "clear");
     let empty = io(&mut kernel, "trace");
     assert!(!empty.contains("guard_exit"), "{empty}");
+}
+
+/// Per-run sums over every profiled site: `(Σhits, Σinline, Σhist)`.
+fn profile_sums(tracer: &Tracer) -> (u64, u64, u64) {
+    tracer
+        .profile_snapshot()
+        .iter()
+        .fold((0, 0, 0), |(h, i, t), (_, p)| {
+            (h + p.hits, i + p.inline, t + p.hist.iter().sum::<u64>())
+        })
+}
+
+/// `(GuardEnter, GuardExit)` records from the interpreter in the ring.
+fn guard_event_pairs(tracer: &Tracer) -> (u64, u64) {
+    let snap = tracer.snapshot();
+    let interp = snap.by_producer(Producer::Interp);
+    let count = |f: fn(&TraceEvent) -> bool| interp.iter().filter(|r| f(&r.event)).count() as u64;
+    (
+        count(|e| matches!(e, TraceEvent::GuardEnter { .. })),
+        count(|e| matches!(e, TraceEvent::GuardExit { .. })),
+    )
+}
+
+/// Tracing keeps the promoted tier on: each inline admit is counted
+/// against its site (hits and envelope) with no ring event and no
+/// timing. A policy publish between two calls drops the tier, and from
+/// then on every check is a GuardEnter/GuardExit pair plus a timed
+/// histogram entry. Both reconciliation sums hold throughout.
+#[test]
+fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
+    let out = compile_module(
+        parse_module(DRIVERISH_SRC).unwrap(),
+        &CompileOptions::carat_kop(),
+        &key(),
+    )
+    .expect("compiles");
+    let policy = Arc::new(PolicyModule::two_region_paper_policy());
+    let mut kernel = Kernel::boot(Arc::clone(&policy), vec![key()], KernelConfig::default());
+    kernel.insmod(&out.signed).expect("insmod");
+    let buf = kernel.kmalloc(16 * 8).unwrap();
+    let tracer = Arc::clone(kernel.tracer());
+
+    // Profile on the general path, then promote every site.
+    tracer.set_enabled(true);
+    {
+        let mut interp = Interp::new(&mut kernel).unwrap();
+        interp.set_engine(Engine::Bytecode);
+        interp.call("drv", "touch", &[buf.raw(), 16]).unwrap();
+    }
+    assert!(kernel.promote_hot("drv", 1).expect("promotion") > 0);
+    let compiled = kernel
+        .module("drv")
+        .expect("loaded")
+        .image()
+        .compiled
+        .clone()
+        .expect("bytecode image");
+    let mut baked: BTreeMap<SiteId, (u64, u64)> = BTreeMap::new();
+    for f in (0..compiled.func_count() as u32).filter_map(|i| compiled.promoted_func(i)) {
+        for op in &f.code {
+            if let Op::InlineGuardLoad {
+                site: Some(s),
+                lo,
+                hi,
+                ..
+            }
+            | Op::InlineGuardStore {
+                site: Some(s),
+                lo,
+                hi,
+                ..
+            }
+            | Op::InlineGuard {
+                site: Some(s),
+                lo,
+                hi,
+                ..
+            } = op
+            {
+                baked.insert(*s, (*lo, *hi));
+            }
+        }
+    }
+    assert!(!baked.is_empty(), "promoted code carries baked bounds");
+    let envelopes_inside_baked_bounds = |tracer: &Tracer| {
+        for (meta, prof) in tracer.profile_snapshot() {
+            let (lo, hi) = baked[&meta.id];
+            let (elo, ehi) = prof.envelope().expect("every check carried its span");
+            assert!(
+                lo <= elo && ehi <= hi,
+                "{}: envelope [{elo:#x}, {ehi:#x}) outside baked [{lo:#x}, {hi:#x})",
+                meta.label
+            );
+        }
+    };
+
+    tracer.reset_profiles();
+    tracer.clear();
+    let mut interp = Interp::new(&mut kernel).unwrap();
+    interp.set_engine(Engine::Promoted);
+
+    // Promoted and traced: every guard inline, counted, never timed.
+    interp.call("drv", "touch", &[buf.raw(), 16]).unwrap();
+    let g1 = interp.stats().guards;
+    assert!(g1 > 0);
+    assert_eq!(interp.inline_admits(), g1, "tracing keeps the tier on");
+    assert_eq!(interp.inline_deopts(), 0);
+    assert_eq!(
+        profile_sums(&tracer),
+        (g1, g1, 0),
+        "only inline counts grew"
+    );
+    assert_eq!(tracer.total_checks(), g1);
+    assert_eq!(
+        guard_event_pairs(&tracer),
+        (0, 0),
+        "inline admits emit no events"
+    );
+    envelopes_inside_baked_bounds(&tracer);
+
+    // The publish drops the tier; the next call runs the general path.
+    policy.bump_epoch();
+    assert_eq!(compiled.promoted_generation(), 0, "tier dropped");
+    interp.call("drv", "touch", &[buf.raw(), 16]).unwrap();
+    let guards = interp.stats().guards;
+    let g2 = guards - g1;
+    assert_eq!(g2, g1, "same work either side of the publish");
+    assert_eq!(
+        interp.inline_admits(),
+        g1,
+        "no check counts as inline after it"
+    );
+    assert_eq!(
+        interp.inline_deopts(),
+        0,
+        "tier dropped before any op could deopt"
+    );
+    let (hits, inline, timed) = profile_sums(&tracer);
+    assert_eq!(hits, guards, "Σhits == guards");
+    assert_eq!(timed + inline, guards, "Σhist + Σinline == guards");
+    assert_eq!(
+        (inline, timed),
+        (g1, g2),
+        "every post-publish check was timed"
+    );
+    assert_eq!(
+        guard_event_pairs(&tracer),
+        (g2, g2),
+        "one event pair per timed check"
+    );
+    for (_, prof) in tracer.profile_snapshot() {
+        assert_eq!(prof.timed(), prof.hist.iter().sum::<u64>());
+        assert!(
+            prof.total_ns >= prof.timed(),
+            "at least 1 ns per timed check"
+        );
+    }
+    envelopes_inside_baked_bounds(&tracer);
 }
