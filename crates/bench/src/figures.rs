@@ -1408,26 +1408,26 @@ pub fn exec() -> FigureData {
 /// inlined as immediate compares (each baked bound re-derived by the
 /// independent translation validator before install), and the promoted
 /// dispatch runs the specialized copies until a policy publish drops the
-/// tier. The same tier runs on the native forwarding datapath as a
-/// per-thread [`kop_policy::HotPolicy`].
+/// tier. The native forwarding datapath gets the same tag-and-bound check
+/// from a per-queue [`kop_policy::GuardFront`], whose slots fill on miss.
 ///
-/// Asserted, not just measured: (a) the promoted tier at least halves
-/// the guard *overhead* (guarded minus baseline ns/packet) over the
-/// general path on both the interpreter TX loop and the native
-/// forwarding datapath; (b) general and promoted runs are observably
-/// identical — ExecStats and ring/frame/@stats/TDT bytes on the TX
-/// loop, ForwardReports on the datapath; (c) steady state answers every
-/// interpreter guard inline with zero deopts, and fast admits still
-/// reconcile (`policy.checks` == guard count); (d) with the tracer on
-/// the tier stays promoted — every guard inline, zero deopts — and its
-/// per-site hits equal a traced general-bytecode pass exactly;
-/// (e) a policy publish drops the tier atomically — zero stale admits —
-/// and lazy re-promotion restores it at the new generation; (f) the
-/// promotion-warmed guard TLB preseeds without phantom checks.
+/// Asserted, not just measured: (a) the promoted tier and the front at
+/// least halve the guard *overhead* (guarded minus baseline ns/packet)
+/// over the general path on the interpreter TX loop and the native
+/// forwarding datapath respectively; (b) general and fast runs are
+/// observably identical — ExecStats and ring/frame/@stats/TDT bytes on
+/// the TX loop, ForwardReports on the datapath; (c) steady state answers
+/// every interpreter guard inline with zero deopts and most forwarding
+/// guards from a slot, and fast admits still reconcile (`policy.checks`
+/// == guard count); (d) with the tracer on the tier stays promoted —
+/// every guard inline, zero deopts — and its per-site hits equal a
+/// traced general-bytecode pass exactly; (e) a policy publish drops the
+/// tier atomically — zero stale admits — and lazy re-promotion restores
+/// it at the new generation.
 pub fn jit() -> FigureData {
     use kop_e1000e::{DirectMem, E1000Device, GuardedMem};
     use kop_interp::{Engine, ExecStats, Interp};
-    use kop_policy::HotSite;
+    use kop_policy::GuardFront;
     use std::sync::Arc;
 
     let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
@@ -1811,8 +1811,8 @@ pub fn jit() -> FigureData {
         gen2 - gen1
     };
 
-    // ---- The native forwarding datapath: the same tier as a ----
-    // per-thread HotPolicy in front of the shared policy module.
+    // ---- The native forwarding datapath: a per-queue GuardFront in ----
+    // front of the shared policy module.
     let (fwd_offered, fwd_repeats, fwd_flows, fwd_budget) = if quick() {
         (600u64, 2usize, 256usize, 64u64)
     } else {
@@ -1820,58 +1820,31 @@ pub fn jit() -> FigureData {
     };
     let fwd_seed = 7_300u64;
 
-    // Profile pass: one traced window builds the per-site envelopes.
     // The forwarding comparison runs a 32-region table policy — the
     // per-allocation shape a CARAT-tracked kernel actually carries, with
     // the driver's grants at the worst-case scan position (as in the
-    // Figure 5 sweep). General and hot runs share the same policy; the
-    // hot tier's inlined bounds are what make its cost independent of
-    // table size.
+    // Figure 5 sweep). General and front runs share the same policy; the
+    // front's filled bounds are what make its cost independent of table
+    // size.
     let pm = setup::n_region_policy(32);
-    let tracer = kop_trace::Tracer::with_capacity(kop_trace::DEFAULT_CAPACITY);
-    let mem = GuardedMem::with_tracer(
-        DirectMem::with_defaults(E1000Device::default()),
-        Arc::clone(&pm),
-        Arc::clone(&tracer),
+    // One untimed guarded pass first, so the first timed configuration
+    // does not pay the cold start alone.
+    forward_once(
+        GuardedMem::new(
+            DirectMem::with_defaults(E1000Device::default()),
+            Arc::clone(&pm),
+        ),
+        fwd_seed,
+        fwd_flows,
+        fwd_offered,
+        fwd_budget,
     );
-    tracer.set_enabled(true);
-    let (_, prof_rep, prof_guards) =
-        forward_once(mem, fwd_seed, fwd_flows, fwd_offered, fwd_budget);
-    tracer.set_enabled(false);
-    assert!(prof_rep.forwarded > 0 && prof_guards > 0);
-
-    // Envelope → site map: the driver's synthetic sites, classified by
-    // the same ranges the native build guards with.
-    let probe = DirectMem::with_defaults(E1000Device::default());
-    let site_map = kop_e1000e::driver_site_map(probe.arena_base(), probe.mmio_base());
-    let mut hot_sites = Vec::new();
-    let mut tlb_seeds = Vec::new();
-    for (_meta, prof) in tracer.hot_sites(1) {
-        let Some((lo, hi)) = prof.envelope() else {
-            continue;
-        };
-        let site = site_map.classify(lo);
-        hot_sites.push(HotSite {
-            site,
-            lo,
-            hi,
-            flags: AccessFlags::RW,
-        });
-        tlb_seeds.push((site, lo, (hi - lo).max(1), AccessFlags::RW));
-    }
-    assert!(
-        !hot_sites.is_empty(),
-        "forwarding guard sites were profiled"
-    );
-
-    let reg = kop_trace::CounterRegistry::new();
     let mut fwd_base_best = f64::MAX;
     let mut fwd_general_best = f64::MAX;
-    let mut fwd_hot_best = f64::MAX;
+    let mut fwd_front_best = f64::MAX;
+    let mut fwd_guard_calls = 0u64;
     let mut fwd_admits = 0u64;
-    let mut fwd_deopts = 0u64;
-    let mut tlb_preseeded = 0u64;
-    for r in 0..fwd_repeats {
+    for _ in 0..fwd_repeats {
         let (rate_b, rep_b, _) = forward_once(
             DirectMem::with_defaults(E1000Device::default()),
             fwd_seed,
@@ -1879,7 +1852,8 @@ pub fn jit() -> FigureData {
             fwd_offered,
             fwd_budget,
         );
-        let (rate_g, rep_g, guard_calls) = forward_once(
+        let checks0 = pm.stats().checks;
+        let (rate_g, rep_g, general_counts) = forward_once(
             GuardedMem::new(
                 DirectMem::with_defaults(E1000Device::default()),
                 Arc::clone(&pm),
@@ -1889,89 +1863,65 @@ pub fn jit() -> FigureData {
             fwd_offered,
             fwd_budget,
         );
-        let hot_mem = GuardedMem::with_hot_prefixed(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-            hot_sites.clone(),
-            &format!("jit.r{r}"),
+        let checks1 = pm.stats().checks;
+        let front = GuardFront::new(Arc::clone(&pm), default_site_map());
+        let (rate_f, rep_f, front_counts) = forward_once(
+            GuardedMem::new(DirectMem::with_defaults(E1000Device::default()), front),
+            fwd_seed,
+            fwd_flows,
+            fwd_offered,
+            fwd_budget,
         );
-        assert!(hot_mem.policy().promoted_count() > 0, "sites promoted");
-        hot_mem.policy().register_into(&reg);
-        let (rate_h, rep_h, hot_guard_calls) =
-            forward_once(hot_mem, fwd_seed, fwd_flows, fwd_offered, fwd_budget);
-        // The promotion-warmed TLB: preseeds land without phantom checks
-        // and the warmed run is behaviourally identical too.
-        let warm_mem = GuardedMem::with_tlb_warmed(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-            &format!("jit.tlb.r{r}"),
-            &tlb_seeds,
-        );
-        let pres = warm_mem.policy().tlb().preseeded();
-        assert!(pres > 0, "promotion warmed the guard TLB");
-        warm_mem.policy().tlb().register_into(&reg);
-        let checks_before_warm = pm.stats().checks;
-        let (_, rep_w, warm_guards) =
-            forward_once(warm_mem, fwd_seed, fwd_flows, fwd_offered, fwd_budget);
-        tlb_preseeded = pres;
+        let checks2 = pm.stats().checks;
 
         assert_eq!(
             rep_b, rep_g,
             "general forwarding is behaviourally identical"
         );
+        assert_eq!(rep_b, rep_f, "front forwarding is behaviourally identical");
+        let guard_calls = general_counts.guard_calls;
         assert_eq!(
-            rep_b, rep_h,
-            "promoted forwarding is behaviourally identical"
+            front_counts.guard_calls, guard_calls,
+            "same guard count either way"
+        );
+        // One rule for both: every guard reached the policy's books.
+        assert_eq!(
+            checks1 - checks0,
+            guard_calls,
+            "general: policy.checks == guard calls"
         );
         assert_eq!(
-            rep_b, rep_w,
-            "warmed-TLB forwarding is behaviourally identical"
+            checks2 - checks1,
+            guard_calls,
+            "front: policy.checks == guard calls"
         );
-        assert_eq!(guard_calls, hot_guard_calls, "same guard count either way");
-        // Preseeding never fabricates a policy check: the warmed run's
-        // policy checks are its TLB misses only.
-        let warm_misses = reg
-            .get(&format!("jit.tlb.r{r}.misses"))
-            .expect("warm miss counter")
-            .get();
-        assert_eq!(
-            pm.stats().checks - checks_before_warm,
-            warm_misses,
-            "preseeded entries are hits, not phantom checks"
+        let admits = front_counts.inline_admits;
+        assert!(
+            admits > guard_calls - admits,
+            "the front answers most forwarding guards from a slot ({admits} of {guard_calls})"
         );
-        assert!(warm_guards > 0);
-        let admits = reg
-            .get(&format!("jit.r{r}.inline_admits"))
-            .expect("admit counter")
-            .get();
-        let deopts = reg
-            .get(&format!("jit.r{r}.deopts"))
-            .expect("deopt counter")
-            .get();
-        assert!(admits > 0, "the hot tier answered guards inline");
-        assert_eq!(deopts, 0, "zero steady-state deopts on the datapath");
-        fwd_admits += admits;
-        fwd_deopts += deopts;
+        fwd_guard_calls = guard_calls;
+        fwd_admits = admits;
         // Keep the *fastest* pass per configuration, as ns per frame.
         fwd_base_best = fwd_base_best.min(1e9 / rate_b.max(1e-9));
         fwd_general_best = fwd_general_best.min(1e9 / rate_g.max(1e-9));
-        fwd_hot_best = fwd_hot_best.min(1e9 / rate_h.max(1e-9));
+        fwd_front_best = fwd_front_best.min(1e9 / rate_f.max(1e-9));
     }
     let fwd_general_over = (fwd_general_best - fwd_base_best).max(0.0);
-    let fwd_hot_over = (fwd_hot_best - fwd_base_best).max(0.0);
+    let fwd_front_over = (fwd_front_best - fwd_base_best).max(0.0);
     if assert_timing {
         assert!(
-            fwd_hot_over <= fwd_general_over / 2.0,
-            "promoted tier must at least halve the forwarding guard overhead \
+            fwd_front_over <= fwd_general_over / 2.0,
+            "the front must at least halve the forwarding guard overhead \
              (baseline {fwd_base_best:.1} ns/frame, general {fwd_general_best:.1}, \
-              hot {fwd_hot_best:.1}: overhead {fwd_general_over:.1} -> {fwd_hot_over:.1})"
+              front {fwd_front_best:.1}: overhead {fwd_general_over:.1} -> {fwd_front_over:.1})"
         );
     }
-    let fwd_reduction = fwd_general_over / fwd_hot_over.max(1.0);
+    let fwd_reduction = fwd_general_over / fwd_front_over.max(1.0);
 
     let guards_per_packet = general.stats.guards / packets;
     let notes = vec![
-        "x=0 baseline build, x=1 guarded general bytecode, x=2 guarded promoted tier (TX ns/packet)".into(),
+        "tx: x=0 baseline build, x=1 guarded general bytecode, x=2 guarded promoted tier (ns/packet); fwd: x=0 unguarded, x=1 general check, x=2 GuardFront (ns/frame)".into(),
         "promotion: tracer envelopes -> covering region of the current snapshot -> inlined [lo,hi)+perm+generation, self-validated by the translation validator before install".into(),
         format!(
             "steady state: {} inline admits, {} deopts; traced promoted pass: {traced_admits} inline admits, 0 deopts, {traced_checks} profiled checks == {traced_guards} guards, per-site hits == traced bytecode",
@@ -1981,7 +1931,7 @@ pub fn jit() -> FigureData {
             "epoch bump dropped the tier atomically (generation +{bump_generation_delta}), zero stale admits, tick() re-promoted"
         ),
         format!(
-            "native datapath: HotPolicy admits {fwd_admits} inline / {fwd_deopts} deopts; warmed TLB preseeded {tlb_preseeded} entries with zero phantom checks"
+            "native datapath: GuardFront admits {fwd_admits} of {fwd_guard_calls} guards from a slot; policy.checks == guard calls (asserted exact)"
         ),
         if assert_timing {
             ">=2x guard-overhead reduction asserted on both the TX and forwarding paths".into()
@@ -1995,7 +1945,7 @@ pub fn jit() -> FigureData {
 
     FigureData {
         id: "jit",
-        title: "profile-directed promotion: hot guard sites re-lowered with inlined bounds vs the general guarded path".into(),
+        title: "inline guard bounds: promoted VM sites and the native guard front vs the general guarded path".into(),
         axes: ("configuration", "ns per packet | ns per frame"),
         series: vec![
             Series {
@@ -2011,7 +1961,7 @@ pub fn jit() -> FigureData {
                 points: vec![
                     (0.0, fwd_base_best),
                     (1.0, fwd_general_best),
-                    (2.0, fwd_hot_best),
+                    (2.0, fwd_front_best),
                 ],
             },
         ],
@@ -2029,11 +1979,10 @@ pub fn jit() -> FigureData {
             ("bump_generation_delta".into(), bump_generation_delta as f64),
             ("fwd_baseline_ns_frame".into(), fwd_base_best),
             ("fwd_general_ns_frame".into(), fwd_general_best),
-            ("fwd_hot_ns_frame".into(), fwd_hot_best),
+            ("fwd_front_ns_frame".into(), fwd_front_best),
             ("fwd_overhead_reduction".into(), fwd_reduction),
             ("fwd_inline_admits".into(), fwd_admits as f64),
-            ("fwd_inline_deopts".into(), fwd_deopts as f64),
-            ("tlb_preseeded".into(), tlb_preseeded as f64),
+            ("fwd_guard_calls".into(), fwd_guard_calls as f64),
         ],
         notes,
     }
@@ -2324,20 +2273,20 @@ pub fn opt() -> FigureData {
 /// multi-queue TX throughput vs thread count, for the mutex baseline
 /// (one lock around every check, [`baseline::LockedPolicy`]), the
 /// lock-free snapshot path, and snapshot + per-thread
-/// guard TLB — plus a writer-churn phase proving revoked grants are
-/// never admitted (DESIGN §3.13).
+/// [`kop_policy::GuardFront`] — plus a writer-churn phase proving revoked
+/// grants are never admitted (DESIGN §3.13).
 ///
 /// Three claims, asserted in CI quick mode on a multi-core runner:
-/// (a) snapshot+TLB check throughput scales ≥3x from 1 to 4 threads
+/// (a) snapshot+front check throughput scales ≥3x from 1 to 4 threads
 /// while the mutex path stays ≤1.5x; (b) single-thread ns/check for
-/// snapshot+TLB is no worse than the mutex path; (c) a revoke/grant
+/// snapshot+front is no worse than the mutex path; (c) a revoke/grant
 /// storm never admits a stale access (asserted at every scale, every
-/// run). Guard-TLB hits + misses reconcile exactly with guard calls.
+/// run). On every MQ run `policy.checks` equals the drivers' guard
+/// calls exactly, and the front answers most of them from a slot.
 pub fn smp() -> FigureData {
-    use kop_policy::{GuardTlb, PolicyCheck};
-    use kop_trace::CounterRegistry;
+    use kop_policy::{GuardFront, PolicyCheck, SiteMap};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AO};
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
 
     let threads: &[usize] = if quick() { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let (iters, repeats, mq_frames) = if quick() {
@@ -2357,7 +2306,7 @@ pub fn smp() -> FigureData {
     enum Path {
         Mutex,
         Snapshot,
-        SnapshotTlb,
+        SnapshotFront,
     }
 
     // One check-rate measurement: n threads hammer one shared policy
@@ -2377,19 +2326,16 @@ pub fn smp() -> FigureData {
                         let locked = locked.clone();
                         let barrier = &barrier;
                         s.spawn(move || {
-                            let tlb = GuardTlb::with_prefix("smp.rate");
+                            // One site: the leg times the slot check itself.
+                            let front = GuardFront::new(Arc::clone(&pm), SiteMap::new(0));
                             barrier.wait();
                             let t0 = Instant::now();
                             for i in 0..iters {
                                 let addr = VAddr(base + ((i ^ t as u64) % 512) * 8);
                                 let r = match path {
-                                    Path::SnapshotTlb => tlb.check(
-                                        &pm,
-                                        (i % 8) as u32,
-                                        addr,
-                                        Size(8),
-                                        AccessFlags::RW,
-                                    ),
+                                    Path::SnapshotFront => {
+                                        front.carat_guard(addr, Size(8), AccessFlags::RW)
+                                    }
                                     Path::Snapshot => pm.check(addr, Size(8), AccessFlags::RW),
                                     Path::Mutex => {
                                         locked.carat_guard(addr, Size(8), AccessFlags::RW)
@@ -2420,7 +2366,7 @@ pub fn smp() -> FigureData {
     for (label, path) in [
         ("checkrate_mutex", Path::Mutex),
         ("checkrate_snapshot", Path::Snapshot),
-        ("checkrate_snapshot_tlb", Path::SnapshotTlb),
+        ("checkrate_snapshot_front", Path::SnapshotFront),
     ] {
         let points: Vec<(f64, f64)> = threads
             .iter()
@@ -2445,61 +2391,50 @@ pub fn smp() -> FigureData {
     let ns_per_check = |label: &str| 1e9 / rate_1t.get(label).copied().unwrap_or(1.0);
     let mutex_ns = ns_per_check("checkrate_mutex");
     let snapshot_ns = ns_per_check("checkrate_snapshot");
-    let tlb_ns = ns_per_check("checkrate_snapshot_tlb");
+    let front_ns = ns_per_check("checkrate_snapshot_front");
 
     // Multi-queue TX throughput: N queues, each its own driver + ring,
-    // sharing one policy. The TLB config registers every queue's hit and
-    // miss cells so they reconcile against the drivers' guard counters.
+    // sharing one policy. Either way the shared policy's checks reconcile
+    // exactly with the drivers' guard calls.
     let mut mq_guard_calls = 0u64;
-    let mut tlb_hits = 0u64;
-    let mut tlb_misses = 0u64;
-    for (label, use_tlb) in [("mq_tx_mutex", false), ("mq_tx_snapshot_tlb", true)] {
+    let mut mq_policy_checks = 0u64;
+    let mut front_admits = 0u64;
+    for (label, use_front) in [("mq_tx_mutex", false), ("mq_tx_snapshot_front", true)] {
         let mut points = Vec::new();
         for &n in threads {
             let mut best = 0.0f64;
             for _ in 0..repeats.min(3) {
                 let pm = setup::two_region_policy();
-                let registry = CounterRegistry::new();
-                let report =
-                    if use_tlb {
-                        kop_e1000e::run_mq_tx_with(n, mq_frames, 64, |q| {
-                            let mem = kop_e1000e::GuardedMem::with_tlb_prefixed(
-                                kop_e1000e::DirectMem::with_defaults(
-                                    kop_e1000e::E1000Device::default(),
-                                ),
-                                std::sync::Arc::clone(&pm),
-                                &format!("policy.tlb.q{q}"),
-                            );
-                            mem.policy().tlb().register_into(&registry);
-                            mem
-                        })
-                    } else {
-                        let locked = baseline::LockedPolicy::new(std::sync::Arc::clone(&pm));
-                        kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| locked.clone())
-                    }
-                    .expect("mq tx run");
+                let report = if use_front {
+                    let map = default_site_map();
+                    kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| {
+                        GuardFront::new(Arc::clone(&pm), map.clone())
+                    })
+                } else {
+                    let locked = baseline::LockedPolicy::new(Arc::clone(&pm));
+                    kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| locked.clone())
+                }
+                .expect("mq tx run");
                 assert_eq!(
                     report.delivered(),
                     mq_frames * n as u64,
                     "every queue must deliver every frame"
                 );
-                if use_tlb {
-                    let (mut hits, mut misses) = (0u64, 0u64);
-                    for (name, v) in registry.snapshot() {
-                        if name.ends_with(".hits") {
-                            hits += v;
-                        } else if name.ends_with(".misses") {
-                            misses += v;
-                        }
-                    }
-                    assert_eq!(
-                        hits + misses,
-                        report.guard_calls(),
-                        "TLB hits+misses must reconcile exactly with guard calls"
+                assert_eq!(
+                    pm.stats().checks,
+                    report.guard_calls(),
+                    "policy.checks must reconcile exactly with guard calls"
+                );
+                if use_front {
+                    let admits = report.inline_admits();
+                    assert!(
+                        admits > report.guard_calls() - admits,
+                        "the front must answer most guards from a slot ({admits} of {})",
+                        report.guard_calls()
                     );
                     mq_guard_calls = report.guard_calls();
-                    tlb_hits = hits;
-                    tlb_misses = misses;
+                    mq_policy_checks = pm.stats().checks;
+                    front_admits = admits;
                 }
                 best = best.max(report.frames_per_sec());
             }
@@ -2518,33 +2453,35 @@ pub fn smp() -> FigureData {
     let stale_admits;
     let churn_publishes;
     {
-        let pm = PolicyModule::new(); // default deny
+        let pm = Arc::new(PolicyModule::new()); // default deny
         let before_publishes = pm.snapshot_publishes();
         let state = AtomicU64::new(1);
         let stop = AtomicBool::new(false);
         let grant =
             Region::new(VAddr(0x1000), Size(0x1000), Protection::READ_WRITE).expect("grant region");
         let readers = 3usize;
-        stale_admits = std::thread::scope(|s| {
+        let guards;
+        (stale_admits, guards) = std::thread::scope(|s| {
             let handles: Vec<_> = (0..readers)
                 .map(|_| {
                     let pm = &pm;
                     let state = &state;
                     let stop = &stop;
                     s.spawn(move || {
-                        let tlb = GuardTlb::with_prefix("smp.churn");
-                        let mut stale = 0u64;
+                        let front = GuardFront::new(Arc::clone(pm), SiteMap::new(0));
+                        let (mut stale, mut guards) = (0u64, 0u64);
                         while !stop.load(AO::SeqCst) {
                             let s1 = state.load(AO::SeqCst);
-                            let ok = tlb
-                                .check(pm, 0, VAddr(0x1800), Size(8), AccessFlags::RW)
+                            let ok = front
+                                .carat_guard(VAddr(0x1800), Size(8), AccessFlags::RW)
                                 .is_ok();
                             let s2 = state.load(AO::SeqCst);
                             if ok && s1 == s2 && s1 % 2 == 1 {
                                 stale += 1;
                             }
+                            guards += 1;
                         }
-                        stale
+                        (stale, guards)
                     })
                 })
                 .collect();
@@ -2558,8 +2495,13 @@ pub fn smp() -> FigureData {
             handles
                 .into_iter()
                 .map(|h| h.join().expect("reader"))
-                .sum::<u64>()
+                .fold((0, 0), |(s, g), (s1, g1)| (s + s1, g + g1))
         });
+        assert_eq!(
+            pm.stats().checks,
+            guards,
+            "churn readers: policy.checks == guard calls"
+        );
         churn_publishes = pm.snapshot_publishes() - before_publishes;
         assert_eq!(
             stale_admits, 0,
@@ -2575,36 +2517,36 @@ pub fn smp() -> FigureData {
             _ => f64::NAN,
         }
     };
-    let tlb_scaling = scaling("checkrate_snapshot_tlb");
+    let front_scaling = scaling("checkrate_snapshot_front");
     let mutex_scaling = scaling("checkrate_mutex");
     if assert_timing {
         assert!(
-            tlb_scaling >= 3.0,
-            "snapshot+TLB must scale >=3x from 1 to 4 threads (got {tlb_scaling:.2}x)"
+            front_scaling >= 3.0,
+            "snapshot+front must scale >=3x from 1 to 4 threads (got {front_scaling:.2}x)"
         );
         assert!(
             mutex_scaling <= 1.5,
             "mutex path must not scale past 1.5x (got {mutex_scaling:.2}x)"
         );
         assert!(
-            tlb_ns <= mutex_ns * 1.10,
-            "single-thread snapshot+TLB ns/check ({tlb_ns:.1}) must be no worse than mutex ({mutex_ns:.1})"
+            front_ns <= mutex_ns * 1.10,
+            "single-thread snapshot+front ns/check ({front_ns:.1}) must be no worse than mutex ({mutex_ns:.1})"
         );
     }
 
     let notes = vec![
         "checkrate_*: N threads hammer one shared PolicyModule with permitted accesses (Mchecks/s, best of repeats)".into(),
-        "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +TLB adds a per-thread per-site grant cache".into(),
+        "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +front adds a per-thread GuardFront (one self-filling slot per site)".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
-            "writer churn: {churns} grant/revoke pairs against {} concurrent TLB readers -> 0 stale admits (asserted)",
+            "writer churn: {churns} grant/revoke pairs against {} concurrent front readers -> 0 stale admits (asserted)",
             3
         ),
         format!(
-            "TLB reconciliation: {tlb_hits} hits + {tlb_misses} misses == {mq_guard_calls} guard calls (asserted exact)"
+            "reconciliation: policy.checks {mq_policy_checks} == {mq_guard_calls} guard calls (asserted exact), {front_admits} answered from a slot"
         ),
         if assert_timing {
-            format!("scaling asserted on this host ({cores} cores): snapshot+TLB >=3x @4t, mutex <=1.5x @4t, 1t parity")
+            format!("scaling asserted on this host ({cores} cores): snapshot+front >=3x @4t, mutex <=1.5x @4t, 1t parity")
         } else {
             format!("timing asserts skipped (quick={}, cores={cores}): shapes reported, correctness still asserted", quick())
         },
@@ -2612,20 +2554,20 @@ pub fn smp() -> FigureData {
 
     FigureData {
         id: "smp",
-        title: "SMP guard path: check rate & multi-queue TX vs threads (mutex vs snapshot vs snapshot+TLB)"
+        title: "SMP guard path: check rate & multi-queue TX vs threads (mutex vs snapshot vs snapshot+front)"
             .into(),
         axes: ("threads", "Mchecks/s | frames/s"),
         series,
         headlines: vec![
             ("mutex_ns_check_1t".into(), mutex_ns),
             ("snapshot_ns_check_1t".into(), snapshot_ns),
-            ("snapshot_tlb_ns_check_1t".into(), tlb_ns),
-            ("snapshot_tlb_scaling_1_to_4".into(), tlb_scaling),
+            ("snapshot_front_ns_check_1t".into(), front_ns),
+            ("snapshot_front_scaling_1_to_4".into(), front_scaling),
             ("mutex_scaling_1_to_4".into(), mutex_scaling),
             ("stale_admits".into(), stale_admits as f64),
             ("churn_publishes".into(), churn_publishes as f64),
-            ("tlb_hits".into(), tlb_hits as f64),
-            ("tlb_misses".into(), tlb_misses as f64),
+            ("front_inline_admits".into(), front_admits as f64),
+            ("mq_policy_checks".into(), mq_policy_checks as f64),
             ("mq_guard_calls".into(), mq_guard_calls as f64),
         ],
         notes,
@@ -3107,13 +3049,22 @@ pub fn soak() -> FigureData {
 /// pass is fully audited — the forwarding rate is only reported if the
 /// ledger proves zero loss (beyond counted wire drops), zero duplication,
 /// and zero reordering.
+/// The driver's guard-site map over the arena and MMIO window
+/// `DirectMem::with_defaults` lays out.
+fn default_site_map() -> kop_policy::SiteMap {
+    kop_e1000e::driver_site_map(
+        kop_core::layout::DIRECT_MAP_BASE,
+        kop_core::layout::MMIO_WINDOW_BASE,
+    )
+}
+
 fn forward_once<M: MemSpace>(
     mem: M,
     seed: u64,
     flows: usize,
     offered: u64,
     budget: u64,
-) -> (f64, kop_net::ForwardReport, u64) {
+) -> (f64, kop_net::ForwardReport, kop_e1000e::AccessCounts) {
     let mut drv = E1000Driver::probe(mem).expect("probe");
     drv.up().expect("up");
     let mut gen = kop_net::FlowGen::new(seed, flows);
@@ -3135,7 +3086,7 @@ fn forward_once<M: MemSpace>(
         rep.wire_dropped,
         "every missing sequence accounted for by a counted wire drop"
     );
-    (rep.forwarded as f64 / dt, rep, drv.counts().guard_calls)
+    (rep.forwarded as f64 / dt, rep, drv.counts())
 }
 
 /// FWD: the receive/forwarding benchmark (`reproduce forward`) — the RX
@@ -3188,7 +3139,7 @@ pub fn forward() -> FigureData {
                 offered,
                 budget,
             );
-            let (rate_g, rep_g, guard_calls) = forward_once(
+            let (rate_g, rep_g, counts) = forward_once(
                 GuardedMem::new(
                     DirectMem::with_defaults(E1000Device::default()),
                     setup::two_region_policy(),
@@ -3202,7 +3153,7 @@ pub fn forward() -> FigureData {
                 rep_b, rep_g,
                 "baseline and guarded forwarding must be behaviourally identical"
             );
-            assert!(guard_calls > 0);
+            assert!(counts.guard_calls > 0);
             base_best = base_best.max(rate_b);
             guard_best = guard_best.max(rate_g);
         }

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use kop_core::{AccessFlags, Size, VAddr, Violation};
-use kop_policy::{GuardTlb, HotPolicy, HotSite, PolicyCheck, PolicyModule, SiteMap, TlbPolicy};
+use kop_policy::{PolicyCheck, SiteMap};
 use kop_trace::{GuardDecision, Producer, SiteId, TraceEvent, Tracer};
 
 use crate::device::{DmaMem, E1000Device, FrameSink};
@@ -42,6 +42,9 @@ pub struct AccessCounts {
     pub mmio_writes: u64,
     /// Guard invocations (0 for [`DirectMem`]).
     pub guard_calls: u64,
+    /// Guards the policy front admitted without a policy lookup
+    /// ([`PolicyCheck::flush_admits`]; 0 unless the front has a fast path).
+    pub inline_admits: u64,
     /// Bytes moved through the unguarded bulk/DMA path.
     pub bulk_bytes: u64,
 }
@@ -55,6 +58,7 @@ impl AccessCounts {
             mmio_reads: self.mmio_reads - earlier.mmio_reads,
             mmio_writes: self.mmio_writes - earlier.mmio_writes,
             guard_calls: self.guard_calls - earlier.guard_calls,
+            inline_admits: self.inline_admits - earlier.inline_admits,
             bulk_bytes: self.bulk_bytes - earlier.bulk_bytes,
         }
     }
@@ -265,16 +269,17 @@ impl MemSpace for DirectMem {
 ///
 /// The interpreted path gets per-instruction site IDs from the compiler
 /// pass; the native `GuardedMem` build has no IR, so it classifies each
-/// guarded address into one of a fixed set of sites by arena region —
-/// the same granularity the paper's per-path breakdown uses (descriptor
-/// ring vs stats block vs doorbell ...).
+/// guarded address into one of a fixed set of sites by arena region
+/// ([`driver_site_map`]) — the same granularity the paper's per-path
+/// breakdown uses (descriptor ring vs stats block vs doorbell ...).
 struct GuardTrace {
     tracer: Arc<Tracer>,
-    /// Sites indexed by [`GuardTrace::classify`]'s return value.
+    map: SiteMap,
+    /// Sites indexed by `map`'s classification.
     sites: [SiteId; 7],
 }
 
-/// Labels for the synthetic driver sites, in `GuardTrace::sites` order.
+/// Labels for the synthetic driver sites, in [`driver_site_map`] order.
 const DRIVER_SITE_LABELS: [&str; 7] = [
     "mmio_doorbell",
     "tx_desc_ring",
@@ -286,39 +291,20 @@ const DRIVER_SITE_LABELS: [&str; 7] = [
 ];
 
 impl GuardTrace {
-    fn new(tracer: Arc<Tracer>) -> GuardTrace {
+    fn new(tracer: Arc<Tracer>, map: SiteMap) -> GuardTrace {
         let sites = DRIVER_SITE_LABELS.map(|l| tracer.register_site("e1000e", l));
-        GuardTrace { tracer, sites }
+        GuardTrace { tracer, map, sites }
     }
 
-    /// Classify a guarded address into a site index.
-    fn classify(arena_base: u64, mmio_base: u64, addr: u64) -> usize {
-        if addr >= mmio_base && addr < mmio_base + BAR_SIZE {
-            return 0;
-        }
-        let Some(off) = addr.checked_sub(arena_base) else {
-            return 6;
-        };
-        match off {
-            o if (TX_RING_OFF..RX_RING_OFF).contains(&o) => 1,
-            o if (RX_RING_OFF..STATS_OFF).contains(&o) => 2,
-            o if (STATS_OFF..TX_BUFS_OFF).contains(&o) => 3,
-            o if (TX_BUFS_OFF..RX_BUFS_OFF).contains(&o) => 4,
-            o if o >= RX_BUFS_OFF => 5,
-            _ => 6,
-        }
-    }
-
-    fn site_for(&self, arena_base: u64, mmio_base: u64, addr: u64) -> SiteId {
-        self.sites[Self::classify(arena_base, mmio_base, addr)]
+    fn site_for(&self, addr: u64) -> SiteId {
+        self.sites[self.map.classify(addr) as usize]
     }
 }
 
-/// The driver's guard-site map as a [`SiteMap`] — the same classification
-/// [`GuardTrace::classify`] performs, expressed as address ranges so the
-/// guard TLB can key its entries by site. Site indices follow
-/// [`DRIVER_SITE_LABELS`] order; unmatched addresses classify as site 6
-/// ("other").
+/// The driver's guard-site map: the address ranges the tracer attributes
+/// guards by and a [`kop_policy::GuardFront`] keys its slots by. Site
+/// indices follow [`DRIVER_SITE_LABELS`] order; unmatched addresses
+/// classify as site 6 ("other").
 pub fn driver_site_map(arena_base: u64, mmio_base: u64) -> SiteMap {
     SiteMap::new(6)
         .range(mmio_base, mmio_base + BAR_SIZE, 0)
@@ -350,7 +336,8 @@ impl<P: PolicyCheck> GuardedMem<P> {
     /// `tracer` under synthetic per-region sites (see [`GuardTrace`]).
     /// Costs one relaxed atomic load per guard while tracing is off.
     pub fn with_tracer(inner: DirectMem, policy: P, tracer: Arc<Tracer>) -> GuardedMem<P> {
-        let trace = Some(GuardTrace::new(tracer));
+        let map = driver_site_map(inner.arena_base, inner.mmio_base);
+        let trace = Some(GuardTrace::new(tracer, map));
         GuardedMem {
             inner,
             policy,
@@ -358,120 +345,11 @@ impl<P: PolicyCheck> GuardedMem<P> {
         }
     }
 
-    /// The policy in use.
+    /// The policy in use, with its batched admits drained into the
+    /// policy's stats first.
     pub fn policy(&self) -> &P {
+        self.policy.flush_admits();
         &self.policy
-    }
-
-    /// Run a guard check from a shared reference — the SMP check entry
-    /// point. Requires `P: Sync` so any number of threads can consult the
-    /// policy concurrently (with [`kop_policy::PolicyModule`] this is the
-    /// lock-free snapshot path). Checks only; it does not perform the
-    /// access and does not bump this space's `guard_calls` counter.
-    pub fn check_concurrent(
-        &self,
-        addr: u64,
-        size: u64,
-        flags: AccessFlags,
-    ) -> Result<(), Violation>
-    where
-        P: Sync,
-    {
-        self.policy.carat_guard(VAddr(addr), Size(size), flags)
-    }
-}
-
-impl GuardedMem<TlbPolicy> {
-    /// The SMP fast-path build: wrap a memory space with a shared policy
-    /// module fronted by a private per-thread guard TLB keyed by the
-    /// driver's site map. Steady-state guards cost one atomic generation
-    /// load plus a cached-region revalidation; any policy write
-    /// invalidates the TLB via generation bump.
-    pub fn with_tlb(inner: DirectMem, policy: Arc<PolicyModule>) -> GuardedMem<TlbPolicy> {
-        Self::with_tlb_prefixed(inner, policy, "policy.tlb")
-    }
-
-    /// Like [`GuardedMem::with_tlb`] but with a custom counter prefix for
-    /// the TLB's hit/miss cells — give each queue/worker its own prefix
-    /// (e.g. `policy.tlb.q3`) so all TLBs can register into one counter
-    /// registry without aliasing.
-    pub fn with_tlb_prefixed(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        prefix: &str,
-    ) -> GuardedMem<TlbPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        let tlb = GuardTlb::with_prefix(prefix);
-        GuardedMem::new(inner, TlbPolicy::new(policy, map, tlb))
-    }
-
-    /// [`GuardedMem::with_tlb`] plus per-site guard tracing (see
-    /// [`GuardedMem::with_tracer`]); the TLB's hit/miss counters are also
-    /// registered into the tracer's counter registry.
-    pub fn with_tlb_and_tracer(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        tracer: Arc<Tracer>,
-    ) -> GuardedMem<TlbPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        let tlb = GuardTlb::new();
-        tlb.register_into(tracer.counters());
-        let trace = Some(GuardTrace::new(tracer));
-        GuardedMem {
-            inner,
-            policy: TlbPolicy::new(policy, map, tlb),
-            trace,
-        }
-    }
-}
-
-impl GuardedMem<TlbPolicy> {
-    /// Like [`GuardedMem::with_tlb_prefixed`], but the TLB starts warm:
-    /// each `(site, addr, size, flags)` seed is pre-resolved against the
-    /// current policy snapshot before the first guard runs, so a
-    /// restarted (or freshly promoted) worker pays no cold-miss burst.
-    /// Preseeding bumps only the `<prefix>.preseeded` counter — never
-    /// hits, misses, or policy checks — so reconciliation still sees
-    /// exactly one policy check per cold guard.
-    pub fn with_tlb_warmed(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        prefix: &str,
-        seeds: &[(u32, u64, u64, AccessFlags)],
-    ) -> GuardedMem<TlbPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        let tlb = GuardTlb::with_prefix(prefix);
-        GuardedMem::new(inner, TlbPolicy::warmed(policy, map, tlb, seeds))
-    }
-}
-
-impl GuardedMem<HotPolicy> {
-    /// The inline-bounds build: wrap a memory space with a shared policy
-    /// fronted by a per-thread [`HotPolicy`] that admits promoted sites
-    /// with three baked compares (bounds + generation) and deopts to the
-    /// full policy path on any miss. Counters land under `"jit."`.
-    pub fn with_hot(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        sites: Vec<HotSite>,
-    ) -> GuardedMem<HotPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        GuardedMem::new(inner, HotPolicy::promote(policy, map, sites))
-    }
-
-    /// Like [`GuardedMem::with_hot`] with a custom counter prefix (one
-    /// per queue/worker, e.g. `jit.q3`).
-    pub fn with_hot_prefixed(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        sites: Vec<HotSite>,
-        prefix: &str,
-    ) -> GuardedMem<HotPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        GuardedMem::new(
-            inner,
-            HotPolicy::promote_prefixed(prefix, policy, map, sites),
-        )
     }
 }
 
@@ -480,7 +358,7 @@ impl<P: PolicyCheck> GuardedMem<P> {
     fn guard(&mut self, addr: u64, size: u64, flags: AccessFlags) -> Result<(), Violation> {
         self.inner.counts.guard_calls += 1;
         if let Some(t) = self.trace.as_ref().filter(|t| t.tracer.enabled()) {
-            let site = t.site_for(self.inner.arena_base, self.inner.mmio_base, addr);
+            let site = t.site_for(addr);
             t.tracer
                 .record(Producer::Driver, TraceEvent::GuardEnter { site });
             let t0 = std::time::Instant::now();
@@ -528,11 +406,15 @@ impl<P: PolicyCheck> MemSpace for GuardedMem<P> {
         self.inner.bulk_read(addr, len)
     }
 
+    // Each frame crosses the device once, so draining the front's admits
+    // here keeps `policy.checks` within one frame of the guard calls.
     fn tx_tick(&mut self, sink: &mut dyn FrameSink) -> u64 {
+        self.policy.flush_admits();
         self.inner.tx_tick(sink)
     }
 
     fn rx_inject(&mut self, frame: &[u8]) -> bool {
+        self.policy.flush_admits();
         self.inner.rx_inject(frame)
     }
 
@@ -541,7 +423,10 @@ impl<P: PolicyCheck> MemSpace for GuardedMem<P> {
     }
 
     fn counts(&self) -> AccessCounts {
-        self.inner.counts()
+        AccessCounts {
+            inline_admits: self.policy.flush_admits(),
+            ..self.inner.counts()
+        }
     }
 
     fn arena_base(&self) -> u64 {
@@ -565,7 +450,7 @@ impl<P: PolicyCheck> MemSpace for GuardedMem<P> {
 mod tests {
     use super::*;
     use kop_core::Protection;
-    use kop_policy::{NoopPolicy, PolicyModule};
+    use kop_policy::{GuardFront, NoopPolicy, PolicyModule};
 
     fn direct() -> DirectMem {
         DirectMem::with_defaults(E1000Device::default())
@@ -703,68 +588,48 @@ mod tests {
     }
 
     #[test]
-    fn site_map_agrees_with_guard_trace_classification() {
+    fn driver_site_map_classifies_by_arena_region() {
         let arena = kop_core::layout::DIRECT_MAP_BASE;
         let bar = kop_core::layout::MMIO_WINDOW_BASE;
         let map = driver_site_map(arena, bar);
-        let probes = [
-            bar,
-            bar + 0x100,
-            arena + crate::driver::TX_RING_OFF,
-            arena + crate::driver::RX_RING_OFF,
-            arena + crate::driver::STATS_OFF,
-            arena + crate::driver::TX_BUFS_OFF,
-            arena + crate::driver::RX_BUFS_OFF,
-            arena + crate::driver::RX_BUFS_OFF + (64 << 20),
-            0x1000, // below the arena
+        let expected = [
+            (bar, 0),
+            (bar + 0x100, 0),
+            (arena + crate::driver::TX_RING_OFF, 1),
+            (arena + crate::driver::RX_RING_OFF, 2),
+            (arena + crate::driver::STATS_OFF, 3),
+            (arena + crate::driver::TX_BUFS_OFF, 4),
+            (arena + crate::driver::RX_BUFS_OFF, 5),
+            (arena + crate::driver::RX_BUFS_OFF + (64 << 20), 5),
+            (0x1000, 6), // below the arena
         ];
-        for addr in probes {
-            assert_eq!(
-                map.classify(addr) as usize,
-                GuardTrace::classify(arena, bar, addr),
-                "site map diverged at {addr:#x}"
-            );
+        for (addr, site) in expected {
+            assert_eq!(map.classify(addr), site, "{addr:#x}");
         }
     }
 
     #[test]
-    fn tlb_front_caches_driver_guards() {
-        let pm = std::sync::Arc::new(PolicyModule::two_region_paper_policy());
-        let mut m = GuardedMem::with_tlb(direct(), std::sync::Arc::clone(&pm));
+    fn front_answers_driver_guards_inline() {
+        let pm = Arc::new(PolicyModule::two_region_paper_policy());
+        let mem = direct();
+        let map = driver_site_map(mem.arena_base(), mem.mmio_base());
+        let mut m = GuardedMem::new(mem, GuardFront::new(Arc::clone(&pm), map));
         let base = m.arena_base();
         let before = pm.stats().checks;
         for _ in 0..100 {
             m.write(base + crate::driver::TX_RING_OFF, 8, 1).unwrap();
         }
-        // One miss filled the TLB; the other 99 guards never reached the
-        // policy module.
-        assert_eq!(pm.stats().checks - before, 1);
-        assert_eq!(m.counts().guard_calls, 100);
-        let tlb = m.policy().tlb();
-        assert_eq!(tlb.hits() + tlb.misses(), 100);
-        // A policy write invalidates every cached grant at once.
+        // One general check filled the site's slot; the other 99 guards
+        // were admitted from it, and the accessor accounted them all.
+        let c = m.counts();
+        assert_eq!(c.guard_calls, 100);
+        assert_eq!(c.inline_admits, 99);
+        assert_eq!(pm.stats().checks - before, 100);
+        // A policy write stales every slot at once.
         pm.clear_regions();
         assert!(m.write(base + crate::driver::TX_RING_OFF, 8, 1).is_err());
-    }
-
-    #[test]
-    fn concurrent_checks_from_shared_reference() {
-        let pm = std::sync::Arc::new(PolicyModule::two_region_paper_policy());
-        let m = GuardedMem::new(direct(), std::sync::Arc::clone(&pm));
-        let base = m.arena_base();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let m = &m;
-                s.spawn(move || {
-                    for i in 0..1000u64 {
-                        m.check_concurrent(base + (i % 256) * 8, 8, AccessFlags::RW)
-                            .unwrap();
-                        assert!(m.check_concurrent(0x4000, 8, AccessFlags::READ).is_err());
-                    }
-                });
-            }
-        });
-        assert_eq!(pm.stats().checks, 8000);
+        assert_eq!(m.counts().inline_admits, 99);
+        assert_eq!(pm.stats().checks - before, 101);
     }
 
     #[test]

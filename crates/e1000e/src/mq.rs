@@ -9,8 +9,8 @@
 //! and the **only** shared object between workers is the policy — which
 //! is exactly the contention point the `reproduce smp` figure measures.
 //! With a lock around the check (the figure's mutex baseline) every guard
-//! on every queue serializes; with the lock-free snapshot path (plus
-//! per-queue guard TLBs) queues scale independently.
+//! on every queue serializes; with the lock-free snapshot path (plus a
+//! per-queue [`kop_policy::GuardFront`]) queues scale independently.
 
 use std::time::{Duration, Instant};
 
@@ -30,6 +30,9 @@ pub struct QueueReport {
     /// Guard invocations this queue's driver performed over its whole
     /// lifetime (probe, bring-up, and the measured transmit loop).
     pub guard_calls: u64,
+    /// How many of those guards the queue's policy front admitted without
+    /// a policy lookup ([`crate::AccessCounts::inline_admits`]).
+    pub inline_admits: u64,
 }
 
 /// Result of a multi-queue TX run.
@@ -52,6 +55,11 @@ impl MqReport {
         self.queues.iter().map(|q| q.guard_calls).sum()
     }
 
+    /// Total inline admits across all queues.
+    pub fn inline_admits(&self) -> u64 {
+        self.queues.iter().map(|q| q.inline_admits).sum()
+    }
+
     /// Aggregate throughput in frames per second.
     pub fn frames_per_sec(&self) -> f64 {
         self.delivered() as f64 / self.elapsed.as_secs_f64().max(1e-9)
@@ -60,14 +68,11 @@ impl MqReport {
 
 /// Run `queues` TX workers concurrently, each transmitting
 /// `frames_per_queue` frames of `payload_len` payload bytes through its
-/// own driver + ring.
+/// own driver + ring, guarded by `make_policy(queue)`.
 ///
-/// `make_policy(queue)` builds each worker's [`PolicyCheck`] front; pass
-/// a closure cloning one shared `Arc<PolicyModule>` (optionally wrapped
-/// in a per-queue [`kop_policy::TlbPolicy`] — see
-/// [`GuardedMem::with_tlb_prefixed`]) so every guard on every queue
-/// consults the same policy. Workers start together behind a barrier so
-/// `elapsed` measures genuinely concurrent transmit.
+/// Pass a closure cloning one shared `Arc<PolicyModule>`, or wrapping it
+/// in a per-queue [`kop_policy::GuardFront`], so every guard on every
+/// queue consults the same policy. See [`run_mq_tx_with`].
 pub fn run_mq_tx<P, F>(
     queues: usize,
     frames_per_queue: u64,
@@ -78,59 +83,18 @@ where
     P: PolicyCheck + Send,
     F: Fn(usize) -> P + Sync,
 {
-    assert!(queues >= 1, "need at least one queue");
-    let barrier = std::sync::Barrier::new(queues);
-    let dst = [0xffu8; 6];
-    let payload = vec![0u8; payload_len];
-
-    let worker = |queue: usize| -> Result<(QueueReport, Duration), DriverError> {
-        let mem = GuardedMem::new(
+    run_mq_tx_with(queues, frames_per_queue, payload_len, |q| {
+        GuardedMem::new(
             DirectMem::with_defaults(E1000Device::default()),
-            make_policy(queue),
-        );
-        let mut drv = E1000Driver::probe(mem)?;
-        drv.up()?;
-        let mut sink = CountSink::default();
-        barrier.wait();
-        let start = Instant::now();
-        let mut delivered = 0u64;
-        for _ in 0..frames_per_queue {
-            delivered += drv.xmit_and_flush(dst, 0x88b5, &payload, &mut sink)?;
-        }
-        let elapsed = start.elapsed();
-        // Whole-lifetime guard count (probe + up + the measured loop) so
-        // it reconciles exactly with the shared policy's check counter.
-        let guard_calls = drv.counts().guard_calls;
-        Ok((
-            QueueReport {
-                queue,
-                delivered,
-                guard_calls,
-            },
-            elapsed,
-        ))
-    };
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..queues).map(|q| s.spawn(move || worker(q))).collect();
-        let mut reports = Vec::with_capacity(queues);
-        let mut elapsed = Duration::ZERO;
-        for h in handles {
-            let (report, queue_elapsed) = h.join().expect("queue worker panicked")?;
-            elapsed = elapsed.max(queue_elapsed);
-            reports.push(report);
-        }
-        reports.sort_by_key(|r| r.queue);
-        Ok(MqReport {
-            queues: reports,
-            elapsed,
-        })
+            make_policy(q),
+        )
     })
 }
 
-/// Like [`run_mq_tx`] but the worker's memory space is built by
-/// `make_mem(queue)` — for callers that want per-queue guard TLBs or
-/// tracers wired in.
+/// Run `queues` TX workers concurrently, each driving its own driver over
+/// the memory space `make_mem(queue)` builds (called on the worker's
+/// thread). Workers start together behind a barrier so `elapsed` measures
+/// genuinely concurrent transmit.
 pub fn run_mq_tx_with<M, F>(
     queues: usize,
     frames_per_queue: u64,
@@ -157,14 +121,16 @@ where
             delivered += drv.xmit_and_flush(dst, 0x88b5, &payload, &mut sink)?;
         }
         let elapsed = start.elapsed();
-        // Whole-lifetime guard count (probe + up + the measured loop) so
-        // it reconciles exactly with the shared policy's check counter.
-        let guard_calls = drv.counts().guard_calls;
+        // Whole-lifetime counts (probe + up + the measured loop), read
+        // through the accessor that drains the front's admits, so they
+        // reconcile exactly with the shared policy's check counter.
+        let counts = drv.counts();
         Ok((
             QueueReport {
                 queue,
                 delivered,
-                guard_calls,
+                guard_calls: counts.guard_calls,
+                inline_admits: counts.inline_admits,
             },
             elapsed,
         ))
@@ -190,7 +156,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kop_policy::PolicyModule;
+    use kop_policy::{GuardFront, PolicyModule};
     use std::sync::Arc;
 
     fn permissive_policy() -> Arc<PolicyModule> {
@@ -213,31 +179,30 @@ mod tests {
         }
         // Every guard call on every queue reached the shared policy.
         assert_eq!(pm.stats().checks - before, report.guard_calls());
+        assert_eq!(report.inline_admits(), 0, "no front, no inline admits");
     }
 
     #[test]
-    fn per_queue_tlbs_reconcile_with_guard_calls() {
+    fn per_queue_fronts_answer_inline_and_reconcile_exactly() {
         let pm = permissive_policy();
         let frames = 50u64;
         let queues = 2usize;
         let before = pm.stats().checks;
-        let report = run_mq_tx_with(queues, frames, 64, |q| {
-            GuardedMem::with_tlb_prefixed(
-                DirectMem::with_defaults(E1000Device::default()),
-                Arc::clone(&pm),
-                &format!("policy.tlb.q{q}"),
-            )
+        let report = run_mq_tx_with(queues, frames, 64, |_q| {
+            let mem = DirectMem::with_defaults(E1000Device::default());
+            let map = crate::driver_site_map(mem.arena_base(), mem.mmio_base());
+            GuardedMem::new(mem, GuardFront::new(Arc::clone(&pm), map))
         })
         .unwrap();
         assert_eq!(report.delivered(), frames * queues as u64);
-        // The shared policy only saw the TLB misses; the driver's guard
-        // counter saw every guard. With warm per-site TLBs the full
-        // checks must be a small fraction of the guards.
-        let full_checks = pm.stats().checks - before;
+        // Every guard on every queue reached the shared policy's books,
+        // admitted from a slot or checked in full.
+        assert_eq!(pm.stats().checks - before, report.guard_calls());
+        // With warm per-site slots, most guards never took a lookup.
+        let admits = report.inline_admits();
         assert!(
-            full_checks < report.guard_calls() / 2,
-            "TLB hits must have short-circuited most checks ({} vs {})",
-            full_checks,
+            admits > report.guard_calls() - admits,
+            "slots must answer most guards ({admits} of {})",
             report.guard_calls()
         );
     }

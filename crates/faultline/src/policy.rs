@@ -95,6 +95,10 @@ impl<P: PolicyCheck> PolicyCheck for FaultyPolicy<P> {
         }
         self.inner.carat_guard(addr, size, flags)
     }
+
+    fn flush_admits(&self) -> u64 {
+        self.inner.flush_admits()
+    }
 }
 
 #[cfg(test)]
@@ -146,5 +150,25 @@ mod tests {
             .unwrap();
         assert_eq!(pm.stats().checks, 1);
         assert_eq!(p.denials() + p.delays(), 0);
+    }
+
+    #[test]
+    fn flush_reaches_the_wrapped_front() {
+        use kop_core::{Protection, Region};
+        use kop_policy::{GuardFront, PolicyModule, SiteMap};
+        use std::sync::Arc;
+        let pm = Arc::new(PolicyModule::new());
+        pm.add_region(Region::new(VAddr(0x1000), Size(0x1000), Protection::READ_WRITE).unwrap())
+            .unwrap();
+        let p = FaultyPolicy::new(
+            GuardFront::new(Arc::clone(&pm), SiteMap::new(0)),
+            FaultPlan::quiet(),
+        );
+        for _ in 0..10 {
+            p.carat_guard(VAddr(0x1800), Size(8), AccessFlags::READ)
+                .unwrap();
+        }
+        assert_eq!(p.flush_admits(), 9);
+        assert_eq!(pm.stats().checks, 10);
     }
 }

@@ -378,9 +378,9 @@ impl Kernel {
         // The promoted tier baked bounds (and a generation tag) from the
         // *previous* policy object; a different policy could reuse the
         // same generation number, so the tag alone is not enough here.
-        // Drop the tier and the old policy's subscription outright. (The
-        // TLB and hot tiers also key on the namespace id, which the
-        // registration just changed — their entries are already stale.)
+        // Drop the tier and the old policy's subscription outright. (A
+        // native guard front is bound to one policy object for life, so
+        // it never answers for the new one.)
         self.drop_promotions(module);
     }
 
@@ -403,8 +403,8 @@ impl Kernel {
     }
 
     /// Fleet-wide revocation: advance the revocation epoch of the global
-    /// policy and every registered namespace, so every cached grant in
-    /// every tier (guard TLBs, hot slots, promoted inline bounds) goes
+    /// policy and every registered namespace, so every filled grant on
+    /// every fast path (guard-front slots, promoted inline bounds) goes
     /// stale at once — without republishing a single ruleset. Returns
     /// how many policies were bumped.
     pub fn revoke_fleet(&mut self) -> usize {

@@ -220,7 +220,7 @@ impl MqForwardReport {
 /// its own rings and arena, fed by its own deterministically-seeded
 /// [`FlowGen`] (seed derived from `seed` and the queue index) and audited
 /// by its own [`LedgerSink`]; `make_mem(queue)` builds each worker's
-/// memory space, so a shared policy (or per-queue guard TLBs over one)
+/// memory space, so a shared policy (or per-queue guard fronts over one)
 /// is the only contended object. Workers start behind a barrier so
 /// `elapsed` measures genuinely concurrent forwarding.
 pub fn run_mq_forward<M, F>(

@@ -22,14 +22,15 @@
 //!   `policy-manager` user-space tool,
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]
 //!   (RCU-style published tables — the lock-free check path),
-//!   [`tlb::GuardTlb`] (a per-thread, per-site grant cache invalidated by
-//!   generation bump), and [`vlog::ViolationLog`] (bounded violation ring
-//!   with a dropped counter, formatting deferred to read time).
+//!   [`front::GuardFront`] (a per-queue front with one self-filling slot
+//!   per guard site, staled by generation or revocation epoch), and
+//!   [`vlog::ViolationLog`] (bounded violation ring with a dropped
+//!   counter, formatting deferred to read time).
 
 #![warn(missing_docs)]
 
+pub mod front;
 pub mod frozen;
-pub mod hot;
 pub mod intrinsics;
 pub mod manager;
 pub mod module;
@@ -37,11 +38,10 @@ pub mod namespace;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
-pub mod tlb;
 pub mod vlog;
 
+pub use front::{GuardFront, SiteMap};
 pub use frozen::{FrozenKind, FrozenStore};
-pub use hot::{HotPolicy, HotSite};
 pub use intrinsics::IntrinsicPolicy;
 pub use manager::{PolicyCmd, PolicyCmdError, PolicyResponse};
 pub use module::{
@@ -51,17 +51,27 @@ pub use namespace::{NamespaceStore, GLOBAL_NAMESPACE, NAMESPACE_SHARDS};
 pub use snapshot::{GenerationSubscriber, PolicySnapshot, SnapshotStore, SNAPSHOT_HISTORY_CAP};
 pub use stats::GuardStats;
 pub use store::{Lookup, PolicyError, StoreKind, MAX_REGIONS};
-pub use tlb::{GuardTlb, SiteMap, TlbPolicy, TLB_WAYS};
 pub use vlog::ViolationLog;
 
 use kop_core::{AccessFlags, Size, VAddr, Violation};
 
 /// The guard check interface — what a protected module calls before every
-/// memory access. Implemented by [`module::PolicyModule`] and by the
-/// zero-cost [`NoopPolicy`] used for baseline measurements.
+/// memory access. Implemented by [`module::PolicyModule`], by the
+/// per-queue [`front::GuardFront`], and by the zero-cost [`NoopPolicy`]
+/// used for baseline measurements.
 pub trait PolicyCheck {
     /// Check an access; `Ok(())` means permitted.
     fn carat_guard(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation>;
+
+    /// Account the guards this front admitted without a policy lookup in
+    /// the policy's stats, and return how many it has admitted that way
+    /// over its life. A front that sends every guard to the policy module
+    /// has nothing to account: the default does nothing and returns 0.
+    /// Guarded drivers call this once per frame and from every accessor,
+    /// so `policy.checks == guard calls` holds for any observer.
+    fn flush_admits(&self) -> u64 {
+        0
+    }
 }
 
 /// A policy that allows everything — the baseline configuration in which

@@ -146,13 +146,13 @@ impl GuardOutcome {
 
 /// A classified check: the result plus, when a region grant permitted it,
 /// the granting region and the generation it was observed under — what
-/// the guard TLB memoizes.
+/// a [`crate::front::GuardFront`] slot is filled from.
 pub struct ClassifiedCheck {
     /// The check result, identical to [`PolicyModule::check`]'s.
     pub result: Result<(), Violation>,
     /// `Some((region, generation))` only for region-grant permits;
     /// default-action allows and all denials yield `None` (they must not
-    /// be cached — see [`crate::tlb`]).
+    /// fill a slot — see [`crate::front`]).
     pub grant: Option<(Region, u64)>,
 }
 
@@ -196,16 +196,14 @@ pub struct PolicyModule {
     stats: GuardStats,
     log: ViolationLog,
     /// Namespace id assigned by the [`crate::namespace::NamespaceStore`]
-    /// this policy is registered in (0 = unbound). Cache tiers key their
-    /// entries by `(namespace, generation)` so a policy swapped out of a
-    /// namespace can never satisfy a stale cached grant.
+    /// this policy is registered in (0 = unbound).
     ns: AtomicU64,
     /// The fleet-wide revocation epoch this policy last observed. Bumped
     /// by [`Self::bump_revocation`] (fanned out by
-    /// `NamespaceStore::revoke_all`); cache tiers tag entries with it so
-    /// one revocation invalidates every cached grant without touching
-    /// any per-namespace generation. Starts at 1 so 0 can mean "no
-    /// cached entry".
+    /// `NamespaceStore::revoke_all`); guard-front slots and promoted
+    /// frames are tagged with it so one revocation invalidates every
+    /// filled grant without touching any per-namespace generation.
+    /// Starts at 1 so 0 can mean "never filled".
     revocation: AtomicU64,
 }
 
@@ -365,41 +363,39 @@ impl PolicyModule {
     }
 
     /// Force a revocation epoch: republish the (unchanged) rule set so the
-    /// snapshot generation advances. Every guard TLB entry and inline
-    /// cache tagged with an older generation becomes stale in this single
-    /// publish — the live-upgrade swap uses this so no check can admit
-    /// against a grant observed before the swap. Returns the new
+    /// snapshot generation advances. Every guard-front slot and promoted
+    /// inline bound tagged with an older generation becomes stale in this
+    /// single publish — the live-upgrade swap uses this so no check can
+    /// admit against a grant observed before the swap. Returns the new
     /// generation.
     pub fn bump_epoch(&self) -> u64 {
         let rules = self.rules.lock();
         self.snapshot.publish(rules.clone())
     }
 
-    /// The namespace id this policy is bound to (0 = unbound). One
-    /// `SeqCst` load — part of every cache tier's validity tag.
+    /// The namespace id this policy is bound to (0 = unbound).
     #[inline]
     pub fn namespace(&self) -> u64 {
         self.ns.load(Ordering::SeqCst)
     }
 
     /// Bind this policy to a namespace id. Called exactly once by the
-    /// namespace store at registration; a fresh id retires any cache
-    /// entry tagged with the previous binding.
+    /// namespace store at registration.
     pub fn set_namespace(&self, ns: u64) {
         self.ns.store(ns, Ordering::SeqCst);
     }
 
     /// The revocation epoch this policy currently observes. One `SeqCst`
-    /// load — the global half of every cache tier's validity tag (the
+    /// load — the global half of every fast path's validity tag (the
     /// per-namespace generation is the local half).
     #[inline]
     pub fn revocation_epoch(&self) -> u64 {
         self.revocation.load(Ordering::SeqCst)
     }
 
-    /// Advance the revocation epoch: every guard TLB entry, hot slot,
-    /// and promoted inline cache tagged with the old epoch goes stale in
-    /// one atomic store, without republishing the (unchanged) rule set.
+    /// Advance the revocation epoch: every guard-front slot and promoted
+    /// inline bound tagged with the old epoch goes stale in one atomic
+    /// store, without republishing the (unchanged) rule set.
     /// Returns the new epoch. Fleet-wide revocation
     /// (`NamespaceStore::revoke_all`) fans out through here — the cold
     /// path pays O(policies), the hot path still pays one load.
@@ -422,8 +418,9 @@ impl PolicyModule {
         self.snapshot.load_full()
     }
 
-    /// The store generation: bumped by every table write. The guard
-    /// TLB's validity tag.
+    /// The store generation: bumped by every table write. The local half
+    /// of every fast path's validity tag (guard-front slots, promoted
+    /// inline bounds).
     #[inline]
     pub fn store_generation(&self) -> u64 {
         self.snapshot.generation()
@@ -454,19 +451,12 @@ impl PolicyModule {
         self.snapshot.subscribe(sub);
     }
 
-    /// Account a guard admitted by a specialized fast path (inlined
-    /// bounds baked from a region grant of the *current* generation)
-    /// without re-running the lookup. Keeps `stats.checks` equal to the
-    /// number of guard invocations even when a hot tier answers most of
-    /// them, so per-site trace reconciliation stays exact.
-    #[inline]
-    pub fn record_fast_permit(&self) {
-        self.stats.record_permitted();
-    }
-
-    /// Batched form of [`Self::record_fast_permit`]: account `n` fast
-    /// admits with one pair of counter updates. Callers that defer their
-    /// accounting (per-thread hot tiers) flush through here before any
+    /// Account `n` guards admitted by a fast path (a bound filled from a
+    /// region grant of the *current* generation and epoch) without
+    /// re-running the lookup, with one pair of counter updates. Keeps
+    /// `stats.checks` equal to the number of guard invocations even when
+    /// a fast path answers most of them. Callers that batch their admits
+    /// (guard fronts, promoted frames) drain through here before any
     /// reader can observe the stats.
     #[inline]
     pub fn record_fast_permits(&self, n: u64) {
@@ -688,9 +678,9 @@ impl PolicyModule {
         self.settle(addr, size, flags, lookup)
     }
 
-    /// The check the guard TLB uses: [`Self::check`], reporting which
-    /// region granted a permit (plus the generation it was observed
-    /// under) so the caller may memoize it.
+    /// The check a guard front's miss takes: [`Self::check`], reporting
+    /// which region granted a permit (plus the generation it was observed
+    /// under) so the caller may fill a slot from it.
     pub fn check_classified(&self, addr: VAddr, size: Size, flags: AccessFlags) -> ClassifiedCheck {
         if self.vacuous(size, flags) {
             self.stats.record_permitted();

@@ -1,9 +1,9 @@
 //! [`NamespaceStore`] — sharded per-module policy namespaces.
 //!
 //! With one global policy, every tenant's ruleset churn bumps one shared
-//! generation, flushing *every* module's guard TLB and hot tier; and the
-//! check path scans one flat table holding every tenant's regions. The
-//! namespace store splits both axes (DESIGN §3.19):
+//! generation, staling *every* module's guard-front slots and promoted
+//! bounds; and the check path scans one flat table holding every tenant's
+//! regions. The namespace store splits both axes (DESIGN §3.19):
 //!
 //! * each module id maps to its **own** [`PolicyModule`], so a tenant's
 //!   publish bumps only its own per-namespace generation — other tenants'
@@ -17,8 +17,8 @@
 //!   `SeqCst` load instead of a shared-cacheline hit on every check.
 //!
 //! Namespace ids are never reused: re-registering a module id assigns a
-//! fresh id, so cache entries tagged with the old `(namespace,
-//! generation)` pair can never match the replacement policy.
+//! fresh id. Fast paths need no namespace tag: each is bound to one
+//! policy object, whose own generation and epoch are its tags.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,11 +156,11 @@ impl NamespaceStore {
     }
 
     /// Fleet-wide revocation: advance the revocation epoch of **every**
-    /// policy — the global one and each namespace's — so every cached
-    /// grant in every tier (TLB, hot slots, promoted inline caches) goes
-    /// stale at once, without republishing any ruleset. Cold path:
-    /// O(tenants) atomic bumps; the guard hot path still pays exactly one
-    /// epoch load. Returns how many policies were bumped.
+    /// policy — the global one and each namespace's — so every filled
+    /// grant on every fast path (guard-front slots, promoted inline
+    /// bounds) goes stale at once, without republishing any ruleset. Cold
+    /// path: O(tenants) atomic bumps; the guard hot path still pays
+    /// exactly one epoch load. Returns how many policies were bumped.
     pub fn revoke_all(&self) -> usize {
         self.global.bump_revocation();
         let mut bumped = 1;

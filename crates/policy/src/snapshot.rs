@@ -12,10 +12,10 @@
 //! deferred until the last reader drops it.
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
-//! invalidation signal for the per-site guard TLB
-//! ([`crate::tlb::GuardTlb`]): a cached grant is valid only while its
+//! invalidation signal for the guard front's per-site slots
+//! ([`crate::front::GuardFront`]): a filled grant is valid only while its
 //! recorded generation equals the store's current one, so any table write
-//! — grant, revoke, wholesale replace — flushes every TLB at the cost of
+//! — grant, revoke, wholesale replace — stales every slot at the cost of
 //! one atomic store.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
@@ -23,8 +23,8 @@
 //! generation, and both are `SeqCst`. A revoke therefore does not return
 //! until the shrunken table is the published one. Any reader that starts
 //! a check after revoke returns (i.e. observes any effect ordered after
-//! it) loads either the new generation — forcing a TLB miss and a lookup
-//! in the new snapshot — or the new snapshot directly. A TLB entry tagged
+//! it) loads either the new generation — forcing a slot miss and a lookup
+//! in the new snapshot — or the new snapshot directly. A slot tagged
 //! with the old generation can never match again.
 
 use std::collections::VecDeque;
@@ -132,8 +132,8 @@ impl std::fmt::Debug for PolicySnapshot {
 /// while holding its rule-list mutex); readers are lock-free.
 pub struct SnapshotStore {
     current: ArcSwap<PolicySnapshot>,
-    /// Stored *after* the snapshot pointer on publish; the TLB validity
-    /// tag. Starts at 1 so 0 can mean "no cached entry".
+    /// Stored *after* the snapshot pointer on publish; the fast paths'
+    /// validity tag. Starts at 1 so 0 can mean "never filled".
     generation: AtomicU64,
     publishes: Counter,
     /// Bounded `(generation, regions)` history for the validator's grant
@@ -192,7 +192,7 @@ impl SnapshotStore {
         }
         self.current
             .store(Arc::new(PolicySnapshot::build(regions, gen)));
-        // Snapshot first, generation second: a TLB that sees the new
+        // Snapshot first, generation second: a reader that sees the new
         // generation is guaranteed the new snapshot is already live.
         self.generation.store(gen, Ordering::SeqCst);
         self.publishes.inc();

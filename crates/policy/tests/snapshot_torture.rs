@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use kop_core::error::ViolationKind;
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
-use kop_policy::{DefaultAction, GuardTlb, PolicyModule, StoreKind};
+use kop_policy::{DefaultAction, GuardFront, PolicyCheck, PolicyModule, SiteMap, StoreKind};
 
 use proptest::prelude::*;
 
@@ -28,12 +28,14 @@ fn region(base: u64, len: u64, prot: Protection) -> Region {
 
 /// Run `readers` concurrent reader bodies against a grant/revoke storm.
 /// `reader` receives (policy, state counter, stop flag) and returns the
-/// number of stale admits it observed.
+/// number of stale admits it observed plus the guards it ran, which must
+/// reconcile exactly with the policy's `checks` once every reader is done.
+/// Returns the stale admits.
 fn storm<F>(churns: u64, readers: usize, reader: F) -> u64
 where
-    F: Fn(&PolicyModule, &AtomicU64, &AtomicBool) -> u64 + Sync,
+    F: Fn(&Arc<PolicyModule>, &AtomicU64, &AtomicBool) -> (u64, u64) + Sync,
 {
-    let pm = PolicyModule::new(); // default deny
+    let pm = Arc::new(PolicyModule::new()); // default deny
     let state = AtomicU64::new(1); // odd: nothing granted yet
     let stop = AtomicBool::new(false);
     let r = region(0x1000, 0x1000, Protection::READ_WRITE);
@@ -45,18 +47,29 @@ where
         for k in 0..churns {
             state.store(2 * k + 2, Ordering::SeqCst); // grant may begin
             pm.add_region(r).unwrap();
+            // Let readers run inside the grant window, so their slots
+            // fill there and must be staled by the revoke.
+            std::thread::yield_now();
             pm.remove_region(r.base).unwrap();
             state.store(2 * k + 3, Ordering::SeqCst); // revoke settled
+            std::thread::yield_now();
         }
         stop.store(true, Ordering::SeqCst);
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+        let (mut stale, mut guards) = (0, 0);
+        for h in handles {
+            let (s, g) = h.join().unwrap();
+            stale += s;
+            guards += g;
+        }
+        assert_eq!(pm.stats().checks, guards, "policy.checks == guard calls");
+        stale
     })
 }
 
 #[test]
 fn revoke_storm_never_admits_stale_access_on_snapshot_path() {
     let stale = storm(2_000, 4, |pm, state, stop| {
-        let mut stale = 0u64;
+        let (mut stale, mut guards) = (0u64, 0u64);
         while !stop.load(Ordering::SeqCst) {
             let s1 = state.load(Ordering::SeqCst);
             let allowed = pm.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok();
@@ -64,31 +77,34 @@ fn revoke_storm_never_admits_stale_access_on_snapshot_path() {
             if allowed && s1 == s2 && s1 % 2 == 1 {
                 stale += 1;
             }
+            guards += 1;
         }
-        stale
+        (stale, guards)
     });
     assert_eq!(stale, 0, "snapshot path admitted after revoke returned");
 }
 
 #[test]
-fn revoke_storm_never_admits_stale_access_through_tlb() {
+fn revoke_storm_never_admits_stale_access_through_the_front() {
     let stale = storm(2_000, 4, |pm, state, stop| {
-        // Each reader owns its TLB — the per-thread structure under test.
-        let tlb = GuardTlb::with_prefix("torture.tlb");
-        let mut stale = 0u64;
+        // Each reader owns its front — the per-queue structure under test.
+        let front = GuardFront::new(Arc::clone(pm), SiteMap::new(0));
+        let (mut stale, mut guards) = (0u64, 0u64);
         while !stop.load(Ordering::SeqCst) {
             let s1 = state.load(Ordering::SeqCst);
-            let allowed = tlb
-                .check(pm, 0, VAddr(0x1800), Size(8), AccessFlags::RW)
+            let allowed = front
+                .carat_guard(VAddr(0x1800), Size(8), AccessFlags::RW)
                 .is_ok();
             let s2 = state.load(Ordering::SeqCst);
             if allowed && s1 == s2 && s1 % 2 == 1 {
                 stale += 1;
             }
+            guards += 1;
         }
-        stale
+        // Dropping the front drains its admits into the policy's stats.
+        (stale, guards)
     });
-    assert_eq!(stale, 0, "guard TLB admitted after revoke returned");
+    assert_eq!(stale, 0, "guard front admitted after revoke returned");
 }
 
 #[test]
@@ -261,6 +277,51 @@ fn arb_flags() -> impl Strategy<Value = AccessFlags> {
     ]
 }
 
+/// One step of the interleaved front proptest: a guard, or a mutation
+/// of the policy the front is bound to.
+#[derive(Clone, Debug)]
+enum Op {
+    Probe(u64, u64, AccessFlags),
+    Add(Region),
+    /// Remove the rule at this index (mod the rule count).
+    Remove(u8),
+    Replace(Vec<Region>),
+    BumpEpoch,
+    BumpRevocation,
+    Default(bool),
+}
+
+/// Where probes land: two anchors per site, each a few words wide, so a
+/// filled slot is probed again after the mutations that follow it.
+const ANCHORS: [u64; 6] = [0x1800, 0x3ff8, 0x9000, 0xc7f8, 0x11000, 0x1e000];
+
+fn arb_probe() -> impl Strategy<Value = Op> {
+    (
+        0usize..ANCHORS.len(),
+        0u64..2,
+        prop_oneof![Just(1u64), Just(2), Just(4), Just(8)],
+        arb_flags(),
+    )
+        .prop_map(|(a, word, s, f)| Op::Probe(ANCHORS[a] + 8 * word, s, f))
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Probes dominate.
+    prop_oneof![
+        arb_probe(),
+        arb_probe(),
+        arb_probe(),
+        arb_probe(),
+        arb_region().prop_map(Op::Add),
+        any::<u8>().prop_map(Op::Remove),
+        proptest::collection::vec(arb_region(), 0..6).prop_map(Op::Replace),
+        Just(Op::BumpEpoch),
+        Just(Op::BumpRevocation),
+        any::<bool>().prop_map(Op::Default),
+        any::<bool>().prop_map(Op::Default),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -293,37 +354,79 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn tlb_agrees_with_full_check(
-        regions in proptest::collection::vec(arb_region(), 0..10),
-        probes in proptest::collection::vec(
-            (0u64..0x40_000, prop_oneof![Just(1u64), Just(2), Just(4), Just(8)], arb_flags(), 0u32..8),
-            1..40,
-        ),
+    fn front_agrees_with_full_check_across_mutations(
+        regions in proptest::collection::vec(arb_region(), 0..8),
+        ops in proptest::collection::vec(arb_op(), 1..100),
     ) {
-        let pm = PolicyModule::new();
+        let pm = Arc::new(PolicyModule::new());
         for r in &regions {
             let _ = pm.add_region(*r);
         }
-        let tlb = GuardTlb::with_prefix("prop.tlb");
-        let reference = PolicyModule::new();
-        for r in &regions {
-            let _ = reference.add_region(*r);
+        // Three sites: two address ranges plus the fallback.
+        let map = SiteMap::new(2).range(0, 0x8000, 0).range(0x8000, 0x10_000, 1);
+        let front = GuardFront::new(Arc::clone(&pm), map.clone());
+        // Sites whose slot a generation or epoch bump has staled since
+        // their last general check: their next guard must not admit from
+        // the slot.
+        let mut stale = [false; 3];
+        let mut probes = 0u64;
+        for op in &ops {
+            let tags = (pm.store_generation(), pm.revocation_epoch());
+            match op {
+                Op::Probe(addr, size, flags) => {
+                    let (addr, size) = (VAddr(*addr), Size(*size));
+                    let site = map.classify(addr.raw()) as usize;
+                    let admits = front.flush_admits();
+                    let verdict = front.carat_guard(addr, size, *flags).map_err(|v| v.kind);
+                    probes += 1;
+                    prop_assert_eq!(
+                        verdict, scan_verdict(&pm, addr, size, *flags),
+                        "front diverged at {:?}", addr
+                    );
+                    let inline = front.flush_admits() > admits;
+                    prop_assert!(!(inline && stale[site]), "stale admit at site {}", site);
+                    // Only a region grant may fill a slot, so only a
+                    // covering, granting region may admit inline.
+                    let granted = pm.regions().iter().any(|r| r.permits(addr, size, *flags));
+                    prop_assert!(!inline || granted, "slot admit without a grant at {:?}", addr);
+                    stale[site] = false;
+                }
+                Op::Add(r) => {
+                    let _ = pm.add_region(*r);
+                }
+                Op::Remove(i) => {
+                    let rules = pm.regions();
+                    if !rules.is_empty() {
+                        pm.remove_region(rules[*i as usize % rules.len()].base).unwrap();
+                    }
+                }
+                Op::Replace(rs) => {
+                    let _ = pm.replace_regions(rs.iter().copied());
+                }
+                Op::BumpEpoch => {
+                    pm.bump_epoch();
+                }
+                Op::BumpRevocation => {
+                    pm.bump_revocation();
+                }
+                Op::Default(allow) => pm.set_default_action(if *allow {
+                    DefaultAction::Allow
+                } else {
+                    DefaultAction::Deny
+                }),
+            }
+            if (pm.store_generation(), pm.revocation_epoch()) != tags {
+                stale = [true; 3];
+            }
         }
-        for &(addr, size, flags, site) in &probes {
-            let via_tlb = tlb
-                .check(&pm, site, VAddr(addr), Size(size), flags)
-                .map_err(|v| v.kind);
-            let direct = reference
-                .check(VAddr(addr), Size(size), flags)
-                .map_err(|v| v.kind);
-            // The TLB may satisfy a grant from cache, in which case the
-            // denial kind can't differ because there is no denial; on
-            // results both must agree exactly.
-            prop_assert_eq!(via_tlb, direct, "TLB diverged at {:#x}", addr);
-        }
-        prop_assert_eq!(tlb.hits() + tlb.misses(), probes.len() as u64);
+        drop(front);
+        prop_assert_eq!(pm.stats().checks, probes, "policy.checks == guard calls");
     }
 }
 

@@ -9,11 +9,11 @@
 //! of touched memory. The promoted run additionally proves it really
 //! ran promoted: every guard admits inline with zero deopts.
 //!
-//! The torture half drives the *native* hot tier (per-queue
-//! [`HotPolicy`] fronts over one shared policy) through a concurrent
+//! The torture half drives the *native* fast path (per-queue
+//! [`GuardFront`]s over one shared policy) through a concurrent
 //! multi-queue TX run while the main thread storms `bump_epoch`, and
 //! drives the VM tier through a hand-installed stale-generation
-//! promotion — in both cases a stale baked bound must never admit.
+//! promotion — in both cases a stale bound must never admit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,10 +27,10 @@ use carat_kop::e1000e::{
 use carat_kop::interp::{Engine, ExecStats, Interp};
 use carat_kop::ir::{verify_module, BinOp, GlobalInit, IcmpPred, IrBuilder, Type, Value};
 use carat_kop::kernel::{Kernel, KernelConfig};
-use carat_kop::policy::{DefaultAction, HotSite, PolicyModule, ViolationAction};
-use carat_kop::trace::{CounterRegistry, Producer, Tracer, DEFAULT_CAPACITY};
+use carat_kop::policy::{DefaultAction, GuardFront, PolicyModule, ViolationAction};
+use carat_kop::trace::Producer;
 use carat_kop::vm::PromotionSpec;
-use kop_core::AccessFlags;
+use kop_core::{Protection, Region, Size, VAddr};
 
 /// One step of a random straight-line loop body over 4 registers, an
 /// 8-slot scratch buffer, and a module global (same program shape as
@@ -460,88 +460,41 @@ fn stale_generation_promotion_deopts_every_guard() {
     }
 }
 
-/// Profile one guarded TX pass and return the promotion requests plus
-/// the shared policy they were profiled under.
-fn profiled_tx_sites(pm: &Arc<PolicyModule>) -> Vec<HotSite> {
-    let tracer = Tracer::with_capacity(DEFAULT_CAPACITY);
-    let mem = GuardedMem::with_tracer(
-        DirectMem::with_defaults(E1000Device::default()),
-        Arc::clone(pm),
-        Arc::clone(&tracer),
-    );
-    tracer.set_enabled(true);
-    let mut drv = E1000Driver::probe(mem).expect("probe");
-    drv.up().expect("up");
-    let mut sink = VecSink::default();
-    for _ in 0..32 {
-        drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 128], &mut sink)
-            .expect("profile xmit");
-    }
-    tracer.set_enabled(false);
-
-    let probe = DirectMem::with_defaults(E1000Device::default());
-    let map = driver_site_map(probe.arena_base(), probe.mmio_base());
-    let mut sites = Vec::new();
-    for (_meta, prof) in tracer.hot_sites(1) {
-        let Some((lo, hi)) = prof.envelope() else {
-            continue;
-        };
-        sites.push(HotSite {
-            site: map.classify(lo),
-            lo,
-            hi,
-            flags: AccessFlags::RW,
-        });
-    }
-    assert!(!sites.is_empty(), "TX guard sites were profiled");
-    sites
+/// A guarded memory space whose guards go through a fresh per-queue
+/// [`GuardFront`] over `pm`.
+fn front_mem(pm: &Arc<PolicyModule>) -> GuardedMem<GuardFront> {
+    let mem = DirectMem::with_defaults(E1000Device::default());
+    let map = driver_site_map(mem.arena_base(), mem.mmio_base());
+    GuardedMem::new(mem, GuardFront::new(Arc::clone(pm), map))
 }
 
 /// Generation-bump torture on the native datapath: several TX queues,
-/// each fronted by its own per-thread [`HotPolicy`] over one shared
-/// policy module, while the main thread storms `bump_epoch`. Soundness
-/// and accounting must both hold: no frame is lost, no guard escapes
-/// accounting (`policy.checks` reconciles exactly with the drivers'
-/// guard counters), and once a bump lands, stale slots deopt rather
-/// than admit.
+/// each fronted by its own [`GuardFront`] over one shared policy module,
+/// while the main thread storms `bump_epoch`. Soundness and accounting
+/// must both hold: no frame is lost, every guard is accounted exactly
+/// once (`policy.checks` reconciles with the drivers' guard counters),
+/// and once a bump lands, stale slots refill rather than admit.
 #[test]
 fn mq_tx_generation_bump_torture() {
     use carat_kop::e1000e::run_mq_tx_with;
 
     let pm = Arc::new(PolicyModule::two_region_paper_policy());
-    let hot_sites = profiled_tx_sites(&pm);
-    let reg = CounterRegistry::new();
     const QUEUES: usize = 3;
     const FRAMES: u64 = 300;
 
-    // ---- Phase A: quiescent policy — the hot tier answers inline. ----
+    // ---- Phase A: quiescent policy — the slots answer inline. ----
     let checks0 = pm.stats().checks;
-    let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |q| {
-        let hm = GuardedMem::with_hot_prefixed(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-            hot_sites.clone(),
-            &format!("mqa.q{q}"),
-        );
-        assert!(hm.policy().promoted_count() > 0);
-        hm.policy().register_into(&reg);
-        hm
-    })
-    .expect("quiescent MQ run");
-    let guard_calls: u64 = rep.queues.iter().map(|q| q.guard_calls).sum();
+    let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |_q| front_mem(&pm)).expect("quiescent MQ run");
     for q in &rep.queues {
         assert_eq!(q.delivered, FRAMES);
     }
-    // Every guard accounted exactly once, fast path included (the
-    // per-thread pending cells flushed when each queue's front dropped).
-    assert_eq!(pm.stats().checks - checks0, guard_calls);
-    let (mut admits_a, mut deopts_a) = (0, 0);
-    for q in 0..QUEUES {
-        admits_a += reg.get(&format!("mqa.q{q}.inline_admits")).unwrap().get();
-        deopts_a += reg.get(&format!("mqa.q{q}.deopts")).unwrap().get();
-    }
-    assert!(admits_a > 0, "the hot tier answered TX guards inline");
-    assert_eq!(deopts_a, 0, "no deopts without a policy publish");
+    // Every guard accounted exactly once, slot admits included.
+    assert_eq!(pm.stats().checks - checks0, rep.guard_calls());
+    let refills_a = rep.guard_calls() - rep.inline_admits();
+    assert!(
+        rep.inline_admits() > refills_a,
+        "the slots answered most TX guards inline"
+    );
 
     // ---- Phase B: the same run under a bump_epoch storm. ----
     let stop = Arc::new(AtomicBool::new(false));
@@ -559,73 +512,75 @@ fn mq_tx_generation_bump_torture() {
         })
     };
     let checks1 = pm.stats().checks;
-    let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |q| {
-        let hm = GuardedMem::with_hot_prefixed(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-            hot_sites.clone(),
-            &format!("mqb.q{q}"),
-        );
-        hm.policy().register_into(&reg);
-        hm
-    })
-    .expect("stormed MQ run");
+    let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |_q| front_mem(&pm)).expect("stormed MQ run");
     stop.store(true, Ordering::Relaxed);
     let bumps = storm.join().expect("storm thread");
     assert!(bumps > 0);
 
     // Behaviour is unchanged under the storm: every frame delivered.
-    let guard_calls: u64 = rep.queues.iter().map(|q| q.guard_calls).sum();
     for q in &rep.queues {
         assert_eq!(q.delivered, FRAMES);
     }
     // Exact accounting survives the storm: every guard was either a
-    // (flushed) fast admit or a general-path check — a stale admit that
+    // (drained) slot admit or a general check — a stale admit that
     // skipped accounting, or a double count, would break this balance.
-    assert_eq!(pm.stats().checks - checks1, guard_calls);
-    let (mut admits_b, mut deopts_b) = (0, 0);
-    for q in 0..QUEUES {
-        admits_b += reg.get(&format!("mqb.q{q}.inline_admits")).unwrap().get();
-        deopts_b += reg.get(&format!("mqb.q{q}.deopts")).unwrap().get();
-    }
+    assert_eq!(pm.stats().checks - checks1, rep.guard_calls());
+    let refills_b = rep.guard_calls() - rep.inline_admits();
     assert!(
-        deopts_b > 0,
-        "the storm landed mid-run: stale slots must deopt ({bumps} bumps)"
+        refills_b > refills_a,
+        "the storm landed mid-run: stale slots must refill ({bumps} bumps, \
+         {refills_b} general checks vs {refills_a} quiescent)"
     );
-    assert!(admits_b + deopts_b <= guard_calls);
 
     // ---- Phase C: zero stale admits, pinned deterministically. ----
-    let hm = GuardedMem::with_hot_prefixed(
-        DirectMem::with_defaults(E1000Device::default()),
-        Arc::clone(&pm),
-        hot_sites.clone(),
-        "mqc",
-    );
-    let mut drv = E1000Driver::probe(hm).expect("probe");
+    // A least-privilege policy, so the TX ring has a grant of its own.
+    let geo = E1000Driver::probe(DirectMem::with_defaults(E1000Device::default()))
+        .expect("probe")
+        .datapath_geometry();
+    let (ring, ring_len) = geo.control[0];
+    let ring_grant = Region::new(VAddr(ring), Size(ring_len), Protection::READ_WRITE).unwrap();
+    let pm = Arc::new(PolicyModule::datapath_policy(&geo));
+    let mut drv = E1000Driver::probe(front_mem(&pm)).expect("probe");
     drv.up().expect("up");
     let mut sink = VecSink::default();
     for _ in 0..8 {
         drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 64], &mut sink)
             .expect("warm xmit");
     }
-    let admits_before = drv.mem_ref().policy().admits();
-    assert!(admits_before > 0);
+    // One guarded load at the TX-ring site: answered by its filled slot.
+    let ring_load = |drv: &mut E1000Driver<GuardedMem<GuardFront>>| {
+        let before = drv.counts().inline_admits;
+        let r = drv.mem().read(ring, 8).map(|_| ());
+        (r, drv.counts().inline_admits - before)
+    };
+    assert_eq!(ring_load(&mut drv), (Ok(()), 1));
 
+    // Removing the grant the slot holds: the next guard there is denied.
+    pm.remove_region(VAddr(ring)).unwrap();
+    let (r, inline) = ring_load(&mut drv);
+    assert!(r.is_err(), "a removed grant must not admit");
+    assert_eq!(inline, 0);
+
+    // Restore it, then bump the epoch over a freshly filled slot: admits
+    // resume only after a general check refills it.
+    pm.add_region(ring_grant).unwrap();
+    assert_eq!(
+        ring_load(&mut drv),
+        (Ok(()), 0),
+        "refill after the re-grant"
+    );
+    assert_eq!(ring_load(&mut drv), (Ok(()), 1));
     pm.bump_epoch();
+    assert_eq!(
+        ring_load(&mut drv),
+        (Ok(()), 0),
+        "bump_epoch stales the slot"
+    );
+    assert_eq!(ring_load(&mut drv), (Ok(()), 1), "the refill admits again");
     for _ in 0..8 {
         drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 64], &mut sink)
             .expect("post-bump xmit");
     }
-    // Not one admit after the publish: every check at a promoted site
-    // deopted to the general path instead.
-    assert_eq!(drv.mem_ref().policy().admits(), admits_before);
-    assert!(drv.mem_ref().policy().deopts() > 0);
-
-    // Lazy re-promotion restores the fast path against the new snapshot.
-    assert!(drv.mem_ref().policy().repromote() > 0);
-    for _ in 0..8 {
-        drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 64], &mut sink)
-            .expect("re-promoted xmit");
-    }
-    assert!(drv.mem_ref().policy().admits() > admits_before);
+    let guard_calls = drv.counts().guard_calls;
+    assert_eq!(pm.stats().checks, guard_calls);
 }
