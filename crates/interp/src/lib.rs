@@ -29,6 +29,7 @@ use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, BlockId, CastOp, IcmpPred, Inst, Terminator, Type, Value};
 use kop_kernel::{Kernel, ModuleImage};
 use kop_policy::module::GuardOutcome;
+use kop_policy::PolicyModule;
 use kop_trace::{GuardDecision, InlineBatch, Producer, SiteId, TraceEvent};
 use kop_vm::HostFn;
 
@@ -52,13 +53,17 @@ pub enum Engine {
     /// The bytecode VM with the promoted tier enabled: functions whose
     /// hot guard sites were re-lowered with inlined bounds dispatch
     /// through the promoted code, tracing on or off; everything else
-    /// runs the general bytecode. Observable semantics are still
-    /// identical — a promoted guard that cannot fast-admit deopts into
-    /// the exact general policy path. With tracing on, an inline admit
-    /// is counted against its site (hits and address envelope, batched
-    /// per frame) but emits no ring events and is not timed; a deopt
-    /// emits the full GuardEnter/GuardExit pair and a timed profile
-    /// entry, like any general-path guard.
+    /// runs the general bytecode. Each [`Interp::call`] loads the tier
+    /// once and runs every frame from it, so a promotion or
+    /// invalidation published mid-call reaches the next call. Observable
+    /// semantics are still identical — a promoted guard whose baked
+    /// generation or epoch no longer matches the live policy, or that
+    /// cannot fast-admit, deopts into the exact general policy path.
+    /// With tracing on, an inline admit is counted against its site
+    /// (hits and address envelope, batched per call) but emits no ring
+    /// events and is not timed; a deopt emits the full
+    /// GuardEnter/GuardExit pair and a timed profile entry, like any
+    /// general-path guard.
     Promoted,
 }
 
@@ -119,30 +124,35 @@ pub struct Interp<'k> {
     /// Promoted guards that fell back to the general policy path
     /// (generation bump, out-of-bounds, or permission miss).
     vm_inline_deopts: u64,
-    /// The policy governing the currently-executing *promoted* frame,
-    /// resolved once at frame entry instead of per guard. Sound for the
-    /// frame's duration: remapping a module's policy needs `&mut Kernel`,
-    /// which this interpreter holds exclusively, and the one in-run
-    /// mutation path (quarantine) aborts the run before another guard
-    /// executes. Bound staleness is still caught per-op by the
-    /// generation tag.
-    vm_policy: Option<Arc<kop_policy::PolicyModule>>,
+    /// The policy governing the running call's module, on every engine:
+    /// resolved on the call's first promoted frame or first general-path
+    /// memory or intrinsic guard ([`pin_policy`]), and dropped when
+    /// [`Interp::call`] returns. Sound for the call's duration: remapping
+    /// a module's policy (`set_module_policy`/`clear_module_policy`)
+    /// needs `&mut Kernel`, which this interpreter holds exclusively, and
+    /// the one in-run mutation path (quarantine) unwinds the call before
+    /// another guard executes. A swap through the shared
+    /// `NamespaceStore` from another thread takes effect at the next
+    /// call. Staleness *within* the pinned policy — a publish or
+    /// revocation — is still caught per op by the generation and epoch
+    /// tags.
+    vm_policy: Option<Arc<PolicyModule>>,
     /// Fast admits not yet accounted against `vm_policy`'s striped
     /// `checks`/`permitted` counters. The inline admit bumps this plain
-    /// field; frame entry/exit flushes it with one counted add
-    /// (`record_fast_permits`), so the per-guard cost carries no
-    /// thread-local counter round-trips and every post-run observer
-    /// still sees `policy.checks == stats.guards`. Non-zero only while
-    /// `vm_policy` is `Some`.
+    /// field; the call's return drains it with one counted add
+    /// (`record_fast_permits`), on `Ok` and `Err` alike, so the
+    /// per-guard cost carries no thread-local counter round-trips and
+    /// every post-call observer still sees `policy.checks ==
+    /// stats.guards`. Non-zero only while `vm_policy` is `Some`.
     vm_pending_fast_permits: u64,
-    /// Revocation epoch the currently-executing promoted frame's tier
-    /// was baked under; the inline admit compares it against the live
-    /// epoch so a fleet-wide revoke (which bumps no generation) deopts
-    /// promoted guards promptly. 0 while no promoted frame runs.
+    /// Revocation epoch the call's promoted tier was baked under (0 off
+    /// the promoted engine); the inline admit compares it against the
+    /// live epoch so a fleet-wide revoke (which bumps no generation)
+    /// deopts promoted guards promptly.
     vm_promoted_epoch: u64,
     /// Inline admits of promoted frames entered with tracing on, tallied
-    /// per guard site and not yet handed to the tracer. Flushed with
-    /// `vm_pending_fast_permits` at frame entry/exit in one
+    /// per guard site and not yet handed to the tracer. Drained with
+    /// `vm_pending_fast_permits` when the call returns, in one
     /// `Tracer::record_inline` call, so per-site hits reconcile with
     /// `stats.guards` for any post-call observer.
     vm_inline_batch: InlineBatch,
@@ -174,6 +184,20 @@ fn sign_extend(v: u64, bits: u32) -> i64 {
 /// layout addresses + guard-site table). Entering module code clones one
 /// `Arc`, nothing else.
 type ModuleCtx = ModuleImage;
+
+/// The policy governing `module` for the running call: resolved into
+/// `slot` (the interpreter's `vm_policy`) on first use and returned from
+/// there until [`Interp::call`] unpins it. The interpreter's one policy
+/// resolution point. A free function over two disjoint fields, so the
+/// caller can keep borrowing the kernel's tracer.
+#[inline]
+fn pin_policy<'a>(
+    slot: &'a mut Option<Arc<PolicyModule>>,
+    kernel: &Kernel,
+    module: &str,
+) -> &'a PolicyModule {
+    slot.get_or_insert_with(|| kernel.policy_for(module))
+}
 
 impl<'k> Interp<'k> {
     /// Create an interpreter with default fuel. Allocates the module stack
@@ -299,12 +323,18 @@ impl<'k> Interp<'k> {
         // One refcount bump detaches the module context from the kernel
         // borrow — no per-call deep clone of the IR or layout maps.
         let image = Arc::clone(loaded.image());
-        match self.engine {
+        let result = match self.engine {
             Engine::Tree => self.call_in(&image, func, args),
-            // The promoted engine is the bytecode engine with promoted
-            // dispatch enabled at function entry (see `vm_call_idx`).
+            // The promoted engine is the bytecode engine with the call's
+            // promoted tier loaded at entry (see `vm_call`).
             Engine::Bytecode | Engine::Promoted => self.vm_call(&image, func, args),
-        }
+        };
+        // The call is the unit of accounting: its fast admits and inline
+        // tallies drain here, on `Ok` and `Err` alike, against the policy
+        // it pinned, which is then released.
+        self.vm_flush_fast_permits();
+        self.vm_policy = None;
+        result
     }
 
     fn burn(&mut self, n: u64) -> KernelResult<()> {
@@ -632,24 +662,28 @@ impl<'k> Interp<'k> {
         }
     }
 
-    /// Run one policy check. When tracing is on and the guard has a site
+    /// Run one policy check against the policy governing `module` (§5:
+    /// guards consult the policy of the module that executed them),
+    /// pinned for the call. When tracing is on and the guard has a site
     /// identity, bracket it with GuardEnter/GuardExit events and fold its
     /// host-timed latency (and, for a memory guard, its `[addr, addr +
     /// size)` span) into the site's profile. The tracer is borrowed only
     /// for the records; the caller acts on the outcome after.
     fn checked(
-        &self,
+        &mut self,
+        module: &str,
         site: Option<SiteId>,
         span: Option<(VAddr, Size)>,
-        check: impl FnOnce() -> GuardOutcome,
+        check: impl FnOnce(&PolicyModule) -> GuardOutcome,
     ) -> GuardOutcome {
+        let policy = pin_policy(&mut self.vm_policy, self.kernel, module);
         let tracer = self.kernel.tracer();
         let Some(site) = site.filter(|_| tracer.enabled()) else {
-            return check();
+            return check(policy);
         };
         tracer.record(Producer::Interp, TraceEvent::GuardEnter { site });
         let t0 = std::time::Instant::now();
-        let outcome = check();
+        let outcome = check(policy);
         let ns = (t0.elapsed().as_nanos() as u64).max(1);
         let decision = Self::decision_of(&outcome);
         tracer.record(
@@ -726,11 +760,8 @@ impl<'k> Interp<'k> {
         site: Option<SiteId>,
     ) -> KernelResult<()> {
         self.stats.guards += 1;
-        // Per-module policy (§5): guards consult the policy governing
-        // the module that executed them.
-        let policy = self.kernel.policy_for(module);
-        let outcome = self.checked(site, Some((addr, size)), || {
-            policy.enforce(addr, size, flags)
+        let outcome = self.checked(module, site, Some((addr, size)), |p| {
+            p.enforce(addr, size, flags)
         });
         if self.settle(module, outcome)? {
             self.squash_next = true;
@@ -747,8 +778,7 @@ impl<'k> Interp<'k> {
         site: Option<SiteId>,
     ) -> KernelResult<()> {
         self.stats.guards += 1;
-        let policy = self.kernel.policy_for(module);
-        let outcome = self.checked(site, None, || policy.enforce_intrinsic(id));
+        let outcome = self.checked(module, site, None, |p| p.enforce_intrinsic(id));
         if self.settle(module, outcome)? {
             self.squash_intrinsic = true;
         }

@@ -13,13 +13,16 @@
 
 use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
-use kop_vm::{CompiledFunc, CompiledModule, Op, Src};
+use kop_vm::{CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
-use crate::{sign_extend, Interp, ModuleCtx, MAX_CALL_DEPTH};
+use crate::{pin_policy, sign_extend, Engine, Interp, ModuleCtx, MAX_CALL_DEPTH};
 
 impl<'k> Interp<'k> {
     /// Bytecode-engine entry point, mirroring the tree engine's
-    /// `call_in` contract (same error precedence and messages).
+    /// `call_in` contract (same error precedence and messages). On the
+    /// promoted engine this is where the call loads the promoted tier:
+    /// once, so every frame of the call finds its code in the same tier
+    /// by reference and pairs it with that tier's bake epoch.
     pub(crate) fn vm_call(
         &mut self,
         ctx: &ModuleCtx,
@@ -35,44 +38,38 @@ impl<'k> Interp<'k> {
         let idx = compiled.func_index(func).ok_or_else(|| {
             KernelError::InvalidArgument(format!("no function @{func} in module {}", ctx.ir.name))
         })?;
+        let tier = (self.engine == Engine::Promoted).then(|| compiled.promoted_tier());
+        self.vm_promoted_epoch = tier.as_ref().map_or(0, |t| t.epoch);
         let mut argv = self.vm_args_pool.pop().unwrap_or_default();
         argv.clear();
         argv.extend_from_slice(args);
-        self.vm_call_idx(ctx, compiled, idx, argv)
+        self.vm_call_idx(ctx, compiled, tier.as_deref(), idx, argv)
     }
 
     /// One function frame by prebuilt index (recursion happens through
     /// [`Op::CallInternal`], skipping the name lookup entirely).
     /// Takes `args` by value: callers hand over a pooled vector, which
-    /// retires back into the pool on exit.
+    /// retires back into the pool on exit. `tier` is the call's pinned
+    /// promoted tier (`None` off the promoted engine).
     fn vm_call_idx(
         &mut self,
         ctx: &ModuleCtx,
         compiled: &CompiledModule,
+        tier: Option<&PromotedTier>,
         idx: u32,
         args: Vec<u64>,
     ) -> KernelResult<Option<u64>> {
-        // Promoted dispatch: on the promoted engine, a function the
-        // promotion pass re-lowered runs its inline-bounds code instead,
-        // tracing on or off. One tier load yields function + bake epoch
-        // together, so the frame can't pair one tier's code with
-        // another's epoch.
-        let promoted = if self.engine() == crate::Engine::Promoted {
-            compiled.promoted_entry(idx)
-        } else {
-            None
-        };
+        // Promoted dispatch: a function the call's tier re-lowered runs
+        // its inline-bounds code instead, tracing on or off.
+        let promoted = tier.and_then(|t| t.func(idx));
         // A promoted frame entered with tracing on counts each inline
-        // admit per site (`vm_inline_batch`, flushed with the fast
-        // permits) so per-site hits still reconcile with the guard
-        // count; a deopt takes the full traced general path. Decided
-        // once per frame: the untraced frame's admit carries no tracer
-        // test at all.
+        // admit per site (`vm_inline_batch`, drained with the fast
+        // permits when the call returns) so per-site hits still
+        // reconcile with the guard count; a deopt takes the full traced
+        // general path. Decided once per frame: the untraced frame's
+        // admit carries no tracer test at all.
         let traced = promoted.is_some() && self.kernel.tracer().enabled();
-        let cf = match &promoted {
-            Some((p, _)) => p.as_ref(),
-            None => compiled.func(idx),
-        };
+        let cf = promoted.unwrap_or_else(|| compiled.func(idx));
         if cf.n_params != args.len() {
             return Err(KernelError::InvalidArgument(format!(
                 "@{} takes {} args, got {}",
@@ -92,35 +89,23 @@ impl<'k> Interp<'k> {
                 "kernel stack overflow: module call depth exceeds {MAX_CALL_DEPTH}"
             )));
         }
+        if promoted.is_some() {
+            // The call's first promoted frame pins its governing policy;
+            // its inline guards then read a field instead of resolving.
+            pin_policy(&mut self.vm_policy, self.kernel, &ctx.ir.name);
+        }
         self.depth += 1;
         let saved_args = std::mem::replace(&mut self.cur_args, args);
         let saved_stack = self.stack_cursor;
-        // Promoted frames resolve their governing policy once — the
-        // inline fast path then pays a field read per guard instead of a
-        // per-module map lookup (see the `vm_policy` field docs for why
-        // this is sound for the frame's duration).
-        self.vm_flush_fast_permits();
-        let saved_epoch = self.vm_promoted_epoch;
-        let saved_policy = if let Some((_, epoch)) = &promoted {
-            self.vm_promoted_epoch = *epoch;
-            let p = self.kernel.policy_for(&ctx.ir.name);
-            self.vm_policy.replace(p)
-        } else {
-            self.vm_promoted_epoch = 0;
-            self.vm_policy.take()
-        };
         let mut regs = self.vm_frames.pop().unwrap_or_default();
         regs.clear();
         regs.resize(cf.n_regs, 0);
         let result = if traced {
-            self.vm_run::<true>(ctx, compiled, cf, &mut regs)
+            self.vm_run::<true>(ctx, compiled, tier, cf, &mut regs)
         } else {
-            self.vm_run::<false>(ctx, compiled, cf, &mut regs)
+            self.vm_run::<false>(ctx, compiled, tier, cf, &mut regs)
         };
         self.vm_frames.push(regs);
-        self.vm_flush_fast_permits();
-        self.vm_policy = saved_policy;
-        self.vm_promoted_epoch = saved_epoch;
         self.stack_cursor = saved_stack;
         let retired = std::mem::replace(&mut self.cur_args, saved_args);
         self.vm_args_pool.push(retired);
@@ -139,16 +124,16 @@ impl<'k> Interp<'k> {
         }
     }
 
-    /// Drain the fast admits accumulated this frame into the governing
-    /// policy's `checks`/`permitted` counters with one counted add, and
-    /// any per-site inline tallies of a traced frame into the tracer
-    /// with one batched call (one profiler lock). Runs at every frame
-    /// entry (before the policy slot changes hands) and exit, so the
-    /// pending count always lands on the policy it was accumulated
-    /// against. Every batched admit is also a pending fast permit, so an
-    /// untraced frame pays one emptiness test for the batch.
+    /// Drain the call's fast admits into its pinned policy's
+    /// `checks`/`permitted` counters with one counted add, and any
+    /// per-site inline tallies of its traced frames into the tracer with
+    /// one batched call (one profiler lock). [`Interp::call`] runs it
+    /// once, where the call returns, on `Ok` and `Err` alike; the policy
+    /// is pinned for the whole call, so the count lands on the policy it
+    /// was accumulated against. Every batched admit is also a pending
+    /// fast permit, so a call with no inline admit pays one test.
     #[inline]
-    fn vm_flush_fast_permits(&mut self) {
+    pub(crate) fn vm_flush_fast_permits(&mut self) {
         if self.vm_pending_fast_permits > 0 {
             let n = self.vm_pending_fast_permits;
             self.vm_pending_fast_permits = 0;
@@ -166,9 +151,11 @@ impl<'k> Interp<'k> {
     /// The promoted guard check: admit with three compares against the
     /// baked bound when the snapshot generation still matches, else
     /// deopt into the exact general policy path with the original
-    /// operands. The fast admit still counts as a guard and as a policy
-    /// check (batched: `vm_pending_fast_permits`, flushed at frame
-    /// boundaries), so every reconciliation invariant —
+    /// operands. Both tags are compared per op against the live policy,
+    /// so a publish or revocation that lands mid-call deopts the very
+    /// next inline guard. The fast admit still counts as a guard and as
+    /// a policy check (batched: `vm_pending_fast_permits`, drained when
+    /// the call returns), so every reconciliation invariant —
     /// `stats.guards == policy.checks` — survives promotion; in a
     /// `TRACED` frame it is also tallied against its site for the
     /// tracer (hits and envelope, no events, no timing). A degenerate
@@ -192,7 +179,7 @@ impl<'k> Interp<'k> {
             let policy = self
                 .vm_policy
                 .as_deref()
-                .expect("promoted frame resolved its policy at entry");
+                .expect("the call's first promoted frame pinned its policy");
             size > 0
                 && flags != 0
                 && (flags & !perm) == 0
@@ -257,6 +244,7 @@ impl<'k> Interp<'k> {
         &mut self,
         ctx: &ModuleCtx,
         compiled: &CompiledModule,
+        tier: Option<&PromotedTier>,
         cf: &CompiledFunc,
         regs: &mut [u64],
     ) -> KernelResult<Option<u64>> {
@@ -466,7 +454,7 @@ impl<'k> Interp<'k> {
                     let mut argv = self.vm_args_pool.pop().unwrap_or_default();
                     argv.clear();
                     argv.extend(args.iter().map(|a| self.vm_src(regs, *a)));
-                    if let Some(v) = self.vm_call_idx(ctx, compiled, *func, argv)? {
+                    if let Some(v) = self.vm_call_idx(ctx, compiled, tier, *func, argv)? {
                         regs[*dst as usize] = v;
                     }
                 }

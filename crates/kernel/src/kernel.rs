@@ -489,7 +489,7 @@ impl Kernel {
 
         // Bake bounds from the current snapshot. The revocation epoch is
         // read *before* the snapshot: a fleet revocation racing the bake
-        // leaves the tier already-stale (per-frame epoch mismatch, prompt
+        // leaves the tier already-stale (per-op epoch mismatch, prompt
         // deopt), never falsely fresh.
         let policy = self.policy_for(module);
         let epoch = policy.revocation_epoch();

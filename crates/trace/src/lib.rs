@@ -37,9 +37,10 @@
 //! A general-path guard check costs two ring events, two clock reads and
 //! a profiler update. A promoted guard answered by its baked bound costs
 //! neither: the executor counts it per site in an [`InlineBatch`] and
-//! hands the batch over once per frame ([`Tracer::record_inline`]), so
-//! per-site hits and envelopes stay exact while the ring and the
-//! latency histogram see only the timed checks.
+//! hands the batch over once per interpreter call
+//! ([`Tracer::record_inline`]), so per-site hits and envelopes stay
+//! exact while the ring and the latency histogram see only the timed
+//! checks.
 
 #![warn(missing_docs)]
 

@@ -9,10 +9,10 @@
 //! Checks arrive two ways. A *timed* check (the general guard path)
 //! lands one at a time with its host latency. An *inline* admit (a
 //! promoted guard answered by its baked bound) is counted per site in
-//! an [`InlineBatch`] the executor owns and folded in a batch at a frame
-//! boundary: it adds to `hits` and the address envelope, never to the
-//! latency histogram. So Σ`hits` == guards and Σ`hist` + Σ`inline` ==
-//! guards.
+//! an [`InlineBatch`] the executor owns and folded in a batch when the
+//! interpreter call returns: it adds to `hits` and the address envelope,
+//! never to the latency histogram. So Σ`hits` == guards and Σ`hist` +
+//! Σ`inline` == guards.
 
 use crate::sites::SiteId;
 
@@ -101,14 +101,14 @@ struct InlineTally {
 /// Inline admits not yet handed to the profiler, counted per site.
 ///
 /// The executor of promoted code owns one and calls
-/// [`InlineBatch::admit`] for every guard a baked bound answers while
-/// tracing is on, then hands the batch to
-/// [`crate::Tracer::record_inline`] at a frame boundary: one profiler
-/// lock per flush instead of a lock, two ring events and two clock
-/// reads per guard. `admit` is O(1) (a dense slot per raw [`SiteId`]
-/// plus a list of the sites touched since the last flush) and stops
-/// allocating once every site and the touched list have been seen at
-/// their largest.
+/// [`InlineBatch::admit`] for every guard a baked bound answers in a
+/// frame entered with tracing on, then hands the batch to
+/// [`crate::Tracer::record_inline`] once, where the interpreter call
+/// returns (on success and on error alike): one profiler lock per call
+/// instead of a lock, two ring events and two clock reads per guard.
+/// `admit` is O(1) (a dense slot per raw [`SiteId`] plus a list of the
+/// sites touched since the last flush) and stops allocating once every
+/// site and the touched list have been seen at their largest.
 #[derive(Debug, Default)]
 pub struct InlineBatch {
     /// Raw site id → 1 + index into `pending`; 0 while the site has no

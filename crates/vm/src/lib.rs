@@ -370,7 +370,19 @@ pub struct PromotedTier {
     /// policy's epoch without republishing, so promoted frames compare
     /// this against the live epoch to deopt promptly.
     pub epoch: u64,
-    funcs: BTreeMap<u32, Arc<CompiledFunc>>,
+    /// Function index → its promoted re-lowering, if it has one.
+    funcs: Vec<Option<CompiledFunc>>,
+}
+
+impl PromotedTier {
+    /// The promoted re-lowering of function `idx`, if this tier has
+    /// one; `None` means run the general bytecode. An executor loads
+    /// the tier once ([`CompiledModule::promoted_tier`]) and finds every
+    /// frame's code here by reference, so one call never mixes two
+    /// tiers' code or pairs one tier's code with another's epoch.
+    pub fn func(&self, idx: u32) -> Option<&CompiledFunc> {
+        self.funcs.get(idx as usize)?.as_ref()
+    }
 }
 
 /// A module lowered to bytecode: built once at insmod, cached in the
@@ -456,7 +468,7 @@ impl CompiledModule {
         let mut tier = PromotedTier {
             gen,
             epoch,
-            funcs: BTreeMap::new(),
+            funcs: vec![None; self.funcs.len()],
         };
         let mut promoted_ops = 0usize;
         for (idx, func) in self.funcs.iter().enumerate() {
@@ -550,7 +562,7 @@ impl CompiledModule {
                     other => other,
                 };
             }
-            tier.funcs.insert(idx as u32, Arc::new(clone));
+            tier.funcs[idx] = Some(clone);
         }
         if promoted_ops == 0 {
             return 0;
@@ -559,20 +571,12 @@ impl CompiledModule {
         promoted_ops
     }
 
-    /// The promoted re-lowering of a function, if this tier has one.
-    /// Callers dispatch through this at call entry; a `None` means run
-    /// the general bytecode.
-    pub fn promoted_func(&self, idx: u32) -> Option<Arc<CompiledFunc>> {
-        self.promoted.load().funcs.get(&idx).cloned()
-    }
-
-    /// The promoted re-lowering of a function plus the revocation epoch
-    /// the tier was baked under, from **one** tier load — so a frame
-    /// entry can never pair one tier's function with another tier's
-    /// epoch.
-    pub fn promoted_entry(&self, idx: u32) -> Option<(Arc<CompiledFunc>, u64)> {
-        let tier = self.promoted.load();
-        tier.funcs.get(&idx).cloned().map(|f| (f, tier.epoch))
+    /// The current promoted tier (the empty tier when nothing is
+    /// promoted). One load per executor call: a publish or invalidation
+    /// after it reaches the next call, and until then the tier's
+    /// generation and epoch tags make its inline guards deopt.
+    pub fn promoted_tier(&self) -> Arc<PromotedTier> {
+        self.promoted.load_full()
     }
 
     /// Snapshot generation of the current promoted tier (0 = none).
@@ -585,18 +589,13 @@ impl CompiledModule {
         self.promoted.load().epoch
     }
 
-    /// Number of functions with a promoted re-lowering in the current
-    /// tier.
-    pub fn promoted_func_count(&self) -> usize {
-        self.promoted.load().funcs.len()
-    }
-
     /// Number of inline (promoted) guard ops across the current tier.
     pub fn promoted_guard_count(&self) -> usize {
         self.promoted
             .load()
             .funcs
-            .values()
+            .iter()
+            .flatten()
             .flat_map(|f| f.code.iter())
             .filter(|op| {
                 matches!(
@@ -609,10 +608,12 @@ impl CompiledModule {
             .count()
     }
 
-    /// Atomically drop the promoted tier: every subsequent call entry
-    /// sees the general bytecode. Used on epoch bumps / policy
-    /// replacement so no executor can admit against a stale bound;
-    /// in-flight promoted frames deopt per-op via the generation check.
+    /// Atomically drop the promoted tier: every subsequent
+    /// [`CompiledModule::promoted_tier`] load sees the empty tier. Used
+    /// on epoch bumps / policy replacement so no executor can admit
+    /// against a stale bound; a call that loaded the tier earlier keeps
+    /// running it, and its inline guards deopt per op via the
+    /// generation check.
     pub fn invalidate_promotions(&self) {
         self.promoted.store(Arc::new(PromotedTier::default()));
     }
@@ -674,16 +675,16 @@ mod promote_tests {
     fn promote_replaces_ops_one_to_one_and_bakes_the_bound() {
         let m = CompiledModule::new("m".into(), vec![guard_func()]);
         assert_eq!(m.promoted_generation(), 0);
-        assert!(m.promoted_func(0).is_none());
+        assert!(m.promoted_tier().func(0).is_none());
 
         let n = m.promote(5, 1, &[spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000)]);
         assert_eq!(n, 2);
         assert_eq!(m.promoted_generation(), 5);
         assert_eq!(m.promoted_epoch(), 1);
-        assert_eq!(m.promoted_func_count(), 1);
         assert_eq!(m.promoted_guard_count(), 2);
 
-        let pf = m.promoted_func(0).expect("tier holds the function");
+        let tier = m.promoted_tier();
+        let pf = tier.func(0).expect("tier holds the function");
         // Same shape: offsets, edges, register counts all unchanged.
         assert_eq!(pf.code.len(), m.func(0).code.len());
         assert_eq!(pf.n_regs, m.func(0).n_regs);
@@ -718,7 +719,7 @@ mod promote_tests {
         // A later pass with no matching sites must not clobber the tier.
         assert_eq!(m.promote(4, 1, &[spec(999, 0, 0x100)]), 0);
         assert_eq!(m.promoted_generation(), 3);
-        assert!(m.promoted_func(0).is_some());
+        assert!(m.promoted_tier().func(0).is_some());
     }
 
     #[test]
@@ -727,14 +728,19 @@ mod promote_tests {
         let alias = m.clone();
         m.promote(9, 1, &[spec(9, 0x10, 0x20)]);
         assert_eq!(alias.promoted_generation(), 9, "clones share the tier");
-        assert_eq!(alias.promoted_entry(0).unwrap().1, 1, "entry carries epoch");
+        let tier = alias.promoted_tier();
+        assert_eq!(tier.epoch, 1, "the tier carries its bake epoch");
         assert!(matches!(
-            &alias.promoted_func(0).unwrap().code[1],
+            &tier.func(0).unwrap().code[1],
             Op::InlineGuard { gen: 9, .. }
         ));
         alias.invalidate_promotions();
         assert_eq!(m.promoted_generation(), 0);
-        assert!(m.promoted_func(0).is_none());
+        assert!(m.promoted_tier().func(0).is_none());
+        // A tier loaded before the invalidation stays whole for its
+        // holder: same code, same tags.
+        assert_eq!((tier.gen, tier.epoch), (9, 1));
+        assert!(tier.func(0).is_some());
         // Re-promotion after invalidation works (lazy re-promote path).
         assert_eq!(m.promote(10, 2, &[spec(9, 0x10, 0x20)]), 1);
         assert_eq!(alias.promoted_generation(), 10);

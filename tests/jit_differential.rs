@@ -14,8 +14,14 @@
 //! multi-queue TX run while the main thread storms `bump_epoch`, and
 //! drives the VM tier through a hand-installed stale-generation
 //! promotion — in both cases a stale bound must never admit.
+//!
+//! The last part pins the interpreter's per-call contract on the
+//! promoted mini e1000e `xmit`: a publish at a known load inside a call
+//! deopts every later inline guard of that call, a call that ends in
+//! `Err` still drains its inline admits, and a policy swap between two
+//! calls governs the next one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -26,10 +32,11 @@ use carat_kop::e1000e::{
 };
 use carat_kop::interp::{Engine, ExecStats, Interp};
 use carat_kop::ir::{verify_module, BinOp, GlobalInit, IcmpPred, IrBuilder, Type, Value};
-use carat_kop::kernel::{Kernel, KernelConfig};
+use carat_kop::kernel::{FaultHook, Kernel, KernelConfig};
 use carat_kop::policy::{DefaultAction, GuardFront, PolicyModule, ViolationAction};
 use carat_kop::trace::Producer;
 use carat_kop::vm::PromotionSpec;
+use kop_bench::corpus;
 use kop_core::{Protection, Region, Size, VAddr};
 
 /// One step of a random straight-line loop body over 4 registers, an
@@ -583,4 +590,470 @@ fn mq_tx_generation_bump_torture() {
     }
     let guard_calls = drv.counts().guard_calls;
     assert_eq!(pm.stats().checks, guard_calls);
+}
+
+// ---- The per-call contract, on the promoted mini e1000e `xmit`. ----
+//
+// `Interp::call` is the unit of resolution and accounting: a call loads
+// the promoted tier once and pins its governing policy on first use,
+// its inline admits drain where it returns, and every inline guard
+// still compares the baked generation and revocation epoch with the
+// live policy per op.
+
+const XMIT_MODULE: &str = "mini-e1000e";
+const RING_BYTES: u64 = 256 * 16;
+const FRAME_BYTES: u64 = 64;
+const MMIO_BYTES: u64 = 0x4000;
+const TDT_OFF: u64 = 0x3818;
+const STATS_BYTES: u64 = 24;
+const LEN: u64 = 114;
+/// Packets in the traced general-path window promotion profiles.
+const PROFILE_PKTS: u64 = 4;
+
+/// The buffers one `xmit` touches.
+#[derive(Clone, Copy)]
+struct Bufs {
+    ring: VAddr,
+    frame: VAddr,
+    mmio: VAddr,
+    stats: VAddr,
+}
+
+/// The mini e1000e `xmit` under a least-privilege policy — the TX ring,
+/// the frame, the MMIO window and `@stats` each hold a grant of their
+/// own, everything else is denied — profiled on the general path and
+/// promoted: every one of its guards runs inline.
+struct Xmit {
+    kernel: Kernel,
+    policy: Arc<PolicyModule>,
+    bufs: Bufs,
+    stack: VAddr,
+}
+
+impl Xmit {
+    fn boot(action: ViolationAction) -> Xmit {
+        let out = compile_module(
+            corpus::parse(corpus::MINI_E1000E_IR),
+            &CompileOptions::carat_kop(),
+            &key(),
+        )
+        .expect("compiles");
+        let policy = Arc::new(PolicyModule::new());
+        policy.set_default_action(DefaultAction::Deny);
+        policy.set_violation_action(action);
+        let mut kernel = Kernel::boot(
+            Arc::clone(&policy),
+            vec![key()],
+            KernelConfig {
+                hot_threshold: 1,
+                ..KernelConfig::default()
+            },
+        );
+        kernel.insmod(&out.signed).expect("loads");
+        let stats = kernel
+            .module(XMIT_MODULE)
+            .expect("loaded")
+            .image()
+            .globals
+            .get("stats")
+            .copied()
+            .expect("@stats laid out");
+        let bufs = Bufs {
+            ring: kernel.kmalloc(RING_BYTES).expect("ring"),
+            frame: kernel.kmalloc(FRAME_BYTES).expect("frame"),
+            mmio: kernel.kmalloc(MMIO_BYTES).expect("mmio window"),
+            stats,
+        };
+        policy.replace_regions(grants(&bufs, true)).expect("grants");
+        let stack = Interp::new(&mut kernel).expect("stack").stack_base();
+        let mut x = Xmit {
+            kernel,
+            policy,
+            bufs,
+            stack,
+        };
+        x.kernel.tracer().set_enabled(true);
+        {
+            let mut interp = x.interp(Engine::Bytecode);
+            for p in 0..PROFILE_PKTS {
+                xmit(&mut interp, &bufs, p).expect("profile xmit");
+            }
+        }
+        x.kernel.tracer().set_enabled(false);
+        let promoted = x.kernel.promote_hot(XMIT_MODULE, 1).expect("promotion");
+        assert_eq!(promoted, 10, "every xmit guard site promoted");
+        x
+    }
+
+    fn interp(&mut self, engine: Engine) -> Interp<'_> {
+        let mut interp = Interp::with_stack(&mut self.kernel, self.stack);
+        interp.set_engine(engine);
+        interp
+    }
+}
+
+/// The least-privilege grants over `b`; `with_stats` false leaves
+/// `@stats` ungranted.
+fn grants(b: &Bufs, with_stats: bool) -> Vec<Region> {
+    let mut g = vec![
+        (b.ring, RING_BYTES),
+        (b.frame, FRAME_BYTES),
+        (b.mmio, MMIO_BYTES),
+    ];
+    if with_stats {
+        g.push((b.stats, STATS_BYTES));
+    }
+    g.into_iter()
+        .map(|(base, len)| Region::new(base, Size(len), Protection::READ_WRITE).unwrap())
+        .collect()
+}
+
+/// Send packet `p`: ring slot `p mod 256`, nothing to clean.
+fn xmit(interp: &mut Interp<'_>, b: &Bufs, p: u64) -> Result<Option<u64>, String> {
+    let slot = p & 255;
+    let args = [b.ring.raw(), b.frame.raw(), b.mmio.raw(), slot, LEN, slot];
+    interp
+        .call(XMIT_MODULE, "xmit", &args)
+        .map_err(|e| e.to_string())
+}
+
+/// Every byte an `xmit` may write: the ring, the frame, `@stats` and
+/// the TDT doorbell word.
+fn touched(kernel: &Kernel, b: &Bufs) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (addr, len) in [
+        (b.ring, RING_BYTES),
+        (b.frame, FRAME_BYTES),
+        (b.stats, STATS_BYTES),
+        (VAddr(b.mmio.raw() + TDT_OFF), 4),
+    ] {
+        let mut bytes = vec![0u8; len as usize];
+        kernel.mem.read_bytes(addr, &mut bytes).expect("read back");
+        out.extend(bytes);
+    }
+    out
+}
+
+/// What a [`PublishAt`] hook does to the policy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum MidCall {
+    BumpEpoch,
+    BumpRevocation,
+    /// `replace_regions` without the `@stats` grant.
+    DropStatsGrant,
+}
+
+/// A fault hook that corrupts nothing. At the `k`-th integer load it
+/// sees it notes the policy's `checks` count, then acts on the policy
+/// once — a publish or revocation at a known point inside a call.
+struct PublishAt {
+    k: u64,
+    seen: u64,
+    act: MidCall,
+    policy: Arc<PolicyModule>,
+    without_stats: Vec<Region>,
+    checks_at: Arc<AtomicU64>,
+}
+
+impl FaultHook for PublishAt {
+    fn corrupt_read(&mut self, _addr: VAddr, _size: Size, value: u64) -> u64 {
+        self.seen += 1;
+        if self.seen == self.k {
+            self.checks_at
+                .store(self.policy.stats().checks, Ordering::SeqCst);
+            match self.act {
+                MidCall::BumpEpoch => {
+                    self.policy.bump_epoch();
+                }
+                MidCall::BumpRevocation => {
+                    self.policy.bump_revocation();
+                }
+                MidCall::DropStatsGrant => self
+                    .policy
+                    .replace_regions(self.without_stats.clone())
+                    .expect("reload"),
+            }
+        }
+        value
+    }
+}
+
+/// One call's observables. Policy counters are deltas over the call.
+#[derive(Debug, PartialEq)]
+struct CallObs {
+    result: Result<Option<u64>, String>,
+    stats: ExecStats,
+    /// `(checks, permitted, denied, violations)`.
+    policy: (u64, u64, u64, usize),
+    touched: Vec<u8>,
+}
+
+/// `(inline admits, deopts, guards)` of one call.
+type Inline = (u64, u64, u64);
+
+/// What [`mid_call_run`] saw on one engine.
+struct MidCallRun {
+    obs: CallObs,
+    /// Policy checks counted when the hook fired, as a delta over the
+    /// call.
+    checks_at: u64,
+    measured: Inline,
+    /// The next call, before `tick()`.
+    next: Inline,
+    /// The call after `tick()`.
+    repromoted: Inline,
+    /// Guards the policy denied in the call after `tick()`.
+    repromoted_denied: u64,
+}
+
+/// Boot, promote, then send one `xmit` on `engine` with a [`PublishAt`]
+/// hook firing at its `k`-th integer load; then one more call, then
+/// `tick()` and one more.
+fn mid_call_run(act: MidCall, k: u64, engine: Engine) -> MidCallRun {
+    let mut x = Xmit::boot(ViolationAction::LogAndDeny);
+    let (policy, b) = (Arc::clone(&x.policy), x.bufs);
+    let checks_at = Arc::new(AtomicU64::new(0));
+    x.kernel.mem.set_fault_hook(Box::new(PublishAt {
+        k,
+        seen: 0,
+        act,
+        policy: Arc::clone(&policy),
+        without_stats: grants(&b, false),
+        checks_at: Arc::clone(&checks_at),
+    }));
+    let mut interp = x.interp(engine);
+    let mut p = PROFILE_PKTS;
+    let mut call = |interp: &mut Interp<'_>| {
+        let (s0, v0) = (policy.stats(), policy.violation_log().len());
+        let (a0, d0, g0) = (
+            interp.inline_admits(),
+            interp.inline_deopts(),
+            interp.stats(),
+        );
+        let result = xmit(interp, &b, p);
+        p += 1;
+        let (s1, g1) = (policy.stats(), interp.stats());
+        let stats = ExecStats {
+            insts: g1.insts - g0.insts,
+            guards: g1.guards - g0.guards,
+            mem_accesses: g1.mem_accesses - g0.mem_accesses,
+            squashed: g1.squashed - g0.squashed,
+        };
+        let obs = CallObs {
+            result,
+            stats,
+            policy: (
+                s1.checks - s0.checks,
+                s1.permitted - s0.permitted,
+                s1.denied() - s0.denied(),
+                policy.violation_log().len() - v0,
+            ),
+            touched: touched(interp.kernel(), &b),
+        };
+        let inline = (
+            interp.inline_admits() - a0,
+            interp.inline_deopts() - d0,
+            stats.guards,
+        );
+        (obs, inline, s0.checks)
+    };
+    let (obs, measured, checks0) = call(&mut interp);
+    assert!(
+        interp.kernel().mem.clear_fault_hook().is_some(),
+        "hook installed"
+    );
+    let (_, next, _) = call(&mut interp);
+    interp.kernel().tick();
+    let (after, repromoted, _) = call(&mut interp);
+    MidCallRun {
+        checks_at: checks_at.load(Ordering::SeqCst) - checks0,
+        obs,
+        measured,
+        next,
+        repromoted,
+        repromoted_denied: after.policy.2,
+    }
+}
+
+/// A publish or revocation that lands inside a promoted call deopts
+/// every inline guard after it in that same call: the call pinned its
+/// tier and policy, but each inline guard compares the baked generation
+/// and epoch with the live policy. Against a bytecode run under the same
+/// hook, the tree and promoted engines agree on the result, stats,
+/// policy-counter deltas and touched bytes; dropping the `@stats` grant
+/// mid-call makes the next `@stats` guard deny on every engine. Nothing
+/// drains mid-call, `policy.checks == stats.guards` after it, and the
+/// next call admits nothing inline until `tick()` re-promotes.
+#[test]
+fn mid_call_publish_deopts_every_later_inline_guard() {
+    for act in [
+        MidCall::BumpEpoch,
+        MidCall::BumpRevocation,
+        MidCall::DropStatsGrant,
+    ] {
+        // xmit's two integer loads read @stats' packet and byte
+        // counters in @bump_stats; three and one @stats guards follow.
+        for k in [1, 2] {
+            let ctx = format!("{act:?} at load {k}");
+            let vm = mid_call_run(act, k, Engine::Bytecode);
+            let tree = mid_call_run(act, k, Engine::Tree);
+            let jit = mid_call_run(act, k, Engine::Promoted);
+            assert_eq!(tree.obs, vm.obs, "{ctx}: tree vs bytecode");
+            assert_eq!(jit.obs, vm.obs, "{ctx}: promoted vs bytecode");
+            let guards = vm.obs.stats.guards;
+            assert_eq!(guards, 10, "{ctx}");
+            assert_eq!(vm.obs.policy.0, guards, "{ctx}: checks == guards");
+
+            // On the general engines every guard is a check as it runs;
+            // the promoted call's inline admits wait for its return.
+            let before = vm.checks_at;
+            assert!(before > 0 && before < guards, "{ctx}: {before}");
+            assert_eq!(tree.checks_at, before, "{ctx}");
+            assert_eq!(jit.checks_at, 0, "{ctx}: nothing drains mid-call");
+            assert_eq!(
+                jit.measured,
+                (before, guards - before, guards),
+                "{ctx}: every inline guard after the hook deopts"
+            );
+
+            let (denied, squashed) = (vm.obs.policy.2, vm.obs.stats.squashed);
+            if act == MidCall::DropStatsGrant {
+                assert!(denied > 0, "{ctx}: the next @stats guard denies");
+                assert_eq!(squashed, denied, "{ctx}");
+            } else {
+                assert_eq!((denied, squashed), (0, 0), "{ctx}");
+            }
+
+            // The next call admits nothing inline: a publish dropped the
+            // tier; a revocation left it installed but stale, so every
+            // inline guard deopts.
+            let next_deopts = if act == MidCall::BumpRevocation {
+                guards
+            } else {
+                0
+            };
+            assert_eq!(jit.next, (0, next_deopts, guards), "{ctx}: next call");
+            // tick() re-promotes every site a grant still covers.
+            assert_eq!(
+                jit.repromoted,
+                (guards - jit.repromoted_denied, 0, guards),
+                "{ctx}: after tick()"
+            );
+        }
+    }
+}
+
+/// `(Σhits, Σinline)` over every profiled site.
+fn profile_hits(kernel: &Kernel) -> (u64, u64) {
+    kernel
+        .tracer()
+        .profile_snapshot()
+        .iter()
+        .fold((0, 0), |(h, i), (_, p)| (h + p.hits, i + p.inline))
+}
+
+/// A promoted call that ends in `Err` after inline admits still drains
+/// them where it returns: fuel running out inside `xmit`, and a
+/// `ViolationAction::Panic` denial of its last guard, each leave
+/// `policy.checks == stats.guards` and, traced, Σhits == guards.
+#[test]
+fn promoted_call_ending_in_err_still_reconciles() {
+    for traced in [false, true] {
+        // Fuel runs out halfway through the packet.
+        let mut x = Xmit::boot(ViolationAction::LogAndDeny);
+        let (policy, b) = (Arc::clone(&x.policy), x.bufs);
+        let full = {
+            let mut interp = x.interp(Engine::Promoted);
+            xmit(&mut interp, &b, PROFILE_PKTS).expect("full xmit");
+            interp.stats().insts
+        };
+        x.kernel.tracer().reset_profiles();
+        x.kernel.tracer().set_enabled(traced);
+        let c0 = policy.stats().checks;
+        let (result, guards, admits) = {
+            let mut interp = x.interp(Engine::Promoted);
+            interp.set_fuel(full / 2);
+            let r = xmit(&mut interp, &b, PROFILE_PKTS + 1);
+            (r, interp.stats().guards, interp.inline_admits())
+        };
+        let err = result.expect_err("fuel runs out");
+        assert!(err.contains("fuel exhausted"), "{err}");
+        assert!(
+            admits > 0 && admits == guards,
+            "traced={traced}: {admits}/{guards}"
+        );
+        assert_eq!(policy.stats().checks - c0, guards, "traced={traced}");
+        let want = if traced { (guards, guards) } else { (0, 0) };
+        assert_eq!(profile_hits(&x.kernel), want, "traced={traced}");
+
+        // The last guard (the TDT doorbell) hits an ungranted window
+        // under `Panic`: nine inline admits, one deopt, one panic.
+        let mut x = Xmit::boot(ViolationAction::Panic);
+        let policy = Arc::clone(&x.policy);
+        let rogue = Bufs {
+            mmio: x.kernel.kmalloc(MMIO_BYTES).expect("ungranted window"),
+            ..x.bufs
+        };
+        x.kernel.tracer().reset_profiles();
+        x.kernel.tracer().set_enabled(traced);
+        let s0 = policy.stats();
+        let (result, stats, inline) = {
+            let mut interp = x.interp(Engine::Promoted);
+            let r = xmit(&mut interp, &rogue, PROFILE_PKTS);
+            let inline = (interp.inline_admits(), interp.inline_deopts());
+            (r, interp.stats(), inline)
+        };
+        assert!(result.is_err(), "traced={traced}: the denial panics");
+        assert!(x.kernel.panicked().is_some());
+        assert_eq!(inline, (stats.guards - 1, 1), "traced={traced}");
+        let s1 = policy.stats();
+        assert_eq!(s1.checks - s0.checks, stats.guards, "traced={traced}");
+        assert_eq!(s1.denied() - s0.denied(), 1, "traced={traced}");
+        let want = if traced {
+            (stats.guards, stats.guards - 1)
+        } else {
+            (0, 0)
+        };
+        assert_eq!(profile_hits(&x.kernel), want, "traced={traced}");
+    }
+}
+
+/// A policy swap between two calls on one `Interp` governs the next call
+/// on every engine: `set_module_policy` routes the next call's guards to
+/// the module's own deny-all policy, and `clear_module_policy` routes the
+/// call after back to the global policy.
+#[test]
+fn policy_swap_between_calls_governs_the_next_call() {
+    for engine in [Engine::Tree, Engine::Bytecode, Engine::Promoted] {
+        let mut x = Xmit::boot(ViolationAction::LogAndDeny);
+        let (global, b) = (Arc::clone(&x.policy), x.bufs);
+        let own = Arc::new(PolicyModule::new());
+        own.set_default_action(DefaultAction::Deny);
+        own.set_violation_action(ViolationAction::LogAndDeny);
+        let mut interp = x.interp(engine);
+        let mut p = PROFILE_PKTS;
+        // `(global checks, own checks, squashed)` over one call.
+        let mut call = |interp: &mut Interp<'_>| {
+            let (g0, o0, s0) = (global.stats().checks, own.stats().checks, interp.stats());
+            xmit(interp, &b, p).expect("xmit");
+            p += 1;
+            let s1 = interp.stats();
+            assert_eq!(s1.guards - s0.guards, 10);
+            (
+                global.stats().checks - g0,
+                own.stats().checks - o0,
+                s1.squashed - s0.squashed,
+            )
+        };
+        assert_eq!(call(&mut interp), (10, 0, 0), "{engine:?}: global");
+        if engine == Engine::Promoted {
+            assert_eq!(interp.inline_admits(), 10);
+        }
+        interp
+            .kernel()
+            .set_module_policy(XMIT_MODULE, Arc::clone(&own));
+        assert_eq!(call(&mut interp), (0, 10, 10), "{engine:?}: own policy");
+        assert!(interp.kernel().clear_module_policy(XMIT_MODULE));
+        assert_eq!(call(&mut interp), (10, 0, 0), "{engine:?}: global again");
+    }
 }

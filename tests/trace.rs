@@ -317,7 +317,8 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
         .clone()
         .expect("bytecode image");
     let mut baked: BTreeMap<SiteId, (u64, u64)> = BTreeMap::new();
-    for f in (0..compiled.func_count() as u32).filter_map(|i| compiled.promoted_func(i)) {
+    let tier = compiled.promoted_tier();
+    for f in (0..compiled.func_count() as u32).filter_map(|i| tier.func(i)) {
         for op in &f.code {
             if let Op::InlineGuardLoad {
                 site: Some(s),
