@@ -1209,11 +1209,7 @@ pub fn exec() -> FigureData {
         let mut kernel = Kernel::boot(policy, vec![key.clone()], KernelConfig::default());
         kernel.insmod(&out.signed).expect("loads");
         let image = std::sync::Arc::clone(kernel.module("mini-e1000e").expect("loaded").image());
-        let fused = image
-            .compiled
-            .as_ref()
-            .map(|c| c.fused_guard_count() as u64)
-            .unwrap_or(0);
+        let fused = image.compiled.fused_guard_count() as u64;
         let stats_addr = image
             .globals
             .get("stats")
@@ -1518,8 +1514,7 @@ pub fn jit() -> FigureData {
                 .promote_hot("mini-e1000e", 1)
                 .expect("promotion passes its own validation") as u64;
             assert!(promoted_ops > 0, "hot guard sites were promoted");
-            let compiled = image.compiled.as_ref().expect("bytecode image");
-            assert_ne!(compiled.promoted_generation(), 0, "tier installed");
+            assert_ne!(image.compiled.promoted_generation(), 0, "tier installed");
         }
 
         let engine = if mode == Mode::Promoted {
@@ -1753,7 +1748,7 @@ pub fn jit() -> FigureData {
         );
         kernel.insmod(&out.signed).expect("loads");
         let image = Arc::clone(kernel.module("mini-e1000e").expect("loaded").image());
-        let compiled = image.compiled.as_ref().expect("bytecode image");
+        let compiled = &image.compiled;
         let ring = kernel.kmalloc(RING_BYTES).expect("ring");
         let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
         let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");

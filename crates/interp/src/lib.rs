@@ -37,49 +37,36 @@ mod vm;
 
 /// Which executor [`Interp::call`] runs module code on.
 ///
-/// Both engines implement identical observable semantics — return
-/// values, [`ExecStats`] (including fuel accounting), guard outcomes,
-/// squash behaviour, trace events, error messages — which the root
-/// crate's differential property tests enforce. `Tree` re-walks the IR
-/// per instruction; `Bytecode` dispatches the flat program `kop-vm`
-/// compiled at insmod.
+/// All three implement identical observable semantics — return values,
+/// [`ExecStats`] (including fuel accounting), guard outcomes, squash
+/// behaviour, trace events, error messages — which the root crate's
+/// differential property tests enforce. Production runs
+/// [`Engine::Promoted`], the default; the other two are references,
+/// selected only through [`Interp::set_engine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The reference tree-walking interpreter.
-    #[default]
+    /// The reference tree walker: re-walks the IR per instruction. The
+    /// oracle of the engine, opt and jit differential suites.
     Tree,
-    /// The flat register-bytecode VM (compiled once at insmod).
+    /// The general bytecode `kop-vm` compiled at insmod, with the
+    /// promoted tier off: the tier-off reference for the promoted
+    /// engine and for benchmarks' unguarded baselines.
     Bytecode,
-    /// The bytecode VM with the promoted tier enabled: functions whose
-    /// hot guard sites were re-lowered with inlined bounds dispatch
-    /// through the promoted code, tracing on or off; everything else
+    /// The production engine: the bytecode with the promoted tier on.
+    /// Functions whose hot guard sites carry a baked bound dispatch
+    /// through the promoted copy, tracing on or off; everything else
     /// runs the general bytecode. Each [`Interp::call`] loads the tier
     /// once and runs every frame from it, so a promotion or
-    /// invalidation published mid-call reaches the next call. Observable
-    /// semantics are still identical — a promoted guard whose baked
-    /// generation or epoch no longer matches the live policy, or that
-    /// cannot fast-admit, deopts into the exact general policy path.
-    /// With tracing on, an inline admit is counted against its site
-    /// (hits and address envelope, batched per call) but emits no ring
-    /// events and is not timed; a deopt emits the full
-    /// GuardEnter/GuardExit pair and a timed profile entry, like any
-    /// general-path guard.
+    /// invalidation published mid-call reaches the next call. A
+    /// promoted guard whose baked generation or epoch no longer matches
+    /// the live policy, or that cannot fast-admit, deopts into the
+    /// exact general policy path. With tracing on, an inline admit is
+    /// counted against its site (hits and address envelope, batched per
+    /// call) but emits no ring events and is not timed; a deopt emits
+    /// the full GuardEnter/GuardExit pair and a timed profile entry,
+    /// like any general-path guard.
+    #[default]
     Promoted,
-}
-
-impl Engine {
-    /// The engine selected by the `KOP_ENGINE` environment variable:
-    /// `bytecode` (or `vm`) picks the bytecode engine, `promoted` (or
-    /// `jit`) the promoted tier, anything else — including unset — picks
-    /// the tree engine. Lets CI run every end-to-end test once per
-    /// engine without touching the tests.
-    pub fn from_env() -> Engine {
-        match std::env::var("KOP_ENGINE").as_deref() {
-            Ok("bytecode") | Ok("vm") => Engine::Bytecode,
-            Ok("promoted") | Ok("jit") => Engine::Promoted,
-            _ => Engine::Tree,
-        }
-    }
 }
 
 /// Execution statistics accumulated across `call`s.
@@ -200,32 +187,11 @@ fn pin_policy<'a>(
 }
 
 impl<'k> Interp<'k> {
-    /// Create an interpreter with default fuel. Allocates the module stack
-    /// from the kernel heap.
+    /// Create an interpreter with default fuel on the production engine.
+    /// Allocates the module stack from the kernel heap.
     pub fn new(kernel: &'k mut Kernel) -> KernelResult<Interp<'k>> {
         let stack_base = kernel.kmalloc(STACK_SIZE)?;
-        Ok(Interp {
-            kernel,
-            fuel: DEFAULT_FUEL,
-            stack_base,
-            stack_size: STACK_SIZE,
-            stack_cursor: 0,
-            stats: ExecStats::default(),
-            squash_next: false,
-            squash_intrinsic: false,
-            cur_args: Vec::new(),
-            depth: 0,
-            engine: Engine::from_env(),
-            vm_scratch: Vec::new(),
-            vm_frames: Vec::new(),
-            vm_args_pool: Vec::new(),
-            vm_inline_admits: 0,
-            vm_inline_deopts: 0,
-            vm_policy: None,
-            vm_pending_fast_permits: 0,
-            vm_promoted_epoch: 0,
-            vm_inline_batch: InlineBatch::default(),
-        })
+        Ok(Interp::with_stack(kernel, stack_base))
     }
 
     /// Create an interpreter on a caller-owned module stack of
@@ -246,7 +212,7 @@ impl<'k> Interp<'k> {
             squash_intrinsic: false,
             cur_args: Vec::new(),
             depth: 0,
-            engine: Engine::from_env(),
+            engine: Engine::default(),
             vm_scratch: Vec::new(),
             vm_frames: Vec::new(),
             vm_args_pool: Vec::new(),
@@ -275,7 +241,7 @@ impl<'k> Interp<'k> {
         self.fuel = fuel;
     }
 
-    /// Select the execution engine (defaults to [`Engine::from_env`]).
+    /// Select the execution engine (defaults to [`Engine::Promoted`]).
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }

@@ -1,19 +1,20 @@
 //! Bytecode executor: the dispatch loop for `kop-vm`'s flat register
 //! programs, compiled once at insmod and cached in the loaded-module
-//! image.
+//! image. It runs the general tier and the promoted tier alike: one arm
+//! per op shape, where a memory guard's baked bound (promoted) admits
+//! inline or deopts and its absence (general) consults the policy.
 //!
 //! Everything observable — fuel accounting, squash ordering, masking,
-//! error messages, stats, trace events — matches the tree interpreter in
-//! `lib.rs` exactly; the root crate's differential property tests hold
-//! the two engines to that. The win is purely dispatch cost: operands
-//! are pre-resolved registers/immediates, branch targets are code
-//! offsets, phi transfers are prebuilt move schedules, and adjacent
-//! guard+access pairs run as one fused superinstruction that calls the
-//! policy path directly.
+//! error messages, stats, trace events — matches the reference tree
+//! walker in `lib.rs` exactly; the root crate's differential property
+//! tests hold the engines to that. The win is purely dispatch cost:
+//! operands are pre-resolved registers/immediates, branch targets are
+//! code offsets, phi transfers are prebuilt move schedules, and
+//! adjacent guard+access pairs run as one fused superinstruction.
 
 use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
-use kop_vm::{CompiledFunc, CompiledModule, Op, PromotedTier, Src};
+use kop_vm::{Bound, CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
 use crate::{pin_policy, sign_extend, Engine, Interp, ModuleCtx, MAX_CALL_DEPTH};
 
@@ -29,12 +30,7 @@ impl<'k> Interp<'k> {
         func: &str,
         args: &[u64],
     ) -> KernelResult<Option<u64>> {
-        let compiled = ctx.compiled.as_ref().ok_or_else(|| {
-            KernelError::InvalidArgument(format!(
-                "module {} has no compiled bytecode image",
-                ctx.ir.name
-            ))
-        })?;
+        let compiled = &ctx.compiled;
         let idx = compiled.func_index(func).ok_or_else(|| {
             KernelError::InvalidArgument(format!("no function @{func} in module {}", ctx.ir.name))
         })?;
@@ -162,19 +158,16 @@ impl<'k> Interp<'k> {
     /// request (zero size, empty flags, wrapping range) always deopts;
     /// the general path owns the malformed-input verdicts.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn vm_inline_guard<const TRACED: bool>(
         &mut self,
         ctx: &ModuleCtx,
-        lo: u64,
-        hi: u64,
-        perm: u32,
-        gen: u64,
+        bound: &Bound,
         addr: u64,
         size: u64,
         flags: u32,
         site: Option<kop_trace::SiteId>,
     ) -> KernelResult<()> {
+        let Bound { lo, hi, perm, gen } = *bound;
         let fast = {
             let policy = self
                 .vm_policy
@@ -206,6 +199,81 @@ impl<'k> Interp<'k> {
             AccessFlags::from_raw(flags),
             site,
         )
+    }
+
+    /// A memory guard of either tier: a promoted op's baked bound admits
+    /// inline or deopts ([`Self::vm_inline_guard`]); a general op's
+    /// absent bound consults the policy.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn vm_guard<const TRACED: bool>(
+        &mut self,
+        ctx: &ModuleCtx,
+        regs: &[u64],
+        site: Option<kop_trace::SiteId>,
+        bound: Option<&Bound>,
+        addr: Src,
+        size: Src,
+        flags: Src,
+    ) -> KernelResult<()> {
+        let addr = self.vm_src(regs, addr);
+        let size = self.vm_src(regs, size);
+        let flags = self.vm_src(regs, flags) as u32;
+        match bound {
+            Some(b) => self.vm_inline_guard::<TRACED>(ctx, b, addr, size, flags, site),
+            None => self.run_mem_guard(
+                &ctx.ir.name,
+                VAddr(addr),
+                Size(size),
+                AccessFlags::from_raw(flags),
+                site,
+            ),
+        }
+    }
+
+    /// The access body of [`Op::Load`] and [`Op::GuardLoad`]: a load the
+    /// preceding guard squashed yields 0.
+    #[inline(always)]
+    fn vm_load(
+        &mut self,
+        regs: &mut [u64],
+        size: u64,
+        mask: u64,
+        ptr: Src,
+        dst: u32,
+    ) -> KernelResult<()> {
+        self.stats.mem_accesses += 1;
+        let addr = VAddr(self.vm_src(regs, ptr));
+        if std::mem::take(&mut self.squash_next) {
+            self.stats.squashed += 1;
+            regs[dst as usize] = 0;
+        } else {
+            let v = self.kernel.mem.read_uint(addr, Size(size))?;
+            regs[dst as usize] = mask & v;
+        }
+        Ok(())
+    }
+
+    /// The access body of [`Op::Store`] and [`Op::GuardStore`]: a store
+    /// the preceding guard squashed is dropped.
+    #[inline(always)]
+    fn vm_store(
+        &mut self,
+        regs: &[u64],
+        size: u64,
+        mask: u64,
+        val: Src,
+        ptr: Src,
+    ) -> KernelResult<()> {
+        self.stats.mem_accesses += 1;
+        let addr = VAddr(self.vm_src(regs, ptr));
+        let v = mask & self.vm_src(regs, val);
+        if std::mem::take(&mut self.squash_next) {
+            self.stats.squashed += 1;
+        } else {
+            self.kernel.mem.write_uint(addr, Size(size), v)?;
+        }
+        Ok(())
     }
 
     /// Traverse a control-flow edge: execute its phi move schedule,
@@ -269,34 +337,16 @@ impl<'k> Interp<'k> {
                     mask,
                     ptr,
                     dst,
-                } => {
-                    self.stats.mem_accesses += 1;
-                    let addr = VAddr(self.vm_src(regs, *ptr));
-                    if std::mem::take(&mut self.squash_next) {
-                        self.stats.squashed += 1;
-                        regs[*dst as usize] = 0;
-                    } else {
-                        let v = self.kernel.mem.read_uint(addr, Size(*size))?;
-                        regs[*dst as usize] = mask & v;
-                    }
-                }
+                } => self.vm_load(regs, *size, *mask, *ptr, *dst)?,
                 Op::Store {
                     size,
                     mask,
                     val,
                     ptr,
-                } => {
-                    self.stats.mem_accesses += 1;
-                    let addr = VAddr(self.vm_src(regs, *ptr));
-                    let v = mask & self.vm_src(regs, *val);
-                    if std::mem::take(&mut self.squash_next) {
-                        self.stats.squashed += 1;
-                    } else {
-                        self.kernel.mem.write_uint(addr, Size(*size), v)?;
-                    }
-                }
+                } => self.vm_store(regs, *size, *mask, *val, *ptr)?,
                 Op::GuardLoad {
                     site,
+                    bound,
                     gaddr,
                     gsize,
                     gflags,
@@ -305,23 +355,14 @@ impl<'k> Interp<'k> {
                     ptr,
                     dst,
                 } => {
-                    let ga = VAddr(self.vm_src(regs, *gaddr));
-                    let gs = Size(self.vm_src(regs, *gsize));
-                    let gf = AccessFlags::from_raw(self.vm_src(regs, *gflags) as u32);
-                    self.run_mem_guard(&ctx.ir.name, ga, gs, gf, *site)?;
+                    let b = bound.as_ref();
+                    self.vm_guard::<TRACED>(ctx, regs, *site, b, *gaddr, *gsize, *gflags)?;
                     self.burn(1)?;
-                    self.stats.mem_accesses += 1;
-                    let addr = VAddr(self.vm_src(regs, *ptr));
-                    if std::mem::take(&mut self.squash_next) {
-                        self.stats.squashed += 1;
-                        regs[*dst as usize] = 0;
-                    } else {
-                        let v = self.kernel.mem.read_uint(addr, Size(*size))?;
-                        regs[*dst as usize] = mask & v;
-                    }
+                    self.vm_load(regs, *size, *mask, *ptr, *dst)?;
                 }
                 Op::GuardStore {
                     site,
+                    bound,
                     gaddr,
                     gsize,
                     gflags,
@@ -330,19 +371,10 @@ impl<'k> Interp<'k> {
                     val,
                     ptr,
                 } => {
-                    let ga = VAddr(self.vm_src(regs, *gaddr));
-                    let gs = Size(self.vm_src(regs, *gsize));
-                    let gf = AccessFlags::from_raw(self.vm_src(regs, *gflags) as u32);
-                    self.run_mem_guard(&ctx.ir.name, ga, gs, gf, *site)?;
+                    let b = bound.as_ref();
+                    self.vm_guard::<TRACED>(ctx, regs, *site, b, *gaddr, *gsize, *gflags)?;
                     self.burn(1)?;
-                    self.stats.mem_accesses += 1;
-                    let addr = VAddr(self.vm_src(regs, *ptr));
-                    let v = mask & self.vm_src(regs, *val);
-                    if std::mem::take(&mut self.squash_next) {
-                        self.stats.squashed += 1;
-                    } else {
-                        self.kernel.mem.write_uint(addr, Size(*size), v)?;
-                    }
+                    self.vm_store(regs, *size, *mask, *val, *ptr)?;
                 }
                 Op::Gep {
                     base,
@@ -468,88 +500,15 @@ impl<'k> Interp<'k> {
                         regs[*dst as usize] = v;
                     }
                 }
-                Op::InlineGuardLoad {
-                    site,
-                    lo,
-                    hi,
-                    perm,
-                    gen,
-                    gaddr,
-                    gsize,
-                    gflags,
-                    size,
-                    mask,
-                    ptr,
-                    dst,
-                } => {
-                    let ga = self.vm_src(regs, *gaddr);
-                    let gs = self.vm_src(regs, *gsize);
-                    let gf = self.vm_src(regs, *gflags) as u32;
-                    self.vm_inline_guard::<TRACED>(ctx, *lo, *hi, *perm, *gen, ga, gs, gf, *site)?;
-                    self.burn(1)?;
-                    self.stats.mem_accesses += 1;
-                    let addr = VAddr(self.vm_src(regs, *ptr));
-                    if std::mem::take(&mut self.squash_next) {
-                        self.stats.squashed += 1;
-                        regs[*dst as usize] = 0;
-                    } else {
-                        let v = self.kernel.mem.read_uint(addr, Size(*size))?;
-                        regs[*dst as usize] = mask & v;
-                    }
-                }
-                Op::InlineGuardStore {
-                    site,
-                    lo,
-                    hi,
-                    perm,
-                    gen,
-                    gaddr,
-                    gsize,
-                    gflags,
-                    size,
-                    mask,
-                    val,
-                    ptr,
-                } => {
-                    let ga = self.vm_src(regs, *gaddr);
-                    let gs = self.vm_src(regs, *gsize);
-                    let gf = self.vm_src(regs, *gflags) as u32;
-                    self.vm_inline_guard::<TRACED>(ctx, *lo, *hi, *perm, *gen, ga, gs, gf, *site)?;
-                    self.burn(1)?;
-                    self.stats.mem_accesses += 1;
-                    let addr = VAddr(self.vm_src(regs, *ptr));
-                    let v = mask & self.vm_src(regs, *val);
-                    if std::mem::take(&mut self.squash_next) {
-                        self.stats.squashed += 1;
-                    } else {
-                        self.kernel.mem.write_uint(addr, Size(*size), v)?;
-                    }
-                }
-                Op::InlineGuard {
-                    site,
-                    lo,
-                    hi,
-                    perm,
-                    gen,
-                    addr,
-                    size,
-                    flags,
-                } => {
-                    let a = self.vm_src(regs, *addr);
-                    let s = self.vm_src(regs, *size);
-                    let f = self.vm_src(regs, *flags) as u32;
-                    self.vm_inline_guard::<TRACED>(ctx, *lo, *hi, *perm, *gen, a, s, f, *site)?;
-                }
                 Op::Guard {
                     site,
+                    bound,
                     addr,
                     size,
                     flags,
                 } => {
-                    let a = VAddr(self.vm_src(regs, *addr));
-                    let s = Size(self.vm_src(regs, *size));
-                    let f = AccessFlags::from_raw(self.vm_src(regs, *flags) as u32);
-                    self.run_mem_guard(&ctx.ir.name, a, s, f, *site)?;
+                    let b = bound.as_ref();
+                    self.vm_guard::<TRACED>(ctx, regs, *site, b, *addr, *size, *flags)?;
                 }
                 Op::IntrinsicGuard { site, id } => {
                     let id = self.vm_src(regs, *id) as u32;

@@ -73,9 +73,8 @@ pub struct KernelConfig {
     /// the one that triggers the unload.
     pub violation_budget: u32,
     /// Profiled checks a guard site needs before [`Kernel::tick`]
-    /// promotes it into the inline-bounds tier. Defaults from the
-    /// `KOP_HOT_THRESHOLD` environment variable (falling back to 1024).
-    /// Explicit [`Kernel::promote_hot`] calls pass their own threshold.
+    /// promotes it into the inline-bounds tier (default 1024). Explicit
+    /// [`Kernel::promote_hot`] calls pass their own threshold.
     pub hot_threshold: u64,
 }
 
@@ -87,10 +86,7 @@ impl Default for KernelConfig {
             verification: Verification::Signature,
             heap_size: 64 << 20,
             violation_budget: 3,
-            hot_threshold: std::env::var("KOP_HOT_THRESHOLD")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1024),
+            hot_threshold: 1024,
         }
     }
 }
@@ -418,9 +414,7 @@ impl Kernel {
     /// from (and re-subscribes to) the now-governing policy.
     fn drop_promotions(&mut self, module: &str) {
         if let Some(loaded) = self.module(module) {
-            if let Some(compiled) = loaded.image().compiled.as_ref() {
-                compiled.invalidate_promotions();
-            }
+            loaded.image().compiled.invalidate_promotions();
         }
         self.forget_hot_subscription(module);
     }
@@ -456,16 +450,17 @@ impl Kernel {
     /// after that: call this again — or let [`Kernel::tick`] do it —
     /// once the profile warrants it.
     ///
-    /// Returns the number of guard ops promoted (0 when nothing is hot,
-    /// the module is unguarded, or it has no bytecode image).
+    /// Returns the number of guard ops promoted (0 when nothing is hot or
+    /// the module is unguarded).
     pub fn promote_hot(&mut self, module: &str, min_hits: u64) -> KernelResult<usize> {
         let loaded = self
             .module(module)
             .ok_or_else(|| KernelError::NoSuchModule(module.to_string()))?;
         let image = Arc::clone(loaded.image());
-        let (Some(compiled), Some(sites)) = (image.compiled.as_ref(), image.sites.as_ref()) else {
+        let Some(sites) = image.sites.as_ref() else {
             return Ok(0);
         };
+        let compiled = &image.compiled;
 
         // Hot-site selection: the tracer's profile, envelope required.
         let hot: Vec<_> = self

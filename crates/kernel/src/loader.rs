@@ -44,11 +44,10 @@ pub struct ModuleImage {
     /// interpreter consults this to attribute each dynamic check to its
     /// stable site.
     pub sites: Option<Arc<SiteTable>>,
-    /// Flat bytecode compiled once here at insmod (`kop-vm`), for the
-    /// interpreter's bytecode engine. `None` only if lowering failed
-    /// (hand-built IR that bypassed verification); the tree engine
-    /// still runs such modules.
-    pub compiled: Option<kop_vm::CompiledModule>,
+    /// Flat bytecode compiled once here at insmod (`kop-vm`): the
+    /// program the interpreter's production engine runs. A module that
+    /// cannot be lowered is refused at insmod, so every image has one.
+    pub compiled: kop_vm::CompiledModule,
 }
 
 /// The address-space footprint of a loaded module, captured so a
@@ -120,10 +119,10 @@ impl LoadedModule {
         self.image.sites.as_ref()
     }
 
-    /// The bytecode compiled at insmod (None: lowering was skipped and
-    /// only the tree engine can run this module).
+    /// The bytecode compiled at insmod. Always `Some`: a module that
+    /// cannot be lowered is refused at insmod.
     pub fn compiled(&self) -> Option<&kop_vm::CompiledModule> {
-        self.image.compiled.as_ref()
+        Some(&self.image.compiled)
     }
 
     /// The address-space footprint, for supervised same-address restart.
@@ -205,33 +204,21 @@ impl StagedModule {
     /// Phase 3, also lock-free: register the guard-site track with the
     /// (thread-safe) tracer and lower the IR to bytecode. Runs between
     /// [`Kernel::reserve_module`] and [`Kernel::commit_module`], outside
-    /// any kernel critical section.
+    /// any kernel critical section. A lowering failure travels to the
+    /// commit, which refuses the module.
     pub fn lower(&self, reservation: &ModuleReservation, tracer: &Tracer) -> LoweredModule {
         let sites = if self.guard_sites.is_empty() {
             None
         } else {
             Some(tracer.register_module_sites(&self.ir.name, &self.guard_sites))
         };
-        let (compiled, lower_note) = match kop_vm::lower_module(
+        let compiled = kop_vm::lower_module(
             &self.ir,
             &reservation.global_addrs,
             &reservation.func_addrs,
             sites.as_deref(),
-        ) {
-            Ok(c) => (Some(c), None),
-            Err(e) => (
-                None,
-                Some(format!(
-                    "insmod {}: bytecode lowering skipped ({e}); tree engine only",
-                    self.ir.name
-                )),
-            ),
-        };
-        LoweredModule {
-            sites,
-            compiled,
-            lower_note,
-        }
+        );
+        LoweredModule { sites, compiled }
     }
 }
 
@@ -384,13 +371,12 @@ pub struct ModuleReservation {
     pub global_addrs: BTreeMap<String, VAddr>,
 }
 
-/// Phase 3's output: the registered site track and the lowered bytecode.
+/// Phase 3's output: the registered site track and the lowered bytecode
+/// (or why lowering failed).
 #[derive(Debug)]
 pub struct LoweredModule {
     sites: Option<Arc<SiteTable>>,
-    compiled: Option<kop_vm::CompiledModule>,
-    /// The dmesg note for a skipped lowering (logged at commit).
-    lower_note: Option<String>,
+    compiled: Result<kop_vm::CompiledModule, kop_vm::LowerError>,
 }
 
 impl Kernel {
@@ -541,14 +527,17 @@ impl Kernel {
             guard_count,
             ..
         } = staged;
-        let LoweredModule {
-            sites,
-            compiled,
-            lower_note,
-        } = lowered;
-        if let Some(note) = &lower_note {
-            self.printk(note);
-        }
+        let LoweredModule { sites, compiled } = lowered;
+        // A module the production engine cannot run is refused before
+        // anything is written: nothing is listed and the name loads again.
+        let compiled = match compiled {
+            Ok(c) => c,
+            Err(e) => {
+                let err = KernelError::BadSignature(format!("IR invalid: {e}"));
+                self.printk(&format!("insmod {}: {err}", ir.name));
+                return Err(err);
+            }
+        };
 
         for g in &ir.globals {
             let addr = reservation.global_addrs[&g.name];
@@ -697,9 +686,7 @@ impl Kernel {
         // the warmed profile re-promote lazily. The old generation
         // subscription points at this same shared tier, so it is also
         // forgotten and re-established on the next promotion.
-        if let Some(compiled) = image.compiled.as_ref() {
-            compiled.invalidate_promotions();
-        }
+        image.compiled.invalidate_promotions();
         self.forget_hot_subscription(&name);
 
         // Re-initialize globals. Unlike first insmod, the data pages are
@@ -1106,6 +1093,59 @@ exit:
         let err = kernel.stager().stage(&signed, None).unwrap_err();
         assert!(matches!(err.err, KernelError::BadSignature(_)));
         assert!(err.dmesg.unwrap().starts_with("insmod: "));
+    }
+
+    /// IR the verifier and the static proof accept but the bytecode
+    /// cannot express: the module declares `carat_guard` with one
+    /// parameter (arity is checked against the module's own declaration)
+    /// and calls it so.
+    const UNLOWERABLE: &str = r#"
+module "bad"
+declare void @carat_guard(ptr)
+define void @f(ptr %p) {
+entry:
+  call void @carat_guard(ptr %p)
+  ret void
+}
+"#;
+
+    #[test]
+    fn unlowerable_module_is_refused_under_every_verification_mode() {
+        use crate::kernel::Verification;
+        let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+        let rogue = CompilerKey::from_passphrase("rogue", "rogue");
+        for (verification, signer) in [
+            (Verification::Signature, &key),
+            (Verification::Static, &rogue),
+            (Verification::SignatureAndStatic, &key),
+        ] {
+            let m = kop_ir::parse_module(UNLOWERABLE).unwrap();
+            let attestation = kop_compiler::Attestation::check(&m).unwrap();
+            let signed = SignedModule::sign(&m, attestation, signer);
+            let mut kernel = Kernel::boot(
+                Arc::new(PolicyModule::new()),
+                vec![key.clone()],
+                KernelConfig {
+                    verification,
+                    ..KernelConfig::default()
+                },
+            );
+            let err = kernel.insmod(&signed).unwrap_err();
+            assert!(
+                matches!(&err, KernelError::BadSignature(m) if m.contains("carat_guard")),
+                "{verification:?}: {err:?}"
+            );
+            assert!(kernel.modules().is_empty(), "{verification:?}");
+            assert!(kernel.dmesg().iter().any(|l| l.starts_with("insmod bad: ")));
+            // Nothing was left reserved: the name loads again.
+            let good = compile(
+                &SRC.replace("\"demo\"", "\"bad\""),
+                &CompileOptions::carat_kop(),
+                &key,
+            );
+            kernel.insmod(&good).unwrap();
+            assert!(kernel.module("bad").is_some());
+        }
     }
 
     #[test]

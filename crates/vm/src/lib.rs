@@ -1,13 +1,12 @@
 //! # kop-vm — one-shot bytecode compilation of verified KIR
 //!
-//! The tree-walking interpreter in `kop-interp` re-discovers the same
-//! facts on every executed instruction: which arena slot a value lives
-//! in, what mask its type implies, which block offset a branch target
-//! resolves to, whether a callee is internal, a kernel-ABI host
-//! function, or a guard. All of that is a pure function of the verified
-//! module and its insmod-time layout — so this crate computes it **once,
-//! at insmod**, and emits a flat register-based bytecode the interpreter
-//! can run with a tight dispatch loop.
+//! The program every production call runs. Lowering happens **once, at
+//! insmod**: which arena slot a value lives in, what mask its type
+//! implies, which block offset a branch target resolves to, whether a
+//! callee is internal, a kernel-ABI host function, or a guard — all a
+//! pure function of the verified module and its insmod-time layout, so
+//! the interpreter runs a flat register-based bytecode with a tight
+//! dispatch loop. A module that cannot be lowered is refused at insmod.
 //!
 //! Lowering pre-resolves:
 //!
@@ -22,14 +21,19 @@
 //!   map probe,
 //! * adjacent `carat_guard` + load/store pairs → fused guard-access
 //!   superinstructions ([`Op::GuardLoad`] / [`Op::GuardStore`]) that
-//!   call the policy path and perform the access in one dispatch.
+//!   check and perform the access in one dispatch.
 //!
-//! The bytecode preserves the tree interpreter's observable semantics
-//! exactly — instruction/fuel accounting, squash ordering, masking
-//! discipline, error messages — which the differential property tests in
-//! the root crate check. Execution itself lives in `kop-interp` (it
-//! needs the kernel); this crate is deliberately kernel-free so the
-//! loader can depend on it.
+//! Profile-directed promotion ([`CompiledModule::promote`]) publishes a
+//! copy of the hot functions with each hot guard's [`Bound`] filled in:
+//! the same instruction set, the same program, with compares where the
+//! policy call was.
+//!
+//! The bytecode preserves the observable semantics of `kop-interp`'s
+//! reference tree walker exactly — instruction/fuel accounting, squash
+//! ordering, masking discipline, error messages — which the
+//! differential property tests in the root crate check. Execution
+//! itself lives in `kop-interp` (it needs the kernel); this crate is
+//! deliberately kernel-free so the loader can depend on it.
 
 #![warn(missing_docs)]
 
@@ -140,9 +144,35 @@ impl HostFn {
     }
 }
 
+/// A promoted memory guard's baked bound: the granting region's
+/// `[lo, hi)` and raw permission bits (`AccessFlags::raw`), tagged with
+/// the snapshot generation they were taken from. The admit test is
+/// `gen` current, `lo <= addr && addr + size <= hi` and `perm ⊇ flags`;
+/// anything else deopts to the general policy path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bound {
+    /// Inclusive lower bound of the granted region.
+    pub lo: u64,
+    /// Exclusive upper bound of the granted region.
+    pub hi: u64,
+    /// Raw permission bits the grant carries.
+    pub perm: u32,
+    /// Snapshot generation the bound was baked from.
+    pub gen: u64,
+}
+
 /// One flat bytecode instruction. Every op charges one fuel unit before
 /// executing (the fused guard-access ops charge two — one per original
 /// IR instruction — with the guard/access fuel checkpoint preserved).
+///
+/// The general and the promoted tier share this one instruction set.
+/// Each memory guard ([`Op::Guard`], [`Op::GuardLoad`],
+/// [`Op::GuardStore`]) carries a `bound`: `None` in the general tier,
+/// where the guard consults the policy, and the baked [`Bound`] in a
+/// promoted copy, where the guard admits with compares when the
+/// generation and revocation epoch still match and otherwise deopts to
+/// the general path with the same operands. Fuel and observable
+/// semantics are identical either way.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)] // field meanings documented per variant
 pub enum Op {
@@ -162,9 +192,11 @@ pub enum Op {
         val: Src,
         ptr: Src,
     },
-    /// Fused `carat_guard` + load superinstruction.
+    /// Fused `carat_guard` + load superinstruction. `bound` is `None`
+    /// in the general tier and the baked bound in a promoted copy.
     GuardLoad {
         site: Option<SiteId>,
+        bound: Option<Bound>,
         gaddr: Src,
         gsize: Src,
         gflags: Src,
@@ -173,9 +205,11 @@ pub enum Op {
         ptr: Src,
         dst: u32,
     },
-    /// Fused `carat_guard` + store superinstruction.
+    /// Fused `carat_guard` + store superinstruction; `bound` as for
+    /// [`Op::GuardLoad`].
     GuardStore {
         site: Option<SiteId>,
+        bound: Option<Bound>,
         gaddr: Src,
         gsize: Src,
         gflags: Src,
@@ -239,59 +273,11 @@ pub enum Op {
         args: Box<[Src]>,
         dst: u32,
     },
-    /// Promoted form of [`Op::GuardLoad`]: the policy region bound is
-    /// baked in as immediates (`lo`/`hi`/`perm`) tagged with the
-    /// snapshot generation (`gen`) it was taken from. The executor
-    /// admits with three compares when the generation still matches;
-    /// any mismatch (generation bump, out-of-bounds request,
-    /// insufficient permission) deopts to the general policy path using
-    /// the retained original operands — never a stale admit. Fuel and
-    /// observable semantics are identical to the general op on both
-    /// paths.
-    InlineGuardLoad {
-        site: Option<SiteId>,
-        lo: u64,
-        hi: u64,
-        perm: u32,
-        gen: u64,
-        gaddr: Src,
-        gsize: Src,
-        gflags: Src,
-        size: u64,
-        mask: u64,
-        ptr: Src,
-        dst: u32,
-    },
-    /// Promoted form of [`Op::GuardStore`]; see [`Op::InlineGuardLoad`].
-    InlineGuardStore {
-        site: Option<SiteId>,
-        lo: u64,
-        hi: u64,
-        perm: u32,
-        gen: u64,
-        gaddr: Src,
-        gsize: Src,
-        gflags: Src,
-        size: u64,
-        mask: u64,
-        val: Src,
-        ptr: Src,
-    },
-    /// Promoted form of [`Op::Guard`]; see [`Op::InlineGuardLoad`].
-    InlineGuard {
-        site: Option<SiteId>,
-        lo: u64,
-        hi: u64,
-        perm: u32,
-        gen: u64,
-        addr: Src,
-        size: Src,
-        flags: Src,
-    },
     /// Standalone memory guard (not adjacent to its access — e.g. a
-    /// hoisted loop-invariant guard).
+    /// hoisted loop-invariant guard); `bound` as for [`Op::GuardLoad`].
     Guard {
         site: Option<SiteId>,
+        bound: Option<Bound>,
         addr: Src,
         size: Src,
         flags: Src,
@@ -448,12 +434,11 @@ impl CompiledModule {
             .count()
     }
 
-    /// Re-lower every function containing one of `specs`' sites into the
-    /// promoted tier, replacing each matching guard op 1:1 with its
-    /// inline form carrying the baked bound and `gen`. Offsets, edges,
-    /// register counts, and fuel accounting are untouched — a promoted
-    /// function is the same program with three compares where the policy
-    /// call was. Publishes the new tier atomically (replacing any prior
+    /// Copy every function containing one of `specs`' sites into the
+    /// promoted tier, filling each matching guard op's `bound` in place
+    /// with the baked bound and `gen`. Offsets, edges, register counts,
+    /// and fuel accounting are untouched — a promoted function is the
+    /// same program with three compares where the policy call was. Publishes the new tier atomically (replacing any prior
     /// tier wholesale) and returns the number of guard ops promoted.
     ///
     /// Sites are promoted wherever they occur; sites in `specs` that
@@ -472,97 +457,40 @@ impl CompiledModule {
         };
         let mut promoted_ops = 0usize;
         for (idx, func) in self.funcs.iter().enumerate() {
-            let hits = func
-                .code
-                .iter()
-                .filter(|op| match op {
-                    Op::GuardLoad { site: Some(s), .. }
-                    | Op::GuardStore { site: Some(s), .. }
-                    | Op::Guard { site: Some(s), .. } => by_site.contains_key(s),
-                    _ => false,
-                })
-                .count();
-            if hits == 0 {
-                continue;
-            }
-            promoted_ops += hits;
             let mut clone = func.clone();
+            let mut hits = 0usize;
             for op in &mut clone.code {
-                *op = match op.clone() {
-                    Op::GuardLoad {
-                        site: Some(s),
-                        gaddr,
-                        gsize,
-                        gflags,
-                        size,
-                        mask,
-                        ptr,
-                        dst,
-                    } if by_site.contains_key(&s) => {
-                        let spec = by_site[&s];
-                        Op::InlineGuardLoad {
-                            site: Some(s),
+                if let Op::GuardLoad {
+                    site: Some(s),
+                    bound,
+                    ..
+                }
+                | Op::GuardStore {
+                    site: Some(s),
+                    bound,
+                    ..
+                }
+                | Op::Guard {
+                    site: Some(s),
+                    bound,
+                    ..
+                } = op
+                {
+                    if let Some(spec) = by_site.get(s) {
+                        *bound = Some(Bound {
                             lo: spec.lo,
                             hi: spec.hi,
                             perm: spec.perm,
                             gen,
-                            gaddr,
-                            gsize,
-                            gflags,
-                            size,
-                            mask,
-                            ptr,
-                            dst,
-                        }
+                        });
+                        hits += 1;
                     }
-                    Op::GuardStore {
-                        site: Some(s),
-                        gaddr,
-                        gsize,
-                        gflags,
-                        size,
-                        mask,
-                        val,
-                        ptr,
-                    } if by_site.contains_key(&s) => {
-                        let spec = by_site[&s];
-                        Op::InlineGuardStore {
-                            site: Some(s),
-                            lo: spec.lo,
-                            hi: spec.hi,
-                            perm: spec.perm,
-                            gen,
-                            gaddr,
-                            gsize,
-                            gflags,
-                            size,
-                            mask,
-                            val,
-                            ptr,
-                        }
-                    }
-                    Op::Guard {
-                        site: Some(s),
-                        addr,
-                        size,
-                        flags,
-                    } if by_site.contains_key(&s) => {
-                        let spec = by_site[&s];
-                        Op::InlineGuard {
-                            site: Some(s),
-                            lo: spec.lo,
-                            hi: spec.hi,
-                            perm: spec.perm,
-                            gen,
-                            addr,
-                            size,
-                            flags,
-                        }
-                    }
-                    other => other,
-                };
+                }
             }
-            tier.funcs[idx] = Some(clone);
+            if hits > 0 {
+                promoted_ops += hits;
+                tier.funcs[idx] = Some(clone);
+            }
         }
         if promoted_ops == 0 {
             return 0;
@@ -589,7 +517,7 @@ impl CompiledModule {
         self.promoted.load().epoch
     }
 
-    /// Number of inline (promoted) guard ops across the current tier.
+    /// Number of guard ops with a baked bound across the current tier.
     pub fn promoted_guard_count(&self) -> usize {
         self.promoted
             .load()
@@ -600,9 +528,9 @@ impl CompiledModule {
             .filter(|op| {
                 matches!(
                     op,
-                    Op::InlineGuardLoad { .. }
-                        | Op::InlineGuardStore { .. }
-                        | Op::InlineGuard { .. }
+                    Op::GuardLoad { bound: Some(_), .. }
+                        | Op::GuardStore { bound: Some(_), .. }
+                        | Op::Guard { bound: Some(_), .. }
                 )
             })
             .count()
@@ -632,6 +560,7 @@ mod promote_tests {
             code: vec![
                 Op::GuardLoad {
                     site: Some(SiteId(7)),
+                    bound: None,
                     gaddr: Src::Arg(0),
                     gsize: Src::Imm(4),
                     gflags: Src::Imm(1),
@@ -642,12 +571,14 @@ mod promote_tests {
                 },
                 Op::Guard {
                     site: Some(SiteId(9)),
+                    bound: None,
                     addr: Src::Arg(0),
                     size: Src::Imm(8),
                     flags: Src::Imm(2),
                 },
                 Op::GuardStore {
                     site: Some(SiteId(11)),
+                    bound: None,
                     gaddr: Src::Arg(0),
                     gsize: Src::Imm(4),
                     gflags: Src::Imm(2),
@@ -672,7 +603,7 @@ mod promote_tests {
     }
 
     #[test]
-    fn promote_replaces_ops_one_to_one_and_bakes_the_bound() {
+    fn promote_fills_the_bound_in_place() {
         let m = CompiledModule::new("m".into(), vec![guard_func()]);
         assert_eq!(m.promoted_generation(), 0);
         assert!(m.promoted_tier().func(0).is_none());
@@ -689,26 +620,45 @@ mod promote_tests {
         assert_eq!(pf.code.len(), m.func(0).code.len());
         assert_eq!(pf.n_regs, m.func(0).n_regs);
         match &pf.code[0] {
-            Op::InlineGuardLoad {
+            Op::GuardLoad {
                 site,
-                lo,
-                hi,
-                perm,
-                gen,
+                bound: Some(b),
                 ptr,
                 ..
             } => {
                 assert_eq!(*site, Some(SiteId(7)));
-                assert_eq!((*lo, *hi, *perm, *gen), (0x1000, 0x2000, 3, 5));
+                let baked = Bound {
+                    lo: 0x1000,
+                    hi: 0x2000,
+                    perm: 3,
+                    gen: 5,
+                };
+                assert_eq!(*b, baked);
                 assert_eq!(*ptr, Src::Arg(0));
             }
-            other => panic!("expected InlineGuardLoad, got {other:?}"),
+            other => panic!("expected a bound GuardLoad, got {other:?}"),
         }
-        // Unpromoted site 9 keeps its general op.
-        assert!(matches!(&pf.code[1], Op::Guard { site: Some(s), .. } if *s == SiteId(9)));
-        assert!(matches!(&pf.code[2], Op::InlineGuardStore { gen: 5, .. }));
+        // Site 9, absent from the specs, keeps the general path.
+        assert!(matches!(
+            &pf.code[1],
+            Op::Guard { site: Some(s), bound: None, .. } if *s == SiteId(9)
+        ));
+        assert!(matches!(
+            &pf.code[2],
+            Op::GuardStore {
+                bound: Some(Bound { gen: 5, .. }),
+                ..
+            }
+        ));
         // The general tier is untouched.
-        assert!(matches!(&m.func(0).code[0], Op::GuardLoad { .. }));
+        assert!(matches!(
+            &m.func(0).code[0],
+            Op::GuardLoad { bound: None, .. }
+        ));
+        assert!(matches!(
+            &m.func(0).code[2],
+            Op::GuardStore { bound: None, .. }
+        ));
     }
 
     #[test]
@@ -732,7 +682,10 @@ mod promote_tests {
         assert_eq!(tier.epoch, 1, "the tier carries its bake epoch");
         assert!(matches!(
             &tier.func(0).unwrap().code[1],
-            Op::InlineGuard { gen: 9, .. }
+            Op::Guard {
+                bound: Some(Bound { gen: 9, .. }),
+                ..
+            }
         ));
         alias.invalidate_promotions();
         assert_eq!(m.promoted_generation(), 0);

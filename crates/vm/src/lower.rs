@@ -10,9 +10,10 @@ use kop_trace::{SiteTable, GUARD_SYMBOL, INTRINSIC_GUARD_SYMBOL};
 use crate::{CompiledFunc, CompiledModule, Edge, HostFn, Move, Op, Src};
 
 /// Why a module could not be lowered. On verified, insmod-laid-out
-/// modules lowering always succeeds; these cover hand-built IR that
-/// bypassed the verifier (the loader then falls back to the tree
-/// engine rather than refusing the module).
+/// modules lowering almost always succeeds; these cover IR the verifier
+/// accepts but the bytecode cannot express (a `carat_guard` declared
+/// and called with fewer than three arguments, say). The loader refuses
+/// such a module at insmod.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LowerError {
     /// A `Value::Global` names a global with no laid-out address.
@@ -315,6 +316,7 @@ impl<'a> FnLowerer<'a> {
                     let (addr, size, flags) = self.lower_guard_operands(args)?;
                     Op::Guard {
                         site: self.site_of(iid),
+                        bound: None,
                         addr,
                         size,
                         flags,
@@ -356,6 +358,7 @@ impl<'a> FnLowerer<'a> {
             Inst::Load { ty, ptr } => {
                 self.code.push(Op::GuardLoad {
                     site,
+                    bound: None,
                     gaddr,
                     gsize,
                     gflags,
@@ -369,6 +372,7 @@ impl<'a> FnLowerer<'a> {
             Inst::Store { ty, val, ptr } => {
                 self.code.push(Op::GuardStore {
                     site,
+                    bound: None,
                     gaddr,
                     gsize,
                     gflags,

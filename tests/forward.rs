@@ -3,10 +3,9 @@
 //! A guarded forwarding worker (RX DMA → NAPI polls → parse → rewrite →
 //! TX) and a multi-queue guarded TX fleet run concurrently over one
 //! shared policy module while a rootkit-style module probes forbidden
-//! memory from the interpreter (engine selected by `KOP_ENGINE`, so the
-//! bytecode CI leg exercises the same scenario). The offender must be
-//! quarantined mid-run; forwarding and TX must not drop, duplicate, or
-//! reorder a single frame, proven by ledger audit.
+//! memory from the interpreter (on the production engine). The offender
+//! must be quarantined mid-run; forwarding and TX must not drop,
+//! duplicate, or reorder a single frame, proven by ledger audit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use carat_kop::compiler::{compile_module, CompileOptions, CompilerKey};
 use carat_kop::core::{KernelError, Size, VAddr};
 use carat_kop::e1000e::device::E1000Device;
 use carat_kop::e1000e::{mq, DirectMem, E1000Driver, GuardedMem};
-use carat_kop::interp::{Engine, Interp};
+use carat_kop::interp::Interp;
 use carat_kop::ir::parse_module;
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::net::{FlowGen, LedgerSink};
@@ -113,7 +112,6 @@ fn forwarding_continues_through_a_concurrent_quarantine() {
         let mut quarantined_after = None;
         {
             let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(Engine::from_env());
             for attempt in 1u32..=3 {
                 match interp.call("probe", "peek", &[SECRET_ADDR]) {
                     Ok(Some(w)) => {
@@ -167,9 +165,9 @@ fn forwarding_continues_through_a_concurrent_quarantine() {
 
 #[test]
 fn forwarding_is_engine_independent_under_the_shared_policy() {
-    // The forwarding datapath itself is native, but CI runs this test
-    // under both KOP_ENGINE settings; pin that the selected engine and a
-    // forwarding run coexist on one policy with exact reconciliation.
+    // The forwarding datapath itself is native: whichever engine runs
+    // the modules, a forwarding run on the shared policy reconciles
+    // exactly with the driver's guard count.
     let policy = Arc::new(PolicyModule::two_region_paper_policy());
     let before = policy.stats().checks;
     let mem = GuardedMem::new(

@@ -420,8 +420,7 @@ fn stale_generation_promotion_deopts_every_guard() {
         .expect("loaded")
         .image()
         .compiled
-        .clone()
-        .expect("bytecode image");
+        .clone();
     assert!(compiled.promote(stale_gen, policy.revocation_epoch(), &specs) > 0);
     assert_eq!(compiled.promoted_generation(), stale_gen);
 

@@ -314,32 +314,28 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
         .expect("loaded")
         .image()
         .compiled
-        .clone()
-        .expect("bytecode image");
+        .clone();
     let mut baked: BTreeMap<SiteId, (u64, u64)> = BTreeMap::new();
     let tier = compiled.promoted_tier();
     for f in (0..compiled.func_count() as u32).filter_map(|i| tier.func(i)) {
         for op in &f.code {
-            if let Op::InlineGuardLoad {
+            if let Op::GuardLoad {
                 site: Some(s),
-                lo,
-                hi,
+                bound: Some(b),
                 ..
             }
-            | Op::InlineGuardStore {
+            | Op::GuardStore {
                 site: Some(s),
-                lo,
-                hi,
+                bound: Some(b),
                 ..
             }
-            | Op::InlineGuard {
+            | Op::Guard {
                 site: Some(s),
-                lo,
-                hi,
+                bound: Some(b),
                 ..
             } = op
             {
-                baked.insert(*s, (*lo, *hi));
+                baked.insert(*s, (b.lo, b.hi));
             }
         }
     }
