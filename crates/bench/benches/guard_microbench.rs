@@ -1,11 +1,13 @@
 //! Microbenchmark of the guard check itself: `carat_guard` against the
 //! paper's 64-entry table under the two-region policy — the single
-//! operation CARAT KOP adds in front of every load/store.
+//! operation CARAT KOP adds in front of every load/store — and of the
+//! simulated load and store it is priced against.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use kop_core::{AccessFlags, Size, VAddr};
+use kop_kernel::SimMemory;
 use kop_policy::{PolicyCheck, PolicyModule};
 
 fn bench_guard(c: &mut Criterion) {
@@ -40,5 +42,28 @@ fn bench_guard(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_guard);
+/// One warm 8-byte `SimMemory` load and store on a resident page: what
+/// every interpreted access costs in the guarded and the unguarded build.
+fn bench_sim_memory(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_memory");
+    group.sample_size(50);
+
+    let mut mem = SimMemory::new();
+    let addr = VAddr(kop_core::layout::DIRECT_MAP_BASE + 0x1008);
+    mem.write_uint(addr, Size(8), 42).unwrap();
+
+    group.bench_function("read_uint_8", |b| {
+        b.iter(|| black_box(mem.read_uint(black_box(addr), Size(8)).unwrap()))
+    });
+    group.bench_function("write_uint_8", |b| {
+        b.iter(|| {
+            mem.write_uint(black_box(addr), Size(8), black_box(7))
+                .unwrap()
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_guard, bench_sim_memory);
 criterion_main!(benches);

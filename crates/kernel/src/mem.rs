@@ -3,13 +3,19 @@
 //!
 //! Loads and stores of 1/2/4/8 bytes are little-endian, as on x86-64. A
 //! page is materialized (zero-filled) on first touch, like anonymous
-//! kernel memory. Module text pages are mapped read-only: CARAT KOP "can
-//! fall back on the Linux kernel's use of traditional hardware-based
-//! virtual memory for some enforcement. For example, paging can be used to
-//! mark the kernel module's code pages as unwritable, thus avoiding the
-//! problem of self-modifying code" (§2).
+//! kernel memory. Every byte up to the top of the address space is
+//! addressable, and an access that faults (it runs past the top, or a
+//! store touches a read-only page) changes nothing: no byte lands and no
+//! page is materialized.
+//!
+//! Module text pages are mapped read-only: CARAT KOP "can fall back on
+//! the Linux kernel's use of traditional hardware-based virtual memory
+//! for some enforcement. For example, paging can be used to mark the
+//! kernel module's code pages as unwritable, thus avoiding the problem of
+//! self-modifying code" (§2).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -50,16 +56,46 @@ pub trait FaultHook: Send {
 
 /// Sparse simulated memory with page permissions and MMIO windows.
 ///
-/// The read side takes `&self` and the fault hook sits behind a mutex,
-/// so `SimMemory` is `Send + Sync`: any number of simulated CPUs may run
-/// concurrent (guarded) loads against a shared reference — see
+/// The read side takes `&self` and an installed fault hook sits behind a
+/// mutex, so `SimMemory` is `Send + Sync`: any number of simulated CPUs
+/// may run concurrent (guarded) loads against a shared reference — see
 /// [`SimMemory::guarded_read_uint`] — while stores keep requiring `&mut`
-/// (exclusive) access.
+/// (exclusive) access. Reads lock nothing while no hook is installed.
 #[derive(Default)]
 pub struct SimMemory {
-    pages: HashMap<u64, Page>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PfnHasher>>,
     mmio: Vec<MmioRange>,
-    fault_hook: Mutex<Option<Box<dyn FaultHook>>>,
+    fault_hook: Option<Mutex<Box<dyn FaultHook>>>,
+}
+
+/// Hashes a page number for [`SimMemory`]'s page table in one multiply
+/// (SipHash costs more than the rest of a load). The rotate folds the
+/// product's well-mixed high bits into the low bits the table indexes
+/// with, so page numbers that differ only in high bits still spread.
+///
+/// The hash is unkeyed, so a module could pick page numbers that collide.
+/// Each costs it a resident 4 KiB page, and a guarded module reaches only
+/// its policy's regions, whose consecutive page numbers the multiply
+/// spreads evenly.
+#[derive(Default)]
+struct PfnHasher(u64);
+
+impl Hasher for PfnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 struct MmioRange {
@@ -73,6 +109,32 @@ struct Page {
     writable: bool,
 }
 
+impl Page {
+    fn zeroed() -> Page {
+        Page {
+            bytes: Box::new([0u8; PAGE_SIZE as usize]),
+            writable: true,
+        }
+    }
+}
+
+/// The last byte of the `len`-byte access at `addr`: `None` for an empty
+/// one, a fault (`what`) for one that runs past the top of the address
+/// space.
+fn last_byte(addr: VAddr, len: usize, what: &str) -> KernelResult<Option<u64>> {
+    match len {
+        0 => Ok(None),
+        n => addr
+            .raw()
+            .checked_add(n as u64 - 1)
+            .map(Some)
+            .ok_or_else(|| KernelError::Fault {
+                addr,
+                what: what.into(),
+            }),
+    }
+}
+
 impl SimMemory {
     /// Empty memory.
     pub fn new() -> SimMemory {
@@ -82,20 +144,19 @@ impl SimMemory {
     /// Install a fault-injection hook consulted by integer reads and (via
     /// the kernel) `kmalloc`. Replaces any previous hook.
     pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
-        *self.fault_hook.lock() = Some(hook);
+        self.fault_hook = Some(Mutex::new(hook));
     }
 
     /// Remove and return the installed fault hook, if any.
     pub fn clear_fault_hook(&mut self) -> Option<Box<dyn FaultHook>> {
-        self.fault_hook.lock().take()
+        self.fault_hook.take().map(Mutex::into_inner)
     }
 
     /// Whether the installed hook (if any) fails a kmalloc of `size`.
     pub(crate) fn hook_fail_kmalloc(&mut self, size: u64) -> bool {
         self.fault_hook
-            .lock()
             .as_mut()
-            .is_some_and(|h| h.fail_kmalloc(size))
+            .is_some_and(|h| h.get_mut().fail_kmalloc(size))
     }
 
     /// Register an MMIO window. Accesses inside `[base, base+len)` are
@@ -108,10 +169,11 @@ impl SimMemory {
         self.mmio.push(MmioRange { base, len, device });
     }
 
-    fn find_mmio(&self, addr: VAddr, size: u64) -> Option<&MmioRange> {
+    /// The window holding every byte of `[addr, last]`, if any.
+    fn find_mmio(&self, addr: VAddr, last: u64) -> Option<&MmioRange> {
         self.mmio
             .iter()
-            .find(|r| addr.raw() >= r.base.raw() && addr.raw() + size <= r.base.raw() + r.len)
+            .find(|r| addr.raw() >= r.base.raw() && last - r.base.raw() < r.len)
     }
 
     /// Mark the pages covering `[base, base+len)` read-only (they are
@@ -120,11 +182,7 @@ impl SimMemory {
         let first = base.raw() >> PAGE_SHIFT;
         let last = (base.raw() + len.saturating_sub(1)) >> PAGE_SHIFT;
         for pfn in first..=last {
-            let page = self.pages.entry(pfn).or_insert_with(|| Page {
-                bytes: Box::new([0u8; PAGE_SIZE as usize]),
-                writable: true,
-            });
-            page.writable = false;
+            self.pages.entry(pfn).or_insert_with(Page::zeroed).writable = false;
         }
     }
 
@@ -148,7 +206,10 @@ impl SimMemory {
     /// materialize pages (untouched memory reads zero), so any number of
     /// threads may read concurrently.
     pub fn read_bytes(&self, addr: VAddr, buf: &mut [u8]) -> KernelResult<()> {
-        if let Some(r) = self.find_mmio(addr, buf.len() as u64) {
+        let Some(last) = last_byte(addr, buf.len(), "read wraps address space")? else {
+            return Ok(());
+        };
+        if let Some(r) = self.find_mmio(addr, last) {
             // Byte-wise MMIO reads are legal but unusual; do one access of
             // the full width when it is a power of two <= 8.
             let off = addr.raw() - r.base.raw();
@@ -163,28 +224,30 @@ impl SimMemory {
             }
             return Ok(());
         }
-        let mut addr = addr.raw();
+        let mut at = addr.raw();
         let mut rest = buf;
-        while !rest.is_empty() {
-            let pfn = addr >> PAGE_SHIFT;
-            let off = (addr & (PAGE_SIZE - 1)) as usize;
-            let take = rest.len().min(PAGE_SIZE as usize - off);
-            match self.pages.get(&pfn) {
-                Some(page) => rest[..take].copy_from_slice(&page.bytes[off..off + take]),
-                None => rest[..take].fill(0), // untouched memory reads zero
+        loop {
+            let off = (at & (PAGE_SIZE - 1)) as usize;
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE as usize - off));
+            match self.pages.get(&(at >> PAGE_SHIFT)) {
+                Some(page) => chunk.copy_from_slice(&page.bytes[off..off + chunk.len()]),
+                None => chunk.fill(0), // untouched memory reads zero
             }
-            rest = &mut rest[take..];
-            addr = addr.checked_add(take as u64).ok_or(KernelError::Fault {
-                addr: VAddr(addr),
-                what: "read wraps address space".into(),
-            })?;
+            if tail.is_empty() {
+                return Ok(());
+            }
+            at += chunk.len() as u64;
+            rest = tail;
         }
-        Ok(())
     }
 
-    /// Write `buf` at `addr`.
+    /// Write `buf` at `addr`. All or nothing: a store that faults leaves
+    /// every byte and the set of resident pages as they were.
     pub fn write_bytes(&mut self, addr: VAddr, buf: &[u8]) -> KernelResult<()> {
-        if let Some(r) = self.find_mmio(addr, buf.len() as u64) {
+        let Some(last) = last_byte(addr, buf.len(), "write wraps address space")? else {
+            return Ok(());
+        };
+        if let Some(r) = self.find_mmio(addr, last) {
             let off = addr.raw() - r.base.raw();
             let n = buf.len() as u64;
             if matches!(n, 1 | 2 | 4 | 8) {
@@ -200,32 +263,40 @@ impl SimMemory {
             }
             return Ok(());
         }
-        let mut addr_raw = addr.raw();
-        let mut rest = buf;
-        while !rest.is_empty() {
-            let pfn = addr_raw >> PAGE_SHIFT;
-            let off = (addr_raw & (PAGE_SIZE - 1)) as usize;
-            let take = rest.len().min(PAGE_SIZE as usize - off);
-            let page = self.pages.entry(pfn).or_insert_with(|| Page {
-                bytes: Box::new([0u8; PAGE_SIZE as usize]),
-                writable: true,
-            });
-            if !page.writable {
-                return Err(KernelError::Fault {
-                    addr: VAddr(addr_raw),
-                    what: "write to read-only page".into(),
-                });
+        let read_only = |at: u64| KernelError::Fault {
+            addr: VAddr(at),
+            what: "write to read-only page".into(),
+        };
+        let (first, end) = (addr.raw() >> PAGE_SHIFT, last >> PAGE_SHIFT);
+        // A store spanning pages checks them all before any byte lands or
+        // any page is materialized. A one-page store checks in its single
+        // lookup below.
+        if first != end {
+            if let Some(pfn) =
+                (first..=end).find(|pfn| self.pages.get(pfn).is_some_and(|p| !p.writable))
+            {
+                return Err(read_only((pfn << PAGE_SHIFT).max(addr.raw())));
             }
-            page.bytes[off..off + take].copy_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            addr_raw = addr_raw
-                .checked_add(take as u64)
-                .ok_or(KernelError::Fault {
-                    addr: VAddr(addr_raw),
-                    what: "write wraps address space".into(),
-                })?;
         }
-        Ok(())
+        let mut at = addr.raw();
+        let mut rest = buf;
+        loop {
+            let off = (at & (PAGE_SIZE - 1)) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE as usize - off));
+            let page = self
+                .pages
+                .entry(at >> PAGE_SHIFT)
+                .or_insert_with(Page::zeroed);
+            if !page.writable {
+                return Err(read_only(at));
+            }
+            page.bytes[off..off + chunk.len()].copy_from_slice(chunk);
+            if tail.is_empty() {
+                return Ok(());
+            }
+            at += chunk.len() as u64;
+            rest = tail;
+        }
     }
 
     /// Read a little-endian unsigned integer of `size` (1/2/4/8) bytes.
@@ -235,8 +306,8 @@ impl SimMemory {
         let mut buf = [0u8; 8];
         self.read_bytes(addr, &mut buf[..n as usize])?;
         let value = u64::from_le_bytes(buf);
-        Ok(match self.fault_hook.lock().as_mut() {
-            Some(h) => h.corrupt_read(addr, size, value),
+        Ok(match &self.fault_hook {
+            Some(h) => h.lock().corrupt_read(addr, size, value),
             None => value,
         })
     }
@@ -352,6 +423,217 @@ mod tests {
         // Unprotect (module unloaded) and write again.
         m.protect_readwrite(text, 0x2000);
         m.write_uint(text, Size(8), 43).unwrap();
+    }
+
+    #[test]
+    fn store_at_top_of_address_space_lands() {
+        let mut m = SimMemory::new();
+        let top = VAddr(u64::MAX - 7);
+        m.write_uint(top, Size(8), 0x1122_3344_5566_7788).unwrap();
+        assert_eq!(m.read_uint(top, Size(8)).unwrap(), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_uint(VAddr(u64::MAX), Size(1)).unwrap(), 0x11);
+    }
+
+    #[test]
+    fn load_at_top_of_address_space_reads_zero() {
+        let m = SimMemory::new();
+        assert_eq!(m.read_uint(VAddr(u64::MAX - 7), Size(8)).unwrap(), 0);
+        let mut buf = [0xffu8; 3];
+        m.read_bytes(VAddr(u64::MAX - 2), &mut buf).unwrap();
+        assert_eq!(buf, [0; 3]);
+    }
+
+    #[test]
+    fn wrapping_store_writes_nothing() {
+        let mut m = SimMemory::new();
+        m.write_uint(VAddr(u64::MAX - 7), Size(4), 0).unwrap();
+        let err = m
+            .write_uint(VAddr(u64::MAX - 3), Size(8), u64::MAX)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            KernelError::Fault {
+                addr: VAddr(u64::MAX - 3),
+                what: "write wraps address space".into(),
+            }
+        );
+        assert_eq!(m.read_uint(VAddr(u64::MAX - 3), Size(2)).unwrap(), 0);
+        assert_eq!(m.read_uint(VAddr(u64::MAX - 3), Size(4)).unwrap(), 0);
+        assert!(m.read_uint(VAddr(u64::MAX - 3), Size(8)).is_err());
+    }
+
+    #[test]
+    fn store_into_read_only_page_leaves_writable_half_untouched() {
+        let mut m = SimMemory::new();
+        m.write_uint(VAddr(0x1ff8), Size(8), 0x0101_0101_0101_0101)
+            .unwrap();
+        m.protect_readonly(VAddr(0x2000), 0x1000);
+        let err = m.write_uint(VAddr(0x1ffc), Size(8), 0).unwrap_err();
+        assert!(matches!(
+            err,
+            KernelError::Fault {
+                addr: VAddr(0x2000),
+                ..
+            }
+        ));
+        assert_eq!(
+            m.read_uint(VAddr(0x1ff8), Size(8)).unwrap(),
+            0x0101_0101_0101_0101
+        );
+    }
+
+    #[test]
+    fn faulting_store_materializes_no_page() {
+        let mut m = SimMemory::new();
+        m.protect_readonly(VAddr(0x2000), 0x1000);
+        assert_eq!(m.resident_pages(), 1);
+        assert!(m.write_uint(VAddr(0x1ffc), Size(8), 7).is_err());
+        assert!(m.write_bytes(VAddr(0x1800), &[7; 0x1000]).is_err());
+        assert_eq!(m.resident_pages(), 1, "page 1 was materialized");
+        // A one-page store into the read-only page faults too.
+        assert!(m.write_uint(VAddr(0x2008), Size(4), 7).is_err());
+        assert_eq!(m.resident_pages(), 1);
+    }
+
+    /// Reference model of [`SimMemory`]'s RAM: one entry per written
+    /// byte, plus the resident and the read-only page numbers. A faulting
+    /// access leaves it as it was.
+    #[derive(Default)]
+    struct Oracle {
+        bytes: std::collections::BTreeMap<u64, u8>,
+        resident: std::collections::BTreeSet<u64>,
+        read_only: std::collections::BTreeSet<u64>,
+    }
+
+    impl Oracle {
+        /// `[addr, addr+len)` byte by byte, or the faulting address if it
+        /// runs past the top of the address space.
+        fn span(addr: u64, len: usize) -> Result<Vec<u64>, u64> {
+            if len > 0 && addr.checked_add(len as u64 - 1).is_none() {
+                return Err(addr);
+            }
+            Ok((0..len as u64).map(|i| addr + i).collect())
+        }
+
+        fn read(&self, addr: u64, len: usize) -> Result<Vec<u8>, u64> {
+            let span = Oracle::span(addr, len)?;
+            Ok(span
+                .iter()
+                .map(|a| self.bytes.get(a).copied().unwrap_or(0))
+                .collect())
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), u64> {
+            let span = Oracle::span(addr, data.len())?;
+            if let Some(a) = span
+                .iter()
+                .find(|&&a| self.read_only.contains(&(a >> PAGE_SHIFT)))
+            {
+                return Err(*a);
+            }
+            for (a, b) in span.into_iter().zip(data) {
+                self.bytes.insert(a, *b);
+                self.resident.insert(a >> PAGE_SHIFT);
+            }
+            Ok(())
+        }
+
+        fn pages(base: u64, len: u64) -> std::ops::RangeInclusive<u64> {
+            (base >> PAGE_SHIFT)..=((base + len.saturating_sub(1)) >> PAGE_SHIFT)
+        }
+    }
+
+    /// Addresses clustered at page boundaries, at the bottom and at the
+    /// top of the address space (an anchor plus a small signed delta).
+    const ANCHORS: [u64; 4] = [0x2000, 0xffff_8880_0000_2000, u64::MAX - 0xfff, 0];
+
+    fn fault_addr<T>(r: KernelResult<T>) -> Result<T, u64> {
+        r.map_err(|e| match e {
+            KernelError::Fault { addr, .. } => addr.raw(),
+            other => panic!("unexpected error {other:?}"),
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random loads, stores and protection changes near page
+        /// boundaries and the top of the address space agree with a flat
+        /// byte map, and a faulting access changes nothing.
+        #[test]
+        fn sim_memory_matches_flat_byte_map(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..4, -24i64..24, proptest::arbitrary::any::<u64>(), 0u32..4, 0usize..20),
+                1..48,
+            ),
+        ) {
+            let mut m = SimMemory::new();
+            let mut o = Oracle::default();
+            for (kind, anchor, delta, value, width, len) in ops {
+                let addr = ANCHORS[anchor].wrapping_add_signed(delta);
+                let size = 1u64 << width;
+                let resident = m.resident_pages();
+                // The bytes a faulting store must have left alone.
+                let attempted = match kind {
+                    1 => size as usize,
+                    3 => len,
+                    _ => 0,
+                };
+                let failed = match kind {
+                    0 => {
+                        let got = fault_addr(m.read_uint(VAddr(addr), Size(size)));
+                        let want = o.read(addr, size as usize).map(|b| {
+                            b.iter().rev().fold(0u64, |v, &x| v << 8 | u64::from(x))
+                        });
+                        proptest::prop_assert_eq!(got, want, "read_uint({:#x}, {})", addr, size);
+                        got.is_err()
+                    }
+                    1 => {
+                        let got = fault_addr(m.write_uint(VAddr(addr), Size(size), value));
+                        let want = o.write(addr, &value.to_le_bytes()[..size as usize]);
+                        proptest::prop_assert_eq!(got, want, "write_uint({:#x}, {})", addr, size);
+                        got.is_err()
+                    }
+                    2 => {
+                        let mut buf = vec![0xa5; len];
+                        let got = fault_addr(m.read_bytes(VAddr(addr), &mut buf)).map(|()| buf);
+                        proptest::prop_assert_eq!(&got, &o.read(addr, len), "read_bytes({:#x}, {})", addr, len);
+                        got.is_err()
+                    }
+                    3 => {
+                        let data: Vec<u8> = (0..len).map(|i| (value >> (i % 8 * 8)) as u8).collect();
+                        let got = fault_addr(m.write_bytes(VAddr(addr), &data));
+                        proptest::prop_assert_eq!(got, o.write(addr, &data), "write_bytes({:#x}, {})", addr, len);
+                        got.is_err()
+                    }
+                    kind => {
+                        // Up to two pages, never running past the top.
+                        let plen = (value % 0x2000).min(u64::MAX - addr).max(1);
+                        if kind == 4 {
+                            m.protect_readonly(VAddr(addr), plen);
+                            o.resident.extend(Oracle::pages(addr, plen));
+                            o.read_only.extend(Oracle::pages(addr, plen));
+                        } else {
+                            m.protect_readwrite(VAddr(addr), plen);
+                            for pfn in Oracle::pages(addr, plen) {
+                                o.read_only.remove(&pfn);
+                            }
+                        }
+                        false
+                    }
+                };
+                if failed {
+                    proptest::prop_assert_eq!(m.resident_pages(), resident, "a faulting access materialized a page");
+                    for i in 0..attempted as u64 {
+                        let Some(a) = addr.checked_add(i) else { break };
+                        let mut b = [0u8];
+                        m.read_bytes(VAddr(a), &mut b).unwrap();
+                        proptest::prop_assert_eq!(Ok(b.to_vec()), o.read(a, 1), "a faulting store wrote {:#x}", a);
+                    }
+                }
+                proptest::prop_assert_eq!(m.resident_pages(), o.resident.len());
+            }
+        }
     }
 
     struct ScratchReg {

@@ -175,14 +175,18 @@ impl PolicyCmd {
 
     /// Decode from the ioctl byte payload.
     pub fn decode(data: &[u8]) -> Result<PolicyCmd, PolicyCmdError> {
-        let op = *data.first().ok_or(PolicyCmdError("empty command".into()))?;
+        let op = *data
+            .first()
+            .ok_or_else(|| PolicyCmdError("empty command".into()))?;
         let mut off = 1usize;
         let cmd = match op {
             OP_ADD => PolicyCmd::AddRegion(get_region(data, &mut off)?),
             OP_REMOVE => PolicyCmd::RemoveRegion(VAddr(get_u64(data, &mut off)?)),
             OP_LIST => PolicyCmd::List,
             OP_SET_DEFAULT => {
-                let b = *data.get(1).ok_or(PolicyCmdError("truncated".into()))?;
+                let b = *data
+                    .get(1)
+                    .ok_or_else(|| PolicyCmdError("truncated".into()))?;
                 off = 2;
                 PolicyCmd::SetDefault(match b {
                     0 => DefaultAction::Allow,
@@ -191,7 +195,9 @@ impl PolicyCmd {
                 })
             }
             OP_SET_VIOLATION => {
-                let b = *data.get(1).ok_or(PolicyCmdError("truncated".into()))?;
+                let b = *data
+                    .get(1)
+                    .ok_or_else(|| PolicyCmdError("truncated".into()))?;
                 off = 2;
                 PolicyCmd::SetViolation(match b {
                     0 => ViolationAction::Panic,
@@ -313,7 +319,7 @@ impl PolicyResponse {
     pub fn decode(data: &[u8]) -> Result<PolicyResponse, PolicyCmdError> {
         let op = *data
             .first()
-            .ok_or(PolicyCmdError("empty response".into()))?;
+            .ok_or_else(|| PolicyCmdError("empty response".into()))?;
         let mut off = 1usize;
         match op {
             RESP_OK => Ok(PolicyResponse::Ok),

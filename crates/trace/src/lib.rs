@@ -282,12 +282,16 @@ impl Tracer {
         profiles
             .into_iter()
             .map(|(id, prof)| {
-                let meta = reg.metas.get(id.0 as usize).cloned().unwrap_or(SiteMeta {
-                    id,
-                    module: "?".to_string(),
-                    label: format!("{id}"),
-                    kind: SiteKind::Synthetic,
-                });
+                let meta = reg
+                    .metas
+                    .get(id.0 as usize)
+                    .cloned()
+                    .unwrap_or_else(|| SiteMeta {
+                        id,
+                        module: "?".to_string(),
+                        label: format!("{id}"),
+                        kind: SiteKind::Synthetic,
+                    });
                 (meta, prof)
             })
             .collect()
