@@ -29,6 +29,10 @@ pub enum Verification {
     Static,
     /// Require both: a trusted signature *and* a clean static proof.
     SignatureAndStatic,
+    /// Require neither — Linux's default without signature enforcement:
+    /// a module whose signature does not verify still loads, untrusted
+    /// for private symbols, and no proof runs.
+    Unenforced,
 }
 
 impl Verification {
@@ -52,11 +56,6 @@ impl Verification {
 /// Kernel boot configuration.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
-    /// Refuse modules whose signature does not verify (default true —
-    /// turning this off reproduces the "dangerous Linux default" for the
-    /// malicious-module demo). Ignored in [`Verification::Static`] mode,
-    /// where the static proof substitutes for the signature.
-    pub require_signature: bool,
     /// Additionally require the strict guard layout (every access
     /// immediately preceded by its guard). Off by default because the
     /// optimized ablation builds legitimately violate it.
@@ -81,7 +80,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            require_signature: true,
             require_strict_guards: false,
             verification: Verification::Signature,
             heap_size: 64 << 20,

@@ -235,25 +235,22 @@ impl ModuleStager {
 
         // 1. Signature validation. In `Verification::Static` mode a bad
         // signature is tolerated — step 2b's proof is what gates the
-        // module; `SignatureAndStatic` insists on the signature always.
+        // module; `Unenforced` tolerates it with no proof at all.
         let verify_result = signed.verify(&self.trusted_keys);
         let signature_ok = verify_result.is_ok();
         let ir = match verify_result {
             Ok(ir) => ir,
             Err(e) => {
-                let signature_required = verification.needs_signature()
-                    && (self.config.require_signature
-                        || verification == crate::kernel::Verification::SignatureAndStatic);
-                if signature_required {
+                if verification.needs_signature() {
                     let err = KernelError::BadSignature(e.to_string());
                     return Err(StageError {
                         dmesg: Some(format!("insmod: {err}")),
                         err,
                     });
                 }
-                // Parse without trusting the signature — either the
-                // unsafe demo mode, or Static mode about to prove the
-                // module on its own merits.
+                // Parse without trusting the signature — either
+                // `Unenforced`, or Static mode about to prove the module
+                // on its own merits.
                 kop_ir::parse_module(&signed.ir_text)
                     .map_err(|pe| StageError::silent(KernelError::BadSignature(pe.to_string())))?
             }
@@ -650,15 +647,10 @@ impl Kernel {
         // Attestation re-verification, same acceptance rules as insmod.
         let verification = self.config().verification;
         let signature_ok = signed.verify(self.trusted_keys()).is_ok();
-        if !signature_ok {
-            let signature_required = verification.needs_signature()
-                && (self.config().require_signature
-                    || verification == crate::kernel::Verification::SignatureAndStatic);
-            if signature_required {
-                let err = KernelError::BadSignature("restart: signature no longer verifies".into());
-                self.printk(&format!("restart {name}: {err}"));
-                return Err(err);
-            }
+        if !signature_ok && verification.needs_signature() {
+            let err = KernelError::BadSignature("restart: signature no longer verifies".into());
+            self.printk(&format!("restart {name}: {err}"));
+            return Err(err);
         }
         if verification.runs_static() {
             let ledger = kop_analysis::ObligationLedger::parse(&signed.attestation.obligations)
@@ -835,7 +827,7 @@ entry:
                 "carat-kop-dev",
             )],
             KernelConfig {
-                require_signature: false,
+                verification: crate::kernel::Verification::Unenforced,
                 ..KernelConfig::default()
             },
         );
@@ -912,13 +904,12 @@ exit:
         kernel.insmod(&signed).unwrap();
     }
 
-    fn static_kernel(require_signature: bool) -> Kernel {
+    fn static_kernel() -> Kernel {
         let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
         Kernel::boot(
             Arc::new(PolicyModule::new()),
             vec![key],
             KernelConfig {
-                require_signature,
                 verification: crate::kernel::Verification::Static,
                 ..KernelConfig::default()
             },
@@ -932,7 +923,7 @@ exit:
         // the private carat_guard import.
         let rogue = CompilerKey::from_passphrase("rogue", "rogue");
         let signed = compile(SRC, &CompileOptions::carat_kop(), &rogue);
-        let mut kernel = static_kernel(false);
+        let mut kernel = static_kernel();
         let loaded = kernel.insmod(&signed).unwrap();
         assert!(loaded.is_protected);
         assert!(loaded.ir().imported_symbols().contains(&"carat_guard"));
@@ -960,7 +951,7 @@ entry:
         let m = kop_ir::parse_module(src).unwrap();
         let attestation = kop_compiler::Attestation::check(&m).unwrap();
         let signed = SignedModule::sign(&m, attestation, &rogue);
-        let mut kernel = static_kernel(false);
+        let mut kernel = static_kernel();
         let err = kernel.insmod(&signed).unwrap_err();
         let KernelError::StaticVerification(msg) = err else {
             panic!("expected StaticVerification, got {err:?}");
@@ -1024,7 +1015,7 @@ exit:
         let rogue = CompilerKey::from_passphrase("rogue", "rogue");
         let signed = compile(src, &CompileOptions::optimized(), &rogue);
         assert!(!signed.attestation.guards_strict);
-        let mut kernel = static_kernel(false);
+        let mut kernel = static_kernel();
         kernel.insmod(&signed).unwrap();
     }
 

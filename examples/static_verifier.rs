@@ -76,7 +76,6 @@ fn static_kernel() -> Kernel {
         Arc::new(PolicyModule::new()),
         vec![CompilerKey::from_passphrase("operator-key", "demo")],
         KernelConfig {
-            require_signature: false,
             verification: Verification::Static,
             ..KernelConfig::default()
         },

@@ -61,7 +61,6 @@ fn static_kernel() -> Kernel {
             "carat-kop-dev",
         )],
         KernelConfig {
-            require_signature: false,
             verification: Verification::Static,
             ..KernelConfig::default()
         },

@@ -64,7 +64,6 @@ fn static_kernel() -> Kernel {
         Arc::new(PolicyModule::new()),
         vec![trusted_key()],
         KernelConfig {
-            require_signature: false,
             verification: Verification::Static,
             ..KernelConfig::default()
         },
@@ -306,7 +305,6 @@ fn promoted_kernel() -> (Kernel, Arc<PolicyModule>, u64) {
         Arc::clone(&pm),
         vec![trusted_key()],
         KernelConfig {
-            require_signature: false,
             verification: Verification::Static,
             ..KernelConfig::default()
         },
@@ -390,7 +388,6 @@ fn promoted_kernel_with(pm: &Arc<PolicyModule>) -> (Kernel, Arc<PolicyModule>, u
         Arc::clone(pm),
         vec![trusted_key()],
         KernelConfig {
-            require_signature: false,
             verification: Verification::Static,
             ..KernelConfig::default()
         },
