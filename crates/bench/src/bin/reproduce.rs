@@ -1,17 +1,16 @@
-//! `reproduce` — regenerate the paper's figures from the simulation.
+//! `reproduce` — regenerate the paper's figures.
 //!
 //! ```text
-//! reproduce [fig3|fig4|fig5|fig6|fig7|claims|analysis|ablation-ds|ablation-opt|opt|resilience|trace|exec|jit|smp|soak|forward|fleet|all]
+//! reproduce [FIGURE|all]   # one figure by name, or every figure (default)
 //!           [--csv]        # raw series to stdout instead of the report
 //!           [--out DIR]    # additionally write one CSV per figure into DIR
 //!           [--quick]      # tiny trial counts (CI smoke); not paper-scale
 //! ```
 //!
-//! The `smp`, `exec`, `jit`, `opt`, `soak`, `forward`, and `fleet`
-//! figures additionally write machine-readable `BENCH_smp.json` /
-//! `BENCH_exec.json` / `BENCH_jit.json` / `BENCH_opt.json` /
-//! `BENCH_soak.json` / `BENCH_forward.json` / `BENCH_fleet.json`
-//! (into `--out DIR` when given, else the current directory).
+//! The figure names are those of [`kop_bench::figures::FIGURES`]; an
+//! unknown name prints them and exits 2. Every figure is also written as
+//! machine-readable `BENCH_<id>.json` (into `--out DIR` when given, else
+//! the current directory).
 
 use kop_bench::figures;
 
@@ -26,56 +25,28 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let what = {
-        let mut skip_next = false;
-        let mut found = None;
-        for a in &args {
-            if skip_next {
-                skip_next = false;
-                continue;
-            }
-            if a == "--out" {
-                skip_next = true;
-                continue;
-            }
-            if !a.starts_with("--") {
-                found = Some(a.as_str());
-                break;
-            }
-        }
-        found.unwrap_or("all")
-    };
+    // The figure name: the first argument that is neither a flag nor
+    // the value of `--out`.
+    let what = (0..args.len())
+        .find(|&i| !args[i].starts_with("--") && (i == 0 || args[i - 1] != "--out"))
+        .map_or("all", |i| args[i].as_str());
 
-    let figs = match what {
-        "fig3" => vec![figures::fig3()],
-        "fig4" => vec![figures::fig4()],
-        "fig5" => vec![figures::fig5()],
-        "fig6" => vec![figures::fig6()],
-        "fig7" => vec![figures::fig7()],
-        "claims" => vec![figures::claims()],
-        "analysis" => vec![figures::analysis()],
-        "ablation-ds" => vec![figures::ablation_ds()],
-        "ablation-opt" => vec![figures::ablation_opt()],
-        "opt" => vec![figures::opt()],
-        "resilience" => figures::resilience(),
-        "trace" => vec![figures::trace()],
-        "exec" => vec![figures::exec()],
-        "jit" => vec![figures::jit()],
-        "smp" => vec![figures::smp()],
-        "soak" => vec![figures::soak()],
-        "forward" => vec![figures::forward()],
-        "fleet" => vec![figures::fleet()],
-        "all" => figures::all_figures(),
-        other => {
-            eprintln!("unknown experiment '{other}'");
+    let figs = match figures::FIGURES.iter().find(|(name, _)| *name == what) {
+        Some((_, generate)) => generate(),
+        None if what == "all" => figures::all_figures(),
+        None => {
+            let names: Vec<&str> = figures::FIGURES.iter().map(|(name, _)| *name).collect();
+            eprintln!("unknown experiment '{what}'");
             eprintln!(
-                "usage: reproduce [fig3|fig4|fig5|fig6|fig7|claims|analysis|ablation-ds|ablation-opt|opt|resilience|trace|exec|jit|smp|soak|forward|fleet|all] [--csv] [--quick]"
+                "usage: reproduce [{}|all] [--csv] [--out DIR] [--quick]",
+                names.join("|")
             );
             std::process::exit(2);
         }
     };
 
-    if let Some(dir) = &out_dir {
+    let dir = std::path::Path::new(out_dir.as_deref().unwrap_or("."));
+    if out_dir.is_some() {
         std::fs::create_dir_all(dir).expect("create --out directory");
     }
     for fig in figs {
@@ -84,24 +55,14 @@ fn main() {
         } else {
             println!("{}", fig.render_text());
         }
-        if let Some(dir) = &out_dir {
-            let path = std::path::Path::new(dir).join(format!("{}.csv", fig.id));
+        if out_dir.is_some() {
+            let path = dir.join(format!("{}.csv", fig.id));
             std::fs::write(&path, fig.render_csv()).expect("write figure CSV");
             eprintln!("wrote {}", path.display());
         }
-        if fig.id == "smp"
-            || fig.id == "exec"
-            || fig.id == "jit"
-            || fig.id == "opt"
-            || fig.id == "soak"
-            || fig.id == "forward"
-            || fig.id == "fleet"
-        {
-            // Machine-readable results for CI consumers and dashboards.
-            let dir = out_dir.as_deref().unwrap_or(".");
-            let path = std::path::Path::new(dir).join(format!("BENCH_{}.json", fig.id));
-            std::fs::write(&path, fig.render_json()).expect("write BENCH json");
-            eprintln!("wrote {}", path.display());
-        }
+        // Machine-readable results for CI consumers and dashboards.
+        let path = dir.join(format!("BENCH_{}.json", fig.id));
+        std::fs::write(&path, fig.render_json()).expect("write BENCH json");
+        eprintln!("wrote {}", path.display());
     }
 }

@@ -1,37 +1,14 @@
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
-use kop_kernel::{Kernel, KernelConfig};
-use kop_policy::{DefaultAction, PolicyModule};
+use kop_compiler::CompileOptions;
 
-use crate::corpus;
-
+use super::rig::opt_workload;
 use super::{FigureData, Series};
 
 /// ABL-OPT: what the CARAT CAKE-style guard optimizations the paper
 /// deliberately omits would buy — static and dynamic guard counts for the
 /// unoptimized vs optimized pipelines.
 pub fn ablation_opt() -> FigureData {
-    use kop_interp::Interp;
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
-    let module = corpus::parse(corpus::OPT_WORKLOAD_IR);
-
-    let run = |opts: &CompileOptions| -> (f64, f64, u64) {
-        let out = compile_module(module.clone(), opts, &key).expect("compiles");
-        let static_guards = out.signed.attestation.guard_count as f64;
-        let policy = std::sync::Arc::new(PolicyModule::new());
-        policy.set_default_action(DefaultAction::Allow);
-        let mut kernel = Kernel::boot(policy, vec![key.clone()], KernelConfig::default());
-        kernel.insmod(&out.signed).expect("loads");
-        let buf = kernel.kmalloc(4096).expect("buf");
-        let mut interp = Interp::new(&mut kernel).expect("interp");
-        let r = interp
-            .call("opt-workload", "run", &[buf.raw(), 256])
-            .expect("runs")
-            .expect("returns");
-        (static_guards, interp.stats().guards as f64, r)
-    };
-
-    let (static_plain, dyn_plain, r_plain) = run(&CompileOptions::carat_kop());
-    let (static_opt, dyn_opt, r_opt) = run(&CompileOptions::optimized());
+    let (static_plain, dyn_plain, r_plain) = opt_workload(&CompileOptions::carat_kop());
+    let (static_opt, dyn_opt, r_opt) = opt_workload(&CompileOptions::optimized());
     assert_eq!(r_plain, r_opt, "optimizations must preserve semantics");
 
     FigureData {

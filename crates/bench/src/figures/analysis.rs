@@ -1,16 +1,16 @@
-use std::time::Instant;
-
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
+use kop_compiler::{compile_module, CompileOptions};
 
 use crate::corpus;
+use crate::setup;
 
+use super::measure::timed;
 use super::{FigureData, Series};
 
 /// ANALYSIS: precision and wall-clock of the `kop-analysis` static
 /// guard-coverage verifier over the KIR corpus — the "prove, don't
 /// trust" cost the static-verification loader mode pays per insmod.
 pub fn analysis() -> FigureData {
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+    let key = setup::operator_key();
     let mut headlines = Vec::new();
     let mut notes = Vec::new();
     let mut points = Vec::new();
@@ -41,9 +41,8 @@ pub fn analysis() -> FigureData {
             // means replaying it, exactly as the loader does at insmod.
             let ledger = kop_analysis::ObligationLedger::parse(&out.signed.attestation.obligations)
                 .expect("attested ledger parses");
-            let t0 = Instant::now();
-            let report = kop_analysis::validate_module(&ir, &ledger);
-            let us = t0.elapsed().as_secs_f64() * 1e6;
+            let (report, ns) = timed(|| kop_analysis::validate_module(&ir, &ledger));
+            let us = ns / 1e3;
             assert!(report.is_clean(), "{name}/{cfg_name}: must prove clean");
             let checked = report.stat("accesses_checked") as f64;
             let proven = report.stat("accesses_proven") as f64;

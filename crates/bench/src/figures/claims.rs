@@ -1,18 +1,18 @@
-use std::time::Instant;
-
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
+use kop_compiler::{compile_module, CompileOptions};
 use kop_kernel::{Kernel, KernelConfig};
 use kop_policy::PolicyModule;
 
 use crate::corpus;
+use crate::setup;
 
+use super::measure::timed;
 use super::FigureData;
 
 /// CLAIM-T (§4.1): applying CARAT KOP to an existing module is a
 /// recompilation — no source changes — and every load/store gets exactly
 /// one guard.
 pub fn claims() -> FigureData {
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+    let key = setup::operator_key();
     let mut headlines = Vec::new();
     let mut notes = Vec::new();
     for (name, module) in corpus::all() {
@@ -52,10 +52,10 @@ pub fn claims() -> FigureData {
     let big = corpus::synthetic_large(800);
     let big_lines = big.text_lines() as f64;
     let big_accesses = big.memory_access_count() as f64;
-    let t0 = Instant::now();
-    let big_out =
-        compile_module(big, &CompileOptions::carat_kop(), &key).expect("large module compiles");
-    let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (big_out, ns) = timed(|| {
+        compile_module(big, &CompileOptions::carat_kop(), &key).expect("large module compiles")
+    });
+    let compile_ms = ns / 1e6;
     assert_eq!(
         big_out.stats.get("guards_injected") as f64,
         big_accesses,

@@ -24,6 +24,16 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
+impl Series {
+    /// Whether the points are an empirical CDF as
+    /// [`kop_sim::cdf_points`] builds one: `y` strictly increasing and
+    /// ending at 1.
+    pub fn is_cdf(&self) -> bool {
+        self.points.last().is_some_and(|p| p.1 == 1.0)
+            && self.points.windows(2).all(|w| w[0].1 < w[1].1)
+    }
+}
+
 /// A regenerated figure: series plus headline numbers.
 #[derive(Clone, Debug)]
 pub struct FigureData {
@@ -61,24 +71,9 @@ impl FigureData {
         let _ = writeln!(out, "==== {} — {}", self.id.to_uppercase(), self.title);
         let _ = writeln!(out, "     x: {}   y: {}", self.axes.0, self.axes.1);
         for s in &self.series {
-            let ys: Vec<f64> = s.points.iter().map(|p| p.1).collect();
-            let xs: Vec<f64> = s.points.iter().map(|p| p.0).collect();
-            if self.id == "fig6" || self.id.starts_with("ablation") {
-                // Small table: x → y.
-                let _ = writeln!(out, "  series {:<14}", s.label);
-                for (x, y) in &s.points {
-                    let _ = writeln!(out, "    x={:<8.0} y={:.4}", x, y);
-                }
-            } else if self.id == "fig7" {
-                let _ = writeln!(
-                    out,
-                    "  series {:<10} {} buckets, total count {}",
-                    s.label,
-                    s.points.len(),
-                    ys.iter().sum::<f64>() as u64
-                );
-            } else {
-                // CDF series: print quartiles of the x values.
+            if s.is_cdf() {
+                // Quartiles of the distribution the CDF plots.
+                let xs: Vec<f64> = s.points.iter().map(|p| p.0).collect();
                 let _ = writeln!(
                     out,
                     "  series {:<10} p5 {:>12.1}  p25 {:>12.1}  median {:>12.1}  p75 {:>12.1}  p95 {:>12.1}",
@@ -89,6 +84,11 @@ impl FigureData {
                     kop_sim::percentile(&xs, 75.0),
                     kop_sim::percentile(&xs, 95.0),
                 );
+            } else {
+                let _ = writeln!(out, "  series {:<14}", s.label);
+                for (x, y) in &s.points {
+                    let _ = writeln!(out, "    x={x:<8} y={y:.4}");
+                }
             }
         }
         if let Some(plot) = self.ascii_plot() {
@@ -112,26 +112,12 @@ impl FigureData {
             return None;
         }
         let glyphs = ['*', 'o', '+', 'x', '#', '@'];
-        let xmin = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.0))
-            .fold(f64::INFINITY, f64::min);
-        let xmax = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.0))
-            .fold(f64::NEG_INFINITY, f64::max);
-        let ymin = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.1))
-            .fold(f64::INFINITY, f64::min);
-        let ymax = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.1))
-            .fold(f64::NEG_INFINITY, f64::max);
+        let (mut xmin, mut xmax) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut ymin, mut ymax) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &(x, y) in self.series.iter().flat_map(|s| &s.points) {
+            (xmin, xmax) = (xmin.min(x), xmax.max(x));
+            (ymin, ymax) = (ymin.min(y), ymax.max(y));
+        }
         if xmax <= xmin || ymax <= ymin {
             return None;
         }
@@ -246,5 +232,50 @@ impl FigureData {
         let _ = writeln!(out, "  \"notes\": [\n{}\n  ]", notes.join(",\n"));
         out.push_str("}\n");
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn figure(series: Series) -> FigureData {
+        FigureData {
+            id: "smp",
+            title: "t".into(),
+            axes: ("threads", "rate"),
+            series: vec![series],
+            headlines: vec![],
+            notes: vec![],
+        }
+    }
+
+    #[test]
+    fn a_non_cdf_series_renders_its_rows_not_percentiles() {
+        let text = figure(Series {
+            label: "rate".into(),
+            points: vec![(1.0, 5.0), (2.0, 9.5), (4.0, 12.25)],
+        })
+        .render_text();
+        assert!(!text.contains("p5"), "{text}");
+        for row in [
+            "x=1        y=5.0000",
+            "x=2        y=9.5000",
+            "x=4        y=12.2500",
+        ] {
+            assert!(text.contains(row), "missing {row:?} in {text}");
+        }
+    }
+
+    #[test]
+    fn a_cdf_series_renders_its_quartiles() {
+        let cdf = Series {
+            label: "cdf".into(),
+            points: kop_sim::cdf_points(&[3.0, 1.0, 2.0, 2.0]),
+        };
+        assert!(cdf.is_cdf());
+        let text = figure(cdf).render_text();
+        assert!(text.contains("p5") && text.contains("median"), "{text}");
+        assert!(!text.contains("x=1"), "{text}");
     }
 }

@@ -1,13 +1,11 @@
-use std::time::Instant;
+use kop_compiler::CompileOptions;
+use kop_kernel::KernelConfig;
 
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
-use kop_core::Size;
-use kop_kernel::{Kernel, KernelConfig};
-
-use crate::corpus;
 use crate::setup;
 
+use super::measure::best_of;
 use super::quick;
+use super::rig::{traced_engines_agree, TxRig};
 use super::{FigureData, Series};
 
 /// EXEC: execution-engine ablation (`reproduce exec`). The e1000e TX
@@ -16,8 +14,8 @@ use super::{FigureData, Series};
 /// and the flat bytecode the loader compiles once at insmod (`kop-vm`),
 /// for the guarded (carat_kop) and unguarded (baseline) builds.
 ///
-/// Timed passes use the min-of-repeats wall-clock discipline the other
-/// host figures use. A separate traced pass proves the engines
+/// Timed passes go through the harness's best-of-k over the four
+/// interleaved configurations. A separate traced pass proves the engines
 /// equivalent, asserted on every run: identical `ExecStats` (fuel
 /// accounting included), identical dynamic guard counts, *exact*
 /// per-site trace attribution, and byte-identical memory effects — TX
@@ -25,177 +23,63 @@ use super::{FigureData, Series};
 /// The ≥3x bytecode speedup claim is asserted in quick mode (release
 /// CI smoke); full runs report it as a headline.
 pub fn exec() -> FigureData {
-    use kop_interp::{Engine, ExecStats, Interp};
+    use kop_interp::Engine;
 
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
     let (packets, repeats) = if quick() {
         (2_000u64, 3)
     } else {
-        (20_000u64, 7)
+        (20_000u64, 6)
     };
-
-    const RING_BYTES: u64 = 256 * 16; // 256 descriptors x {i64,i32,i32}
-    const FRAME_BYTES: u64 = 64;
-    const MMIO_BYTES: u64 = 0x4000; // covers the TDT doorbell at +0x3818
-    const TDT_OFF: u64 = 0x3818;
-    const STATS_BYTES: usize = 24;
-    const LEN: u64 = 114; // 128 B on the wire with the header
-
-    /// Everything one pass can observably produce.
-    struct RunOut {
-        ns_pkt: f64,
-        stats: ExecStats,
-        fused: u64,
-        ring: Vec<u8>,
-        frame: Vec<u8>,
-        stats_glob: Vec<u8>,
-        tdt: u64,
-        profiled: Vec<(String, String, u64)>,
-        profiled_checks: u64,
-    }
-
-    let run = |opts: &CompileOptions, engine: Engine, packets: u64, traced: bool| -> RunOut {
-        let module = corpus::parse(corpus::MINI_E1000E_IR);
-        let out = compile_module(module, opts, &key).expect("compiles");
-        let policy = setup::two_region_policy();
-        let mut kernel = Kernel::boot(policy, vec![key.clone()], KernelConfig::default());
-        kernel.insmod(&out.signed).expect("loads");
-        let image = std::sync::Arc::clone(kernel.module("mini-e1000e").expect("loaded").image());
-        let fused = image.compiled.fused_guard_count() as u64;
-        let stats_addr = image
-            .globals
-            .get("stats")
-            .copied()
-            .expect("@stats laid out");
-        let ring = kernel.kmalloc(RING_BYTES).expect("ring");
-        let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
-        // A heap block stands in for the BAR: the doorbell store lands at
-        // +0x3818 and reads back for the byte-identity check.
-        let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");
-        if traced {
-            kernel.tracer().set_enabled(true);
-        }
-        let (ns_pkt, stats) = {
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(engine);
-            let start = Instant::now();
-            for p in 0..packets {
-                // head == slot: clean_tx finds nothing to reclaim, the
-                // hot path is header + descriptor + stats + doorbell.
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("xmit");
-            }
-            (
-                start.elapsed().as_nanos() as f64 / packets as f64,
-                interp.stats(),
-            )
-        };
-        let mut ring_bytes = vec![0u8; RING_BYTES as usize];
-        kernel.mem.read_bytes(ring, &mut ring_bytes).expect("ring");
-        let mut frame_bytes = vec![0u8; FRAME_BYTES as usize];
-        kernel
-            .mem
-            .read_bytes(frame, &mut frame_bytes)
-            .expect("frame");
-        let mut stats_glob = vec![0u8; STATS_BYTES];
-        kernel
-            .mem
-            .read_bytes(stats_addr, &mut stats_glob)
-            .expect("@stats");
-        let tdt = kernel
-            .mem
-            .read_uint(kop_core::VAddr(mmio.raw() + TDT_OFF), Size(4))
-            .expect("tdt");
-        let (profiled, profiled_checks) = if traced {
-            let t = kernel.tracer();
-            (
-                t.profile_snapshot()
-                    .into_iter()
-                    .map(|(meta, prof)| (meta.module.clone(), meta.label.clone(), prof.hits))
-                    .collect(),
-                t.total_checks(),
-            )
-        } else {
-            (Vec::new(), 0)
-        };
-        RunOut {
-            ns_pkt,
-            stats,
-            fused,
-            ring: ring_bytes,
-            frame: frame_bytes,
-            stats_glob,
-            tdt,
-            profiled,
-            profiled_checks,
-        }
-    };
-
     let carat = CompileOptions::carat_kop();
     let baseline = CompileOptions::baseline();
+    let boot = |opts: &CompileOptions| {
+        TxRig::boot(opts, setup::two_region_policy(), KernelConfig::default())
+    };
 
-    // Timed passes: interleave all four configurations within each repeat
-    // round and keep the fastest (minima are robust to scheduler noise).
-    let mut best: [Option<RunOut>; 4] = [None, None, None, None];
-    for _ in 0..repeats {
-        for (i, (opts, engine)) in [
+    // Timed passes, each on a fresh rig, kept whole with their rig.
+    let [(gt_rig, gt), (gb_rig, gb), (bt_rig, bt), (bb_rig, bb)] = best_of(
+        [
             (&carat, Engine::Tree),
             (&carat, Engine::Bytecode),
             (&baseline, Engine::Tree),
             (&baseline, Engine::Bytecode),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let r = run(opts, engine, packets, false);
-            if best[i].as_ref().is_none_or(|b| r.ns_pkt < b.ns_pkt) {
-                best[i] = Some(r);
-            }
-        }
-    }
-    let [gt, gb, bt, bb] = best.map(|o| o.expect("all configurations ran"));
+        ],
+        repeats,
+        |(opts, engine)| {
+            let mut rig = boot(opts);
+            let run = rig.run(engine, packets);
+            (rig, run)
+        },
+        |(_, run)| run.ns_pkt,
+    );
+    let fused = gb_rig.image().compiled.fused_guard_count() as u64;
 
     // Engine equivalence on the timed runs: the deterministic outputs of
     // the fastest passes must be identical per build flavour.
     assert_eq!(gt.stats, gb.stats, "guarded ExecStats must match");
     assert_eq!(bt.stats, bb.stats, "baseline ExecStats must match");
-    for (a, b, what) in [(&gt, &gb, "guarded"), (&bt, &bb, "baseline")] {
-        assert_eq!(a.ring, b.ring, "{what}: TX ring bytes");
-        assert_eq!(a.frame, b.frame, "{what}: frame buffer bytes");
-        assert_eq!(a.stats_glob, b.stats_glob, "{what}: @stats bytes");
-        assert_eq!(a.tdt, b.tdt, "{what}: TDT doorbell cell");
+    for (a, b, what) in [
+        (&gt_rig, &gb_rig, "guarded"),
+        (&bt_rig, &bb_rig, "baseline"),
+    ] {
+        assert_eq!(
+            a.read(),
+            b.read(),
+            "{what}: TX ring, frame, @stats and TDT doorbell bytes"
+        );
     }
     assert_eq!(bt.stats.guards, 0, "baseline build executes no guards");
     assert!(gt.stats.guards > 0 && gt.stats.guards % packets == 0);
     let guards_per_packet = gt.stats.guards / packets;
     assert!(
-        gb.fused > 0,
+        fused > 0,
         "the guarded bytecode must contain fused guard-access superinstructions"
     );
 
     // Traced correctness pass (untimed, smaller): per-site attribution
     // must reconcile exactly across engines and with the guard counter.
     let tp = if quick() { 512 } else { 2_048 };
-    let t_tree = run(&carat, Engine::Tree, tp, true);
-    let t_vm = run(&carat, Engine::Bytecode, tp, true);
-    assert_eq!(t_tree.stats, t_vm.stats, "traced ExecStats must match");
-    assert_eq!(
-        t_tree.profiled, t_vm.profiled,
-        "per-site hit attribution must match exactly across engines"
-    );
-    assert!(!t_tree.profiled.is_empty(), "guard sites were profiled");
-    for t in [&t_tree, &t_vm] {
-        assert_eq!(
-            t.profiled_checks, t.stats.guards,
-            "per-site profile totals must reconcile with the interp guard counter"
-        );
-    }
+    let (tree_sites, tree_checks) = traced_engines_agree(|| boot(&carat), tp);
 
     let speedup_guarded = gt.ns_pkt / gb.ns_pkt;
     let speedup_baseline = bt.ns_pkt / bb.ns_pkt;
@@ -211,11 +95,10 @@ pub fn exec() -> FigureData {
         "x=0 tree/guarded, x=1 bytecode/guarded, x=2 tree/baseline, x=3 bytecode/baseline".into(),
         "engines asserted equivalent: ExecStats, guard counts, per-site attribution, and ring/frame/@stats/TDT bytes all identical".into(),
         format!(
-            "bytecode lowered at insmod: {} fused guard-access superinstructions on the guarded build",
-            gb.fused
+            "bytecode lowered at insmod: {fused} fused guard-access superinstructions on the guarded build"
         ),
     ];
-    for (module, label, hits) in &t_tree.profiled {
+    for (module, label, hits) in &tree_sites {
         notes.push(format!("site {module}/{label}: hits {hits} (both engines)"));
     }
 
@@ -241,9 +124,9 @@ pub fn exec() -> FigureData {
             ("bytecode_speedup_baseline".into(), speedup_baseline),
             ("guards_per_packet".into(), guards_per_packet as f64),
             ("dynamic_guards".into(), gt.stats.guards as f64),
-            ("fused_superinstructions".into(), gb.fused as f64),
-            ("profiled_checks".into(), t_tree.profiled_checks as f64),
-            ("profiled_sites".into(), t_tree.profiled.len() as f64),
+            ("fused_superinstructions".into(), fused as f64),
+            ("profiled_checks".into(), tree_checks as f64),
+            ("profiled_sites".into(), tree_sites.len() as f64),
         ],
         notes,
     }

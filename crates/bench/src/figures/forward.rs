@@ -1,13 +1,15 @@
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
-use kop_e1000e::{E1000Driver, MemSpace};
+use kop_compiler::{compile_module, CompileOptions};
 use kop_kernel::{Kernel, KernelConfig};
 use kop_policy::PolicyModule;
 
 use crate::corpus;
 use crate::setup;
 
+use super::measure::{best_of, cores};
 use super::quick;
-use super::rig::forward_once;
+use super::rig::{
+    chunked_forward, forward_capture, forward_once, guarded, traced_forward, unguarded,
+};
 use super::{FigureData, Series};
 
 /// FWD: the receive/forwarding benchmark (`reproduce forward`) — the RX
@@ -28,7 +30,6 @@ use super::{FigureData, Series};
 /// static verification and both execution engines produce byte-identical
 /// rewrites matching the native datapath.
 pub fn forward() -> FigureData {
-    use kop_e1000e::{DirectMem, E1000Device, GuardedMem};
     use kop_interp::{Engine, ExecStats, Interp};
     use std::sync::atomic::{AtomicU64, Ordering as AO};
     use std::sync::Arc;
@@ -36,52 +37,38 @@ pub fn forward() -> FigureData {
     let (loads, repeats, flows, budget): (&[u64], usize, usize, u64) = if quick() {
         (&[300, 600], 2, 256, 64)
     } else {
-        (&[1_000, 2_000, 4_000, 8_000], 4, 512, 64)
+        (&[1_000, 2_000, 4_000, 8_000], 3, 512, 64)
     };
 
     let mut headlines = Vec::new();
     let mut notes = Vec::new();
 
     // ---- Offered-load sweep: guarded vs baseline forwarding rate. ----
-    // Same seed per load point, min-of-repeats wall clock; the reports
+    // Same seed per load point, best of interleaved repeats; the reports
     // themselves must be identical (the guards change timing, never
     // behaviour).
     let mut base_pts = Vec::new();
     let mut guard_pts = Vec::new();
     for (i, &offered) in loads.iter().enumerate() {
-        let seed = 4_100 + i as u64 * 17;
-        let mut base_best = 0f64;
-        let mut guard_best = 0f64;
-        for _ in 0..repeats {
-            let (rate_b, rep_b, _) = forward_once(
-                DirectMem::with_defaults(E1000Device::default()),
-                seed,
-                flows,
-                offered,
-                budget,
-            );
-            let (rate_g, rep_g, counts) = forward_once(
-                GuardedMem::new(
-                    DirectMem::with_defaults(E1000Device::default()),
-                    setup::two_region_policy(),
-                ),
-                seed,
-                flows,
-                offered,
-                budget,
-            );
-            assert_eq!(
-                rep_b, rep_g,
-                "baseline and guarded forwarding must be behaviourally identical"
-            );
-            assert!(counts.guard_calls > 0);
-            base_best = base_best.max(rate_b);
-            guard_best = guard_best.max(rate_g);
-        }
-        base_pts.push((offered as f64, base_best));
-        guard_pts.push((offered as f64, guard_best));
-        headlines.push((format!("base_fwd_rate_o{offered}"), base_best));
-        headlines.push((format!("guard_fwd_rate_o{offered}"), guard_best));
+        let load = (4_100 + i as u64 * 17, flows, offered, budget);
+        let [(base_rate, rep_b, _), (guard_rate, rep_g, counts)] = best_of(
+            [false, true],
+            repeats,
+            |guard| match guard {
+                false => forward_once(unguarded(), load),
+                true => forward_once(guarded(setup::two_region_policy()), load),
+            },
+            |(rate, _, _)| 1.0 / rate,
+        );
+        assert_eq!(
+            rep_b, rep_g,
+            "baseline and guarded forwarding must be behaviourally identical"
+        );
+        assert!(counts.guard_calls > 0);
+        base_pts.push((offered as f64, base_rate));
+        guard_pts.push((offered as f64, guard_rate));
+        headlines.push((format!("base_fwd_rate_o{offered}"), base_rate));
+        headlines.push((format!("guard_fwd_rate_o{offered}"), guard_rate));
     }
     let top = *loads.last().expect("nonempty loads");
     let slowdown = base_pts.last().expect("base").1 / guard_pts.last().expect("guard").1;
@@ -90,32 +77,9 @@ pub fn forward() -> FigureData {
     // ---- Byte identity: the guarded forwarder's wire output is the ----
     // baseline's, frame for frame.
     {
-        let seed = 4_400;
-        let offered = loads[0];
-        fn run<M: MemSpace>(
-            mut drv: E1000Driver<M>,
-            sink: &mut kop_net::PacketSink,
-            seed: u64,
-            flows: usize,
-            offered: u64,
-            budget: u64,
-        ) -> kop_net::ForwardReport {
-            let mut gen = kop_net::FlowGen::new(seed, flows);
-            kop_net::run_forward(&mut drv, &mut gen, sink, offered, budget).expect("forward")
-        }
-        let mut base_sink = kop_net::PacketSink::capturing(offered as usize);
-        let mut drv =
-            E1000Driver::probe(DirectMem::with_defaults(E1000Device::default())).expect("probe");
-        drv.up().expect("up");
-        run(drv, &mut base_sink, seed, flows, offered, budget);
-        let mut guard_sink = kop_net::PacketSink::capturing(offered as usize);
-        let mem = GuardedMem::new(
-            DirectMem::with_defaults(E1000Device::default()),
-            setup::two_region_policy(),
-        );
-        let mut drv = E1000Driver::probe(mem).expect("probe");
-        drv.up().expect("up");
-        run(drv, &mut guard_sink, seed, flows, offered, budget);
+        let load = (4_400, flows, loads[0], budget);
+        let base_sink = forward_capture(unguarded(), load);
+        let guard_sink = forward_capture(guarded(setup::two_region_policy()), load);
         assert_eq!(base_sink.frames, guard_sink.frames);
         assert_eq!(
             base_sink.captured_raw(),
@@ -133,27 +97,30 @@ pub fn forward() -> FigureData {
     let mut mq_pts = Vec::new();
     for &q in queue_counts {
         let pm = Arc::new(PolicyModule::two_region_paper_policy());
-        let mut best = 0f64;
-        for r in 0..repeats {
-            let before = pm.stats().checks;
-            let report =
-                kop_net::run_mq_forward(q, per_queue, flows, 8_800 + r as u64, budget, |_| {
-                    GuardedMem::new(
-                        DirectMem::with_defaults(E1000Device::default()),
-                        Arc::clone(&pm),
-                    )
+        // Seeds 8_800.. per repeat; the warm-up takes the first.
+        let mut seeds = (8_800..8_800 + repeats as u64).cycle();
+        let [rate] = best_of(
+            [q],
+            repeats,
+            |q| {
+                let before = pm.stats().checks;
+                let seed = seeds.next().expect("cycle");
+                let report = kop_net::run_mq_forward(q, per_queue, flows, seed, budget, |_| {
+                    guarded(Arc::clone(&pm))
                 })
                 .expect("mq forward");
-            assert!(report.all_clean(), "every queue's ledger audit is exact");
-            assert_eq!(
-                pm.stats().checks - before,
-                report.guard_calls(),
-                "every guard on every RX queue reached the shared policy"
-            );
-            best = best.max(report.frames_per_sec());
-        }
-        mq_pts.push((q as f64, best));
-        headlines.push((format!("mq_fwd_rate_q{q}"), best));
+                assert!(report.all_clean(), "every queue's ledger audit is exact");
+                assert_eq!(
+                    pm.stats().checks - before,
+                    report.guard_calls(),
+                    "every guard on every RX queue reached the shared policy"
+                );
+                report.frames_per_sec()
+            },
+            |rate| 1.0 / rate,
+        );
+        mq_pts.push((q as f64, rate));
+        headlines.push((format!("mq_fwd_rate_q{q}"), rate));
     }
 
     // Striping the policy counters removed the shared-cell ping-pong
@@ -164,10 +131,7 @@ pub fn forward() -> FigureData {
     // `cargo test` sibling tests pollute the scheduler and per-queue
     // rates are noise.
     const MQ_SLACK: f64 = 0.85;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if quick() && cores >= 4 {
+    if quick() && cores() >= 4 {
         for w in mq_pts.windows(2) {
             let ((ql, lo), (qh, hi)) = (w[0], w[1]);
             assert!(
@@ -182,26 +146,8 @@ pub fn forward() -> FigureData {
     // path: profile exactly one forwarding window and require the
     // per-site totals to equal the driver's guard-call delta.
     {
-        let tracer = kop_trace::Tracer::with_capacity(kop_trace::DEFAULT_CAPACITY);
-        let mem = kop_e1000e::GuardedMem::with_tracer(
-            DirectMem::with_defaults(E1000Device::default()),
-            setup::two_region_policy(),
-            Arc::clone(&tracer),
-        );
-        let mut drv = E1000Driver::probe(mem).expect("probe");
-        drv.up().expect("up");
-        tracer.set_enabled(true);
-        let before = drv.counts();
-        let mut gen = kop_net::FlowGen::new(4_500, flows);
-        let mut ledger = kop_net::LedgerSink::new();
-        let rep = kop_net::run_forward(&mut drv, &mut gen, &mut ledger, loads[0], budget)
-            .expect("traced forward");
-        let guard_calls = drv.counts().since(&before).guard_calls;
-        assert_eq!(
-            tracer.total_checks(),
-            guard_calls,
-            "per-site profile totals must reconcile with the RX+TX guard counter"
-        );
+        let load = (4_500, flows, loads[0], budget);
+        let (rep, tracer, guard_calls) = traced_forward(setup::two_region_policy(), load);
         let sites = tracer.profile_snapshot();
         assert!(!sites.is_empty(), "guard sites were profiled");
         for (meta, prof) in &sites {
@@ -226,65 +172,25 @@ pub fn forward() -> FigureData {
     // runs concurrently with guarded forwarding, then the epoch bumps;
     // once the swap generation is published, no admit may observe an
     // older policy generation.
-    let stale_admits;
-    let generation_delta;
-    let churn_forwarded;
-    {
+    let (churn_forwarded, stale_admits, generation_delta) = {
         let pm = Arc::new(PolicyModule::two_region_paper_policy());
         let ruleset = pm.regions();
         let gen_before = pm.store_generation();
         let swap_gen = AtomicU64::new(u64::MAX);
-        let stale = AtomicU64::new(0);
         let chunks = if quick() { 6u64 } else { 16 };
         let per_chunk = if quick() { 60u64 } else { 150 };
         let churns = if quick() { 200u64 } else { 1_000 };
 
-        churn_forwarded = std::thread::scope(|s| {
-            let handle = {
-                let pm = Arc::clone(&pm);
-                let swap_gen = &swap_gen;
-                let stale = &stale;
-                s.spawn(move || {
-                    let mem = GuardedMem::new(
-                        DirectMem::with_defaults(E1000Device::default()),
-                        Arc::clone(&pm),
-                    );
-                    let mut drv = E1000Driver::probe(mem).expect("probe churn");
-                    drv.up().expect("up churn");
-                    let mut gen = kop_net::FlowGen::new(9_090, flows);
-                    let mut ledger = kop_net::LedgerSink::new();
-                    let mut forwarded = 0u64;
-                    let mut dropped = 0u64;
-                    for _ in 0..chunks {
-                        // Stale-grant discipline: after the swap epoch is
-                        // published, every admit must observe a policy
-                        // generation at or beyond it.
-                        let sg = swap_gen.load(AO::SeqCst);
-                        let g = pm.store_generation();
-                        if sg != u64::MAX && g < sg {
-                            stale.fetch_add(1, AO::SeqCst);
-                        }
-                        let rep = kop_net::run_forward(
-                            &mut drv,
-                            &mut gen,
-                            &mut ledger,
-                            per_chunk,
-                            budget,
-                        )
-                        .expect("churn chunk");
-                        forwarded += rep.forwarded;
-                        dropped += rep.wire_dropped;
-                    }
-                    assert_eq!(ledger.duplicates, 0);
-                    assert_eq!(ledger.frames, forwarded);
-                    assert_eq!(
-                        ledger.missing(chunks * per_chunk).len() as u64,
-                        dropped,
-                        "churn-phase loss accounting is exact"
-                    );
-                    forwarded
+        let (forwarded, stale_admits) = std::thread::scope(|s| {
+            // Stale-grant discipline: after the swap epoch is published,
+            // every admit must observe a policy generation at or beyond
+            // it.
+            let worker = s.spawn(|| {
+                chunked_forward(&pm, 9_090, flows, (chunks, per_chunk, budget), || {
+                    let sg = swap_gen.load(AO::SeqCst);
+                    sg != u64::MAX && pm.store_generation() < sg
                 })
-            };
+            });
             // Main thread, concurrent with forwarding: reload the same
             // ruleset over and over (each reload is one atomic publish),
             // then bump the epoch and publish the swap generation.
@@ -292,12 +198,10 @@ pub fn forward() -> FigureData {
                 pm.replace_regions(ruleset.iter().copied())
                     .expect("ruleset reload");
             }
-            let g = pm.bump_epoch();
-            swap_gen.store(g, AO::SeqCst);
-            handle.join().expect("churn worker")
+            swap_gen.store(pm.bump_epoch(), AO::SeqCst);
+            worker.join().expect("churn worker")
         });
-        stale_admits = stale.load(AO::SeqCst);
-        generation_delta = pm.store_generation() - gen_before;
+        let generation_delta = pm.store_generation() - gen_before;
         assert_eq!(
             stale_admits, 0,
             "zero stale-grant admits across the mid-load epoch bump"
@@ -306,7 +210,8 @@ pub fn forward() -> FigureData {
             generation_delta > churns,
             "the churn storm really published"
         );
-    }
+        (forwarded, stale_admits, generation_delta)
+    };
     headlines.push(("churn_stale_admits".into(), stale_admits as f64));
     headlines.push(("churn_generation_delta".into(), generation_delta as f64));
     headlines.push(("churn_forwarded".into(), churn_forwarded as f64));
@@ -315,7 +220,7 @@ pub fn forward() -> FigureData {
     // under static verification and both engines produce byte-identical
     // rewrites matching the native datapath.
     {
-        let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+        let key = setup::operator_key();
         let out = compile_module(
             corpus::parse(corpus::FORWARD_IR),
             &CompileOptions::carat_kop(),

@@ -1,14 +1,11 @@
-use std::time::Instant;
+use kop_compiler::CompileOptions;
+use kop_kernel::KernelConfig;
 
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
-use kop_core::Size;
-use kop_kernel::{Kernel, KernelConfig};
-
-use crate::corpus;
 use crate::setup;
 
+use super::measure::best_of;
 use super::quick;
-use super::rig::{default_site_map, forward_once};
+use super::rig::{default_site_map, forward_once, guarded, unguarded, TxRig};
 use super::{FigureData, Series};
 
 /// JIT: the profile-directed superblock trace tier (`reproduce jit`).
@@ -35,29 +32,24 @@ use super::{FigureData, Series};
 /// tier atomically — zero stale admits — and lazy re-promotion restores
 /// it at the new generation.
 pub fn jit() -> FigureData {
-    use kop_e1000e::{DirectMem, E1000Device, GuardedMem};
-    use kop_interp::{Engine, ExecStats, Interp};
+    use kop_interp::Engine;
     use kop_policy::GuardFront;
     use std::sync::Arc;
 
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
     let (packets, repeats) = if quick() {
         (2_000u64, 3)
     } else {
-        (20_000u64, 7)
+        (20_000u64, 6)
     };
     let profile_pkts = 256u64;
     // Timing asserts only in the standalone quick smoke run: under
     // `cargo test` sibling tests pollute the scheduler (and debug builds
     // distort the engine ratios); correctness is asserted everywhere.
     let assert_timing = quick();
-
-    const RING_BYTES: u64 = 256 * 16;
-    const FRAME_BYTES: u64 = 64;
-    const MMIO_BYTES: u64 = 0x4000;
-    const TDT_OFF: u64 = 0x3818;
-    const STATS_BYTES: usize = 24;
-    const LEN: u64 = 114;
+    let carat = CompileOptions::carat_kop();
+    let boot = |opts: &CompileOptions| {
+        TxRig::boot(opts, setup::two_region_policy(), KernelConfig::default())
+    };
 
     #[derive(Clone, Copy, PartialEq, Eq)]
     enum Mode {
@@ -66,141 +58,36 @@ pub fn jit() -> FigureData {
         Promoted,
     }
 
-    struct RunOut {
-        ns_pkt: f64,
-        stats: ExecStats,
-        promoted_ops: u64,
-        inline_admits: u64,
-        inline_deopts: u64,
-        ring: Vec<u8>,
-        frame: Vec<u8>,
-        stats_glob: Vec<u8>,
-        tdt: u64,
-    }
-
-    let run = |mode: Mode, packets: u64| -> RunOut {
-        let opts = match mode {
-            Mode::Baseline => CompileOptions::baseline(),
-            _ => CompileOptions::carat_kop(),
+    // One timed pass on a fresh rig: the rig, the run, and the ops the
+    // promotion baked.
+    let run = |mode: Mode| {
+        let mut rig = match mode {
+            Mode::Baseline => boot(&CompileOptions::baseline()),
+            _ => boot(&carat),
         };
-        let out =
-            compile_module(corpus::parse(corpus::MINI_E1000E_IR), &opts, &key).expect("compiles");
-        let mut kernel = Kernel::boot(
-            setup::two_region_policy(),
-            vec![key.clone()],
-            KernelConfig::default(),
-        );
-        kernel.insmod(&out.signed).expect("loads");
-        let image = Arc::clone(kernel.module("mini-e1000e").expect("loaded").image());
-        let stats_addr = image
-            .globals
-            .get("stats")
-            .copied()
-            .expect("@stats laid out");
-        let ring = kernel.kmalloc(RING_BYTES).expect("ring");
-        let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
-        let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");
-
         // Profile window — identical in every mode so the deterministic
         // outputs stay comparable. The tracer builds the per-site
         // envelopes promotion feeds on (a no-op for the baseline build,
         // which has no guard sites).
-        kernel.tracer().set_enabled(true);
-        {
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(Engine::Bytecode);
-            for p in 0..profile_pkts {
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("profile xmit");
-            }
-        }
-        kernel.tracer().set_enabled(false);
-
-        let mut promoted_ops = 0u64;
-        if mode == Mode::Promoted {
-            promoted_ops = kernel
-                .promote_hot("mini-e1000e", 1)
-                .expect("promotion passes its own validation") as u64;
-            assert!(promoted_ops > 0, "hot guard sites were promoted");
-            assert_ne!(image.compiled.promoted_generation(), 0, "tier installed");
-        }
-
-        let engine = if mode == Mode::Promoted {
-            Engine::Promoted
+        rig.profile(profile_pkts);
+        let (engine, promoted_ops) = if mode == Mode::Promoted {
+            let ops = rig.promote() as u64;
+            assert!(ops > 0, "hot guard sites were promoted");
+            let tier = rig.image().compiled.promoted_generation();
+            assert_ne!(tier, 0, "tier installed");
+            (Engine::Promoted, ops)
         } else {
-            Engine::Bytecode
+            (Engine::Bytecode, 0)
         };
-        let (ns_pkt, stats, inline_admits, inline_deopts) = {
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(engine);
-            let start = Instant::now();
-            for p in 0..packets {
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("xmit");
-            }
-            (
-                start.elapsed().as_nanos() as f64 / packets as f64,
-                interp.stats(),
-                interp.inline_admits(),
-                interp.inline_deopts(),
-            )
-        };
-        let mut ring_bytes = vec![0u8; RING_BYTES as usize];
-        kernel.mem.read_bytes(ring, &mut ring_bytes).expect("ring");
-        let mut frame_bytes = vec![0u8; FRAME_BYTES as usize];
-        kernel
-            .mem
-            .read_bytes(frame, &mut frame_bytes)
-            .expect("frame");
-        let mut stats_glob = vec![0u8; STATS_BYTES];
-        kernel
-            .mem
-            .read_bytes(stats_addr, &mut stats_glob)
-            .expect("@stats");
-        let tdt = kernel
-            .mem
-            .read_uint(kop_core::VAddr(mmio.raw() + TDT_OFF), Size(4))
-            .expect("tdt");
-        RunOut {
-            ns_pkt,
-            stats,
-            promoted_ops,
-            inline_admits,
-            inline_deopts,
-            ring: ring_bytes,
-            frame: frame_bytes,
-            stats_glob,
-            tdt,
-        }
+        let tx = rig.run(engine, packets);
+        (rig, tx, promoted_ops)
     };
-
-    // Timed passes: interleave the three configurations within each
-    // repeat round and keep the fastest (minima are robust to noise).
-    let mut best: [Option<RunOut>; 3] = [None, None, None];
-    for _ in 0..repeats {
-        for (i, mode) in [Mode::Baseline, Mode::General, Mode::Promoted]
-            .into_iter()
-            .enumerate()
-        {
-            let r = run(mode, packets);
-            if best[i].as_ref().is_none_or(|b| r.ns_pkt < b.ns_pkt) {
-                best[i] = Some(r);
-            }
-        }
-    }
-    let [base, general, promoted] = best.map(|o| o.expect("all configurations ran"));
+    let [(_, base, _), (general_rig, general, _), (promoted_rig, promoted, promoted_ops)] = best_of(
+        [Mode::Baseline, Mode::General, Mode::Promoted],
+        repeats,
+        run,
+        |(_, tx, _)| tx.ns_pkt,
+    );
 
     // Observable identity: the tier changed guard *mechanics*, never the
     // module's behaviour.
@@ -208,10 +95,11 @@ pub fn jit() -> FigureData {
         general.stats, promoted.stats,
         "general and promoted ExecStats must match"
     );
-    assert_eq!(general.ring, promoted.ring, "TX ring bytes");
-    assert_eq!(general.frame, promoted.frame, "frame buffer bytes");
-    assert_eq!(general.stats_glob, promoted.stats_glob, "@stats bytes");
-    assert_eq!(general.tdt, promoted.tdt, "TDT doorbell cell");
+    assert_eq!(
+        general_rig.read(),
+        promoted_rig.read(),
+        "TX ring, frame, @stats and TDT doorbell bytes"
+    );
     assert_eq!(base.stats.guards, 0, "baseline build executes no guards");
     assert!(general.stats.guards > 0 && general.stats.guards % packets == 0);
 
@@ -246,96 +134,52 @@ pub fn jit() -> FigureData {
     // stays promoted (every guard inline, zero deopts), and its batched
     // per-site attribution equals a traced general-bytecode pass over
     // the same packets, site for site.
-    struct TracedOut {
-        stats: ExecStats,
-        admits: u64,
-        deopts: u64,
-        checks: u64,
-        inline: u64,
-        sites: Vec<(String, u64)>,
-    }
-    let traced_pass = |engine: Engine| -> TracedOut {
-        let tp = if quick() { 512 } else { 2_048 };
-        let out = compile_module(
-            corpus::parse(corpus::MINI_E1000E_IR),
-            &CompileOptions::carat_kop(),
-            &key,
-        )
-        .expect("compiles");
-        let mut kernel = Kernel::boot(
-            setup::two_region_policy(),
-            vec![key.clone()],
-            KernelConfig::default(),
-        );
-        kernel.insmod(&out.signed).expect("loads");
-        let ring = kernel.kmalloc(RING_BYTES).expect("ring");
-        let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
-        let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");
-        let xmit_n = |kernel: &mut Kernel, n: u64, engine: Engine| {
-            let mut interp = Interp::new(kernel).expect("interp");
-            interp.set_engine(engine);
-            for p in 0..n {
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("traced xmit");
-            }
-            (
-                interp.stats(),
-                interp.inline_admits(),
-                interp.inline_deopts(),
-            )
-        };
-        kernel.tracer().set_enabled(true);
-        xmit_n(&mut kernel, profile_pkts, Engine::Bytecode);
-        kernel.tracer().set_enabled(false);
-        assert!(kernel.promote_hot("mini-e1000e", 1).expect("promote") > 0);
+    let tp = if quick() { 512 } else { 2_048 };
+    let traced_pass = |engine: Engine| {
+        let mut rig = boot(&carat);
+        rig.profile(profile_pkts);
+        assert!(rig.promote() > 0);
         // The measured window's profile starts from zero.
-        kernel.tracer().reset_profiles();
-        kernel.tracer().set_enabled(true);
-        let (stats, admits, deopts) = xmit_n(&mut kernel, tp, engine);
-        let profile = kernel.tracer().profile_snapshot();
-        TracedOut {
-            stats,
-            admits,
-            deopts,
-            checks: kernel.tracer().total_checks(),
-            inline: profile.iter().map(|(_, p)| p.inline).sum(),
-            sites: profile
-                .into_iter()
-                .map(|(m, p)| (m.label, p.hits))
-                .collect(),
-        }
+        rig.kernel.tracer().reset_profiles();
+        rig.kernel.tracer().set_enabled(true);
+        let tx = rig.run(engine, tp);
+        let tracer = rig.kernel.tracer();
+        let inline: u64 = tracer
+            .profile_snapshot()
+            .iter()
+            .map(|(_, p)| p.inline)
+            .sum();
+        (tx, tracer.total_checks(), inline, rig.site_hits())
     };
     let (traced_checks, traced_guards, traced_admits) = {
-        let general = traced_pass(Engine::Bytecode);
-        let promoted = traced_pass(Engine::Promoted);
+        let (general, general_checks, general_inline, general_sites) =
+            traced_pass(Engine::Bytecode);
+        let (promoted, checks, inline, sites) = traced_pass(Engine::Promoted);
         assert_eq!(promoted.stats, general.stats, "traced ExecStats must match");
         assert_eq!(
-            promoted.admits, promoted.stats.guards,
+            promoted.inline_admits, promoted.stats.guards,
             "with tracing on, every guard is still answered by the inline tier"
         );
-        assert_eq!(promoted.deopts, 0, "tracing causes no deopts");
-        for t in [&general, &promoted] {
+        assert_eq!(promoted.inline_deopts, 0, "tracing causes no deopts");
+        for (c, g) in [
+            (general_checks, general.stats.guards),
+            (checks, promoted.stats.guards),
+        ] {
             assert_eq!(
-                t.checks, t.stats.guards,
+                c, g,
                 "per-site profile totals must reconcile with the guard counter"
             );
         }
         assert_eq!(
-            promoted.inline, promoted.admits,
+            inline, promoted.inline_admits,
             "every inline admit profiled as inline"
         );
-        assert_eq!(general.inline, 0);
+        assert_eq!(general_inline, 0);
         assert_eq!(
-            promoted.sites, general.sites,
+            sites, general_sites,
             "per-site hits equal a traced general-bytecode pass over the same packets"
         );
-        (promoted.checks, promoted.stats.guards, promoted.admits)
+        (checks, promoted.stats.guards, promoted.inline_admits)
     };
 
     // Invalidation and lazy re-promotion: a policy publish drops the
@@ -343,57 +187,23 @@ pub fn jit() -> FigureData {
     // dispatch deopts to the general bytecode), and the next promotion
     // re-bakes at the new generation.
     let bump_generation_delta = {
-        let out = compile_module(
-            corpus::parse(corpus::MINI_E1000E_IR),
-            &CompileOptions::carat_kop(),
-            &key,
-        )
-        .expect("compiles");
         let policy = setup::two_region_policy();
-        let mut kernel = Kernel::boot(
-            Arc::clone(&policy),
-            vec![key.clone()],
-            KernelConfig {
-                // The sweep threshold `tick()` uses — one hit qualifies,
-                // so the standing profile re-promotes after the bump.
-                hot_threshold: 1,
-                ..KernelConfig::default()
-            },
-        );
-        kernel.insmod(&out.signed).expect("loads");
-        let image = Arc::clone(kernel.module("mini-e1000e").expect("loaded").image());
-        let compiled = &image.compiled;
-        let ring = kernel.kmalloc(RING_BYTES).expect("ring");
-        let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
-        let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");
-        let xmit_n = |kernel: &mut Kernel, n: u64, engine: Engine| -> (ExecStats, u64, u64) {
-            let mut interp = Interp::new(kernel).expect("interp");
-            interp.set_engine(engine);
-            for p in 0..n {
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("xmit");
-            }
-            (
-                interp.stats(),
-                interp.inline_admits(),
-                interp.inline_deopts(),
-            )
+        let config = KernelConfig {
+            // The sweep threshold `tick()` uses — one hit qualifies,
+            // so the standing profile re-promotes after the bump.
+            hot_threshold: 1,
+            ..KernelConfig::default()
         };
-        kernel.tracer().set_enabled(true);
-        xmit_n(&mut kernel, profile_pkts, Engine::Bytecode);
-        kernel.tracer().set_enabled(false);
-        assert!(kernel.promote_hot("mini-e1000e", 1).expect("promote") > 0);
+        let mut rig = TxRig::boot(&carat, Arc::clone(&policy), config);
+        let image = rig.image();
+        let compiled = &image.compiled;
+        rig.profile(profile_pkts);
+        assert!(rig.promote() > 0);
         let gen1 = compiled.promoted_generation();
         assert_eq!(gen1, policy.store_generation(), "tier is current");
-        let (s1, a1, d1) = xmit_n(&mut kernel, 64, Engine::Promoted);
-        assert_eq!(a1, s1.guards);
-        assert_eq!(d1, 0);
+        let r1 = rig.run(Engine::Promoted, 64);
+        assert_eq!(r1.inline_admits, r1.stats.guards);
+        assert_eq!(r1.inline_deopts, 0);
 
         // The publish: the generation subscription drops the tier on the
         // publishing thread, before bump_epoch returns.
@@ -403,20 +213,35 @@ pub fn jit() -> FigureData {
             0,
             "a policy publish drops the promoted tier wholesale"
         );
-        let (s2, a2, d2) = xmit_n(&mut kernel, 64, Engine::Promoted);
-        assert_eq!(a2, 0, "zero stale admits after the epoch bump");
-        assert_eq!(d2, 0, "tier dropped before any op could even deopt");
-        assert_eq!(s2.guards, s1.guards, "general path answered everything");
+        let r2 = rig.run(Engine::Promoted, 64);
+        assert_eq!(
+            r2.inline_admits, 0,
+            "zero stale admits after the epoch bump"
+        );
+        assert_eq!(
+            r2.inline_deopts, 0,
+            "tier dropped before any op could even deopt"
+        );
+        assert_eq!(
+            r2.stats.guards, r1.stats.guards,
+            "general path answered everything"
+        );
 
         // Lazy re-promotion: the accumulated profile still qualifies, so
         // the next sweep re-bakes against the *new* snapshot.
-        assert!(kernel.tick() > 0, "re-promotion from the standing profile");
+        assert!(
+            rig.kernel.tick() > 0,
+            "re-promotion from the standing profile"
+        );
         let gen2 = compiled.promoted_generation();
         assert_eq!(gen2, policy.store_generation());
         assert!(gen2 > gen1);
-        let (s3, a3, d3) = xmit_n(&mut kernel, 64, Engine::Promoted);
-        assert_eq!(a3, s3.guards, "inline admits resume at the new generation");
-        assert_eq!(d3, 0);
+        let r3 = rig.run(Engine::Promoted, 64);
+        assert_eq!(
+            r3.inline_admits, r3.stats.guards,
+            "inline admits resume at the new generation"
+        );
+        assert_eq!(r3.inline_deopts, 0);
         gen2 - gen1
     };
 
@@ -425,7 +250,7 @@ pub fn jit() -> FigureData {
     let (fwd_offered, fwd_repeats, fwd_flows, fwd_budget) = if quick() {
         (600u64, 2usize, 256usize, 64u64)
     } else {
-        (4_000, 4, 512, 64)
+        (4_000, 3, 512, 64)
     };
     let fwd_seed = 7_300u64;
 
@@ -436,86 +261,54 @@ pub fn jit() -> FigureData {
     // front's filled bounds are what make its cost independent of table
     // size.
     let pm = setup::n_region_policy(32);
-    // One untimed guarded pass first, so the first timed configuration
-    // does not pay the cold start alone.
-    forward_once(
-        GuardedMem::new(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-        ),
-        fwd_seed,
-        fwd_flows,
-        fwd_offered,
-        fwd_budget,
-    );
-    let mut fwd_base_best = f64::MAX;
-    let mut fwd_general_best = f64::MAX;
-    let mut fwd_front_best = f64::MAX;
-    let mut fwd_guard_calls = 0u64;
-    let mut fwd_admits = 0u64;
-    for _ in 0..fwd_repeats {
-        let (rate_b, rep_b, _) = forward_once(
-            DirectMem::with_defaults(E1000Device::default()),
-            fwd_seed,
-            fwd_flows,
-            fwd_offered,
-            fwd_budget,
-        );
-        let checks0 = pm.stats().checks;
-        let (rate_g, rep_g, general_counts) = forward_once(
-            GuardedMem::new(
-                DirectMem::with_defaults(E1000Device::default()),
-                Arc::clone(&pm),
-            ),
-            fwd_seed,
-            fwd_flows,
-            fwd_offered,
-            fwd_budget,
-        );
-        let checks1 = pm.stats().checks;
-        let front = GuardFront::new(Arc::clone(&pm), default_site_map());
-        let (rate_f, rep_f, front_counts) = forward_once(
-            GuardedMem::new(DirectMem::with_defaults(E1000Device::default()), front),
-            fwd_seed,
-            fwd_flows,
-            fwd_offered,
-            fwd_budget,
-        );
-        let checks2 = pm.stats().checks;
-
-        assert_eq!(
-            rep_b, rep_g,
-            "general forwarding is behaviourally identical"
-        );
-        assert_eq!(rep_b, rep_f, "front forwarding is behaviourally identical");
-        let guard_calls = general_counts.guard_calls;
-        assert_eq!(
-            front_counts.guard_calls, guard_calls,
-            "same guard count either way"
-        );
-        // One rule for both: every guard reached the policy's books.
-        assert_eq!(
-            checks1 - checks0,
-            guard_calls,
-            "general: policy.checks == guard calls"
-        );
-        assert_eq!(
-            checks2 - checks1,
-            guard_calls,
-            "front: policy.checks == guard calls"
-        );
-        let admits = front_counts.inline_admits;
-        assert!(
-            admits > guard_calls - admits,
-            "the front answers most forwarding guards from a slot ({admits} of {guard_calls})"
-        );
-        fwd_guard_calls = guard_calls;
-        fwd_admits = admits;
-        // Keep the *fastest* pass per configuration, as ns per frame.
-        fwd_base_best = fwd_base_best.min(1e9 / rate_b.max(1e-9));
-        fwd_general_best = fwd_general_best.min(1e9 / rate_g.max(1e-9));
-        fwd_front_best = fwd_front_best.min(1e9 / rate_f.max(1e-9));
+    #[derive(Clone, Copy, Debug)]
+    enum Leg {
+        Unguarded,
+        General,
+        Front,
     }
+    // One pass as (ns per frame, report, access counts).
+    let fwd_run = |leg: Leg| {
+        let checks0 = pm.stats().checks;
+        let load = (fwd_seed, fwd_flows, fwd_offered, fwd_budget);
+        let (rate, rep, counts) = match leg {
+            Leg::Unguarded => forward_once(unguarded(), load),
+            Leg::General => forward_once(guarded(Arc::clone(&pm)), load),
+            Leg::Front => {
+                let front = GuardFront::new(Arc::clone(&pm), default_site_map());
+                forward_once(guarded(front), load)
+            }
+        };
+        // One rule for every leg: every guard reached the policy's books.
+        assert_eq!(
+            pm.stats().checks - checks0,
+            counts.guard_calls,
+            "{leg:?}: policy.checks == guard calls"
+        );
+        (1e9 / rate.max(1e-9), rep, counts)
+    };
+    let [(fwd_base_best, rep_b, _), (fwd_general_best, rep_g, general_counts), (fwd_front_best, rep_f, front_counts)] =
+        best_of(
+            [Leg::Unguarded, Leg::General, Leg::Front],
+            fwd_repeats,
+            fwd_run,
+            |(ns, _, _)| *ns,
+        );
+    assert_eq!(
+        rep_b, rep_g,
+        "general forwarding is behaviourally identical"
+    );
+    assert_eq!(rep_b, rep_f, "front forwarding is behaviourally identical");
+    let fwd_guard_calls = general_counts.guard_calls;
+    assert_eq!(
+        front_counts.guard_calls, fwd_guard_calls,
+        "same guard count either way"
+    );
+    let fwd_admits = front_counts.inline_admits;
+    assert!(
+        fwd_admits > fwd_guard_calls - fwd_admits,
+        "the front answers most forwarding guards from a slot ({fwd_admits} of {fwd_guard_calls})"
+    );
     let fwd_general_over = (fwd_general_best - fwd_base_best).max(0.0);
     let fwd_front_over = (fwd_front_best - fwd_base_best).max(0.0);
     if assert_timing {
@@ -579,7 +372,7 @@ pub fn jit() -> FigureData {
             ("vm_general_ns_pkt".into(), general.ns_pkt),
             ("vm_promoted_ns_pkt".into(), promoted.ns_pkt),
             ("vm_overhead_reduction".into(), vm_reduction),
-            ("vm_promoted_ops".into(), promoted.promoted_ops as f64),
+            ("vm_promoted_ops".into(), promoted_ops as f64),
             ("vm_inline_admits".into(), promoted.inline_admits as f64),
             ("vm_inline_deopts".into(), promoted.inline_deopts as f64),
             ("vm_guards_per_packet".into(), guards_per_packet as f64),

@@ -1,14 +1,11 @@
-use std::time::Instant;
+use kop_compiler::CompileOptions;
+use kop_kernel::KernelConfig;
 
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
-use kop_core::Size;
-use kop_kernel::{Kernel, KernelConfig};
-use kop_policy::{DefaultAction, PolicyModule};
-
-use crate::corpus;
 use crate::setup;
 
+use super::measure::best_of;
 use super::quick;
+use super::rig::{opt_workload, traced_engines_agree, TxRig};
 use super::{FigureData, Series};
 
 /// The OPT figure (`reproduce opt`): the guard-optimizing analysis tier
@@ -26,168 +23,66 @@ use super::{FigureData, Series};
 /// build; (d) the optimized container round-trips the loader's
 /// ledger-replaying static verification.
 pub fn opt() -> FigureData {
-    use kop_interp::{Engine, ExecStats, Interp};
+    use kop_interp::Engine;
 
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
     let (packets, repeats) = if quick() {
         (2_000u64, 3)
     } else {
-        (20_000u64, 7)
+        (20_000u64, 6)
     };
-
-    const RING_BYTES: u64 = 256 * 16;
-    const FRAME_BYTES: u64 = 64;
-    const MMIO_BYTES: u64 = 0x4000;
-    const TDT_OFF: u64 = 0x3818;
-    const STATS_BYTES: usize = 24;
-    const LEN: u64 = 114;
-
-    struct RunOut {
-        ns_pkt: f64,
-        stats: ExecStats,
-        static_guards: u64,
-        ring: Vec<u8>,
-        frame: Vec<u8>,
-        stats_glob: Vec<u8>,
-        tdt: u64,
-        profiled: Vec<(String, String, u64)>,
-        profiled_checks: u64,
-    }
-
-    let run = |opts: &CompileOptions, engine: Engine, packets: u64, traced: bool| -> RunOut {
-        let module = corpus::parse(corpus::MINI_E1000E_IR);
-        let out = compile_module(module, opts, &key).expect("compiles");
-        let static_guards = out.signed.attestation.guard_count;
-        let policy = setup::two_region_policy();
-        // Static verification mode: insmod replays the attested
-        // obligation ledger through the independent validator, exactly
-        // the audit the signer ran.
-        let mut kernel = Kernel::boot(
-            policy,
-            vec![key.clone()],
-            KernelConfig {
-                verification: kop_kernel::Verification::SignatureAndStatic,
-                ..KernelConfig::default()
-            },
-        );
-        kernel.insmod(&out.signed).expect("loads");
-        let image = std::sync::Arc::clone(kernel.module("mini-e1000e").expect("loaded").image());
-        let stats_addr = image
-            .globals
-            .get("stats")
-            .copied()
-            .expect("@stats laid out");
-        let ring = kernel.kmalloc(RING_BYTES).expect("ring");
-        let frame = kernel.kmalloc(FRAME_BYTES).expect("frame");
-        let mmio = kernel.kmalloc(MMIO_BYTES).expect("mmio window");
-        if traced {
-            kernel.tracer().set_enabled(true);
-        }
-        let (ns_pkt, stats) = {
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            interp.set_engine(engine);
-            let start = Instant::now();
-            for p in 0..packets {
-                let slot = p & 255;
-                interp
-                    .call(
-                        "mini-e1000e",
-                        "xmit",
-                        &[ring.raw(), frame.raw(), mmio.raw(), slot, LEN, slot],
-                    )
-                    .expect("xmit");
-            }
-            (
-                start.elapsed().as_nanos() as f64 / packets as f64,
-                interp.stats(),
-            )
-        };
-        let mut ring_bytes = vec![0u8; RING_BYTES as usize];
-        kernel.mem.read_bytes(ring, &mut ring_bytes).expect("ring");
-        let mut frame_bytes = vec![0u8; FRAME_BYTES as usize];
-        kernel
-            .mem
-            .read_bytes(frame, &mut frame_bytes)
-            .expect("frame");
-        let mut stats_glob = vec![0u8; STATS_BYTES];
-        kernel
-            .mem
-            .read_bytes(stats_addr, &mut stats_glob)
-            .expect("@stats");
-        let tdt = kernel
-            .mem
-            .read_uint(kop_core::VAddr(mmio.raw() + TDT_OFF), Size(4))
-            .expect("tdt");
-        let (profiled, profiled_checks) = if traced {
-            let t = kernel.tracer();
-            (
-                t.profile_snapshot()
-                    .into_iter()
-                    .map(|(meta, prof)| (meta.module.clone(), meta.label.clone(), prof.hits))
-                    .collect(),
-                t.total_checks(),
-            )
-        } else {
-            (Vec::new(), 0)
-        };
-        RunOut {
-            ns_pkt,
-            stats,
-            static_guards,
-            ring: ring_bytes,
-            frame: frame_bytes,
-            stats_glob,
-            tdt,
-            profiled,
-            profiled_checks,
-        }
-    };
-
     let unopt = CompileOptions::carat_kop();
     let opt = CompileOptions::optimized();
+    // Static verification mode: insmod replays the attested obligation
+    // ledger through the independent validator, exactly the audit the
+    // signer ran.
+    let boot = |opts: &CompileOptions| {
+        let config = KernelConfig {
+            verification: kop_kernel::Verification::SignatureAndStatic,
+            ..KernelConfig::default()
+        };
+        TxRig::boot(opts, setup::two_region_policy(), config)
+    };
 
-    // Timed passes, interleaved per repeat round; keep the fastest.
-    let mut best: [Option<RunOut>; 4] = [None, None, None, None];
-    for _ in 0..repeats {
-        for (i, (opts, engine)) in [
+    // Timed passes, each on a fresh rig, kept whole with their rig.
+    let [(ut_rig, ut), (ub_rig, ub), (ot_rig, ot), (ob_rig, ob)] = best_of(
+        [
             (&unopt, Engine::Tree),
             (&unopt, Engine::Bytecode),
             (&opt, Engine::Tree),
             (&opt, Engine::Bytecode),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let r = run(opts, engine, packets, false);
-            if best[i].as_ref().is_none_or(|b| r.ns_pkt < b.ns_pkt) {
-                best[i] = Some(r);
-            }
-        }
-    }
-    let [ut, ub, ot, ob] = best.map(|o| o.expect("all configurations ran"));
+        ],
+        repeats,
+        |(opts, engine)| {
+            let mut rig = boot(opts);
+            let run = rig.run(engine, packets);
+            (rig, run)
+        },
+        |(_, run)| run.ns_pkt,
+    );
 
     // Engine equivalence within each build flavour.
     assert_eq!(ut.stats, ub.stats, "unoptimized ExecStats must match");
     assert_eq!(ot.stats, ob.stats, "optimized ExecStats must match");
     // Byte identity across ALL four configurations: optimization must not
     // change what the driver writes, only how often it checks.
+    let bytes = ut_rig.read();
     for (r, what) in [
-        (&ub, "unopt/bytecode"),
-        (&ot, "opt/tree"),
-        (&ob, "opt/bytecode"),
+        (&ub_rig, "unopt/bytecode"),
+        (&ot_rig, "opt/tree"),
+        (&ob_rig, "opt/bytecode"),
     ] {
-        assert_eq!(ut.ring, r.ring, "{what}: TX ring bytes");
-        assert_eq!(ut.frame, r.frame, "{what}: frame buffer bytes");
-        assert_eq!(ut.stats_glob, r.stats_glob, "{what}: @stats bytes");
-        assert_eq!(ut.tdt, r.tdt, "{what}: TDT doorbell cell");
+        assert_eq!(
+            bytes,
+            r.read(),
+            "{what}: TX ring, frame, @stats and TDT doorbell bytes"
+        );
     }
     // The point of the tier: strictly fewer guards, statically and
     // dynamically, with per-packet granularity.
+    let (static_unopt, static_opt) = (ut_rig.static_guards, ot_rig.static_guards);
     assert!(
-        ot.static_guards < ut.static_guards,
-        "optimization must reduce static guard sites ({} vs {})",
-        ot.static_guards,
-        ut.static_guards
+        static_opt < static_unopt,
+        "optimization must reduce static guard sites ({static_opt} vs {static_unopt})"
     );
     assert!(ut.stats.guards % packets == 0 && ot.stats.guards % packets == 0);
     let gpp_unopt = ut.stats.guards / packets;
@@ -201,49 +96,18 @@ pub fn opt() -> FigureData {
     // reconciliation for both builds, across both engines.
     let tp = if quick() { 512 } else { 2_048 };
     for opts in [&unopt, &opt] {
-        let t_tree = run(opts, Engine::Tree, tp, true);
-        let t_vm = run(opts, Engine::Bytecode, tp, true);
-        assert_eq!(t_tree.stats, t_vm.stats, "traced ExecStats must match");
-        assert_eq!(
-            t_tree.profiled, t_vm.profiled,
-            "per-site hit attribution must match exactly across engines"
-        );
-        assert!(!t_tree.profiled.is_empty(), "guard sites were profiled");
-        for t in [&t_tree, &t_vm] {
-            assert_eq!(
-                t.profiled_checks, t.stats.guards,
-                "per-site profile totals must reconcile with the interp guard counter"
-            );
-        }
+        traced_engines_agree(|| boot(opts), tp);
     }
 
     // The counted-loop half of the tier, on the loop-heavy workload: the
     // per-iteration element guards collapse to one range guard per entry.
-    let (wl_unopt, wl_opt, wl_r) = {
-        let module = corpus::parse(corpus::OPT_WORKLOAD_IR);
-        let mut dyn_guards = [0u64; 2];
-        let mut results = [0u64; 2];
-        for (i, opts) in [&unopt, &opt].into_iter().enumerate() {
-            let out = compile_module(module.clone(), opts, &key).expect("compiles");
-            let policy = std::sync::Arc::new(PolicyModule::new());
-            policy.set_default_action(DefaultAction::Allow);
-            let mut kernel = Kernel::boot(policy, vec![key.clone()], KernelConfig::default());
-            kernel.insmod(&out.signed).expect("loads");
-            let buf = kernel.kmalloc(4096).expect("buf");
-            let mut interp = Interp::new(&mut kernel).expect("interp");
-            results[i] = interp
-                .call("opt-workload", "run", &[buf.raw(), 256])
-                .expect("runs")
-                .expect("returns");
-            dyn_guards[i] = interp.stats().guards;
-        }
-        assert_eq!(results[0], results[1], "optimization preserves semantics");
-        assert!(
-            dyn_guards[1] < dyn_guards[0],
-            "range coalescing must cut the loop workload's dynamic guards"
-        );
-        (dyn_guards[0], dyn_guards[1], results[0])
-    };
+    let (_, wl_unopt, wl_r) = opt_workload(&unopt);
+    let (_, wl_opt, wl_r_opt) = opt_workload(&opt);
+    assert_eq!(wl_r, wl_r_opt, "optimization preserves semantics");
+    assert!(
+        wl_opt < wl_unopt,
+        "range coalescing must cut the loop workload's dynamic guards"
+    );
 
     FigureData {
         id: "opt",
@@ -271,14 +135,14 @@ pub fn opt() -> FigureData {
                 "guards_per_packet_reduction".into(),
                 1.0 - gpp_opt as f64 / gpp_unopt as f64,
             ),
-            ("static_guards_unopt".into(), ut.static_guards as f64),
-            ("static_guards_opt".into(), ot.static_guards as f64),
+            ("static_guards_unopt".into(), static_unopt as f64),
+            ("static_guards_opt".into(), static_opt as f64),
             ("tree_unopt_ns_pkt".into(), ut.ns_pkt),
             ("bytecode_unopt_ns_pkt".into(), ub.ns_pkt),
             ("tree_opt_ns_pkt".into(), ot.ns_pkt),
             ("bytecode_opt_ns_pkt".into(), ob.ns_pkt),
-            ("workload_dynamic_guards_unopt".into(), wl_unopt as f64),
-            ("workload_dynamic_guards_opt".into(), wl_opt as f64),
+            ("workload_dynamic_guards_unopt".into(), wl_unopt),
+            ("workload_dynamic_guards_opt".into(), wl_opt),
             ("workload_result".into(), wl_r as f64),
         ],
         notes: vec![

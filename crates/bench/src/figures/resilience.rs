@@ -6,6 +6,7 @@ use kop_sim::cdf_points;
 use crate::setup;
 
 use super::quick;
+use super::rig::{driver, guarded, unguarded};
 use super::{FigureData, Series};
 
 /// Outcome of one fault-storm run: what got through and how long the
@@ -137,26 +138,16 @@ pub fn resilience() -> Vec<FigureData> {
         let seed = 4001 + i as u64;
 
         // Baseline: faults injected under the unguarded driver.
-        let mem = kop_faultline::FaultyMem::new(
-            kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-            plan_for(rate, seed),
-        );
-        let mut drv = E1000Driver::probe(mem).expect("probe baseline");
-        drv.up().expect("up baseline");
-        let base = resilience_run(&mut drv, frames);
+        let mem = kop_faultline::FaultyMem::new(unguarded(), plan_for(rate, seed));
+        let base = resilience_run(&mut driver(mem), frames);
 
         // Carat: the identical fault schedule (same seed) injected above
         // the guard layer; guards check every driver access throughout.
         let mem = kop_faultline::FaultyMem::new(
-            kop_e1000e::GuardedMem::new(
-                kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-                setup::two_region_policy(),
-            ),
+            guarded(setup::two_region_policy()),
             plan_for(rate, seed),
         );
-        let mut drv = E1000Driver::probe(mem).expect("probe carat");
-        drv.up().expect("up carat");
-        let carat = resilience_run(&mut drv, frames);
+        let carat = resilience_run(&mut driver(mem), frames);
 
         let frac = |r: &ResilienceRun| r.delivered as f64 / frames as f64;
         base_points.push((rate, frac(&base)));

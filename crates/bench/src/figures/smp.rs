@@ -6,6 +6,7 @@ use kop_policy::PolicyModule;
 use crate::baseline;
 use crate::setup;
 
+use super::measure::{best_of, cores};
 use super::quick;
 use super::rig::default_site_map;
 use super::{FigureData, Series};
@@ -33,11 +34,9 @@ pub fn smp() -> FigureData {
     let (iters, repeats, mq_frames) = if quick() {
         (60_000u64, 3usize, 200u64)
     } else {
-        (250_000u64, 5usize, 1_500u64)
+        (250_000u64, 4usize, 1_500u64)
     };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
     // Timing asserts only when this process is the standalone quick smoke
     // run on a multi-core host: under `cargo test` (paper scale) sibling
     // tests pollute the scheduler and scaling ratios are meaningless.
@@ -50,137 +49,141 @@ pub fn smp() -> FigureData {
         SnapshotFront,
     }
 
-    // One check-rate measurement: n threads hammer one shared policy
-    // with permitted kernel-half accesses; returns aggregate checks/sec
-    // (best of `repeats`, min-time discipline).
+    // One check-rate pass: n threads hammer one shared policy with
+    // permitted kernel-half accesses; returns aggregate checks/sec.
     let check_rate = |path: Path, n: usize| -> f64 {
-        let mut best = 0.0f64;
-        for _ in 0..repeats {
-            let pm = setup::two_region_policy();
-            let locked = baseline::LockedPolicy::new(std::sync::Arc::clone(&pm));
-            let barrier = Barrier::new(n);
-            let base = kop_core::layout::DIRECT_MAP_BASE;
-            let worst_ns = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|t| {
-                        let pm = std::sync::Arc::clone(&pm);
-                        let locked = locked.clone();
-                        let barrier = &barrier;
-                        s.spawn(move || {
-                            // One site: the leg times the slot check itself.
-                            let front = GuardFront::new(Arc::clone(&pm), SiteMap::new(0));
-                            barrier.wait();
-                            let t0 = Instant::now();
-                            for i in 0..iters {
-                                let addr = VAddr(base + ((i ^ t as u64) % 512) * 8);
-                                let r = match path {
-                                    Path::SnapshotFront => {
-                                        front.carat_guard(addr, Size(8), AccessFlags::RW)
-                                    }
-                                    Path::Snapshot => pm.check(addr, Size(8), AccessFlags::RW),
-                                    Path::Mutex => {
-                                        locked.carat_guard(addr, Size(8), AccessFlags::RW)
-                                    }
-                                };
-                                debug_assert!(r.is_ok());
-                                std::hint::black_box(&r);
-                            }
-                            t0.elapsed().as_nanos() as u64
-                        })
+        let pm = setup::two_region_policy();
+        let locked = baseline::LockedPolicy::new(std::sync::Arc::clone(&pm));
+        let barrier = Barrier::new(n);
+        let base = kop_core::layout::DIRECT_MAP_BASE;
+        let worst_ns = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|t| {
+                    let pm = std::sync::Arc::clone(&pm);
+                    let locked = locked.clone();
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        // One site: the leg times the slot check itself.
+                        let front = GuardFront::new(Arc::clone(&pm), SiteMap::new(0));
+                        barrier.wait();
+                        let t0 = Instant::now();
+                        for i in 0..iters {
+                            let addr = VAddr(base + ((i ^ t as u64) % 512) * 8);
+                            let r = match path {
+                                Path::SnapshotFront => {
+                                    front.carat_guard(addr, Size(8), AccessFlags::RW)
+                                }
+                                Path::Snapshot => pm.check(addr, Size(8), AccessFlags::RW),
+                                Path::Mutex => locked.carat_guard(addr, Size(8), AccessFlags::RW),
+                            };
+                            debug_assert!(r.is_ok());
+                            std::hint::black_box(&r);
+                        }
+                        t0.elapsed().as_nanos() as u64
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rate worker"))
-                    .max()
-                    .unwrap_or(1)
-            });
-            let rate = (iters as f64 * n as f64) / (worst_ns as f64 / 1e9);
-            best = best.max(rate);
-        }
-        best
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rate worker"))
+                .max()
+                .unwrap_or(1)
+        });
+        (iters as f64 * n as f64) / (worst_ns as f64 / 1e9)
     };
 
-    let mut series = Vec::new();
-    let mut rate_1t = std::collections::HashMap::new();
-    let mut rate_4t = std::collections::HashMap::new();
-    for (label, path) in [
-        ("checkrate_mutex", Path::Mutex),
-        ("checkrate_snapshot", Path::Snapshot),
-        ("checkrate_snapshot_front", Path::SnapshotFront),
-    ] {
-        let points: Vec<(f64, f64)> = threads
-            .iter()
-            .map(|&n| {
-                let r = check_rate(path, n);
-                if n == 1 {
-                    rate_1t.insert(label, r);
-                }
-                if n == 4 {
-                    rate_4t.insert(label, r);
-                }
-                (n as f64, r / 1e6) // Mchecks/s
-            })
-            .collect();
-        series.push(Series {
-            label: label.into(),
-            points,
-        });
+    // Per path, (threads, checks/s): the best of interleaved repeats of
+    // the three paths at each thread count.
+    let labels = [
+        "checkrate_mutex",
+        "checkrate_snapshot",
+        "checkrate_snapshot_front",
+    ];
+    let mut rates: [Vec<(f64, f64)>; 3] = Default::default();
+    for &n in threads {
+        let best = best_of(
+            [Path::Mutex, Path::Snapshot, Path::SnapshotFront],
+            repeats,
+            |path| check_rate(path, n),
+            |rate| 1.0 / rate,
+        );
+        for (pts, rate) in rates.iter_mut().zip(best) {
+            pts.push((n as f64, rate));
+        }
     }
+    let at = |pts: &[(f64, f64)], n: f64| pts.iter().find(|p| p.0 == n).expect("sweep point").1;
+    let [mutex_rates, _, front_rates] = &rates;
+    let mut series: Vec<Series> = labels
+        .iter()
+        .zip(&rates)
+        .map(|(label, pts)| Series {
+            label: label.to_string(),
+            points: pts.iter().map(|&(n, r)| (n, r / 1e6)).collect(), // Mchecks/s
+        })
+        .collect();
 
     // Single-thread ns/check from the measured rates.
-    let ns_per_check = |label: &str| 1e9 / rate_1t.get(label).copied().unwrap_or(1.0);
-    let mutex_ns = ns_per_check("checkrate_mutex");
-    let snapshot_ns = ns_per_check("checkrate_snapshot");
-    let front_ns = ns_per_check("checkrate_snapshot_front");
+    let [mutex_ns, snapshot_ns, front_ns] = rates.each_ref().map(|pts| 1e9 / at(pts, 1.0));
 
     // Multi-queue TX throughput: N queues, each its own driver + ring,
     // sharing one policy. Either way the shared policy's checks reconcile
     // exactly with the drivers' guard calls.
-    let mut mq_guard_calls = 0u64;
-    let mut mq_policy_checks = 0u64;
-    let mut front_admits = 0u64;
-    for (label, use_front) in [("mq_tx_mutex", false), ("mq_tx_snapshot_front", true)] {
-        let mut points = Vec::new();
-        for &n in threads {
-            let mut best = 0.0f64;
-            for _ in 0..repeats.min(3) {
-                let pm = setup::two_region_policy();
-                let report = if use_front {
-                    let map = default_site_map();
-                    kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| {
-                        GuardFront::new(Arc::clone(&pm), map.clone())
-                    })
-                } else {
-                    let locked = baseline::LockedPolicy::new(Arc::clone(&pm));
-                    kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| locked.clone())
-                }
-                .expect("mq tx run");
-                assert_eq!(
-                    report.delivered(),
-                    mq_frames * n as u64,
-                    "every queue must deliver every frame"
-                );
-                assert_eq!(
-                    pm.stats().checks,
-                    report.guard_calls(),
-                    "policy.checks must reconcile exactly with guard calls"
-                );
-                if use_front {
-                    let admits = report.inline_admits();
-                    assert!(
-                        admits > report.guard_calls() - admits,
-                        "the front must answer most guards from a slot ({admits} of {})",
-                        report.guard_calls()
-                    );
-                    mq_guard_calls = report.guard_calls();
-                    mq_policy_checks = pm.stats().checks;
-                    front_admits = admits;
-                }
-                best = best.max(report.frames_per_sec());
-            }
-            points.push((n as f64, best));
+    // One pass: (frames/s, guard calls, policy checks, front admits).
+    let mq_run = |use_front: bool, n: usize| -> (f64, u64, u64, u64) {
+        let pm = setup::two_region_policy();
+        let report = if use_front {
+            let map = default_site_map();
+            kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| {
+                GuardFront::new(Arc::clone(&pm), map.clone())
+            })
+        } else {
+            let locked = baseline::LockedPolicy::new(Arc::clone(&pm));
+            kop_e1000e::run_mq_tx(n, mq_frames, 64, |_q| locked.clone())
         }
+        .expect("mq tx run");
+        assert_eq!(
+            report.delivered(),
+            mq_frames * n as u64,
+            "every queue must deliver every frame"
+        );
+        assert_eq!(
+            pm.stats().checks,
+            report.guard_calls(),
+            "policy.checks must reconcile exactly with guard calls"
+        );
+        let admits = report.inline_admits();
+        if use_front {
+            assert!(
+                admits > report.guard_calls() - admits,
+                "the front must answer most guards from a slot ({admits} of {})",
+                report.guard_calls()
+            );
+        }
+        let checks = pm.stats().checks;
+        (
+            report.frames_per_sec(),
+            report.guard_calls(),
+            checks,
+            admits,
+        )
+    };
+    let mut mq_pts: [Vec<(f64, f64)>; 2] = Default::default();
+    let (mut mq_guard_calls, mut mq_policy_checks, mut front_admits) = (0, 0, 0);
+    for &n in threads {
+        let [mutex, front] = best_of(
+            [false, true],
+            if quick() { 3 } else { 2 },
+            |use_front| mq_run(use_front, n),
+            |(fps, ..)| 1.0 / fps,
+        );
+        mq_pts[0].push((n as f64, mutex.0));
+        mq_pts[1].push((n as f64, front.0));
+        (_, mq_guard_calls, mq_policy_checks, front_admits) = front;
+    }
+    for (label, points) in ["mq_tx_mutex", "mq_tx_snapshot_front"]
+        .into_iter()
+        .zip(mq_pts)
+    {
         series.push(Series {
             label: label.into(),
             points,
@@ -191,18 +194,15 @@ pub fn smp() -> FigureData {
     // counter; an allowed check observed strictly inside a revoked
     // window is a stale admit. Asserted zero at every scale.
     let churns = if quick() { 1_000u64 } else { 5_000 };
-    let stale_admits;
-    let churn_publishes;
-    {
+    let readers = 3usize;
+    let (stale_admits, churn_publishes) = {
         let pm = Arc::new(PolicyModule::new()); // default deny
         let before_publishes = pm.snapshot_publishes();
         let state = AtomicU64::new(1);
         let stop = AtomicBool::new(false);
         let grant =
             Region::new(VAddr(0x1000), Size(0x1000), Protection::READ_WRITE).expect("grant region");
-        let readers = 3usize;
-        let guards;
-        (stale_admits, guards) = std::thread::scope(|s| {
+        let (stale_admits, guards) = std::thread::scope(|s| {
             let handles: Vec<_> = (0..readers)
                 .map(|_| {
                     let pm = &pm;
@@ -243,23 +243,19 @@ pub fn smp() -> FigureData {
             guards,
             "churn readers: policy.checks == guard calls"
         );
-        churn_publishes = pm.snapshot_publishes() - before_publishes;
+        let churn_publishes = pm.snapshot_publishes() - before_publishes;
         assert_eq!(
             stale_admits, 0,
             "a revoked grant must never be admitted after the revoke returns"
         );
         assert_eq!(churn_publishes, 2 * churns, "one publish per table write");
-    }
+        (stale_admits, churn_publishes)
+    };
 
     // Timing claims — only meaningful on a quiet multi-core host.
-    let scaling = |label: &str| -> f64 {
-        match (rate_1t.get(label), rate_4t.get(label)) {
-            (Some(&r1), Some(&r4)) if r1 > 0.0 => r4 / r1,
-            _ => f64::NAN,
-        }
-    };
-    let front_scaling = scaling("checkrate_snapshot_front");
-    let mutex_scaling = scaling("checkrate_mutex");
+    let scaling = |pts: &[(f64, f64)]| at(pts, 4.0) / at(pts, 1.0);
+    let front_scaling = scaling(front_rates);
+    let mutex_scaling = scaling(mutex_rates);
     if assert_timing {
         assert!(
             front_scaling >= 3.0,
@@ -280,8 +276,7 @@ pub fn smp() -> FigureData {
         "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +front adds a per-thread GuardFront (one self-filling slot per site)".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
-            "writer churn: {churns} grant/revoke pairs against {} concurrent front readers -> 0 stale admits (asserted)",
-            3
+            "writer churn: {churns} grant/revoke pairs against {readers} concurrent front readers -> 0 stale admits (asserted)"
         ),
         format!(
             "reconciliation: policy.checks {mq_policy_checks} == {mq_guard_calls} guard calls (asserted exact), {front_admits} answered from a slot"

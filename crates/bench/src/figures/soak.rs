@@ -1,4 +1,4 @@
-use kop_compiler::{compile_module, CompileOptions, CompilerKey};
+use kop_compiler::{compile_module, CompileOptions};
 use kop_e1000e::{DriverError, E1000Driver, MemSpace};
 use kop_faultline::{FaultPlan, Trigger};
 use kop_kernel::{Kernel, KernelConfig};
@@ -6,8 +6,10 @@ use kop_policy::PolicyModule;
 use kop_sim::cdf_points;
 
 use crate::corpus;
+use crate::setup;
 
 use super::quick;
+use super::rig::{driver, guarded};
 use super::{FigureData, Series};
 
 /// Outcome of one chaos-soak pass over a (supervised or bare) fleet of
@@ -46,7 +48,7 @@ fn soak_fleet_run(
     const WORK_ADDR: u64 = kop_core::layout::DIRECT_MAP_BASE + 0x10_0000;
     const PROBE_ADDR: u64 = 0x0060_0000; // user half: always a violation
 
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+    let key = setup::operator_key();
     let policy = std::sync::Arc::new(PolicyModule::two_region_paper_policy());
     policy.set_violation_action(ViolationAction::Quarantine);
     let mut kernel = Kernel::boot(policy, vec![key], KernelConfig::default());
@@ -215,7 +217,7 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
     const BACKLOG: u64 = 12;
     let (queues, per_queue): (usize, u64) = if quick() { (2, 60) } else { (3, 200) };
 
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+    let key = setup::operator_key();
     let policy = Arc::new(PolicyModule::two_region_paper_policy());
     policy.set_violation_action(ViolationAction::Quarantine);
     let mut kernel = Kernel::boot(Arc::clone(&policy), vec![key], KernelConfig::default());
@@ -226,17 +228,13 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
 
     // v1's NIC: TX DMA permanently hung, backlog queued and undelivered.
     let hung = kop_faultline::FaultyMem::new(
-        kop_e1000e::GuardedMem::new(
-            kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-            Arc::clone(&policy),
-        ),
+        guarded(Arc::clone(&policy)),
         FaultPlan::new(9_001).with_tx_hang(Trigger::Window {
             start: 1,
             len: u64::MAX / 2,
         }),
     );
-    let mut v1_drv = E1000Driver::probe(hung).expect("probe v1");
-    v1_drv.up().expect("up v1");
+    let mut v1_drv = driver(hung);
     for seq in 0..BACKLOG {
         v1_drv.xmit_raw(&seq_frame(seq)).expect("queue backlog");
     }
@@ -257,12 +255,7 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
             let swap_gen = &swap_gen;
             let stale = &stale;
             s.spawn(move || {
-                let mem = kop_e1000e::GuardedMem::new(
-                    kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-                    Arc::clone(&policy),
-                );
-                let mut drv = E1000Driver::probe(mem).expect("probe queue");
-                drv.up().expect("up queue");
+                let mut drv = driver(guarded(Arc::clone(&policy)));
                 let base = 1_000 + q as u64 * per_queue;
                 for i in 0..per_queue {
                     // Stale-grant discipline: after the swap epoch is
@@ -312,12 +305,7 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
 
     // Resubmit the migrated in-flight frames through the successor's
     // driver — in order, before any new traffic on that queue.
-    let mem = kop_e1000e::GuardedMem::new(
-        kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-        Arc::clone(&policy),
-    );
-    let mut v2_drv = E1000Driver::probe(mem).expect("probe v2");
-    v2_drv.up().expect("up v2");
+    let mut v2_drv = driver(guarded(Arc::clone(&policy)));
     let mut sink = SharedLedger(Arc::clone(&ledger));
     for frame in &report.migrated {
         v2_drv.xmit_raw(frame).expect("resubmit migrated");
@@ -384,7 +372,7 @@ pub fn soak() -> FigureData {
     };
     let max_rate = *rates.last().expect("nonempty rates");
 
-    let key = CompilerKey::from_passphrase("operator-key", "carat-kop-dev");
+    let key = setup::operator_key();
     let signed = compile_module(
         corpus::parse(corpus::ROOTKIT_IR),
         &CompileOptions::carat_kop(),

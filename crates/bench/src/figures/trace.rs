@@ -1,11 +1,11 @@
-use std::time::Instant;
-
 use kop_e1000e::device::CountSink;
-use kop_e1000e::E1000Driver;
+use kop_e1000e::GuardedMem;
 
 use crate::setup;
 
+use super::measure::{best_of, timed};
 use super::quick;
+use super::rig::{driver, unguarded};
 use super::{FigureData, Series};
 
 /// TRACE: what the kop-trace subsystem costs on the guarded TX path —
@@ -22,64 +22,57 @@ use super::{FigureData, Series};
 /// driver's own guard-call counter.
 pub fn trace() -> FigureData {
     use kop_trace::Tracer;
+    use std::sync::Arc;
 
     let (frames, repeats) = if quick() { (400u64, 5) } else { (4_000u64, 9) };
     let dst = [0xffu8; 6];
     let payload = [0u8; 114]; // 128 B on the wire with the header
 
-    // One timed pass over a fresh driver; returns (ns/packet, tracer).
-    let run_once = |tracer: Option<(std::sync::Arc<Tracer>, bool)>| -> (f64, u64) {
+    #[derive(Clone, Copy)]
+    enum Config {
+        Untraced,
+        TracingOff,
+        TracingOn,
+    }
+    // One timed pass over a fresh driver: (ns/packet, the pass's guard
+    // calls, its tracer). A fresh tracer per pass: the kept profile
+    // belongs to exactly one measured pass, so hits reconcile with that
+    // pass's guards.
+    let run_once = |config: Config| -> (f64, u64, Option<Arc<Tracer>>) {
         let policy = setup::two_region_policy();
-        let mem = match &tracer {
-            Some((t, _)) => kop_e1000e::GuardedMem::with_tracer(
-                kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-                policy,
-                std::sync::Arc::clone(t),
-            ),
-            None => kop_e1000e::GuardedMem::new(
-                kop_e1000e::DirectMem::with_defaults(kop_e1000e::E1000Device::default()),
-                policy,
-            ),
+        let tracer = match config {
+            Config::Untraced => None,
+            Config::TracingOff => Some(Tracer::new()),
+            Config::TracingOn => Some(Tracer::with_capacity(kop_trace::DEFAULT_CAPACITY)),
         };
-        let mut drv = E1000Driver::probe(mem).expect("probe");
-        drv.up().expect("up");
+        let mem = match &tracer {
+            Some(t) => GuardedMem::with_tracer(unguarded(), policy, Arc::clone(t)),
+            None => GuardedMem::new(unguarded(), policy),
+        };
+        let mut drv = driver(mem);
         // Enable only now: the profiled window is exactly the measured
         // loop, so per-site hits reconcile with the guard-call delta.
-        if let Some((t, enabled)) = &tracer {
-            t.set_enabled(*enabled);
+        if let Some(t) = &tracer {
+            t.set_enabled(matches!(config, Config::TracingOn));
         }
         let mut sink = CountSink::default();
         let before = drv.counts();
-        let start = Instant::now();
-        for _ in 0..frames {
-            drv.xmit_and_flush(dst, 0x88b5, &payload, &mut sink)
-                .expect("xmit");
-        }
-        let ns = start.elapsed().as_nanos() as f64 / frames as f64;
-        (ns, drv.counts().since(&before).guard_calls)
+        let ((), ns) = timed(|| {
+            for _ in 0..frames {
+                drv.xmit_and_flush(dst, 0x88b5, &payload, &mut sink)
+                    .expect("xmit");
+            }
+        });
+        let guard_calls = drv.counts().since(&before).guard_calls;
+        (ns / frames as f64, guard_calls, tracer)
     };
-
-    // Interleave the three configurations within each repeat round and
-    // keep the minimum — the standard host-wall-clock discipline the
-    // ablation figures use (minima are robust to scheduler noise).
-    let mut untraced_ns = f64::MAX;
-    let mut off_ns = f64::MAX;
-    let mut on_ns = f64::MAX;
-    let mut guard_calls = 0u64;
-    let mut on_tracer = Tracer::new();
-    for _ in 0..repeats {
-        untraced_ns = untraced_ns.min(run_once(None).0);
-        off_ns = off_ns.min(run_once(Some((Tracer::new(), false))).0);
-        // A fresh tracer per repeat: the kept profile belongs to exactly
-        // one measured pass, so hits reconcile with that pass's guards.
-        let t = Tracer::with_capacity(kop_trace::DEFAULT_CAPACITY);
-        let (ns, calls) = run_once(Some((std::sync::Arc::clone(&t), true)));
-        if ns < on_ns {
-            on_ns = ns;
-            on_tracer = t;
-            guard_calls = calls;
-        }
-    }
+    let [(untraced_ns, _, _), (off_ns, _, _), (on_ns, guard_calls, on_tracer)] = best_of(
+        [Config::Untraced, Config::TracingOff, Config::TracingOn],
+        repeats,
+        run_once,
+        |(ns, _, _)| *ns,
+    );
+    let on_tracer = on_tracer.expect("the enabled pass keeps its tracer");
 
     let total_checks = on_tracer.total_checks();
     assert_eq!(

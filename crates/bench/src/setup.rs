@@ -2,11 +2,18 @@
 
 use std::sync::Arc;
 
+use kop_compiler::CompilerKey;
 use kop_core::{Protection, Region, Size, VAddr};
 use kop_e1000e::{DirectMem, E1000Device, E1000Driver, GuardedMem};
 use kop_net::RawSender;
 use kop_policy::{DefaultAction, PolicyModule, StoreKind, ViolationAction};
 use kop_sim::MachineProfile;
+
+/// The operator's signing key: every experiment compiles and boots with
+/// it.
+pub fn operator_key() -> CompilerKey {
+    CompilerKey::from_passphrase("operator-key", "carat-kop-dev")
+}
 
 /// The arena region every working policy must permit (the driver's rings,
 /// buffers, and stats block live here).
@@ -106,9 +113,6 @@ pub fn r350_burst() -> MachineProfile {
     m
 }
 
-/// `PolicyCheck` needs to be implemented for `Arc<PolicyModule>` at a
-/// usable cost — provided here as a compile check that it is (the impl
-/// lives in kop-policy via `&PolicyModule`; Arc derefs).
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,7 +36,7 @@ use carat_kop::kernel::{FaultHook, Kernel, KernelConfig};
 use carat_kop::policy::{DefaultAction, GuardFront, PolicyModule, ViolationAction};
 use carat_kop::trace::Producer;
 use carat_kop::vm::PromotionSpec;
-use kop_bench::corpus;
+use kop_bench::figures::rig::{TxBufs, TxBytes, TxRig, MMIO_BYTES, XMIT_MODULE};
 use kop_core::{Protection, Region, Size, VAddr};
 
 /// One step of a random straight-line loop body over 4 registers, an
@@ -599,138 +599,31 @@ fn mq_tx_generation_bump_torture() {
 // still compares the baked generation and revocation epoch with the
 // live policy per op.
 
-const XMIT_MODULE: &str = "mini-e1000e";
-const RING_BYTES: u64 = 256 * 16;
-const FRAME_BYTES: u64 = 64;
-const MMIO_BYTES: u64 = 0x4000;
-const TDT_OFF: u64 = 0x3818;
-const STATS_BYTES: u64 = 24;
-const LEN: u64 = 114;
 /// Packets in the traced general-path window promotion profiles.
 const PROFILE_PKTS: u64 = 4;
-
-/// The buffers one `xmit` touches.
-#[derive(Clone, Copy)]
-struct Bufs {
-    ring: VAddr,
-    frame: VAddr,
-    mmio: VAddr,
-    stats: VAddr,
-}
 
 /// The mini e1000e `xmit` under a least-privilege policy — the TX ring,
 /// the frame, the MMIO window and `@stats` each hold a grant of their
 /// own, everything else is denied — profiled on the general path and
 /// promoted: every one of its guards runs inline.
-struct Xmit {
-    kernel: Kernel,
-    policy: Arc<PolicyModule>,
-    bufs: Bufs,
-    stack: VAddr,
-}
-
-impl Xmit {
-    fn boot(action: ViolationAction) -> Xmit {
-        let out = compile_module(
-            corpus::parse(corpus::MINI_E1000E_IR),
-            &CompileOptions::carat_kop(),
-            &key(),
-        )
-        .expect("compiles");
-        let policy = Arc::new(PolicyModule::new());
-        policy.set_default_action(DefaultAction::Deny);
-        policy.set_violation_action(action);
-        let mut kernel = Kernel::boot(
-            Arc::clone(&policy),
-            vec![key()],
-            KernelConfig {
-                hot_threshold: 1,
-                ..KernelConfig::default()
-            },
-        );
-        kernel.insmod(&out.signed).expect("loads");
-        let stats = kernel
-            .module(XMIT_MODULE)
-            .expect("loaded")
-            .image()
-            .globals
-            .get("stats")
-            .copied()
-            .expect("@stats laid out");
-        let bufs = Bufs {
-            ring: kernel.kmalloc(RING_BYTES).expect("ring"),
-            frame: kernel.kmalloc(FRAME_BYTES).expect("frame"),
-            mmio: kernel.kmalloc(MMIO_BYTES).expect("mmio window"),
-            stats,
-        };
-        policy.replace_regions(grants(&bufs, true)).expect("grants");
-        let stack = Interp::new(&mut kernel).expect("stack").stack_base();
-        let mut x = Xmit {
-            kernel,
-            policy,
-            bufs,
-            stack,
-        };
-        x.kernel.tracer().set_enabled(true);
-        {
-            let mut interp = x.interp(Engine::Bytecode);
-            for p in 0..PROFILE_PKTS {
-                xmit(&mut interp, &bufs, p).expect("profile xmit");
-            }
-        }
-        x.kernel.tracer().set_enabled(false);
-        let promoted = x.kernel.promote_hot(XMIT_MODULE, 1).expect("promotion");
-        assert_eq!(promoted, 10, "every xmit guard site promoted");
-        x
-    }
-
-    fn interp(&mut self, engine: Engine) -> Interp<'_> {
-        let mut interp = Interp::with_stack(&mut self.kernel, self.stack);
-        interp.set_engine(engine);
-        interp
-    }
-}
-
-/// The least-privilege grants over `b`; `with_stats` false leaves
-/// `@stats` ungranted.
-fn grants(b: &Bufs, with_stats: bool) -> Vec<Region> {
-    let mut g = vec![
-        (b.ring, RING_BYTES),
-        (b.frame, FRAME_BYTES),
-        (b.mmio, MMIO_BYTES),
-    ];
-    if with_stats {
-        g.push((b.stats, STATS_BYTES));
-    }
-    g.into_iter()
-        .map(|(base, len)| Region::new(base, Size(len), Protection::READ_WRITE).unwrap())
-        .collect()
+fn boot_xmit(action: ViolationAction) -> TxRig {
+    let policy = Arc::new(PolicyModule::new());
+    policy.set_default_action(DefaultAction::Deny);
+    policy.set_violation_action(action);
+    let config = KernelConfig {
+        hot_threshold: 1,
+        ..KernelConfig::default()
+    };
+    let mut x = TxRig::boot(&CompileOptions::carat_kop(), Arc::clone(&policy), config);
+    policy.replace_regions(x.bufs.grants(true)).expect("grants");
+    x.profile(PROFILE_PKTS);
+    assert_eq!(x.promote(), 10, "every xmit guard site promoted");
+    x
 }
 
 /// Send packet `p`: ring slot `p mod 256`, nothing to clean.
-fn xmit(interp: &mut Interp<'_>, b: &Bufs, p: u64) -> Result<Option<u64>, String> {
-    let slot = p & 255;
-    let args = [b.ring.raw(), b.frame.raw(), b.mmio.raw(), slot, LEN, slot];
-    interp
-        .call(XMIT_MODULE, "xmit", &args)
-        .map_err(|e| e.to_string())
-}
-
-/// Every byte an `xmit` may write: the ring, the frame, `@stats` and
-/// the TDT doorbell word.
-fn touched(kernel: &Kernel, b: &Bufs) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (addr, len) in [
-        (b.ring, RING_BYTES),
-        (b.frame, FRAME_BYTES),
-        (b.stats, STATS_BYTES),
-        (VAddr(b.mmio.raw() + TDT_OFF), 4),
-    ] {
-        let mut bytes = vec![0u8; len as usize];
-        kernel.mem.read_bytes(addr, &mut bytes).expect("read back");
-        out.extend(bytes);
-    }
-    out
+fn xmit(interp: &mut Interp<'_>, b: &TxBufs, p: u64) -> Result<Option<u64>, String> {
+    b.xmit(interp, p).map_err(|e| e.to_string())
 }
 
 /// What a [`PublishAt`] hook does to the policy.
@@ -784,7 +677,7 @@ struct CallObs {
     stats: ExecStats,
     /// `(checks, permitted, denied, violations)`.
     policy: (u64, u64, u64, usize),
-    touched: Vec<u8>,
+    touched: TxBytes,
 }
 
 /// `(inline admits, deopts, guards)` of one call.
@@ -809,15 +702,15 @@ struct MidCallRun {
 /// hook firing at its `k`-th integer load; then one more call, then
 /// `tick()` and one more.
 fn mid_call_run(act: MidCall, k: u64, engine: Engine) -> MidCallRun {
-    let mut x = Xmit::boot(ViolationAction::LogAndDeny);
-    let (policy, b) = (Arc::clone(&x.policy), x.bufs);
+    let mut x = boot_xmit(ViolationAction::LogAndDeny);
+    let (policy, b) = (Arc::clone(x.kernel.policy()), x.bufs);
     let checks_at = Arc::new(AtomicU64::new(0));
     x.kernel.mem.set_fault_hook(Box::new(PublishAt {
         k,
         seen: 0,
         act,
         policy: Arc::clone(&policy),
-        without_stats: grants(&b, false),
+        without_stats: b.grants(false),
         checks_at: Arc::clone(&checks_at),
     }));
     let mut interp = x.interp(engine);
@@ -847,7 +740,7 @@ fn mid_call_run(act: MidCall, k: u64, engine: Engine) -> MidCallRun {
                 s1.denied() - s0.denied(),
                 policy.violation_log().len() - v0,
             ),
-            touched: touched(interp.kernel(), &b),
+            touched: b.read(interp.kernel()),
         };
         let inline = (
             interp.inline_admits() - a0,
@@ -959,8 +852,8 @@ fn profile_hits(kernel: &Kernel) -> (u64, u64) {
 fn promoted_call_ending_in_err_still_reconciles() {
     for traced in [false, true] {
         // Fuel runs out halfway through the packet.
-        let mut x = Xmit::boot(ViolationAction::LogAndDeny);
-        let (policy, b) = (Arc::clone(&x.policy), x.bufs);
+        let mut x = boot_xmit(ViolationAction::LogAndDeny);
+        let (policy, b) = (Arc::clone(x.kernel.policy()), x.bufs);
         let full = {
             let mut interp = x.interp(Engine::Promoted);
             xmit(&mut interp, &b, PROFILE_PKTS).expect("full xmit");
@@ -987,9 +880,9 @@ fn promoted_call_ending_in_err_still_reconciles() {
 
         // The last guard (the TDT doorbell) hits an ungranted window
         // under `Panic`: nine inline admits, one deopt, one panic.
-        let mut x = Xmit::boot(ViolationAction::Panic);
-        let policy = Arc::clone(&x.policy);
-        let rogue = Bufs {
+        let mut x = boot_xmit(ViolationAction::Panic);
+        let policy = Arc::clone(x.kernel.policy());
+        let rogue = TxBufs {
             mmio: x.kernel.kmalloc(MMIO_BYTES).expect("ungranted window"),
             ..x.bufs
         };
@@ -1024,8 +917,8 @@ fn promoted_call_ending_in_err_still_reconciles() {
 #[test]
 fn policy_swap_between_calls_governs_the_next_call() {
     for engine in [Engine::Tree, Engine::Bytecode, Engine::Promoted] {
-        let mut x = Xmit::boot(ViolationAction::LogAndDeny);
-        let (global, b) = (Arc::clone(&x.policy), x.bufs);
+        let mut x = boot_xmit(ViolationAction::LogAndDeny);
+        let (global, b) = (Arc::clone(x.kernel.policy()), x.bufs);
         let own = Arc::new(PolicyModule::new());
         own.set_default_action(DefaultAction::Deny);
         own.set_violation_action(ViolationAction::LogAndDeny);
