@@ -28,7 +28,7 @@ impl Series {
     /// Whether the points are an empirical CDF as
     /// [`kop_sim::cdf_points`] builds one: `y` strictly increasing and
     /// ending at 1.
-    pub fn is_cdf(&self) -> bool {
+    fn is_cdf(&self) -> bool {
         self.points.last().is_some_and(|p| p.1 == 1.0)
             && self.points.windows(2).all(|w| w[0].1 < w[1].1)
     }

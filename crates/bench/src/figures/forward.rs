@@ -54,9 +54,12 @@ pub fn forward() -> FigureData {
         let [(base_rate, rep_b, _), (guard_rate, rep_g, counts)] = best_of(
             [false, true],
             repeats,
-            |guard| match guard {
-                false => forward_once(unguarded(), load),
-                true => forward_once(guarded(setup::two_region_policy()), load),
+            |guard| {
+                if guard {
+                    forward_once(guarded(setup::two_region_policy()), load)
+                } else {
+                    forward_once(unguarded(), load)
+                }
             },
             |(rate, _, _)| 1.0 / rate,
         );

@@ -287,7 +287,7 @@ pub fn jit() -> FigureData {
         );
         (1e9 / rate.max(1e-9), rep, counts)
     };
-    let [(fwd_base_best, rep_b, _), (fwd_general_best, rep_g, general_counts), (fwd_front_best, rep_f, front_counts)] =
+    let [(fwd_base, rep_b, _), (fwd_general, rep_g, counts_g), (fwd_front, rep_f, counts_f)] =
         best_of(
             [Leg::Unguarded, Leg::General, Leg::Front],
             fwd_repeats,
@@ -299,24 +299,24 @@ pub fn jit() -> FigureData {
         "general forwarding is behaviourally identical"
     );
     assert_eq!(rep_b, rep_f, "front forwarding is behaviourally identical");
-    let fwd_guard_calls = general_counts.guard_calls;
+    let fwd_guard_calls = counts_g.guard_calls;
     assert_eq!(
-        front_counts.guard_calls, fwd_guard_calls,
+        counts_f.guard_calls, fwd_guard_calls,
         "same guard count either way"
     );
-    let fwd_admits = front_counts.inline_admits;
+    let fwd_admits = counts_f.inline_admits;
     assert!(
         fwd_admits > fwd_guard_calls - fwd_admits,
         "the front answers most forwarding guards from a slot ({fwd_admits} of {fwd_guard_calls})"
     );
-    let fwd_general_over = (fwd_general_best - fwd_base_best).max(0.0);
-    let fwd_front_over = (fwd_front_best - fwd_base_best).max(0.0);
+    let fwd_general_over = (fwd_general - fwd_base).max(0.0);
+    let fwd_front_over = (fwd_front - fwd_base).max(0.0);
     if assert_timing {
         assert!(
             fwd_front_over <= fwd_general_over / 2.0,
             "the front must at least halve the forwarding guard overhead \
-             (baseline {fwd_base_best:.1} ns/frame, general {fwd_general_best:.1}, \
-              front {fwd_front_best:.1}: overhead {fwd_general_over:.1} -> {fwd_front_over:.1})"
+             (baseline {fwd_base:.1} ns/frame, general {fwd_general:.1}, \
+              front {fwd_front:.1}: overhead {fwd_general_over:.1} -> {fwd_front_over:.1})"
         );
     }
     let fwd_reduction = fwd_general_over / fwd_front_over.max(1.0);
@@ -361,9 +361,9 @@ pub fn jit() -> FigureData {
             Series {
                 label: "fwd_ns_per_frame".into(),
                 points: vec![
-                    (0.0, fwd_base_best),
-                    (1.0, fwd_general_best),
-                    (2.0, fwd_front_best),
+                    (0.0, fwd_base),
+                    (1.0, fwd_general),
+                    (2.0, fwd_front),
                 ],
             },
         ],
@@ -379,9 +379,9 @@ pub fn jit() -> FigureData {
             ("vm_traced_checks".into(), traced_checks as f64),
             ("vm_traced_inline_admits".into(), traced_admits as f64),
             ("bump_generation_delta".into(), bump_generation_delta as f64),
-            ("fwd_baseline_ns_frame".into(), fwd_base_best),
-            ("fwd_general_ns_frame".into(), fwd_general_best),
-            ("fwd_front_ns_frame".into(), fwd_front_best),
+            ("fwd_baseline_ns_frame".into(), fwd_base),
+            ("fwd_general_ns_frame".into(), fwd_general),
+            ("fwd_front_ns_frame".into(), fwd_front),
             ("fwd_overhead_reduction".into(), fwd_reduction),
             ("fwd_inline_admits".into(), fwd_admits as f64),
             ("fwd_guard_calls".into(), fwd_guard_calls as f64),

@@ -10,10 +10,9 @@
 //! time. Latency distributions are per-batch minima of the same kind
 //! ([`p99_ns`]); every percentile goes through [`kop_sim::percentile`].
 //!
-//! At full scale a figure counts the warm-up among its runs, so each
-//! configuration runs as many times as it did before the warm-up
-//! existed; `--quick` runs, whose timing gates fire, keep every timed
-//! round and add the warm-up.
+//! At full scale a figure's run count per configuration includes the
+//! warm-up; `--quick` runs, whose timing gates fire, add it to their
+//! timed rounds.
 
 use std::time::Instant;
 

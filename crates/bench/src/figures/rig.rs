@@ -72,17 +72,17 @@ pub(super) fn throughput_series(
 /// The module the interpreted TX rig loads.
 pub const XMIT_MODULE: &str = "mini-e1000e";
 /// The TX ring: 256 descriptors × `{i64, i32, i32}`.
-pub const RING_BYTES: u64 = 256 * 16;
+pub(crate) const RING_BYTES: u64 = 256 * 16;
 /// The frame buffer `xmit` writes the header into.
-pub const FRAME_BYTES: u64 = 64;
+pub(crate) const FRAME_BYTES: u64 = 64;
 /// A heap block standing in for the BAR; it covers the TDT doorbell.
 pub const MMIO_BYTES: u64 = 0x4000;
 /// The TDT doorbell's offset in the BAR.
-pub const TDT_OFF: u64 = 0x3818;
+pub(crate) const TDT_OFF: u64 = 0x3818;
 /// `@stats`: three 8-byte counters.
-pub const STATS_BYTES: u64 = 24;
+pub(crate) const STATS_BYTES: u64 = 24;
 /// The payload length: 128 B on the wire with the header.
-pub const LEN: u64 = 114;
+pub(crate) const LEN: u64 = 114;
 
 /// The buffers one `xmit` touches.
 #[derive(Clone, Copy, Debug)]
@@ -166,15 +166,15 @@ impl TxBufs {
 
 /// What one [`TxRig::run`] observed.
 #[derive(Clone, Copy, Debug)]
-pub struct TxRun {
+pub(crate) struct TxRun {
     /// Wall-clock ns per packet of the send loop.
-    pub ns_pkt: f64,
+    pub(crate) ns_pkt: f64,
     /// The interpreter's counters.
-    pub stats: ExecStats,
+    pub(crate) stats: ExecStats,
     /// Guards the promoted tier admitted inline.
-    pub inline_admits: u64,
+    pub(crate) inline_admits: u64,
     /// Inline guards that deopted to the general path.
-    pub inline_deopts: u64,
+    pub(crate) inline_deopts: u64,
 }
 
 /// The interpreted mini-e1000e TX rig: the module compiled with the
@@ -188,7 +188,7 @@ pub struct TxRig {
     /// The buffers `xmit` touches.
     pub bufs: TxBufs,
     /// The guard sites the container attests.
-    pub static_guards: u64,
+    pub(crate) static_guards: u64,
     stack: VAddr,
 }
 
@@ -224,7 +224,7 @@ impl TxRig {
     }
 
     /// The loaded module's image.
-    pub fn image(&self) -> Arc<ModuleImage> {
+    pub(crate) fn image(&self) -> Arc<ModuleImage> {
         Arc::clone(self.kernel.module(XMIT_MODULE).expect("loaded").image())
     }
 
@@ -237,7 +237,7 @@ impl TxRig {
 
     /// Sends packets `0..packets` on `engine` in one interpreter, timing
     /// the send loop.
-    pub fn run(&mut self, engine: Engine, packets: u64) -> TxRun {
+    pub(crate) fn run(&mut self, engine: Engine, packets: u64) -> TxRun {
         let bufs = self.bufs;
         let mut interp = self.interp(engine);
         let ((), ns) = measure::timed(|| {
@@ -270,12 +270,12 @@ impl TxRig {
     }
 
     /// Reads back every byte an `xmit` may write.
-    pub fn read(&self) -> TxBytes {
+    pub(crate) fn read(&self) -> TxBytes {
         self.bufs.read(&self.kernel)
     }
 
     /// `(module, site, hits)` per profiled guard site.
-    pub fn site_hits(&self) -> Vec<(String, String, u64)> {
+    pub(crate) fn site_hits(&self) -> Vec<(String, String, u64)> {
         self.kernel
             .tracer()
             .profile_snapshot()
