@@ -7,7 +7,7 @@ use crate::baseline;
 use crate::corpus;
 use crate::setup;
 
-use super::measure::{batch_ns, best_of, cores, p99_ns, timed};
+use super::measure::{batch_ns, best_of, cores, p99, p99_ns, timed};
 use super::quick;
 use super::rig::{chunked_forward, guarded, traced_forward};
 use super::{FigureData, Series};
@@ -452,7 +452,7 @@ pub fn fleet() -> FigureData {
                 for w in workers {
                     staged.extend(w.join().expect("stager thread"));
                 }
-                (staged, kop_sim::percentile(&lat, 99.0))
+                (staged, p99(&lat))
             })
         });
         let stage_wall = stage_ns / 1e9;

@@ -83,7 +83,12 @@ pub fn batch_ns<P>(items: &[P], mut run: impl FnMut(&P)) -> Vec<f64> {
 pub fn p99_ns<P>(items: &[P], k: usize, mut run: impl FnMut(&P)) -> f64 {
     let batches: Vec<&[P]> = items.chunks(BATCH).collect();
     let lat = best_of_each(&batches, k, |batch| batch_cost(batch, &mut run), |&ns| ns);
-    kop_sim::percentile(&lat, 99.0)
+    p99(&lat)
+}
+
+/// The interpolated 99th percentile of per-batch latencies.
+pub fn p99(lat: &[f64]) -> f64 {
+    kop_sim::percentile(lat, 99.0)
 }
 
 /// Cores this process may run on. The scaling gates of `smp`,
