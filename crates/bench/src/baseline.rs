@@ -4,7 +4,7 @@
 //!
 //! * [`linear_scan`] — the paper's table walk (§3.1): every rule in
 //!   store order, first grant wins. The `ablation-ds` and `fleet` figures
-//!   and the `store_lookup` bench price the frozen indexes against it.
+//!   price the frozen indexes against it.
 //! * [`LockedPolicy`] — the pre-snapshot SMP check path: every guard
 //!   serializes on one lock around [`PolicyModule::check`]. The `smp`
 //!   figure's mutex series.

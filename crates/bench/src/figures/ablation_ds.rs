@@ -1,4 +1,7 @@
-use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
+use std::hint::black_box;
+
+use kop_core::{layout, AccessFlags, Protection, Region, Size, VAddr};
+use kop_kernel::SimMemory;
 use kop_policy::Lookup;
 
 use crate::baseline;
@@ -10,8 +13,10 @@ use super::{FigureData, Series};
 /// the two frozen indexes every production check uses (§3.1/§4.2's
 /// sketched alternatives, as built): the one-probe sorted index over
 /// disjoint rules and the layered index the same rules freeze to under
-/// one overlapping shared window. Wall-clock measured on the host
-/// (relative ordering is the result).
+/// one overlapping shared window. Each structure is timed on hits and on
+/// default-deny misses. The headlines add one warm 8-byte `SimMemory`
+/// load and store, the access every guard sits in front of. Wall-clock
+/// measured on the host (relative ordering is the result).
 pub fn ablation_ds() -> FigureData {
     use kop_policy::{FrozenKind, FrozenStore};
 
@@ -36,17 +41,37 @@ pub fn ablation_ds() -> FigureData {
         assert_eq!(hits, lookups, "every lookup hits a granting rule");
         ns / lookups as f64
     };
-    let mut series: Vec<Series> = [
+    // Default-deny misses, alternately below every rule and past the
+    // last one (and past the shared window). Half as many probes as
+    // hits: a miss walks the whole scan, and 100 k resolve it.
+    let misses = lookups / 2;
+    let ns_per_miss = |n: usize, lookup: &dyn Fn(VAddr) -> Lookup| {
+        let past = 0x10_0000 + n as u64 * 0x10_000;
+        let (refused, ns) = timed(|| {
+            (0..misses)
+                .filter(|i| {
+                    let addr = if i % 2 == 0 { 0 } else { past } + (i % 0x800);
+                    matches!(lookup(VAddr(addr)), Lookup::NoMatch)
+                })
+                .count() as u64
+        });
+        assert_eq!(refused, misses, "every miss matches no rule");
+        ns / misses as f64
+    };
+    let labels = [
         "flat-scan",
         FrozenKind::Sorted.name(),
         FrozenKind::Interval.name(),
-    ]
-    .into_iter()
-    .map(|label| Series {
-        label: label.into(),
-        points: Vec::new(),
-    })
-    .collect();
+    ];
+    let mut series: Vec<Series> = labels
+        .iter()
+        .map(|label| label.to_string())
+        .chain(labels.iter().map(|label| format!("{label}-miss")))
+        .map(|label| Series {
+            label,
+            points: Vec::new(),
+        })
+        .collect();
     for &n in &counts {
         let regions: Vec<Region> = (0..n as u64)
             .map(|i| {
@@ -76,19 +101,24 @@ pub fn ablation_ds() -> FigureData {
             &|a| disjoint.lookup_frozen(a, Size(8), AccessFlags::RW),
             &|a| overlapping.lookup_frozen(a, Size(8), AccessFlags::RW),
         ];
-        // Best of three interleaved rounds over the three structures.
-        let ns = best_of(structures, 3, |lookup| ns_per_lookup(n, lookup), |&ns| ns);
-        for (s, ns) in series.iter_mut().zip(ns) {
+        // Best of three interleaved rounds over the three structures,
+        // hits first, then misses.
+        let hit_ns = best_of(structures, 3, |lookup| ns_per_lookup(n, lookup), |&ns| ns);
+        let miss_ns = best_of(structures, 3, |lookup| ns_per_miss(n, lookup), |&ns| ns);
+        for (s, ns) in series.iter_mut().zip(hit_ns.into_iter().chain(miss_ns)) {
             s.points.push((n as f64, ns));
         }
     }
-    let headlines = series
+    let mut headlines: Vec<(String, f64)> = series
         .iter()
         .map(|s| {
             let at_64 = s.points.iter().find(|(n, _)| *n == 64.0).expect("n=64");
             (format!("{}_ns_at_64", s.label), at_64.1)
         })
         .collect();
+    let [write_ns, read_ns] = sim_access_ns(lookups);
+    headlines.push(("sim_read_ns".into(), read_ns));
+    headlines.push(("sim_write_ns".into(), write_ns));
     FigureData {
         id: "ablation-ds",
         title: "policy-structure ablation: ns/guard-check vs region count (host wall-clock)".into(),
@@ -99,6 +129,39 @@ pub fn ablation_ds() -> FigureData {
             "paper §4.2: linear scan is fine to ~64 regions; beyond that a logarithmic structure should win".into(),
             "flat-scan: the paper's table walk; frozen-sorted: one binary search over disjoint rules; frozen-interval: the same rules under one overlapping window, one binary search per layer".into(),
             "expected ordering at large n: frozen-sorted < frozen-interval (two layers) < flat-scan (linear)".into(),
+            "*-miss: default-deny misses below every rule and past the last; the scan walks every rule, each index one search".into(),
+            "sim_read_ns / sim_write_ns: one warm 8-byte SimMemory load / store on a resident page".into(),
         ],
     }
+}
+
+/// ns of one warm 8-byte [`SimMemory`] store and of one load on a
+/// resident page, best of three interleaved rounds of `accesses` each.
+/// Every store must land and every load read the last value stored.
+fn sim_access_ns(accesses: u64) -> [f64; 2] {
+    let addr = VAddr(layout::DIRECT_MAP_BASE + 0x1008);
+    let last = accesses - 1;
+    let mut mem = SimMemory::new();
+    best_of(
+        [true, false],
+        3,
+        |store| {
+            let (done, ns) = if store {
+                timed(|| {
+                    (0..accesses)
+                        .filter(|&v| mem.write_uint(black_box(addr), Size(8), v).is_ok())
+                        .count() as u64
+                })
+            } else {
+                timed(|| {
+                    (0..accesses)
+                        .filter(|_| mem.read_uint(black_box(addr), Size(8)) == Ok(last))
+                        .count() as u64
+                })
+            };
+            assert_eq!(done, accesses, "a store failed or a load misread");
+            ns / accesses as f64
+        },
+        |&ns| ns,
+    )
 }

@@ -4,8 +4,8 @@
 //! ablations DESIGN.md calls out. Each generator returns a
 //! [`figures::FigureData`] whose series can be rendered as text (the
 //! `reproduce` binary) and asserted on (the regression tests in
-//! `tests/`). Criterion benches under `benches/` measure the *real*
-//! wall-clock cost of the same code paths on the host.
+//! `tests/`). The host-timed figures measure the *real* wall-clock cost
+//! of those code paths through one harness (`figures/measure.rs`).
 
 #![warn(missing_docs)]
 

@@ -273,19 +273,6 @@ pub fn guard_count(module: &Module) -> usize {
     module.call_count(GUARD_SYMBOL)
 }
 
-/// Convenience: make a guard call instruction (used by tests).
-pub fn make_guard(ptr: Value, size: u64, flags: u64) -> Inst {
-    Inst::Call {
-        callee: GUARD_SYMBOL.to_string(),
-        ret_ty: Type::Void,
-        args: vec![
-            ptr,
-            Value::ConstInt(Type::I64, size),
-            Value::ConstInt(Type::I32, flags),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

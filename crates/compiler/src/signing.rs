@@ -302,6 +302,12 @@ impl SignedModule {
         let flags = *data
             .get(off)
             .ok_or_else(|| SigningError::Malformed("truncated flags".into()))?;
+        if flags & !FLAG_BITS != 0 {
+            return Err(SigningError::Malformed(format!(
+                "unknown flag bits {:#04x}",
+                flags & !FLAG_BITS
+            )));
+        }
         off += 1;
         let guard_count = get_u64(data, &mut off)?;
         let mem_access_count = get_u64(data, &mut off)?;
@@ -316,15 +322,14 @@ impl SignedModule {
         }
         // Not a container field of its own: recomputed from the ledger
         // text exactly as the signer computed it, so the attestation
-        // bytes (and thus the signature) round-trip.
+        // bytes (and thus the signature) round-trip. A ledger that does
+        // not parse has no count to recompute.
         let inline_obligations = kop_analysis::ObligationLedger::parse(&obligations)
-            .map(|l| {
-                l.obligations
-                    .iter()
-                    .filter(|ob| matches!(ob, kop_analysis::Obligation::Inline { .. }))
-                    .count() as u64
-            })
-            .unwrap_or(0);
+            .map_err(|e| SigningError::Malformed(format!("obligation ledger: {e}")))?
+            .obligations
+            .iter()
+            .filter(|ob| matches!(ob, kop_analysis::Obligation::Inline { .. }))
+            .count() as u64;
         Ok(SignedModule {
             ir_text,
             attestation: Attestation {
@@ -348,6 +353,11 @@ impl SignedModule {
         })
     }
 }
+
+/// The attestation flag bits [`SignedModule::to_bytes`] writes; any other
+/// bit set makes a container malformed, so one signed module has one
+/// encoding.
+const FLAG_BITS: u8 = 0b1_1111;
 
 /// On-disk container magic: "KOPMOD" + format version.
 const MAGIC: &[u8; 8] = b"KOPMOD ";
@@ -481,6 +491,44 @@ entry:
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(SignedModule::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn container_rejects_unknown_flag_bits() {
+        let m = demo_module();
+        let signed = SignedModule::sign(&m, Attestation::check(&m).unwrap(), &key());
+        let bytes = signed.to_bytes();
+        // Magic, key id, MAC, module name, then the flags byte.
+        let name = signed.attestation.module_name.as_bytes();
+        let at = MAGIC.len() + 4 + signed.key_id.len() + DIGEST_LEN + 4 + name.len();
+        assert!(bytes[..at].ends_with(name));
+        assert_eq!(bytes[at] & !FLAG_BITS, 0, "the signer sets only known bits");
+        for bit in 5..8 {
+            let mut forged = bytes.clone();
+            forged[at] |= 1 << bit;
+            assert!(
+                matches!(
+                    SignedModule::from_bytes(&forged),
+                    Err(SigningError::Malformed(_))
+                ),
+                "flag bit {bit} must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn container_rejects_an_unparseable_ledger() {
+        let m = demo_module();
+        let mut att = Attestation::check(&m).unwrap();
+        assert_eq!(att.obligations, "", "the empty ledger decodes");
+        SignedModule::from_bytes(&SignedModule::sign(&m, att.clone(), &key()).to_bytes())
+            .expect("empty ledger");
+        att.obligations = "obligations-v1\nwarp fn=f".into();
+        let bytes = SignedModule::sign(&m, att, &key()).to_bytes();
+        assert!(matches!(
+            SignedModule::from_bytes(&bytes),
+            Err(SigningError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -36,12 +36,6 @@ impl VAddr {
         self.0
     }
 
-    /// Whether this address is null.
-    #[inline]
-    pub const fn is_null(self) -> bool {
-        self.0 == 0
-    }
-
     /// Offset by `off` bytes, wrapping on overflow (kernel pointer math).
     #[inline]
     pub const fn wrapping_add(self, off: u64) -> VAddr {

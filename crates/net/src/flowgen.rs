@@ -46,7 +46,6 @@ pub struct FlowGen {
     flows: Vec<FlowState>,
     next_seq: u64,
     frames: u64,
-    bytes: u64,
 }
 
 impl FlowGen {
@@ -66,23 +65,12 @@ impl FlowGen {
             flows: states,
             next_seq: 0,
             frames: 0,
-            bytes: 0,
         }
-    }
-
-    /// Number of concurrent flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
     }
 
     /// Frames emitted so far.
     pub fn frames_emitted(&self) -> u64 {
         self.frames
-    }
-
-    /// Wire bytes emitted so far.
-    pub fn bytes_emitted(&self) -> u64 {
-        self.bytes
     }
 
     /// The sequence number the *next* emitted frame will carry.
@@ -144,7 +132,6 @@ impl FlowGen {
         self.next_seq += 1;
         let bytes = Frame::new(flow.dst, flow.src, EtherType::Experimental, payload).to_bytes();
         self.frames += 1;
-        self.bytes += bytes.len() as u64;
         bytes
     }
 }

@@ -106,7 +106,7 @@ impl StoreKind {
         }
     }
 
-    /// All kinds (for sweeps in benches/tests).
+    /// All kinds (for sweeps in figures and tests).
     pub const ALL: [StoreKind; 2] = [StoreKind::Table, StoreKind::Sorted];
 }
 

@@ -107,25 +107,6 @@ impl Supervisor {
         self.quarantine_cursor = records.len();
     }
 
-    /// Report a health strike from outside the quarantine path (e.g. the
-    /// driver watchdog fired or the adapter reset repeatedly): the module
-    /// is unloaded if still resident and scheduled for supervised
-    /// restart like a quarantine.
-    pub fn report_unhealthy(&mut self, kernel: &mut Kernel, name: &str) -> KernelResult<()> {
-        let t = self
-            .tenants
-            .get_mut(name)
-            .ok_or_else(|| KernelError::NoSuchModule(name.to_string()))?;
-        if kernel.modules().iter().any(|m| m.name == name) {
-            kernel.rmmod(name)?;
-        }
-        kernel.printk(&format!("carat: supervisor: health strike on '{name}'"));
-        kernel.lifecycle().set_state(name, "quarantined");
-        t.sm.on_down();
-        t.down_since.get_or_insert(self.clock);
-        Ok(())
-    }
-
     /// One supervision round: advance the virtual clock, fold in new
     /// quarantine records, and perform any restart that has come due.
     pub fn tick(&mut self, kernel: &mut Kernel) {

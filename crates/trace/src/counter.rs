@@ -191,13 +191,6 @@ impl CounterRegistry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Reset every registered counter to zero.
-    pub fn reset_all(&self) {
-        for c in self.counters.lock().iter() {
-            c.reset();
-        }
-    }
 }
 
 impl fmt::Debug for CounterRegistry {

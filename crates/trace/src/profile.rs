@@ -76,11 +76,6 @@ impl SiteProfile {
         self.total_ns.checked_div(self.timed()).unwrap_or(0)
     }
 
-    /// Index of the highest non-empty histogram bucket, if any.
-    pub fn max_bucket(&self) -> Option<usize> {
-        self.hist.iter().rposition(|&n| n > 0)
-    }
-
     /// The observed address envelope `[lo, hi)` of this site's checks, if
     /// any check carried its guarded address. The promotion tier uses the
     /// envelope to find the policy region a hot site's accesses live in.

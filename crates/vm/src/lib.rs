@@ -419,11 +419,6 @@ impl CompiledModule {
         self.funcs.len()
     }
 
-    /// Total number of bytecode ops across all functions.
-    pub fn op_count(&self) -> usize {
-        self.funcs.iter().map(|f| f.code.len()).sum()
-    }
-
     /// Number of fused guard-access superinstructions across the module
     /// (diagnostics / tests).
     pub fn fused_guard_count(&self) -> usize {
