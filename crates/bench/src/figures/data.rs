@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// configuration; only the `reproduce` binary flips it.
 static QUICK: AtomicBool = AtomicBool::new(false);
 
-/// Enable or disable quick mode (see [`QUICK`]).
+/// Enable or disable quick mode (off unless `reproduce` gets `--quick`).
 pub fn set_quick(on: bool) {
     QUICK.store(on, Ordering::Relaxed);
 }

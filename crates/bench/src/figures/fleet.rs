@@ -21,7 +21,7 @@ use super::{FigureData, Series};
 ///    sorted / interval indexes. Flat grows ≥ 10× from 1 → 256
 ///    modules; frozen stays within 2× (sub-linear, O(log n)).
 /// 2. **Namespaced MQ forwarding** — per-tenant policies resolved
-///    through the sharded [`NamespaceStore`]; aggregate guarded
+///    through the sharded [`kop_policy::NamespaceStore`]; aggregate guarded
 ///    throughput at a 256-module registry ≥ 0.8× the 1-module rate,
 ///    with exact per-tenant guard-call reconciliation.
 /// 3. **Fleet-wide upgrade storm** — ruleset churn across every

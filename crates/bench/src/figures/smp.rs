@@ -1,12 +1,13 @@
+use std::hint::black_box;
 use std::time::Instant;
 
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
-use kop_policy::PolicyModule;
+use kop_policy::{GuardStats, Lookup, PolicyModule, SnapshotStore};
 
 use crate::baseline;
 use crate::setup;
 
-use super::measure::{best_of, cores};
+use super::measure::{best_of, cores, timed};
 use super::quick;
 use super::rig::default_site_map;
 use super::{FigureData, Series};
@@ -124,6 +125,7 @@ pub fn smp() -> FigureData {
 
     // Single-thread ns/check from the measured rates.
     let [mutex_ns, snapshot_ns, front_ns] = rates.each_ref().map(|pts| 1e9 / at(pts, 1.0));
+    let [pin_ns, lookup_ns, stats_ns] = check_layers_ns(iters, repeats);
 
     // Multi-queue TX throughput: N queues, each its own driver + ring,
     // sharing one policy. Either way the shared policy's checks reconcile
@@ -276,6 +278,9 @@ pub fn smp() -> FigureData {
         "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +front adds a per-thread GuardFront (one self-filling slot per site)".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
+            "general check layers, one thread, two-region rules (ns, not gated): snapshot pin {pin_ns:.1}, frozen lookup on a held snapshot {lookup_ns:.1}, one permit's stats accounting {stats_ns:.1}"
+        ),
+        format!(
             "writer churn: {churns} grant/revoke pairs against {readers} concurrent front readers -> 0 stale admits (asserted)"
         ),
         format!(
@@ -297,6 +302,9 @@ pub fn smp() -> FigureData {
         headlines: vec![
             ("mutex_ns_check_1t".into(), mutex_ns),
             ("snapshot_ns_check_1t".into(), snapshot_ns),
+            ("snapshot_pin_ns".into(), pin_ns),
+            ("snapshot_lookup_ns".into(), lookup_ns),
+            ("snapshot_stats_ns".into(), stats_ns),
             ("snapshot_front_ns_check_1t".into(), front_ns),
             ("snapshot_front_scaling_1_to_4".into(), front_scaling),
             ("mutex_scaling_1_to_4".into(), mutex_scaling),
@@ -308,4 +316,54 @@ pub fn smp() -> FigureData {
         ],
         notes,
     }
+}
+
+/// One layer of the general check, timed alone.
+#[derive(Clone, Copy)]
+enum Layer {
+    /// `SnapshotStore::load` and dropping the guard it returns.
+    Pin,
+    /// `PolicySnapshot::lookup` on a snapshot the loop already holds.
+    Lookup,
+    /// `GuardStats::record_permitted`.
+    Stats,
+}
+
+/// Single-thread ns per call of the snapshot pin, the frozen lookup and
+/// the stats accounting of one permit, under the two-region rules the
+/// check-rate legs use, `iters` calls per run, best of `repeats`
+/// interleaved rounds. Each loop asserts what it timed.
+fn check_layers_ns(iters: u64, repeats: usize) -> [f64; 3] {
+    let store = SnapshotStore::new();
+    store.publish(setup::two_region_policy().regions());
+    let held = store.load_full();
+    let stats = GuardStats::new();
+    let base = kop_core::layout::DIRECT_MAP_BASE;
+    let run = |layer| {
+        let (done, ns) = timed(|| match layer {
+            Layer::Pin => (0..iters)
+                .filter(|_| black_box(store.load()).generation() > 0)
+                .count() as u64,
+            Layer::Lookup => (0..iters)
+                .filter(|i| {
+                    let addr = VAddr(base + (i % 512) * 8);
+                    let r = held.lookup(black_box(addr), Size(8), AccessFlags::RW);
+                    matches!(r, Lookup::Permitted(_))
+                })
+                .count() as u64,
+            Layer::Stats => {
+                let before = stats.snapshot().permitted;
+                (0..iters).for_each(|_| stats.record_permitted());
+                stats.snapshot().permitted - before
+            }
+        });
+        assert_eq!(done, iters, "every pin loaded, lookup hit, permit counted");
+        ns / iters as f64
+    };
+    best_of(
+        [Layer::Pin, Layer::Lookup, Layer::Stats],
+        repeats,
+        run,
+        |&ns| ns,
+    )
 }

@@ -362,7 +362,7 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
 /// dominate at every rate — quarantine still fires instantly, but the
 /// supervisor's backoff'd restarts reclaim the downtime. Part 2 runs the
 /// zero-downtime live upgrade under concurrent multi-queue guarded TX
-/// (see [`soak_upgrade`]). Every correctness claim is asserted on every
+/// (see `soak_upgrade`). Every correctness claim is asserted on every
 /// run; the figure reports the numbers.
 pub fn soak() -> FigureData {
     let (rates, rounds, fleet): (&[f64], u64, usize) = if quick() {

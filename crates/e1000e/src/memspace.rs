@@ -303,7 +303,7 @@ impl GuardTrace {
 
 /// The driver's guard-site map: the address ranges the tracer attributes
 /// guards by and a [`kop_policy::GuardFront`] keys its slots by. Site
-/// indices follow [`DRIVER_SITE_LABELS`] order; unmatched addresses
+/// indices follow `DRIVER_SITE_LABELS` order; unmatched addresses
 /// classify as site 6 ("other").
 pub fn driver_site_map(arena_base: u64, mmio_base: u64) -> SiteMap {
     SiteMap::new(6)
@@ -333,7 +333,7 @@ impl<P: PolicyCheck> GuardedMem<P> {
     }
 
     /// Wrap a memory space with a policy and report every guard check to
-    /// `tracer` under synthetic per-region sites (see [`GuardTrace`]).
+    /// `tracer` under synthetic per-region sites (see `GuardTrace`).
     /// Costs one relaxed atomic load per guard while tracing is off.
     pub fn with_tracer(inner: DirectMem, policy: P, tracer: Arc<Tracer>) -> GuardedMem<P> {
         let map = driver_site_map(inner.arena_base, inner.mmio_base);

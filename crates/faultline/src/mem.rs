@@ -2,7 +2,7 @@
 //! hardware.
 //!
 //! [`FaultyMem`] delegates every access to the wrapped space and injects
-//! faults per the plan's device-side [`FaultPoint`]s:
+//! faults per the plan's device-side [`FaultPoint`](crate::plan::FaultPoint)s:
 //!
 //! * **surprise removal** — while active, MMIO reads return all-ones and
 //!   MMIO writes vanish, exactly what a PCIe read to a removed device

@@ -31,7 +31,7 @@ use kop_kernel::{Kernel, ModuleImage};
 use kop_policy::module::GuardOutcome;
 use kop_policy::PolicyModule;
 use kop_trace::{GuardDecision, InlineBatch, Producer, SiteId, TraceEvent};
-use kop_vm::HostFn;
+use kop_vm::{HostFn, PromotedTier};
 
 mod vm;
 
@@ -55,9 +55,14 @@ pub enum Engine {
     /// The production engine: the bytecode with the promoted tier on.
     /// Functions whose hot guard sites carry a baked bound dispatch
     /// through the promoted copy, tracing on or off; everything else
-    /// runs the general bytecode. Each [`Interp::call`] loads the tier
-    /// once and runs every frame from it, so a promotion or
-    /// invalidation published mid-call reaches the next call. A
+    /// runs the general bytecode. The interpreter keeps the tier it
+    /// loaded across calls, keyed by the module's never-reused tier id:
+    /// each [`Interp::call`] checks the id with one load, reloads the
+    /// tier only if a promotion or invalidation moved it, and runs every
+    /// frame from that one tier, so a publish between calls governs the
+    /// next call and one published mid-call reaches the call after. The
+    /// tier runs only when the call's policy has the namespace id it was
+    /// baked from; otherwise the call runs the general bytecode. A
     /// promoted guard whose baked generation or epoch no longer matches
     /// the live policy, or that cannot fast-admit, deopts into the
     /// exact general policy path. With tracing on, an inline admit is
@@ -112,25 +117,32 @@ pub struct Interp<'k> {
     /// (generation bump, out-of-bounds, or permission miss).
     vm_inline_deopts: u64,
     /// The policy governing the running call's module, on every engine:
-    /// resolved on the call's first promoted frame or first general-path
-    /// memory or intrinsic guard ([`pin_policy`]), and dropped when
-    /// [`Interp::call`] returns. Sound for the call's duration: remapping
+    /// revalidated on the call's first promoted frame or first
+    /// general-path memory or intrinsic guard ([`PolicyPin`]), and kept
+    /// past the call's return. Sound for the call's duration: remapping
     /// a module's policy (`set_module_policy`/`clear_module_policy`)
     /// needs `&mut Kernel`, which this interpreter holds exclusively, and
     /// the one in-run mutation path (quarantine) unwinds the call before
     /// another guard executes. A swap through the shared
-    /// `NamespaceStore` from another thread takes effect at the next
-    /// call. Staleness *within* the pinned policy — a publish or
-    /// revocation — is still caught per op by the generation and epoch
-    /// tags.
-    vm_policy: Option<Arc<PolicyModule>>,
+    /// `NamespaceStore` from another thread moves the store's version,
+    /// so it takes effect at the next call. Staleness *within* the
+    /// pinned policy — a publish or revocation — is still caught per op
+    /// by the generation and epoch tags.
+    vm_policy: PolicyPin,
+    /// The promoted tier the last promoted call ran, with the tier id it
+    /// was loaded under. Taken out for the duration of a call (so frames
+    /// borrow it without a refcount) and put back where the call
+    /// returns; reloaded only when the module's tier id moved.
+    vm_tier: Option<Arc<PromotedTier>>,
+    /// The tier id `vm_tier` was loaded under.
+    vm_tier_id: u64,
     /// Fast admits not yet accounted against `vm_policy`'s striped
     /// `checks`/`permitted` counters. The inline admit bumps this plain
     /// field; the call's return drains it with one counted add
     /// (`record_fast_permits`), on `Ok` and `Err` alike, so the
     /// per-guard cost carries no thread-local counter round-trips and
     /// every post-call observer still sees `policy.checks ==
-    /// stats.guards`. Non-zero only while `vm_policy` is `Some`.
+    /// stats.guards`. Non-zero only while `vm_policy` is pinned.
     vm_pending_fast_permits: u64,
     /// Revocation epoch the call's promoted tier was baked under (0 off
     /// the promoted engine); the inline admit compares it against the
@@ -172,18 +184,49 @@ fn sign_extend(v: u64, bits: u32) -> i64 {
 /// `Arc`, nothing else.
 type ModuleCtx = ModuleImage;
 
-/// The policy governing `module` for the running call: resolved into
-/// `slot` (the interpreter's `vm_policy`) on first use and returned from
-/// there until [`Interp::call`] unpins it. The interpreter's one policy
-/// resolution point. A free function over two disjoint fields, so the
-/// caller can keep borrowing the kernel's tracer.
-#[inline]
-fn pin_policy<'a>(
-    slot: &'a mut Option<Arc<PolicyModule>>,
-    kernel: &Kernel,
-    module: &str,
-) -> &'a PolicyModule {
-    slot.get_or_insert_with(|| kernel.policy_for(module))
+/// The policy governing the running call's module, kept across calls
+/// and keyed by the module's IR name and the namespace store's version
+/// (`NamespaceStore::version`), which moves after every register and
+/// remove. The interpreter's one policy resolution point. A field of its
+/// own, so the caller can keep borrowing the kernel's tracer.
+#[derive(Default)]
+struct PolicyPin {
+    policy: Option<Arc<PolicyModule>>,
+    module: String,
+    version: u64,
+    /// Whether the running call has revalidated `policy`.
+    fresh: bool,
+}
+
+impl PolicyPin {
+    /// The policy governing `module` for the running call: revalidated
+    /// on the call's first use with one version load, and re-resolved
+    /// only if the module or the version changed since it was resolved.
+    #[inline]
+    fn pin(&mut self, kernel: &Kernel, module: &str) -> &PolicyModule {
+        if !self.fresh {
+            self.revalidate(kernel, module);
+        }
+        self.pinned()
+    }
+
+    fn revalidate(&mut self, kernel: &Kernel, module: &str) {
+        // Version first: a register or remove that lands after this load
+        // moves the version again, so the next call re-resolves.
+        let version = kernel.namespaces().version();
+        if self.policy.is_none() || self.version != version || self.module != module {
+            self.policy = Some(kernel.policy_for(module));
+            self.version = version;
+            module.clone_into(&mut self.module);
+        }
+        self.fresh = true;
+    }
+
+    /// The policy the running call pinned.
+    #[inline]
+    fn pinned(&self) -> &PolicyModule {
+        self.policy.as_deref().expect("the call pinned its policy")
+    }
 }
 
 impl<'k> Interp<'k> {
@@ -218,7 +261,9 @@ impl<'k> Interp<'k> {
             vm_args_pool: Vec::new(),
             vm_inline_admits: 0,
             vm_inline_deopts: 0,
-            vm_policy: None,
+            vm_policy: PolicyPin::default(),
+            vm_tier: None,
+            vm_tier_id: 0,
             vm_pending_fast_permits: 0,
             vm_promoted_epoch: 0,
             vm_inline_batch: InlineBatch::default(),
@@ -297,9 +342,10 @@ impl<'k> Interp<'k> {
         };
         // The call is the unit of accounting: its fast admits and inline
         // tallies drain here, on `Ok` and `Err` alike, against the policy
-        // it pinned, which is then released.
+        // it pinned. The policy stays resolved for the next call, which
+        // revalidates it on first use.
         self.vm_flush_fast_permits();
-        self.vm_policy = None;
+        self.vm_policy.fresh = false;
         result
     }
 
@@ -642,7 +688,7 @@ impl<'k> Interp<'k> {
         span: Option<(VAddr, Size)>,
         check: impl FnOnce(&PolicyModule) -> GuardOutcome,
     ) -> GuardOutcome {
-        let policy = pin_policy(&mut self.vm_policy, self.kernel, module);
+        let policy = self.vm_policy.pin(self.kernel, module);
         let tracer = self.kernel.tracer();
         let Some(site) = site.filter(|_| tracer.enabled()) else {
             return check(policy);

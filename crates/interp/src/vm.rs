@@ -12,18 +12,23 @@
 //! code offsets, phi transfers are prebuilt move schedules, and
 //! adjacent guard+access pairs run as one fused superinstruction.
 
+use std::sync::Arc;
+
 use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
 use kop_vm::{Bound, CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
-use crate::{pin_policy, sign_extend, Engine, Interp, ModuleCtx, MAX_CALL_DEPTH};
+use crate::{sign_extend, Engine, Interp, ModuleCtx, MAX_CALL_DEPTH};
 
 impl<'k> Interp<'k> {
     /// Bytecode-engine entry point, mirroring the tree engine's
     /// `call_in` contract (same error precedence and messages). On the
-    /// promoted engine this is where the call loads the promoted tier:
+    /// promoted engine this is where the call settles its promoted tier:
     /// once, so every frame of the call finds its code in the same tier
-    /// by reference and pairs it with that tier's bake epoch.
+    /// by reference and pairs it with that tier's bake epoch. The tier
+    /// runs only if the call's policy has the namespace id it was baked
+    /// from; pinning that policy here is what lets inline guards read a
+    /// field instead of resolving.
     pub(crate) fn vm_call(
         &mut self,
         ctx: &ModuleCtx,
@@ -34,19 +39,42 @@ impl<'k> Interp<'k> {
         let idx = compiled.func_index(func).ok_or_else(|| {
             KernelError::InvalidArgument(format!("no function @{func} in module {}", ctx.ir.name))
         })?;
-        let tier = (self.engine == Engine::Promoted).then(|| compiled.promoted_tier());
-        self.vm_promoted_epoch = tier.as_ref().map_or(0, |t| t.epoch);
+        let tier = (self.engine == Engine::Promoted).then(|| self.vm_take_tier(compiled));
+        let run = tier.as_deref().filter(|t| {
+            t.ns != 0 && self.vm_policy.pin(self.kernel, &ctx.ir.name).namespace() == t.ns
+        });
+        self.vm_promoted_epoch = run.map_or(0, |t| t.epoch);
         let mut argv = self.vm_args_pool.pop().unwrap_or_default();
         argv.clear();
         argv.extend_from_slice(args);
-        self.vm_call_idx(ctx, compiled, tier.as_deref(), idx, argv)
+        let result = self.vm_call_idx(ctx, compiled, run, idx, argv);
+        self.vm_tier = tier;
+        result
+    }
+
+    /// `compiled`'s current promoted tier, moved out of the interpreter
+    /// for the running call: the kept tier when the module's tier id
+    /// still reads the id it was loaded under (one load), a fresh load
+    /// when a promotion or invalidation moved it. The id is read before
+    /// the tier, so a tier published after the read moves the id again
+    /// and the next call reloads.
+    fn vm_take_tier(&mut self, compiled: &CompiledModule) -> Arc<PromotedTier> {
+        let id = compiled.tier_id();
+        match self.vm_tier.take() {
+            Some(tier) if self.vm_tier_id == id => tier,
+            _ => {
+                self.vm_tier_id = id;
+                compiled.promoted_tier()
+            }
+        }
     }
 
     /// One function frame by prebuilt index (recursion happens through
     /// [`Op::CallInternal`], skipping the name lookup entirely).
     /// Takes `args` by value: callers hand over a pooled vector, which
-    /// retires back into the pool on exit. `tier` is the call's pinned
-    /// promoted tier (`None` off the promoted engine).
+    /// retires back into the pool on exit. `tier` is the promoted tier
+    /// the call runs (`None` off the promoted engine, or when the call's
+    /// policy is not the one the tier was baked from).
     fn vm_call_idx(
         &mut self,
         ctx: &ModuleCtx,
@@ -84,11 +112,6 @@ impl<'k> Interp<'k> {
             return Err(KernelError::NoMemory(format!(
                 "kernel stack overflow: module call depth exceeds {MAX_CALL_DEPTH}"
             )));
-        }
-        if promoted.is_some() {
-            // The call's first promoted frame pins its governing policy;
-            // its inline guards then read a field instead of resolving.
-            pin_policy(&mut self.vm_policy, self.kernel, &ctx.ir.name);
         }
         self.depth += 1;
         let saved_args = std::mem::replace(&mut self.cur_args, args);
@@ -133,9 +156,7 @@ impl<'k> Interp<'k> {
         if self.vm_pending_fast_permits > 0 {
             let n = self.vm_pending_fast_permits;
             self.vm_pending_fast_permits = 0;
-            if let Some(p) = self.vm_policy.as_deref() {
-                p.record_fast_permits(n);
-            }
+            self.vm_policy.pinned().record_fast_permits(n);
             if !self.vm_inline_batch.is_empty() {
                 self.kernel
                     .tracer()
@@ -169,10 +190,7 @@ impl<'k> Interp<'k> {
     ) -> KernelResult<()> {
         let Bound { lo, hi, perm, gen } = *bound;
         let fast = {
-            let policy = self
-                .vm_policy
-                .as_deref()
-                .expect("the call's first promoted frame pinned its policy");
+            let policy = self.vm_policy.pinned();
             size > 0
                 && flags != 0
                 && (flags & !perm) == 0

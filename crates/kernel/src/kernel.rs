@@ -155,11 +155,13 @@ pub struct Kernel {
     /// `echo 1 > tracing_on` via [`TRACE_DEV`] or [`Tracer::set_enabled`]).
     tracer: Arc<Tracer>,
     /// Modules whose promoted tier is subscribed to their policy's
-    /// generation publishes (each publish atomically drops the tier, so
-    /// stale promoted code is discarded promptly — the per-op generation
-    /// check already guarantees it could never admit). Cleared on
-    /// restart so the fresh image re-subscribes.
-    hot_subscribed: std::collections::BTreeSet<String>,
+    /// generation publishes, with that policy's namespace id (each
+    /// publish atomically drops the tier, so stale promoted code is
+    /// discarded promptly — the per-op generation check already
+    /// guarantees it could never admit). A promotion under a different
+    /// policy subscribes to it anew. Cleared on restart so the fresh
+    /// image re-subscribes.
+    hot_subscribed: std::collections::BTreeMap<String, u64>,
     /// Names reserved by an in-flight staged insmod
     /// ([`Kernel::reserve_module`]) but not yet committed. A second
     /// insmod of the same name races the short reserve section, not the
@@ -302,7 +304,7 @@ impl Kernel {
             aliases: std::collections::BTreeMap::new(),
             lifecycle,
             tracer,
-            hot_subscribed: std::collections::BTreeSet::new(),
+            hot_subscribed: std::collections::BTreeMap::new(),
             pending: std::collections::BTreeSet::new(),
         };
         kernel.printk("CARAT KOP simulated kernel booted");
@@ -369,12 +371,12 @@ impl Kernel {
         self.printk(&format!(
             "policy: per-module override for '{module}' (namespace {ns})"
         ));
-        // The promoted tier baked bounds (and a generation tag) from the
-        // *previous* policy object; a different policy could reuse the
-        // same generation number, so the tag alone is not enough here.
-        // Drop the tier and the old policy's subscription outright. (A
-        // native guard front is bound to one policy object for life, so
-        // it never answers for the new one.)
+        // The promoted tier baked its bounds from the *previous* policy
+        // object. Its namespace id already keeps it from running under
+        // the new one; drop it and the old policy's subscription, so the
+        // next `tick()` bakes from the new policy. (A native guard front
+        // is bound to one policy object for life, so it never answers
+        // for the new one.)
         self.drop_promotions(module);
     }
 
@@ -382,8 +384,8 @@ impl Kernel {
     pub fn clear_module_policy(&mut self, module: &str) -> bool {
         let had = self.namespaces.remove(module).is_some();
         if had {
-            // Same generation-collision hazard as `set_module_policy`:
-            // the module now answers to the global policy.
+            // As in `set_module_policy`: the module now answers to the
+            // global policy.
             self.drop_promotions(module);
         }
         had
@@ -483,8 +485,10 @@ impl Kernel {
         // Bake bounds from the current snapshot. The revocation epoch is
         // read *before* the snapshot: a fleet revocation racing the bake
         // leaves the tier already-stale (per-op epoch mismatch, prompt
-        // deopt), never falsely fresh.
+        // deopt), never falsely fresh. The tier records the policy's
+        // namespace id, and runs only for calls that policy governs.
         let policy = self.policy_for(module);
+        let ns = policy.namespace();
         let epoch = policy.revocation_epoch();
         let snap = policy.policy_snapshot();
         let gen = snap.generation();
@@ -548,13 +552,13 @@ impl Kernel {
             return Err(err);
         }
 
-        let n = compiled.promote(gen, epoch, &specs);
+        let n = compiled.promote(ns, gen, epoch, &specs);
         if n == 0 {
             return Ok(0);
         }
-        // One subscription per module image: any policy publish drops
-        // the tier wholesale.
-        if self.hot_subscribed.insert(module.to_string()) {
+        // One subscription per module image and governing policy: any
+        // publish of that policy drops the tier wholesale.
+        if self.hot_subscribed.insert(module.to_string(), ns) != Some(ns) {
             let tier = compiled.clone();
             policy.subscribe_generation(Box::new(move |_gen| {
                 tier.invalidate_promotions();

@@ -82,8 +82,8 @@ impl DefaultAction {
 /// What the policy module does when a check fails.
 ///
 /// The paper (§3.1): forcibly unloading a running module is dangerous
-/// (locks held, state shared), so CARAT KOP "log[s] that they occur and
-/// cause[s] a kernel panic" — and argues a hard stop is the *right* call in
+/// (locks held, state shared), so CARAT KOP "log\[s\] that they occur and
+/// cause\[s\] a kernel panic" — and argues a hard stop is the *right* call in
 /// production HPC. The other actions exist for development and for the
 /// survive-the-violation mode: [`ViolationAction::Quarantine`] hands the
 /// violation to the kernel, which oopses and unloads *only* the offending

@@ -17,8 +17,15 @@
 //!   `SeqCst` load instead of a shared-cacheline hit on every check.
 //!
 //! Namespace ids are never reused: re-registering a module id assigns a
-//! fresh id. Fast paths need no namespace tag: each is bound to one
-//! policy object, whose own generation and epoch are its tags.
+//! fresh id. A guard front needs no namespace tag: it is bound to one
+//! policy object, whose own generation and epoch are its tags. The VM's
+//! promoted tier records the id of the policy it was baked from, and
+//! runs only for a call whose policy still has that id.
+//!
+//! The store's [`NamespaceStore::version`] moves after every
+//! [`NamespaceStore::register`] and [`NamespaceStore::remove`], so a
+//! caller that keeps a resolved policy across calls revalidates it with
+//! one load.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +68,8 @@ pub struct NamespaceStore {
     /// Count of fleet-wide revocations (diagnostics; the authoritative
     /// epoch lives in each policy's atomic).
     revocations: AtomicU64,
+    /// Bumped after every `register` and `remove`.
+    version: AtomicU64,
 }
 
 /// Namespace id reserved for the global (default) policy.
@@ -77,6 +86,7 @@ impl NamespaceStore {
             next_ns: AtomicU64::new(GLOBAL_NAMESPACE + 1),
             global,
             revocations: AtomicU64::new(0),
+            version: AtomicU64::new(0),
         }
     }
 
@@ -100,6 +110,7 @@ impl NamespaceStore {
         self.shards[shard_of(module)]
             .write()
             .insert(module.to_string(), entry);
+        self.version.fetch_add(1, Ordering::SeqCst);
         ns
     }
 
@@ -130,10 +141,18 @@ impl NamespaceStore {
     /// policy). The removed policy keeps its id — nothing else will ever
     /// be bound to it. Returns the removed policy, if any.
     pub fn remove(&self, module: &str) -> Option<Arc<PolicyModule>> {
-        self.shards[shard_of(module)]
-            .write()
-            .remove(module)
-            .map(|e| e.policy)
+        let removed = self.shards[shard_of(module)].write().remove(module);
+        self.version.fetch_add(1, Ordering::SeqCst);
+        removed.map(|e| e.policy)
+    }
+
+    /// The registry's version: it moves after every [`Self::register`]
+    /// and [`Self::remove`], once the map holds the change. A caller
+    /// that reads the version, then resolves, may keep the result for
+    /// as long as the version reads the same: any later change moves it.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::SeqCst)
     }
 
     /// Number of registered namespaces (excluding the global fall-back).
@@ -213,7 +232,9 @@ mod tests {
     #[test]
     fn register_assigns_fresh_monotonic_ids() {
         let ns = NamespaceStore::new(rw_policy(0x1000));
+        let v = ns.version();
         let a = ns.register("mod_a", rw_policy(0x10_0000));
+        assert!(ns.version() > v, "a register moves the version");
         let b = ns.register("mod_b", rw_policy(0x20_0000));
         assert!(a > GLOBAL_NAMESPACE);
         assert_ne!(a, b);
@@ -276,7 +297,9 @@ mod tests {
     fn remove_restores_fallback() {
         let ns = NamespaceStore::new(rw_policy(0x1000));
         ns.register("mod_a", rw_policy(0x10_0000));
+        let v = ns.version();
         let removed = ns.remove("mod_a").expect("registered");
+        assert!(ns.version() > v, "a remove moves the version");
         assert!(removed.namespace() > GLOBAL_NAMESPACE, "keeps its id");
         assert_eq!(ns.resolve("mod_a").namespace(), GLOBAL_NAMESPACE);
         assert!(ns.remove("mod_a").is_none());

@@ -1,9 +1,9 @@
 //! Guard statistics — what the policy module reports through the
 //! `Stats` ioctl.
 //!
-//! Since the kop-trace subsystem landed, the cells behind these counters
-//! are [`kop_trace::Counter`]s rather than bare atomics: the update path
-//! costs the same (one relaxed `fetch_add` per cell), but the policy can
+//! The cells behind these counters are [`kop_trace::Counter`]s: an add
+//! is a relaxed load and store into the calling thread's own stripe (no
+//! locked instruction), and the policy can
 //! [`GuardStats::register_into`] a tracer's [`kop_trace::CounterRegistry`]
 //! so figures and the `/dev/trace` chardev read the *same cells* as the
 //! `Stats` ioctl — one registry instead of three bespoke structs.
@@ -14,8 +14,9 @@ use kop_trace::{Counter, CounterRegistry};
 
 /// Counters maintained by the policy module across guard invocations.
 ///
-/// Counters are atomics so the guard path can update them from concurrent
-/// driver contexts without taking the policy lock.
+/// Counters are striped per thread so the guard path can update them
+/// from concurrent driver contexts without the policy lock and without
+/// a locked read-modify-write.
 #[derive(Debug)]
 pub struct GuardStats {
     checks: Counter,

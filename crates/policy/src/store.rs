@@ -11,7 +11,7 @@
 //!   order, no cap, overlapping rules rejected ("the primary tradeoff" of
 //!   the non-table structures, §3.1).
 //!
-//! [`admit`] checks a whole list with one sort, O(n log n), and accepts
+//! `admit` checks a whole list with one sort, O(n log n), and accepts
 //! exactly the lists a run of single inserts into an empty store would
 //! accept.
 

@@ -40,6 +40,7 @@
 mod lower;
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arc_swap::ArcSwap;
@@ -344,10 +345,17 @@ pub struct PromotionSpec {
 }
 
 /// One published generation of promoted code: the re-lowered functions
-/// plus the snapshot generation their bounds were baked from. Swapped
-/// wholesale — readers either see the complete tier or none of it.
+/// plus the policy, snapshot generation and revocation epoch their
+/// bounds were baked from. Swapped wholesale — readers either see the
+/// complete tier or none of it.
 #[derive(Debug, Default)]
 pub struct PromotedTier {
+    /// Namespace id of the policy the bounds were baked from (0 = the
+    /// empty tier). Namespace ids are never reused and no policy has id
+    /// 0, so an executor runs the tier only for a call whose policy has
+    /// this id: two policies' generations and epochs both start at 1 and
+    /// cannot tell the policies apart.
+    pub ns: u64,
     /// Snapshot generation every baked bound in this tier cites
     /// (0 = the empty tier; real generations start at 1).
     pub gen: u64,
@@ -371,21 +379,56 @@ impl PromotedTier {
     }
 }
 
+/// Where a module's promoted tier is published: the tier behind an
+/// [`ArcSwap`], and the id it was published under.
+#[derive(Debug)]
+struct TierCell {
+    tier: ArcSwap<PromotedTier>,
+    /// Stored after every publish, from [`NEXT_TIER_ID`]: never reused,
+    /// so an executor that keeps a tier across calls revalidates it with
+    /// one load.
+    id: AtomicU64,
+}
+
+/// The process-wide source of tier ids.
+static NEXT_TIER_ID: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_tier_id() -> u64 {
+    NEXT_TIER_ID.fetch_add(1, Ordering::SeqCst)
+}
+
+impl TierCell {
+    fn new() -> TierCell {
+        TierCell {
+            tier: ArcSwap::from_pointee(PromotedTier::default()),
+            id: AtomicU64::new(fresh_tier_id()),
+        }
+    }
+
+    /// Publish `tier`, then its fresh id: a reader that loads the id and
+    /// then the tier holds a tier at least as new as the id it keys.
+    fn publish(&self, tier: PromotedTier) {
+        self.tier.store(Arc::new(tier));
+        self.id.store(fresh_tier_id(), Ordering::SeqCst);
+    }
+}
+
 /// A module lowered to bytecode: built once at insmod, cached in the
 /// loaded-module image, shared by every subsequent call.
 ///
 /// The optional *promoted tier* holds re-lowered copies of hot
 /// functions whose guard ops carry inlined bounds. It lives behind an
 /// [`ArcSwap`] so the promotion pass can publish (and epoch bumps can
-/// invalidate) without locking executors; clones of the module share
-/// one tier.
+/// invalidate) without locking executors, next to a never-reused id
+/// ([`CompiledModule::tier_id`]) executors key a kept tier by; clones
+/// of the module share one tier.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// The module's name (used for policy lookup and diagnostics).
     pub module_name: String,
     funcs: Vec<CompiledFunc>,
     by_name: BTreeMap<String, u32>,
-    promoted: Arc<ArcSwap<PromotedTier>>,
+    promoted: Arc<TierCell>,
 }
 
 impl CompiledModule {
@@ -399,7 +442,7 @@ impl CompiledModule {
             module_name,
             funcs,
             by_name,
-            promoted: Arc::new(ArcSwap::from_pointee(PromotedTier::default())),
+            promoted: Arc::new(TierCell::new()),
         }
     }
 
@@ -440,12 +483,15 @@ impl CompiledModule {
     /// match no guard op are skipped. An empty result publishes nothing
     /// and leaves the existing tier in place.
     ///
+    /// `ns` is the namespace id of the policy the bounds come from; an
+    /// executor runs the tier only for a call governed by that policy.
     /// `epoch` is the governing policy's revocation epoch at bake time;
     /// promoted frames deopt when it no longer matches the live epoch
     /// (fleet-wide revocation without generation churn).
-    pub fn promote(&self, gen: u64, epoch: u64, specs: &[PromotionSpec]) -> usize {
+    pub fn promote(&self, ns: u64, gen: u64, epoch: u64, specs: &[PromotionSpec]) -> usize {
         let by_site: BTreeMap<SiteId, &PromotionSpec> = specs.iter().map(|s| (s.site, s)).collect();
         let mut tier = PromotedTier {
+            ns,
             gen,
             epoch,
             funcs: vec![None; self.funcs.len()],
@@ -490,31 +536,40 @@ impl CompiledModule {
         if promoted_ops == 0 {
             return 0;
         }
-        self.promoted.store(Arc::new(tier));
+        self.promoted.publish(tier);
         promoted_ops
     }
 
     /// The current promoted tier (the empty tier when nothing is
-    /// promoted). One load per executor call: a publish or invalidation
-    /// after it reaches the next call, and until then the tier's
+    /// promoted). A publish or invalidation after an executor loaded it
+    /// reaches the executor's next call, and until then the tier's
     /// generation and epoch tags make its inline guards deopt.
     pub fn promoted_tier(&self) -> Arc<PromotedTier> {
-        self.promoted.load_full()
+        self.promoted.tier.load_full()
+    }
+
+    /// Id of the current promoted tier: stored after every publish and
+    /// invalidation, never reused. An executor that keeps a tier across
+    /// calls loads this first and reloads the tier only when it moved.
+    #[inline]
+    pub fn tier_id(&self) -> u64 {
+        self.promoted.id.load(Ordering::SeqCst)
     }
 
     /// Snapshot generation of the current promoted tier (0 = none).
     pub fn promoted_generation(&self) -> u64 {
-        self.promoted.load().gen
+        self.promoted.tier.load().gen
     }
 
     /// Revocation epoch of the current promoted tier (0 = none).
     pub fn promoted_epoch(&self) -> u64 {
-        self.promoted.load().epoch
+        self.promoted.tier.load().epoch
     }
 
     /// Number of guard ops with a baked bound across the current tier.
     pub fn promoted_guard_count(&self) -> usize {
         self.promoted
+            .tier
             .load()
             .funcs
             .iter()
@@ -538,7 +593,7 @@ impl CompiledModule {
     /// running it, and its inline guards deopt per op via the
     /// generation check.
     pub fn invalidate_promotions(&self) {
-        self.promoted.store(Arc::new(PromotedTier::default()));
+        self.promoted.publish(PromotedTier::default());
     }
 }
 
@@ -603,8 +658,16 @@ mod promote_tests {
         assert_eq!(m.promoted_generation(), 0);
         assert!(m.promoted_tier().func(0).is_none());
 
-        let n = m.promote(5, 1, &[spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000)]);
+        let id = m.tier_id();
+        let n = m.promote(
+            1,
+            5,
+            1,
+            &[spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000)],
+        );
         assert_eq!(n, 2);
+        assert_ne!(m.tier_id(), id, "a publish stores a fresh id");
+        assert_eq!(m.promoted_tier().ns, 1);
         assert_eq!(m.promoted_generation(), 5);
         assert_eq!(m.promoted_epoch(), 1);
         assert_eq!(m.promoted_guard_count(), 2);
@@ -659,11 +722,13 @@ mod promote_tests {
     #[test]
     fn promoting_unknown_sites_publishes_nothing() {
         let m = CompiledModule::new("m".into(), vec![guard_func()]);
-        m.promote(3, 1, &[spec(7, 0, 0x100)]);
+        m.promote(1, 3, 1, &[spec(7, 0, 0x100)]);
         assert_eq!(m.promoted_generation(), 3);
         // A later pass with no matching sites must not clobber the tier.
-        assert_eq!(m.promote(4, 1, &[spec(999, 0, 0x100)]), 0);
+        let id = m.tier_id();
+        assert_eq!(m.promote(1, 4, 1, &[spec(999, 0, 0x100)]), 0);
         assert_eq!(m.promoted_generation(), 3);
+        assert_eq!(m.tier_id(), id, "nothing published");
         assert!(m.promoted_tier().func(0).is_some());
     }
 
@@ -671,8 +736,10 @@ mod promote_tests {
     fn invalidate_drops_the_tier_and_clones_share_it() {
         let m = CompiledModule::new("m".into(), vec![guard_func()]);
         let alias = m.clone();
-        m.promote(9, 1, &[spec(9, 0x10, 0x20)]);
+        m.promote(1, 9, 1, &[spec(9, 0x10, 0x20)]);
         assert_eq!(alias.promoted_generation(), 9, "clones share the tier");
+        assert_eq!(alias.tier_id(), m.tier_id(), "and its id");
+        let promoted_id = m.tier_id();
         let tier = alias.promoted_tier();
         assert_eq!(tier.epoch, 1, "the tier carries its bake epoch");
         assert!(matches!(
@@ -684,13 +751,15 @@ mod promote_tests {
         ));
         alias.invalidate_promotions();
         assert_eq!(m.promoted_generation(), 0);
+        assert!(m.tier_id() > promoted_id, "an invalidation is a publish");
+        assert_eq!(m.promoted_tier().ns, 0, "no policy runs the empty tier");
         assert!(m.promoted_tier().func(0).is_none());
         // A tier loaded before the invalidation stays whole for its
         // holder: same code, same tags.
         assert_eq!((tier.gen, tier.epoch), (9, 1));
         assert!(tier.func(0).is_some());
         // Re-promotion after invalidation works (lazy re-promote path).
-        assert_eq!(m.promote(10, 2, &[spec(9, 0x10, 0x20)]), 1);
+        assert_eq!(m.promote(1, 10, 2, &[spec(9, 0x10, 0x20)]), 1);
         assert_eq!(alias.promoted_generation(), 10);
     }
 }

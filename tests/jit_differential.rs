@@ -18,8 +18,10 @@
 //! The last part pins the interpreter's per-call contract on the
 //! promoted mini e1000e `xmit`: a publish at a known load inside a call
 //! deopts every later inline guard of that call, a call that ends in
-//! `Err` still drains its inline admits, and a policy swap between two
-//! calls governs the next one.
+//! `Err` still drains its inline admits, and a policy swap, promotion,
+//! publish or revocation between two calls on one long-lived
+//! interpreter governs the next one, although the interpreter keeps its
+//! policy and promoted tier across calls.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -421,7 +423,8 @@ fn stale_generation_promotion_deopts_every_guard() {
         .image()
         .compiled
         .clone();
-    assert!(compiled.promote(stale_gen, policy.revocation_epoch(), &specs) > 0);
+    let (ns, epoch) = (policy.namespace(), policy.revocation_epoch());
+    assert!(compiled.promote(ns, stale_gen, epoch, &specs) > 0);
     assert_eq!(compiled.promoted_generation(), stale_gen);
 
     let s0 = policy.stats();
@@ -593,11 +596,14 @@ fn mq_tx_generation_bump_torture() {
 
 // ---- The per-call contract, on the promoted mini e1000e `xmit`. ----
 //
-// `Interp::call` is the unit of resolution and accounting: a call loads
-// the promoted tier once and pins its governing policy on first use,
-// its inline admits drain where it returns, and every inline guard
+// `Interp::call` is the unit of resolution and accounting: a call
+// settles its promoted tier once and pins its governing policy on first
+// use, its inline admits drain where it returns, and every inline guard
 // still compares the baked generation and revocation epoch with the
-// live policy per op.
+// live policy per op. The interpreter keeps the policy and the tier
+// past the return, keyed by the namespace store's version and the
+// module's tier id, so what changes between calls must reach the next
+// call through those keys.
 
 /// Packets in the traced general-path window promotion profiles.
 const PROFILE_PKTS: u64 = 4;
@@ -607,6 +613,14 @@ const PROFILE_PKTS: u64 = 4;
 /// own, everything else is denied — profiled on the general path and
 /// promoted: every one of its guards runs inline.
 fn boot_xmit(action: ViolationAction) -> TxRig {
+    let mut x = boot_profiled(action);
+    assert_eq!(x.promote(), 10, "every xmit guard site promoted");
+    x
+}
+
+/// [`boot_xmit`] before the promotion: profiled, every site hot enough
+/// for `tick()`.
+fn boot_profiled(action: ViolationAction) -> TxRig {
     let policy = Arc::new(PolicyModule::new());
     policy.set_default_action(DefaultAction::Deny);
     policy.set_violation_action(action);
@@ -617,7 +631,6 @@ fn boot_xmit(action: ViolationAction) -> TxRig {
     let mut x = TxRig::boot(&CompileOptions::carat_kop(), Arc::clone(&policy), config);
     policy.replace_regions(x.bufs.grants(true)).expect("grants");
     x.profile(PROFILE_PKTS);
-    assert_eq!(x.promote(), 10, "every xmit guard site promoted");
     x
 }
 
@@ -948,4 +961,180 @@ fn policy_swap_between_calls_governs_the_next_call() {
         assert!(interp.kernel().clear_module_policy(XMIT_MODULE));
         assert_eq!(call(&mut interp), (10, 0, 0), "{engine:?}: global again");
     }
+}
+
+/// Runs `f` on a thread of its own and waits for it: a change made
+/// between two calls by someone other than the interpreter's owner.
+fn elsewhere<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::spawn(f).join().expect("the other thread")
+}
+
+/// A namespace swap through the shared `NamespaceStore`, from another
+/// thread, governs the next call on every engine of one long-lived
+/// interpreter, and so does removing it again. The swapped-in policy
+/// (default deny, no rules, bumped once) has the generation and epoch the
+/// promoted tier was baked under, so only the namespace id tells it
+/// from the global policy: the tier must not run under it, and runs
+/// inline again once the global policy governs the module again.
+#[test]
+fn shared_store_swap_between_calls_governs_the_next_call() {
+    for engine in [Engine::Tree, Engine::Bytecode, Engine::Promoted] {
+        let mut x = boot_xmit(ViolationAction::LogAndDeny);
+        let (global, b) = (Arc::clone(x.kernel.policy()), x.bufs);
+        let store = Arc::clone(x.kernel.namespaces());
+        let own = Arc::new(PolicyModule::new());
+        own.set_default_action(DefaultAction::Deny);
+        own.set_violation_action(ViolationAction::LogAndDeny);
+        own.bump_epoch();
+        let compiled = &x
+            .kernel
+            .module(XMIT_MODULE)
+            .expect("loaded")
+            .image()
+            .compiled;
+        assert_eq!(
+            (own.store_generation(), own.revocation_epoch()),
+            (compiled.promoted_generation(), compiled.promoted_epoch()),
+            "the swapped-in policy carries the tier's tags"
+        );
+        let inline = if engine == Engine::Promoted { 10 } else { 0 };
+        let mut interp = x.interp(engine);
+        let mut p = PROFILE_PKTS;
+        // `(global checks, own checks, squashed, inline admits)` over one
+        // call.
+        let mut call = |interp: &mut Interp<'_>| {
+            let (g0, o0, s0) = (global.stats().checks, own.stats().checks, interp.stats());
+            let a0 = interp.inline_admits();
+            xmit(interp, &b, p).expect("xmit");
+            p += 1;
+            let s1 = interp.stats();
+            assert_eq!(s1.guards - s0.guards, 10);
+            (
+                global.stats().checks - g0,
+                own.stats().checks - o0,
+                s1.squashed - s0.squashed,
+                interp.inline_admits() - a0,
+            )
+        };
+        assert_eq!(call(&mut interp), (10, 0, 0, inline), "{engine:?}: global");
+        let (s, o) = (Arc::clone(&store), Arc::clone(&own));
+        elsewhere(move || s.register(XMIT_MODULE, o));
+        assert_eq!(call(&mut interp), (0, 10, 10, 0), "{engine:?}: own policy");
+        let s = Arc::clone(&store);
+        assert!(elsewhere(move || s.remove(XMIT_MODULE)).is_some());
+        assert_eq!(
+            call(&mut interp),
+            (10, 0, 0, inline),
+            "{engine:?}: global again"
+        );
+    }
+}
+
+/// What changes the promoted tier between two calls on one long-lived
+/// interpreter reaches the next call: a `tick()` that promotes makes it
+/// admit inline; a publish from another thread drops the tier, so the
+/// next call admits nothing inline and deopts nothing, and a guard the
+/// new rules deny is denied; a revocation from another thread leaves
+/// the tier installed and stale, so every guard deopts.
+#[test]
+fn tier_changes_between_calls_govern_the_next_call() {
+    let mut x = boot_profiled(ViolationAction::LogAndDeny);
+    let (policy, b) = (Arc::clone(x.kernel.policy()), x.bufs);
+    let mut interp = x.interp(Engine::Promoted);
+    let mut p = PROFILE_PKTS;
+    // `(inline admits, deopts, denied, squashed)` over one call, which
+    // reconciles `policy.checks` with its guards.
+    let mut call = |interp: &mut Interp<'_>| {
+        let (c0, a0, d0, s0) = (
+            policy.stats(),
+            interp.inline_admits(),
+            interp.inline_deopts(),
+            interp.stats(),
+        );
+        xmit(interp, &b, p).expect("xmit");
+        p += 1;
+        let (c1, s1) = (policy.stats(), interp.stats());
+        assert_eq!(s1.guards - s0.guards, 10);
+        assert_eq!(c1.checks - c0.checks, 10, "checks == guards");
+        (
+            interp.inline_admits() - a0,
+            interp.inline_deopts() - d0,
+            c1.denied() - c0.denied(),
+            s1.squashed - s0.squashed,
+        )
+    };
+    assert_eq!(call(&mut interp), (0, 0, 0, 0), "nothing promoted yet");
+    assert_eq!(interp.kernel().tick(), 10);
+    assert_eq!(call(&mut interp), (10, 0, 0, 0), "tick() promoted");
+
+    let pm = Arc::clone(&policy);
+    elsewhere(move || pm.bump_epoch());
+    assert_eq!(
+        call(&mut interp),
+        (0, 0, 0, 0),
+        "bump_epoch dropped the tier"
+    );
+    assert_eq!(interp.kernel().tick(), 10);
+    assert_eq!(call(&mut interp), (10, 0, 0, 0), "re-promoted");
+
+    // A reload without the `@stats` grant: zero stale admits, so every
+    // `@stats` guard denies.
+    let (pm, rules) = (Arc::clone(&policy), b.grants(false));
+    elsewhere(move || pm.replace_regions(rules).expect("reload"));
+    let (admits, deopts, denied, squashed) = call(&mut interp);
+    assert_eq!((admits, deopts), (0, 0), "the reload dropped the tier");
+    assert!(denied > 0 && squashed == denied, "{denied}/{squashed}");
+    assert_eq!(interp.kernel().tick(), 10 - denied as usize);
+
+    let pm = Arc::clone(&policy);
+    elsewhere(move || pm.bump_revocation());
+    assert_eq!(
+        call(&mut interp),
+        (0, 10 - denied, denied, squashed),
+        "a revocation stales the kept tier"
+    );
+}
+
+/// After a swap through the shared store, `tick()` bakes the tier from
+/// the policy that now governs and subscribes to that policy: its next
+/// publish drops the tier, so the call after admits nothing inline and
+/// deopts nothing.
+#[test]
+fn tick_after_a_shared_store_swap_follows_the_new_policy() {
+    let mut x = boot_xmit(ViolationAction::LogAndDeny);
+    let b = x.bufs;
+    let store = Arc::clone(x.kernel.namespaces());
+    let own = Arc::new(PolicyModule::new());
+    own.set_default_action(DefaultAction::Deny);
+    own.set_violation_action(ViolationAction::LogAndDeny);
+    own.replace_regions(b.grants(true)).expect("grants");
+    let mut interp = x.interp(Engine::Promoted);
+    let mut p = PROFILE_PKTS;
+    // `(inline admits, deopts, own checks)` over one call.
+    let mut call = |interp: &mut Interp<'_>| {
+        let (a0, d0, o0) = (
+            interp.inline_admits(),
+            interp.inline_deopts(),
+            own.stats().checks,
+        );
+        xmit(interp, &b, p).expect("xmit");
+        p += 1;
+        (
+            interp.inline_admits() - a0,
+            interp.inline_deopts() - d0,
+            own.stats().checks - o0,
+        )
+    };
+    let (s, o) = (Arc::clone(&store), Arc::clone(&own));
+    elsewhere(move || s.register(XMIT_MODULE, o));
+    assert_eq!(call(&mut interp), (0, 0, 10), "the global tier stays off");
+    assert_eq!(interp.kernel().tick(), 10);
+    assert_eq!(call(&mut interp), (10, 0, 10), "baked from the new policy");
+    let o = Arc::clone(&own);
+    elsewhere(move || o.bump_epoch());
+    assert_eq!(
+        call(&mut interp),
+        (0, 0, 10),
+        "its publish dropped the tier"
+    );
 }
