@@ -33,17 +33,16 @@ pub enum LintCode {
     /// KA008: an obligation claims a dominating guard that does not in
     /// fact dominate the access it is said to cover.
     ObligationDominance,
-    /// KA009: an inline obligation's baked `[lo, hi)` bound does not
-    /// equal any grant the cited snapshot generation held — a forged
-    /// immediate.
+    /// KA009: a baked guard bound is vacuous, or its `[lo, hi)` and
+    /// permission bits are not those of the region that grants the site
+    /// in the pinned snapshot — a forged immediate.
     InlineBoundForged,
-    /// KA010: an inline obligation cites a snapshot generation the grant
-    /// oracle no longer (or never did) retain — the bound cannot be
-    /// independently recomputed, so it must not be trusted.
+    /// KA010: a baked guard bound cites a generation other than that of
+    /// the snapshot the promotion pinned.
     InlineBoundStale,
-    /// KA011: an inline obligation's baked bound belongs to a real grant,
-    /// but not one covering the guard site it is attached to (bound for
-    /// the wrong site).
+    /// KA011: a baked guard bound does not cover the site's profiled
+    /// envelope, or is a real region's bound but not the region that
+    /// grants the site (bound for the wrong site).
     InlineBoundSiteMismatch,
 }
 
@@ -92,8 +91,8 @@ impl LintCode {
             LintCode::ObligationUnfounded => "obligation references missing guard or access",
             LintCode::RangeUnproven => "range obligation not derivable from loop structure",
             LintCode::ObligationDominance => "claimed dominating guard does not dominate",
-            LintCode::InlineBoundForged => "inlined guard bound does not match any cited grant",
-            LintCode::InlineBoundStale => "inlined guard bound cites an unretained generation",
+            LintCode::InlineBoundForged => "baked guard bound is not the granting region's",
+            LintCode::InlineBoundStale => "baked guard bound cites another generation",
             LintCode::InlineBoundSiteMismatch => "inlined guard bound belongs to another site",
         }
     }

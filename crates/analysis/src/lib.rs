@@ -17,16 +17,18 @@
 //! * [`validator`] — the independent translation validator: re-derives
 //!   every optimizer obligation (elisions, range coalescings) from the
 //!   module text alone and re-proves coverage, sharing no code with the
-//!   optimizer.
+//!   optimizer; and audits the bounds the kernel's promotion bakes
+//!   against the snapshot it pinned ([`audit_baked_bounds`]).
 //! * [`provenance`] — pointer provenance classification used to justify
 //!   guard elision and to flag laundered or constant-address pointers.
 //! * [`diagnostics`] — stable lint codes (`KA001`…) with precise
 //!   function/block/instruction locations.
 //!
 //! The top-level entry points are [`analyze_module`] (full report),
-//! [`verify_guard_coverage`] (coverage only), and [`validate_module`]
+//! [`verify_guard_coverage`] (coverage only), [`validate_module`]
 //! (coverage plus obligation-ledger audit — what the signer and the
-//! loader both run).
+//! loader both run), and [`audit_baked_bounds`] (bounds only — what
+//! `Kernel::promote_hot` runs before it installs a tier).
 
 pub mod available;
 pub mod coverage;
@@ -42,7 +44,7 @@ pub use diagnostics::{AnalysisReport, Diagnostic, LintCode, Severity};
 pub use provenance::{PointerProvenance, Provenance};
 pub use range::{plan_ranges, RangePlan};
 pub use validator::{
-    validate_module, validate_module_with_grants, GrantOracle, InstRef, Obligation,
+    audit_baked_bounds, validate_module, BakedBound, InstRef, LedgerCode, LedgerError, Obligation,
     ObligationLedger,
 };
 

@@ -28,6 +28,14 @@
 //! [`crate::coverage`] runs with exactly the *validated* range accesses
 //! exempted. With an empty ledger this degenerates to plain
 //! [`crate::verify_guard_coverage`].
+//!
+//! The ledger is the compiler's and only the compiler's: its text form
+//! is `obligations-v1` (elide, range), and a parse failure is a typed
+//! [`LedgerError`] naming the 1-based line. The bounds the kernel's
+//! promotion bakes into guard ops are a separate, kernel-internal record
+//! ([`BakedBound`]) that never travels in a signed container;
+//! [`audit_baked_bounds`] checks them against the snapshot the promotion
+//! pinned (KA009–KA011) and re-proves no coverage.
 
 use core::fmt;
 use std::collections::{HashMap, HashSet};
@@ -93,34 +101,6 @@ pub enum Obligation {
         /// Access-flag bits the removed guard granted.
         flags: u64,
     },
-    /// "I re-lowered the guard at `guard` into an inline-bounds fast
-    /// admit: `[lo, hi)` with permission bits `flags`, baked from the
-    /// region that granted this site's observed address envelope
-    /// `[env_lo, env_hi)` under snapshot generation `gen`."
-    ///
-    /// The validator does not trust the baked immediates: it asks a
-    /// [`GrantOracle`] for the regions the cited generation actually
-    /// held, recomputes which grant covers the envelope, and requires
-    /// the baked bound to equal that grant exactly (KA009 forged /
-    /// KA010 stale citation / KA011 bound-for-another-site otherwise).
-    Inline {
-        /// Enclosing function name.
-        function: String,
-        /// The guard call the bound was inlined into.
-        guard: InstRef,
-        /// Baked lower bound (inclusive).
-        lo: u64,
-        /// Baked upper bound (exclusive).
-        hi: u64,
-        /// Permission bits the baked region grants.
-        flags: u64,
-        /// Snapshot generation the bound was baked under.
-        gen: u64,
-        /// Lowest address the site was profiled touching.
-        env_lo: u64,
-        /// One past the highest profiled byte.
-        env_hi: u64,
-    },
     /// "I replaced per-iteration element guards in the counted loop
     /// headed at `header` with `guard`, a single range guard of
     /// `trip_count · stride` bytes; it covers exactly `accesses`."
@@ -152,20 +132,6 @@ impl fmt::Display for Obligation {
             } => write!(
                 f,
                 "elide fn={function} guard={guard} access={access} size={size} flags={flags}"
-            ),
-            Obligation::Inline {
-                function,
-                guard,
-                lo,
-                hi,
-                flags,
-                gen,
-                env_lo,
-                env_hi,
-            } => write!(
-                f,
-                "inline fn={function} guard={guard} lo={lo} hi={hi} flags={flags} gen={gen} \
-                 elo={env_lo} ehi={env_hi}"
             ),
             Obligation::Range {
                 function,
@@ -199,15 +165,8 @@ pub struct ObligationLedger {
 }
 
 impl ObligationLedger {
-    /// First line of a non-empty ledger carrying only v1 obligation
-    /// kinds (elide, range).
+    /// First line of every non-empty ledger.
     pub const HEADER: &'static str = "obligations-v1";
-
-    /// First line of a ledger carrying inline-bounds obligations. A v2
-    /// parser accepts v1 text unchanged; ledgers without inline
-    /// obligations keep rendering as v1 so pre-existing attestations
-    /// stay byte-identical.
-    pub const HEADER_V2: &'static str = "obligations-v2";
 
     /// A ledger with no obligations.
     pub fn empty() -> ObligationLedger {
@@ -224,27 +183,14 @@ impl ObligationLedger {
         self.obligations.len()
     }
 
-    /// Whether the ledger carries inline-bounds obligations (and thus
-    /// requires the v2 text form).
-    pub fn has_inline(&self) -> bool {
-        self.obligations
-            .iter()
-            .any(|ob| matches!(ob, Obligation::Inline { .. }))
-    }
-
     /// Canonical text form. The empty ledger renders as the empty
-    /// string (attestations without optimizations stay byte-lean); a
-    /// ledger with inline obligations renders under [`Self::HEADER_V2`],
-    /// anything else under [`Self::HEADER`].
+    /// string (attestations without optimizations stay byte-lean);
+    /// anything else renders under [`Self::HEADER`].
     pub fn to_text(&self) -> String {
         if self.obligations.is_empty() {
             return String::new();
         }
-        let mut out = String::from(if self.has_inline() {
-            Self::HEADER_V2
-        } else {
-            Self::HEADER
-        });
+        let mut out = String::from(Self::HEADER);
         out.push('\n');
         for ob in &self.obligations {
             out.push_str(&ob.to_string());
@@ -253,111 +199,125 @@ impl ObligationLedger {
         out
     }
 
-    /// Parse the canonical text form. The empty string parses to the
-    /// empty ledger; anything else must start with [`Self::HEADER`] or
-    /// [`Self::HEADER_V2`]. Inline obligations under a v1 header are
-    /// rejected — a v1 signer cannot have vouched for a kind it did not
-    /// know.
-    pub fn parse(text: &str) -> Result<ObligationLedger, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let Some(header) = lines.next() else {
+    /// Parse the canonical text form. The empty (or all-blank) text
+    /// parses to the empty ledger; anything else must start with
+    /// [`Self::HEADER`], and every later non-blank line must be an
+    /// `elide` or `range` obligation.
+    pub fn parse(text: &str) -> Result<ObligationLedger, LedgerError> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| (i + 1, l))
+            .filter(|(_, l)| !l.trim().is_empty());
+        let Some((line, header)) = lines.next() else {
             return Ok(ObligationLedger::empty());
         };
-        let v2 = match header.trim() {
-            h if h == Self::HEADER => false,
-            h if h == Self::HEADER_V2 => true,
-            other => return Err(format!("bad obligation ledger header {other:?}")),
-        };
-        let mut obligations = Vec::new();
-        for line in lines {
-            let ob = parse_line(line)?;
-            if !v2 && matches!(ob, Obligation::Inline { .. }) {
-                return Err("inline obligation under a v1 ledger header".to_string());
-            }
-            obligations.push(ob);
+        if header.trim() != Self::HEADER {
+            return Err(LedgerError {
+                line,
+                code: LedgerCode::Header,
+            });
         }
+        let obligations = lines
+            .map(|(line, l)| parse_line(l).map_err(|code| LedgerError { line, code }))
+            .collect::<Result<_, _>>()?;
         Ok(ObligationLedger { obligations })
     }
 }
 
-/// The validator's window into what the policy actually granted, at
-/// which generation — implemented by the policy module's bounded
-/// snapshot history. Returns `None` for generations no longer (or never)
-/// retained: the validator must then refuse the citation (KA010), since
-/// a bound it cannot recompute is a bound it cannot trust.
-pub trait GrantOracle {
-    /// The regions the policy table held at `generation`, if retained.
-    fn regions_at(&self, generation: u64) -> Option<Vec<Region>>;
+/// What was wrong with one ledger line (see [`LedgerError`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LedgerCode {
+    /// The first non-blank line is not [`ObligationLedger::HEADER`].
+    Header,
+    /// An obligation kind other than `elide` or `range`.
+    UnknownKind,
+    /// A token that is not `key=value`.
+    Token,
+    /// A field named twice on one line.
+    DuplicateField,
+    /// A field the obligation kind requires is absent.
+    MissingField(&'static str),
+    /// A numeric field that is not a `u64`.
+    NotANumber(&'static str),
+    /// A reference field that is not `block#index`.
+    NotARef(&'static str),
 }
 
-impl<F: Fn(u64) -> Option<Vec<Region>>> GrantOracle for F {
-    fn regions_at(&self, generation: u64) -> Option<Vec<Region>> {
-        self(generation)
+impl fmt::Display for LedgerCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LedgerCode::Header => {
+                write!(f, "header is not {:?}", ObligationLedger::HEADER)
+            }
+            LedgerCode::UnknownKind => f.write_str("obligation kind is not elide or range"),
+            LedgerCode::Token => f.write_str("token is not key=value"),
+            LedgerCode::DuplicateField => f.write_str("a field is named twice"),
+            LedgerCode::MissingField(k) => write!(f, "field {k:?} is missing"),
+            LedgerCode::NotANumber(k) => write!(f, "field {k:?} is not a number"),
+            LedgerCode::NotARef(k) => write!(f, "field {k:?} is not a block#index reference"),
+        }
     }
 }
 
-fn parse_line(line: &str) -> Result<Obligation, String> {
+/// A ledger that did not parse: the code of what was wrong and the
+/// 1-based line of the ledger text it was wrong on (blank lines count).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LedgerError {
+    /// 1-based line of the ledger text.
+    pub line: usize,
+    /// What was wrong there.
+    pub code: LedgerCode,
+}
+
+impl fmt::Display for LedgerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ledger line {}: {}", self.line, self.code)
+    }
+}
+
+impl std::error::Error for LedgerError {}
+
+fn parse_line(line: &str) -> Result<Obligation, LedgerCode> {
     let mut toks = line.split_whitespace();
     let kind = toks.next().expect("non-empty line");
+    if kind != "elide" && kind != "range" {
+        return Err(LedgerCode::UnknownKind);
+    }
     let mut kv: HashMap<&str, &str> = HashMap::new();
     for tok in toks {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("malformed obligation token {tok:?}"))?;
-        kv.insert(k, v);
+        let (k, v) = tok.split_once('=').ok_or(LedgerCode::Token)?;
+        if kv.insert(k, v).is_some() {
+            return Err(LedgerCode::DuplicateField);
+        }
     }
-    let req = |key: &str| -> Result<&str, String> {
-        kv.get(key)
-            .copied()
-            .ok_or_else(|| format!("obligation {kind:?} missing field {key:?}"))
+    let req = |key: &'static str| kv.get(key).copied().ok_or(LedgerCode::MissingField(key));
+    let num = |key: &'static str| -> Result<u64, LedgerCode> {
+        req(key)?.parse().map_err(|_| LedgerCode::NotANumber(key))
     };
-    let num = |key: &str| -> Result<u64, String> {
-        req(key)?
-            .parse()
-            .map_err(|_| format!("obligation field {key:?} is not a number"))
-    };
-    let iref = |key: &str| -> Result<InstRef, String> {
-        InstRef::parse(req(key)?)
-            .ok_or_else(|| format!("obligation field {key:?} is not a block#index reference"))
-    };
-    match kind {
-        "elide" => Ok(Obligation::Elide {
+    let iref = |key: &'static str| InstRef::parse(req(key)?).ok_or(LedgerCode::NotARef(key));
+    if kind == "elide" {
+        return Ok(Obligation::Elide {
             function: req("fn")?.to_string(),
             guard: iref("guard")?,
             access: iref("access")?,
             size: num("size")?,
             flags: num("flags")?,
-        }),
-        "inline" => Ok(Obligation::Inline {
-            function: req("fn")?.to_string(),
-            guard: iref("guard")?,
-            lo: num("lo")?,
-            hi: num("hi")?,
-            flags: num("flags")?,
-            gen: num("gen")?,
-            env_lo: num("elo")?,
-            env_hi: num("ehi")?,
-        }),
-        "range" => {
-            let accesses = req("accesses")?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    InstRef::parse(s)
-                        .ok_or_else(|| format!("bad access reference {s:?} in range obligation"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Obligation::Range {
-                function: req("fn")?.to_string(),
-                guard: iref("guard")?,
-                header: req("header")?.to_string(),
-                stride: num("stride")?,
-                flags: num("flags")?,
-                accesses,
-            })
-        }
-        other => Err(format!("unknown obligation kind {other:?}")),
+        });
     }
+    let accesses = req("accesses")?
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| InstRef::parse(s).ok_or(LedgerCode::NotARef("accesses")))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Obligation::Range {
+        function: req("fn")?.to_string(),
+        guard: iref("guard")?,
+        header: req("header")?.to_string(),
+        stride: num("stride")?,
+        flags: num("flags")?,
+        accesses,
+    })
 }
 
 /// Resolve an [`InstRef`] inside `f`.
@@ -386,23 +346,7 @@ fn unresolved(code: LintCode, function: &str, at: &InstRef, message: String) -> 
 /// KA006/KA007/KA008 from the obligation audit) makes the module
 /// unsignable and unloadable in static-verification mode. With an empty
 /// ledger this is equivalent to [`crate::verify_guard_coverage`].
-///
-/// Inline-bounds obligations need a [`GrantOracle`] to be audited; with
-/// none available this entry point rejects them (KA010) — use
-/// [`validate_module_with_grants`].
 pub fn validate_module(module: &Module, ledger: &ObligationLedger) -> AnalysisReport {
-    validate_module_with_grants(module, ledger, None)
-}
-
-/// [`validate_module`] plus a grant oracle for auditing inline-bounds
-/// obligations. Both checkpoints use this: the promotion pass before
-/// installing a specialized tier (signing side) and the loader at insmod
-/// (with the kernel's live policy as the oracle).
-pub fn validate_module_with_grants(
-    module: &Module,
-    ledger: &ObligationLedger,
-    grants: Option<&dyn GrantOracle>,
-) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     // Accesses proven by a *validated* range obligation, per function.
     let mut exempt: HashMap<String, HashSet<InstId>> = HashMap::new();
@@ -419,11 +363,6 @@ pub fn validate_module_with_grants(
             } => {
                 if check_elide(module, function, guard, access, *size, *flags, &mut report) {
                     report.bump("obligations_elide_ok", 1);
-                }
-            }
-            Obligation::Inline { .. } => {
-                if check_inline(module, ob, grants, &mut report) {
-                    report.bump("obligations_inline_ok", 1);
                 }
             }
             Obligation::Range {
@@ -574,116 +513,136 @@ fn check_elide(
     true
 }
 
-/// Audit one inline-bounds obligation. The baked `[lo, hi)` is treated
-/// as a *claim*, never a fact: the validator asks the grant oracle for
-/// the regions the cited generation held, independently recomputes which
-/// grant covers the site's profiled envelope, and accepts only if the
-/// baked immediates equal that grant exactly. Pushes KA006 (dangling
-/// guard reference), KA009 (forged bound), KA010 (unverifiable
-/// citation), or KA011 (bound belongs to another site) and returns false
-/// on any failure.
-fn check_inline(
+/// One bound a promotion baked into a guard op, with what it was baked
+/// from. Kernel-internal: the kernel builds these when it promotes and
+/// audits them with [`audit_baked_bounds`] before it installs the tier;
+/// they are no [`Obligation`] and no signed container carries them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct BakedBound {
+    /// Enclosing function name.
+    pub function: String,
+    /// The guard call the bound was baked into.
+    pub guard: InstRef,
+    /// Baked lower bound (inclusive).
+    pub lo: u64,
+    /// Baked upper bound (exclusive).
+    pub hi: u64,
+    /// Raw permission bits baked with the bound.
+    pub perm: u32,
+    /// Snapshot generation the bound cites.
+    pub gen: u64,
+    /// Lowest address the site was profiled touching.
+    pub env_lo: u64,
+    /// One past the highest profiled byte.
+    pub env_hi: u64,
+}
+
+/// Audit `bounds` against the snapshot the promotion pinned: its
+/// generation `gen` and its `regions` in store order. Each bound is a
+/// claim, never a fact. The audit reads the guard call's constant flags
+/// from the IR, takes the first region that covers the site's profiled
+/// envelope and grants those flags — the rule the bake follows — and
+/// requires the baked `[lo, hi)` and permission bits to equal that
+/// region's. Reports KA006 (no guard call with constant flags there),
+/// KA009 (a vacuous or forged bound), KA010 (a bound citing another
+/// generation) or KA011 (a real region's bound, but not the one that
+/// grants this site). Guard coverage is not re-proved: insmod did that.
+pub fn audit_baked_bounds(
     module: &Module,
-    ob: &Obligation,
-    grants: Option<&dyn GrantOracle>,
-    report: &mut AnalysisReport,
-) -> bool {
-    let Obligation::Inline {
-        function,
-        guard,
-        lo,
-        hi,
-        flags,
-        gen,
-        env_lo,
-        env_hi,
-    } = ob
-    else {
-        return false;
-    };
-    let fail = |report: &mut AnalysisReport, code: LintCode, msg: String| {
-        report.push(unresolved(code, function, guard, msg));
-    };
-    // Structural: the guard the bound was inlined into must exist and be
-    // a guard call.
-    let Some(f) = module.function(function) else {
-        fail(
-            report,
-            LintCode::ObligationUnfounded,
-            format!("inline obligation names unknown function @{function}"),
-        );
-        return false;
-    };
-    let guard_ok = resolve(f, guard).is_some_and(|(_, _, giid)| {
-        matches!(f.inst(giid), Inst::Call { callee, args, .. }
-            if callee == GUARD_SYMBOL && args.len() == 3)
+    bounds: &[BakedBound],
+    gen: u64,
+    regions: &[Region],
+) -> AnalysisReport {
+    let mut report = AnalysisReport::new();
+    for b in bounds {
+        report.bump("bounds_checked", 1);
+        if let Err((code, message)) = check_bound(module, b, gen, regions) {
+            report.push(unresolved(code, &b.function, &b.guard, message));
+        } else {
+            report.bump("bounds_ok", 1);
+        }
+    }
+    report
+}
+
+fn check_bound(
+    module: &Module,
+    b: &BakedBound,
+    gen: u64,
+    regions: &[Region],
+) -> Result<(), (LintCode, String)> {
+    let (function, guard) = (&b.function, &b.guard);
+    let (lo, hi, perm, env_lo, env_hi) = (b.lo, b.hi, b.perm, b.env_lo, b.env_hi);
+    let flags = module.function(function).and_then(|f| {
+        let (_, _, giid) = resolve(f, guard)?;
+        match f.inst(giid) {
+            Inst::Call { callee, args, .. } if callee == GUARD_SYMBOL && args.len() == 3 => {
+                match args[2] {
+                    Value::ConstInt(_, fl) => Some(AccessFlags::from_raw(fl as u32)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
     });
-    if !guard_ok {
-        fail(
-            report,
+    let Some(flags) = flags else {
+        return Err((
             LintCode::ObligationUnfounded,
-            format!("inlined guard {guard} does not exist or is not a guard call"),
-        );
-        return false;
-    }
-    let aflags = AccessFlags::from_raw(*flags as u32);
-    if *lo >= *hi || aflags.is_empty() {
-        fail(
-            report,
+            format!("baked guard {guard} in @{function} is not a guard call with constant flags"),
+        ));
+    };
+    if lo >= hi || perm == 0 {
+        return Err((
             LintCode::InlineBoundForged,
-            format!("baked bound [{lo:#x}, {hi:#x}) flags {flags} is vacuous"),
-        );
-        return false;
+            format!("baked bound [{lo:#x}, {hi:#x}) perm {perm} is vacuous"),
+        ));
     }
-    if *env_lo >= *env_hi || *env_lo < *lo || *env_hi > *hi {
-        fail(
-            report,
+    if env_lo >= env_hi || env_lo < lo || env_hi > hi {
+        return Err((
             LintCode::InlineBoundSiteMismatch,
             format!(
                 "baked bound [{lo:#x}, {hi:#x}) does not cover the site's profiled \
                  envelope [{env_lo:#x}, {env_hi:#x})"
             ),
-        );
-        return false;
+        ));
     }
-    // Citation: recompute the grant from the cited generation.
-    let Some(regions) = grants.and_then(|o| o.regions_at(*gen)) else {
-        fail(
-            report,
+    if b.gen != gen {
+        return Err((
             LintCode::InlineBoundStale,
-            format!("cited snapshot generation {gen} is not retained by any grant oracle"),
-        );
-        return false;
-    };
-    let span = Size(env_hi - env_lo);
+            format!(
+                "baked bound cites generation {}, the pinned snapshot is generation {gen}",
+                b.gen
+            ),
+        ));
+    }
+    let bound_of = |r: &Region| (r.base.raw(), r.base.raw().saturating_add(r.len.raw()));
     let granting = regions
         .iter()
-        .find(|r| r.permits(VAddr(*env_lo), span, aflags));
-    let bound_of = |r: &Region| (r.base.raw(), r.base.raw().saturating_add(r.len.raw()));
+        .find(|r| r.permits(VAddr(env_lo), Size(env_hi - env_lo), flags));
     match granting {
-        Some(r) if bound_of(r) == (*lo, *hi) => true,
-        _ => {
-            // A real region of that generation with exactly this bound
-            // means the immediates were lifted from the wrong site's
-            // grant; otherwise they match nothing the table ever held.
-            if regions.iter().any(|r| bound_of(r) == (*lo, *hi)) {
-                fail(
-                    report,
-                    LintCode::InlineBoundSiteMismatch,
-                    format!(
-                        "baked bound [{lo:#x}, {hi:#x}) names a generation-{gen} grant \
-                         that does not cover this site's envelope"
-                    ),
-                );
-            } else {
-                fail(
-                    report,
-                    LintCode::InlineBoundForged,
-                    format!("baked bound [{lo:#x}, {hi:#x}) equals no grant generation {gen} held"),
-                );
-            }
-            false
-        }
+        Some(r) if bound_of(r) == (lo, hi) && r.prot.granted().raw() == perm => Ok(()),
+        Some(r) if bound_of(r) == (lo, hi) => Err((
+            LintCode::InlineBoundForged,
+            format!(
+                "baked perm {perm} is not the {} the granting region holds",
+                r.prot.granted().raw()
+            ),
+        )),
+        // A region of the snapshot with exactly this bound means the
+        // immediates were lifted from a region that does not grant this
+        // site; otherwise they match nothing the snapshot holds.
+        _ if regions.iter().any(|r| bound_of(r) == (lo, hi)) => Err((
+            LintCode::InlineBoundSiteMismatch,
+            format!(
+                "baked bound [{lo:#x}, {hi:#x}) names a generation-{gen} region that does \
+                 not grant this site's flags {} over its envelope",
+                flags.raw()
+            ),
+        )),
+        _ => Err((
+            LintCode::InlineBoundForged,
+            format!("baked bound [{lo:#x}, {hi:#x}) equals no region of generation {gen}"),
+        )),
     }
 }
 
@@ -964,6 +923,7 @@ exit:
     #[test]
     fn parse_rejects_garbage() {
         assert!(ObligationLedger::parse("obligations-v9\n").is_err());
+        assert!(ObligationLedger::parse("obligations-v2\n").is_err());
         assert!(ObligationLedger::parse("obligations-v1\nfrob a=1\n").is_err());
         assert!(ObligationLedger::parse("obligations-v1\nelide fn=f\n").is_err());
         assert!(
@@ -1114,174 +1074,159 @@ entry:
         assert_eq!(r.with_code(LintCode::ObligationDominance).count(), 1, "{r}");
     }
 
-    /// A minimal fully-guarded function whose guard an inline obligation
-    /// can cite.
+    /// A fully-guarded function: a read-write guard at `entry#0` and a
+    /// guard with computed flags at `entry#2`.
     const GUARDED: &str = r#"
 module "inl"
 declare void @carat_guard(ptr, i64, i32)
-define i64 @f(ptr %p) {
+define i64 @f(ptr %p, i32 %fl) {
 entry:
   call void @carat_guard(ptr %p, i64 8, i32 3)
   %v = load i64, ptr %p
+  call void @carat_guard(ptr %p, i64 8, i32 %fl)
   ret i64 %v
 }
 "#;
 
-    fn inline_ob() -> Obligation {
-        Obligation::Inline {
+    /// The honest bound for `entry#0` under [`snapshot`] at generation 5.
+    fn baked() -> BakedBound {
+        BakedBound {
             function: "f".into(),
             guard: InstRef::parse("entry#0").unwrap(),
             lo: 0x1000,
             hi: 0x2000,
-            flags: 3,
+            perm: 3,
             gen: 5,
             env_lo: 0x1100,
             env_hi: 0x1200,
         }
     }
 
-    /// A grant oracle retaining only generation 5: an RW region at
-    /// `[0x1000, 0x2000)`, a deny region over the same span's neighbour,
-    /// and an unrelated RW region at `[0x8000, 0x8100)`.
-    fn oracle(gen: u64) -> Option<Vec<kop_core::Region>> {
+    /// A snapshot whose first rule over `[0x1000, 0x2000)` grants only
+    /// READ, behind the read-write rule the bake must pick, plus an
+    /// unrelated read-write region at `[0x8000, 0x8100)`.
+    fn snapshot() -> Vec<Region> {
         use kop_core::Protection;
-        (gen == 5).then(|| {
-            vec![
-                kop_core::Region::new(VAddr(0x1000), Size(0x1000), Protection::READ_WRITE).unwrap(),
-                kop_core::Region::new(VAddr(0x8000), Size(0x100), Protection::READ_WRITE).unwrap(),
-            ]
-        })
+        [
+            (0x1000, 0x1000, Protection::READ_ONLY),
+            (0x1000, 0x1000, Protection::READ_WRITE),
+            (0x8000, 0x100, Protection::READ_WRITE),
+        ]
+        .map(|(base, len, prot)| Region::new(VAddr(base), Size(len), prot).unwrap())
+        .to_vec()
     }
 
-    #[test]
-    fn inline_ledger_renders_v2_and_round_trips() {
-        let ledger = ObligationLedger {
-            obligations: vec![inline_ob()],
-        };
-        let text = ledger.to_text();
-        assert!(text.starts_with(ObligationLedger::HEADER_V2), "{text}");
-        assert_eq!(ObligationLedger::parse(&text).unwrap(), ledger);
-        // Ledgers without inline obligations keep the v1 header.
-        assert!(range_ledger(8).to_text().starts_with("obligations-v1\n"));
-        // An inline line smuggled under a v1 header is refused.
-        let smuggled = text.replacen("obligations-v2", "obligations-v1", 1);
-        assert!(ObligationLedger::parse(&smuggled).is_err());
-    }
-
-    #[test]
-    fn honest_inline_obligation_validates_against_the_oracle() {
+    /// The one finding of auditing `b` against [`snapshot`] at gen 5.
+    fn audit_one(b: BakedBound) -> Option<LintCode> {
         let m = parse_module(GUARDED).unwrap();
-        let ledger = ObligationLedger {
-            obligations: vec![inline_ob()],
-        };
-        let r = validate_module_with_grants(&m, &ledger, Some(&oracle));
+        let r = audit_baked_bounds(&m, &[b], 5, &snapshot());
+        let codes: Vec<LintCode> = r.errors().map(|d| d.code).collect();
+        assert!(codes.len() <= 1, "{r}");
+        codes.first().copied()
+    }
+
+    #[test]
+    fn honest_baked_bound_passes_the_audit() {
+        let m = parse_module(GUARDED).unwrap();
+        let r = audit_baked_bounds(&m, &[baked()], 5, &snapshot());
         assert!(r.is_clean(), "{r}");
-        assert_eq!(r.stat("obligations_inline_ok"), 1);
+        assert_eq!((r.stat("bounds_checked"), r.stat("bounds_ok")), (1, 1));
     }
 
     #[test]
-    fn forged_inline_bound_is_rejected_with_ka009() {
-        let m = parse_module(GUARDED).unwrap();
-        for (lo, hi) in [(0x1000, 0x2008), (0x0ff8, 0x2000)] {
-            let mut ob = inline_ob();
-            let Obligation::Inline { lo: l, hi: h, .. } = &mut ob else {
-                unreachable!()
+    fn forged_baked_bounds_are_ka009() {
+        for (lo, hi, perm) in [
+            (0x1000, 0x2008, 3),
+            (0x0ff8, 0x2000, 3),
+            (0x1000, 0x2000, 7),
+        ] {
+            let b = BakedBound {
+                lo,
+                hi,
+                perm,
+                ..baked()
             };
-            (*l, *h) = (lo, hi);
-            let ledger = ObligationLedger {
-                obligations: vec![ob],
-            };
-            let r = validate_module_with_grants(&m, &ledger, Some(&oracle));
             assert_eq!(
-                r.with_code(LintCode::InlineBoundForged).count(),
-                1,
-                "bound [{lo:#x},{hi:#x}): {r}"
+                audit_one(b),
+                Some(LintCode::InlineBoundForged),
+                "{lo:#x} {perm}"
             );
+        }
+        let vacuous = BakedBound { perm: 0, ..baked() };
+        assert_eq!(audit_one(vacuous), Some(LintCode::InlineBoundForged));
+    }
+
+    #[test]
+    fn a_bound_citing_another_generation_is_ka010() {
+        let b = BakedBound { gen: 4, ..baked() };
+        assert_eq!(audit_one(b), Some(LintCode::InlineBoundStale));
+    }
+
+    #[test]
+    fn a_region_that_does_not_grant_the_site_is_ka011() {
+        // The unrelated region's bound pasted onto this site.
+        let b = BakedBound {
+            lo: 0x8000,
+            hi: 0x8100,
+            ..baked()
+        };
+        assert_eq!(audit_one(b), Some(LintCode::InlineBoundSiteMismatch));
+        // The first covering rule, which grants READ to a read-write guard.
+        let b = BakedBound { perm: 1, ..baked() };
+        assert_eq!(audit_one(b), Some(LintCode::InlineBoundForged));
+    }
+
+    #[test]
+    fn a_bound_needs_a_guard_call_with_constant_flags() {
+        for at in ["entry#1", "entry#2", "entry#9"] {
+            let b = BakedBound {
+                guard: InstRef::parse(at).unwrap(),
+                ..baked()
+            };
+            assert_eq!(audit_one(b), Some(LintCode::ObligationUnfounded), "{at}");
         }
     }
 
     #[test]
-    fn stale_generation_citation_is_rejected_with_ka010() {
-        let m = parse_module(GUARDED).unwrap();
-        let mut ob = inline_ob();
-        let Obligation::Inline { gen, .. } = &mut ob else {
-            unreachable!()
-        };
-        *gen = 4; // evicted / never published
-        let ledger = ObligationLedger {
-            obligations: vec![ob],
-        };
-        let r = validate_module_with_grants(&m, &ledger, Some(&oracle));
-        assert_eq!(r.with_code(LintCode::InlineBoundStale).count(), 1, "{r}");
-        // No oracle at all: same refusal — an unverifiable citation is
-        // never trusted.
-        let honest = ObligationLedger {
-            obligations: vec![inline_ob()],
-        };
-        let r = validate_module(&m, &honest);
-        assert_eq!(r.with_code(LintCode::InlineBoundStale).count(), 1, "{r}");
-    }
-
-    #[test]
-    fn wrong_site_inline_bound_is_rejected_with_ka011() {
-        let m = parse_module(GUARDED).unwrap();
-        // The unrelated region's bound pasted onto this site's envelope.
-        let mut ob = inline_ob();
-        let Obligation::Inline { lo, hi, .. } = &mut ob else {
-            unreachable!()
-        };
-        (*lo, *hi) = (0x8000, 0x8100);
-        let ledger = ObligationLedger {
-            obligations: vec![ob],
-        };
-        let r = validate_module_with_grants(&m, &ledger, Some(&oracle));
+    fn ledger_errors_name_their_line() {
+        let err = |text: &str| ObligationLedger::parse(text).unwrap_err();
         assert_eq!(
-            r.with_code(LintCode::InlineBoundSiteMismatch).count(),
-            1,
-            "{r}"
+            err("\nobligations-v2\n"),
+            LedgerError {
+                line: 2,
+                code: LedgerCode::Header
+            }
         );
-        // An envelope forced inside the wrong region: the bound names a
-        // real grant, but not one covering what this site touches.
-        let mut ob = inline_ob();
-        let Obligation::Inline {
-            flags,
-            env_lo,
-            env_hi,
-            ..
-        } = &mut ob
-        else {
-            unreachable!()
-        };
-        // Ask for EXEC the RW grant cannot give: the cited bound exists
-        // but does not grant this envelope.
-        *flags = 7;
-        (*env_lo, *env_hi) = (0x1100, 0x1200);
-        let ledger = ObligationLedger {
-            obligations: vec![ob],
-        };
-        let r = validate_module_with_grants(&m, &ledger, Some(&oracle));
+        let inline = "obligations-v1\n\ninline fn=f guard=entry#0 lo=0 hi=8 flags=3 gen=1";
         assert_eq!(
-            r.with_code(LintCode::InlineBoundSiteMismatch).count(),
-            1,
-            "{r}"
+            err(inline),
+            LedgerError {
+                line: 3,
+                code: LedgerCode::UnknownKind
+            }
         );
-    }
-
-    #[test]
-    fn inline_obligation_must_cite_a_real_guard() {
-        let m = parse_module(GUARDED).unwrap();
-        let mut ob = inline_ob();
-        let Obligation::Inline { guard, .. } = &mut ob else {
-            unreachable!()
-        };
-        *guard = InstRef::parse("entry#1").unwrap(); // the load, not a guard
-        let ledger = ObligationLedger {
-            obligations: vec![ob],
-        };
-        let r = validate_module_with_grants(&m, &ledger, Some(&oracle));
-        assert!(
-            r.with_code(LintCode::ObligationUnfounded).count() >= 1,
-            "{r}"
+        let e = err("obligations-v1\nelide fn=f guard=x access=entry#1 size=8 flags=1");
+        assert_eq!(
+            e,
+            LedgerError {
+                line: 2,
+                code: LedgerCode::NotARef("guard")
+            }
+        );
+        assert_eq!(
+            e.to_string(),
+            "ledger line 2: field \"guard\" is not a block#index reference"
+        );
+        let e = err("obligations-v1\nrange fn=f guard=a#0 header=h stride=x flags=1 accesses=");
+        assert_eq!(e.code, LedgerCode::NotANumber("stride"));
+        assert_eq!(err("obligations-v1\nelide fn").code, LedgerCode::Token);
+        assert_eq!(
+            err("obligations-v1\nelide fn=f fn=g").code,
+            LedgerCode::DuplicateField
+        );
+        assert_eq!(
+            err("obligations-v1\nelide fn=f").code,
+            LedgerCode::MissingField("guard")
         );
     }
 

@@ -12,11 +12,11 @@ use super::{FigureData, Series};
 /// Closes the loop between kop-trace and kop-vm: per-site hit/latency
 /// profiles select hot guard sites, the kernel re-lowers their
 /// containing functions with the granting region's `[lo, hi)` bound
-/// inlined as immediate compares (each baked bound re-derived by the
-/// independent translation validator before install), and the promoted
-/// dispatch runs the specialized copies until a policy publish drops the
-/// tier. The native forwarding datapath gets the same tag-and-bound check
-/// from a per-queue [`kop_policy::GuardFront`], whose slots fill on miss.
+/// inlined as immediate compares (each baked bound audited against the
+/// pinned snapshot before install), and the promoted dispatch runs the
+/// specialized copies until a policy publish stales the tier's tags. The
+/// native forwarding datapath gets the same tag-and-bound check from a
+/// per-queue [`kop_policy::GuardFront`], whose slots fill on miss.
 ///
 /// Asserted, not just measured: (a) the promoted tier and the front at
 /// least halve the guard *overhead* (guarded minus baseline ns/packet)
@@ -28,9 +28,10 @@ use super::{FigureData, Series};
 /// guards from a slot, and fast admits still reconcile (`policy.checks`
 /// == guard count); (d) with the tracer on the tier stays promoted —
 /// every guard inline, zero deopts — and its per-site hits equal a
-/// traced general-bytecode pass exactly; (e) a policy publish drops the
-/// tier atomically — zero stale admits — and lazy re-promotion restores
-/// it at the new generation.
+/// traced general-bytecode pass exactly; (e) a policy publish leaves the
+/// tier installed but stale — the next run admits nothing inline and
+/// deopts every bound guard — and `tick()` re-bakes it at the new
+/// generation.
 pub fn jit() -> FigureData {
     use kop_interp::Engine;
     use kop_policy::GuardFront;
@@ -182,10 +183,11 @@ pub fn jit() -> FigureData {
         (checks, promoted.stats.guards, promoted.inline_admits)
     };
 
-    // Invalidation and lazy re-promotion: a policy publish drops the
-    // tier wholesale (zero stale admits by construction — the promoted
-    // dispatch deopts to the general bytecode), and the next promotion
-    // re-bakes at the new generation.
+    // Invalidation and lazy re-promotion: a policy publish moves the
+    // generation the tier's bound guards compare against, so the tier
+    // stays installed but every bound guard deopts to the general path
+    // (zero stale admits), and the next sweep re-bakes at the new
+    // generation.
     let bump_generation_delta = {
         let policy = setup::two_region_policy();
         let config = KernelConfig {
@@ -205,22 +207,24 @@ pub fn jit() -> FigureData {
         assert_eq!(r1.inline_admits, r1.stats.guards);
         assert_eq!(r1.inline_deopts, 0);
 
-        // The publish: the generation subscription drops the tier on the
-        // publishing thread, before bump_epoch returns.
+        // The publish touches no tier: the tags go stale.
+        let tier_id = compiled.tier_id();
         policy.bump_epoch();
         assert_eq!(
-            compiled.promoted_generation(),
-            0,
-            "a policy publish drops the promoted tier wholesale"
+            compiled.tier_id(),
+            tier_id,
+            "a publish leaves the tier installed"
         );
+        assert_eq!(compiled.promoted_generation(), gen1);
         let r2 = rig.run(Engine::Promoted, 64);
         assert_eq!(
             r2.inline_admits, 0,
             "zero stale admits after the epoch bump"
         );
+        // Every guard of r1 ran inline, so every guard is a bound one.
         assert_eq!(
-            r2.inline_deopts, 0,
-            "tier dropped before any op could even deopt"
+            r2.inline_deopts, r2.stats.guards,
+            "every bound guard deopts"
         );
         assert_eq!(
             r2.stats.guards, r1.stats.guards,
@@ -324,13 +328,13 @@ pub fn jit() -> FigureData {
     let guards_per_packet = general.stats.guards / packets;
     let notes = vec![
         "tx: x=0 baseline build, x=1 guarded general bytecode, x=2 guarded promoted tier (ns/packet); fwd: x=0 unguarded, x=1 general check, x=2 GuardFront (ns/frame)".into(),
-        "promotion: tracer envelopes -> covering region of the current snapshot -> inlined [lo,hi)+perm+generation, self-validated by the translation validator before install".into(),
+        "promotion: tracer envelopes -> region of the pinned snapshot that grants the site -> inlined [lo,hi)+perm+generation, audited against that snapshot before install".into(),
         format!(
             "steady state: {} inline admits, {} deopts; traced promoted pass: {traced_admits} inline admits, 0 deopts, {traced_checks} profiled checks == {traced_guards} guards, per-site hits == traced bytecode",
             promoted.inline_admits, promoted.inline_deopts
         ),
         format!(
-            "epoch bump dropped the tier atomically (generation +{bump_generation_delta}), zero stale admits, tick() re-promoted"
+            "epoch bump staled the tier (generation +{bump_generation_delta}): every bound guard deopted, zero stale admits, tick() re-promoted"
         ),
         format!(
             "native datapath: GuardFront admits {fwd_admits} of {fwd_guard_calls} guards from a slot; policy.checks == guard calls (asserted exact)"

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use kop_analysis::{GrantOracle, Obligation, ObligationLedger};
+use kop_analysis::ObligationLedger;
 use kop_ir::{Inst, Module};
 
 use crate::guard::{strict_guard_layout, GUARD_SYMBOL};
@@ -128,19 +128,14 @@ pub struct Attestation {
     pub privileged_wrapped: bool,
     /// Identifier of the compiler that produced the module.
     pub compiler_id: String,
-    /// The obligation ledger, in [`ObligationLedger`] text form: one
-    /// machine-checkable claim per guard the optimizer removed or
-    /// coalesced. Empty for unoptimized builds. The ledger is *bound
-    /// into the signature* and re-audited by the independent translation
+    /// The obligation ledger, in [`ObligationLedger`] text form
+    /// (`obligations-v1`): one machine-checkable claim per guard the
+    /// optimizer removed or coalesced. Empty for unoptimized builds. The
+    /// ledger carries compiler obligations only, is *bound into the
+    /// signature*, and is re-audited by the independent translation
     /// validator at `insmod` — a module whose elisions the loader cannot
     /// re-derive does not load.
     pub obligations: String,
-    /// Count of inline-bounds obligations in the ledger (the
-    /// profile-directed tier's baked `[lo, hi)` immediates). Non-zero
-    /// only for ledgers in `obligations-v2` form; each such claim must
-    /// have been audited against a grant oracle for `guards_covered` to
-    /// hold.
-    pub inline_obligations: u64,
 }
 
 impl Attestation {
@@ -179,20 +174,6 @@ impl Attestation {
         allow_wrapped: bool,
         ledger: &ObligationLedger,
     ) -> Result<Attestation, AttestError> {
-        Self::check_with_ledger_and_grants(module, allow_wrapped, ledger, None)
-    }
-
-    /// Like [`Attestation::check_with_ledger`], with a grant oracle for
-    /// auditing inline-bounds obligations at signing time. Without an
-    /// oracle a ledger carrying inline obligations cannot attest
-    /// coverage (the validator refuses unverifiable citations), so the
-    /// promotion path must pass the policy it baked the bounds from.
-    pub fn check_with_ledger_and_grants(
-        module: &Module,
-        allow_wrapped: bool,
-        ledger: &ObligationLedger,
-        grants: Option<&dyn GrantOracle>,
-    ) -> Result<Attestation, AttestError> {
         scan(module, allow_wrapped)?;
         let privileged_calls = crate::intrinsics::privileged_call_count(module);
         if privileged_calls > 0 && !crate::intrinsics::validate_intrinsic_wraps(module) {
@@ -205,8 +186,7 @@ impl Attestation {
             no_inline_asm: true,
             no_privileged_calls: privileged_calls == 0,
             guards_strict: strict_guard_layout(module),
-            guards_covered: kop_analysis::validate_module_with_grants(module, ledger, grants)
-                .is_clean(),
+            guards_covered: kop_analysis::validate_module(module, ledger).is_clean(),
             guard_count: module.call_count(GUARD_SYMBOL) as u64,
             guard_sites: sites.len() as u64,
             site_digest: crate::sha256::hex(&crate::sha256::sha256(site_text.as_bytes())),
@@ -215,23 +195,16 @@ impl Attestation {
             privileged_wrapped: privileged_calls > 0,
             compiler_id: Self::COMPILER_ID.to_string(),
             obligations: ledger.to_text(),
-            inline_obligations: ledger
-                .obligations
-                .iter()
-                .filter(|ob| matches!(ob, Obligation::Inline { .. }))
-                .count() as u64,
         })
     }
 
     /// Canonical byte encoding, bound into the module signature. The
     /// obligation ledger rides at the end, prefixed by its byte length so
-    /// the encoding stays unambiguous (ledger text is multi-line). v6
-    /// adds the `inline_obligations` count, so a signature over a
-    /// promoted module's attestation cannot be replayed onto one whose
-    /// ledger dropped (or grew) inline claims.
+    /// the encoding stays unambiguous (ledger text is multi-line). The
+    /// bound ledger carries compiler obligations only.
     pub fn to_bytes(&self) -> Vec<u8> {
         format!(
-            "attestation-v6\nmodule={}\nno_asm={}\nno_priv={}\nstrict={}\ncovered={}\nguards={}\nsites={}\nsite_digest={}\naccesses={}\npriv_calls={}\npriv_wrapped={}\ncompiler={}\ninline_obligations={}\nobligations_len={}\n{}",
+            "attestation-v7\nmodule={}\nno_asm={}\nno_priv={}\nstrict={}\ncovered={}\nguards={}\nsites={}\nsite_digest={}\naccesses={}\npriv_calls={}\npriv_wrapped={}\ncompiler={}\nobligations_len={}\n{}",
             self.module_name,
             self.no_inline_asm,
             self.no_privileged_calls,
@@ -244,7 +217,6 @@ impl Attestation {
             self.privileged_calls,
             self.privileged_wrapped,
             self.compiler_id,
-            self.inline_obligations,
             self.obligations.len(),
             self.obligations,
         )
@@ -436,53 +408,6 @@ exit:
     }
 
     #[test]
-    fn inline_obligations_attest_only_with_a_grant_oracle() {
-        use kop_analysis::{InstRef, Obligation};
-        use kop_core::{Protection, Region, Size, VAddr};
-        let src = r#"
-module "hot"
-define i64 @f(ptr %p) {
-entry:
-  %v = load i64, ptr %p
-  ret i64 %v
-}
-"#;
-        let mut m = parse_module(src).unwrap();
-        GuardInjectionPass.run(&mut m);
-        let ledger = ObligationLedger {
-            obligations: vec![Obligation::Inline {
-                function: "f".into(),
-                guard: InstRef::parse("entry#0").unwrap(),
-                lo: 0x1000,
-                hi: 0x2000,
-                flags: 1,
-                gen: 3,
-                env_lo: 0x1100,
-                env_hi: 0x1180,
-            }],
-        };
-        // Signing without an oracle: the citation is unverifiable, so the
-        // attestation records coverage as unproven.
-        let blind = Attestation::check_with_ledger(&m, false, &ledger).expect("attests");
-        assert!(!blind.guards_covered);
-        assert_eq!(blind.inline_obligations, 1);
-        // With the oracle the bound is recomputed and coverage attests.
-        let oracle = |gen: u64| {
-            (gen == 3).then(|| {
-                vec![Region::new(VAddr(0x1000), Size(0x1000), Protection::READ_WRITE).unwrap()]
-            })
-        };
-        let a = Attestation::check_with_ledger_and_grants(&m, false, &ledger, Some(&oracle))
-            .expect("attests");
-        assert!(a.guards_covered, "oracle-audited inline bound attests");
-        assert!(a.obligations.starts_with(ObligationLedger::HEADER_V2));
-        // The v6 encoding binds the inline count.
-        let bytes = String::from_utf8(a.to_bytes()).unwrap();
-        assert!(bytes.starts_with("attestation-v6\n"), "{bytes}");
-        assert!(bytes.contains("inline_obligations=1"), "{bytes}");
-    }
-
-    #[test]
     fn byte_encoding_is_stable_and_distinct() {
         let src = r#"
 module "x"
@@ -496,6 +421,7 @@ entry:
         let b1 = a.to_bytes();
         let b2 = a.to_bytes();
         assert_eq!(b1, b2);
+        assert!(b1.starts_with(b"attestation-v7\n"));
         let mut a2 = a.clone();
         a2.guard_count = 99;
         assert_ne!(b1, a2.to_bytes());

@@ -13,9 +13,12 @@
 //! * [`obligations`] — the optimizer's obligation recorder: every guard
 //!   reduction is justified by a machine-checkable claim that travels in
 //!   the attestation and is re-derived by the independent validator
-//!   (`kop_analysis::validate_module`) at signing and again at load.
-//! * [`attest`] — compile-time attestation that the module contains no
-//!   inline assembly and no calls to privileged intrinsics (§2, §5).
+//!   (`kop_analysis::validate_module`) at signing and again at load. The
+//!   ledger (`obligations-v1`: elide and range) carries compiler
+//!   obligations only; a container whose ledger claims anything else is
+//!   malformed.
+//! * [`attest`] — compile-time attestation (v7) that the module contains
+//!   no inline assembly and no calls to privileged intrinsics (§2, §5).
 //! * [`sha256`] — a from-scratch SHA-256/HMAC-SHA256 (FIPS 180-4 / RFC
 //!   2104) so code signing needs no external crypto dependency.
 //! * [`signing`] — cryptographic code signing of the canonical module text

@@ -124,25 +124,7 @@ impl SignedModule {
     /// parsed module. This is the load-time check the kernel performs: MAC
     /// valid, IR parses, attestation consistent with the IR it shipped
     /// with.
-    ///
-    /// Runs without a grant oracle, so a ledger carrying inline-bounds
-    /// obligations cannot attest coverage here — use
-    /// [`Self::verify_with_grants`] when the verifier holds the policy
-    /// whose snapshot history can re-derive the baked bounds.
     pub fn verify(&self, trusted_keys: &[CompilerKey]) -> Result<Module, SigningError> {
-        self.verify_with_grants(trusted_keys, None)
-    }
-
-    /// [`Self::verify`] with a grant oracle for auditing inline-bounds
-    /// obligations (a promoted container): the validator recomputes every
-    /// baked `[lo, hi)` from the regions the cited snapshot generation
-    /// held and refuses forged, stale, or wrong-site immediates
-    /// (KA009/KA010/KA011).
-    pub fn verify_with_grants(
-        &self,
-        trusted_keys: &[CompilerKey],
-        grants: Option<&dyn kop_analysis::GrantOracle>,
-    ) -> Result<Module, SigningError> {
         let key = trusted_keys
             .iter()
             .find(|k| k.key_id == self.key_id)
@@ -184,18 +166,7 @@ impl SignedModule {
                 .map_err(|e| {
                     SigningError::AttestationMismatch(format!("obligation ledger invalid: {e}"))
                 })?;
-            let inline = ledger
-                .obligations
-                .iter()
-                .filter(|ob| matches!(ob, kop_analysis::Obligation::Inline { .. }))
-                .count() as u64;
-            if inline != self.attestation.inline_obligations {
-                return Err(SigningError::AttestationMismatch(format!(
-                    "inline obligation count {} vs attested {}",
-                    inline, self.attestation.inline_obligations
-                )));
-            }
-            let report = kop_analysis::validate_module_with_grants(&module, &ledger, grants);
+            let report = kop_analysis::validate_module(&module, &ledger);
             if !report.is_clean() {
                 return Err(SigningError::AttestationMismatch(format!(
                     "attested guard coverage but the validator disproves it:\n{}",
@@ -320,16 +291,11 @@ impl SignedModule {
         if off != data.len() {
             return Err(SigningError::Malformed("trailing bytes".into()));
         }
-        // Not a container field of its own: recomputed from the ledger
-        // text exactly as the signer computed it, so the attestation
-        // bytes (and thus the signature) round-trip. A ledger that does
-        // not parse has no count to recompute.
-        let inline_obligations = kop_analysis::ObligationLedger::parse(&obligations)
-            .map_err(|e| SigningError::Malformed(format!("obligation ledger: {e}")))?
-            .obligations
-            .iter()
-            .filter(|ob| matches!(ob, kop_analysis::Obligation::Inline { .. }))
-            .count() as u64;
+        // A ledger is compiler obligations in `obligations-v1` text, or
+        // nothing: an unknown header or kind (an `inline` claim, say) is
+        // no container this decoder accepts.
+        kop_analysis::ObligationLedger::parse(&obligations)
+            .map_err(|e| SigningError::Malformed(format!("obligation {e}")))?;
         Ok(SignedModule {
             ir_text,
             attestation: Attestation {
@@ -346,7 +312,6 @@ impl SignedModule {
                 privileged_wrapped: flags & 8 != 0,
                 compiler_id,
                 obligations,
-                inline_obligations,
             },
             key_id,
             signature,
@@ -523,12 +488,22 @@ entry:
         assert_eq!(att.obligations, "", "the empty ledger decodes");
         SignedModule::from_bytes(&SignedModule::sign(&m, att.clone(), &key()).to_bytes())
             .expect("empty ledger");
-        att.obligations = "obligations-v1\nwarp fn=f".into();
-        let bytes = SignedModule::sign(&m, att, &key()).to_bytes();
-        assert!(matches!(
-            SignedModule::from_bytes(&bytes),
-            Err(SigningError::Malformed(_))
-        ));
+        for (ledger, line) in [
+            ("obligations-v1\nwarp fn=f", 2),
+            ("obligations-v2\n", 1),
+            (
+                "obligations-v1\ninline fn=f guard=entry#0 lo=0 hi=8 flags=1 gen=1",
+                2,
+            ),
+        ] {
+            att.obligations = ledger.into();
+            let bytes = SignedModule::sign(&m, att.clone(), &key()).to_bytes();
+            let err = SignedModule::from_bytes(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, SigningError::Malformed(m) if m.contains(&format!("line {line}:"))),
+                "{ledger:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! Container inputs: arbitrary bytes (bare and behind the magic), every
 //! strict prefix of a valid container, and valid containers with one
 //! byte flipped or one length field rewritten. The obligation ledger the
-//! decoder parses gets arbitrary text and token soup from its keywords.
+//! decoder parses gets arbitrary text and token soup from its keywords,
+//! the `inline` kind and `obligations-v2` header it refuses among them;
+//! every refusal names a line of the text it refused.
 
 use std::sync::OnceLock;
 
@@ -106,20 +108,31 @@ fn arb_len() -> impl Strategy<Value = u32> {
     ]
 }
 
-/// Words of the ledger grammar, well-formed and not.
+/// Words of the ledger grammar, well-formed and not: the `inline` kind
+/// and the `obligations-v2` header are refused.
 const LEDGER_WORDS: &str = "elide inline range fn=walk fn= guard=body#0 access=body#3 \
     accesses=body#1,,#2,body# header=head size=8 stride=18446744073709551616 flags=-1 \
-    lo=0 hi=4096 gen=1 elo=0 ehi=8 = #";
+    lo=0 hi=4096 gen=1 elo=0 ehi=8 = # obligations-v2";
 
-/// A ledger word, a header, or a line break (ASCII or Unicode).
+/// A ledger word, the header, or a line break (ASCII or Unicode).
 fn arb_ledger_token() -> impl Strategy<Value = &'static str> {
-    let headers = [ObligationLedger::HEADER, ObligationLedger::HEADER_V2];
     let words: Vec<&str> = LEDGER_WORDS
         .split_whitespace()
-        .chain(headers)
-        .chain(["\n", "\u{2028}"])
+        .chain([ObligationLedger::HEADER, "\n", "\u{2028}"])
         .collect();
     any::<prop::sample::Index>().prop_map(move |i| words[i.index(words.len())])
+}
+
+/// Parses `text` as a ledger: a refusal names a line of `text`.
+fn parse_ledger(text: &str) -> Result<(), TestCaseError> {
+    if let Err(e) = ObligationLedger::parse(text) {
+        let lines = text.lines().count();
+        prop_assert!(
+            (1..=lines).contains(&e.line),
+            "{e} outside the {lines} line(s) of {text:?}"
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -167,14 +180,14 @@ proptest! {
 
     #[test]
     fn arbitrary_ledger_text_parses_or_errs(text in "\\PC*") {
-        let _ = ObligationLedger::parse(&text);
+        parse_ledger(&text)?;
     }
 
     #[test]
     fn ledger_token_soup_parses_or_errs(
         tokens in prop::collection::vec(arb_ledger_token(), 0..40),
     ) {
-        let _ = ObligationLedger::parse(&tokens.join(" "));
+        parse_ledger(&tokens.join(" "))?;
     }
 }
 

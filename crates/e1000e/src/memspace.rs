@@ -373,8 +373,9 @@ impl<P: PolicyCheck> GuardedMem<P> {
                 Producer::Driver,
                 TraceEvent::GuardExit { site, decision, ns },
             );
-            // Envelope-aware: feeds the per-site address range the
-            // promotion pass maps onto a policy region.
+            // Envelope-aware: the site's profile keeps its address
+            // range (`SiteProfile::envelope`). No native guard is
+            // promoted; the guard front's slots fill from grants.
             t.tracer.record_check_at(site, ns, r.is_err(), addr, size);
             return r;
         }

@@ -59,13 +59,15 @@ pub enum Engine {
     /// loaded across calls, keyed by the module's never-reused tier id:
     /// each [`Interp::call`] checks the id with one load, reloads the
     /// tier only if a promotion or invalidation moved it, and runs every
-    /// frame from that one tier, so a publish between calls governs the
-    /// next call and one published mid-call reaches the call after. The
-    /// tier runs only when the call's policy has the namespace id it was
-    /// baked from; otherwise the call runs the general bytecode. A
-    /// promoted guard whose baked generation or epoch no longer matches
-    /// the live policy, or that cannot fast-admit, deopts into the
-    /// exact general policy path. With tracing on, an inline admit is
+    /// frame from that one tier, so a tier published between calls
+    /// governs the next call and one published mid-call reaches the call
+    /// after. The tier runs only when the call's policy has the namespace
+    /// id it was baked from; otherwise the call runs the general
+    /// bytecode. A policy publish or revocation moves no tier: a promoted
+    /// guard compares its baked generation and epoch with the live
+    /// policy per op, and one that no longer matches, or that cannot
+    /// fast-admit, deopts into the exact general policy path. These tags
+    /// are the tier's only invalidation. With tracing on, an inline admit is
     /// counted against its site (hits and address envelope, batched per
     /// call) but emits no ring events and is not timed; a deopt emits
     /// the full GuardEnter/GuardExit pair and a timed profile entry,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use kop_compiler::CompilerKey;
 use kop_core::layout::{DIRECT_MAP_BASE, MODULE_SPACE_BASE, PAGE_SIZE};
-use kop_core::{KernelError, KernelResult, VAddr, Violation};
+use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr, Violation};
 use kop_policy::{NamespaceStore, PolicyCmd, PolicyModule};
 use kop_trace::{Producer, TraceEvent, Tracer};
 
@@ -154,14 +154,6 @@ pub struct Kernel {
     /// The kernel-wide trace instance (always present, disabled until
     /// `echo 1 > tracing_on` via [`TRACE_DEV`] or [`Tracer::set_enabled`]).
     tracer: Arc<Tracer>,
-    /// Modules whose promoted tier is subscribed to their policy's
-    /// generation publishes, with that policy's namespace id (each
-    /// publish atomically drops the tier, so stale promoted code is
-    /// discarded promptly — the per-op generation check already
-    /// guarantees it could never admit). A promotion under a different
-    /// policy subscribes to it anew. Cleared on restart so the fresh
-    /// image re-subscribes.
-    hot_subscribed: std::collections::BTreeMap<String, u64>,
     /// Names reserved by an in-flight staged insmod
     /// ([`Kernel::reserve_module`]) but not yet committed. A second
     /// insmod of the same name races the short reserve section, not the
@@ -304,7 +296,6 @@ impl Kernel {
             aliases: std::collections::BTreeMap::new(),
             lifecycle,
             tracer,
-            hot_subscribed: std::collections::BTreeMap::new(),
             pending: std::collections::BTreeSet::new(),
         };
         kernel.printk("CARAT KOP simulated kernel booted");
@@ -371,24 +362,18 @@ impl Kernel {
         self.printk(&format!(
             "policy: per-module override for '{module}' (namespace {ns})"
         ));
-        // The promoted tier baked its bounds from the *previous* policy
-        // object. Its namespace id already keeps it from running under
-        // the new one; drop it and the old policy's subscription, so the
-        // next `tick()` bakes from the new policy. (A native guard front
-        // is bound to one policy object for life, so it never answers
-        // for the new one.)
-        self.drop_promotions(module);
+        // A promoted tier baked from the previous policy stays installed
+        // but never runs under this one: it carries that policy's
+        // namespace id. The next `tick()` bakes from this policy. (A
+        // native guard front is bound to one policy object for life, so
+        // it never answers for the new one.)
     }
 
-    /// Remove a per-module override; returns whether one existed.
+    /// Remove a per-module override; returns whether one existed. As
+    /// with [`Kernel::set_module_policy`], a tier baked from the removed
+    /// policy stays installed and never runs under the global one.
     pub fn clear_module_policy(&mut self, module: &str) -> bool {
-        let had = self.namespaces.remove(module).is_some();
-        if had {
-            // As in `set_module_policy`: the module now answers to the
-            // global policy.
-            self.drop_promotions(module);
-        }
-        had
+        self.namespaces.remove(module).is_some()
     }
 
     /// The sharded per-module policy namespace registry. Shared with
@@ -409,16 +394,6 @@ impl Kernel {
         n
     }
 
-    /// Invalidate `module`'s promoted trace tier and forget its
-    /// generation subscription, so the next promotion re-bakes bounds
-    /// from (and re-subscribes to) the now-governing policy.
-    fn drop_promotions(&mut self, module: &str) {
-        if let Some(loaded) = self.module(module) {
-            loaded.image().compiled.invalidate_promotions();
-        }
-        self.forget_hot_subscription(module);
-    }
-
     /// The policy governing `module`: its own namespace if registered,
     /// else the global policy. One shard read-lock.
     pub fn policy_for(&self, module: &str) -> Arc<PolicyModule> {
@@ -434,21 +409,25 @@ impl Kernel {
     /// into the inline-bounds tier.
     ///
     /// Sites with at least `min_hits` profiled checks — and not a single
-    /// denial — are mapped through their observed address envelope onto
-    /// the covering region of the *current* policy snapshot; that
-    /// region's `[lo, hi)` bound and permission bits are baked into
-    /// promoted copies of the containing functions as immediate
-    /// compares, tagged with the snapshot generation. Before installing,
-    /// the kernel audits its own work: the inline obligations are run
-    /// through the independent translation validator with the policy's
-    /// retained-snapshot grant oracle, so a bound the validator cannot
-    /// recompute from the cited generation is refused (KA009–KA011).
+    /// denial — whose guard call has constant flags are baked from one
+    /// pinned snapshot of the governing policy: each takes the first
+    /// region that covers its observed address envelope *and grants its
+    /// flags* (the policy admits on any covering grant, so the first
+    /// covering region may not be the one that admits). That region's
+    /// `[lo, hi)` bound and permission bits go into promoted copies of
+    /// the containing functions as immediate compares, tagged with the
+    /// snapshot's generation, the policy's revocation epoch and its
+    /// namespace id. Before installing, the kernel audits its own work:
+    /// [`kop_analysis::audit_baked_bounds`] re-derives every bound from
+    /// the IR's guard flags and the pinned snapshot and refuses the tier
+    /// on any mismatch (KA009–KA011). Coverage is not re-proved here;
+    /// insmod established it.
     ///
-    /// A later `bump_epoch`/`replace_regions` publish atomically drops
-    /// the tier (and every promoted op independently rechecks the
-    /// generation, so a stale bound can never admit). Promotion is lazy
-    /// after that: call this again — or let [`Kernel::tick`] do it —
-    /// once the profile warrants it.
+    /// A later publish, revocation or policy swap leaves the tier
+    /// installed but stale: its tags stop matching, so every bound guard
+    /// deopts to the general path until this runs again — or
+    /// [`Kernel::tick`] runs it. When nothing can be baked, a stale tier
+    /// is dropped.
     ///
     /// Returns the number of guard ops promoted (0 when nothing is hot or
     /// the module is unguarded).
@@ -469,12 +448,9 @@ impl Kernel {
             .into_iter()
             .filter(|(m, p)| m.module == module && p.lo_addr < p.hi_addr)
             .collect();
-        if hot.is_empty() {
-            return Ok(0);
-        }
 
-        // Map each site id back to its guard call so the obligation can
-        // cite it (same deterministic walk the loader registered from).
+        // Map each site id back to its guard call so the bound can cite
+        // it (same deterministic walk the loader registered from).
         let mut guard_of = std::collections::BTreeMap::new();
         for gs in kop_trace::assign_guard_sites(&image.ir) {
             if let Some(id) = sites.lookup(&gs.function, gs.inst) {
@@ -482,35 +458,36 @@ impl Kernel {
             }
         }
 
-        // Bake bounds from the current snapshot. The revocation epoch is
+        // Bake bounds from one pinned snapshot. The revocation epoch is
         // read *before* the snapshot: a fleet revocation racing the bake
         // leaves the tier already-stale (per-op epoch mismatch, prompt
-        // deopt), never falsely fresh. The tier records the policy's
-        // namespace id, and runs only for calls that policy governs.
+        // deopt), never falsely fresh.
         let policy = self.policy_for(module);
         let ns = policy.namespace();
         let epoch = policy.revocation_epoch();
         let snap = policy.policy_snapshot();
         let gen = snap.generation();
         let mut specs = Vec::new();
-        let mut obligations = Vec::new();
+        let mut bounds = Vec::new();
         for (meta, prof) in &hot {
             let Some(gs) = guard_of.get(&meta.id) else {
                 continue;
             };
-            let Some(guard) = inst_ref_of(&image.ir, &gs.function, gs.inst) else {
+            let Some((guard, flags)) = guard_call(&image.ir, &gs.function, gs.inst) else {
                 continue;
             };
-            // The covering grant for the whole observed envelope; a site
-            // straddling regions (or outside every region) stays cold.
-            let Some(region) = snap.regions().iter().find(|r| {
-                r.base.raw() <= prof.lo_addr
-                    && prof.hi_addr <= r.base.raw().saturating_add(r.len.raw())
-            }) else {
+            // The region that grants the whole observed envelope; a site
+            // straddling regions (or granted by none) stays cold.
+            let (env_lo, env_hi) = (prof.lo_addr, prof.hi_addr);
+            let Some(region) = snap
+                .regions()
+                .iter()
+                .find(|r| r.permits(VAddr(env_lo), Size(env_hi - env_lo), flags))
+            else {
                 continue;
             };
             let lo = region.base.raw();
-            let hi = region.base.raw().saturating_add(region.len.raw());
+            let hi = lo.saturating_add(region.len.raw());
             let perm = region.prot.granted().raw();
             specs.push(kop_vm::PromotionSpec {
                 site: meta.id,
@@ -518,32 +495,34 @@ impl Kernel {
                 hi,
                 perm,
             });
-            obligations.push(kop_analysis::Obligation::Inline {
+            bounds.push(kop_analysis::BakedBound {
                 function: gs.function.clone(),
                 guard,
                 lo,
                 hi,
-                flags: perm as u64,
+                perm,
                 gen,
-                env_lo: prof.lo_addr,
-                env_hi: prof.hi_addr,
+                env_lo,
+                env_hi,
             });
         }
         if specs.is_empty() {
+            let tier = compiled.promoted_tier();
+            let stale = tier.ns != ns || tier.gen != gen || tier.epoch != epoch;
+            if tier.ns != 0 && stale {
+                compiled.invalidate_promotions();
+            }
             return Ok(0);
         }
 
-        // Self-validation before install: the independent validator must
-        // re-derive every baked bound from the retained snapshot history.
-        let ledger = kop_analysis::ObligationLedger { obligations };
-        let grants = |g: u64| policy.regions_at(g);
-        let report = kop_analysis::validate_module_with_grants(&image.ir, &ledger, Some(&grants));
+        // Self-audit before install, against the snapshot just pinned.
+        let report = kop_analysis::audit_baked_bounds(&image.ir, &bounds, gen, snap.regions());
         if !report.is_clean() {
             let first = report
                 .errors()
                 .next()
                 .map(|d| d.to_string())
-                .unwrap_or_else(|| "inline obligations rejected".into());
+                .unwrap_or_else(|| "baked bounds rejected".into());
             let err = KernelError::StaticVerification(format!(
                 "promotion refused: {first} ({} error(s) total)",
                 report.errors().count()
@@ -553,17 +532,6 @@ impl Kernel {
         }
 
         let n = compiled.promote(ns, gen, epoch, &specs);
-        if n == 0 {
-            return Ok(0);
-        }
-        // One subscription per module image and governing policy: any
-        // publish of that policy drops the tier wholesale.
-        if self.hot_subscribed.insert(module.to_string(), ns) != Some(ns) {
-            let tier = compiled.clone();
-            policy.subscribe_generation(Box::new(move |_gen| {
-                tier.invalidate_promotions();
-            }));
-        }
         let sites_promoted = specs.len();
         self.printk(&format!(
             "carat-jit {module}: promoted {n} guard op(s) across {sites_promoted} site(s) at generation {gen}"
@@ -573,9 +541,12 @@ impl Kernel {
 
     /// Periodic promotion sweep: runs [`Kernel::promote_hot`] over every
     /// loaded module at the configured
-    /// [`KernelConfig::hot_threshold`]. Modules whose inline ledger the
-    /// validator refuses are skipped (the refusal is in dmesg); the
-    /// sweep never fails. Returns the total guard ops promoted.
+    /// [`KernelConfig::hot_threshold`], so a tier a publish, revocation
+    /// or policy swap left stale is re-baked from the policy that now
+    /// governs (or dropped, when nothing can be baked). Modules whose
+    /// baked bounds the audit refuses are skipped (the refusal is in
+    /// dmesg); the sweep never fails. Returns the total guard ops
+    /// promoted.
     pub fn tick(&mut self) -> usize {
         let names: Vec<String> = self.modules.iter().map(|m| m.name.clone()).collect();
         let threshold = self.config.hot_threshold;
@@ -813,33 +784,39 @@ impl Kernel {
     pub fn interrupts_enabled(&self) -> bool {
         self.interrupts_enabled
     }
-
-    /// Forget a module's promotion subscription (restart/upgrade installs
-    /// a fresh image whose tier must subscribe anew).
-    pub(crate) fn forget_hot_subscription(&mut self, module: &str) {
-        self.hot_subscribed.remove(module);
-    }
 }
 
-/// Locate a guard call's `(block, index)` reference — the citation an
-/// inline obligation carries — from its arena instruction id.
-fn inst_ref_of(ir: &kop_ir::Module, function: &str, inst: u32) -> Option<kop_analysis::InstRef> {
+/// The guard call at arena instruction id `inst` of `function`: its
+/// `(block, index)` citation and its constant access flags. `None` when
+/// there is no such call or its flags are computed, so the site is not
+/// promoted.
+fn guard_call(
+    ir: &kop_ir::Module,
+    function: &str,
+    inst: u32,
+) -> Option<(kop_analysis::InstRef, AccessFlags)> {
     let f = ir.function(function)?;
-    for b in &f.blocks {
-        if let Some(index) = b.insts.iter().position(|iid| iid.0 == inst) {
-            return Some(kop_analysis::InstRef {
-                block: b.name.clone(),
-                index,
-            });
-        }
-    }
-    None
+    let (block, index) = f
+        .blocks
+        .iter()
+        .find_map(|b| Some((b, b.insts.iter().position(|iid| iid.0 == inst)?)))?;
+    let kop_ir::Inst::Call { args, .. } = f.inst(block.insts[index]) else {
+        return None;
+    };
+    let Some(kop_ir::Value::ConstInt(_, flags)) = args.get(2) else {
+        return None;
+    };
+    let guard = kop_analysis::InstRef {
+        block: block.name.clone(),
+        index,
+    };
+    Some((guard, AccessFlags::from_raw(*flags as u32)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kop_core::{AccessFlags, Protection, Region, Size};
+    use kop_core::{Protection, Region};
     use kop_policy::PolicyResponse;
 
     #[test]

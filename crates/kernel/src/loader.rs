@@ -21,7 +21,6 @@ use std::sync::Arc;
 use kop_compiler::{CompilerKey, SignedModule};
 use kop_core::{KernelError, KernelResult, VAddr};
 use kop_ir::{verify_module, GlobalInit, Module};
-use kop_policy::NamespaceStore;
 use kop_trace::{assign_guard_sites, GuardSite, Producer, SiteTable, TraceEvent, Tracer};
 
 use crate::kernel::{Kernel, KernelConfig};
@@ -167,7 +166,6 @@ impl StageError {
 pub struct ModuleStager {
     trusted_keys: Vec<CompilerKey>,
     config: KernelConfig,
-    namespaces: Arc<NamespaceStore>,
 }
 
 /// A verified, sealed, proof-carrying module awaiting its reservation.
@@ -302,14 +300,7 @@ impl ModuleStager {
                         });
                     }
                 };
-            // The grant oracle lets the validator re-derive inline-bounds
-            // obligations (a promoted container) from the policy's
-            // retained snapshot history; ledgers without inline
-            // obligations never consult it. Resolved through the sharded
-            // namespace registry — one shard read-lock, no kernel lock.
-            let policy = self.namespaces.resolve(&ir.name);
-            let grants = |g: u64| policy.regions_at(g);
-            let report = kop_analysis::validate_module_with_grants(&ir, &ledger, Some(&grants));
+            let report = kop_analysis::validate_module(&ir, &ledger);
             if !report.is_clean() {
                 let first = report
                     .errors()
@@ -429,7 +420,6 @@ impl Kernel {
         ModuleStager {
             trusted_keys: self.trusted_keys().to_vec(),
             config: self.config().clone(),
-            namespaces: Arc::clone(self.namespaces()),
         }
     }
 
@@ -536,25 +526,8 @@ impl Kernel {
             }
         };
 
-        for g in &ir.globals {
-            let addr = reservation.global_addrs[&g.name];
-            match &g.init {
-                GlobalInit::Zero => {
-                    // Memory reads zero by default; nothing to write.
-                }
-                GlobalInit::Int(v) => {
-                    let size = g.ty.size_of().clamp(1, 8);
-                    self.mem
-                        .write_uint(addr, kop_core::Size(size), *v)
-                        .map_err(|e| KernelError::NoMemory(e.to_string()))?;
-                }
-                GlobalInit::Bytes(bytes) => {
-                    self.mem
-                        .write_bytes(addr, bytes)
-                        .map_err(|e| KernelError::NoMemory(e.to_string()))?;
-                }
-            }
-        }
+        // Fresh module space reads zero: `Zero` globals need no write.
+        self.init_globals(&ir, &reservation.global_addrs, false)?;
 
         // Text pages are mapped read-only (§2: paging prevents
         // self-modifying module code).
@@ -615,7 +588,6 @@ impl Kernel {
             },
         );
         self.lifecycle().forget(name);
-        self.forget_hot_subscription(name);
         self.printk(&format!("rmmod {name}"));
         Ok(())
     }
@@ -629,9 +601,11 @@ impl Kernel {
     /// Guard sites are **not** re-registered — the tracer track survives
     /// the quarantine, so per-site counts reconcile across restarts.
     ///
-    /// The signed container is re-verified under the kernel's
-    /// configuration (signature and/or static proof), and its content
-    /// hash must match the one the image was built from.
+    /// The signed container is accepted exactly as insmod accepts it —
+    /// through [`ModuleStager::stage`] under the kernel's configuration —
+    /// and its content hash must match the one the image was built from.
+    /// A promoted tier the image carries stays installed: its generation,
+    /// epoch and namespace tags decide whether it still admits.
     pub fn restart_module(
         &mut self,
         signed: &SignedModule,
@@ -643,29 +617,11 @@ impl Kernel {
         if self.modules().iter().any(|m| m.name == name) {
             return Err(KernelError::ModuleAlreadyLoaded(name));
         }
-
-        // Attestation re-verification, same acceptance rules as insmod.
-        let verification = self.config().verification;
-        let signature_ok = signed.verify(self.trusted_keys()).is_ok();
-        if !signature_ok && verification.needs_signature() {
-            let err = KernelError::BadSignature("restart: signature no longer verifies".into());
-            self.printk(&format!("restart {name}: {err}"));
-            return Err(err);
-        }
-        if verification.runs_static() {
-            let ledger = kop_analysis::ObligationLedger::parse(&signed.attestation.obligations)
-                .map_err(|e| {
-                    KernelError::StaticVerification(format!("obligation ledger invalid: {e}"))
-                })?;
-            let policy = self.policy_for(&name);
-            let grants = |g: u64| policy.regions_at(g);
-            let report =
-                kop_analysis::validate_module_with_grants(&image.ir, &ledger, Some(&grants));
-            if !report.is_clean() {
-                return Err(KernelError::StaticVerification(
-                    "restart: guard coverage no longer provable".into(),
-                ));
+        if let Err(e) = self.stager().stage(signed, Some(&name)) {
+            if e.dmesg.is_some() {
+                self.printk(&format!("restart {name}: {}", e.err));
             }
+            return Err(e.err);
         }
         if signed.content_hash() != layout.content_hash {
             return Err(KernelError::BadSignature(
@@ -673,39 +629,10 @@ impl Kernel {
             ));
         }
 
-        // The cached image may carry a promoted tier baked against a
-        // policy generation from before the quarantine; drop it and let
-        // the warmed profile re-promote lazily. The old generation
-        // subscription points at this same shared tier, so it is also
-        // forgotten and re-established on the next promotion.
-        image.compiled.invalidate_promotions();
-        self.forget_hot_subscription(&name);
-
-        // Re-initialize globals. Unlike first insmod, the data pages are
-        // not pristine — Zero initializers must be written explicitly or
-        // the module would resume with its pre-quarantine state.
-        for g in &image.ir.globals {
-            let addr = image.globals[&g.name];
-            match &g.init {
-                GlobalInit::Zero => {
-                    let zeros = vec![0u8; g.ty.size_of().max(1) as usize];
-                    self.mem
-                        .write_bytes(addr, &zeros)
-                        .map_err(|e| KernelError::NoMemory(e.to_string()))?;
-                }
-                GlobalInit::Int(v) => {
-                    let size = g.ty.size_of().clamp(1, 8);
-                    self.mem
-                        .write_uint(addr, kop_core::Size(size), *v)
-                        .map_err(|e| KernelError::NoMemory(e.to_string()))?;
-                }
-                GlobalInit::Bytes(bytes) => {
-                    self.mem
-                        .write_bytes(addr, bytes)
-                        .map_err(|e| KernelError::NoMemory(e.to_string()))?;
-                }
-            }
-        }
+        // Unlike first insmod, the data pages are not pristine: every
+        // initializer is written again, zeroes included, or the module
+        // would resume with its pre-quarantine state.
+        self.init_globals(&image.ir, &image.globals, true)?;
         self.mem
             .protect_readonly(layout.text_base, layout.text_size);
 
@@ -733,6 +660,32 @@ impl Kernel {
         self.printk(&format!(
             "carat: restarted module '{name}' (attempt {attempt})"
         ));
+        Ok(())
+    }
+
+    /// Write every global's initializer at its address; `Zero` ones only
+    /// when `zero_fill` is set.
+    fn init_globals(
+        &mut self,
+        ir: &Module,
+        addrs: &BTreeMap<String, VAddr>,
+        zero_fill: bool,
+    ) -> KernelResult<()> {
+        for g in &ir.globals {
+            let addr = addrs[&g.name];
+            let written = match &g.init {
+                GlobalInit::Zero if !zero_fill => Ok(()),
+                GlobalInit::Zero => self
+                    .mem
+                    .write_bytes(addr, &vec![0u8; g.ty.size_of().max(1) as usize]),
+                GlobalInit::Int(v) => {
+                    let size = g.ty.size_of().clamp(1, 8);
+                    self.mem.write_uint(addr, kop_core::Size(size), *v)
+                }
+                GlobalInit::Bytes(bytes) => self.mem.write_bytes(addr, bytes),
+            };
+            written.map_err(|e| KernelError::NoMemory(e.to_string()))?;
+        }
         Ok(())
     }
 }
@@ -1137,6 +1090,39 @@ entry:
             kernel.insmod(&good).unwrap();
             assert!(kernel.module("bad").is_some());
         }
+    }
+
+    #[test]
+    fn a_refused_restart_lists_nothing_and_the_name_stays_restartable() {
+        let (mut kernel, key) = Kernel::boot_default();
+        let signed = compile(SRC, &CompileOptions::carat_kop(), &key);
+        let m = kernel.insmod(&signed).unwrap();
+        let (image, layout) = (Arc::clone(m.image()), m.layout());
+        let (counter, table) = (image.globals["counter"], image.globals["table"]);
+        kernel.mem.write_uint(counter, Size(8), 99).unwrap();
+        kernel.mem.write_uint(table, Size(8), 5).unwrap();
+        kernel.rmmod("demo").unwrap();
+
+        // The stager refuses a tampered container; a container it accepts
+        // must still be the one the image was built from.
+        let mut tampered = signed.clone();
+        tampered.ir_text.push(' ');
+        let other = compile(SRC, &CompileOptions::optimized(), &key);
+        for refused in [&tampered, &other] {
+            let err = kernel.restart_module(refused, &image, &layout).unwrap_err();
+            assert!(matches!(err, KernelError::BadSignature(_)), "{err:?}");
+            assert!(kernel.modules().is_empty());
+        }
+        assert!(kernel
+            .dmesg()
+            .iter()
+            .any(|l| l.starts_with("restart demo: ")));
+
+        kernel.restart_module(&signed, &image, &layout).unwrap();
+        assert!(kernel.module("demo").is_some());
+        // Every initializer is written again, zeroes included.
+        assert_eq!(kernel.mem.read_uint(counter, Size(8)).unwrap(), 41);
+        assert_eq!(kernel.mem.read_uint(table, Size(8)).unwrap(), 0);
     }
 
     #[test]

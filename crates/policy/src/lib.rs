@@ -21,7 +21,9 @@
 //! * [`manager::PolicyCmd`] — the binary ioctl protocol spoken by the
 //!   `policy-manager` user-space tool,
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]
-//!   (RCU-style published tables — the lock-free check path),
+//!   (RCU-style published tables — the lock-free check path; a publish
+//!   stores the snapshot, then the generation, then the count, and takes
+//!   no lock),
 //!   [`front::GuardFront`] (a per-queue front with one self-filling slot
 //!   per guard site, staled by generation or revocation epoch), and
 //!   [`vlog::ViolationLog`] (bounded violation ring with a dropped
@@ -48,7 +50,7 @@ pub use module::{
     ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule, ViolationAction,
 };
 pub use namespace::{NamespaceStore, GLOBAL_NAMESPACE, NAMESPACE_SHARDS};
-pub use snapshot::{GenerationSubscriber, PolicySnapshot, SnapshotStore, SNAPSHOT_HISTORY_CAP};
+pub use snapshot::{PolicySnapshot, SnapshotStore};
 pub use stats::GuardStats;
 pub use store::{Lookup, PolicyError, StoreKind, MAX_REGIONS};
 pub use vlog::ViolationLog;

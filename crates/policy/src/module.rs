@@ -431,26 +431,6 @@ impl PolicyModule {
         self.snapshot.publish_counter().get()
     }
 
-    /// The regions the table held at `generation`, if that generation is
-    /// still inside the bounded snapshot history
-    /// ([`crate::snapshot::SNAPSHOT_HISTORY_CAP`] publishes). This is the
-    /// grant oracle the translation validator uses to recompute inlined
-    /// guard bounds against the generation a promoted trace cites.
-    pub fn regions_at(&self, generation: u64) -> Option<Vec<Region>> {
-        self.snapshot.regions_at(generation)
-    }
-
-    /// Register a callback fired after every snapshot publish with the
-    /// new generation. Callbacks run on the publishing thread while
-    /// publishes are still serialized, so they must **not** mutate this
-    /// policy module — flip flags and bump atomics only. The promoted
-    /// trace tier subscribes here to invalidate its inline caches
-    /// promptly (soundness never depends on the callback: every inline
-    /// admit re-checks its generation tag).
-    pub fn subscribe_generation(&self, sub: crate::snapshot::GenerationSubscriber) {
-        self.snapshot.subscribe(sub);
-    }
-
     /// Account `n` guards admitted by a fast path (a bound filled from a
     /// region grant of the *current* generation and epoch) without
     /// re-running the lookup, with one pair of counter updates. Keeps

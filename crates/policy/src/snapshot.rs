@@ -12,11 +12,12 @@
 //! deferred until the last reader drops it.
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
-//! invalidation signal for the guard front's per-site slots
-//! ([`crate::front::GuardFront`]): a filled grant is valid only while its
-//! recorded generation equals the store's current one, so any table write
-//! — grant, revoke, wholesale replace — stales every slot at the cost of
-//! one atomic store.
+//! only invalidation signal for the guard front's per-site slots
+//! ([`crate::front::GuardFront`]) and the VM's promoted bounds: a filled
+//! grant is valid only while its recorded generation equals the store's
+//! current one, so any table write — grant, revoke, wholesale replace —
+//! stales every slot and every baked bound at the cost of one atomic
+//! store.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
 //! installs the new snapshot pointer *before* it stores the new
@@ -27,31 +28,16 @@
 //! in the new snapshot — or the new snapshot directly. A slot tagged
 //! with the old generation can never match again.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arc_swap::ArcSwap;
-use parking_lot::Mutex;
 
 use kop_core::{AccessFlags, Region, Size, VAddr};
 use kop_trace::Counter;
 
 use crate::frozen::{FrozenKind, FrozenStore};
 use crate::store::Lookup;
-
-/// How many `(generation, regions)` pairs the store retains for
-/// [`SnapshotStore::regions_at`]. The translation validator re-derives
-/// inlined guard bounds from the grant a *cited* generation held; eight
-/// generations of history comfortably covers a promote → validate window
-/// while bounding memory on churn-heavy workloads.
-pub const SNAPSHOT_HISTORY_CAP: usize = 8;
-
-/// A callback invoked after every snapshot publish with the new
-/// generation. Used by the promoted-trace tier to invalidate eagerly
-/// (the generation tag check makes invalidation correct even without the
-/// callback; the callback just makes it prompt).
-pub type GenerationSubscriber = Box<dyn Fn(u64) + Send + Sync>;
 
 /// An immutable, self-contained copy of the policy at one generation.
 ///
@@ -127,6 +113,8 @@ impl std::fmt::Debug for PolicySnapshot {
 }
 
 /// The epoch/RCU cell: current snapshot + generation + publish counter.
+/// It keeps no history and calls nobody back: a fast path learns of a
+/// publish only by comparing its generation tag.
 ///
 /// Writers must be externally serialized (the policy module publishes
 /// while holding its rule-list mutex); readers are lock-free.
@@ -136,26 +124,15 @@ pub struct SnapshotStore {
     /// validity tag. Starts at 1 so 0 can mean "never filled".
     generation: AtomicU64,
     publishes: Counter,
-    /// Bounded `(generation, regions)` history for the validator's grant
-    /// oracle; never read on the guard path.
-    history: Mutex<VecDeque<(u64, Vec<Region>)>>,
-    /// Publish subscribers. Fired while the writer still serializes
-    /// publishes, so callbacks must not mutate the policy (deadlock) —
-    /// they should only flip flags / bump atomics.
-    subscribers: Mutex<Vec<GenerationSubscriber>>,
 }
 
 impl SnapshotStore {
     /// An empty store at generation 1.
     pub fn new() -> SnapshotStore {
-        let mut history = VecDeque::with_capacity(SNAPSHOT_HISTORY_CAP);
-        history.push_back((1, Vec::new()));
         SnapshotStore {
             current: ArcSwap::from_pointee(PolicySnapshot::build(Vec::new(), 1)),
             generation: AtomicU64::new(1),
             publishes: Counter::new("policy.snapshot_publishes"),
-            history: Mutex::new(history),
-            subscribers: Mutex::new(Vec::new()),
         }
     }
 
@@ -178,45 +155,19 @@ impl SnapshotStore {
     }
 
     /// Rebuild and publish a new snapshot; returns the new generation.
-    /// Callers serialize publishes (the policy module holds its rule-list
-    /// mutex across mutate + publish, so generation order matches
-    /// mutation order).
+    /// A publish is three steps and takes no lock: the snapshot, then
+    /// the generation, then the publish count. Callers serialize
+    /// publishes (the policy module holds its rule-list mutex across
+    /// mutate + publish, so generation order matches mutation order).
     pub fn publish(&self, regions: Vec<Region>) -> u64 {
         let gen = self.generation.load(Ordering::SeqCst) + 1;
-        {
-            let mut history = self.history.lock();
-            history.push_back((gen, regions.clone()));
-            while history.len() > SNAPSHOT_HISTORY_CAP {
-                history.pop_front();
-            }
-        }
         self.current
             .store(Arc::new(PolicySnapshot::build(regions, gen)));
         // Snapshot first, generation second: a reader that sees the new
         // generation is guaranteed the new snapshot is already live.
         self.generation.store(gen, Ordering::SeqCst);
         self.publishes.inc();
-        for sub in self.subscribers.lock().iter() {
-            sub(gen);
-        }
         gen
-    }
-
-    /// The regions the table held at `generation`, if still retained
-    /// (last [`SNAPSHOT_HISTORY_CAP`] publishes). The validator's grant
-    /// oracle: lets it recompute what an inlined bound *should* have been
-    /// at the generation a promoted trace cites.
-    pub fn regions_at(&self, generation: u64) -> Option<Vec<Region>> {
-        self.history
-            .lock()
-            .iter()
-            .find(|(g, _)| *g == generation)
-            .map(|(_, regions)| regions.clone())
-    }
-
-    /// Register a publish subscriber (see [`GenerationSubscriber`]).
-    pub fn subscribe(&self, sub: GenerationSubscriber) {
-        self.subscribers.lock().push(sub);
     }
 
     /// The live publish counter cell (for registry registration).
@@ -267,34 +218,6 @@ mod tests {
             s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
             Lookup::NoMatch
         );
-    }
-
-    #[test]
-    fn history_answers_recent_generations_and_forgets_old_ones() {
-        let s = SnapshotStore::new();
-        assert_eq!(s.regions_at(1), Some(Vec::new()));
-        let region = r(0x1000, 0x1000, Protection::READ_WRITE);
-        let g = s.publish(vec![region]);
-        assert_eq!(s.regions_at(g), Some(vec![region]));
-        assert_eq!(s.regions_at(g + 1), None, "future generation unknown");
-        // Push the first generation out of the bounded window.
-        for _ in 0..SNAPSHOT_HISTORY_CAP {
-            s.publish(vec![region]);
-        }
-        assert_eq!(s.regions_at(1), None, "evicted from bounded history");
-        assert_eq!(s.regions_at(s.generation()), Some(vec![region]));
-    }
-
-    #[test]
-    fn subscribers_see_every_publish_in_order() {
-        use std::sync::Mutex as StdMutex;
-        let s = SnapshotStore::new();
-        let seen = Arc::new(StdMutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        s.subscribe(Box::new(move |gen| sink.lock().unwrap().push(gen)));
-        s.publish(Vec::new());
-        s.publish(Vec::new());
-        assert_eq!(*seen.lock().unwrap(), vec![2, 3]);
     }
 
     #[test]

@@ -159,8 +159,9 @@ impl Tracer {
 
     /// Like [`Tracer::record_check`], additionally folding the guarded
     /// `[addr, addr + size)` span into the site's observed address
-    /// envelope — the input the profile-directed promotion tier uses to
-    /// map a hot site onto its policy region.
+    /// envelope. For an interpreted module's site the envelope is what
+    /// `Kernel::promote_hot` maps onto the region that grants it; a
+    /// native driver site's envelope is only kept in its profile.
     #[inline]
     pub fn record_check_at(&self, site: SiteId, ns: u64, denied: bool, addr: u64, size: u64) {
         if !self.enabled() {

@@ -418,10 +418,11 @@ impl TierCell {
 ///
 /// The optional *promoted tier* holds re-lowered copies of hot
 /// functions whose guard ops carry inlined bounds. It lives behind an
-/// [`ArcSwap`] so the promotion pass can publish (and epoch bumps can
-/// invalidate) without locking executors, next to a never-reused id
+/// [`ArcSwap`] so the promotion pass can publish (or drop) it without
+/// locking executors, next to a never-reused id
 /// ([`CompiledModule::tier_id`]) executors key a kept tier by; clones
-/// of the module share one tier.
+/// of the module share one tier. Policy publishes never touch it: its
+/// generation, epoch and namespace tags make a stale tier deopt.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// The module's name (used for policy lookup and diagnostics).
@@ -541,9 +542,10 @@ impl CompiledModule {
     }
 
     /// The current promoted tier (the empty tier when nothing is
-    /// promoted). A publish or invalidation after an executor loaded it
-    /// reaches the executor's next call, and until then the tier's
-    /// generation and epoch tags make its inline guards deopt.
+    /// promoted). A promotion or invalidation after an executor loaded
+    /// it reaches the executor's next call; a policy publish reaches no
+    /// tier, whose generation and epoch tags make its inline guards
+    /// deopt.
     pub fn promoted_tier(&self) -> Arc<PromotedTier> {
         self.promoted.tier.load_full()
     }
@@ -587,11 +589,10 @@ impl CompiledModule {
     }
 
     /// Atomically drop the promoted tier: every subsequent
-    /// [`CompiledModule::promoted_tier`] load sees the empty tier. Used
-    /// on epoch bumps / policy replacement so no executor can admit
-    /// against a stale bound; a call that loaded the tier earlier keeps
-    /// running it, and its inline guards deopt per op via the
-    /// generation check.
+    /// [`CompiledModule::promoted_tier`] load sees the empty tier. The
+    /// kernel's promotion sweep uses it on a stale tier it can bake
+    /// nothing for; a call that loaded the tier earlier keeps running
+    /// it, and its inline guards deopt per op via the tag checks.
     pub fn invalidate_promotions(&self) {
         self.promoted.publish(PromotedTier::default());
     }

@@ -447,8 +447,8 @@ fn jit_figure_shape_and_promotion_audits() {
     // and ring/frame/@stats/TDT bytes across general and promoted,
     // every steady-state guard answered inline with zero deopts, the
     // traced promoted pass (every guard still inline, zero deopts,
-    // per-site hits equal to a traced bytecode pass), atomic drop on
-    // epoch bump with
+    // per-site hits equal to a traced bytecode pass), a stale tier
+    // after an epoch bump (every bound guard deopts) with
     // re-promotion via tick() — are asserted unconditionally inside
     // jit() on every run. Here we pin the figure's shape and headline
     // arithmetic.

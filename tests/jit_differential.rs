@@ -385,8 +385,8 @@ fn stale_generation_promotion_deopts_every_guard() {
     let buf = kernel.kmalloc(8 * 8).expect("buf");
 
     // Profile, then install the promotion by hand with a generation the
-    // snapshot store never published (simulating a promote/publish race
-    // the subscription-based invalidation lost).
+    // snapshot store never published (a promote racing a publish: the
+    // tags are the tier's only invalidation).
     kernel.tracer().set_enabled(true);
     {
         let mut interp = Interp::new(&mut kernel).expect("interp");
@@ -788,7 +788,8 @@ fn mid_call_run(act: MidCall, k: u64, engine: Engine) -> MidCallRun {
 /// policy-counter deltas and touched bytes; dropping the `@stats` grant
 /// mid-call makes the next `@stats` guard deny on every engine. Nothing
 /// drains mid-call, `policy.checks == stats.guards` after it, and the
-/// next call admits nothing inline until `tick()` re-promotes.
+/// next call admits nothing inline — the tier stays installed but stale,
+/// so every inline guard deopts — until `tick()` re-promotes.
 #[test]
 fn mid_call_publish_deopts_every_later_inline_guard() {
     for act in [
@@ -829,15 +830,10 @@ fn mid_call_publish_deopts_every_later_inline_guard() {
                 assert_eq!((denied, squashed), (0, 0), "{ctx}");
             }
 
-            // The next call admits nothing inline: a publish dropped the
-            // tier; a revocation left it installed but stale, so every
+            // The next call admits nothing inline: a publish or a
+            // revocation leaves the tier installed but stale, so every
             // inline guard deopts.
-            let next_deopts = if act == MidCall::BumpRevocation {
-                guards
-            } else {
-                0
-            };
-            assert_eq!(jit.next, (0, next_deopts, guards), "{ctx}: next call");
+            assert_eq!(jit.next, (0, guards, guards), "{ctx}: next call");
             // tick() re-promotes every site a grant still covers.
             assert_eq!(
                 jit.repromoted,
@@ -1032,10 +1028,9 @@ fn shared_store_swap_between_calls_governs_the_next_call() {
 
 /// What changes the promoted tier between two calls on one long-lived
 /// interpreter reaches the next call: a `tick()` that promotes makes it
-/// admit inline; a publish from another thread drops the tier, so the
-/// next call admits nothing inline and deopts nothing, and a guard the
-/// new rules deny is denied; a revocation from another thread leaves
-/// the tier installed and stale, so every guard deopts.
+/// admit inline; a publish or a revocation from another thread leaves
+/// the tier installed and stale, so every inline guard deopts, and a
+/// guard the new rules deny is denied.
 #[test]
 fn tier_changes_between_calls_govern_the_next_call() {
     let mut x = boot_profiled(ViolationAction::LogAndDeny);
@@ -1071,8 +1066,8 @@ fn tier_changes_between_calls_govern_the_next_call() {
     elsewhere(move || pm.bump_epoch());
     assert_eq!(
         call(&mut interp),
-        (0, 0, 0, 0),
-        "bump_epoch dropped the tier"
+        (0, 10, 0, 0),
+        "bump_epoch stales the tier"
     );
     assert_eq!(interp.kernel().tick(), 10);
     assert_eq!(call(&mut interp), (10, 0, 0, 0), "re-promoted");
@@ -1082,7 +1077,7 @@ fn tier_changes_between_calls_govern_the_next_call() {
     let (pm, rules) = (Arc::clone(&policy), b.grants(false));
     elsewhere(move || pm.replace_regions(rules).expect("reload"));
     let (admits, deopts, denied, squashed) = call(&mut interp);
-    assert_eq!((admits, deopts), (0, 0), "the reload dropped the tier");
+    assert_eq!((admits, deopts), (0, 10), "the reload stales the tier");
     assert!(denied > 0 && squashed == denied, "{denied}/{squashed}");
     assert_eq!(interp.kernel().tick(), 10 - denied as usize);
 
@@ -1096,9 +1091,9 @@ fn tier_changes_between_calls_govern_the_next_call() {
 }
 
 /// After a swap through the shared store, `tick()` bakes the tier from
-/// the policy that now governs and subscribes to that policy: its next
-/// publish drops the tier, so the call after admits nothing inline and
-/// deopts nothing.
+/// the policy that now governs: that policy's next publish stales the
+/// tier, so the call after admits nothing inline and deopts every
+/// inline guard.
 #[test]
 fn tick_after_a_shared_store_swap_follows_the_new_policy() {
     let mut x = boot_xmit(ViolationAction::LogAndDeny);
@@ -1134,7 +1129,7 @@ fn tick_after_a_shared_store_swap_follows_the_new_policy() {
     elsewhere(move || o.bump_epoch());
     assert_eq!(
         call(&mut interp),
-        (0, 0, 10),
-        "its publish dropped the tier"
+        (0, 10, 10),
+        "its publish stales the tier"
     );
 }

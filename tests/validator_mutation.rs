@@ -13,6 +13,13 @@
 //! The corrupt containers are re-signed with the kernel-trusted key, so
 //! every rejection here is attributable to the validator re-deriving the
 //! optimizer's claims — not to MAC or key checks.
+//!
+//! The second half audits the other translation the kernel trusts: the
+//! bounds `Kernel::promote_hot` bakes. A forged, stale or wrong-site
+//! bound is refused (KA009–KA011), an `inline` claim is refused at the
+//! container boundary, the optimized module promotes and runs inline,
+//! the bake picks the region that grants the site, and promotion leaves
+//! no hook behind across restarts and policy swaps.
 
 use std::sync::Arc;
 
@@ -279,241 +286,332 @@ fn obligation_for_still_missing_guard_is_rejected_ka001() {
 }
 
 // ---------------------------------------------------------------------
-// Inline-bounds (promoted container) mutations: the profile-directed
-// tier bakes a grant's `[lo, hi)` into the ledger as an `inline`
-// obligation citing the snapshot generation it was lifted from. The
-// validator treats the immediates as a *claim* and recomputes them from
-// the grant oracle (the policy's retained snapshot history), so a
-// forged bound (KA009), a stale citation (KA010), and a bound lifted
-// from another site's grant (KA011) are each refused — at the signing
-// boundary (`verify_with_grants`) and again at insmod.
+// Promotion. `Kernel::promote_hot` bakes the region that grants each hot
+// guard site into its guard op and, before it installs the tier, audits
+// what it baked against the snapshot it pinned (`audit_baked_bounds`):
+// a forged bound (KA009), a stale citation (KA010) and a bound lifted
+// from another region (KA011) are each refused. A baked bound is a
+// kernel-internal record: a signed container that claims one is
+// malformed, fails verification and does not load.
 // ---------------------------------------------------------------------
 
+use carat_kop::analysis::{audit_baked_bounds, BakedBound, InstRef};
 use carat_kop::core::{Protection, Region, Size, VAddr};
+use carat_kop::interp::{Engine, ExecStats, Interp};
 
 /// Region A: where the hot site's profiled envelope actually lives.
 const GRANT_A: (u64, u64) = (0x1000, 0x2000);
-/// Region B: a different, real grant of the same generation — the
+/// Region B: a different, real region of the same snapshot — the
 /// wrong-site forgery bakes this bound.
 const GRANT_B: (u64, u64) = (0x8000, 0x9000);
+/// Generation of the pinned snapshot the bounds below are audited
+/// against.
+const GEN: u64 = 5;
 
-/// Boot a static-verification kernel over a policy holding grants A and
-/// B, and return the kernel plus the shared policy and its generation.
-fn promoted_kernel() -> (Kernel, Arc<PolicyModule>, u64) {
-    let pm = Arc::new(PolicyModule::new());
-    let kernel = Kernel::boot(
-        Arc::clone(&pm),
-        vec![trusted_key()],
-        KernelConfig {
-            verification: Verification::Static,
-            ..KernelConfig::default()
-        },
-    );
-    for (lo, hi) in [GRANT_A, GRANT_B] {
-        pm.add_region(Region::new(VAddr(lo), Size(hi - lo), Protection::READ_WRITE).unwrap())
-            .unwrap();
-    }
-    let gen = pm.store_generation();
-    (kernel, pm, gen)
-}
-
-/// The `block#index` citation of the first guard call in `@walk`.
-fn first_guard_ref(ir: &Module) -> String {
+/// The honest bound for the first guard of the optimized `@walk`, whose
+/// envelope lies in region A.
+fn honest_bound(ir: &Module) -> BakedBound {
     let f = ir.function("walk").unwrap();
-    f.blocks
+    let guard = f
+        .blocks
         .iter()
         .find_map(|b| {
-            b.insts
-                .iter()
-                .position(|&iid| {
-                    matches!(f.inst(iid), Inst::Call { callee, args, .. }
-                        if callee == "carat_guard" && args.len() == 3)
-                })
-                .map(|i| format!("{}#{i}", b.name))
+            let index = b.insts.iter().position(|&iid| {
+                matches!(f.inst(iid), Inst::Call { callee, args, .. }
+                    if callee == "carat_guard" && args.len() == 3)
+            })?;
+            Some(InstRef {
+                block: b.name.clone(),
+                index,
+            })
         })
-        .expect("optimized build keeps at least one guard")
+        .expect("optimized build keeps at least one guard");
+    BakedBound {
+        function: "walk".into(),
+        guard,
+        lo: GRANT_A.0,
+        hi: GRANT_A.1,
+        perm: Protection::READ_WRITE.granted().raw(),
+        gen: GEN,
+        env_lo: 0x1200,
+        env_hi: 0x1260,
+    }
 }
 
-/// Re-sign the honest optimized container with one `inline` obligation
-/// appended (upgrading the ledger header to v2) — the container shape
-/// `Kernel::promote_hot` attests, built by hand so each field can be
-/// forged independently.
-fn resign_with_inline(
-    signed: &SignedModule,
-    ir: &Module,
-    guard: &str,
-    lo: u64,
-    hi: u64,
-    gen: u64,
-    env: (u64, u64),
-) -> SignedModule {
-    let base = signed
-        .attestation
-        .obligations
-        .replace(ObligationLedger::HEADER, ObligationLedger::HEADER_V2);
-    let forged = format!(
-        "{}inline fn=walk guard={guard} lo={lo} hi={hi} flags=3 gen={gen} elo={} ehi={}\n",
-        base, env.0, env.1,
-    );
-    let mut attestation = signed.attestation.clone();
-    attestation.obligations = forged;
-    attestation.inline_obligations = 1;
-    SignedModule::sign(ir, attestation, &trusted_key())
-}
-
-/// Assert the promoted container is rejected by the grant-aware signing
-/// check and by insmod, both naming `code_tag`.
-fn assert_inline_rejected(signed: &SignedModule, pm: &Arc<PolicyModule>, code_tag: &str) {
-    let grants = |g: u64| pm.regions_at(g);
-    let err = signed
-        .verify_with_grants(&[trusted_key()], Some(&grants))
-        .unwrap_err();
-    let SigningError::AttestationMismatch(msg) = err else {
-        panic!("expected AttestationMismatch, got {err:?}");
-    };
-    assert!(msg.contains(code_tag), "{code_tag} missing from: {msg}");
-
-    let (mut kernel, _, _) = promoted_kernel_with(pm);
-    let err = kernel.insmod(signed).unwrap_err();
-    let KernelError::StaticVerification(msg) = err else {
-        panic!("expected StaticVerification, got {err:?}");
-    };
-    assert!(msg.contains(code_tag), "{code_tag} missing from: {msg}");
-}
-
-/// Boot a fresh static kernel over an *existing* policy (so the forged
-/// container faces the same grant history the oracle answered from).
-fn promoted_kernel_with(pm: &Arc<PolicyModule>) -> (Kernel, Arc<PolicyModule>, u64) {
-    let kernel = Kernel::boot(
-        Arc::clone(pm),
-        vec![trusted_key()],
-        KernelConfig {
-            verification: Verification::Static,
-            ..KernelConfig::default()
-        },
-    );
-    let gen = pm.store_generation();
-    (kernel, Arc::clone(pm), gen)
+/// The finding codes of auditing `bound` against the snapshot {A, B} at
+/// [`GEN`].
+fn audit(ir: &Module, bound: BakedBound) -> Vec<String> {
+    let regions = [GRANT_A, GRANT_B]
+        .map(|(lo, hi)| Region::new(VAddr(lo), Size(hi - lo), Protection::READ_WRITE).unwrap());
+    let report = audit_baked_bounds(ir, &[bound], GEN, &regions);
+    report.errors().map(|d| d.code.code().to_string()).collect()
 }
 
 #[test]
-fn honest_promoted_container_passes_with_a_grant_oracle() {
-    let (mut kernel, pm, gen) = promoted_kernel();
-    let (signed, ir) = optimized_build();
-    let guard = first_guard_ref(&ir);
-    let honest = resign_with_inline(
-        &signed,
-        &ir,
-        &guard,
-        GRANT_A.0,
-        GRANT_A.1,
-        gen,
-        (0x1200, 0x1260),
-    );
-
-    // Without the oracle the citation is unverifiable — the signing
-    // boundary refuses rather than trusting the immediates (KA010).
-    let err = honest.verify(&[trusted_key()]).unwrap_err();
-    let SigningError::AttestationMismatch(msg) = err else {
-        panic!("expected AttestationMismatch, got {err:?}");
-    };
-    assert!(msg.contains("KA010"), "got: {msg}");
-
-    // With it, the bound is re-derived and the container is accepted at
-    // both enforcement points.
-    let grants = |g: u64| pm.regions_at(g);
-    honest
-        .verify_with_grants(&[trusted_key()], Some(&grants))
-        .unwrap();
-    kernel.insmod(&honest).unwrap();
+fn honest_baked_bounds_pass_the_pinned_snapshot_audit() {
+    let (_, ir) = optimized_build();
+    assert_eq!(audit(&ir, honest_bound(&ir)), Vec::<String>::new());
 }
 
 #[test]
 fn forged_inline_bound_is_rejected_ka009() {
-    // The baked interval is widened past the real grant: it equals no
-    // region generation `gen` ever held, so the recomputation refuses.
-    let (_, pm, gen) = promoted_kernel();
-    let (signed, ir) = optimized_build();
-    let guard = first_guard_ref(&ir);
-    let corrupt = resign_with_inline(
-        &signed,
-        &ir,
-        &guard,
-        GRANT_A.0,
-        GRANT_A.1 + 0x100,
-        gen,
-        (0x1200, 0x1260),
-    );
-    assert_inline_rejected(&corrupt, &pm, "KA009");
+    // The baked interval is widened past the real region: it equals no
+    // region of the pinned snapshot.
+    let (_, ir) = optimized_build();
+    let forged = BakedBound {
+        hi: GRANT_A.1 + 0x100,
+        ..honest_bound(&ir)
+    };
+    assert_eq!(audit(&ir, forged), ["KA009"]);
 }
 
 #[test]
 fn stale_generation_citation_is_rejected_ka010() {
-    // The citation names a generation the snapshot history never
-    // retained — a bound the validator cannot recompute is a bound the
-    // kernel does not trust, even though the immediates happen to match
-    // a real current grant.
-    let (_, pm, gen) = promoted_kernel();
-    let (signed, ir) = optimized_build();
-    let guard = first_guard_ref(&ir);
-    let corrupt = resign_with_inline(
-        &signed,
-        &ir,
-        &guard,
-        GRANT_A.0,
-        GRANT_A.1,
-        gen + 1_000,
-        (0x1200, 0x1260),
-    );
-    assert_inline_rejected(&corrupt, &pm, "KA010");
+    // The immediates match the granting region, but the bound cites a
+    // generation other than the snapshot's: it cannot be checked against
+    // what it claims, so it is not trusted.
+    let (_, ir) = optimized_build();
+    let stale = BakedBound {
+        gen: GEN + 1_000,
+        ..honest_bound(&ir)
+    };
+    assert_eq!(audit(&ir, stale), ["KA010"]);
 }
 
 #[test]
 fn wrong_site_bound_is_rejected_ka011() {
-    // The immediates are lifted from grant B — a real region of the
-    // cited generation — while the site's profiled envelope lives in
-    // grant A. The bound does not cover the envelope, so admitting with
-    // it would answer for the wrong site.
-    let (_, pm, gen) = promoted_kernel();
-    let (signed, ir) = optimized_build();
-    let guard = first_guard_ref(&ir);
-    let corrupt = resign_with_inline(
-        &signed,
-        &ir,
-        &guard,
-        GRANT_B.0,
-        GRANT_B.1,
-        gen,
-        (0x1200, 0x1260),
-    );
-    assert_inline_rejected(&corrupt, &pm, "KA011");
+    // The immediates are region B's — a real region of the snapshot —
+    // while the site's profiled envelope lives in region A.
+    let (_, ir) = optimized_build();
+    let wrong = BakedBound {
+        lo: GRANT_B.0,
+        hi: GRANT_B.1,
+        env_lo: GRANT_B.0 + 0x200,
+        env_hi: GRANT_B.0 + 0x260,
+        ..honest_bound(&ir)
+    };
+    assert_eq!(audit(&ir, wrong.clone()), Vec::<String>::new());
+    let wrong = BakedBound {
+        env_lo: 0x1200,
+        env_hi: 0x1260,
+        ..wrong
+    };
+    assert_eq!(audit(&ir, wrong), ["KA011"]);
 }
 
 #[test]
-fn inline_count_mismatch_is_rejected_at_signing() {
-    // The v6 attestation binds the inline-obligation count; a ledger
-    // that grew an inline claim the count does not admit is refused
-    // before any validation replay.
-    let (_, pm, gen) = promoted_kernel();
-    let (signed, ir) = optimized_build();
-    let guard = first_guard_ref(&ir);
-    let mut forged = resign_with_inline(
-        &signed,
-        &ir,
-        &guard,
-        GRANT_A.0,
-        GRANT_A.1,
-        gen,
-        (0x1200, 0x1260),
+fn inline_claims_are_refused_at_the_container_boundary() {
+    let (honest, ir) = optimized_build();
+    assert!(honest.attestation.guards_covered);
+    let guard = honest_bound(&ir).guard;
+    let inline = format!("inline fn=walk guard={guard} lo=4096 hi=8192 flags=3 gen=1 elo=0 ehi=8");
+    let claims = [
+        honest
+            .attestation
+            .obligations
+            .replacen(ObligationLedger::HEADER, "obligations-v2", 1),
+        format!("{}{inline}\n", honest.attestation.obligations),
+    ];
+    for obligations in claims {
+        let forged = resign_with_ledger(&honest, &ir, obligations.clone());
+        let err = SignedModule::from_bytes(&forged.to_bytes()).unwrap_err();
+        assert!(
+            matches!(err, SigningError::Malformed(_)),
+            "{obligations}: {err:?}"
+        );
+        let err = forged.verify(&[trusted_key()]).unwrap_err();
+        let SigningError::AttestationMismatch(msg) = err else {
+            panic!("expected AttestationMismatch, got {err:?}");
+        };
+        assert!(
+            msg.contains("obligation ledger invalid: ledger line"),
+            "{msg}"
+        );
+        for verification in [Verification::Static, Verification::SignatureAndStatic] {
+            let mut kernel = Kernel::boot(
+                Arc::new(PolicyModule::new()),
+                vec![trusted_key()],
+                KernelConfig {
+                    verification,
+                    ..KernelConfig::default()
+                },
+            );
+            assert!(kernel.insmod(&forged).is_err(), "{verification:?}");
+            assert!(kernel.modules().is_empty(), "{verification:?}");
+            assert_eq!(kernel.tracer().site_count(), 0, "no site track");
+            // No reservation either: the name loads again.
+            kernel.insmod(&honest).expect("the honest container loads");
+        }
+    }
+}
+
+/// One `@walk` call's result, stats and final `@g`.
+type Observed = (Result<Option<u64>, String>, ExecStats, u64);
+
+/// Elements `@walk` reads.
+const N: u64 = 16;
+
+/// A kernel over a table policy with `rules` (each laid over the walk
+/// buffer and over `@g`, in order), `@walk` built with `options` and
+/// loaded under `verification`, and its buffer filled.
+struct Walk {
+    kernel: Kernel,
+    signed: SignedModule,
+    buf: VAddr,
+    g: VAddr,
+}
+
+impl Walk {
+    fn boot(options: &CompileOptions, verification: Verification, rules: &[Protection]) -> Walk {
+        let signed = compile_module(parse_module(SRC).unwrap(), options, &trusted_key())
+            .unwrap()
+            .signed;
+        let policy = Arc::new(PolicyModule::new());
+        let config = KernelConfig {
+            verification,
+            hot_threshold: 1,
+            ..KernelConfig::default()
+        };
+        let mut kernel = Kernel::boot(Arc::clone(&policy), vec![trusted_key()], config);
+        kernel.insmod(&signed).expect("loads");
+        let g = kernel.module("mut").unwrap().globals()["g"];
+        let buf = kernel.kmalloc(N * 8).unwrap();
+        for i in 0..N {
+            kernel
+                .mem
+                .write_uint(VAddr(buf.raw() + 8 * i), Size(8), 100 + i)
+                .unwrap();
+        }
+        for (k, &prot) in rules.iter().enumerate() {
+            // Earlier rules reach further down, so no two share a base.
+            let pad = 0x40 * (rules.len() - 1 - k) as u64;
+            for (base, len) in [(buf, N * 8), (g, 8)] {
+                let region = Region::new(VAddr(base.raw() - pad), Size(len + pad), prot).unwrap();
+                policy.add_region(region).unwrap();
+            }
+        }
+        Walk {
+            kernel,
+            signed,
+            buf,
+            g,
+        }
+    }
+
+    /// One `@walk` call on `engine` from `@g = 7`: its observables, and
+    /// its `(inline admits, deopts)`.
+    fn call(&mut self, engine: Engine) -> (Observed, (u64, u64)) {
+        self.kernel.mem.write_uint(self.g, Size(8), 7).unwrap();
+        let (buf, g) = (self.buf.raw(), self.g);
+        let mut interp = Interp::new(&mut self.kernel).unwrap();
+        interp.set_engine(engine);
+        let result = interp
+            .call("mut", "walk", &[buf, N])
+            .map_err(|e| e.to_string());
+        let inline = (interp.inline_admits(), interp.inline_deopts());
+        let stats = interp.stats();
+        drop(interp);
+        let after = self.kernel.mem.read_uint(g, Size(8)).unwrap();
+        ((result, stats, after), inline)
+    }
+
+    /// Profile one call on the general path, then promote every site.
+    fn promote(&mut self) -> Result<usize, KernelError> {
+        self.kernel.tracer().set_enabled(true);
+        let ((profiled, _, _), _) = self.call(Engine::Bytecode);
+        self.kernel.tracer().set_enabled(false);
+        assert!(profiled.is_ok(), "{profiled:?}");
+        self.kernel.promote_hot("mut", 1)
+    }
+
+    fn compiled(&self) -> carat_kop::vm::CompiledModule {
+        self.kernel.module("mut").unwrap().image().compiled.clone()
+    }
+}
+
+/// Promotes `walk` and runs it promoted: every guard inline, nothing
+/// deopts, and the call is observably the bytecode call.
+fn promotes_and_runs_inline(mut walk: Walk, ctx: &str) {
+    let n = walk.promote().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert!(n > 0, "{ctx}");
+    let (general, _) = walk.call(Engine::Bytecode);
+    let (promoted, (admits, deopts)) = walk.call(Engine::Promoted);
+    assert_eq!(promoted, general, "{ctx}: promoted vs bytecode");
+    assert!(general.0.is_ok(), "{ctx}: {:?}", general.0);
+    assert_eq!((admits, deopts), (general.1.guards, 0), "{ctx}");
+}
+
+#[test]
+fn optimized_walk_promotes_and_runs_inline() {
+    // The tier's audit checks only the bounds it baked: the range guard
+    // and the elisions insmod proved do not make it replay coverage.
+    for verification in [Verification::Signature, Verification::SignatureAndStatic] {
+        let walk = Walk::boot(
+            &CompileOptions::optimized(),
+            verification,
+            &[Protection::READ_WRITE],
+        );
+        promotes_and_runs_inline(walk, &format!("{verification:?}"));
+    }
+}
+
+#[test]
+fn promotion_bakes_the_region_that_grants_the_site() {
+    // Overlapping table rules: a rule ahead of the read-write one that
+    // grants nothing, or only reads. The policy admits every access on
+    // the read-write rule, and so must every baked bound.
+    for first in [Protection::NONE, Protection::READ_ONLY] {
+        let walk = Walk::boot(
+            &CompileOptions::carat_kop(),
+            Verification::Signature,
+            &[first, Protection::READ_WRITE],
+        );
+        promotes_and_runs_inline(walk, &format!("{first:?} ahead of READ_WRITE"));
+    }
+}
+
+#[test]
+fn promotion_cycles_leave_no_hook_behind() {
+    let mut walk = Walk::boot(
+        &CompileOptions::carat_kop(),
+        Verification::Signature,
+        &[Protection::READ_WRITE],
     );
-    forged.attestation.inline_obligations = 0;
-    let forged = SignedModule::sign(&ir, forged.attestation, &trusted_key());
-    let grants = |g: u64| pm.regions_at(g);
-    let err = forged
-        .verify_with_grants(&[trusted_key()], Some(&grants))
-        .unwrap_err();
-    let SigningError::AttestationMismatch(msg) = err else {
-        panic!("expected AttestationMismatch, got {err:?}");
-    };
-    assert!(msg.contains("inline obligation count"), "got: {msg}");
+    assert!(walk.promote().unwrap() > 0);
+    let global = Arc::clone(walk.kernel.policy());
+    for _ in 0..5 {
+        let (image, layout) = {
+            let m = walk.kernel.module("mut").unwrap();
+            (Arc::clone(m.image()), m.layout())
+        };
+        walk.kernel.rmmod("mut").unwrap();
+        let signed = walk.signed.clone();
+        walk.kernel
+            .restart_module(&signed, &image, &layout)
+            .unwrap();
+        assert!(walk.kernel.promote_hot("mut", 1).unwrap() > 0);
+    }
+    for _ in 0..5 {
+        let own = Arc::new(PolicyModule::new());
+        own.replace_regions(global.regions()).unwrap();
+        walk.kernel.set_module_policy("mut", own);
+        assert!(walk.kernel.promote_hot("mut", 1).unwrap() > 0);
+        assert!(walk.kernel.clear_module_policy("mut"));
+        assert!(walk.kernel.promote_hot("mut", 1).unwrap() > 0);
+    }
+    let ((_, stats, _), (admits, _)) = walk.call(Engine::Promoted);
+    assert_eq!(admits, stats.guards, "the tier answers every guard");
+
+    // A publish calls nobody back: the tier stays installed and stale.
+    let compiled = walk.compiled();
+    let (id, gen) = (compiled.tier_id(), compiled.promoted_generation());
+    global.bump_epoch();
+    assert_eq!(compiled.tier_id(), id, "the publish moved no tier");
+    let ((_, stats, _), inline) = walk.call(Engine::Promoted);
+    assert_eq!(inline, (0, stats.guards), "every bound guard deopts");
+    assert!(walk.kernel.tick() > 0);
+    assert_eq!(compiled.promoted_generation(), global.store_generation());
+    assert!(compiled.promoted_generation() > gen);
+    let ((_, stats, _), inline) = walk.call(Engine::Promoted);
+    assert_eq!(inline, (stats.guards, 0), "re-baked at the new generation");
 }
