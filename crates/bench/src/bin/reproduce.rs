@@ -10,9 +10,12 @@
 //! The figure names are those of [`kop_bench::figures::FIGURES`]; an
 //! unknown name prints them and exits 2. Every figure is also written as
 //! machine-readable `BENCH_<id>.json` (into `--out DIR` when given, else
-//! the current directory).
+//! the current directory) as soon as its generator returns. A generator
+//! that panics (a failed gate or assert) does not stop the run: the
+//! others still run and write their figures, and the process then names
+//! every figure that panicked and exits 1.
 
-use kop_bench::figures;
+use kop_bench::figures::{self, FigureData};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,9 +34,9 @@ fn main() {
         .find(|&i| !args[i].starts_with("--") && (i == 0 || args[i - 1] != "--out"))
         .map_or("all", |i| args[i].as_str());
 
-    let figs = match figures::FIGURES.iter().find(|(name, _)| *name == what) {
-        Some((_, generate)) => generate(),
-        None if what == "all" => figures::all_figures(),
+    let generators: Vec<_> = match figures::FIGURES.iter().find(|(name, _)| *name == what) {
+        Some(one) => vec![one],
+        None if what == "all" => figures::FIGURES.iter().collect(),
         None => {
             let names: Vec<&str> = figures::FIGURES.iter().map(|(name, _)| *name).collect();
             eprintln!("unknown experiment '{what}'");
@@ -49,20 +52,37 @@ fn main() {
     if out_dir.is_some() {
         std::fs::create_dir_all(dir).expect("create --out directory");
     }
-    for fig in figs {
-        if csv {
-            print!("{}", fig.render_csv());
-        } else {
-            println!("{}", fig.render_text());
+    let mut failed = Vec::new();
+    for (name, generate) in generators {
+        // The panic hook has already printed the failing gate's message.
+        match std::panic::catch_unwind(generate) {
+            Ok(figs) => figs
+                .iter()
+                .for_each(|fig| write(fig, csv, out_dir.is_some(), dir)),
+            Err(_) => failed.push(*name),
         }
-        if out_dir.is_some() {
-            let path = dir.join(format!("{}.csv", fig.id));
-            std::fs::write(&path, fig.render_csv()).expect("write figure CSV");
-            eprintln!("wrote {}", path.display());
-        }
-        // Machine-readable results for CI consumers and dashboards.
-        let path = dir.join(format!("BENCH_{}.json", fig.id));
-        std::fs::write(&path, fig.render_json()).expect("write BENCH json");
+    }
+    if !failed.is_empty() {
+        eprintln!("reproduce: figure(s) failed: {}", failed.join(", "));
+        std::process::exit(1);
+    }
+}
+
+/// Render `fig` to stdout and write its files into `dir`: the CSV when
+/// `--out` was given, and `BENCH_<id>.json` always.
+fn write(fig: &FigureData, csv: bool, csv_file: bool, dir: &std::path::Path) {
+    if csv {
+        print!("{}", fig.render_csv());
+    } else {
+        println!("{}", fig.render_text());
+    }
+    if csv_file {
+        let path = dir.join(format!("{}.csv", fig.id));
+        std::fs::write(&path, fig.render_csv()).expect("write figure CSV");
         eprintln!("wrote {}", path.display());
     }
+    // Machine-readable results for CI consumers and dashboards.
+    let path = dir.join(format!("BENCH_{}.json", fig.id));
+    std::fs::write(&path, fig.render_json()).expect("write BENCH json");
+    eprintln!("wrote {}", path.display());
 }

@@ -25,9 +25,9 @@ use super::{FigureData, Series};
 ///    throughput at a 256-module registry ≥ 0.8× the 1-module rate,
 ///    with exact per-tenant guard-call reconciliation.
 /// 3. **Fleet-wide upgrade storm** — ruleset churn across every
-///    tenant, live re-registrations (fresh namespace ids), and a
-///    fleet revocation mid-load: zero stale-grant admits, exact
-///    ledger accounting, namespace ids never reused.
+///    tenant, live re-registrations (fresh namespace ids), and an epoch
+///    bump of the forwarding tenant's policy mid-load: zero stale-grant
+///    admits, exact ledger accounting, namespace ids never reused.
 /// 4. **Concurrent insmod storm** — 64 modules staged on worker
 ///    threads through [`kop_kernel::ModuleStager`] while the guard
 ///    check path runs: checks never stall (bounded p99), and all 64
@@ -328,24 +328,24 @@ pub fn fleet() -> FigureData {
         // object stays the governing one throughout.
         let pm = ns.resolve("tenant0");
         let ruleset = pm.regions();
-        let revoke_epoch = AtomicU64::new(u64::MAX);
+        let swap_gen = AtomicU64::new(u64::MAX);
         let chunks = if quick() { 6u64 } else { 16 };
         let per_chunk = if quick() { 60u64 } else { 150 };
         let churns = if quick() { 40u64 } else { 200 };
 
         let ((forwarded, stale), regs) = std::thread::scope(|s| {
-            // Stale-grant discipline: once the fleet revocation is
-            // published, every admit must observe the new revocation
-            // epoch.
+            // Stale-grant discipline: once the closing epoch bump is
+            // published, every admit must observe a policy generation at
+            // or beyond it.
             let worker = s.spawn(|| {
                 chunked_forward(&pm, 13_131, flows, (chunks, per_chunk, budget), || {
-                    let re = revoke_epoch.load(AO::SeqCst);
-                    re != u64::MAX && pm.revocation_epoch() < re
+                    let sg = swap_gen.load(AO::SeqCst);
+                    sg != u64::MAX && pm.store_generation() < sg
                 })
             });
             // The storm, concurrent with forwarding: churn every
             // tenant's ruleset, live-upgrade a rotating tenant to a
-            // fresh namespace id, then revoke the whole fleet.
+            // fresh namespace id, then bump tenant0's epoch.
             let mut regs = 0u64;
             for c in 0..churns {
                 for t in 0..fleet {
@@ -363,17 +363,10 @@ pub fn fleet() -> FigureData {
                 assert!(new_ns > old_ns, "namespace ids are never reused");
                 regs += 1;
             }
-            let bumped = ns.revoke_all();
-            assert_eq!(
-                bumped,
-                fleet + 1,
-                "every tenant plus the global policy bumped"
-            );
-            revoke_epoch.store(pm.revocation_epoch(), AO::SeqCst);
+            swap_gen.store(pm.bump_epoch(), AO::SeqCst);
             (worker.join().expect("storm worker"), regs)
         });
         assert_eq!(ns.len(), fleet, "upgrades replace, never accumulate");
-        assert_eq!(ns.revocation_count(), 1);
         assert_eq!(
             stale, 0,
             "zero stale-grant admits across the fleet-wide upgrade storm"
@@ -523,7 +516,7 @@ pub fn fleet() -> FigureData {
         "mq fleet: {mq_queues} queues over per-tenant namespaces; 256-module aggregate rate {fleet_ratio:.2}x of 1-module (assert >= 0.8x, quick multi-core runs)"
     ));
     notes.push(format!(
-        "upgrade storm: 16 tenants churned, {storm_registrations} live re-registrations (ids strictly monotone), fleet revocation mid-load -> {storm_stale} stale admits (asserted zero)"
+        "upgrade storm: 16 tenants churned, {storm_registrations} live re-registrations (ids strictly monotone), epoch bump mid-load -> {storm_stale} stale admits (asserted zero)"
     ));
 
     FigureData {

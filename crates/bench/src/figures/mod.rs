@@ -61,7 +61,8 @@ pub use data::{set_quick, FigureData, Series};
 /// `resilience`, which yields two.
 pub type Generator = fn() -> Vec<FigureData>;
 
-/// Every figure by the name `reproduce` takes, in report order.
+/// Every figure by the name `reproduce` takes, in report order
+/// (`reproduce all` runs them all).
 pub const FIGURES: &[(&str, Generator)] = &[
     ("fig3", || vec![fig3()]),
     ("fig4", || vec![fig4()]),
@@ -82,11 +83,3 @@ pub const FIGURES: &[(&str, Generator)] = &[
     ("forward", || vec![forward()]),
     ("fleet", || vec![fleet()]),
 ];
-
-/// Run every generator in [`FIGURES`] (the `reproduce all` path).
-pub fn all_figures() -> Vec<FigureData> {
-    FIGURES
-        .iter()
-        .flat_map(|(_, generate)| generate())
-        .collect()
-}

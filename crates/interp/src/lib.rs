@@ -63,10 +63,10 @@ pub enum Engine {
     /// governs the next call and one published mid-call reaches the call
     /// after. The tier runs only when the call's policy has the namespace
     /// id it was baked from; otherwise the call runs the general
-    /// bytecode. A policy publish or revocation moves no tier: a promoted
-    /// guard compares its baked generation and epoch with the live
-    /// policy per op, and one that no longer matches, or that cannot
-    /// fast-admit, deopts into the exact general policy path. These tags
+    /// bytecode. A policy publish moves no tier: a promoted guard
+    /// compares its baked generation with the live policy's per op, and
+    /// one that no longer matches, or that cannot fast-admit, deopts into
+    /// the exact general policy path. The generation and the namespace id
     /// are the tier's only invalidation. With tracing on, an inline admit is
     /// counted against its site (hits and address envelope, batched per
     /// call) but emits no ring events and is not timed; a deopt emits
@@ -128,8 +128,8 @@ pub struct Interp<'k> {
     /// another guard executes. A swap through the shared
     /// `NamespaceStore` from another thread moves the store's version,
     /// so it takes effect at the next call. Staleness *within* the
-    /// pinned policy — a publish or revocation — is still caught per op
-    /// by the generation and epoch tags.
+    /// pinned policy — a publish — is still caught per op by the
+    /// generation tag.
     vm_policy: PolicyPin,
     /// The promoted tier the last promoted call ran, with the tier id it
     /// was loaded under. Taken out for the duration of a call (so frames
@@ -146,11 +146,6 @@ pub struct Interp<'k> {
     /// every post-call observer still sees `policy.checks ==
     /// stats.guards`. Non-zero only while `vm_policy` is pinned.
     vm_pending_fast_permits: u64,
-    /// Revocation epoch the call's promoted tier was baked under (0 off
-    /// the promoted engine); the inline admit compares it against the
-    /// live epoch so a fleet-wide revoke (which bumps no generation)
-    /// deopts promoted guards promptly.
-    vm_promoted_epoch: u64,
     /// Inline admits of promoted frames entered with tracing on, tallied
     /// per guard site and not yet handed to the tracer. Drained with
     /// `vm_pending_fast_permits` when the call returns, in one
@@ -267,7 +262,6 @@ impl<'k> Interp<'k> {
             vm_tier: None,
             vm_tier_id: 0,
             vm_pending_fast_permits: 0,
-            vm_promoted_epoch: 0,
             vm_inline_batch: InlineBatch::default(),
         }
     }

@@ -25,10 +25,9 @@ impl<'k> Interp<'k> {
     /// `call_in` contract (same error precedence and messages). On the
     /// promoted engine this is where the call settles its promoted tier:
     /// once, so every frame of the call finds its code in the same tier
-    /// by reference and pairs it with that tier's bake epoch. The tier
-    /// runs only if the call's policy has the namespace id it was baked
-    /// from; pinning that policy here is what lets inline guards read a
-    /// field instead of resolving.
+    /// by reference. The tier runs only if the call's policy has the
+    /// namespace id it was baked from; pinning that policy here is what
+    /// lets inline guards read a field instead of resolving.
     pub(crate) fn vm_call(
         &mut self,
         ctx: &ModuleCtx,
@@ -43,7 +42,6 @@ impl<'k> Interp<'k> {
         let run = tier.as_deref().filter(|t| {
             t.ns != 0 && self.vm_policy.pin(self.kernel, &ctx.ir.name).namespace() == t.ns
         });
-        self.vm_promoted_epoch = run.map_or(0, |t| t.epoch);
         let mut argv = self.vm_args_pool.pop().unwrap_or_default();
         argv.clear();
         argv.extend_from_slice(args);
@@ -168,9 +166,9 @@ impl<'k> Interp<'k> {
     /// The promoted guard check: admit with three compares against the
     /// baked bound when the snapshot generation still matches, else
     /// deopt into the exact general policy path with the original
-    /// operands. Both tags are compared per op against the live policy,
-    /// so a publish or revocation that lands mid-call deopts the very
-    /// next inline guard. The fast admit still counts as a guard and as
+    /// operands. The generation is compared per op against the live
+    /// policy's, so a publish that lands mid-call deopts the very next
+    /// inline guard. The fast admit still counts as a guard and as
     /// a policy check (batched: `vm_pending_fast_permits`, drained when
     /// the call returns), so every reconciliation invariant —
     /// `stats.guards == policy.checks` — survives promotion; in a
@@ -195,7 +193,6 @@ impl<'k> Interp<'k> {
                 && flags != 0
                 && (flags & !perm) == 0
                 && gen == policy.store_generation()
-                && self.vm_promoted_epoch == policy.revocation_epoch()
                 && matches!(addr.checked_add(size), Some(end) if lo <= addr && end <= hi)
         };
         if fast {

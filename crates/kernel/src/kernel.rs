@@ -333,7 +333,8 @@ impl Kernel {
 
     /// Point dispatch for `alias` at the loaded instance `target`: calls
     /// addressed to `alias` resolve to `target` from now on. The live
-    /// upgrade's swap step — one map write, after the policy epoch bump.
+    /// upgrade's swap step — one map write, after the policy's
+    /// generation bump.
     pub fn set_dispatch_alias(&mut self, alias: &str, target: &str) -> KernelResult<()> {
         if self.modules.iter().all(|m| m.name != target) {
             return Err(KernelError::NoSuchModule(target.to_string()));
@@ -383,17 +384,6 @@ impl Kernel {
         &self.namespaces
     }
 
-    /// Fleet-wide revocation: advance the revocation epoch of the global
-    /// policy and every registered namespace, so every filled grant on
-    /// every fast path (guard-front slots, promoted inline bounds) goes
-    /// stale at once — without republishing a single ruleset. Returns
-    /// how many policies were bumped.
-    pub fn revoke_fleet(&mut self) -> usize {
-        let n = self.namespaces.revoke_all();
-        self.printk(&format!("carat: fleet revocation, {n} polic(ies) bumped"));
-        n
-    }
-
     /// The policy governing `module`: its own namespace if registered,
     /// else the global policy. One shard read-lock.
     pub fn policy_for(&self, module: &str) -> Arc<PolicyModule> {
@@ -416,16 +406,16 @@ impl Kernel {
     /// covering region may not be the one that admits). That region's
     /// `[lo, hi)` bound and permission bits go into promoted copies of
     /// the containing functions as immediate compares, tagged with the
-    /// snapshot's generation, the policy's revocation epoch and its
-    /// namespace id. Before installing, the kernel audits its own work:
+    /// snapshot's generation and the policy's namespace id. Before
+    /// installing, the kernel audits its own work:
     /// [`kop_analysis::audit_baked_bounds`] re-derives every bound from
     /// the IR's guard flags and the pinned snapshot and refuses the tier
     /// on any mismatch (KA009–KA011). Coverage is not re-proved here;
     /// insmod established it.
     ///
-    /// A later publish, revocation or policy swap leaves the tier
-    /// installed but stale: its tags stop matching, so every bound guard
-    /// deopts to the general path until this runs again — or
+    /// A later publish or policy swap leaves the tier installed but
+    /// stale: its tags stop matching, so every bound guard deopts to the
+    /// general path until this runs again — or
     /// [`Kernel::tick`] runs it. When nothing can be baked, a stale tier
     /// is dropped.
     ///
@@ -458,13 +448,12 @@ impl Kernel {
             }
         }
 
-        // Bake bounds from one pinned snapshot. The revocation epoch is
-        // read *before* the snapshot: a fleet revocation racing the bake
-        // leaves the tier already-stale (per-op epoch mismatch, prompt
-        // deopt), never falsely fresh.
+        // Bake bounds from one pinned snapshot, tagged with its own
+        // generation: a publish racing the bake leaves the tier already
+        // stale (per-op generation mismatch, prompt deopt), never falsely
+        // fresh.
         let policy = self.policy_for(module);
         let ns = policy.namespace();
-        let epoch = policy.revocation_epoch();
         let snap = policy.policy_snapshot();
         let gen = snap.generation();
         let mut specs = Vec::new();
@@ -508,8 +497,7 @@ impl Kernel {
         }
         if specs.is_empty() {
             let tier = compiled.promoted_tier();
-            let stale = tier.ns != ns || tier.gen != gen || tier.epoch != epoch;
-            if tier.ns != 0 && stale {
+            if tier.ns != 0 && (tier.ns != ns || tier.gen != gen) {
                 compiled.invalidate_promotions();
             }
             return Ok(0);
@@ -531,7 +519,7 @@ impl Kernel {
             return Err(err);
         }
 
-        let n = compiled.promote(ns, gen, epoch, &specs);
+        let n = compiled.promote(ns, gen, &specs);
         let sites_promoted = specs.len();
         self.printk(&format!(
             "carat-jit {module}: promoted {n} guard op(s) across {sites_promoted} site(s) at generation {gen}"
@@ -541,9 +529,9 @@ impl Kernel {
 
     /// Periodic promotion sweep: runs [`Kernel::promote_hot`] over every
     /// loaded module at the configured
-    /// [`KernelConfig::hot_threshold`], so a tier a publish, revocation
-    /// or policy swap left stale is re-baked from the policy that now
-    /// governs (or dropped, when nothing can be baked). Modules whose
+    /// [`KernelConfig::hot_threshold`], so a tier a publish or policy
+    /// swap left stale is re-baked from the policy that now governs (or
+    /// dropped, when nothing can be baked). Modules whose
     /// baked bounds the audit refuses are skipped (the refusal is in
     /// dmesg); the sweep never fails. Returns the total guard ops
     /// promoted.

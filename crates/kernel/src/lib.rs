@@ -7,8 +7,7 @@
 //! that substrate, simulated:
 //!
 //! * [`mem`] — a sparse simulated physical/virtual memory with page
-//!   permissions (module text is mapped read-only, §2) and MMIO dispatch
-//!   to device models,
+//!   permissions (module text is mapped read-only, §2),
 //! * [`symbols`] — the kernel's exported-symbol table, including the
 //!   *private* export of `carat_guard`,
 //! * [`loader`] — `insmod`/`rmmod`: signature verification against the
@@ -36,6 +35,6 @@ pub use loader::{
     LoadedModule, LoweredModule, ModuleImage, ModuleLayout, ModuleReservation, ModuleStager,
     StageError, StagedModule,
 };
-pub use mem::{FaultHook, MmioDevice, SimMemory};
+pub use mem::{FaultHook, SimMemory};
 pub use objects::{FileHandle, QueueHandle};
 pub use symbols::{Symbol, SymbolKind, SymbolTable, Visibility};

@@ -199,24 +199,36 @@ impl StagedModule {
         self.signature_ok || self.statically_proven
     }
 
-    /// Phase 3, also lock-free: register the guard-site track with the
-    /// (thread-safe) tracer and lower the IR to bytecode. Runs between
+    /// Phase 3, also lock-free: lower the IR to bytecode and register
+    /// its guard-site track with the (thread-safe) tracer. Runs between
     /// [`Kernel::reserve_module`] and [`Kernel::commit_module`], outside
-    /// any kernel critical section. A lowering failure travels to the
-    /// commit, which refuses the module.
+    /// any kernel critical section. A lowering failure registers no
+    /// track and travels to the commit, which refuses the module.
     pub fn lower(&self, reservation: &ModuleReservation, tracer: &Tracer) -> LoweredModule {
-        let sites = if self.guard_sites.is_empty() {
-            None
-        } else {
-            Some(tracer.register_module_sites(&self.ir.name, &self.guard_sites))
+        let lower = |sites: Option<&SiteTable>| {
+            kop_vm::lower_module(
+                &self.ir,
+                &reservation.global_addrs,
+                &reservation.func_addrs,
+                sites,
+            )
         };
-        let compiled = kop_vm::lower_module(
-            &self.ir,
-            &reservation.global_addrs,
-            &reservation.func_addrs,
-            sites.as_deref(),
-        );
-        LoweredModule { sites, compiled }
+        if self.guard_sites.is_empty() {
+            return LoweredModule {
+                sites: None,
+                compiled: lower(None),
+            };
+        }
+        match tracer.register_module_sites(&self.ir.name, &self.guard_sites, |t| lower(Some(t))) {
+            Ok((sites, compiled)) => LoweredModule {
+                sites: Some(sites),
+                compiled: Ok(compiled),
+            },
+            Err(e) => LoweredModule {
+                sites: None,
+                compiled: Err(e),
+            },
+        }
     }
 }
 
@@ -604,8 +616,8 @@ impl Kernel {
     /// The signed container is accepted exactly as insmod accepts it —
     /// through [`ModuleStager::stage`] under the kernel's configuration —
     /// and its content hash must match the one the image was built from.
-    /// A promoted tier the image carries stays installed: its generation,
-    /// epoch and namespace tags decide whether it still admits.
+    /// A promoted tier the image carries stays installed: its generation
+    /// and namespace tags decide whether it still admits.
     pub fn restart_module(
         &mut self,
         signed: &SignedModule,

@@ -1,5 +1,4 @@
-//! Simulated kernel memory: sparse pages with permissions, plus MMIO
-//! ranges dispatched to device models.
+//! Simulated kernel memory: sparse pages with permissions.
 //!
 //! Loads and stores of 1/2/4/8 bytes are little-endian, as on x86-64. A
 //! page is materialized (zero-filled) on first touch, like anonymous
@@ -13,24 +12,18 @@
 //! for some enforcement. For example, paging can be used to mark the
 //! kernel module's code pages as unwritable, thus avoiding the problem of
 //! self-modifying code" (§2).
+//!
+//! There are no device hooks: the NIC driver's MMIO lives in
+//! `kop_e1000e::DirectMem`, and an interpreted module's doorbell is an
+//! ordinary heap block.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use kop_core::layout::{PAGE_SHIFT, PAGE_SIZE};
 use kop_core::{KernelError, KernelResult, Size, VAddr};
-
-/// A memory-mapped device: register reads/writes at offsets within its
-/// window. Offsets and values are raw; access widths are 1/2/4/8.
-pub trait MmioDevice: Send {
-    /// Handle a read of `size` bytes at `offset` within the window.
-    fn mmio_read(&mut self, offset: u64, size: u64) -> u64;
-    /// Handle a write of `size` bytes at `offset` within the window.
-    fn mmio_write(&mut self, offset: u64, size: u64, value: u64);
-}
 
 /// Deterministic fault-injection seam for kernel memory and the heap.
 ///
@@ -54,17 +47,16 @@ pub trait FaultHook: Send {
     }
 }
 
-/// Sparse simulated memory with page permissions and MMIO windows.
+/// Sparse simulated memory with page permissions.
 ///
 /// The read side takes `&self` and an installed fault hook sits behind a
 /// mutex, so `SimMemory` is `Send + Sync`: any number of simulated CPUs
-/// may run concurrent (guarded) loads against a shared reference — see
-/// [`SimMemory::guarded_read_uint`] — while stores keep requiring `&mut`
-/// (exclusive) access. Reads lock nothing while no hook is installed.
+/// may run concurrent (guarded) loads against a shared reference, while
+/// stores keep requiring `&mut` (exclusive) access. Reads lock nothing
+/// while no hook is installed.
 #[derive(Default)]
 pub struct SimMemory {
     pages: HashMap<u64, Page, BuildHasherDefault<PfnHasher>>,
-    mmio: Vec<MmioRange>,
     fault_hook: Option<Mutex<Box<dyn FaultHook>>>,
 }
 
@@ -96,12 +88,6 @@ impl Hasher for PfnHasher {
     fn finish(&self) -> u64 {
         self.0
     }
-}
-
-struct MmioRange {
-    base: VAddr,
-    len: u64,
-    device: Arc<Mutex<dyn MmioDevice>>,
 }
 
 struct Page {
@@ -159,23 +145,6 @@ impl SimMemory {
             .is_some_and(|h| h.get_mut().fail_kmalloc(size))
     }
 
-    /// Register an MMIO window. Accesses inside `[base, base+len)` are
-    /// dispatched to `device` instead of RAM. Windows must not overlap.
-    pub fn map_mmio(&mut self, base: VAddr, len: u64, device: Arc<Mutex<dyn MmioDevice>>) {
-        for r in &self.mmio {
-            let disjoint = base.raw() + len <= r.base.raw() || r.base.raw() + r.len <= base.raw();
-            assert!(disjoint, "overlapping MMIO windows");
-        }
-        self.mmio.push(MmioRange { base, len, device });
-    }
-
-    /// The window holding every byte of `[addr, last]`, if any.
-    fn find_mmio(&self, addr: VAddr, last: u64) -> Option<&MmioRange> {
-        self.mmio
-            .iter()
-            .find(|r| addr.raw() >= r.base.raw() && last - r.base.raw() < r.len)
-    }
-
     /// Mark the pages covering `[base, base+len)` read-only (they are
     /// materialized if missing). Used for module text.
     pub fn protect_readonly(&mut self, base: VAddr, len: u64) {
@@ -206,22 +175,7 @@ impl SimMemory {
     /// materialize pages (untouched memory reads zero), so any number of
     /// threads may read concurrently.
     pub fn read_bytes(&self, addr: VAddr, buf: &mut [u8]) -> KernelResult<()> {
-        let Some(last) = last_byte(addr, buf.len(), "read wraps address space")? else {
-            return Ok(());
-        };
-        if let Some(r) = self.find_mmio(addr, last) {
-            // Byte-wise MMIO reads are legal but unusual; do one access of
-            // the full width when it is a power of two <= 8.
-            let off = addr.raw() - r.base.raw();
-            let n = buf.len() as u64;
-            if matches!(n, 1 | 2 | 4 | 8) {
-                let v = r.device.lock().mmio_read(off, n);
-                buf.copy_from_slice(&v.to_le_bytes()[..buf.len()]);
-                return Ok(());
-            }
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = r.device.lock().mmio_read(off + i as u64, 1) as u8;
-            }
+        if last_byte(addr, buf.len(), "read wraps address space")?.is_none() {
             return Ok(());
         }
         let mut at = addr.raw();
@@ -247,22 +201,6 @@ impl SimMemory {
         let Some(last) = last_byte(addr, buf.len(), "write wraps address space")? else {
             return Ok(());
         };
-        if let Some(r) = self.find_mmio(addr, last) {
-            let off = addr.raw() - r.base.raw();
-            let n = buf.len() as u64;
-            if matches!(n, 1 | 2 | 4 | 8) {
-                let mut bytes = [0u8; 8];
-                bytes[..buf.len()].copy_from_slice(buf);
-                r.device
-                    .lock()
-                    .mmio_write(off, n, u64::from_le_bytes(bytes));
-                return Ok(());
-            }
-            for (i, b) in buf.iter().enumerate() {
-                r.device.lock().mmio_write(off + i as u64, 1, *b as u64);
-            }
-            return Ok(());
-        }
         let read_only = |at: u64| KernelError::Fault {
             addr: VAddr(at),
             what: "write to read-only page".into(),
@@ -312,21 +250,6 @@ impl SimMemory {
         })
     }
 
-    /// The SMP check entry point: run a guard check against `policy` and,
-    /// if permitted, perform the load — all through `&self`, so any
-    /// number of simulated CPUs can execute guarded reads concurrently
-    /// against one shared memory (`SimMemory` is `Send + Sync`; with
-    /// [`kop_policy::PolicyModule`] the check itself is lock-free).
-    pub fn guarded_read_uint(
-        &self,
-        policy: &dyn kop_policy::PolicyCheck,
-        addr: VAddr,
-        size: Size,
-    ) -> KernelResult<u64> {
-        policy.carat_guard(addr, size, kop_core::AccessFlags::READ)?;
-        self.read_uint(addr, size)
-    }
-
     /// Write a little-endian unsigned integer of `size` (1/2/4/8) bytes.
     pub fn write_uint(&mut self, addr: VAddr, size: Size, value: u64) -> KernelResult<()> {
         let n = size.raw();
@@ -354,8 +277,8 @@ mod tests {
 
     #[test]
     fn concurrent_guarded_reads_share_one_memory() {
-        use kop_core::{Protection, Region};
-        use kop_policy::PolicyModule;
+        use kop_core::{AccessFlags, Protection, Region};
+        use kop_policy::{PolicyCheck, PolicyModule};
 
         let mut m = SimMemory::new();
         let base = VAddr(0xffff_8880_0000_0000);
@@ -365,18 +288,20 @@ mod tests {
         let pm = PolicyModule::new();
         pm.add_region(Region::new(base, Size(64 * 8), Protection::READ_ONLY).unwrap())
             .unwrap();
-        let mem = &m;
-        let policy = &pm;
+        // A guarded load: the guard, then the read, both through `&self`.
+        let guarded_read = |a: VAddr| -> KernelResult<u64> {
+            pm.carat_guard(a, Size(8), AccessFlags::READ)?;
+            m.read_uint(a, Size(8))
+        };
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(move || {
+                s.spawn(|| {
                     for i in 0..64u64 {
                         let a = VAddr(base.raw() + i * 8);
-                        assert_eq!(mem.guarded_read_uint(policy, a, Size(8)).unwrap(), i);
+                        assert_eq!(guarded_read(a).unwrap(), i);
                     }
                     // Out-of-region reads are refused by the guard.
-                    let beyond = VAddr(base.raw() + 64 * 8);
-                    assert!(mem.guarded_read_uint(policy, beyond, Size(8)).is_err());
+                    assert!(guarded_read(VAddr(base.raw() + 64 * 8)).is_err());
                 });
             }
         });
@@ -634,62 +559,6 @@ mod tests {
                 proptest::prop_assert_eq!(m.resident_pages(), o.resident.len());
             }
         }
-    }
-
-    struct ScratchReg {
-        value: u64,
-        reads: u32,
-        writes: u32,
-    }
-
-    impl MmioDevice for ScratchReg {
-        fn mmio_read(&mut self, offset: u64, _size: u64) -> u64 {
-            self.reads += 1;
-            if offset == 0 {
-                self.value
-            } else {
-                0
-            }
-        }
-        fn mmio_write(&mut self, offset: u64, _size: u64, value: u64) {
-            self.writes += 1;
-            if offset == 0 {
-                self.value = value;
-            }
-        }
-    }
-
-    #[test]
-    fn mmio_dispatch() {
-        let mut m = SimMemory::new();
-        let dev = Arc::new(Mutex::new(ScratchReg {
-            value: 7,
-            reads: 0,
-            writes: 0,
-        }));
-        let base = VAddr(kop_core::layout::MMIO_WINDOW_BASE);
-        m.map_mmio(base, 0x1000, dev.clone());
-        assert_eq!(m.read_uint(base, Size(4)).unwrap(), 7);
-        m.write_uint(base, Size(4), 0x1234).unwrap();
-        assert_eq!(m.read_uint(base, Size(4)).unwrap(), 0x1234);
-        // Off-window accesses hit RAM, not the device.
-        m.write_uint(base + 0x1000, Size(4), 9).unwrap();
-        let d = dev.lock();
-        assert_eq!(d.reads, 2);
-        assert_eq!(d.writes, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping MMIO windows")]
-    fn overlapping_mmio_rejected() {
-        let mut m = SimMemory::new();
-        let dev = Arc::new(Mutex::new(ScratchReg {
-            value: 0,
-            reads: 0,
-            writes: 0,
-        }));
-        m.map_mmio(VAddr(0x1000), 0x1000, dev.clone());
-        m.map_mmio(VAddr(0x1800), 0x1000, dev);
     }
 
     #[test]

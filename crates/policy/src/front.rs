@@ -4,26 +4,28 @@
 //! in the same few policy regions, millions of times. [`GuardFront`] is a
 //! per-queue [`PolicyCheck`] bound for life to one [`PolicyModule`] and a
 //! [`SiteMap`]. It keeps one slot per site holding the granting region's
-//! `[lo, hi)` bound and permission, tagged with the store generation and
-//! the revocation epoch the slot was filled under. An admit costs two tag
-//! loads plus the bound and permission compares: the same check the VM
-//! tier bakes into promoted guards.
+//! `[lo, hi)` bound and permission, tagged with the store generation of
+//! the snapshot that granted it. An admit costs one tag load plus the
+//! bound and permission compares: the same check the VM tier bakes into
+//! promoted guards.
 //!
 //! Everything else takes [`PolicyModule::check_classified`]: a cold,
 //! stale or non-covering slot, a denial, a default-action allow, a
-//! malformed access. Only a **region grant** there refills the slot, with
-//! the epoch read before the lookup and the generation of the snapshot
-//! that granted, so a publish or revocation racing the fill leaves the
-//! slot already stale (a harmless refill later), never falsely fresh.
-//! Denials are never filled (they must reach the policy module for stats,
-//! log and enforcement), and neither are default-action allows (flipping
-//! the default action moves no tag; a region grant stays sound because a
-//! covering, granting region wins whatever the default action is).
+//! malformed access. Only a **region grant** there refills the slot, and
+//! the tag it fills with is the generation of the snapshot that granted,
+//! which the check returns with the grant. The fill reads no tag of its
+//! own, so it has nothing to order: a publish racing the fill leaves the
+//! slot tagged with the older generation, already stale (a harmless
+//! refill later), never falsely fresh. Denials are never filled (they
+//! must reach the policy module for stats, log and enforcement), and
+//! neither are default-action allows (flipping the default action moves
+//! no tag; a region grant stays sound because a covering, granting
+//! region wins whatever the default action is).
 //!
-//! The tags are the generation and the epoch only. A front cannot be
-//! handed another policy, so there is no namespace to tell apart: every
-//! table write bumps the bound policy's generation, every fleet-wide
-//! revocation bumps its epoch, and either stales every slot at once.
+//! The generation is the only tag. Only a table write can change what a
+//! region grant admits, and every table write bumps the bound policy's
+//! generation, so it stales every slot at once. A front cannot be handed
+//! another policy, so there is no namespace to tell apart.
 //!
 //! Admits are counted in a plain cell and drained into the policy's
 //! `checks`/`permitted` cells through
@@ -92,12 +94,11 @@ impl SiteMap {
 }
 
 /// One site's slot: the granting region's bound and permission, tagged
-/// with the generation and revocation epoch it was filled under.
-/// `gen == 0` means cold (store generations start at 1).
+/// with the generation of the snapshot that granted it. `gen == 0` means
+/// cold (store generations start at 1).
 #[derive(Clone, Copy)]
 struct Slot {
     gen: u64,
-    epoch: u64,
     lo: u64,
     hi: u64,
     prot: Protection,
@@ -106,17 +107,15 @@ struct Slot {
 impl Slot {
     const COLD: Slot = Slot {
         gen: 0,
-        epoch: 0,
         lo: 0,
         hi: 0,
         prot: Protection::NONE,
     };
 
-    fn filled(r: Region, gen: u64, epoch: u64) -> Slot {
+    fn filled(r: Region, gen: u64) -> Slot {
         let lo = r.base.raw();
         Slot {
             gen,
-            epoch,
             lo,
             // A region may end at 2^64 exactly; saturating only narrows
             // the bound, so the slot never vouches for a byte the region
@@ -179,19 +178,16 @@ impl PolicyCheck for GuardFront {
     fn carat_guard(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
         let slot = &self.slots[self.map.classify(addr.raw()) as usize];
         let s = slot.get();
-        if s.gen == self.policy.store_generation()
-            && s.epoch == self.policy.revocation_epoch()
-            && s.covers(addr.raw(), size.raw(), flags)
-        {
+        if s.gen == self.policy.store_generation() && s.covers(addr.raw(), size.raw(), flags) {
             self.admits.set(self.admits.get() + 1);
             return Ok(());
         }
-        // Epoch read BEFORE the lookup: a revocation racing past it
-        // leaves the filled slot already stale, never falsely fresh.
-        let epoch = self.policy.revocation_epoch();
+        // The fill's tag is the granting snapshot's generation, not one
+        // read around the lookup: a publish racing the fill leaves the
+        // slot already stale, never falsely fresh.
         let out = self.policy.check_classified(addr, size, flags);
         if let Some((region, gen)) = out.grant {
-            slot.set(Slot::filled(region, gen, epoch));
+            slot.set(Slot::filled(region, gen));
         }
         out.result
     }
@@ -259,22 +255,6 @@ mod tests {
             .unwrap();
         assert_eq!(f.flush_admits(), 2);
         assert_eq!(pm.stats().checks, 6);
-    }
-
-    #[test]
-    fn revocation_epoch_forces_a_general_check_without_generation_churn() {
-        let pm = pm_with_region(0x1000, 0x1000);
-        let f = one_site(&pm);
-        rw(&f, 0x1800).unwrap();
-        let gen = pm.store_generation();
-        pm.bump_revocation();
-        assert_eq!(pm.store_generation(), gen, "no publish happened");
-        // Stale epoch: the guard takes the general path and refills.
-        rw(&f, 0x1800).unwrap();
-        assert_eq!(f.flush_admits(), 0);
-        // The refill carries the new epoch, so admits resume.
-        rw(&f, 0x1800).unwrap();
-        assert_eq!(f.flush_admits(), 1);
     }
 
     #[test]

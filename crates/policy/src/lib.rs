@@ -25,7 +25,7 @@
 //!   stores the snapshot, then the generation, then the count, and takes
 //!   no lock),
 //!   [`front::GuardFront`] (a per-queue front with one self-filling slot
-//!   per guard site, staled by generation or revocation epoch), and
+//!   per guard site, staled by the store generation), and
 //!   [`vlog::ViolationLog`] (bounded violation ring with a dropped
 //!   counter, formatting deferred to read time).
 
@@ -33,7 +33,6 @@
 
 pub mod front;
 pub mod frozen;
-pub mod intrinsics;
 pub mod manager;
 pub mod module;
 pub mod namespace;
@@ -44,7 +43,6 @@ pub mod vlog;
 
 pub use front::{GuardFront, SiteMap};
 pub use frozen::{FrozenKind, FrozenStore};
-pub use intrinsics::IntrinsicPolicy;
 pub use manager::{PolicyCmd, PolicyCmdError, PolicyResponse};
 pub use module::{
     ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule, ViolationAction,

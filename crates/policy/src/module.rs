@@ -10,11 +10,12 @@
 //! # SMP structure
 //!
 //! The check path is read-mostly, so it is split RCU-style (DESIGN
-//! §3.13): mutations edit a mutex-protected rule list, pass it through
-//! the [`StoreKind`]'s admission contract, and republish an immutable
-//! [`PolicySnapshot`]; checks read only the published snapshot and touch
-//! no lock at all. Default/violation actions and the intrinsic table are
-//! atomics/published snapshots for the same reason.
+//! §3.13): the rule list and the intrinsic grants are each stored once,
+//! published. A mutation takes the one writer lock, edits a copy of the
+//! published list, passes it through the [`StoreKind`]'s admission
+//! contract, and publishes an immutable [`PolicySnapshot`]; checks read
+//! only what is published and touch no lock at all. Default and
+//! violation actions are atomics for the same reason.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -27,7 +28,6 @@ use kop_core::{AccessFlags, KernelError, Region, Size, VAddr, Violation};
 
 use kop_trace::CounterRegistry;
 
-use crate::intrinsics::IntrinsicPolicy;
 use crate::snapshot::{PolicySnapshot, SnapshotStore};
 use crate::stats::{GuardStats, GuardStatsSnapshot};
 use crate::store::{admit, Lookup, PolicyError, StoreKind};
@@ -145,8 +145,8 @@ impl GuardOutcome {
 }
 
 /// A classified check: the result plus, when a region grant permitted it,
-/// the granting region and the generation it was observed under — what
-/// a [`crate::front::GuardFront`] slot is filled from.
+/// the granting region and the generation of the snapshot that granted
+/// it — what a [`crate::front::GuardFront`] slot is filled from.
 pub struct ClassifiedCheck {
     /// The check result, identical to [`PolicyModule::check`]'s.
     pub result: Result<(), Violation>,
@@ -158,13 +158,6 @@ pub struct ClassifiedCheck {
 
 /// Maximum violation log entries retained.
 const LOG_CAP: usize = 1024;
-
-/// The intrinsic table published for lock-free checks: sorted grant ids
-/// plus the default-allow flag.
-struct IntrinsicSnapshot {
-    allowed: Vec<u32>,
-    default_allow: bool,
-}
 
 /// The CARAT KOP policy module.
 ///
@@ -179,18 +172,17 @@ struct IntrinsicSnapshot {
 /// assert!(pm.check(VAddr(0x9000), Size(8), AccessFlags::READ).is_err());
 /// ```
 pub struct PolicyModule {
-    /// The admission contract every mutation of `rules` passes.
+    /// The admission contract every rule-list mutation passes.
     kind: StoreKind,
-    /// The authoritative rule list in store order — mutations only. Every
-    /// mutation republishes `snapshot` before releasing the lock, so
-    /// generation order matches mutation order.
-    rules: Mutex<Vec<Region>>,
-    /// The published lock-free read path: every check is answered here.
+    /// Serializes writers. A mutation holds it from reading the
+    /// published rule list or intrinsic grants to publishing its edit,
+    /// so generation order matches mutation order.
+    writer: Mutex<()>,
+    /// The rule list in store order, published: every check is answered
+    /// here and every mutation starts from it.
     snapshot: SnapshotStore,
-    /// Authoritative intrinsic table (mutations only).
-    intrinsics: Mutex<IntrinsicPolicy>,
-    /// Published intrinsic table for lock-free checks.
-    intrinsic_snap: ArcSwap<IntrinsicSnapshot>,
+    /// The granted intrinsic ids, sorted, published for lock-free checks.
+    intrinsics: ArcSwap<Vec<u32>>,
     default_action: AtomicU8,
     violation_action: AtomicU8,
     stats: GuardStats,
@@ -198,13 +190,6 @@ pub struct PolicyModule {
     /// Namespace id assigned by the [`crate::namespace::NamespaceStore`]
     /// this policy is registered in (0 = unbound).
     ns: AtomicU64,
-    /// The fleet-wide revocation epoch this policy last observed. Bumped
-    /// by [`Self::bump_revocation`] (fanned out by
-    /// `NamespaceStore::revoke_all`); guard-front slots and promoted
-    /// frames are tagged with it so one revocation invalidates every
-    /// filled grant without touching any per-namespace generation.
-    /// Starts at 1 so 0 can mean "never filled".
-    revocation: AtomicU64,
 }
 
 impl PolicyModule {
@@ -218,19 +203,14 @@ impl PolicyModule {
     pub fn with_kind(kind: StoreKind) -> PolicyModule {
         PolicyModule {
             kind,
-            rules: Mutex::new(Vec::new()),
+            writer: Mutex::new(()),
             snapshot: SnapshotStore::new(),
-            intrinsics: Mutex::new(IntrinsicPolicy::new()),
-            intrinsic_snap: ArcSwap::from_pointee(IntrinsicSnapshot {
-                allowed: Vec::new(),
-                default_allow: false,
-            }),
+            intrinsics: ArcSwap::from_pointee(Vec::new()),
             default_action: AtomicU8::new(DefaultAction::Deny.to_u8()),
             violation_action: AtomicU8::new(ViolationAction::Panic.to_u8()),
             stats: GuardStats::new(),
             log: ViolationLog::new(LOG_CAP),
             ns: AtomicU64::new(0),
-            revocation: AtomicU64::new(1),
         }
     }
 
@@ -311,39 +291,39 @@ impl PolicyModule {
         self.kind
     }
 
-    /// Admit `next` as the whole rule list and publish it. On error the
-    /// rule list, the generation and the publish count are untouched.
-    fn install(&self, rules: &mut Vec<Region>, next: Vec<Region>) -> Result<(), PolicyError> {
-        *rules = admit(self.kind, next)?;
-        self.snapshot.publish(rules.clone());
+    /// Admit `next` as the whole rule list and publish it; the caller
+    /// holds the writer lock. On error the rule list, the generation and
+    /// the publish count are untouched.
+    fn install(&self, next: Vec<Region>) -> Result<(), PolicyError> {
+        self.snapshot.publish(admit(self.kind, next)?);
         Ok(())
     }
 
     /// Add a firewall rule.
     pub fn add_region(&self, region: Region) -> Result<(), PolicyError> {
-        let mut rules = self.rules.lock();
-        let mut next = rules.clone();
+        let _writer = self.writer.lock();
+        let mut next = self.regions();
         next.push(region);
-        self.install(&mut rules, next)
+        self.install(next)
     }
 
     /// Remove the rule with this base address. The rest keep their store
     /// order, so the list stays admissible.
     pub fn remove_region(&self, base: VAddr) -> Result<Region, PolicyError> {
-        let mut rules = self.rules.lock();
+        let _writer = self.writer.lock();
+        let mut rules = self.regions();
         let idx = rules
             .iter()
             .position(|r| r.base == base)
             .ok_or(PolicyError::NoSuchRegion { base })?;
         let removed = rules.remove(idx);
-        self.snapshot.publish(rules.clone());
+        self.snapshot.publish(rules);
         Ok(removed)
     }
 
     /// Drop all rules.
     pub fn clear_regions(&self) {
-        let mut rules = self.rules.lock();
-        rules.clear();
+        let _writer = self.writer.lock();
         self.snapshot.publish(Vec::new());
     }
 
@@ -358,19 +338,18 @@ impl PolicyModule {
         &self,
         regions: impl IntoIterator<Item = Region>,
     ) -> Result<(), PolicyError> {
-        let mut rules = self.rules.lock();
-        self.install(&mut rules, regions.into_iter().collect())
+        let _writer = self.writer.lock();
+        self.install(regions.into_iter().collect())
     }
 
-    /// Force a revocation epoch: republish the (unchanged) rule set so the
-    /// snapshot generation advances. Every guard-front slot and promoted
-    /// inline bound tagged with an older generation becomes stale in this
-    /// single publish — the live-upgrade swap uses this so no check can
-    /// admit against a grant observed before the swap. Returns the new
-    /// generation.
+    /// Republish the unchanged rule set so the store generation
+    /// advances. Every guard-front slot and promoted inline bound tagged
+    /// with an older generation becomes stale in this single publish —
+    /// the live-upgrade swap uses this so no check can admit against a
+    /// grant observed before the swap. Returns the new generation.
     pub fn bump_epoch(&self) -> u64 {
-        let rules = self.rules.lock();
-        self.snapshot.publish(rules.clone())
+        let _writer = self.writer.lock();
+        self.snapshot.publish(self.regions())
     }
 
     /// The namespace id this policy is bound to (0 = unbound).
@@ -383,24 +362,6 @@ impl PolicyModule {
     /// namespace store at registration.
     pub fn set_namespace(&self, ns: u64) {
         self.ns.store(ns, Ordering::SeqCst);
-    }
-
-    /// The revocation epoch this policy currently observes. One `SeqCst`
-    /// load — the global half of every fast path's validity tag (the
-    /// per-namespace generation is the local half).
-    #[inline]
-    pub fn revocation_epoch(&self) -> u64 {
-        self.revocation.load(Ordering::SeqCst)
-    }
-
-    /// Advance the revocation epoch: every guard-front slot and promoted
-    /// inline bound tagged with the old epoch goes stale in one atomic
-    /// store, without republishing the (unchanged) rule set.
-    /// Returns the new epoch. Fleet-wide revocation
-    /// (`NamespaceStore::revoke_all`) fans out through here — the cold
-    /// path pays O(policies), the hot path still pays one load.
-    pub fn bump_revocation(&self) -> u64 {
-        self.revocation.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Number of rules.
@@ -418,9 +379,10 @@ impl PolicyModule {
         self.snapshot.load_full()
     }
 
-    /// The store generation: bumped by every table write. The local half
-    /// of every fast path's validity tag (guard-front slots, promoted
-    /// inline bounds).
+    /// The store generation: bumped by every table write. The one
+    /// staleness tag of every fast path (guard-front slots, promoted
+    /// inline bounds): only a table write can change what a cached
+    /// region grant admits.
     #[inline]
     pub fn store_generation(&self) -> u64 {
         self.snapshot.generation()
@@ -432,7 +394,7 @@ impl PolicyModule {
     }
 
     /// Account `n` guards admitted by a fast path (a bound filled from a
-    /// region grant of the *current* generation and epoch) without
+    /// region grant of the *current* generation) without
     /// re-running the lookup, with one pair of counter updates. Keeps
     /// `stats.checks` equal to the number of guard invocations even when
     /// a fast path answers most of them. Callers that batch their admits
@@ -445,42 +407,44 @@ impl PolicyModule {
         }
     }
 
-    fn publish_intrinsics(&self, table: &IntrinsicPolicy) {
-        self.intrinsic_snap.store(Arc::new(IntrinsicSnapshot {
-            allowed: table.granted(), // sorted (BTreeSet order)
-            default_allow: table.default_allow,
-        }));
-    }
-
-    /// Grant a privileged intrinsic (§5 extension).
+    /// Grant a privileged intrinsic (§5 extension): "a different policy
+    /// table could be consulted to determine if a given kernel module has
+    /// access to a privileged intrinsic".
     pub fn allow_intrinsic(&self, id: u32) {
-        let mut table = self.intrinsics.lock();
-        table.allow(id);
-        self.publish_intrinsics(&table);
+        let _writer = self.writer.lock();
+        let mut ids = self.granted_intrinsics();
+        if let Err(at) = ids.binary_search(&id) {
+            ids.insert(at, id);
+            self.intrinsics.store(Arc::new(ids));
+        }
     }
 
     /// Revoke a privileged intrinsic; returns whether it was granted.
     pub fn revoke_intrinsic(&self, id: u32) -> bool {
-        let mut table = self.intrinsics.lock();
-        let was = table.revoke(id);
-        self.publish_intrinsics(&table);
-        was
+        let _writer = self.writer.lock();
+        let mut ids = self.granted_intrinsics();
+        let Ok(at) = ids.binary_search(&id) else {
+            return false;
+        };
+        ids.remove(at);
+        self.intrinsics.store(Arc::new(ids));
+        true
     }
 
-    /// The granted intrinsic ids.
+    /// The granted intrinsic ids, ascending.
     pub fn granted_intrinsics(&self) -> Vec<u32> {
-        self.intrinsic_snap.load().allowed.clone()
+        self.intrinsics.load().to_vec()
     }
 
     /// The pure intrinsic check: classify, update stats, log violations.
-    /// Lock-free: consults the published intrinsic table.
+    /// Lock-free: consults the published grants. Unlisted intrinsics are
+    /// denied.
     pub fn check_intrinsic(&self, id: u32) -> Result<(), Violation> {
-        let table = self.intrinsic_snap.load();
-        if table.default_allow || table.allowed.binary_search(&id).is_ok() {
+        if self.intrinsics.load().binary_search(&id).is_ok() {
             self.stats.record_permitted();
             Ok(())
         } else {
-            // Same violation shape as IntrinsicPolicy::check: the
+            // The violation reuses the memory-violation shape: the
             // "address" carries the intrinsic id, size 0, EXEC intent.
             let v = Violation::new(
                 VAddr(id as u64),
@@ -496,7 +460,12 @@ impl PolicyModule {
 
     /// Check an intrinsic and apply the configured violation action.
     pub fn enforce_intrinsic(&self, id: u32) -> GuardOutcome {
-        match self.check_intrinsic(id) {
+        self.outcome(self.check_intrinsic(id))
+    }
+
+    /// Apply the configured violation action to a check result.
+    fn outcome(&self, result: Result<(), Violation>) -> GuardOutcome {
+        match result {
             Ok(()) => GuardOutcome::Allowed,
             Err(v) => match self.violation_action() {
                 ViolationAction::Panic => GuardOutcome::Panicked(v.into()),
@@ -645,22 +614,13 @@ impl PolicyModule {
     /// lookup, and relaxed counter updates (the denial paths additionally
     /// take the cold log mutex).
     pub fn check(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
-        if self.vacuous(size, flags) {
-            self.stats.record_permitted();
-            return Ok(());
-        }
-        if let Some(v) = self.precheck(addr, size, flags) {
-            self.stats.record_malformed();
-            self.log.push(v);
-            return Err(v);
-        }
-        let lookup = self.snapshot.load().lookup(addr, size, flags);
-        self.settle(addr, size, flags, lookup)
+        self.check_classified(addr, size, flags).result
     }
 
     /// The check a guard front's miss takes: [`Self::check`], reporting
-    /// which region granted a permit (plus the generation it was observed
-    /// under) so the caller may fill a slot from it.
+    /// which region granted a permit, plus the generation of the
+    /// snapshot that granted it, so the caller may fill a slot from it.
+    #[inline]
     pub fn check_classified(&self, addr: VAddr, size: Size, flags: AccessFlags) -> ClassifiedCheck {
         if self.vacuous(size, flags) {
             self.stats.record_permitted();
@@ -691,15 +651,7 @@ impl PolicyModule {
 
     /// Check and apply the configured violation action.
     pub fn enforce(&self, addr: VAddr, size: Size, flags: AccessFlags) -> GuardOutcome {
-        match self.check(addr, size, flags) {
-            Ok(()) => GuardOutcome::Allowed,
-            Err(v) => match self.violation_action() {
-                ViolationAction::Panic => GuardOutcome::Panicked(v.into()),
-                ViolationAction::LogAndDeny => GuardOutcome::Denied(v),
-                ViolationAction::LogAndAllow => GuardOutcome::Allowed,
-                ViolationAction::Quarantine => GuardOutcome::Quarantined(v),
-            },
-        }
+        self.outcome(self.check(addr, size, flags))
     }
 }
 
@@ -854,6 +806,26 @@ mod tests {
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn intrinsic_grants_default_deny_and_list_sorted() {
+        let pm = PolicyModule::new();
+        let v = pm.check_intrinsic(0).unwrap_err();
+        assert_eq!(v.kind, ViolationKind::ForbiddenIntrinsic);
+        assert_eq!(v.addr, VAddr(0));
+        for id in [3, 1, 3] {
+            pm.allow_intrinsic(id);
+        }
+        assert_eq!(pm.granted_intrinsics(), vec![1, 3]);
+        assert!(pm.check_intrinsic(1).is_ok() && pm.check_intrinsic(3).is_ok());
+        assert!(pm.check_intrinsic(2).is_err());
+        assert!(pm.revoke_intrinsic(1));
+        assert!(!pm.revoke_intrinsic(1));
+        assert!(pm.check_intrinsic(1).is_err());
+        assert_eq!(pm.granted_intrinsics(), vec![3]);
+        // Grants are not regions: no intrinsic edit publishes a snapshot.
+        assert_eq!(pm.snapshot_publishes(), 0);
     }
 
     #[test]

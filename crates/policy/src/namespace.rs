@@ -10,17 +10,13 @@
 //!   cached grants stay warm;
 //! * the map is sharded by module-id hash, so concurrent insmod of many
 //!   tenants contends on different locks (and never on the check path,
-//!   which holds only an `Arc` to its tenant's policy);
-//! * the **revocation epoch** stays global in semantics but is fanned out
-//!   to a per-policy atomic: [`NamespaceStore::revoke_all`] walks the
-//!   registry once (cold path, O(tenants)) so the guard hot path pays one
-//!   `SeqCst` load instead of a shared-cacheline hit on every check.
+//!   which holds only an `Arc` to its tenant's policy).
 //!
 //! Namespace ids are never reused: re-registering a module id assigns a
 //! fresh id. A guard front needs no namespace tag: it is bound to one
-//! policy object, whose own generation and epoch are its tags. The VM's
-//! promoted tier records the id of the policy it was baked from, and
-//! runs only for a call whose policy still has that id.
+//! policy object, whose own generation is its tag. The VM's promoted
+//! tier records the id of the policy it was baked from, and runs only
+//! for a call whose policy still has that id.
 //!
 //! The store's [`NamespaceStore::version`] moves after every
 //! [`NamespaceStore::register`] and [`NamespaceStore::remove`], so a
@@ -65,9 +61,6 @@ pub struct NamespaceStore {
     next_ns: AtomicU64,
     /// The fall-back policy for modules with no namespace of their own.
     global: Arc<PolicyModule>,
-    /// Count of fleet-wide revocations (diagnostics; the authoritative
-    /// epoch lives in each policy's atomic).
-    revocations: AtomicU64,
     /// Bumped after every `register` and `remove`.
     version: AtomicU64,
 }
@@ -85,7 +78,6 @@ impl NamespaceStore {
                 .collect(),
             next_ns: AtomicU64::new(GLOBAL_NAMESPACE + 1),
             global,
-            revocations: AtomicU64::new(0),
             version: AtomicU64::new(0),
         }
     }
@@ -173,38 +165,6 @@ impl NamespaceStore {
         }
         out
     }
-
-    /// Fleet-wide revocation: advance the revocation epoch of **every**
-    /// policy — the global one and each namespace's — so every filled
-    /// grant on every fast path (guard-front slots, promoted inline
-    /// bounds) goes stale at once, without republishing any ruleset. Cold
-    /// path: O(tenants) atomic bumps; the guard hot path still pays
-    /// exactly one epoch load. Returns how many policies were bumped.
-    pub fn revoke_all(&self) -> usize {
-        self.global.bump_revocation();
-        let mut bumped = 1;
-        for shard in &self.shards {
-            // Clone the Arcs out so the bump runs without holding the
-            // shard lock (a concurrent register/resolve never waits on
-            // a revocation sweep).
-            let policies: Vec<Arc<PolicyModule>> = shard
-                .read()
-                .values()
-                .map(|e| Arc::clone(&e.policy))
-                .collect();
-            for p in policies {
-                p.bump_revocation();
-                bumped += 1;
-            }
-        }
-        self.revocations.fetch_add(1, Ordering::SeqCst);
-        bumped
-    }
-
-    /// How many fleet-wide revocations have run.
-    pub fn revocation_count(&self) -> u64 {
-        self.revocations.load(Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]
@@ -271,26 +231,6 @@ mod tests {
         }
         assert_eq!(b.store_generation(), b_gen, "tenant B unaffected");
         assert_eq!(ns.global().store_generation(), global_gen);
-    }
-
-    #[test]
-    fn revoke_all_bumps_every_policy_once() {
-        let ns = NamespaceStore::new(rw_policy(0x1000));
-        ns.register("mod_a", rw_policy(0x10_0000));
-        ns.register("mod_b", rw_policy(0x20_0000));
-        let before: Vec<u64> = ["mod_a", "mod_b"]
-            .iter()
-            .map(|m| ns.resolve(m).revocation_epoch())
-            .collect();
-        let g_before = ns.global().revocation_epoch();
-        assert_eq!(ns.revoke_all(), 3);
-        for (i, m) in ["mod_a", "mod_b"].iter().enumerate() {
-            assert_eq!(ns.resolve(m).revocation_epoch(), before[i] + 1);
-        }
-        assert_eq!(ns.global().revocation_epoch(), g_before + 1);
-        assert_eq!(ns.revocation_count(), 1);
-        // Generations did NOT move — revocation is epoch-only.
-        assert_eq!(ns.resolve("mod_a").snapshot_publishes(), 1);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! insmod/rmmod and grant/revoke rates, reads on *every* module load and
 //! store. [`SnapshotStore`] therefore keeps an immutable
 //! [`PolicySnapshot`] behind an `arc-swap` atomic pointer: readers load
-//! the snapshot and run `lookup` with zero locks; writers rebuild a fresh
-//! snapshot from the authoritative (mutex-protected) rule list and publish
-//! it whole. A reader mid-check keeps the snapshot it pinned alive — it can
+//! the snapshot and run `lookup` with zero locks; writers, serialized by
+//! the policy module's writer lock, build the next rule list from the
+//! published one and publish it whole. The published snapshot is the
+//! only copy of the rule list. A reader mid-check keeps the snapshot it pinned alive — it can
 //! never observe a torn table — and reclamation of the old snapshot is
 //! deferred until the last reader drops it.
 //!
@@ -117,7 +118,7 @@ impl std::fmt::Debug for PolicySnapshot {
 /// publish only by comparing its generation tag.
 ///
 /// Writers must be externally serialized (the policy module publishes
-/// while holding its rule-list mutex); readers are lock-free.
+/// while holding its writer lock); readers are lock-free.
 pub struct SnapshotStore {
     current: ArcSwap<PolicySnapshot>,
     /// Stored *after* the snapshot pointer on publish; the fast paths'
@@ -157,7 +158,7 @@ impl SnapshotStore {
     /// Rebuild and publish a new snapshot; returns the new generation.
     /// A publish is three steps and takes no lock: the snapshot, then
     /// the generation, then the publish count. Callers serialize
-    /// publishes (the policy module holds its rule-list mutex across
+    /// publishes (the policy module holds its writer lock across
     /// mutate + publish, so generation order matches mutation order).
     pub fn publish(&self, regions: Vec<Region>) -> u64 {
         let gen = self.generation.load(Ordering::SeqCst) + 1;

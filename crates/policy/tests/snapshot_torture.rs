@@ -287,7 +287,6 @@ enum Op {
     Remove(u8),
     Replace(Vec<Region>),
     BumpEpoch,
-    BumpRevocation,
     Default(bool),
 }
 
@@ -316,7 +315,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Remove),
         proptest::collection::vec(arb_region(), 0..6).prop_map(Op::Replace),
         Just(Op::BumpEpoch),
-        Just(Op::BumpRevocation),
         any::<bool>().prop_map(Op::Default),
         any::<bool>().prop_map(Op::Default),
     ]
@@ -371,13 +369,12 @@ proptest! {
         // Three sites: two address ranges plus the fallback.
         let map = SiteMap::new(2).range(0, 0x8000, 0).range(0x8000, 0x10_000, 1);
         let front = GuardFront::new(Arc::clone(&pm), map.clone());
-        // Sites whose slot a generation or epoch bump has staled since
-        // their last general check: their next guard must not admit from
-        // the slot.
+        // Sites whose slot a generation bump has staled since their last
+        // general check: their next guard must not admit from the slot.
         let mut stale = [false; 3];
         let mut probes = 0u64;
         for op in &ops {
-            let tags = (pm.store_generation(), pm.revocation_epoch());
+            let gen = pm.store_generation();
             match op {
                 Op::Probe(addr, size, flags) => {
                     let (addr, size) = (VAddr(*addr), Size(*size));
@@ -412,16 +409,13 @@ proptest! {
                 Op::BumpEpoch => {
                     pm.bump_epoch();
                 }
-                Op::BumpRevocation => {
-                    pm.bump_revocation();
-                }
                 Op::Default(allow) => pm.set_default_action(if *allow {
                     DefaultAction::Allow
                 } else {
                     DefaultAction::Deny
                 }),
             }
-            if (pm.store_generation(), pm.revocation_epoch()) != tags {
+            if pm.store_generation() != gen {
                 stale = [true; 3];
             }
         }

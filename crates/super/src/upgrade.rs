@@ -15,8 +15,8 @@
 //! 3. **Swap dispatch** (`alias → v2` is one map write), then **bump the
 //!    policy snapshot generation**. Any admit decision still holding a
 //!    pre-swap snapshot is now detectably stale: its generation is below
-//!    the post-swap epoch, so stale grants cannot be admitted after the
-//!    swap is visible.
+//!    the post-swap generation, so stale grants cannot be admitted after
+//!    the swap is visible.
 //! 4. **Unload v1.** Its queues are empty or migrated, dispatch no longer
 //!    resolves to it, and its policy snapshot generation is dead.
 

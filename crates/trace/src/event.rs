@@ -174,7 +174,8 @@ pub enum TraceEvent {
         module: String,
         /// The instance now receiving dispatch.
         instance: String,
-        /// Policy snapshot generation after the revocation epoch bump.
+        /// Policy snapshot generation published by the post-swap
+        /// `bump_epoch`.
         generation: u64,
     },
     /// The driver queued a frame for transmit.

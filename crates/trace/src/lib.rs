@@ -222,22 +222,33 @@ impl Tracer {
 
     // --- sites ---------------------------------------------------------
 
-    /// Register a module's IR guard sites (loader calls this at insmod).
-    /// Returns the per-module lookup table the interpreter consults.
-    pub fn register_module_sites(&self, module: &str, sites: &[GuardSite]) -> Arc<SiteTable> {
-        let mut table = SiteTable::new();
+    /// Register a module's IR guard sites (loader calls this at insmod)
+    /// once `build` accepts the per-module lookup table they get; the
+    /// loader lowers the module with it. The registry is held across
+    /// `build`, so the ids it sees are the ids registered, and a `build`
+    /// that fails registers nothing. Returns the table and what `build`
+    /// made.
+    pub fn register_module_sites<T, E>(
+        &self,
+        module: &str,
+        sites: &[GuardSite],
+        build: impl FnOnce(&SiteTable) -> Result<T, E>,
+    ) -> Result<(Arc<SiteTable>, T), E> {
         let mut reg = self.sites.lock();
-        for site in sites {
-            let id = SiteId(reg.metas.len() as u32);
-            reg.metas.push(SiteMeta {
+        let ids = (reg.metas.len()..).map(|id| SiteId(id as u32));
+        let mut table = SiteTable::new();
+        for (site, id) in sites.iter().zip(ids.clone()) {
+            table.insert(&site.function, site.inst, id);
+        }
+        let built = build(&table)?;
+        reg.metas
+            .extend(sites.iter().zip(ids).map(|(site, id)| SiteMeta {
                 id,
                 module: module.to_string(),
                 label: site.label(),
                 kind: site.kind,
-            });
-            table.insert(&site.function, site.inst, id);
-        }
-        Arc::new(table)
+            }));
+        Ok((Arc::new(table), built))
     }
 
     /// Register one named synthetic site (native code paths — e.g. the

@@ -171,8 +171,8 @@ pub struct Bound {
 /// [`Op::GuardStore`]) carries a `bound`: `None` in the general tier,
 /// where the guard consults the policy, and the baked [`Bound`] in a
 /// promoted copy, where the guard admits with compares when the
-/// generation and revocation epoch still match and otherwise deopts to
-/// the general path with the same operands. Fuel and observable
+/// generation still matches and otherwise deopts to the general path
+/// with the same operands. Fuel and observable
 /// semantics are identical either way.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)] // field meanings documented per variant
@@ -345,25 +345,20 @@ pub struct PromotionSpec {
 }
 
 /// One published generation of promoted code: the re-lowered functions
-/// plus the policy, snapshot generation and revocation epoch their
-/// bounds were baked from. Swapped wholesale — readers either see the
-/// complete tier or none of it.
+/// plus the policy and snapshot generation their bounds were baked from.
+/// Swapped wholesale — readers either see the complete tier or none of
+/// it.
 #[derive(Debug, Default)]
 pub struct PromotedTier {
     /// Namespace id of the policy the bounds were baked from (0 = the
     /// empty tier). Namespace ids are never reused and no policy has id
     /// 0, so an executor runs the tier only for a call whose policy has
-    /// this id: two policies' generations and epochs both start at 1 and
-    /// cannot tell the policies apart.
+    /// this id: two policies' generations both start at 1 and cannot
+    /// tell the policies apart.
     pub ns: u64,
     /// Snapshot generation every baked bound in this tier cites
     /// (0 = the empty tier; real generations start at 1).
     pub gen: u64,
-    /// Revocation epoch the tier was baked under (0 = the empty tier;
-    /// real epochs start at 1). A fleet-wide revoke advances the
-    /// policy's epoch without republishing, so promoted frames compare
-    /// this against the live epoch to deopt promptly.
-    pub epoch: u64,
     /// Function index → its promoted re-lowering, if it has one.
     funcs: Vec<Option<CompiledFunc>>,
 }
@@ -373,7 +368,7 @@ impl PromotedTier {
     /// one; `None` means run the general bytecode. An executor loads
     /// the tier once ([`CompiledModule::promoted_tier`]) and finds every
     /// frame's code here by reference, so one call never mixes two
-    /// tiers' code or pairs one tier's code with another's epoch.
+    /// tiers' code.
     pub fn func(&self, idx: u32) -> Option<&CompiledFunc> {
         self.funcs.get(idx as usize)?.as_ref()
     }
@@ -422,7 +417,7 @@ impl TierCell {
 /// locking executors, next to a never-reused id
 /// ([`CompiledModule::tier_id`]) executors key a kept tier by; clones
 /// of the module share one tier. Policy publishes never touch it: its
-/// generation, epoch and namespace tags make a stale tier deopt.
+/// generation and namespace tags make a stale tier deopt.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// The module's name (used for policy lookup and diagnostics).
@@ -486,15 +481,11 @@ impl CompiledModule {
     ///
     /// `ns` is the namespace id of the policy the bounds come from; an
     /// executor runs the tier only for a call governed by that policy.
-    /// `epoch` is the governing policy's revocation epoch at bake time;
-    /// promoted frames deopt when it no longer matches the live epoch
-    /// (fleet-wide revocation without generation churn).
-    pub fn promote(&self, ns: u64, gen: u64, epoch: u64, specs: &[PromotionSpec]) -> usize {
+    pub fn promote(&self, ns: u64, gen: u64, specs: &[PromotionSpec]) -> usize {
         let by_site: BTreeMap<SiteId, &PromotionSpec> = specs.iter().map(|s| (s.site, s)).collect();
         let mut tier = PromotedTier {
             ns,
             gen,
-            epoch,
             funcs: vec![None; self.funcs.len()],
         };
         let mut promoted_ops = 0usize;
@@ -544,8 +535,7 @@ impl CompiledModule {
     /// The current promoted tier (the empty tier when nothing is
     /// promoted). A promotion or invalidation after an executor loaded
     /// it reaches the executor's next call; a policy publish reaches no
-    /// tier, whose generation and epoch tags make its inline guards
-    /// deopt.
+    /// tier, whose generation tag makes its inline guards deopt.
     pub fn promoted_tier(&self) -> Arc<PromotedTier> {
         self.promoted.tier.load_full()
     }
@@ -561,11 +551,6 @@ impl CompiledModule {
     /// Snapshot generation of the current promoted tier (0 = none).
     pub fn promoted_generation(&self) -> u64 {
         self.promoted.tier.load().gen
-    }
-
-    /// Revocation epoch of the current promoted tier (0 = none).
-    pub fn promoted_epoch(&self) -> u64 {
-        self.promoted.tier.load().epoch
     }
 
     /// Number of guard ops with a baked bound across the current tier.
@@ -592,7 +577,7 @@ impl CompiledModule {
     /// [`CompiledModule::promoted_tier`] load sees the empty tier. The
     /// kernel's promotion sweep uses it on a stale tier it can bake
     /// nothing for; a call that loaded the tier earlier keeps running
-    /// it, and its inline guards deopt per op via the tag checks.
+    /// it, and its inline guards deopt per op via the generation check.
     pub fn invalidate_promotions(&self) {
         self.promoted.publish(PromotedTier::default());
     }
@@ -660,17 +645,11 @@ mod promote_tests {
         assert!(m.promoted_tier().func(0).is_none());
 
         let id = m.tier_id();
-        let n = m.promote(
-            1,
-            5,
-            1,
-            &[spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000)],
-        );
+        let n = m.promote(1, 5, &[spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000)]);
         assert_eq!(n, 2);
         assert_ne!(m.tier_id(), id, "a publish stores a fresh id");
         assert_eq!(m.promoted_tier().ns, 1);
         assert_eq!(m.promoted_generation(), 5);
-        assert_eq!(m.promoted_epoch(), 1);
         assert_eq!(m.promoted_guard_count(), 2);
 
         let tier = m.promoted_tier();
@@ -723,11 +702,11 @@ mod promote_tests {
     #[test]
     fn promoting_unknown_sites_publishes_nothing() {
         let m = CompiledModule::new("m".into(), vec![guard_func()]);
-        m.promote(1, 3, 1, &[spec(7, 0, 0x100)]);
+        m.promote(1, 3, &[spec(7, 0, 0x100)]);
         assert_eq!(m.promoted_generation(), 3);
         // A later pass with no matching sites must not clobber the tier.
         let id = m.tier_id();
-        assert_eq!(m.promote(1, 4, 1, &[spec(999, 0, 0x100)]), 0);
+        assert_eq!(m.promote(1, 4, &[spec(999, 0, 0x100)]), 0);
         assert_eq!(m.promoted_generation(), 3);
         assert_eq!(m.tier_id(), id, "nothing published");
         assert!(m.promoted_tier().func(0).is_some());
@@ -737,12 +716,12 @@ mod promote_tests {
     fn invalidate_drops_the_tier_and_clones_share_it() {
         let m = CompiledModule::new("m".into(), vec![guard_func()]);
         let alias = m.clone();
-        m.promote(1, 9, 1, &[spec(9, 0x10, 0x20)]);
+        m.promote(1, 9, &[spec(9, 0x10, 0x20)]);
         assert_eq!(alias.promoted_generation(), 9, "clones share the tier");
         assert_eq!(alias.tier_id(), m.tier_id(), "and its id");
         let promoted_id = m.tier_id();
         let tier = alias.promoted_tier();
-        assert_eq!(tier.epoch, 1, "the tier carries its bake epoch");
+        assert_eq!(tier.ns, 1, "the tier carries its bake namespace");
         assert!(matches!(
             &tier.func(0).unwrap().code[1],
             Op::Guard {
@@ -757,10 +736,10 @@ mod promote_tests {
         assert!(m.promoted_tier().func(0).is_none());
         // A tier loaded before the invalidation stays whole for its
         // holder: same code, same tags.
-        assert_eq!((tier.gen, tier.epoch), (9, 1));
+        assert_eq!((tier.ns, tier.gen), (1, 9));
         assert!(tier.func(0).is_some());
         // Re-promotion after invalidation works (lazy re-promote path).
-        assert_eq!(m.promote(1, 10, 2, &[spec(9, 0x10, 0x20)]), 1);
+        assert_eq!(m.promote(1, 10, &[spec(9, 0x10, 0x20)]), 1);
         assert_eq!(alias.promoted_generation(), 10);
     }
 }

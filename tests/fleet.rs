@@ -13,10 +13,11 @@
 //! * every MQ forwarding round's ledger audit is exact (no duplicates,
 //!   no unaccounted frames) and its guard calls reconcile one-for-one
 //!   against the owning tenants' policy counters,
-//! * a fleet-wide revocation issued mid-test reaches every tenant
-//!   (zero stale grants observed after the epoch is published).
+//! * an epoch bump of every tenant's policy mid-test reaches every
+//!   tenant (zero stale grants observed once its generation is
+//!   published).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use carat_kop::compiler::{compile_module, CompileOptions, CompilerKey};
@@ -85,7 +86,9 @@ fn insmod_storm_under_mq_forwarding_holds_invariants() {
     let stager_threads = cores.clamp(2, 6);
 
     let next_idx = AtomicUsize::new(0);
-    let revoked = AtomicBool::new(false);
+    // Each tenant's generation after the mid-test publish (MAX: not yet).
+    let swap_gen: [AtomicU64; TENANTS] = std::array::from_fn(|_| AtomicU64::new(u64::MAX));
+    let published = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel();
 
     let mq_rounds = std::thread::scope(|s| {
@@ -110,13 +113,13 @@ fn insmod_storm_under_mq_forwarding_holds_invariants() {
         drop(tx);
 
         // Forwarder: MQ rounds against namespaced tenants, concurrent
-        // with the storm, continuing past the fleet revocation.
+        // with the storm, continuing past the mid-test publish.
         let forwarder = {
             let ns = Arc::clone(&ns);
-            let revoked = &revoked;
+            let (swap_gen, published) = (&swap_gen, &published);
             s.spawn(move || {
                 let mut rounds = 0u64;
-                let mut seen_revoked = false;
+                let mut seen_published = false;
                 loop {
                     let tenants: Vec<Arc<PolicyModule>> =
                         (0..2).map(|qi| ns.resolve(&format!("nic{qi}"))).collect();
@@ -139,20 +142,18 @@ fn insmod_storm_under_mq_forwarding_holds_invariants() {
                         report.guard_calls(),
                         "round {rounds}: per-tenant guard reconciliation"
                     );
-                    // Once the fleet revocation is published, every
-                    // tenant must already carry the bumped epoch — a
-                    // stale grant would mean a cache outlived it.
-                    if revoked.load(Ordering::SeqCst) {
-                        for p in &tenants {
-                            assert!(
-                                p.revocation_epoch() >= 2,
-                                "round {rounds}: tenant missed the fleet revocation"
-                            );
-                        }
-                        seen_revoked = true;
+                    // Stale-grant discipline: once a tenant's publish is
+                    // out, every admit must observe a policy generation
+                    // at or beyond it.
+                    let done = published.load(Ordering::SeqCst);
+                    for (qi, p) in tenants.iter().enumerate() {
+                        let sg = swap_gen[qi].load(Ordering::SeqCst);
+                        let stale = sg != u64::MAX && p.store_generation() < sg;
+                        assert!(!stale, "round {rounds}: tenant {qi} missed the publish");
                     }
+                    seen_published |= done;
                     rounds += 1;
-                    if seen_revoked && rounds >= 2 {
+                    if seen_published && rounds >= 2 {
                         return rounds;
                     }
                 }
@@ -170,10 +171,12 @@ fn insmod_storm_under_mq_forwarding_holds_invariants() {
         }
         assert_eq!(committed, STORM_MODULES);
 
-        // Fleet-wide revocation mid-test: global + every tenant bumped.
-        let bumped = kernel.revoke_fleet();
-        assert_eq!(bumped, TENANTS + 1);
-        revoked.store(true, Ordering::SeqCst);
+        // A publish on every tenant mid-test: one epoch bump each.
+        for (t, sg) in swap_gen.iter().enumerate() {
+            let gen = kernel.policy_for(&format!("nic{t}")).bump_epoch();
+            sg.store(gen, Ordering::SeqCst);
+        }
+        published.store(true, Ordering::SeqCst);
 
         forwarder.join().expect("forwarder")
     });
@@ -219,32 +222,4 @@ fn namespace_registration_is_monotone_and_falls_back_to_global() {
     );
     assert!(Arc::ptr_eq(&ns.resolve("b"), &global));
     assert_eq!(ns.len(), 1);
-}
-
-#[test]
-fn fleet_revocation_reaches_every_tenant_every_time() {
-    let mut kernel = boot();
-    let tenants: Vec<Arc<PolicyModule>> = (0..8)
-        .map(|t| {
-            let pm = Arc::new(PolicyModule::two_region_paper_policy());
-            kernel.set_module_policy(&format!("mod{t}"), Arc::clone(&pm));
-            pm
-        })
-        .collect();
-    let global = Arc::clone(kernel.policy());
-    let before: Vec<u64> = tenants.iter().map(|p| p.revocation_epoch()).collect();
-    let global_before = global.revocation_epoch();
-
-    assert_eq!(kernel.revoke_fleet(), 9, "8 tenants + the global policy");
-    for (p, b) in tenants.iter().zip(&before) {
-        assert_eq!(p.revocation_epoch(), b + 1);
-    }
-    assert_eq!(global.revocation_epoch(), global_before + 1);
-
-    // Revocation is repeatable and monotone.
-    assert_eq!(kernel.revoke_fleet(), 9);
-    for (p, b) in tenants.iter().zip(&before) {
-        assert_eq!(p.revocation_epoch(), b + 2);
-    }
-    assert_eq!(kernel.namespaces().revocation_count(), 2);
 }

@@ -18,10 +18,10 @@
 //! The last part pins the interpreter's per-call contract on the
 //! promoted mini e1000e `xmit`: a publish at a known load inside a call
 //! deopts every later inline guard of that call, a call that ends in
-//! `Err` still drains its inline admits, and a policy swap, promotion,
-//! publish or revocation between two calls on one long-lived
-//! interpreter governs the next one, although the interpreter keeps its
-//! policy and promoted tier across calls.
+//! `Err` still drains its inline admits, and a policy swap, promotion or
+//! publish between two calls on one long-lived interpreter governs the
+//! next one, although the interpreter keeps its policy and promoted tier
+//! across calls.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -423,8 +423,7 @@ fn stale_generation_promotion_deopts_every_guard() {
         .image()
         .compiled
         .clone();
-    let (ns, epoch) = (policy.namespace(), policy.revocation_epoch());
-    assert!(compiled.promote(ns, stale_gen, epoch, &specs) > 0);
+    assert!(compiled.promote(policy.namespace(), stale_gen, &specs) > 0);
     assert_eq!(compiled.promoted_generation(), stale_gen);
 
     let s0 = policy.stats();
@@ -599,8 +598,7 @@ fn mq_tx_generation_bump_torture() {
 // `Interp::call` is the unit of resolution and accounting: a call
 // settles its promoted tier once and pins its governing policy on first
 // use, its inline admits drain where it returns, and every inline guard
-// still compares the baked generation and revocation epoch with the
-// live policy per op. The interpreter keeps the policy and the tier
+// still compares the baked generation with the live policy's per op. The interpreter keeps the policy and the tier
 // past the return, keyed by the namespace store's version and the
 // module's tier id, so what changes between calls must reach the next
 // call through those keys.
@@ -643,14 +641,13 @@ fn xmit(interp: &mut Interp<'_>, b: &TxBufs, p: u64) -> Result<Option<u64>, Stri
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum MidCall {
     BumpEpoch,
-    BumpRevocation,
     /// `replace_regions` without the `@stats` grant.
     DropStatsGrant,
 }
 
 /// A fault hook that corrupts nothing. At the `k`-th integer load it
 /// sees it notes the policy's `checks` count, then acts on the policy
-/// once — a publish or revocation at a known point inside a call.
+/// once — a publish at a known point inside a call.
 struct PublishAt {
     k: u64,
     seen: u64,
@@ -669,9 +666,6 @@ impl FaultHook for PublishAt {
             match self.act {
                 MidCall::BumpEpoch => {
                     self.policy.bump_epoch();
-                }
-                MidCall::BumpRevocation => {
-                    self.policy.bump_revocation();
                 }
                 MidCall::DropStatsGrant => self
                     .policy
@@ -780,10 +774,10 @@ fn mid_call_run(act: MidCall, k: u64, engine: Engine) -> MidCallRun {
     }
 }
 
-/// A publish or revocation that lands inside a promoted call deopts
-/// every inline guard after it in that same call: the call pinned its
-/// tier and policy, but each inline guard compares the baked generation
-/// and epoch with the live policy. Against a bytecode run under the same
+/// A publish that lands inside a promoted call deopts every inline guard
+/// after it in that same call: the call pinned its tier and policy, but
+/// each inline guard compares the baked generation with the live
+/// policy's. Against a bytecode run under the same
 /// hook, the tree and promoted engines agree on the result, stats,
 /// policy-counter deltas and touched bytes; dropping the `@stats` grant
 /// mid-call makes the next `@stats` guard deny on every engine. Nothing
@@ -792,11 +786,7 @@ fn mid_call_run(act: MidCall, k: u64, engine: Engine) -> MidCallRun {
 /// so every inline guard deopts — until `tick()` re-promotes.
 #[test]
 fn mid_call_publish_deopts_every_later_inline_guard() {
-    for act in [
-        MidCall::BumpEpoch,
-        MidCall::BumpRevocation,
-        MidCall::DropStatsGrant,
-    ] {
+    for act in [MidCall::BumpEpoch, MidCall::DropStatsGrant] {
         // xmit's two integer loads read @stats' packet and byte
         // counters in @bump_stats; three and one @stats guards follow.
         for k in [1, 2] {
@@ -830,9 +820,8 @@ fn mid_call_publish_deopts_every_later_inline_guard() {
                 assert_eq!((denied, squashed), (0, 0), "{ctx}");
             }
 
-            // The next call admits nothing inline: a publish or a
-            // revocation leaves the tier installed but stale, so every
-            // inline guard deopts.
+            // The next call admits nothing inline: a publish leaves the
+            // tier installed but stale, so every inline guard deopts.
             assert_eq!(jit.next, (0, guards, guards), "{ctx}: next call");
             // tick() re-promotes every site a grant still covers.
             assert_eq!(
@@ -968,9 +957,9 @@ fn elsewhere<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
 /// A namespace swap through the shared `NamespaceStore`, from another
 /// thread, governs the next call on every engine of one long-lived
 /// interpreter, and so does removing it again. The swapped-in policy
-/// (default deny, no rules, bumped once) has the generation and epoch the
-/// promoted tier was baked under, so only the namespace id tells it
-/// from the global policy: the tier must not run under it, and runs
+/// (default deny, no rules, bumped once) has the generation the promoted
+/// tier was baked under, so only the namespace id tells it from the
+/// global policy: the tier must not run under it, and runs
 /// inline again once the global policy governs the module again.
 #[test]
 fn shared_store_swap_between_calls_governs_the_next_call() {
@@ -989,9 +978,9 @@ fn shared_store_swap_between_calls_governs_the_next_call() {
             .image()
             .compiled;
         assert_eq!(
-            (own.store_generation(), own.revocation_epoch()),
-            (compiled.promoted_generation(), compiled.promoted_epoch()),
-            "the swapped-in policy carries the tier's tags"
+            own.store_generation(),
+            compiled.promoted_generation(),
+            "the swapped-in policy carries the tier's generation"
         );
         let inline = if engine == Engine::Promoted { 10 } else { 0 };
         let mut interp = x.interp(engine);
@@ -1028,8 +1017,8 @@ fn shared_store_swap_between_calls_governs_the_next_call() {
 
 /// What changes the promoted tier between two calls on one long-lived
 /// interpreter reaches the next call: a `tick()` that promotes makes it
-/// admit inline; a publish or a revocation from another thread leaves
-/// the tier installed and stale, so every inline guard deopts, and a
+/// admit inline; a publish from another thread leaves the tier
+/// installed and stale, so every inline guard deopts, and a
 /// guard the new rules deny is denied.
 #[test]
 fn tier_changes_between_calls_govern_the_next_call() {
@@ -1080,14 +1069,6 @@ fn tier_changes_between_calls_govern_the_next_call() {
     assert_eq!((admits, deopts), (0, 10), "the reload stales the tier");
     assert!(denied > 0 && squashed == denied, "{denied}/{squashed}");
     assert_eq!(interp.kernel().tick(), 10 - denied as usize);
-
-    let pm = Arc::clone(&policy);
-    elsewhere(move || pm.bump_revocation());
-    assert_eq!(
-        call(&mut interp),
-        (0, 10 - denied, denied, squashed),
-        "a revocation stales the kept tier"
-    );
 }
 
 /// After a swap through the shared store, `tick()` bakes the tier from
