@@ -230,53 +230,46 @@ pub fn parse(src: &str) -> Module {
 /// 19 kLoC e1000e. At `n_funcs = 800` the printed IR is ~19,000 lines of
 /// KIR, so CLAIM-T can exercise "transform a ~19 kLoC module" literally.
 pub fn synthetic_large(n_funcs: usize) -> Module {
-    use kop_ir::{GlobalInit, IcmpPred, IrBuilder, Type, Value};
-    let mut b = IrBuilder::new("synthetic-large");
-    b.global("total", Type::I64, GlobalInit::Int(0));
+    use std::fmt::Write;
+    let mut src = String::from("module \"synthetic-large\"\n\nglobal @total : i64 = 0\n");
     for fi in 0..n_funcs {
-        let mut f = b.function(format!("work{fi}"), vec![Type::Ptr, Type::I64], Type::I64);
-        f.name_params(&["buf", "n"]);
-        let entry = f.block("entry");
-        let head = f.block("head");
-        let body = f.block("body");
-        let exit = f.block("exit");
-        f.switch_to(entry);
-        f.br(head);
-        f.switch_to(head);
-        let i = f.phi(Type::I64, vec![(entry, Value::i64(0))]);
-        let acc = f.phi(Type::I64, vec![(entry, Value::i64(fi as u64))]);
-        let c = f.icmp(IcmpPred::Ult, Type::I64, i.clone(), Value::Arg(1));
-        f.condbr(c, body, exit);
-        f.switch_to(body);
         // A spread of accesses so the module isn't one repeated pattern:
-        // stride and field offsets vary per function.
-        let stride = (fi % 7 + 1) as u64;
-        let idx = f.mul(Type::I64, i.clone(), Value::i64(stride));
-        let p = f.gep(Type::I64, Value::Arg(0), vec![idx]);
-        let v = f.load(Type::I64, p.clone());
-        let v2 = f.add(Type::I64, v, Value::i64(fi as u64 + 1));
-        f.store(Type::I64, v2.clone(), p);
-        let g = Value::Global("total".into());
-        let t = f.load(Type::I64, g.clone());
-        let t2 = f.add(Type::I64, t, v2.clone());
-        f.store(Type::I64, t2, g);
-        let acc2 = f.add(Type::I64, acc.clone(), v2);
-        let i2 = f.add(Type::I64, i.clone(), Value::i64(1));
-        f.br(head);
-        // Patch loop phis.
-        let func = f.raw();
-        for (phi, val) in [(&i, i2), (&acc, acc2)] {
-            if let Value::Inst(id) = phi {
-                if let kop_ir::Inst::Phi { incomings, .. } = func.inst_mut(*id) {
-                    incomings.push((body, val));
-                }
-            }
-        }
-        f.switch_to(exit);
-        f.ret(Some(acc));
-        f.finish();
+        // stride and field offsets vary per function. The value names are
+        // the ones the printer generates for unnamed values, so the
+        // module's text (and its signature) stays what the figures have
+        // always measured.
+        let (stride, bump) = (fi % 7 + 1, fi + 1);
+        write!(
+            src,
+            "
+define i64 @work{fi}(ptr %buf, i64 %n) {{
+entry:
+  br %head
+head:
+  %__t0 = phi i64 [ 0, %entry ], [ %__t12, %body ]
+  %__t1 = phi i64 [ {fi}, %entry ], [ %__t11, %body ]
+  %__t2 = icmp ult i64 %__t0, %n
+  condbr i1 %__t2, %body, %exit
+body:
+  %__t3 = mul i64 %__t0, {stride}
+  %__t4 = gep i64, ptr %buf, i64 %__t3
+  %__t5 = load i64, ptr %__t4
+  %__t6 = add i64 %__t5, {bump}
+  store i64 %__t6, ptr %__t4
+  %__t8 = load i64, ptr @total
+  %__t9 = add i64 %__t8, %__t6
+  store i64 %__t9, ptr @total
+  %__t11 = add i64 %__t1, %__t6
+  %__t12 = add i64 %__t0, 1
+  br %head
+exit:
+  ret i64 %__t1
+}}
+"
+        )
+        .expect("writing to a String cannot fail");
     }
-    b.finish()
+    parse(&src)
 }
 
 /// All corpus modules with labels (for sweeps).

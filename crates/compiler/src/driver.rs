@@ -9,8 +9,8 @@
 //!
 //! Optimized builds carry an extra artifact: the obligation ledger. The
 //! optimizer records a machine-checkable justification for every guard
-//! it removes or coalesces; the driver finalizes the ledger after layout
-//! sealing, hands it to the *independent* translation validator
+//! it removes or coalesces; the driver finalizes the ledger once the
+//! passes have run, hands it to the *independent* translation validator
 //! ([`kop_analysis::validate_module`]) — which re-derives every claim
 //! from the module text alone — and refuses to sign when any claim
 //! fails. The ledger then travels inside the attestation so the kernel
@@ -32,11 +32,9 @@ pub struct CompileOptions {
     /// Inject guards (turn off to build the *baseline* module the paper
     /// compares against — same compiler, same flags, no transformation).
     pub inject_guards: bool,
-    /// Run redundant-guard elimination (CARAT CAKE-style; off in the paper).
-    pub optimize_redundant: bool,
-    /// Run counted-loop range coalescing (CARAT CAKE-style; off in the
-    /// paper).
-    pub optimize_range: bool,
+    /// Run the CARAT CAKE-style guard optimizers, counted-loop range
+    /// coalescing then redundant-guard elimination (off in the paper).
+    pub optimize: bool,
     /// Wrap privileged-intrinsic calls with intrinsic guards instead of
     /// refusing them (the §5 extension). Off by default — the paper's
     /// base system refuses such modules at attestation time.
@@ -48,8 +46,7 @@ impl Default for CompileOptions {
         // The paper's configuration: guards on, optimizations off.
         CompileOptions {
             inject_guards: true,
-            optimize_redundant: false,
-            optimize_range: false,
+            optimize: false,
             wrap_privileged: false,
         }
     }
@@ -72,8 +69,7 @@ impl CompileOptions {
     /// CARAT CAKE-style optimized guards (for the ablation).
     pub fn optimized() -> Self {
         CompileOptions {
-            optimize_redundant: true,
-            optimize_range: true,
+            optimize: true,
             ..Self::default()
         }
     }
@@ -157,10 +153,8 @@ pub fn compile_module(
     // Range coalescing runs before elimination: a coalesced range guard
     // is never a constant fact, so elim cannot remove a guard that a
     // recorded range obligation depends on.
-    if options.optimize_range {
+    if options.optimize {
         pm.add(RangeCoalescing);
-    }
-    if options.optimize_redundant {
         pm.add(RedundantGuardElim);
     }
     let mut recorder = ObligationRecorder::new();
@@ -168,10 +162,6 @@ pub fn compile_module(
     for (_, s) in pm.run_with(&mut module, &mut recorder) {
         stats.merge(&s);
     }
-    // Passes restructured blocks; re-seal the layout caches so everything
-    // downstream (verifier walks, the interpreter) sees sealed functions.
-    module.seal_layout();
-
     verify_module(&module).map_err(CompileError::OutputVerify)?;
 
     // Obligations are recorded against arena ids while passes run; now

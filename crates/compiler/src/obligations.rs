@@ -1,8 +1,8 @@
 //! Obligation recording — the optimizer's side of the ledger.
 //!
 //! Every guard-reducing transform records a raw, `InstId`-addressed
-//! claim here while passes run; after the pipeline finishes (and
-//! `seal_layout` fixes final positions) the driver calls
+//! claim here while passes run; after the pipeline finishes (and so
+//! fixes final positions) the driver calls
 //! [`ObligationRecorder::finalize`] to resolve each claim into the
 //! position-stable `block#index` form of
 //! [`kop_analysis::ObligationLedger`] that travels in the attestation.

@@ -285,7 +285,6 @@ mod tests {
         for p in passes {
             p.run_with(m, &mut rec);
         }
-        m.seal_layout();
         rec.finalize(m)
     }
 
@@ -344,7 +343,6 @@ join:
         assert_eq!(stats.get("guards_removed"), 3);
         assert_eq!(guard_count(&m), 1);
         verify_module(&m).expect("still verifies");
-        m.seal_layout();
         let ledger = rec.finalize(&m);
         assert_eq!(ledger.len(), 3, "one obligation per cross-block elision");
         assert!(validate_module(&m, &ledger).is_clean());
@@ -468,7 +466,6 @@ entry:
         assert_eq!(guard_key(f, g).unwrap().2, 3, "flags widened to rw");
         verify_module(&m).expect("still verifies");
         assert!(verify_guard_coverage(&m).is_clean());
-        m.seal_layout();
         let ledger = rec.finalize(&m);
         assert!(validate_module(&m, &ledger).is_clean());
     }
@@ -545,7 +542,6 @@ exit:
 
         // Without the ledger the loop body is unproven; with it, the
         // independent validator accepts.
-        m.seal_layout();
         let ledger = rec.finalize(&m);
         assert_eq!(ledger.len(), 1);
         assert!(!validate_module(&m, &ObligationLedger::empty()).is_clean());

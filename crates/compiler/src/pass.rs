@@ -111,7 +111,7 @@ impl PassManager {
 
     /// Run the pipeline, collecting guard-reduction obligations into
     /// `obligations` (the driver finalizes them into the attestation's
-    /// ledger after `seal_layout`).
+    /// ledger once the pipeline has finished).
     pub fn run_with(
         &self,
         module: &mut Module,

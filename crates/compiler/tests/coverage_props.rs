@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use kop_analysis::verify_guard_coverage;
 use kop_compiler::{GuardInjectionPass, Pass, RangeCoalescing, RedundantGuardElim, GUARD_SYMBOL};
-use kop_ir::{verify_module, IcmpPred, Inst, IrBuilder, Module, Type, Value};
+use kop_ir::{parse_module, verify_module, Inst, Module, Type, Value};
 
 /// One random memory access: which pointer, what type, load or store.
 #[derive(Clone, Debug)]
@@ -36,70 +36,61 @@ fn arb_access() -> impl Strategy<Value = Access> {
     })
 }
 
+/// The accesses as KIR lines, in order.
+fn access_lines(accesses: &[Access]) -> String {
+    let mut out = String::new();
+    for (k, acc) in accesses.iter().enumerate() {
+        let ptr = ["%a", "%b", "@g", "%slot"][acc.target as usize];
+        let ty = &acc.ty;
+        if acc.is_store {
+            out += &format!("  store {ty} 1, ptr {ptr}\n");
+        } else {
+            out += &format!("  %v{k} = load {ty}, ptr {ptr}\n");
+        }
+    }
+    out
+}
+
 /// Straight-line program: a single block issuing the accesses in order.
 fn build_straightline(accesses: &[Access]) -> Module {
-    let mut b = IrBuilder::new("slp");
-    b.global("g", Type::I64, kop_ir::GlobalInit::Int(0));
-    let mut f = b.function("run", vec![Type::Ptr, Type::Ptr], Type::Void);
-    f.name_params(&["a", "b"]);
-    let entry = f.block("entry");
-    f.switch_to(entry);
-    let slot = f.alloca(Type::I64, 1);
-    emit_accesses(&mut f, accesses, &slot);
-    f.ret(None);
-    f.finish();
-    b.finish()
+    parse_module(&format!(
+        "module \"slp\"
+global @g : i64 = 0
+define void @run(ptr %a, ptr %b) {{
+entry:
+  %slot = alloca i64, 1
+{}  ret void
+}}
+",
+        access_lines(accesses)
+    ))
+    .expect("generated program parses")
 }
 
 /// Loop program: the same accesses inside a counted loop body, so the
 /// hoisting pass has loop-invariant guards to move.
 fn build_loop(accesses: &[Access], n: u64) -> Module {
-    let mut b = IrBuilder::new("loopp");
-    b.global("g", Type::I64, kop_ir::GlobalInit::Int(0));
-    let mut f = b.function("run", vec![Type::Ptr, Type::Ptr], Type::Void);
-    f.name_params(&["a", "b"]);
-    let entry = f.block("entry");
-    let head = f.block("head");
-    let body = f.block("body");
-    let exit = f.block("exit");
-    f.switch_to(entry);
-    let slot = f.alloca(Type::I64, 1);
-    f.br(head);
-    f.switch_to(head);
-    let i = f.phi(Type::I64, vec![(entry, Value::i64(0))]);
-    let c = f.icmp(IcmpPred::Ult, Type::I64, i.clone(), Value::i64(n));
-    f.condbr(c, body, exit);
-    f.switch_to(body);
-    emit_accesses(&mut f, accesses, &slot);
-    let i2 = f.add(Type::I64, i.clone(), Value::i64(1));
-    let func = f.raw();
-    if let Value::Inst(id) = &i {
-        if let Inst::Phi { incomings, .. } = func.inst_mut(*id) {
-            incomings.push((body, i2));
-        }
-    }
-    f.br(head);
-    f.switch_to(exit);
-    f.ret(None);
-    f.finish();
-    b.finish()
-}
-
-fn emit_accesses(f: &mut kop_ir::builder::FuncBuilder<'_>, accesses: &[Access], slot: &Value) {
-    for acc in accesses {
-        let ptr = match acc.target {
-            0 => Value::Arg(0),
-            1 => Value::Arg(1),
-            2 => Value::Global("g".into()),
-            _ => slot.clone(),
-        };
-        let ty = acc.ty.clone();
-        if acc.is_store {
-            f.store(ty.clone(), Value::ConstInt(ty, 1), ptr);
-        } else {
-            f.load(ty, ptr);
-        }
-    }
+    parse_module(&format!(
+        "module \"loopp\"
+global @g : i64 = 0
+define void @run(ptr %a, ptr %b) {{
+entry:
+  %slot = alloca i64, 1
+  br %head
+head:
+  %i = phi i64 [ 0, %entry ], [ %i2, %body ]
+  %c = icmp ult i64 %i, {n}
+  condbr i1 %c, %body, %exit
+body:
+{}  %i2 = add i64 %i, 1
+  br %head
+exit:
+  ret void
+}}
+",
+        access_lines(accesses)
+    ))
+    .expect("generated program parses")
 }
 
 /// All placed guard call sites in a module.

@@ -13,8 +13,8 @@
 //!   store is dropped.
 //! * `LogAndAllow` — audit mode; the access proceeds.
 //! * `Quarantine` — the access is squashed *and* the violation is charged
-//!   against the module's budget ([`kop_kernel::KernelConfig`]'s
-//!   `violation_budget`); when the budget is exhausted the kernel unloads
+//!   against the module's budget ([`kop_kernel::VIOLATION_BUDGET`]);
+//!   when the budget is exhausted the kernel unloads
 //!   only the offending module and the call unwinds with
 //!   `KernelError::ModuleQuarantined` — the kernel itself keeps running.
 //!
@@ -402,8 +402,7 @@ impl<'k> Interp<'k> {
         loop {
             let blk = f.block(cur);
 
-            // Phi nodes first, evaluated in parallel against `prev`. The
-            // count comes from the sealed layout cache (O(1)).
+            // Phi nodes first, evaluated in parallel against `prev`.
             let phi_count = f.leading_phi_count(cur);
             if phi_count > 0 {
                 let pb = prev.expect("phi in entry block impossible (verified)");

@@ -47,11 +47,6 @@ pub struct Function {
     insts: Vec<Inst>,
     /// Result-value names for instructions (empty string = unnamed).
     inst_names: Vec<String>,
-    /// Cached leading-phi count per block, filled by
-    /// [`Function::seal_layout`]. Empty (or stale-length) means unsealed;
-    /// readers fall back to scanning. Any structural mutation through the
-    /// arena/block methods clears it.
-    phi_counts: Vec<u32>,
 }
 
 impl Function {
@@ -66,35 +61,12 @@ impl Function {
             blocks: Vec::new(),
             insts: Vec::new(),
             inst_names: Vec::new(),
-            phi_counts: Vec::new(),
         }
     }
 
-    /// Precompute the per-block leading-phi counts. Called by the builder,
-    /// the parser, the compiler driver (after its passes), and the loader
-    /// at insmod, so executors never pay the per-block-entry re-scan. The
-    /// verifier guarantees phis are leading, which is what makes a single
-    /// count per block a faithful summary.
-    pub fn seal_layout(&mut self) {
-        let counts = self
-            .blocks
-            .iter()
-            .map(|b| {
-                b.insts
-                    .iter()
-                    .take_while(|&&iid| matches!(self.insts[iid.0 as usize], Inst::Phi { .. }))
-                    .count() as u32
-            })
-            .collect();
-        self.phi_counts = counts;
-    }
-
-    /// Number of leading phi instructions in `block` — O(1) on sealed
-    /// functions, a scan otherwise.
+    /// Number of leading phi instructions in `block` (the verifier
+    /// guarantees phis are leading).
     pub fn leading_phi_count(&self, block: BlockId) -> usize {
-        if self.phi_counts.len() == self.blocks.len() {
-            return self.phi_counts[block.0 as usize] as usize;
-        }
         self.block(block)
             .insts
             .iter()
@@ -113,7 +85,6 @@ impl Function {
 
     /// Append a new empty block and return its id.
     pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
-        self.phi_counts.clear();
         let id = BlockId(u32::try_from(self.blocks.len()).expect("block count fits u32"));
         self.blocks.push(Block {
             name: name.into(),
@@ -140,13 +111,11 @@ impl Function {
 
     /// Append an already-allocated instruction to a block.
     pub fn push_inst(&mut self, block: BlockId, inst: InstId) {
-        self.phi_counts.clear();
         self.blocks[block.0 as usize].insts.push(inst);
     }
 
     /// Insert an already-allocated instruction into a block at `pos`.
     pub fn insert_inst(&mut self, block: BlockId, pos: usize, inst: InstId) {
-        self.phi_counts.clear();
         self.blocks[block.0 as usize].insts.insert(pos, inst);
     }
 
@@ -157,7 +126,6 @@ impl Function {
 
     /// Mutable instruction lookup.
     pub fn inst_mut(&mut self, id: InstId) -> &mut Inst {
-        self.phi_counts.clear();
         &mut self.insts[id.0 as usize]
     }
 
@@ -183,7 +151,6 @@ impl Function {
 
     /// Mutable block lookup.
     pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        self.phi_counts.clear();
         &mut self.blocks[id.0 as usize]
     }
 
@@ -349,43 +316,6 @@ mod tests {
         assert_eq!(f.block(entry).insts[0], guard);
         assert_eq!(f.call_count("carat_guard"), 1);
         assert_eq!(f.call_count("other"), 0);
-    }
-
-    #[test]
-    fn sealed_phi_counts_match_scan_and_invalidate_on_mutation() {
-        let mut f = Function::new("p", vec![Type::I64], Type::I64);
-        let entry = f.add_block("entry");
-        let head = f.add_block("head");
-        let phi = f.alloc_inst(Inst::Phi {
-            ty: Type::I64,
-            incomings: vec![(entry, Value::i64(0))],
-        });
-        f.push_inst(head, phi);
-        let add = f.alloc_inst(Inst::Bin {
-            op: BinOp::Add,
-            ty: Type::I64,
-            lhs: Value::Inst(phi),
-            rhs: Value::i64(1),
-        });
-        f.push_inst(head, add);
-        f.block_mut(entry).term = Some(Terminator::Br(head));
-        f.block_mut(head).term = Some(Terminator::Ret(Some(Value::Inst(add))));
-
-        // Unsealed: falls back to scanning.
-        assert_eq!(f.leading_phi_count(entry), 0);
-        assert_eq!(f.leading_phi_count(head), 1);
-        f.seal_layout();
-        assert_eq!(f.leading_phi_count(head), 1);
-
-        // A structural mutation drops the cache; the scan still answers.
-        let phi2 = f.alloc_inst(Inst::Phi {
-            ty: Type::I64,
-            incomings: vec![(entry, Value::i64(7))],
-        });
-        f.insert_inst(head, 0, phi2);
-        assert_eq!(f.leading_phi_count(head), 2);
-        f.seal_layout();
-        assert_eq!(f.leading_phi_count(head), 2);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! * a textual assembly syntax with a full parser ([`parser`]) and printer
 //!   ([`printer`]) that round-trip,
 //! * a verifier ([`verify`]) enforcing SSA and type discipline (the loader
-//!   re-verifies modules at insertion time),
+//!   re-verifies modules at insertion time), and
 //! * dominator analysis ([`dom`]) used by the verifier and by the guard
-//!   hoisting optimization, and
-//! * an ergonomic [`builder::IrBuilder`] for programmatic construction.
+//!   hoisting optimization.
+//!
+//! Modules are built by parsing KIR text, the same path every signed
+//! module takes at insertion.
 //!
 //! Undefined behaviour note (paper §2): KIR, like LLVM IR here, is the level
 //! at which all guarding happens — front-end language semantics are assumed
@@ -26,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod dom;
 pub mod function;
 pub mod inst;
@@ -37,7 +38,6 @@ pub mod printer;
 pub mod types;
 pub mod verify;
 
-pub use builder::IrBuilder;
 pub use function::{Block, BlockId, Function, InstId};
 pub use inst::{BinOp, CastOp, IcmpPred, Inst, Terminator, Value};
 pub use loops::{find_counted_loops, CountedLoop};

@@ -67,15 +67,6 @@ impl Module {
         }
     }
 
-    /// Seal the layout caches of every function (see
-    /// [`Function::seal_layout`]). Cheap and idempotent; run after any
-    /// pass pipeline that restructured blocks.
-    pub fn seal_layout(&mut self) {
-        for f in &mut self.functions {
-            f.seal_layout();
-        }
-    }
-
     /// Find a function definition by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)

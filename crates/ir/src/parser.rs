@@ -401,9 +401,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 });
             }
             Tok::Ident(w) if w == "define" => {
-                let mut func = parse_function(&mut lx)?;
-                func.seal_layout();
-                module.functions.push(func);
+                module.functions.push(parse_function(&mut lx)?);
             }
             other => {
                 return Err(ParseError {

@@ -188,7 +188,7 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     if bad.is_some() {
                         return;
                     }
-                    if let Some(msg) = check_use(f, &dom, &def_site, v, bid, pos) {
+                    if let Some(msg) = check_use(m, f, &dom, &def_site, v, bid, pos) {
                         bad = Some(msg);
                     }
                 });
@@ -197,6 +197,9 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 }
             } else if let Inst::Phi { incomings, .. } = inst {
                 for (pred, v) in incomings {
+                    if let Some(msg) = undeclared_global(m, v) {
+                        return Err(err(f, msg));
+                    }
                     if let Value::Inst(src) = v {
                         let Some(&(db, _)) = def_site.get(src) else {
                             return Err(err(f, format!("phi uses unplaced {src:?}")));
@@ -224,7 +227,7 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             if bad.is_some() {
                 return;
             }
-            if let Some(msg) = check_use(f, &dom, &def_site, v, bid, blk.insts.len()) {
+            if let Some(msg) = check_use(m, f, &dom, &def_site, v, bid, blk.insts.len()) {
                 bad = Some(msg);
             }
         });
@@ -236,8 +239,10 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Check that a use of `v` at position `(bid, pos)` is dominated by its def.
+/// Check that a use of `v` at position `(bid, pos)` is dominated by its
+/// def and that a global it names is declared.
 fn check_use(
+    m: &Module,
     f: &Function,
     dom: &DomTree,
     def_site: &BTreeMap<InstId, (BlockId, usize)>,
@@ -273,6 +278,15 @@ fn check_use(
             } else {
                 Some(format!("use of out-of-range argument %{i}"))
             }
+        }
+        _ => undeclared_global(m, v),
+    }
+}
+
+fn undeclared_global(m: &Module, v: &Value) -> Option<String> {
+    match v {
+        Value::Global(name) if m.global(name).is_none() => {
+            Some(format!("use of undeclared global @{name}"))
         }
         _ => None,
     }
@@ -527,6 +541,22 @@ entry:
 "#;
         let e = check(src).unwrap_err();
         assert!(e.message.contains("unknown symbol"), "{e}");
+    }
+
+    #[test]
+    fn rejects_use_of_undeclared_global() {
+        for body in [
+            "%v = load i64, ptr @h\n  ret i64 %v",
+            "store i64 1, ptr @h\n  ret i64 0",
+            "br %next\nnext:\n  %q = phi ptr [ @h, %entry ]\n  ret i64 0",
+        ] {
+            let src = format!(
+                "module \"bad\"\nglobal @g : i64 = 0\ndefine i64 @f() {{\nentry:\n  {body}\n}}\n"
+            );
+            let e = check(&src).unwrap_err();
+            assert!(e.message.contains("undeclared global @h"), "{body}: {e}");
+            check(&src.replace("@h", "@g")).expect("declared global verifies");
+        }
     }
 
     #[test]

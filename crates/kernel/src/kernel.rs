@@ -53,24 +53,21 @@ impl Verification {
     }
 }
 
+/// Guard violations tolerated per module before the kernel quarantines
+/// (force-unloads) it. Only consulted when a policy runs with
+/// `ViolationAction::Quarantine`; the paper's Panic action ignores it.
+/// The violation that reaches the budget is the one that triggers the
+/// unload.
+pub const VIOLATION_BUDGET: u32 = 3;
+
 /// Kernel boot configuration.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
-    /// Additionally require the strict guard layout (every access
-    /// immediately preceded by its guard). Off by default because the
-    /// optimized ablation builds legitimately violate it.
-    pub require_strict_guards: bool,
     /// How guard coverage is established at insmod time.
     pub verification: Verification,
     /// Bytes reserved for the kernel heap (kmalloc arena in the direct
     /// map).
     pub heap_size: u64,
-    /// Guard violations tolerated per module before the kernel
-    /// quarantines (force-unloads) it. Only consulted when a policy runs
-    /// with `ViolationAction::Quarantine`; the paper's Panic action
-    /// ignores it. Must be ≥ 1 — the violation that reaches the budget is
-    /// the one that triggers the unload.
-    pub violation_budget: u32,
     /// Profiled checks a guard site needs before [`Kernel::tick`]
     /// promotes it into the inline-bounds tier (default 1024). Explicit
     /// [`Kernel::promote_hot`] calls pass their own threshold.
@@ -80,10 +77,8 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            require_strict_guards: false,
             verification: Verification::Signature,
             heap_size: 64 << 20,
-            violation_budget: 3,
             hot_threshold: 1024,
         }
     }
@@ -170,14 +165,6 @@ impl Kernel {
         trusted_keys: Vec<CompilerKey>,
         config: KernelConfig,
     ) -> Kernel {
-        // Enforce the documented `violation_budget ≥ 1` invariant at the
-        // boundary: a budget of 0 could never charge the violation that
-        // triggers the unload, so it is clamped (and logged below).
-        let mut config = config;
-        let budget_clamped = config.violation_budget == 0;
-        if budget_clamped {
-            config.violation_budget = 1;
-        }
         let mut devices = DevRegistry::new();
         let pm = Arc::clone(&policy);
         devices.register(
@@ -300,9 +287,6 @@ impl Kernel {
         };
         kernel.printk("CARAT KOP simulated kernel booted");
         kernel.printk(&format!("policy store: {}", kernel.policy.store_kind()));
-        if budget_clamped {
-            kernel.printk("carat: violation_budget 0 is invalid, clamped to 1");
-        }
         kernel
     }
 
@@ -578,7 +562,7 @@ impl Kernel {
     ///
     /// Under budget, the violation is logged and `Ok(())` returned — the
     /// caller squashes the access and execution continues. When the
-    /// charge reaches [`KernelConfig::violation_budget`], the module is
+    /// charge reaches [`VIOLATION_BUDGET`], the module is
     /// quarantined: force-unloaded (the `rmmod` path: symbol unlink, text
     /// unprotect, per-module policy revoke), a [`QuarantineRecord`]
     /// appended, and `Err(KernelError::ModuleQuarantined)` returned. The
@@ -589,9 +573,8 @@ impl Kernel {
             *c += 1;
             *c
         };
-        let budget = self.config.violation_budget.max(1);
         self.printk(&format!(
-            "carat: guard violation by '{module}' ({count}/{budget}): {v}"
+            "carat: guard violation by '{module}' ({count}/{VIOLATION_BUDGET}): {v}"
         ));
         self.tracer.record(
             Producer::Kernel,
@@ -600,7 +583,7 @@ impl Kernel {
                 addr: v.addr.raw(),
             },
         );
-        if count < budget {
+        if count < VIOLATION_BUDGET {
             return Ok(());
         }
         Err(self.quarantine_module(module, v, count))
@@ -892,38 +875,6 @@ mod tests {
         assert_eq!(kernel.quarantine_records().len(), 1);
         assert_eq!(kernel.quarantine_records()[0].last, v);
         assert!(kernel.dmesg().iter().any(|l| l.contains("Oops")));
-    }
-
-    #[test]
-    fn violation_budget_zero_clamped_at_boot() {
-        use kop_core::error::ViolationKind;
-        let key = CompilerKey::from_passphrase("k", "s");
-        let mut kernel = Kernel::boot(
-            Arc::new(PolicyModule::new()),
-            vec![key],
-            KernelConfig {
-                violation_budget: 0,
-                ..KernelConfig::default()
-            },
-        );
-        // The invariant holds after boot and the clamp is logged.
-        assert_eq!(kernel.config().violation_budget, 1);
-        assert!(kernel
-            .dmesg()
-            .iter()
-            .any(|l| l.contains("violation_budget 0 is invalid")));
-        // Budget 1: the very first violation quarantines.
-        let v = Violation::new(
-            VAddr(0x100),
-            Size(8),
-            AccessFlags::READ,
-            ViolationKind::NoMatchingRegion,
-        );
-        assert!(kernel.note_violation("rogue", v).is_err());
-        assert!(kernel.is_quarantined("rogue"));
-        // Any budget ≥ 1 passes through untouched.
-        let (kernel, _) = Kernel::boot_default();
-        assert_eq!(kernel.config().violation_budget, 3);
     }
 
     #[test]

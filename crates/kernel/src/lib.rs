@@ -29,7 +29,9 @@ pub mod mem;
 pub mod objects;
 pub mod symbols;
 
-pub use kernel::{Kernel, KernelConfig, QuarantineRecord, Verification, TRACE_DEV};
+pub use kernel::{
+    Kernel, KernelConfig, QuarantineRecord, Verification, TRACE_DEV, VIOLATION_BUDGET,
+};
 pub use lifecycle::{LifecycleState, ModuleLifecycle};
 pub use loader::{
     LoadedModule, LoweredModule, ModuleImage, ModuleLayout, ModuleReservation, ModuleStager,

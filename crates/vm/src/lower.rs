@@ -59,7 +59,7 @@ fn bits_of(ty: &Type) -> u32 {
     ty.int_bits().unwrap_or(64)
 }
 
-/// Lower a verified, layout-sealed module to bytecode against its
+/// Lower a verified module to bytecode against its
 /// insmod-time address layout. `sites` is the tracer's guard-site table
 /// for the module, so guard ops carry their [`kop_trace::SiteId`] inline.
 pub fn lower_module(
@@ -472,8 +472,7 @@ mod tests {
     use kop_ir::parse_module;
 
     fn lower(src: &str) -> CompiledModule {
-        let mut m = parse_module(src).unwrap();
-        m.seal_layout();
+        let m = parse_module(src).unwrap();
         let mut globals = BTreeMap::new();
         for g in &m.globals {
             globals.insert(g.name.clone(), VAddr(0xffff_ffff_a100_0000));

@@ -362,3 +362,61 @@ fn mutated_containers_load_only_when_they_pass_and_leave_nothing_when_refused() 
         assert!(count(false, Fate::Undecodable) > 0, "{verification:?}");
     }
 }
+
+/// Attestations the shipped IR contradicts, signed with the trusted key:
+/// one denies the inline assembly its IR holds, one under-reports the
+/// wrapped privileged calls its IR makes. `SignedModule::verify` derives
+/// the attestation again from the IR and ledger, so each is refused there
+/// and at insmod under both signature modes, and leaves nothing behind.
+#[test]
+fn attestations_the_ir_contradicts_are_refused() {
+    let src = r#"
+module "lie"
+declare void @__cli()
+define i64 @f(ptr %p) {
+entry:
+  call void @__cli()
+  %v = load i64, ptr %p
+  ret i64 %v
+}
+"#;
+    let compile = |src: &str, options| {
+        let module = parse_module(src).expect("source parses");
+        compile_module(module, &options, &key())
+            .expect("compiles")
+            .signed
+    };
+    let plain = compile(
+        &src.replace("  call void @__cli()\n", ""),
+        CompileOptions::carat_kop(),
+    );
+    let asm = parse_module(&plain.ir_text.replace("  ret", "  asm \"cli\"\n  ret")).unwrap();
+    let hides_asm = SignedModule::sign(&asm, plain.attestation.clone(), &key());
+
+    let wrapped = compile(src, CompileOptions::carat_kop_privileged());
+    assert_eq!(wrapped.attestation.privileged_calls, 1);
+    let mut attestation = wrapped.attestation.clone();
+    attestation.privileged_calls = 0;
+    attestation.no_privileged_calls = true;
+    attestation.privileged_wrapped = false;
+    let ir = parse_module(&wrapped.ir_text).unwrap();
+    let hides_call = SignedModule::sign(&ir, attestation, &key());
+
+    for (honest, lie, why) in [
+        (plain, hides_asm, "inline assembly in @f"),
+        (wrapped, hides_call, "privileged intrinsic @__cli"),
+    ] {
+        let err = lie.verify(&[key()]).expect_err(why);
+        assert!(err.to_string().contains(why), "{why}: {err}");
+        for verification in [Verification::Signature, Verification::SignatureAndStatic] {
+            let mut boundary = Boundary::boot(verification, honest.clone());
+            assert_eq!(boundary.drive(&honest.to_bytes()), Fate::Loaded, "{why}");
+            assert_eq!(boundary.drive(&lie.to_bytes()), Fate::Staged, "{why}");
+            let err = boundary.kernel.insmod(&lie).expect_err(why);
+            assert!(
+                matches!(&err, KernelError::BadSignature(m) if m.contains(why)),
+                "{verification:?}: {err}"
+            );
+        }
+    }
+}
