@@ -31,7 +31,7 @@
 //!
 //! The ledger is the compiler's and only the compiler's: its text form
 //! is `obligations-v1` (elide, range), and a parse failure is a typed
-//! [`LedgerError`] naming the 1-based line. The bounds the kernel's
+//! [`LedgerError`] naming the 1-based line. The grants the kernel's
 //! promotion bakes into guard ops are a separate, kernel-internal record
 //! ([`BakedBound`]) that never travels in a signed container;
 //! [`audit_baked_bounds`] checks them against the snapshot the promotion
@@ -40,7 +40,7 @@
 use core::fmt;
 use std::collections::{HashMap, HashSet};
 
-use kop_core::{AccessFlags, Region, Size, VAddr};
+use kop_core::{AccessFlags, Grant, Protection, Region, Size, VAddr};
 use kop_ir::dom::DomTree;
 use kop_ir::loops::find_counted_loops;
 use kop_ir::{BinOp, BlockId, Function, Inst, InstId, Module, Type, Value};
@@ -513,7 +513,7 @@ fn check_elide(
     true
 }
 
-/// One bound a promotion baked into a guard op, with what it was baked
+/// One grant a promotion baked into a guard op, with what it was baked
 /// from. Kernel-internal: the kernel builds these when it promotes and
 /// audits them with [`audit_baked_bounds`] before it installs the tier;
 /// they are no [`Obligation`] and no signed container carries them.
@@ -521,16 +521,10 @@ fn check_elide(
 pub struct BakedBound {
     /// Enclosing function name.
     pub function: String,
-    /// The guard call the bound was baked into.
+    /// The guard call the grant was baked into.
     pub guard: InstRef,
-    /// Baked lower bound (inclusive).
-    pub lo: u64,
-    /// Baked upper bound (exclusive).
-    pub hi: u64,
-    /// Raw permission bits baked with the bound.
-    pub perm: u32,
-    /// Snapshot generation the bound cites.
-    pub gen: u64,
+    /// The baked grant: its region and the generation it cites.
+    pub grant: Grant,
     /// Lowest address the site was profiled touching.
     pub env_lo: u64,
     /// One past the highest profiled byte.
@@ -540,13 +534,13 @@ pub struct BakedBound {
 /// Audit `bounds` against the snapshot the promotion pinned: its
 /// generation `gen` and its `regions` in store order. Each bound is a
 /// claim, never a fact. The audit reads the guard call's constant flags
-/// from the IR, takes the first region that covers the site's profiled
-/// envelope and grants those flags — the rule the bake follows — and
-/// requires the baked `[lo, hi)` and permission bits to equal that
-/// region's. Reports KA006 (no guard call with constant flags there),
-/// KA009 (a vacuous or forged bound), KA010 (a bound citing another
-/// generation) or KA011 (a real region's bound, but not the one that
-/// grants this site). Guard coverage is not re-proved: insmod did that.
+/// from the IR, scans `regions` for the first that covers the site's
+/// profiled envelope and grants those flags — the rule the bake follows,
+/// found here by a scan of its own — and requires the baked region to
+/// equal it. Reports KA006 (no guard call with constant flags there),
+/// KA009 (a vacuous or forged region), KA010 (a grant citing another
+/// generation) or KA011 (a real region, but not the one that grants this
+/// site). Guard coverage is not re-proved: insmod did that.
 pub fn audit_baked_bounds(
     module: &Module,
     bounds: &[BakedBound],
@@ -572,7 +566,7 @@ fn check_bound(
     regions: &[Region],
 ) -> Result<(), (LintCode, String)> {
     let (function, guard) = (&b.function, &b.guard);
-    let (lo, hi, perm, env_lo, env_hi) = (b.lo, b.hi, b.perm, b.env_lo, b.env_hi);
+    let (baked, env_lo, env_hi) = (b.grant.region, b.env_lo, b.env_hi);
     let flags = module.function(function).and_then(|f| {
         let (_, _, giid) = resolve(f, guard)?;
         match f.inst(giid) {
@@ -591,57 +585,57 @@ fn check_bound(
             format!("baked guard {guard} in @{function} is not a guard call with constant flags"),
         ));
     };
-    if lo >= hi || perm == 0 {
+    if baked.is_empty() || baked.prot == Protection::NONE {
         return Err((
             LintCode::InlineBoundForged,
-            format!("baked bound [{lo:#x}, {hi:#x}) perm {perm} is vacuous"),
+            format!("baked region {baked:?} is vacuous"),
         ));
     }
-    if env_lo >= env_hi || env_lo < lo || env_hi > hi {
+    if env_lo >= env_hi || !baked.covers(VAddr(env_lo), Size(env_hi - env_lo)) {
         return Err((
             LintCode::InlineBoundSiteMismatch,
             format!(
-                "baked bound [{lo:#x}, {hi:#x}) does not cover the site's profiled \
+                "baked region {baked:?} does not cover the site's profiled \
                  envelope [{env_lo:#x}, {env_hi:#x})"
             ),
         ));
     }
-    if b.gen != gen {
+    if b.grant.gen != gen {
         return Err((
             LintCode::InlineBoundStale,
             format!(
-                "baked bound cites generation {}, the pinned snapshot is generation {gen}",
-                b.gen
+                "baked grant cites generation {}, the pinned snapshot is generation {gen}",
+                b.grant.gen
             ),
         ));
     }
-    let bound_of = |r: &Region| (r.base.raw(), r.base.raw().saturating_add(r.len.raw()));
+    let same_span = |r: &Region| (r.base, r.len) == (baked.base, baked.len);
     let granting = regions
         .iter()
         .find(|r| r.permits(VAddr(env_lo), Size(env_hi - env_lo), flags));
     match granting {
-        Some(r) if bound_of(r) == (lo, hi) && r.prot.granted().raw() == perm => Ok(()),
-        Some(r) if bound_of(r) == (lo, hi) => Err((
+        Some(r) if *r == baked => Ok(()),
+        Some(r) if same_span(r) => Err((
             LintCode::InlineBoundForged,
             format!(
-                "baked perm {perm} is not the {} the granting region holds",
-                r.prot.granted().raw()
+                "baked protection {} is not the {} the granting region holds",
+                baked.prot, r.prot
             ),
         )),
-        // A region of the snapshot with exactly this bound means the
-        // immediates were lifted from a region that does not grant this
-        // site; otherwise they match nothing the snapshot holds.
-        _ if regions.iter().any(|r| bound_of(r) == (lo, hi)) => Err((
+        // A region of the snapshot with exactly this span means the
+        // grant was lifted from a region that does not grant this site;
+        // otherwise it matches nothing the snapshot holds.
+        _ if regions.iter().any(same_span) => Err((
             LintCode::InlineBoundSiteMismatch,
             format!(
-                "baked bound [{lo:#x}, {hi:#x}) names a generation-{gen} region that does \
-                 not grant this site's flags {} over its envelope",
+                "baked region {baked:?} is a generation-{gen} region that does not grant \
+                 this site's flags {} over its envelope",
                 flags.raw()
             ),
         )),
         _ => Err((
             LintCode::InlineBoundForged,
-            format!("baked bound [{lo:#x}, {hi:#x}) equals no region of generation {gen}"),
+            format!("baked region {baked:?} equals no region of generation {gen}"),
         )),
     }
 }
@@ -1088,15 +1082,19 @@ entry:
 }
 "#;
 
+    /// The grant of `[lo, hi)` with permission bits `perm` at `gen`.
+    fn grant(lo: u64, hi: u64, perm: u32, gen: u64) -> Grant {
+        let prot = Protection::new(AccessFlags::from_raw(perm));
+        let region = Region::new(VAddr(lo), Size(hi - lo), prot).unwrap();
+        Grant { region, gen }
+    }
+
     /// The honest bound for `entry#0` under [`snapshot`] at generation 5.
     fn baked() -> BakedBound {
         BakedBound {
             function: "f".into(),
             guard: InstRef::parse("entry#0").unwrap(),
-            lo: 0x1000,
-            hi: 0x2000,
-            perm: 3,
-            gen: 5,
+            grant: grant(0x1000, 0x2000, 3, 5),
             env_lo: 0x1100,
             env_hi: 0x1200,
         }
@@ -1106,7 +1104,6 @@ entry:
     /// READ, behind the read-write rule the bake must pick, plus an
     /// unrelated read-write region at `[0x8000, 0x8100)`.
     fn snapshot() -> Vec<Region> {
-        use kop_core::Protection;
         [
             (0x1000, 0x1000, Protection::READ_ONLY),
             (0x1000, 0x1000, Protection::READ_WRITE),
@@ -1141,9 +1138,7 @@ entry:
             (0x1000, 0x2000, 7),
         ] {
             let b = BakedBound {
-                lo,
-                hi,
-                perm,
+                grant: grant(lo, hi, perm, 5),
                 ..baked()
             };
             assert_eq!(
@@ -1152,13 +1147,19 @@ entry:
                 "{lo:#x} {perm}"
             );
         }
-        let vacuous = BakedBound { perm: 0, ..baked() };
+        let vacuous = BakedBound {
+            grant: grant(0x1000, 0x2000, 0, 5),
+            ..baked()
+        };
         assert_eq!(audit_one(vacuous), Some(LintCode::InlineBoundForged));
     }
 
     #[test]
     fn a_bound_citing_another_generation_is_ka010() {
-        let b = BakedBound { gen: 4, ..baked() };
+        let b = BakedBound {
+            grant: grant(0x1000, 0x2000, 3, 4),
+            ..baked()
+        };
         assert_eq!(audit_one(b), Some(LintCode::InlineBoundStale));
     }
 
@@ -1166,13 +1167,15 @@ entry:
     fn a_region_that_does_not_grant_the_site_is_ka011() {
         // The unrelated region's bound pasted onto this site.
         let b = BakedBound {
-            lo: 0x8000,
-            hi: 0x8100,
+            grant: grant(0x8000, 0x8100, 3, 5),
             ..baked()
         };
         assert_eq!(audit_one(b), Some(LintCode::InlineBoundSiteMismatch));
         // The first covering rule, which grants READ to a read-write guard.
-        let b = BakedBound { perm: 1, ..baked() };
+        let b = BakedBound {
+            grant: grant(0x1000, 0x2000, 1, 5),
+            ..baked()
+        };
         assert_eq!(audit_one(b), Some(LintCode::InlineBoundForged));
     }
 

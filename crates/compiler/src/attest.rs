@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use kop_analysis::ObligationLedger;
+use kop_analysis::{AnalysisReport, ObligationLedger};
 use kop_ir::{Inst, Module};
 
 use crate::guard::{strict_guard_layout, GUARD_SYMBOL};
@@ -161,7 +161,7 @@ impl Attestation {
     /// immediately preceded by its matching `carat_intrinsic_guard` call
     /// (the §5 extension).
     pub fn check_with(module: &Module, allow_wrapped: bool) -> Result<Attestation, AttestError> {
-        Self::check_with_ledger(module, allow_wrapped, &ObligationLedger::empty())
+        Self::check_with_ledger(module, allow_wrapped, &ObligationLedger::empty()).map(|(a, _)| a)
     }
 
     /// Like [`Attestation::check_with`], but binds `ledger` — the
@@ -169,11 +169,14 @@ impl Attestation {
     /// `guards_covered` is computed by the independent translation
     /// validator against that ledger, so it asserts both full coverage
     /// *and* that every optimizer claim was independently re-derived.
+    /// The validator's report comes back beside the attestation, so a
+    /// caller that refuses or explains a coverage verdict runs the
+    /// validator no second time.
     pub fn check_with_ledger(
         module: &Module,
         allow_wrapped: bool,
         ledger: &ObligationLedger,
-    ) -> Result<Attestation, AttestError> {
+    ) -> Result<(Attestation, AnalysisReport), AttestError> {
         scan(module, allow_wrapped)?;
         let privileged_calls = crate::intrinsics::privileged_call_count(module);
         if privileged_calls > 0 && !crate::intrinsics::validate_intrinsic_wraps(module) {
@@ -181,12 +184,13 @@ impl Attestation {
         }
         let sites = kop_trace::assign_guard_sites(module);
         let site_text = kop_trace::canonical_site_text(&module.name, &sites);
-        Ok(Attestation {
+        let report = kop_analysis::validate_module(module, ledger);
+        let attestation = Attestation {
             module_name: module.name.clone(),
             no_inline_asm: true,
             no_privileged_calls: privileged_calls == 0,
             guards_strict: strict_guard_layout(module),
-            guards_covered: kop_analysis::validate_module(module, ledger).is_clean(),
+            guards_covered: report.is_clean(),
             guard_count: module.call_count(GUARD_SYMBOL) as u64,
             guard_sites: sites.len() as u64,
             site_digest: crate::sha256::hex(&crate::sha256::sha256(site_text.as_bytes())),
@@ -195,7 +199,8 @@ impl Attestation {
             privileged_wrapped: privileged_calls > 0,
             compiler_id: Self::COMPILER_ID.to_string(),
             obligations: ledger.to_text(),
-        })
+        };
+        Ok((attestation, report))
     }
 
     /// Every field but the ledger as `(key, label, value)`, in record
@@ -424,9 +429,10 @@ exit:
         let s = RangeCoalescing.run_with(&mut m, &mut rec);
         assert!(s.get("guards_range_coalesced") > 0);
         let ledger = rec.finalize(&m);
-        let a = Attestation::check_with_ledger(&m, false, &ledger).expect("attests");
+        let (a, report) = Attestation::check_with_ledger(&m, false, &ledger).expect("attests");
         assert!(!a.guards_strict, "coalesced layout is not strict");
         assert!(a.guards_covered, "the range obligation proves the body");
+        assert!(report.is_clean(), "the report the coverage bit came from");
         assert_eq!(a.obligations, ledger.to_text());
         // Without the ledger the same module cannot attest coverage: the
         // loop body access has no per-iteration guard any more.

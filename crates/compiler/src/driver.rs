@@ -168,24 +168,22 @@ pub fn compile_module(
     // that layout is final, pin them to stable `block#index` positions.
     let ledger = recorder.finalize(&module);
 
+    let (attestation, report) =
+        Attestation::check_with_ledger(&module, options.wrap_privileged, &ledger)
+            .map_err(CompileError::Attest)?;
+
     // Independent proof obligation: whenever this build claims guards
     // (it injected them, or the input already carried guard calls, or
-    // the optimizer claims elisions), the translation validator must be
-    // able to re-derive coverage plus every optimizer claim from the
-    // module text alone. Baseline builds of guard-free sources skip this
-    // — they claim nothing.
-    if options.inject_guards
+    // the optimizer claims elisions), the translation validator — run
+    // once, inside the attestation — must have re-derived coverage plus
+    // every optimizer claim from the module text alone. Baseline builds
+    // of guard-free sources are exempt — they claim nothing.
+    let claims_guards = options.inject_guards
         || module.call_count(crate::guard::GUARD_SYMBOL) > 0
-        || !ledger.is_empty()
-    {
-        let report = kop_analysis::validate_module(&module, &ledger);
-        if !report.is_clean() {
-            return Err(CompileError::GuardCoverage(Box::new(report)));
-        }
+        || !ledger.is_empty();
+    if claims_guards && !report.is_clean() {
+        return Err(CompileError::GuardCoverage(Box::new(report)));
     }
-
-    let attestation = Attestation::check_with_ledger(&module, options.wrap_privileged, &ledger)
-        .map_err(CompileError::Attest)?;
     let signed = SignedModule::sign(&module, attestation, key);
     Ok(CompileOutput { signed, stats })
 }

@@ -14,7 +14,7 @@
 
 use core::fmt;
 
-use kop_analysis::ObligationLedger;
+use kop_analysis::{AnalysisReport, ObligationLedger};
 use kop_ir::{parse_module, print_module, Module, ParseError};
 
 use crate::attest::Attestation;
@@ -140,13 +140,12 @@ impl SignedModule {
         let ledger = ObligationLedger::parse(&self.attestation.obligations).map_err(|e| {
             SigningError::AttestationMismatch(format!("obligation ledger invalid: {e}"))
         })?;
-        let derived =
+        let (derived, report) =
             Attestation::check_with_ledger(&module, self.attestation.privileged_calls > 0, &ledger)
                 .map_err(|e| SigningError::AttestationMismatch(e.to_string()))?;
         if derived != self.attestation {
             return Err(SigningError::AttestationMismatch(first_difference(
-                &module,
-                &ledger,
+                &report,
                 &derived,
                 &self.attestation,
             )));
@@ -282,13 +281,9 @@ impl SignedModule {
 /// The first field, in record order, in which the shipped attestation `s`
 /// differs from `d`, the one the attestor derives from the shipped IR and
 /// ledger. A coverage claim the validator disproves reports the
-/// validator's findings, with their lint codes.
-fn first_difference(
-    module: &Module,
-    ledger: &ObligationLedger,
-    d: &Attestation,
-    s: &Attestation,
-) -> String {
+/// validator's findings (`report`, from that derivation), with their
+/// lint codes.
+fn first_difference(report: &AnalysisReport, d: &Attestation, s: &Attestation) -> String {
     let mut fields = d.fields().into_iter().zip(s.fields());
     let Some(((key, label, derived), (_, _, attested))) = fields.find(|(d, s)| d.2 != s.2) else {
         return format!(
@@ -300,7 +295,7 @@ fn first_difference(
     if key == "covered" && s.guards_covered {
         return format!(
             "attested guard coverage but the validator disproves it:\n{}",
-            kop_analysis::validate_module(module, ledger).summary()
+            report.summary()
         );
     }
     format!("{label} {derived} vs attested {attested}")

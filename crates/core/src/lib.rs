@@ -22,4 +22,4 @@ pub use access::{AccessFlags, Protection};
 pub use addr::{PAddr, Size, VAddr};
 pub use cycles::Cycles;
 pub use error::{KernelError, KernelResult, Violation};
-pub use region::Region;
+pub use region::{Grant, Region};

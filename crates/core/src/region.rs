@@ -167,6 +167,48 @@ impl Region {
     }
 }
 
+/// A cached grant: the region a policy lookup permitted an access by,
+/// tagged with the generation of the snapshot that granted it.
+///
+/// Both guard fast paths keep grants: a guard front's per-site slot and
+/// a promoted guard op's baked bound. [`Grant::admits`] is their one
+/// admit rule, so neither can admit an access the general check would
+/// not permit by the same region.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Grant {
+    /// The region that granted.
+    pub region: Region,
+    /// Generation of the snapshot the grant came from. Store
+    /// generations start at 1, so a generation-0 grant is cold.
+    pub gen: u64,
+}
+
+impl Grant {
+    /// A cold grant: it admits nothing.
+    pub const COLD: Grant = Grant {
+        region: Region {
+            base: VAddr(0),
+            len: Size(0),
+            prot: Protection::NONE,
+        },
+        gen: 0,
+    };
+
+    /// Whether the grant vouches for the access while `live_gen` is the
+    /// policy's generation: the tag is live, the access is well formed
+    /// (size above 0, a non-empty intent), and the region covers every
+    /// byte and grants the intent ([`Region::permits`], the general
+    /// check's own test). Anything else is the general check's to
+    /// classify.
+    #[inline]
+    pub fn admits(&self, live_gen: u64, addr: VAddr, size: Size, flags: AccessFlags) -> bool {
+        self.gen == live_gen
+            && size.raw() > 0
+            && !flags.is_empty()
+            && self.region.permits(addr, size, flags)
+    }
+}
+
 impl fmt::Debug for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -244,6 +286,46 @@ mod tests {
         assert!(ro.permits(VAddr(0x1000), Size(8), AccessFlags::READ));
         assert!(!ro.permits(VAddr(0x1000), Size(8), AccessFlags::WRITE));
         assert!(!ro.permits(VAddr(0x1000), Size(8), AccessFlags::RW));
+    }
+
+    #[test]
+    fn grant_admits_only_what_its_region_permits_while_live() {
+        let rw = |base, len| Region::new(VAddr(base), Size(len), Protection::READ_WRITE).unwrap();
+        let g = Grant {
+            region: rw(0x1000, 0x1000),
+            gen: 3,
+        };
+        let admits =
+            |g: &Grant, gen, addr, size, flags| g.admits(gen, VAddr(addr), Size(size), flags);
+        assert!(admits(&g, 3, 0x1800, 8, AccessFlags::RW));
+        assert!(admits(&g, 3, 0x1ff8, 8, AccessFlags::READ));
+        // Cold, and a stale tag.
+        assert!(!admits(&Grant::COLD, 0, 0, 8, AccessFlags::READ));
+        assert!(!admits(&Grant::COLD, 1, 0, 8, AccessFlags::READ));
+        assert!(!admits(&g, 4, 0x1800, 8, AccessFlags::READ));
+        // Malformed shapes: size 0, empty intent.
+        assert!(!admits(&g, 3, 0x1800, 0, AccessFlags::READ));
+        assert!(!admits(&g, 3, 0x1800, 8, AccessFlags::NONE));
+        // Straddling either end.
+        assert!(!admits(&g, 3, 0x0ffc, 8, AccessFlags::READ));
+        assert!(!admits(&g, 3, 0x1ffc, 8, AccessFlags::READ));
+        // A permission the region lacks.
+        assert!(!admits(&g, 3, 0x1800, 8, AccessFlags::EXEC));
+        let ro = Grant {
+            region: Region::new(VAddr(0x1000), Size(0x1000), Protection::READ_ONLY).unwrap(),
+            gen: 3,
+        };
+        assert!(!admits(&ro, 3, 0x1800, 8, AccessFlags::WRITE));
+        // A region ending at 2^64: its last 8 bytes are admitted; an
+        // access whose end wraps is not.
+        let top = Grant {
+            region: rw(u64::MAX - 0xfff, 0x1000),
+            gen: 3,
+        };
+        assert!(admits(&top, 3, u64::MAX - 7, 8, AccessFlags::READ));
+        assert!(admits(&top, 3, u64::MAX, 1, AccessFlags::READ));
+        assert!(!admits(&top, 3, u64::MAX, 2, AccessFlags::READ));
+        assert!(!admits(&top, 3, u64::MAX - 7, 16, AccessFlags::READ));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use kop_core::{AccessFlags, Size, VAddr, Violation};
 use kop_policy::{PolicyCheck, SiteMap};
-use kop_trace::{GuardDecision, Producer, SiteId, TraceEvent, Tracer};
+use kop_trace::{GuardDecision, Producer, SiteId, Tracer};
 
 use crate::device::{DmaMem, E1000Device, FrameSink};
 use crate::driver::{RX_BUFS_OFF, RX_RING_OFF, STATS_OFF, TX_BUFS_OFF, TX_RING_OFF};
@@ -358,26 +358,20 @@ impl<P: PolicyCheck> GuardedMem<P> {
     fn guard(&mut self, addr: u64, size: u64, flags: AccessFlags) -> Result<(), Violation> {
         self.inner.counts.guard_calls += 1;
         if let Some(t) = self.trace.as_ref().filter(|t| t.tracer.enabled()) {
-            let site = t.site_for(addr);
-            t.tracer
-                .record(Producer::Driver, TraceEvent::GuardEnter { site });
-            let t0 = std::time::Instant::now();
-            let r = self.policy.carat_guard(VAddr(addr), Size(size), flags);
-            let ns = (t0.elapsed().as_nanos() as u64).max(1);
-            let decision = if r.is_ok() {
-                GuardDecision::Allowed
-            } else {
-                GuardDecision::Denied
-            };
-            t.tracer.record(
+            // The site's profile keeps its address range
+            // (`SiteProfile::envelope`). No native guard is promoted;
+            // the guard front's slots fill from grants.
+            let policy = &self.policy;
+            return t.tracer.traced_check(
                 Producer::Driver,
-                TraceEvent::GuardExit { site, decision, ns },
+                t.site_for(addr),
+                Some((addr, size)),
+                || policy.carat_guard(VAddr(addr), Size(size), flags),
+                |r| match r {
+                    Ok(()) => GuardDecision::Allowed,
+                    Err(_) => GuardDecision::Denied,
+                },
             );
-            // Envelope-aware: the site's profile keeps its address
-            // range (`SiteProfile::envelope`). No native guard is
-            // promoted; the guard front's slots fill from grants.
-            t.tracer.record_check_at(site, ns, r.is_err(), addr, size);
-            return r;
         }
         self.policy.carat_guard(VAddr(addr), Size(size), flags)
     }

@@ -30,7 +30,7 @@ use kop_ir::{BinOp, BlockId, CastOp, IcmpPred, Inst, Terminator, Type, Value};
 use kop_kernel::{Kernel, ModuleImage};
 use kop_policy::module::GuardOutcome;
 use kop_policy::PolicyModule;
-use kop_trace::{GuardDecision, InlineBatch, Producer, SiteId, TraceEvent};
+use kop_trace::{GuardDecision, InlineBatch, Producer, SiteId};
 use kop_vm::{HostFn, PromotedTier};
 
 mod vm;
@@ -672,10 +672,11 @@ impl<'k> Interp<'k> {
     /// Run one policy check against the policy governing `module` (§5:
     /// guards consult the policy of the module that executed them),
     /// pinned for the call. When tracing is on and the guard has a site
-    /// identity, bracket it with GuardEnter/GuardExit events and fold its
-    /// host-timed latency (and, for a memory guard, its `[addr, addr +
-    /// size)` span) into the site's profile. The tracer is borrowed only
-    /// for the records; the caller acts on the outcome after.
+    /// identity, it runs as the tracer's one traced check
+    /// ([`Tracer::traced_check`](kop_trace::Tracer::traced_check)): a
+    /// memory guard's `[addr, addr + size)` span widens the site's
+    /// envelope, which promotion maps onto the region that grants it.
+    /// The caller acts on the outcome after.
     fn checked(
         &mut self,
         module: &str,
@@ -688,25 +689,14 @@ impl<'k> Interp<'k> {
         let Some(site) = site.filter(|_| tracer.enabled()) else {
             return check(policy);
         };
-        tracer.record(Producer::Interp, TraceEvent::GuardEnter { site });
-        let t0 = std::time::Instant::now();
-        let outcome = check(policy);
-        let ns = (t0.elapsed().as_nanos() as u64).max(1);
-        let decision = Self::decision_of(&outcome);
-        tracer.record(
+        let span = span.map(|(addr, size)| (addr.raw(), size.raw()));
+        tracer.traced_check(
             Producer::Interp,
-            TraceEvent::GuardExit { site, decision, ns },
-        );
-        match span {
-            // Envelope-aware recording: the profile keeps the [lo, hi)
-            // address range each site actually touched, which the
-            // promotion pass later checks against the baked bound.
-            Some((addr, size)) => {
-                tracer.record_check_at(site, ns, decision.is_denied(), addr.raw(), size.raw())
-            }
-            None => tracer.record_check(site, ns, decision.is_denied()),
-        }
-        outcome
+            site,
+            span,
+            || check(policy),
+            Self::decision_of,
+        )
     }
 
     /// Act on a policy outcome: `Ok(true)` when the guarded operation

@@ -1,7 +1,7 @@
 //! Bytecode executor: the dispatch loop for `kop-vm`'s flat register
 //! programs, compiled once at insmod and cached in the loaded-module
 //! image. It runs the general tier and the promoted tier alike: one arm
-//! per op shape, where a memory guard's baked bound (promoted) admits
+//! per op shape, where a memory guard's baked grant (promoted) admits
 //! inline or deopts and its absence (general) consults the policy.
 //!
 //! Everything observable — fuel accounting, squash ordering, masking,
@@ -14,9 +14,9 @@
 
 use std::sync::Arc;
 
-use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
+use kop_core::{AccessFlags, Grant, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
-use kop_vm::{Bound, CompiledFunc, CompiledModule, Op, PromotedTier, Src};
+use kop_vm::{CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
 use crate::{sign_extend, Engine, Interp, ModuleCtx, MAX_CALL_DEPTH};
 
@@ -163,39 +163,31 @@ impl<'k> Interp<'k> {
         }
     }
 
-    /// The promoted guard check: admit with three compares against the
-    /// baked bound when the snapshot generation still matches, else
-    /// deopt into the exact general policy path with the original
-    /// operands. The generation is compared per op against the live
-    /// policy's, so a publish that lands mid-call deopts the very next
-    /// inline guard. The fast admit still counts as a guard and as
-    /// a policy check (batched: `vm_pending_fast_permits`, drained when
-    /// the call returns), so every reconciliation invariant —
-    /// `stats.guards == policy.checks` — survives promotion; in a
-    /// `TRACED` frame it is also tallied against its site for the
-    /// tracer (hits and envelope, no events, no timing). A degenerate
-    /// request (zero size, empty flags, wrapping range) always deopts;
-    /// the general path owns the malformed-input verdicts.
+    /// The promoted guard check: admit when the baked grant admits the
+    /// access ([`Grant::admits`]) against the pinned policy's live
+    /// generation, else deopt into the exact general policy path with
+    /// the original operands. The generation is read per op, so a
+    /// publish that lands mid-call deopts the very next inline guard.
+    /// The fast admit still counts as a guard and as a policy check
+    /// (batched: `vm_pending_fast_permits`, drained when the call
+    /// returns), so every reconciliation invariant — `stats.guards ==
+    /// policy.checks` — survives promotion; in a `TRACED` frame it is
+    /// also tallied against its site for the tracer (hits and envelope,
+    /// no events, no timing). A degenerate request (zero size, empty
+    /// flags, wrapping range) always deopts; the general path owns the
+    /// malformed-input verdicts.
     #[inline]
     fn vm_inline_guard<const TRACED: bool>(
         &mut self,
         ctx: &ModuleCtx,
-        bound: &Bound,
+        grant: &Grant,
         addr: u64,
         size: u64,
         flags: u32,
         site: Option<kop_trace::SiteId>,
     ) -> KernelResult<()> {
-        let Bound { lo, hi, perm, gen } = *bound;
-        let fast = {
-            let policy = self.vm_policy.pinned();
-            size > 0
-                && flags != 0
-                && (flags & !perm) == 0
-                && gen == policy.store_generation()
-                && matches!(addr.checked_add(size), Some(end) if lo <= addr && end <= hi)
-        };
-        if fast {
+        let live = self.vm_policy.pinned().store_generation();
+        if grant.admits(live, VAddr(addr), Size(size), AccessFlags::from_raw(flags)) {
             self.stats.guards += 1;
             self.vm_pending_fast_permits += 1;
             self.vm_inline_admits += 1;
@@ -216,7 +208,7 @@ impl<'k> Interp<'k> {
         )
     }
 
-    /// A memory guard of either tier: a promoted op's baked bound admits
+    /// A memory guard of either tier: a promoted op's baked grant admits
     /// inline or deopts ([`Self::vm_inline_guard`]); a general op's
     /// absent bound consults the policy.
     #[inline(always)]
@@ -226,7 +218,7 @@ impl<'k> Interp<'k> {
         ctx: &ModuleCtx,
         regs: &[u64],
         site: Option<kop_trace::SiteId>,
-        bound: Option<&Bound>,
+        bound: Option<&Grant>,
         addr: Src,
         size: Src,
         flags: Src,

@@ -299,7 +299,10 @@ enum RawTerm {
 #[derive(Clone, Debug)]
 struct RawBlock {
     name: String,
-    insts: Vec<(Option<String>, RawInst)>,
+    /// Line of the block's label.
+    line: usize,
+    /// Each statement with its result name and its line.
+    insts: Vec<(Option<String>, RawInst, usize)>,
     term: RawTerm,
     term_line: usize,
 }
@@ -598,9 +601,10 @@ fn parse_function(lx: &mut Lexer) -> PResult<Function> {
             break;
         }
         // Block label.
+        let label_line = lx.line();
         let label = lx.take_ident()?;
         lx.expect_punct(':')?;
-        let mut insts: Vec<(Option<String>, RawInst)> = Vec::new();
+        let mut insts: Vec<(Option<String>, RawInst, usize)> = Vec::new();
         let (term, term_line) = loop {
             let line = lx.line();
             match lx.peek().clone() {
@@ -608,14 +612,14 @@ fn parse_function(lx: &mut Lexer) -> PResult<Function> {
                     lx.next();
                     lx.expect_punct('=')?;
                     let inst = parse_raw_inst(lx)?;
-                    insts.push((Some(res), inst));
+                    insts.push((Some(res), inst, line));
                 }
                 Tok::Ident(w) => {
                     match w.as_str() {
                         // Void instructions.
                         "store" | "call" | "asm" => {
                             let inst = parse_raw_inst(lx)?;
-                            insts.push((None, inst));
+                            insts.push((None, inst, line));
                         }
                         // Terminators.
                         "br" => {
@@ -676,6 +680,7 @@ fn parse_function(lx: &mut Lexer) -> PResult<Function> {
         };
         raw_blocks.push(RawBlock {
             name: label,
+            line: label_line,
             insts,
             term,
             term_line,
@@ -690,7 +695,7 @@ fn parse_function(lx: &mut Lexer) -> PResult<Function> {
     for rb in &raw_blocks {
         if block_ids.contains_key(&rb.name) {
             return Err(ParseError {
-                line: rb.term_line,
+                line: rb.line,
                 message: format!("duplicate block label '{}'", rb.name),
             });
         }
@@ -706,25 +711,23 @@ fn parse_function(lx: &mut Lexer) -> PResult<Function> {
     let mut planned: Vec<Vec<crate::function::InstId>> = Vec::new();
     for rb in &raw_blocks {
         let mut ids = Vec::new();
-        for (res, raw) in &rb.insts {
+        for (res, _, line) in &rb.insts {
             // Allocate placeholder; will overwrite the body below.
             let id = func.alloc_inst(Inst::Asm {
                 text: "__placeholder".into(),
             });
+            // Unnamed results keep generated __tN names; the raw form
+            // only omits names for void instructions so nothing can
+            // reference them.
             if let Some(name) = res {
                 if local_ids.contains_key(name) {
                     return Err(ParseError {
-                        line: rb.term_line,
+                        line: *line,
                         message: format!("duplicate value name '%{name}'"),
                     });
                 }
                 func.set_inst_name(id, name.clone());
                 local_ids.insert(name.clone(), Value::Inst(id));
-            } else {
-                // Unnamed results keep generated __tN names; the raw form
-                // only omits names for void instructions so nothing can
-                // reference them.
-                let _ = raw;
             }
             ids.push(id);
         }
@@ -765,8 +768,8 @@ fn parse_function(lx: &mut Lexer) -> PResult<Function> {
 
     for (bi, rb) in raw_blocks.iter().enumerate() {
         let bid = BlockId(bi as u32);
-        for ((_, raw), &iid) in rb.insts.iter().zip(planned[bi].iter()) {
-            let line = rb.term_line;
+        for ((_, raw, line), &iid) in rb.insts.iter().zip(planned[bi].iter()) {
+            let line = *line;
             let inst = match raw {
                 RawInst::Alloca(ty, count) => Inst::Alloca {
                     ty: ty.clone(),
@@ -1059,11 +1062,30 @@ module "bad"
 define void @f() {
 entry:
   %x = add i64 %nope, 1
+  %y = add i64 2, 2
+  %z = add i64 3, 3
   ret void
 }
 "#;
         let err = parse_module(src).unwrap_err();
         assert!(err.message.contains("undefined value"), "{err}");
+        assert_eq!(err.line, 5, "the statement's line, not the terminator's");
+    }
+
+    #[test]
+    fn error_on_pointer_literal_names_its_line() {
+        let src = r#"
+module "bad"
+define i64 @f() {
+entry:
+  %v = load i64, ptr 7
+  %w = add i64 %v, 1
+  ret i64 %w
+}
+"#;
+        let err = parse_module(src).unwrap_err();
+        assert!(err.message.contains("used as ptr"), "{err}");
+        assert_eq!(err.line, 5);
     }
 
     #[test]
@@ -1087,11 +1109,26 @@ define void @f() {
 entry:
   %x = add i64 1, 1
   %x = add i64 2, 2
+  %y = add i64 3, 3
   ret void
 }
 "#;
         let err = parse_module(src).unwrap_err();
         assert!(err.message.contains("duplicate value name"), "{err}");
+        assert_eq!(err.line, 6, "the duplicate's line");
+        let src = r#"
+module "bad"
+define void @f() {
+entry:
+  br %entry
+entry:
+  %x = add i64 1, 1
+  ret void
+}
+"#;
+        let err = parse_module(src).unwrap_err();
+        assert!(err.message.contains("duplicate block label"), "{err}");
+        assert_eq!(err.line, 6, "the second label's line");
     }
 
     #[test]

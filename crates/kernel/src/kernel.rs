@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use kop_compiler::CompilerKey;
 use kop_core::layout::{DIRECT_MAP_BASE, MODULE_SPACE_BASE, PAGE_SIZE};
-use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr, Violation};
-use kop_policy::{NamespaceStore, PolicyCmd, PolicyModule};
+use kop_core::{AccessFlags, Grant, KernelError, KernelResult, Size, VAddr, Violation};
+use kop_policy::{Lookup, NamespaceStore, PolicyCmd, PolicyModule};
 use kop_trace::{Producer, TraceEvent, Tracer};
 
 use crate::chardev::DevRegistry;
@@ -384,18 +384,19 @@ impl Kernel {
     ///
     /// Sites with at least `min_hits` profiled checks — and not a single
     /// denial — whose guard call has constant flags are baked from one
-    /// pinned snapshot of the governing policy: each takes the first
-    /// region that covers its observed address envelope *and grants its
-    /// flags* (the policy admits on any covering grant, so the first
-    /// covering region may not be the one that admits). That region's
-    /// `[lo, hi)` bound and permission bits go into promoted copies of
-    /// the containing functions as immediate compares, tagged with the
-    /// snapshot's generation and the policy's namespace id. Before
+    /// pinned snapshot of the governing policy: each takes the region
+    /// the snapshot's own lookup permits its observed address envelope
+    /// by, with the guard's flags — the first region in store order that
+    /// covers the envelope *and grants its flags* (the policy admits on
+    /// any covering grant, so the first covering region may not be the
+    /// one that admits). That region goes into promoted copies of the
+    /// containing functions as a [`kop_core::Grant`] tagged with the
+    /// snapshot's generation, under the policy's namespace id. Before
     /// installing, the kernel audits its own work:
-    /// [`kop_analysis::audit_baked_bounds`] re-derives every bound from
-    /// the IR's guard flags and the pinned snapshot and refuses the tier
-    /// on any mismatch (KA009–KA011). Coverage is not re-proved here;
-    /// insmod established it.
+    /// [`kop_analysis::audit_baked_bounds`] re-derives every region from
+    /// the IR's guard flags and its own scan of the pinned snapshot and
+    /// refuses the tier on any mismatch (KA009–KA011). Coverage is not
+    /// re-proved here; insmod established it.
     ///
     /// A later publish or policy swap leaves the tier installed but
     /// stale: its tags stop matching, so every bound guard deopts to the
@@ -440,7 +441,7 @@ impl Kernel {
         let ns = policy.namespace();
         let snap = policy.policy_snapshot();
         let gen = snap.generation();
-        let mut specs = Vec::new();
+        let mut baked = Vec::new();
         let mut bounds = Vec::new();
         for (meta, prof) in &hot {
             let Some(gs) = guard_of.get(&meta.id) else {
@@ -452,34 +453,21 @@ impl Kernel {
             // The region that grants the whole observed envelope; a site
             // straddling regions (or granted by none) stays cold.
             let (env_lo, env_hi) = (prof.lo_addr, prof.hi_addr);
-            let Some(region) = snap
-                .regions()
-                .iter()
-                .find(|r| r.permits(VAddr(env_lo), Size(env_hi - env_lo), flags))
+            let Lookup::Permitted(region) =
+                snap.lookup(VAddr(env_lo), Size(env_hi - env_lo), flags)
             else {
                 continue;
             };
-            let lo = region.base.raw();
-            let hi = lo.saturating_add(region.len.raw());
-            let perm = region.prot.granted().raw();
-            specs.push(kop_vm::PromotionSpec {
-                site: meta.id,
-                lo,
-                hi,
-                perm,
-            });
+            baked.push((meta.id, region));
             bounds.push(kop_analysis::BakedBound {
                 function: gs.function.clone(),
                 guard,
-                lo,
-                hi,
-                perm,
-                gen,
+                grant: Grant { region, gen },
                 env_lo,
                 env_hi,
             });
         }
-        if specs.is_empty() {
+        if baked.is_empty() {
             let tier = compiled.promoted_tier();
             if tier.ns != 0 && (tier.ns != ns || tier.gen != gen) {
                 compiled.invalidate_promotions();
@@ -503,8 +491,8 @@ impl Kernel {
             return Err(err);
         }
 
-        let n = compiled.promote(ns, gen, &specs);
-        let sites_promoted = specs.len();
+        let n = compiled.promote(ns, gen, &baked);
+        let sites_promoted = baked.len();
         self.printk(&format!(
             "carat-jit {module}: promoted {n} guard op(s) across {sites_promoted} site(s) at generation {gen}"
         ));

@@ -7,7 +7,6 @@
 //! transmissions, and the latency of individual packet launches."*
 //!
 //! * [`frame`] — Ethernet frame types and parsing,
-//! * [`skb`] — a small sk_buff pool (kernel-side packet buffers),
 //! * [`sink`] — the packet sink the test NIC is attached to,
 //! * [`sender`] — the user-level raw sender: each `sendmsg` drives the
 //!   real driver model, counts its actual memory work, and converts it to
@@ -26,7 +25,6 @@ pub mod forward;
 pub mod frame;
 pub mod sender;
 pub mod sink;
-pub mod skb;
 pub mod tool;
 
 pub use flowgen::FlowGen;
@@ -36,5 +34,4 @@ pub use forward::{
 pub use frame::{EtherType, Frame, MacAddr};
 pub use sender::{RawSender, SendError};
 pub use sink::{LedgerSink, PacketSink};
-pub use skb::{SkBuff, SkBuffPool};
 pub use tool::{ToolConfig, ToolReport};

@@ -1,12 +1,12 @@
 //! The user-level raw-Ethernet sender.
 //!
-//! Each [`RawSender::sendmsg`] models one `sendmsg(2)` call: allocate an
-//! sk_buff, copy the payload in, enter the driver's transmit path (the
-//! *real* driver model — every CPU access it performs is counted and, in
-//! the guarded instantiation, checked), run the DMA engine, and convert
-//! the counted work into cycles on the configured machine profile. The
-//! returned latency is "the time spent in the sendmsg() call from the
-//! user-space test application's point of view" (§4.2).
+//! Each [`RawSender::sendmsg`] models one `sendmsg(2)` call: enter the
+//! driver's transmit path with the payload (the *real* driver model —
+//! every CPU access it performs is counted and, in the guarded
+//! instantiation, checked), run the DMA engine, and convert the counted
+//! work into cycles on the configured machine profile. The returned
+//! latency is "the time spent in the sendmsg() call from the user-space
+//! test application's point of view" (§4.2).
 
 use kop_core::Cycles;
 use kop_e1000e::{DriverError, E1000Driver, MemSpace};
@@ -14,7 +14,6 @@ use kop_sim::{CycleClock, MachineProfile, PacketWork};
 
 use crate::frame::{EtherType, MacAddr, ETH_HLEN, ETH_ZLEN};
 use crate::sink::PacketSink;
-use crate::skb::SkBuffPool;
 
 /// Send-path errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,7 +42,6 @@ impl std::error::Error for SendError {}
 pub struct RawSender<M: MemSpace> {
     driver: E1000Driver<M>,
     machine: MachineProfile,
-    pool: SkBuffPool,
     /// The packet sink attached to the NIC.
     pub sink: PacketSink,
     clock: CycleClock,
@@ -60,7 +58,6 @@ impl<M: MemSpace> RawSender<M> {
         RawSender {
             driver,
             machine,
-            pool: SkBuffPool::new(2048),
             sink: PacketSink::new(),
             clock: CycleClock::new(),
             policy_hit_pos: 0,
@@ -95,17 +92,11 @@ impl<M: MemSpace> RawSender<M> {
         ethertype: EtherType,
         payload: &[u8],
     ) -> Result<Cycles, SendError> {
-        // Socket layer: sk_buff allocation + copy_from_user.
-        let mut skb = self.pool.alloc();
-        skb.fill(payload);
-
         // Driver transmit path (counted; guarded when M = GuardedMem).
         let before = self.driver.counts();
-        self.driver
-            .xmit(dst.bytes(), ethertype.value(), skb.data())?;
+        self.driver.xmit(dst.bytes(), ethertype.value(), payload)?;
         self.driver.mem().tx_tick(&mut self.sink);
         let delta = self.driver.counts().since(&before);
-        self.pool.free(skb);
 
         // Convert the counted work to cycles on this machine.
         let work = E1000Driver::<M>::work_from(&delta);

@@ -73,25 +73,6 @@ pub fn run_throughput(
     })
 }
 
-/// Measure per-packet launch latencies (Figure 7): `n` samples with the
-/// paper's ring-full outliers injected at probability `outlier_p`.
-pub fn run_latency(
-    sender: &mut RawSender<impl MemSpace>,
-    cfg: &ToolConfig,
-    n: usize,
-    outlier_p: f64,
-) -> Result<Vec<f64>, SendError> {
-    let cycles_per_packet = sender.send_burst(
-        MacAddr::BROADCAST,
-        EtherType::Experimental,
-        cfg.frame_size,
-        256,
-    )?;
-    let machine = sender.machine().clone();
-    let mut runner = TrialRunner::new(machine, cfg.packets_per_trial, cfg.seed);
-    Ok(runner.latency_samples(cycles_per_packet, n, outlier_p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,18 +119,6 @@ mod tests {
         // Paper Figure 3: median delta ~1000 pps, <0.8%.
         assert!(rel > 0.0, "carat must be slower");
         assert!(rel < 0.008, "rel {rel}");
-    }
-
-    #[test]
-    fn latency_samples_contain_outliers() {
-        let mut s = baseline(MachineProfile::r350());
-        let cfg = ToolConfig::default();
-        let lats = run_latency(&mut s, &cfg, 20_000, 0.001).unwrap();
-        assert_eq!(lats.len(), 20_000);
-        assert!(lats.iter().any(|&l| l > 1_000_000.0), "outliers present");
-        let clean: Vec<f64> = lats.into_iter().filter(|&l| l < 1_000_000.0).collect();
-        let s = kop_sim::Summary::of(&clean);
-        assert!(s.median > 20_000.0 && s.median < 30_000.0, "{}", s.median);
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! A guarded driver hits the same few call sites with addresses that land
 //! in the same few policy regions, millions of times. [`GuardFront`] is a
 //! per-queue [`PolicyCheck`] bound for life to one [`PolicyModule`] and a
-//! [`SiteMap`]. It keeps one slot per site holding the granting region's
-//! `[lo, hi)` bound and permission, tagged with the store generation of
-//! the snapshot that granted it. An admit costs one tag load plus the
-//! bound and permission compares: the same check the VM tier bakes into
-//! promoted guards.
+//! [`SiteMap`]. It keeps one slot per site holding a [`Grant`]: the
+//! granting region, tagged with the store generation of the snapshot
+//! that granted it. An admit is one generation load plus
+//! [`Grant::admits`], the admit rule the VM tier runs on promoted guards
+//! too.
 //!
 //! Everything else takes [`PolicyModule::check_classified`]: a cold,
 //! stale or non-covering slot, a denial, a default-action allow, a
-//! malformed access. Only a **region grant** there refills the slot, and
-//! the tag it fills with is the generation of the snapshot that granted,
-//! which the check returns with the grant. The fill reads no tag of its
+//! malformed access. Only a **region grant** there refills the slot,
+//! with the grant exactly as the check returns it, tagged with the
+//! generation of the snapshot that granted. The fill reads no tag of its
 //! own, so it has nothing to order: a publish racing the fill leaves the
 //! slot tagged with the older generation, already stale (a harmless
 //! refill later), never falsely fresh. Denials are never filled (they
@@ -40,7 +40,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use kop_core::{AccessFlags, Protection, Region, Size, VAddr, Violation};
+use kop_core::{AccessFlags, Grant, Size, VAddr, Violation};
 
 use crate::module::PolicyModule;
 use crate::PolicyCheck;
@@ -93,58 +93,13 @@ impl SiteMap {
     }
 }
 
-/// One site's slot: the granting region's bound and permission, tagged
-/// with the generation of the snapshot that granted it. `gen == 0` means
-/// cold (store generations start at 1).
-#[derive(Clone, Copy)]
-struct Slot {
-    gen: u64,
-    lo: u64,
-    hi: u64,
-    prot: Protection,
-}
-
-impl Slot {
-    const COLD: Slot = Slot {
-        gen: 0,
-        lo: 0,
-        hi: 0,
-        prot: Protection::NONE,
-    };
-
-    fn filled(r: Region, gen: u64) -> Slot {
-        let lo = r.base.raw();
-        Slot {
-            gen,
-            lo,
-            // A region may end at 2^64 exactly; saturating only narrows
-            // the bound, so the slot never vouches for a byte the region
-            // does not hold.
-            hi: lo.saturating_add(r.len.raw()),
-            prot: r.prot,
-        }
-    }
-
-    /// Whether the bound and permission vouch for the access. Malformed
-    /// shapes (size 0, empty intent, wrapping end) never do: the general
-    /// path classifies them.
-    #[inline]
-    fn covers(&self, addr: u64, size: u64, flags: AccessFlags) -> bool {
-        size > 0
-            && !flags.is_empty()
-            && self.lo <= addr
-            && addr.checked_add(size).is_some_and(|end| end <= self.hi)
-            && self.prot.allows(flags)
-    }
-}
-
 /// A per-queue [`PolicyCheck`] front: one self-filling slot per site over
 /// a shared [`PolicyModule`]. See the module docs.
 pub struct GuardFront {
     policy: Arc<PolicyModule>,
     map: SiteMap,
-    /// Dense by site id.
-    slots: Box<[Cell<Slot>]>,
+    /// Dense by site id; a cold slot holds [`Grant::COLD`].
+    slots: Box<[Cell<Grant>]>,
     /// Guards admitted from a slot over the front's life.
     admits: Cell<u64>,
     /// How many of `admits` are already accounted in the policy's stats.
@@ -155,7 +110,7 @@ impl GuardFront {
     /// A cold front over `policy`, one slot per site `map` can return.
     pub fn new(policy: Arc<PolicyModule>, map: SiteMap) -> GuardFront {
         let slots = (0..map.site_count())
-            .map(|_| Cell::new(Slot::COLD))
+            .map(|_| Cell::new(Grant::COLD))
             .collect();
         GuardFront {
             policy,
@@ -177,8 +132,10 @@ impl PolicyCheck for GuardFront {
     #[inline]
     fn carat_guard(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
         let slot = &self.slots[self.map.classify(addr.raw()) as usize];
-        let s = slot.get();
-        if s.gen == self.policy.store_generation() && s.covers(addr.raw(), size.raw(), flags) {
+        if slot
+            .get()
+            .admits(self.policy.store_generation(), addr, size, flags)
+        {
             self.admits.set(self.admits.get() + 1);
             return Ok(());
         }
@@ -186,8 +143,8 @@ impl PolicyCheck for GuardFront {
         // read around the lookup: a publish racing the fill leaves the
         // slot already stale, never falsely fresh.
         let out = self.policy.check_classified(addr, size, flags);
-        if let Some((region, gen)) = out.grant {
-            slot.set(Slot::filled(region, gen));
+        if let Some(grant) = out.grant {
+            slot.set(grant);
         }
         out.result
     }
@@ -204,6 +161,7 @@ impl PolicyCheck for GuardFront {
 mod tests {
     use super::*;
     use crate::DefaultAction;
+    use kop_core::{Protection, Region};
 
     fn pm_with_region(base: u64, len: u64) -> Arc<PolicyModule> {
         let pm = Arc::new(PolicyModule::new());
@@ -328,6 +286,23 @@ mod tests {
             .carat_guard(VAddr(u64::MAX), Size(2), AccessFlags::READ)
             .is_err());
         assert_eq!(f.flush_admits(), 0);
+        assert_eq!(pm.stats().checks, 5);
+    }
+
+    #[test]
+    fn a_region_ending_at_the_top_admits_its_last_bytes_inline() {
+        let pm = pm_with_region(u64::MAX - 0xfff, 0x1000);
+        let f = one_site(&pm);
+        let top = VAddr(u64::MAX - 7);
+        // The first read fills the slot from the region ending at 2^64.
+        f.carat_guard(top, Size(8), AccessFlags::READ).unwrap();
+        assert_eq!(pm.stats().checks, 1);
+        for _ in 0..4 {
+            f.carat_guard(top, Size(8), AccessFlags::READ).unwrap();
+        }
+        // No policy lookup: every later read was admitted by the slot.
+        assert_eq!(pm.stats().checks, 1);
+        assert_eq!(f.flush_admits(), 4);
         assert_eq!(pm.stats().checks, 5);
     }
 

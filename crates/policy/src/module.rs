@@ -24,7 +24,7 @@ use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use kop_core::error::ViolationKind;
-use kop_core::{AccessFlags, KernelError, Region, Size, VAddr, Violation};
+use kop_core::{AccessFlags, Grant, KernelError, Region, Size, VAddr, Violation};
 
 use kop_trace::CounterRegistry;
 
@@ -145,15 +145,16 @@ impl GuardOutcome {
 }
 
 /// A classified check: the result plus, when a region grant permitted it,
-/// the granting region and the generation of the snapshot that granted
-/// it — what a [`crate::front::GuardFront`] slot is filled from.
+/// the [`Grant`]: the granting region and the generation of the snapshot
+/// that granted it — what a [`crate::front::GuardFront`] slot is filled
+/// from.
 pub struct ClassifiedCheck {
     /// The check result, identical to [`PolicyModule::check`]'s.
     pub result: Result<(), Violation>,
-    /// `Some((region, generation))` only for region-grant permits;
-    /// default-action allows and all denials yield `None` (they must not
-    /// fill a slot — see [`crate::front`]).
-    pub grant: Option<(Region, u64)>,
+    /// `Some` only for region-grant permits; default-action allows and
+    /// all denials yield `None` (they must not fill a slot — see
+    /// [`crate::front`]).
+    pub grant: Option<Grant>,
 }
 
 /// Maximum violation log entries retained.
@@ -640,7 +641,10 @@ impl PolicyModule {
         let snap = self.snapshot.load();
         let lookup = snap.lookup(addr, size, flags);
         let grant = match lookup {
-            Lookup::Permitted(r) => Some((r, snap.generation())),
+            Lookup::Permitted(region) => Some(Grant {
+                region,
+                gen: snap.generation(),
+            }),
             _ => None,
         };
         ClassifiedCheck {
@@ -1098,9 +1102,9 @@ mod tests {
             .unwrap();
         let c = pm.check_classified(VAddr(0x1100), Size(8), AccessFlags::RW);
         assert!(c.result.is_ok());
-        let (region, gen) = c.grant.expect("region grant");
-        assert_eq!(region.base, VAddr(0x1000));
-        assert_eq!(gen, pm.store_generation());
+        let grant = c.grant.expect("region grant");
+        assert_eq!(grant.region.base, VAddr(0x1000));
+        assert_eq!(grant.gen, pm.store_generation());
         // Default-action allow: permitted but not memoizable.
         pm.set_default_action(DefaultAction::Allow);
         let c = pm.check_classified(VAddr(0x9000), Size(8), AccessFlags::RW);

@@ -147,29 +147,45 @@ impl Tracer {
         self.ring.lock().push(producer, event);
     }
 
-    /// Aggregate one guard check into the per-site profile. No-op while
-    /// disabled. Independent of the ring: wraparound never loses a check.
+    /// Aggregate one guard check into the per-site profile, folding the
+    /// guarded `[addr, addr + size)` span, when there is one, into the
+    /// site's observed address envelope. For an interpreted module's
+    /// site the envelope is what `Kernel::promote_hot` maps onto the
+    /// region that grants it; a native driver site's envelope is only
+    /// kept in its profile. No-op while disabled. Independent of the
+    /// ring: wraparound never loses a check.
     #[inline]
-    pub fn record_check(&self, site: SiteId, ns: u64, denied: bool) {
+    pub fn record_check(&self, site: SiteId, ns: u64, denied: bool, span: Option<(u64, u64)>) {
         if !self.enabled() {
             return;
         }
-        self.profiler.lock().record(site, ns, denied);
+        self.profiler.lock().record(site, ns, denied, span);
     }
 
-    /// Like [`Tracer::record_check`], additionally folding the guarded
-    /// `[addr, addr + size)` span into the site's observed address
-    /// envelope. For an interpreted module's site the envelope is what
-    /// `Kernel::promote_hot` maps onto the region that grants it; a
-    /// native driver site's envelope is only kept in its profile.
+    /// One traced guard check, as every guard host runs it while tracing
+    /// is on: bracket `check` with GuardEnter/GuardExit events from
+    /// `producer`, time it on the host clock, and fold its latency, the
+    /// verdict `decide` reads from its outcome and, for a memory guard,
+    /// its `(addr, size)` span into `site`'s profile
+    /// ([`Tracer::record_check`]). Returns the outcome for the host to
+    /// act on.
     #[inline]
-    pub fn record_check_at(&self, site: SiteId, ns: u64, denied: bool, addr: u64, size: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.profiler
-            .lock()
-            .record_at(site, ns, denied, Some((addr, size)));
+    pub fn traced_check<R>(
+        &self,
+        producer: Producer,
+        site: SiteId,
+        span: Option<(u64, u64)>,
+        check: impl FnOnce() -> R,
+        decide: impl FnOnce(&R) -> GuardDecision,
+    ) -> R {
+        self.record(producer, TraceEvent::GuardEnter { site });
+        let t0 = std::time::Instant::now();
+        let outcome = check();
+        let ns = (t0.elapsed().as_nanos() as u64).max(1);
+        let decision = decide(&outcome);
+        self.record(producer, TraceEvent::GuardExit { site, decision, ns });
+        self.record_check(site, ns, decision.is_denied(), span);
+        outcome
     }
 
     /// Fold a batch of inline admits (guards a promoted tier answered
@@ -458,7 +474,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let t = Tracer::with_capacity(8);
         t.record(Producer::Driver, ev());
-        t.record_check(SiteId(0), 10, false);
+        t.record_check(SiteId(0), 10, false, None);
         assert!(t.snapshot().records.is_empty());
         assert_eq!(t.total_checks(), 0);
         assert_eq!(t.seq(Producer::Driver), 0);
@@ -532,8 +548,8 @@ mod tests {
         assert_eq!(t.site_label(b).unwrap(), "tdt_doorbell");
         assert_eq!(t.site_count(), 2);
         t.set_enabled(true);
-        t.record_check(a, 100, false);
-        t.record_check(a, 200, true);
+        t.record_check(a, 100, false, None);
+        t.record_check(a, 200, true, None);
         assert_eq!(t.site_profile(a).hits, 2);
         assert_eq!(t.site_profile(a).denied, 1);
         assert_eq!(t.total_checks(), 2);
@@ -549,13 +565,13 @@ mod tests {
         let bad = t.register_site("m", "violator");
         t.set_enabled(true);
         for i in 0..100u64 {
-            t.record_check_at(hot, 10, false, 0x1000 + i * 8, 8);
+            t.record_check(hot, 10, false, Some((0x1000 + i * 8, 8)));
         }
-        t.record_check(cold, 10, false);
+        t.record_check(cold, 10, false, None);
         for _ in 0..200 {
-            t.record_check(bad, 10, false);
+            t.record_check(bad, 10, false, None);
         }
-        t.record_check(bad, 10, true); // one denial disqualifies
+        t.record_check(bad, 10, true, None); // one denial disqualifies
         let hits = t.hot_sites(50);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.id, hot);

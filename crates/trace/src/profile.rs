@@ -175,17 +175,7 @@ impl Profiler {
         &mut self.per_site[idx]
     }
 
-    pub(crate) fn record(&mut self, site: SiteId, ns: u64, denied: bool) {
-        self.record_at(site, ns, denied, None);
-    }
-
-    pub(crate) fn record_at(
-        &mut self,
-        site: SiteId,
-        ns: u64,
-        denied: bool,
-        span: Option<(u64, u64)>,
-    ) {
+    pub(crate) fn record(&mut self, site: SiteId, ns: u64, denied: bool, span: Option<(u64, u64)>) {
         let p = self.entry(site);
         p.hits += 1;
         if denied {
@@ -255,10 +245,10 @@ mod tests {
     fn envelope_tracks_the_observed_address_window() {
         let mut p = Profiler::default();
         assert_eq!(p.get(SiteId(1)).envelope(), None);
-        p.record(SiteId(1), 10, false); // no address attached
+        p.record(SiteId(1), 10, false, None); // no address attached
         assert_eq!(p.get(SiteId(1)).envelope(), None);
-        p.record_at(SiteId(1), 10, false, Some((0x1000, 8)));
-        p.record_at(SiteId(1), 10, false, Some((0x1040, 16)));
+        p.record(SiteId(1), 10, false, Some((0x1000, 8)));
+        p.record(SiteId(1), 10, false, Some((0x1040, 16)));
         assert_eq!(p.get(SiteId(1)).envelope(), Some((0x1000, 0x1050)));
         assert_eq!(p.get(SiteId(1)).hits, 3);
     }
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn inline_batch_counts_hits_and_envelope_but_no_latency() {
         let mut p = Profiler::default();
-        p.record_at(SiteId(3), 100, false, Some((0x2000, 8)));
+        p.record(SiteId(3), 100, false, Some((0x2000, 8)));
         let mut b = InlineBatch::default();
         assert!(b.is_empty());
         b.admit(SiteId(3), 0x2040, 8);
@@ -299,8 +289,8 @@ mod tests {
     #[test]
     fn profile_aggregates_hits_and_latency() {
         let mut p = Profiler::default();
-        p.record(SiteId(2), 100, false);
-        p.record(SiteId(2), 300, true);
+        p.record(SiteId(2), 100, false, None);
+        p.record(SiteId(2), 300, true, None);
         let prof = p.get(SiteId(2));
         assert_eq!(prof.hits, 2);
         assert_eq!(prof.denied, 1);

@@ -33,7 +33,7 @@ fn tracer() -> std::sync::Arc<Tracer> {
     let t = Tracer::with_capacity(16);
     let site = t.register_site("m", "f/g0");
     t.set_enabled(true);
-    t.record_check(site, 40, false);
+    t.record_check(site, 40, false, None);
     t.counters().counter("e1000e.rx_packets").add(3);
     t
 }

@@ -24,9 +24,9 @@
 //!   check and perform the access in one dispatch.
 //!
 //! Profile-directed promotion ([`CompiledModule::promote`]) publishes a
-//! copy of the hot functions with each hot guard's [`Bound`] filled in:
-//! the same instruction set, the same program, with compares where the
-//! policy call was.
+//! copy of the hot functions with each hot guard's `bound` filled in
+//! with a [`Grant`]: the same instruction set, the same program, with
+//! [`Grant::admits`] where the policy call was.
 //!
 //! The bytecode preserves the observable semantics of `kop-interp`'s
 //! reference tree walker exactly — instruction/fuel accounting, squash
@@ -47,6 +47,7 @@ use arc_swap::ArcSwap;
 
 pub use lower::{lower_module, LowerError};
 
+use kop_core::{Grant, Region};
 use kop_ir::{BinOp, CastOp, IcmpPred};
 use kop_trace::SiteId;
 
@@ -145,23 +146,6 @@ impl HostFn {
     }
 }
 
-/// A promoted memory guard's baked bound: the granting region's
-/// `[lo, hi)` and raw permission bits (`AccessFlags::raw`), tagged with
-/// the snapshot generation they were taken from. The admit test is
-/// `gen` current, `lo <= addr && addr + size <= hi` and `perm ⊇ flags`;
-/// anything else deopts to the general policy path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Bound {
-    /// Inclusive lower bound of the granted region.
-    pub lo: u64,
-    /// Exclusive upper bound of the granted region.
-    pub hi: u64,
-    /// Raw permission bits the grant carries.
-    pub perm: u32,
-    /// Snapshot generation the bound was baked from.
-    pub gen: u64,
-}
-
 /// One flat bytecode instruction. Every op charges one fuel unit before
 /// executing (the fused guard-access ops charge two — one per original
 /// IR instruction — with the guard/access fuel checkpoint preserved).
@@ -169,11 +153,11 @@ pub struct Bound {
 /// The general and the promoted tier share this one instruction set.
 /// Each memory guard ([`Op::Guard`], [`Op::GuardLoad`],
 /// [`Op::GuardStore`]) carries a `bound`: `None` in the general tier,
-/// where the guard consults the policy, and the baked [`Bound`] in a
-/// promoted copy, where the guard admits with compares when the
-/// generation still matches and otherwise deopts to the general path
-/// with the same operands. Fuel and observable
-/// semantics are identical either way.
+/// where the guard consults the policy, and the baked [`Grant`] in a
+/// promoted copy, where the guard admits when [`Grant::admits`] holds
+/// against the live generation and otherwise deopts to the general
+/// path with the same operands. Fuel and observable semantics are
+/// identical either way.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)] // field meanings documented per variant
 pub enum Op {
@@ -194,10 +178,10 @@ pub enum Op {
         ptr: Src,
     },
     /// Fused `carat_guard` + load superinstruction. `bound` is `None`
-    /// in the general tier and the baked bound in a promoted copy.
+    /// in the general tier and the baked grant in a promoted copy.
     GuardLoad {
         site: Option<SiteId>,
-        bound: Option<Bound>,
+        bound: Option<Grant>,
         gaddr: Src,
         gsize: Src,
         gflags: Src,
@@ -210,7 +194,7 @@ pub enum Op {
     /// [`Op::GuardLoad`].
     GuardStore {
         site: Option<SiteId>,
-        bound: Option<Bound>,
+        bound: Option<Grant>,
         gaddr: Src,
         gsize: Src,
         gflags: Src,
@@ -278,7 +262,7 @@ pub enum Op {
     /// hoisted loop-invariant guard); `bound` as for [`Op::GuardLoad`].
     Guard {
         site: Option<SiteId>,
-        bound: Option<Bound>,
+        bound: Option<Grant>,
         addr: Src,
         size: Src,
         flags: Src,
@@ -327,21 +311,6 @@ pub struct CompiledFunc {
     pub code: Vec<Op>,
     /// Control-flow edges referenced by the jump ops.
     pub edges: Vec<Edge>,
-}
-
-/// The baked bound for one hot guard site, produced by the promotion
-/// pass from a policy snapshot. `perm` holds raw access-flag bits; the
-/// admit test is `lo <= addr && addr + size <= hi && perm ⊇ flags`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PromotionSpec {
-    /// The guard site whose bound is being inlined.
-    pub site: SiteId,
-    /// Inclusive lower bound of the granted region.
-    pub lo: u64,
-    /// Exclusive upper bound of the granted region.
-    pub hi: u64,
-    /// Raw permission bits the grant carries (`AccessFlags::raw`).
-    pub perm: u32,
 }
 
 /// One published generation of promoted code: the re-lowered functions
@@ -468,21 +437,22 @@ impl CompiledModule {
             .count()
     }
 
-    /// Copy every function containing one of `specs`' sites into the
-    /// promoted tier, filling each matching guard op's `bound` in place
-    /// with the baked bound and `gen`. Offsets, edges, register counts,
-    /// and fuel accounting are untouched — a promoted function is the
-    /// same program with three compares where the policy call was. Publishes the new tier atomically (replacing any prior
-    /// tier wholesale) and returns the number of guard ops promoted.
+    /// Copy every function containing one of `sites` into the promoted
+    /// tier, filling each matching guard op's `bound` in place with the
+    /// [`Grant`] of the site's region at `gen`. Offsets, edges, register
+    /// counts, and fuel accounting are untouched — a promoted function
+    /// is the same program with [`Grant::admits`] where the policy call
+    /// was. Publishes the new tier atomically (replacing any prior tier
+    /// wholesale) and returns the number of guard ops promoted.
     ///
-    /// Sites are promoted wherever they occur; sites in `specs` that
-    /// match no guard op are skipped. An empty result publishes nothing
-    /// and leaves the existing tier in place.
+    /// Sites are promoted wherever they occur; sites that match no
+    /// guard op are skipped. An empty result publishes nothing and
+    /// leaves the existing tier in place.
     ///
-    /// `ns` is the namespace id of the policy the bounds come from; an
+    /// `ns` is the namespace id of the policy the regions come from; an
     /// executor runs the tier only for a call governed by that policy.
-    pub fn promote(&self, ns: u64, gen: u64, specs: &[PromotionSpec]) -> usize {
-        let by_site: BTreeMap<SiteId, &PromotionSpec> = specs.iter().map(|s| (s.site, s)).collect();
+    pub fn promote(&self, ns: u64, gen: u64, sites: &[(SiteId, Region)]) -> usize {
+        let by_site: BTreeMap<SiteId, Region> = sites.iter().copied().collect();
         let mut tier = PromotedTier {
             ns,
             gen,
@@ -509,13 +479,8 @@ impl CompiledModule {
                     ..
                 } = op
                 {
-                    if let Some(spec) = by_site.get(s) {
-                        *bound = Some(Bound {
-                            lo: spec.lo,
-                            hi: spec.hi,
-                            perm: spec.perm,
-                            gen,
-                        });
+                    if let Some(&region) = by_site.get(s) {
+                        *bound = Some(Grant { region, gen });
                         hits += 1;
                     }
                 }
@@ -553,7 +518,7 @@ impl CompiledModule {
         self.promoted.tier.load().gen
     }
 
-    /// Number of guard ops with a baked bound across the current tier.
+    /// Number of guard ops with a baked grant across the current tier.
     pub fn promoted_guard_count(&self) -> usize {
         self.promoted
             .tier
@@ -586,6 +551,7 @@ impl CompiledModule {
 #[cfg(test)]
 mod promote_tests {
     use super::*;
+    use kop_core::{Protection, Size, VAddr};
 
     fn guard_func() -> CompiledFunc {
         CompiledFunc {
@@ -629,13 +595,14 @@ mod promote_tests {
         }
     }
 
-    fn spec(site: u32, lo: u64, hi: u64) -> PromotionSpec {
-        PromotionSpec {
-            site: SiteId(site),
-            lo,
-            hi,
-            perm: 3,
-        }
+    fn spec(site: u32, lo: u64, hi: u64) -> (SiteId, Region) {
+        let region = Region::new(VAddr(lo), Size(hi - lo), Protection::READ_WRITE).unwrap();
+        (SiteId(site), region)
+    }
+
+    #[test]
+    fn a_baked_grant_keeps_an_op_at_144_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 144);
     }
 
     #[test]
@@ -665,10 +632,8 @@ mod promote_tests {
                 ..
             } => {
                 assert_eq!(*site, Some(SiteId(7)));
-                let baked = Bound {
-                    lo: 0x1000,
-                    hi: 0x2000,
-                    perm: 3,
+                let baked = Grant {
+                    region: spec(7, 0x1000, 0x2000).1,
                     gen: 5,
                 };
                 assert_eq!(*b, baked);
@@ -676,7 +641,7 @@ mod promote_tests {
             }
             other => panic!("expected a bound GuardLoad, got {other:?}"),
         }
-        // Site 9, absent from the specs, keeps the general path.
+        // Site 9, absent from the sites, keeps the general path.
         assert!(matches!(
             &pf.code[1],
             Op::Guard { site: Some(s), bound: None, .. } if *s == SiteId(9)
@@ -684,7 +649,7 @@ mod promote_tests {
         assert!(matches!(
             &pf.code[2],
             Op::GuardStore {
-                bound: Some(Bound { gen: 5, .. }),
+                bound: Some(Grant { gen: 5, .. }),
                 ..
             }
         ));
@@ -725,7 +690,7 @@ mod promote_tests {
         assert!(matches!(
             &tier.func(0).unwrap().code[1],
             Op::Guard {
-                bound: Some(Bound { gen: 9, .. }),
+                bound: Some(Grant { gen: 9, .. }),
                 ..
             }
         ));

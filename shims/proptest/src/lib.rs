@@ -8,8 +8,10 @@
 //! `prop_assert!`, `prop_assert_eq!`, and `prop_assume!` macros.
 //!
 //! Differences from upstream, by design:
-//! * no shrinking — a failing case reports its inputs via panic message
-//!   only through whatever the assertion formats;
+//! * no shrinking — a failing case panics with its case index and its
+//!   generated inputs as drawn, each formatted with `{:?}` before the
+//!   body runs (a body may move them), so values need `Debug`, as
+//!   upstream requires;
 //! * deterministic generation — each test's RNG is seeded from a hash of
 //!   the test name, so runs are reproducible without a persistence file;
 //! * string "regex" strategies only honor the length part of the
@@ -432,6 +434,8 @@ macro_rules! __proptest_items {
             let mut __rejected: u32 = 0;
             for __case in 0..__cfg.cases {
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)*
+                let __inputs: ::std::vec::Vec<::std::string::String> =
+                    vec![$(format!("{} = {:?}", stringify!($arg), &$arg)),*];
                 let __outcome: ::std::result::Result<(), $crate::TestCaseError> =
                     (|| {
                         $body
@@ -449,8 +453,8 @@ macro_rules! __proptest_items {
                     }
                     ::std::result::Result::Err($crate::TestCaseError::Fail(__msg)) => {
                         panic!(
-                            "proptest {} failed at case {}: {}",
-                            stringify!($name), __case, __msg
+                            "proptest {} failed at case {}: {}\n  inputs: {}",
+                            stringify!($name), __case, __msg, __inputs.join(", ")
                         );
                     }
                 }
@@ -596,12 +600,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "proptest")]
+    #[should_panic(expected = "inputs: x = 7, label = \"seven\"")]
     fn failing_property_panics() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
-            fn inner(x in 0u64..4) {
-                prop_assert!(x > 100);
+            fn inner(x in 7u64..8, label in Just(String::from("seven"))) {
+                // The body moves an input; the report still carries it.
+                let owned = label;
+                prop_assert!(x > 100, "{owned}");
             }
         }
         inner();

@@ -33,13 +33,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use carat_kop::compiler::{compile_module, CompileOptions, CompilerKey};
+use carat_kop::core::{Size, VAddr};
 use carat_kop::interp::{Engine, ExecStats, Interp};
 use carat_kop::ir::{parse_module, print_module, verify_module, BinOp, Module};
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::policy::stats::GuardStatsSnapshot;
 use carat_kop::policy::{DefaultAction, PolicyModule, ViolationAction};
 use carat_kop::trace::Producer;
-use carat_kop::vm::PromotionSpec;
 
 /// One step of the loop body over registers 0–3, the scratch buffer, the
 /// induction variable `%i` and the global `@g`.
@@ -647,24 +647,18 @@ fn stale_generation_promotion_deopts_every_guard() {
     kernel.tracer().set_enabled(false);
 
     let snap = policy.policy_snapshot();
-    let mut specs = Vec::new();
+    let mut sites = Vec::new();
     for (meta, prof) in kernel.tracer().hot_sites(1) {
         if meta.module != "random" || prof.lo_addr >= prof.hi_addr {
             continue;
         }
-        let Some(r) = snap.regions().iter().find(|r| {
-            r.base.raw() <= prof.lo_addr && prof.hi_addr <= r.base.raw().saturating_add(r.len.raw())
-        }) else {
+        let (lo, len) = (VAddr(prof.lo_addr), Size(prof.hi_addr - prof.lo_addr));
+        let Some(r) = snap.regions().iter().find(|r| r.covers(lo, len)) else {
             continue;
         };
-        specs.push(PromotionSpec {
-            site: meta.id,
-            lo: r.base.raw(),
-            hi: r.base.raw().saturating_add(r.len.raw()),
-            perm: r.prot.granted().raw(),
-        });
+        sites.push((meta.id, *r));
     }
-    assert!(!specs.is_empty(), "profiled sites cover the module");
+    assert!(!sites.is_empty(), "profiled sites cover the module");
     let stale_gen = snap.generation() + 7;
     let compiled = kernel
         .module("random")
@@ -672,7 +666,7 @@ fn stale_generation_promotion_deopts_every_guard() {
         .image()
         .compiled
         .clone();
-    assert!(compiled.promote(policy.namespace(), stale_gen, &specs) > 0);
+    assert!(compiled.promote(policy.namespace(), stale_gen, &sites) > 0);
     assert_eq!(compiled.promoted_generation(), stale_gen);
 
     let s0 = policy.stats();

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use carat_kop::compiler::{compile_module, CompileOptions, CompilerKey};
-use carat_kop::core::KernelError;
+use carat_kop::core::{KernelError, Region, Size, VAddr};
 use carat_kop::interp::{Engine, Interp};
 use carat_kop::ir::parse_module;
 use carat_kop::kernel::{Kernel, KernelConfig};
@@ -316,7 +316,7 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
         .image()
         .compiled
         .clone();
-    let mut baked: BTreeMap<SiteId, (u64, u64)> = BTreeMap::new();
+    let mut baked: BTreeMap<SiteId, Region> = BTreeMap::new();
     let tier = compiled.promoted_tier();
     for f in (0..compiled.func_count() as u32).filter_map(|i| tier.func(i)) {
         for op in &f.code {
@@ -336,18 +336,18 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
                 ..
             } = op
             {
-                baked.insert(*s, (b.lo, b.hi));
+                baked.insert(*s, b.region);
             }
         }
     }
     assert!(!baked.is_empty(), "promoted code carries baked bounds");
     let envelopes_inside_baked_bounds = |tracer: &Tracer| {
         for (meta, prof) in tracer.profile_snapshot() {
-            let (lo, hi) = baked[&meta.id];
+            let region = baked[&meta.id];
             let (elo, ehi) = prof.envelope().expect("every check carried its span");
             assert!(
-                lo <= elo && ehi <= hi,
-                "{}: envelope [{elo:#x}, {ehi:#x}) outside baked [{lo:#x}, {hi:#x})",
+                region.covers(VAddr(elo), Size(ehi - elo)),
+                "{}: envelope [{elo:#x}, {ehi:#x}) outside baked {region:?}",
                 meta.label
             );
         }

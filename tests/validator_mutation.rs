@@ -296,7 +296,7 @@ fn obligation_for_still_missing_guard_is_rejected_ka001() {
 // ---------------------------------------------------------------------
 
 use carat_kop::analysis::{audit_baked_bounds, BakedBound, InstRef};
-use carat_kop::core::{Protection, Region, Size, VAddr};
+use carat_kop::core::{Grant, Protection, Region, Size, VAddr};
 use carat_kop::interp::{Engine, ExecStats, Interp};
 
 /// Region A: where the hot site's profiled envelope actually lives.
@@ -329,20 +329,22 @@ fn honest_bound(ir: &Module) -> BakedBound {
     BakedBound {
         function: "walk".into(),
         guard,
-        lo: GRANT_A.0,
-        hi: GRANT_A.1,
-        perm: Protection::READ_WRITE.granted().raw(),
-        gen: GEN,
+        grant: grant(GRANT_A, GEN),
         env_lo: 0x1200,
         env_hi: 0x1260,
     }
 }
 
+/// The read-write grant of `[lo, hi)` at `gen`.
+fn grant((lo, hi): (u64, u64), gen: u64) -> Grant {
+    let region = Region::new(VAddr(lo), Size(hi - lo), Protection::READ_WRITE).unwrap();
+    Grant { region, gen }
+}
+
 /// The finding codes of auditing `bound` against the snapshot {A, B} at
 /// [`GEN`].
 fn audit(ir: &Module, bound: BakedBound) -> Vec<String> {
-    let regions = [GRANT_A, GRANT_B]
-        .map(|(lo, hi)| Region::new(VAddr(lo), Size(hi - lo), Protection::READ_WRITE).unwrap());
+    let regions = [GRANT_A, GRANT_B].map(|span| grant(span, GEN).region);
     let report = audit_baked_bounds(ir, &[bound], GEN, &regions);
     report.errors().map(|d| d.code.code().to_string()).collect()
 }
@@ -359,7 +361,7 @@ fn forged_inline_bound_is_rejected_ka009() {
     // region of the pinned snapshot.
     let (_, ir) = optimized_build();
     let forged = BakedBound {
-        hi: GRANT_A.1 + 0x100,
+        grant: grant((GRANT_A.0, GRANT_A.1 + 0x100), GEN),
         ..honest_bound(&ir)
     };
     assert_eq!(audit(&ir, forged), ["KA009"]);
@@ -372,7 +374,7 @@ fn stale_generation_citation_is_rejected_ka010() {
     // what it claims, so it is not trusted.
     let (_, ir) = optimized_build();
     let stale = BakedBound {
-        gen: GEN + 1_000,
+        grant: grant(GRANT_A, GEN + 1_000),
         ..honest_bound(&ir)
     };
     assert_eq!(audit(&ir, stale), ["KA010"]);
@@ -384,8 +386,7 @@ fn wrong_site_bound_is_rejected_ka011() {
     // while the site's profiled envelope lives in region A.
     let (_, ir) = optimized_build();
     let wrong = BakedBound {
-        lo: GRANT_B.0,
-        hi: GRANT_B.1,
+        grant: grant(GRANT_B, GEN),
         env_lo: GRANT_B.0 + 0x200,
         env_hi: GRANT_B.0 + 0x260,
         ..honest_bound(&ir)
