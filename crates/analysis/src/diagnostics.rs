@@ -8,7 +8,9 @@
 use core::fmt;
 
 /// Stable lint codes. The numeric part never changes meaning across
-/// releases; tools may match on it.
+/// releases; tools may match on it. A retired code is never reused:
+/// KA005 (a constant-address access outside a supplied policy snapshot)
+/// had no caller that supplied one and is retired.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LintCode {
     /// KA001: a load/store not covered by a dominating guard on all paths.
@@ -20,9 +22,6 @@ pub enum LintCode {
     LaunderedPointer,
     /// KA004: a guard that provably covers no reachable access.
     DeadGuard,
-    /// KA005: a constant-address access that statically violates the
-    /// supplied policy snapshot.
-    PolicyViolation,
     /// KA006: an optimizer obligation references a guard or access that
     /// does not exist in the module (or no longer has the claimed shape).
     ObligationUnfounded,
@@ -54,7 +53,6 @@ impl LintCode {
             LintCode::GuardMismatch => "KA002",
             LintCode::LaunderedPointer => "KA003",
             LintCode::DeadGuard => "KA004",
-            LintCode::PolicyViolation => "KA005",
             LintCode::ObligationUnfounded => "KA006",
             LintCode::RangeUnproven => "KA007",
             LintCode::ObligationDominance => "KA008",
@@ -69,7 +67,6 @@ impl LintCode {
         match self {
             LintCode::UnguardedAccess
             | LintCode::GuardMismatch
-            | LintCode::PolicyViolation
             | LintCode::ObligationUnfounded
             | LintCode::RangeUnproven
             | LintCode::ObligationDominance
@@ -87,7 +84,6 @@ impl LintCode {
             LintCode::GuardMismatch => "guard does not cover access",
             LintCode::LaunderedPointer => "inttoptr-laundered pointer access",
             LintCode::DeadGuard => "guard covers no access",
-            LintCode::PolicyViolation => "constant address violates policy",
             LintCode::ObligationUnfounded => "obligation references missing guard or access",
             LintCode::RangeUnproven => "range obligation not derivable from loop structure",
             LintCode::ObligationDominance => "claimed dominating guard does not dominate",
@@ -275,7 +271,6 @@ mod tests {
         assert_eq!(LintCode::GuardMismatch.code(), "KA002");
         assert_eq!(LintCode::LaunderedPointer.code(), "KA003");
         assert_eq!(LintCode::DeadGuard.code(), "KA004");
-        assert_eq!(LintCode::PolicyViolation.code(), "KA005");
         assert_eq!(LintCode::ObligationUnfounded.code(), "KA006");
         assert_eq!(LintCode::RangeUnproven.code(), "KA007");
         assert_eq!(LintCode::ObligationDominance.code(), "KA008");
@@ -288,7 +283,6 @@ mod tests {
     fn severity_split() {
         assert_eq!(LintCode::UnguardedAccess.severity(), Severity::Error);
         assert_eq!(LintCode::GuardMismatch.severity(), Severity::Error);
-        assert_eq!(LintCode::PolicyViolation.severity(), Severity::Error);
         assert_eq!(LintCode::ObligationUnfounded.severity(), Severity::Error);
         assert_eq!(LintCode::RangeUnproven.severity(), Severity::Error);
         assert_eq!(LintCode::ObligationDominance.severity(), Severity::Error);

@@ -19,8 +19,8 @@
 //!   module text alone and re-proves coverage, sharing no code with the
 //!   optimizer; and audits the bounds the kernel's promotion bakes
 //!   against the snapshot it pinned ([`audit_baked_bounds`]).
-//! * [`provenance`] — pointer provenance classification used to justify
-//!   guard elision and to flag laundered or constant-address pointers.
+//! * [`provenance`] — flags accesses through `inttoptr`-laundered
+//!   pointers (KA003).
 //! * [`diagnostics`] — stable lint codes (`KA001`…) with precise
 //!   function/block/instruction locations.
 //!
@@ -41,7 +41,6 @@ pub mod validator;
 pub use available::{available_guards, transfer_avail, AvailMap, AvailableGuards};
 pub use coverage::{verify_guard_coverage, GuardCoverage};
 pub use diagnostics::{AnalysisReport, Diagnostic, LintCode, Severity};
-pub use provenance::{PointerProvenance, Provenance};
 pub use range::{plan_ranges, RangePlan};
 pub use validator::{
     audit_baked_bounds, validate_module, BakedBound, InstRef, LedgerCode, LedgerError, Obligation,
@@ -52,13 +51,7 @@ use kop_ir::Module;
 
 /// Run every analysis on `module` and collect the merged report.
 pub fn analyze_module(module: &Module) -> AnalysisReport {
-    analyze_module_with_policy(module, &[])
-}
-
-/// Like [`analyze_module`], but also checks constant-address accesses
-/// against a policy snapshot (regions the module may touch).
-pub fn analyze_module_with_policy(module: &Module, allowed: &[kop_core::Region]) -> AnalysisReport {
     let mut report = coverage::verify_guard_coverage(module);
-    report.merge(provenance::analyze_provenance(module, allowed));
+    report.merge(provenance::analyze_provenance(module));
     report
 }

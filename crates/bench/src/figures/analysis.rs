@@ -54,11 +54,13 @@ pub fn analysis() -> FigureData {
             headlines.push((format!("{name}_{cfg_name}_verify_us"), us));
             points.push((checked, us));
         }
-        // Provenance classification on the raw module: the rootkit corpus
+        // The KA003 provenance lint on the raw module: the rootkit corpus
         // member launders pointers through inttoptr and must be flagged.
-        let prov = kop_analysis::provenance::analyze_provenance(&module, &[]);
+        let prov = kop_analysis::provenance::analyze_provenance(&module);
         if name == "credscan" {
-            let laundered = prov.stat("ptr_laundered") as f64;
+            let laundered = prov
+                .with_code(kop_analysis::LintCode::LaunderedPointer)
+                .count() as f64;
             assert!(laundered > 0.0, "credscan must trip KA003");
             headlines.push(("credscan_laundered_accesses".into(), laundered));
             notes.push(

@@ -288,7 +288,6 @@ fn scan(module: &Module, allow_privileged: bool) -> Result<(), AttestError> {
 mod tests {
     use super::*;
     use crate::guard::GuardInjectionPass;
-    use crate::pass::Pass;
     use kop_ir::parse_module;
 
     #[test]

@@ -23,7 +23,7 @@ use crate::guard::GuardInjectionPass;
 use crate::intrinsics::IntrinsicWrapPass;
 use crate::obligations::ObligationRecorder;
 use crate::opt::{RangeCoalescing, RedundantGuardElim};
-use crate::pass::{PassManager, PassStats};
+use crate::pass::PassStats;
 use crate::signing::{CompilerKey, SignedModule};
 
 /// Options for a compilation.
@@ -143,24 +143,20 @@ pub fn compile_module(
     // attestation proves it did.
     Attestation::precheck(&module, options.wrap_privileged).map_err(CompileError::Attest)?;
 
-    let mut pm = PassManager::new();
+    let mut recorder = ObligationRecorder::new();
+    let mut stats = PassStats::new();
     if options.inject_guards {
-        pm.add(GuardInjectionPass);
+        stats.merge(&GuardInjectionPass.run(&mut module));
     }
     if options.wrap_privileged {
-        pm.add(IntrinsicWrapPass);
+        stats.merge(&IntrinsicWrapPass.run(&mut module));
     }
     // Range coalescing runs before elimination: a coalesced range guard
     // is never a constant fact, so elim cannot remove a guard that a
     // recorded range obligation depends on.
     if options.optimize {
-        pm.add(RangeCoalescing);
-        pm.add(RedundantGuardElim);
-    }
-    let mut recorder = ObligationRecorder::new();
-    let mut stats = PassStats::new();
-    for (_, s) in pm.run_with(&mut module, &mut recorder) {
-        stats.merge(&s);
+        stats.merge(&RangeCoalescing.run_with(&mut module, &mut recorder));
+        stats.merge(&RedundantGuardElim.run_with(&mut module, &mut recorder));
     }
     verify_module(&module).map_err(CompileError::OutputVerify)?;
 

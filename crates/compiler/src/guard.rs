@@ -15,7 +15,7 @@
 use kop_core::AccessFlags;
 use kop_ir::{Function, Inst, Module, Type, Value};
 
-use crate::pass::{Pass, PassStats};
+use crate::pass::PassStats;
 
 /// The guard symbol every protected module imports. The policy module
 /// privately exports it and the loader links them (paper §3.1–§3.2).
@@ -24,7 +24,7 @@ pub const GUARD_SYMBOL: &str = "carat_guard";
 /// The guard-injection pass.
 ///
 /// ```
-/// use kop_compiler::{GuardInjectionPass, Pass};
+/// use kop_compiler::GuardInjectionPass;
 ///
 /// let mut m = kop_ir::parse_module(r#"
 /// module "m"
@@ -41,12 +41,10 @@ pub const GUARD_SYMBOL: &str = "carat_guard";
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GuardInjectionPass;
 
-impl Pass for GuardInjectionPass {
-    fn name(&self) -> &'static str {
-        "carat-kop-guard-injection"
-    }
-
-    fn run(&self, module: &mut Module) -> PassStats {
+impl GuardInjectionPass {
+    /// Guard every load and store of `module`; reports `guards_injected`
+    /// and `functions`.
+    pub fn run(&self, module: &mut Module) -> PassStats {
         let mut stats = PassStats::new();
         let mut injected_any = false;
         for f in &mut module.functions {
@@ -101,21 +99,6 @@ fn inject_guards_in_function(f: &mut Function) -> u64 {
     injected
 }
 
-/// Check guard coverage with the dataflow verifier and return structured
-/// diagnostics.
-///
-/// This replaces the old boolean `validate_guards` scan (removed): instead of a
-/// strict same-block layout check, the [`kop_analysis`] verifier *proves*
-/// that every load/store is dominated on all paths by a covering guard —
-/// so modules whose guards were hoisted or deduplicated by the optional
-/// optimization passes still verify. Findings come back as
-/// [`kop_analysis::Diagnostic`]s with stable lint codes (`KA001`
-/// unguarded access, `KA002` guard/access mismatch, `KA004` dead guard)
-/// naming the exact function, block, and instruction.
-pub fn check_guards(module: &Module) -> kop_analysis::AnalysisReport {
-    kop_analysis::verify_guard_coverage(module)
-}
-
 /// The strict layout check the attestation records: every load/store is
 /// *immediately* preceded by a matching guard call (same pointer operand,
 /// correct size and flags). This holds for unoptimized CARAT KOP output;
@@ -156,6 +139,7 @@ pub(crate) fn strict_guard_layout(module: &Module) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kop_analysis::verify_guard_coverage;
     use kop_ir::{parse_module, print_module, verify_module};
 
     const DRIVERISH: &str = r#"
@@ -215,19 +199,17 @@ entry:
     #[test]
     fn validate_accepts_transformed_rejects_raw() {
         let mut m = parse_module(DRIVERISH).unwrap();
-        assert!(!check_guards(&m).is_clean(), "unguarded module must fail");
+        assert!(
+            !verify_guard_coverage(&m).is_clean(),
+            "unguarded module must fail"
+        );
         assert!(!strict_guard_layout(&m));
         GuardInjectionPass.run(&mut m);
-        assert!(check_guards(&m).is_clean(), "guarded module must pass");
+        assert!(
+            verify_guard_coverage(&m).is_clean(),
+            "guarded module must pass"
+        );
         assert!(strict_guard_layout(&m));
-    }
-
-    #[test]
-    fn checker_verdict_flips_after_injection() {
-        let mut m = parse_module(DRIVERISH).unwrap();
-        assert!(!check_guards(&m).is_clean());
-        GuardInjectionPass.run(&mut m);
-        assert!(check_guards(&m).is_clean());
     }
 
     #[test]
@@ -245,7 +227,7 @@ entry:
                 }
             }
         }
-        let report = check_guards(&m);
+        let report = verify_guard_coverage(&m);
         assert!(!report.is_clean());
         assert!(!strict_guard_layout(&m));
     }
@@ -265,7 +247,7 @@ entry:
         assert_eq!(stats.get("guards_injected"), 0);
         // No guard import added when nothing was guarded.
         assert!(m.imported_symbols().is_empty());
-        assert!(check_guards(&m).is_clean()); // vacuously true
+        assert!(verify_guard_coverage(&m).is_clean()); // vacuously true
     }
 
     #[test]
@@ -308,7 +290,7 @@ exit:
         let text = print_module(&m);
         let m2 = parse_module(&text).unwrap();
         assert_eq!(print_module(&m2), text);
-        assert!(check_guards(&m2).is_clean());
+        assert!(verify_guard_coverage(&m2).is_clean());
         assert!(strict_guard_layout(&m2));
     }
 }

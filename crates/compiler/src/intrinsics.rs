@@ -15,7 +15,7 @@
 use kop_ir::{Function, Inst, Module, Type, Value};
 
 use crate::attest::PRIVILEGED_INTRINSICS;
-use crate::pass::{Pass, PassStats};
+use crate::pass::PassStats;
 
 /// The intrinsic-guard symbol protected modules import when built with
 /// `wrap_privileged`.
@@ -30,21 +30,14 @@ pub fn intrinsic_id(name: &str) -> Option<u32> {
         .map(|i| i as u32)
 }
 
-/// The intrinsic name for an id.
-pub fn intrinsic_name(id: u32) -> Option<&'static str> {
-    PRIVILEGED_INTRINSICS.get(id as usize).copied()
-}
-
 /// Inject intrinsic guards before every privileged-intrinsic call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IntrinsicWrapPass;
 
-impl Pass for IntrinsicWrapPass {
-    fn name(&self) -> &'static str {
-        "carat-kop-intrinsic-wrap"
-    }
-
-    fn run(&self, module: &mut Module) -> PassStats {
+impl IntrinsicWrapPass {
+    /// Wrap every privileged-intrinsic call of `module`; reports
+    /// `intrinsics_wrapped`.
+    pub fn run(&self, module: &mut Module) -> PassStats {
         let mut stats = PassStats::new();
         let mut wrapped_any = false;
         for f in &mut module.functions {
@@ -161,9 +154,8 @@ entry:
         let id_wrmsr = intrinsic_id("__wrmsr").unwrap();
         let id_rdmsr = intrinsic_id("__rdmsr").unwrap();
         assert_ne!(id_wrmsr, id_rdmsr);
-        assert_eq!(intrinsic_name(id_wrmsr), Some("__wrmsr"));
+        assert_eq!(PRIVILEGED_INTRINSICS[id_wrmsr as usize], "__wrmsr");
         assert_eq!(intrinsic_id("not_privileged"), None);
-        assert_eq!(intrinsic_name(9999), None);
     }
 
     #[test]

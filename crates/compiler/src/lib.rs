@@ -42,12 +42,11 @@ pub mod signing;
 
 pub use attest::{AttestError, Attestation};
 pub use driver::{compile_module, CompileError, CompileOptions, CompileOutput};
-pub use guard::{check_guards, GuardInjectionPass, GUARD_SYMBOL};
+pub use guard::{GuardInjectionPass, GUARD_SYMBOL};
 pub use intrinsics::{
-    intrinsic_id, intrinsic_name, validate_intrinsic_wraps, IntrinsicWrapPass,
-    INTRINSIC_GUARD_SYMBOL,
+    intrinsic_id, validate_intrinsic_wraps, IntrinsicWrapPass, INTRINSIC_GUARD_SYMBOL,
 };
 pub use obligations::ObligationRecorder;
 pub use opt::{RangeCoalescing, RedundantGuardElim};
-pub use pass::{Pass, PassManager, PassStats};
+pub use pass::PassStats;
 pub use signing::{CompilerKey, SignedModule, SigningError};

@@ -31,22 +31,16 @@ use kop_ir::{Function, Inst, InstId, Module, Type, Value};
 
 use crate::guard::GUARD_SYMBOL;
 use crate::obligations::ObligationRecorder;
-use crate::pass::{Pass, PassStats};
+use crate::pass::PassStats;
 
 /// Remove guards dominated by a covering (or widenable) earlier guard.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RedundantGuardElim;
 
-impl Pass for RedundantGuardElim {
-    fn name(&self) -> &'static str {
-        "carat-kop-redundant-guard-elim"
-    }
-
-    fn run(&self, module: &mut Module) -> PassStats {
-        self.run_with(module, &mut ObligationRecorder::new())
-    }
-
-    fn run_with(&self, module: &mut Module, obligations: &mut ObligationRecorder) -> PassStats {
+impl RedundantGuardElim {
+    /// Remove redundant guards, recording an elide obligation for each
+    /// into `obligations`; reports `guards_removed` and `guards_widened`.
+    pub fn run_with(&self, module: &mut Module, obligations: &mut ObligationRecorder) -> PassStats {
         let mut stats = PassStats::new();
         for f in &mut module.functions {
             let (removed, widened) = elim_in_function(f, obligations);
@@ -170,16 +164,11 @@ fn elim_in_function(f: &mut Function, obligations: &mut ObligationRecorder) -> (
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RangeCoalescing;
 
-impl Pass for RangeCoalescing {
-    fn name(&self) -> &'static str {
-        "carat-kop-range-coalescing"
-    }
-
-    fn run(&self, module: &mut Module) -> PassStats {
-        self.run_with(module, &mut ObligationRecorder::new())
-    }
-
-    fn run_with(&self, module: &mut Module, obligations: &mut ObligationRecorder) -> PassStats {
+impl RangeCoalescing {
+    /// Coalesce counted-loop element guards, recording a range
+    /// obligation for each into `obligations`; reports
+    /// `guards_range_coalesced` and `range_guards_inserted`.
+    pub fn run_with(&self, module: &mut Module, obligations: &mut ObligationRecorder) -> PassStats {
         let mut stats = PassStats::new();
         for f in &mut module.functions {
             let (coalesced, inserted) = coalesce_in_function(f, obligations);
@@ -280,14 +269,6 @@ mod tests {
     use kop_analysis::{validate_module, verify_guard_coverage, ObligationLedger};
     use kop_ir::{parse_module, verify_module};
 
-    fn opt_with_ledger(m: &mut Module, passes: &[&dyn Pass]) -> ObligationLedger {
-        let mut rec = ObligationRecorder::new();
-        for p in passes {
-            p.run_with(m, &mut rec);
-        }
-        rec.finalize(m)
-    }
-
     #[test]
     fn elim_removes_same_block_duplicates() {
         // Two i64 loads through the same pointer in one block: the second
@@ -305,7 +286,7 @@ entry:
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
         assert_eq!(guard_count(&m), 2);
-        let stats = RedundantGuardElim.run(&mut m);
+        let stats = RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         assert_eq!(stats.get("guards_removed"), 1);
         assert_eq!(guard_count(&m), 1);
         verify_module(&m).expect("still verifies");
@@ -373,7 +354,7 @@ join:
 "#;
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
-        let stats = RedundantGuardElim.run(&mut m);
+        let stats = RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         assert_eq!(stats.get("guards_removed"), 0);
         assert_eq!(guard_count(&m), 3);
     }
@@ -407,7 +388,7 @@ exit:
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
         assert_eq!(guard_count(&m), 1);
-        let stats = RedundantGuardElim.run(&mut m);
+        let stats = RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         assert_eq!(
             stats.get("guards_removed"),
             0,
@@ -433,7 +414,7 @@ entry:
 "#;
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
-        let stats = RedundantGuardElim.run(&mut m);
+        let stats = RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         assert_eq!(stats.get("guards_removed"), 0);
         assert_eq!(guard_count(&m), 2);
     }
@@ -486,7 +467,7 @@ entry:
 "#;
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
-        let stats = RedundantGuardElim.run(&mut m);
+        let stats = RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         assert_eq!(stats.get("guards_removed"), 0);
     }
 
@@ -571,7 +552,7 @@ exit:
 "#;
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
-        let stats = RangeCoalescing.run(&mut m);
+        let stats = RangeCoalescing.run_with(&mut m, &mut ObligationRecorder::new());
         assert_eq!(stats.get("guards_range_coalesced"), 0);
         assert_eq!(guard_count(&m), 1);
     }
@@ -606,7 +587,10 @@ exit:
         let mut m = parse_module(src).unwrap();
         GuardInjectionPass.run(&mut m);
         assert_eq!(guard_count(&m), 3);
-        let ledger = opt_with_ledger(&mut m, &[&RangeCoalescing, &RedundantGuardElim]);
+        let mut rec = ObligationRecorder::new();
+        RangeCoalescing.run_with(&mut m, &mut rec);
+        RedundantGuardElim.run_with(&mut m, &mut rec);
+        let ledger = rec.finalize(&m);
         // Element guard → range guard (net 0); the @g write guard folds
         // into the @g read guard by widening.
         assert_eq!(guard_count(&m), 2);

@@ -313,7 +313,6 @@ const MAGIC: &[u8; 8] = b"KOPMOD\x02\0";
 mod tests {
     use super::*;
     use crate::guard::GuardInjectionPass;
-    use crate::pass::Pass;
 
     fn demo_module() -> Module {
         let src = r#"

@@ -12,7 +12,9 @@
 use proptest::prelude::*;
 
 use kop_analysis::verify_guard_coverage;
-use kop_compiler::{GuardInjectionPass, Pass, RangeCoalescing, RedundantGuardElim, GUARD_SYMBOL};
+use kop_compiler::{
+    GuardInjectionPass, ObligationRecorder, RangeCoalescing, RedundantGuardElim, GUARD_SYMBOL,
+};
 use kop_ir::{parse_module, verify_module, Inst, Module, Type, Value};
 
 /// One random memory access: which pointer, what type, load or store.
@@ -150,11 +152,11 @@ proptest! {
             GuardInjectionPass.run(&mut m);
             prop_assert!(verify_guard_coverage(&m).is_clean(), "unoptimized");
             // Deduplicated.
-            RedundantGuardElim.run(&mut m);
+            RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
             prop_assert!(verify_guard_coverage(&m).is_clean(), "deduplicated");
             // Range coalescing on top (a no-op for these shapes, but
             // it must preserve coverage either way).
-            RangeCoalescing.run(&mut m);
+            RangeCoalescing.run_with(&mut m, &mut ObligationRecorder::new());
             prop_assert!(verify_guard_coverage(&m).is_clean(), "coalesced");
             verify_module(&m).expect("optimized module verifies");
         }
@@ -168,7 +170,7 @@ proptest! {
     ) {
         let mut m = build_straightline(&accesses);
         GuardInjectionPass.run(&mut m);
-        RedundantGuardElim.run(&mut m);
+        RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         prop_assert!(verify_guard_coverage(&m).is_clean());
         for site in guard_sites(&m) {
             let mut mutant = m.clone();
@@ -190,7 +192,7 @@ proptest! {
     ) {
         let mut m = build_straightline(&accesses);
         GuardInjectionPass.run(&mut m);
-        RedundantGuardElim.run(&mut m);
+        RedundantGuardElim.run_with(&mut m, &mut ObligationRecorder::new());
         for site in guard_sites(&m) {
             let mut mutant = m.clone();
             if shrink_guard_size(&mut mutant, site) {

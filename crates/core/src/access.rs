@@ -45,12 +45,6 @@ impl AccessFlags {
         self.0 & other.0 == other.0
     }
 
-    /// Whether any bit overlaps with `other`.
-    #[inline]
-    pub const fn intersects(self, other: AccessFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Whether no bits are set.
     #[inline]
     pub const fn is_empty(self) -> bool {

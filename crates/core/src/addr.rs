@@ -12,10 +12,6 @@ use core::ops::{Add, AddAssign, Sub};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VAddr(pub u64);
 
-/// A 64-bit physical address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PAddr(pub u64);
-
 /// A byte count. Guards receive the access size alongside the address.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Size(pub u64);
@@ -54,63 +50,11 @@ impl VAddr {
         self.0.checked_sub(base.0)
     }
 
-    /// Align down to `align` (must be a power of two).
-    #[inline]
-    pub fn align_down(self, align: u64) -> VAddr {
-        debug_assert!(align.is_power_of_two());
-        VAddr(self.0 & !(align - 1))
-    }
-
-    /// Align up to `align` (must be a power of two), wrapping at the top of
-    /// the address space.
-    #[inline]
-    pub fn align_up(self, align: u64) -> VAddr {
-        debug_assert!(align.is_power_of_two());
-        VAddr(self.0.wrapping_add(align - 1) & !(align - 1))
-    }
-
     /// Whether the address is aligned to `align` (power of two).
     #[inline]
     pub fn is_aligned(self, align: u64) -> bool {
         debug_assert!(align.is_power_of_two());
         self.0 & (align - 1) == 0
-    }
-
-    /// Whether this address lives in the canonical "high half" (kernel
-    /// addresses on x86-64 Linux).
-    #[inline]
-    pub const fn is_kernel_half(self) -> bool {
-        self.0 >= crate::layout::KERNEL_HALF_BASE
-    }
-
-    /// Whether this address lives in the "low half" (user addresses).
-    #[inline]
-    pub const fn is_user_half(self) -> bool {
-        !self.is_kernel_half()
-    }
-}
-
-impl PAddr {
-    /// Construct from a raw 64-bit value.
-    #[inline]
-    pub const fn new(v: u64) -> Self {
-        PAddr(v)
-    }
-
-    /// Raw value.
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Translate through the kernel direct map: `PAGE_OFFSET + paddr`.
-    ///
-    /// On Linux the entire physical address space is remapped at a known
-    /// offset in the kernel half; the paper's two-region example policy
-    /// allows exactly that direct map while denying the user half.
-    #[inline]
-    pub const fn to_direct_map(self) -> VAddr {
-        VAddr(crate::layout::DIRECT_MAP_BASE + self.0)
     }
 }
 
@@ -128,13 +72,6 @@ impl Size {
     #[inline]
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Byte count as `usize` (panics if it does not fit — simulation is
-    /// always 64-bit so this is infallible in practice).
-    #[inline]
-    pub fn as_usize(self) -> usize {
-        usize::try_from(self.0).expect("size fits in usize on 64-bit hosts")
     }
 }
 
@@ -202,18 +139,6 @@ impl fmt::Display for VAddr {
     }
 }
 
-impl fmt::Debug for PAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PAddr({:#x})", self.0)
-    }
-}
-
-impl fmt::Display for PAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#x}", self.0)
-    }
-}
-
 impl fmt::Display for Size {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} B", self.0)
@@ -225,26 +150,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn align_down_up() {
-        let a = VAddr(0x1234);
-        assert_eq!(a.align_down(0x1000), VAddr(0x1000));
-        assert_eq!(a.align_up(0x1000), VAddr(0x2000));
-        assert_eq!(VAddr(0x2000).align_up(0x1000), VAddr(0x2000));
-        assert_eq!(VAddr(0x2000).align_down(0x1000), VAddr(0x2000));
-    }
-
-    #[test]
     fn aligned_checks() {
         assert!(VAddr(0x1000).is_aligned(0x1000));
         assert!(!VAddr(0x1001).is_aligned(0x1000));
         assert!(VAddr(0).is_aligned(8));
-    }
-
-    #[test]
-    fn halves() {
-        assert!(VAddr(0xffff_8000_0000_0000).is_kernel_half());
-        assert!(VAddr(0x0000_7fff_ffff_ffff).is_user_half());
-        assert!(VAddr::NULL.is_user_half());
     }
 
     #[test]
@@ -260,14 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_map_translation() {
-        let p = PAddr::new(0x1000);
-        let v = p.to_direct_map();
-        assert!(v.is_kernel_half());
-        assert_eq!(v.raw() - crate::layout::DIRECT_MAP_BASE, 0x1000);
-    }
-
-    #[test]
     fn pointer_subtraction_wraps() {
         assert_eq!(VAddr(0) - VAddr(1), u64::MAX);
         assert_eq!(VAddr(10) - VAddr(4), 6);
@@ -277,7 +178,6 @@ mod tests {
     fn size_conversions() {
         let s: Size = 128usize.into();
         assert_eq!(s.raw(), 128);
-        assert_eq!(s.as_usize(), 128);
         assert_eq!((s + Size::new(2)).raw(), 130);
     }
 }

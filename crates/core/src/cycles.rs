@@ -28,12 +28,6 @@ impl Cycles {
         self.0
     }
 
-    /// Convert to seconds at a given clock frequency.
-    #[inline]
-    pub fn as_secs_at(self, hz: f64) -> f64 {
-        self.0 as f64 / hz
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
@@ -102,12 +96,5 @@ mod tests {
     fn sum() {
         let total: Cycles = [Cycles(1), Cycles(2), Cycles(3)].into_iter().sum();
         assert_eq!(total, Cycles(6));
-    }
-
-    #[test]
-    fn secs_at_frequency() {
-        let c = Cycles(2_800_000_000);
-        let s = c.as_secs_at(2.8e9);
-        assert!((s - 1.0).abs() < 1e-9);
     }
 }

@@ -1,7 +1,7 @@
 //! # kop-core
 //!
-//! Shared primitives for the CARAT KOP reproduction: virtual/physical
-//! addresses, access flags, memory regions and their algebra, cycle
+//! Shared primitives for the CARAT KOP reproduction: virtual addresses
+//! and sizes, access flags, memory regions and cached grants, cycle
 //! accounting types, and the error/violation vocabulary used across every
 //! other crate in the workspace.
 //!
@@ -19,7 +19,7 @@ pub mod layout;
 pub mod region;
 
 pub use access::{AccessFlags, Protection};
-pub use addr::{PAddr, Size, VAddr};
+pub use addr::{Size, VAddr};
 pub use cycles::Cycles;
 pub use error::{KernelError, KernelResult, Violation};
 pub use region::{Grant, Region};

@@ -2,7 +2,7 @@
 //!
 //! A policy is a set of [`Region`]s — "firewall rules" in the paper's
 //! terminology. Each entry stores a lower bound, a length, and protection
-//! flags (§3.1). The algebra here (containment, overlap, splitting) is the
+//! flags (§3.1). The algebra here (coverage, permission, overlap) is the
 //! foundation shared by every policy data structure in `kop-policy`.
 
 use core::fmt;
@@ -32,12 +32,6 @@ impl Region {
         }
         base.checked_add(len.raw() - 1)?;
         Some(Region { base, len, prot })
-    }
-
-    /// Construct from inclusive-exclusive bounds `[start, end)`.
-    pub fn from_range(start: VAddr, end: VAddr, prot: Protection) -> Option<Region> {
-        let len = end.offset_from(start)?;
-        Region::new(start, Size::new(len), prot)
     }
 
     /// Whether the region is empty.
@@ -107,63 +101,6 @@ impl Region {
         let a_last = self.last().expect("non-empty");
         let b_last = other.last().expect("non-empty");
         self.base <= b_last && other.base <= a_last
-    }
-
-    /// Whether `other` is entirely contained in `self`.
-    pub fn contains_region(&self, other: &Region) -> bool {
-        if other.is_empty() {
-            return true;
-        }
-        if self.is_empty() {
-            return false;
-        }
-        other.base >= self.base
-            && other.last().expect("non-empty") <= self.last().expect("non-empty")
-    }
-
-    /// Intersection of two regions (protection taken from `self`).
-    pub fn intersection(&self, other: &Region) -> Option<Region> {
-        if !self.overlaps(other) {
-            return None;
-        }
-        let start = self.base.max(other.base);
-        let last = self.last()?.min(other.last()?);
-        let len = (last - start) + 1;
-        Some(Region {
-            base: start,
-            len: Size::new(len),
-            prot: self.prot,
-        })
-    }
-
-    /// Subtract `hole` from `self`, yielding up to two remaining pieces
-    /// (protection preserved). Used when a policy removes a sub-range of an
-    /// existing rule.
-    pub fn subtract(&self, hole: &Region) -> Vec<Region> {
-        let Some(cut) = hole.intersection(self) else {
-            return vec![*self];
-        };
-        let mut out = Vec::with_capacity(2);
-        if cut.base > self.base {
-            let left_len = cut.base - self.base;
-            out.push(Region {
-                base: self.base,
-                len: Size::new(left_len),
-                prot: self.prot,
-            });
-        }
-        let cut_last = cut.last().expect("non-empty cut");
-        let self_last = self.last().expect("non-empty self");
-        if cut_last < self_last {
-            let right_base = cut_last.wrapping_add(1);
-            let right_len = (self_last - right_base) + 1;
-            out.push(Region {
-                base: right_base,
-                len: Size::new(right_len),
-                prot: self.prot,
-            });
-        }
-        out
     }
 }
 
@@ -251,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn from_range() {
-        let reg = Region::from_range(VAddr(0x1000), VAddr(0x2000), Protection::READ_ONLY).unwrap();
-        assert_eq!(reg.base, VAddr(0x1000));
-        assert_eq!(reg.len, Size(0x1000));
-        assert!(Region::from_range(VAddr(0x2000), VAddr(0x1000), Protection::READ_ONLY).is_none());
-    }
-
-    #[test]
     fn contains_and_covers() {
         let reg = r(100, 50);
         assert!(reg.contains_addr(VAddr(100)));
@@ -336,49 +265,6 @@ mod tests {
         assert!(!r(0, 0).overlaps(&r(0, 10)));
         assert!(!r(0, 10).overlaps(&r(5, 0)));
     }
-
-    #[test]
-    fn containment() {
-        assert!(r(0, 100).contains_region(&r(10, 20)));
-        assert!(r(0, 100).contains_region(&r(0, 100)));
-        assert!(!r(0, 100).contains_region(&r(90, 20)));
-        assert!(r(0, 100).contains_region(&r(50, 0))); // empty contained
-    }
-
-    #[test]
-    fn intersection() {
-        let i = r(0, 100).intersection(&r(50, 100)).unwrap();
-        assert_eq!(i.base, VAddr(50));
-        assert_eq!(i.len, Size(50));
-        assert!(r(0, 10).intersection(&r(20, 10)).is_none());
-    }
-
-    #[test]
-    fn subtract_middle_splits() {
-        let pieces = r(0, 100).subtract(&r(40, 20));
-        assert_eq!(pieces.len(), 2);
-        assert_eq!(pieces[0].base, VAddr(0));
-        assert_eq!(pieces[0].len, Size(40));
-        assert_eq!(pieces[1].base, VAddr(60));
-        assert_eq!(pieces[1].len, Size(40));
-    }
-
-    #[test]
-    fn subtract_edges() {
-        // Hole at the start.
-        let pieces = r(0, 100).subtract(&r(0, 30));
-        assert_eq!(pieces.len(), 1);
-        assert_eq!(pieces[0].base, VAddr(30));
-        // Hole at the end.
-        let pieces = r(0, 100).subtract(&r(70, 30));
-        assert_eq!(pieces.len(), 1);
-        assert_eq!(pieces[0].len, Size(70));
-        // Hole covering everything.
-        assert!(r(0, 100).subtract(&r(0, 100)).is_empty());
-        // Disjoint hole: unchanged.
-        let pieces = r(0, 100).subtract(&r(200, 10));
-        assert_eq!(pieces, vec![r(0, 100)]);
-    }
 }
 
 #[cfg(test)]
@@ -395,37 +281,6 @@ mod prop_tests {
         #[test]
         fn overlap_is_symmetric(a in arb_region(), b in arb_region()) {
             prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
-        }
-
-        #[test]
-        fn intersection_contained_in_both(a in arb_region(), b in arb_region()) {
-            if let Some(i) = a.intersection(&b) {
-                prop_assert!(a.contains_region(&i));
-                prop_assert!(b.contains_region(&i));
-                prop_assert!(!i.is_empty());
-            }
-        }
-
-        #[test]
-        fn subtract_pieces_disjoint_from_hole(a in arb_region(), hole in arb_region()) {
-            for piece in a.subtract(&hole) {
-                prop_assert!(!piece.overlaps(&hole));
-                prop_assert!(a.contains_region(&piece));
-            }
-        }
-
-        #[test]
-        fn subtract_preserves_non_hole_bytes(a in arb_region(), hole in arb_region()) {
-            // Every address in `a` but not in `hole` must be in exactly one piece.
-            let pieces = a.subtract(&hole);
-            if a.len.raw() > 0 {
-                for addr in (a.base.raw()..a.base.raw() + a.len.raw()).step_by(7) {
-                    let va = VAddr(addr);
-                    let in_hole = hole.contains_addr(va);
-                    let n = pieces.iter().filter(|p| p.contains_addr(va)).count();
-                    prop_assert_eq!(n, usize::from(!in_hole));
-                }
-            }
         }
 
         #[test]

@@ -335,11 +335,6 @@ impl<M: MemSpace> E1000Driver<M> {
         self.mac
     }
 
-    /// Whether `up()` has completed.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// Driver statistics (a point-in-time snapshot of the live counter
     /// cells).
     pub fn stats(&self) -> DriverStats {
@@ -441,6 +436,29 @@ impl<M: MemSpace> E1000Driver<M> {
         ethertype: u16,
         payload: &[u8],
     ) -> Result<(), DriverError> {
+        let mut header = [0u8; ETH_HLEN];
+        header[..6].copy_from_slice(&dst);
+        header[6..12].copy_from_slice(&self.mac);
+        header[12..].copy_from_slice(&ethertype.to_be_bytes());
+        self.xmit_frame(&header, payload)
+    }
+
+    /// Queue a pre-built Ethernet frame (header included) — how migrated
+    /// in-flight frames from a draining driver are resubmitted on its
+    /// successor during a live upgrade, and how the forwarder transmits.
+    /// Same guarded access sequence as [`Self::xmit`].
+    pub fn xmit_raw(&mut self, frame: &[u8]) -> Result<(), DriverError> {
+        let Some((header, payload)) = frame.split_first_chunk::<ETH_HLEN>() else {
+            return Err(DriverError::Hw("raw frame shorter than header".into()));
+        };
+        self.xmit_frame(header, payload)
+    }
+
+    /// The one transmit path of [`Self::xmit`] and [`Self::xmit_raw`]:
+    /// reclaim, take a slot, store the 14 header bytes (three guarded
+    /// stores), copy the padded payload by DMA, write the transfer
+    /// descriptor, update the in-arena stats block and ring the doorbell.
+    fn xmit_frame(&mut self, header: &[u8; ETH_HLEN], payload: &[u8]) -> Result<(), DriverError> {
         if !self.up {
             return Err(DriverError::Hw("interface is down".into()));
         }
@@ -459,14 +477,11 @@ impl<M: MemSpace> E1000Driver<M> {
         let slot = self.next_to_use;
         let buf = self.arena + TX_BUFS_OFF + slot * BUF_SIZE;
 
-        // Construct the Ethernet header — CPU stores, guarded.
-        // [dst(6) | src(6) | ethertype(2)] packed as 8 + 4 + 2 bytes.
-        let src = self.mac;
-        let w0 = u64::from_le_bytes([
-            dst[0], dst[1], dst[2], dst[3], dst[4], dst[5], src[0], src[1],
-        ]);
-        let w1 = u32::from_le_bytes([src[2], src[3], src[4], src[5]]) as u64;
-        let w2 = ethertype.to_be() as u64;
+        // The Ethernet header — CPU stores, guarded.
+        // [dst(6) | src(6) | ethertype(2)] stored as 8 + 4 + 2 bytes.
+        let w0 = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
+        let w1 = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as u64;
+        let w2 = u16::from_le_bytes(header[12..14].try_into().expect("2 bytes")) as u64;
         self.mem.write(buf, 8, w0)?;
         self.mem.write(buf + 8, 4, w1)?;
         self.mem.write(buf + 12, 2, w2)?;
@@ -477,19 +492,6 @@ impl<M: MemSpace> E1000Driver<M> {
         body.resize(frame_len - ETH_HLEN, 0);
         self.mem.bulk_write(buf + ETH_HLEN as u64, &body);
 
-        self.queue_descriptor(slot, buf, frame_len)
-    }
-
-    /// The common tail of the transmit path: write the transfer
-    /// descriptor, update the in-arena stats block, ring the doorbell —
-    /// all guarded, identical access sequence for [`Self::xmit`] and
-    /// [`Self::xmit_raw`].
-    fn queue_descriptor(
-        &mut self,
-        slot: u64,
-        buf: u64,
-        frame_len: usize,
-    ) -> Result<(), DriverError> {
         // Write the transfer descriptor — two guarded 8-byte stores.
         let daddr = self.arena + TX_RING_OFF + slot * DESC_SIZE;
         self.mem.write(daddr, 8, buf)?;
@@ -514,47 +516,6 @@ impl<M: MemSpace> E1000Driver<M> {
             bytes: frame_len as u64,
         });
         Ok(())
-    }
-
-    /// Queue a pre-built Ethernet frame (header included) — how migrated
-    /// in-flight frames from a draining driver are resubmitted on its
-    /// successor during a live upgrade. Same guarded access sequence as
-    /// [`Self::xmit`].
-    pub fn xmit_raw(&mut self, frame: &[u8]) -> Result<(), DriverError> {
-        if !self.up {
-            return Err(DriverError::Hw("interface is down".into()));
-        }
-        if frame.len() < ETH_HLEN {
-            return Err(DriverError::Hw("raw frame shorter than header".into()));
-        }
-        let frame_len = frame.len().max(ETH_ZLEN);
-        if frame_len > ETH_FRAME_LEN || (frame_len as u64) > BUF_SIZE {
-            return Err(DriverError::FrameTooBig(frame_len));
-        }
-
-        self.clean_tx()?;
-        if self.ring_full() {
-            self.stats.ring_full_events.inc();
-            return Err(DriverError::RingFull);
-        }
-
-        let slot = self.next_to_use;
-        let buf = self.arena + TX_BUFS_OFF + slot * BUF_SIZE;
-
-        // Header — CPU stores, guarded, byte-for-byte the source frame.
-        let w0 = u64::from_le_bytes(frame[0..8].try_into().expect("8 bytes"));
-        let w1 = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes")) as u64;
-        let w2 = u16::from_le_bytes(frame[12..14].try_into().expect("2 bytes")) as u64;
-        self.mem.write(buf, 8, w0)?;
-        self.mem.write(buf + 8, 4, w1)?;
-        self.mem.write(buf + 12, 2, w2)?;
-
-        // Payload via the bulk (DMA) path, padded to the minimum.
-        let mut body = frame[ETH_HLEN..].to_vec();
-        body.resize(frame_len - ETH_HLEN, 0);
-        self.mem.bulk_write(buf + ETH_HLEN as u64, &body);
-
-        self.queue_descriptor(slot, buf, frame_len)
     }
 
     /// Frames queued but not yet reclaimed (ring occupancy).
@@ -825,16 +786,6 @@ impl<M: MemSpace> E1000Driver<M> {
         }
         Ok(cause)
     }
-
-    /// Read and clear the interrupt cause register (ISR entry).
-    pub fn irq_cause(&mut self) -> Result<u64, DriverError> {
-        Ok(self.mem.read(self.bar + regs::ICR, 4)?)
-    }
-
-    /// Read the device's good-packets-transmitted counter.
-    pub fn hw_tx_count(&mut self) -> Result<u64, DriverError> {
-        Ok(self.mem.read(self.bar + regs::GPTC, 4)?)
-    }
 }
 
 #[cfg(test)]
@@ -859,7 +810,7 @@ mod tests {
     fn probe_reads_mac_and_link() {
         let drv = direct_driver();
         assert_eq!(drv.mac(), MAC);
-        assert!(drv.is_up());
+        assert!(drv.up);
     }
 
     #[test]
@@ -878,7 +829,8 @@ mod tests {
         assert_eq!(&frame[12..14], &0x0800u16.to_be_bytes());
         assert_eq!(&frame[14..25], b"hello, wire");
         assert_eq!(drv.stats().tx_packets, 1);
-        assert_eq!(drv.hw_tx_count().unwrap(), 1);
+        // The device's good-packets-transmitted counter agrees.
+        assert_eq!(drv.mem.read(drv.bar + regs::GPTC, 4).unwrap(), 1);
     }
 
     #[test]
@@ -934,7 +886,7 @@ mod tests {
         assert_eq!(s.resets, 1);
         assert_eq!(s.tx_dropped, 4);
         assert_eq!(drv.tx_pending(), 0);
-        assert!(drv.is_up());
+        assert!(drv.up);
         // The adapter works again, and driver stats survived the reset.
         let mut sink = VecSink::default();
         drv.xmit_and_flush(DST, 0x0800, b"y", &mut sink).unwrap();
@@ -1077,7 +1029,7 @@ mod tests {
         assert_eq!(frames, vec![b"incoming packet data".to_vec()]);
         assert_eq!(drv.stats().rx_packets, 1);
         // ICR has RXT0 latched.
-        let icr = drv.irq_cause().unwrap();
+        let icr = drv.mem.read(drv.bar + regs::ICR, 4).unwrap();
         assert!(icr & intr::RXT0 != 0);
         // Ring slot returned: device can deliver many more.
         for i in 0..500u32 {

@@ -114,11 +114,6 @@ impl Function {
         self.blocks[block.0 as usize].insts.push(inst);
     }
 
-    /// Insert an already-allocated instruction into a block at `pos`.
-    pub fn insert_inst(&mut self, block: BlockId, pos: usize, inst: InstId) {
-        self.blocks[block.0 as usize].insts.insert(pos, inst);
-    }
-
     /// Instruction lookup.
     pub fn inst(&self, id: InstId) -> &Inst {
         &self.insts[id.0 as usize]
@@ -304,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_inst_position() {
+    fn call_count_counts_by_callee() {
         let mut f = sample_function();
         let entry = BlockId(0);
         let guard = f.alloc_inst(Inst::Call {
@@ -312,8 +307,7 @@ mod tests {
             ret_ty: Type::Void,
             args: vec![],
         });
-        f.insert_inst(entry, 0, guard);
-        assert_eq!(f.block(entry).insts[0], guard);
+        f.push_inst(entry, guard);
         assert_eq!(f.call_count("carat_guard"), 1);
         assert_eq!(f.call_count("other"), 0);
     }

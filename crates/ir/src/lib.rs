@@ -41,7 +41,7 @@ pub mod verify;
 pub use function::{Block, BlockId, Function, InstId};
 pub use inst::{BinOp, CastOp, IcmpPred, Inst, Terminator, Value};
 pub use loops::{find_counted_loops, CountedLoop};
-pub use module::{ExternDecl, Global, GlobalId, GlobalInit, Module};
+pub use module::{ExternDecl, Global, GlobalInit, Module};
 pub use parser::{parse_module, ParseError};
 pub use printer::print_module;
 pub use types::Type;

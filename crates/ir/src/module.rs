@@ -8,10 +8,6 @@
 use crate::function::Function;
 use crate::types::Type;
 
-/// Identifier of a global within a module.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct GlobalId(pub u32);
-
 /// Initializer for a global variable.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum GlobalInit {
@@ -105,15 +101,6 @@ impl Module {
         true
     }
 
-    /// All symbol names this module defines (functions + globals).
-    pub fn defined_symbols(&self) -> Vec<&str> {
-        self.functions
-            .iter()
-            .map(|f| f.name.as_str())
-            .chain(self.globals.iter().map(|g| g.name.as_str()))
-            .collect()
-    }
-
     /// All symbol names this module imports.
     pub fn imported_symbols(&self) -> Vec<&str> {
         self.externs.iter().map(|e| e.name.as_str()).collect()
@@ -190,7 +177,6 @@ mod tests {
             params: vec![Type::Ptr, Type::I64, Type::I32],
             ret_ty: Type::Void,
         });
-        assert_eq!(m.defined_symbols(), vec!["touch", "counter"]);
         assert_eq!(m.imported_symbols(), vec!["carat_guard"]);
     }
 

@@ -35,11 +35,6 @@ impl DevRegistry {
         self.devices.insert(path, handler);
     }
 
-    /// Unregister a device node; returns whether it existed.
-    pub fn unregister(&mut self, path: &str) -> bool {
-        self.devices.remove(path).is_some()
-    }
-
     /// Issue an ioctl to a device node.
     pub fn ioctl(&self, path: &str, request: &[u8]) -> KernelResult<Vec<u8>> {
         let handler = self
@@ -77,15 +72,6 @@ mod tests {
             reg.ioctl("/dev/nope", &[]).unwrap_err(),
             KernelError::NoSuchDevice(_)
         ));
-    }
-
-    #[test]
-    fn unregister() {
-        let mut reg = DevRegistry::new();
-        reg.register("/dev/x", Box::new(|_| Ok(vec![])));
-        assert!(reg.unregister("/dev/x"));
-        assert!(!reg.unregister("/dev/x"));
-        assert!(reg.ioctl("/dev/x", &[]).is_err());
     }
 
     #[test]

@@ -60,14 +60,14 @@ impl Verification {
 /// unload.
 pub const VIOLATION_BUDGET: u32 = 3;
 
+/// Bytes in the kernel heap (the kmalloc arena in the direct map).
+const HEAP_SIZE: u64 = 64 << 20;
+
 /// Kernel boot configuration.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
     /// How guard coverage is established at insmod time.
     pub verification: Verification,
-    /// Bytes reserved for the kernel heap (kmalloc arena in the direct
-    /// map).
-    pub heap_size: u64,
     /// Profiled checks a guard site needs before [`Kernel::tick`]
     /// promotes it into the inline-bounds tier (default 1024). Explicit
     /// [`Kernel::promote_hot`] calls pass their own threshold.
@@ -78,7 +78,6 @@ impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
             verification: Verification::Signature,
-            heap_size: 64 << 20,
             hot_threshold: 1024,
         }
     }
@@ -271,7 +270,7 @@ impl Kernel {
             module_space_cursor: VAddr(MODULE_SPACE_BASE),
             heap_base,
             heap_cursor: heap_base,
-            heap_end: VAddr(heap_base.raw() + config.heap_size),
+            heap_end: VAddr(heap_base.raw() + HEAP_SIZE),
             config,
             msrs: std::collections::BTreeMap::new(),
             interrupts_enabled: true,
@@ -326,11 +325,6 @@ impl Kernel {
         self.printk(&format!("carat: dispatch '{alias}' -> '{target}'"));
         self.aliases.insert(alias.to_string(), target.to_string());
         Ok(())
-    }
-
-    /// Remove a dispatch alias; returns whether one existed.
-    pub fn clear_dispatch_alias(&mut self, alias: &str) -> bool {
-        self.aliases.remove(alias).is_some()
     }
 
     /// The instance `name` currently dispatches to, if aliased.
@@ -584,7 +578,8 @@ impl Kernel {
             "Oops: quarantining module '{module}' after {count} guard violation(s)"
         ));
         if let Some(m) = self.take_module(module) {
-            self.mem.protect_readwrite(m.text_base, m.text_size);
+            self.mem
+                .protect_readwrite(m.layout.text_base, m.layout.text_size);
             self.symbols.remove_provider(module);
         }
         self.clear_module_policy(module);
@@ -647,11 +642,6 @@ impl Kernel {
     /// simulation never free enough to matter, and kfree is a no-op apart
     /// from logging.
     pub fn kmalloc(&mut self, size: u64) -> KernelResult<VAddr> {
-        if self.mem.hook_fail_kmalloc(size) {
-            return Err(KernelError::NoMemory(format!(
-                "kmalloc of {size} bytes failed (injected fault)"
-            )));
-        }
         let aligned = size.div_ceil(16) * 16;
         let addr = self.heap_cursor;
         let next = VAddr(
@@ -671,11 +661,6 @@ impl Kernel {
     /// Free a kmalloc'd allocation (no-op bump allocator; logged).
     pub fn kfree(&mut self, addr: VAddr) {
         debug_assert!(addr >= self.heap_base && addr < self.heap_end);
-    }
-
-    /// Bytes currently allocated from the heap.
-    pub fn heap_used(&self) -> u64 {
-        self.heap_cursor.raw() - self.heap_base.raw()
     }
 
     /// Reserve `size` bytes of module space (page-aligned).
@@ -819,23 +804,16 @@ mod tests {
 
     #[test]
     fn kmalloc_bump_and_exhaustion() {
-        let key = CompilerKey::from_passphrase("k", "s");
-        let policy = Arc::new(PolicyModule::new());
-        let mut kernel = Kernel::boot(
-            policy,
-            vec![key],
-            KernelConfig {
-                heap_size: 1024,
-                ..KernelConfig::default()
-            },
-        );
+        let (mut kernel, _) = Kernel::boot_default();
         let a = kernel.kmalloc(100).unwrap();
         let b = kernel.kmalloc(100).unwrap();
-        assert!(b.raw() >= a.raw() + 100);
-        assert!(a.is_kernel_half());
-        assert_eq!(kernel.heap_used(), 224); // 2 × 112 (16-aligned)
+        assert!(a.raw() >= DIRECT_MAP_BASE, "the heap is in the direct map");
+        assert_eq!(b.raw(), a.raw() + 112, "100 bytes bump by 112 (16-aligned)");
+        // The rest of the heap fits exactly; one more byte does not.
+        let last = kernel.kmalloc(HEAP_SIZE - 224).unwrap();
+        assert_eq!(last.raw(), b.raw() + 112);
         assert!(matches!(
-            kernel.kmalloc(2048).unwrap_err(),
+            kernel.kmalloc(1).unwrap_err(),
             KernelError::NoMemory(_)
         ));
     }
@@ -930,7 +908,6 @@ mod tests {
             KernelError::NoSuchModule(_)
         ));
         assert!(kernel.dispatch_target("nic").is_none());
-        assert!(!kernel.clear_dispatch_alias("nic"));
     }
 
     #[test]

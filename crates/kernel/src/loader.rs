@@ -66,7 +66,7 @@ pub struct ModuleLayout {
     pub data_size: u64,
     /// Content hash of the signed container the image was built from.
     pub content_hash: String,
-    /// Whether the module was guard-injected.
+    /// Whether the module was guard-injected (`guard_count > 0`).
     pub is_protected: bool,
 }
 
@@ -75,18 +75,9 @@ pub struct ModuleLayout {
 pub struct LoadedModule {
     /// Module name.
     pub name: String,
-    /// Base of the module's text mapping (read-only).
-    pub text_base: VAddr,
-    /// Size of the text mapping.
-    pub text_size: u64,
-    /// Base of the module's data mapping (globals).
-    pub data_base: VAddr,
-    /// Size of the data mapping.
-    pub data_size: u64,
-    /// Content hash of the signed container (module identity in logs).
-    pub content_hash: String,
-    /// Whether the module was guard-injected (`guard_count > 0`).
-    pub is_protected: bool,
+    /// The address-space footprint (text read-only), content hash and
+    /// protection bit; a supervised restart reuses it as it stands.
+    pub layout: ModuleLayout,
     /// The shared execution image (IR + layout + sites).
     image: Arc<ModuleImage>,
 }
@@ -122,18 +113,6 @@ impl LoadedModule {
     /// cannot be lowered is refused at insmod.
     pub fn compiled(&self) -> Option<&kop_vm::CompiledModule> {
         Some(&self.image.compiled)
-    }
-
-    /// The address-space footprint, for supervised same-address restart.
-    pub fn layout(&self) -> ModuleLayout {
-        ModuleLayout {
-            text_base: self.text_base,
-            text_size: self.text_size,
-            data_base: self.data_base,
-            data_size: self.data_size,
-            content_hash: self.content_hash.clone(),
-            is_protected: self.is_protected,
-        }
     }
 }
 
@@ -540,7 +519,14 @@ impl Kernel {
         self.mem
             .protect_readonly(reservation.text_base, reservation.text_size);
 
-        let is_protected = guard_count > 0;
+        let layout = ModuleLayout {
+            text_base: reservation.text_base,
+            text_size: reservation.text_size,
+            data_base: reservation.data_base,
+            data_size: reservation.data_size,
+            content_hash,
+            is_protected: guard_count > 0,
+        };
         let image = Arc::new(ModuleImage {
             ir,
             globals: reservation.global_addrs,
@@ -550,12 +536,7 @@ impl Kernel {
         });
         let loaded = LoadedModule {
             name: image.ir.name.clone(),
-            text_base: reservation.text_base,
-            text_size: reservation.text_size,
-            data_base: reservation.data_base,
-            data_size: reservation.data_size,
-            content_hash,
-            is_protected,
+            layout,
             image,
         };
         self.tracer().record(
@@ -571,7 +552,7 @@ impl Kernel {
             loaded.ir().functions.len(),
             loaded.ir().globals.len(),
             guard_count,
-            loaded.text_base,
+            loaded.layout.text_base,
         ));
         self.lifecycle().set_state(&loaded.name, "running");
         self.push_module(loaded);
@@ -585,7 +566,8 @@ impl Kernel {
         let m = self
             .take_module(name)
             .ok_or_else(|| KernelError::NoSuchModule(name.to_string()))?;
-        self.mem.protect_readwrite(m.text_base, m.text_size);
+        self.mem
+            .protect_readwrite(m.layout.text_base, m.layout.text_size);
         self.symbols.remove_provider(name);
         self.tracer().record(
             Producer::Loader,
@@ -647,12 +629,7 @@ impl Kernel {
 
         self.push_module(LoadedModule {
             name: name.clone(),
-            text_base: layout.text_base,
-            text_size: layout.text_size,
-            data_base: layout.data_base,
-            data_size: layout.data_size,
-            content_hash: layout.content_hash.clone(),
-            is_protected: layout.is_protected,
+            layout: layout.clone(),
             image: Arc::clone(image),
         });
         let attempt = self.lifecycle().note_restart(&name);
@@ -729,7 +706,7 @@ entry:
         let signed = compile(SRC, &CompileOptions::carat_kop(), &key);
         let loaded = kernel.insmod(&signed).unwrap();
         assert_eq!(loaded.name, "demo");
-        assert!(loaded.is_protected);
+        assert!(loaded.layout.is_protected);
         assert_eq!(loaded.globals().len(), 2);
         let counter = loaded.globals()["counter"];
         let mut mem_val = [0u8; 8];
@@ -809,7 +786,7 @@ entry:
     fn rmmod_restores_text_and_unloads() {
         let (mut kernel, key) = Kernel::boot_default();
         let signed = compile(SRC, &CompileOptions::carat_kop(), &key);
-        let text_base = kernel.insmod(&signed).unwrap().text_base;
+        let text_base = kernel.insmod(&signed).unwrap().layout.text_base;
         // Text is read-only while loaded.
         assert!(kernel.mem.write_uint(text_base, Size(8), 1).is_err());
         kernel.rmmod("demo").unwrap();
@@ -842,7 +819,7 @@ entry:
         let signed = compile(SRC, &CompileOptions::carat_kop(), &rogue);
         let mut kernel = static_kernel();
         let loaded = kernel.insmod(&signed).unwrap();
-        assert!(loaded.is_protected);
+        assert!(loaded.layout.is_protected);
         assert!(loaded.ir().imported_symbols().contains(&"carat_guard"));
     }
 
@@ -969,7 +946,7 @@ exit:
         assert_eq!(kernel.modules().len(), 8);
         for i in 0..8 {
             let m = kernel.module(&format!("demo{i}")).expect("loaded");
-            assert!(m.is_protected);
+            assert!(m.layout.is_protected);
             assert!(m.compiled().is_some());
         }
     }
@@ -1070,7 +1047,7 @@ entry:
         let (mut kernel, key) = Kernel::boot_default();
         let signed = compile(SRC, &CompileOptions::carat_kop(), &key);
         let m = kernel.insmod(&signed).unwrap();
-        let (image, layout) = (Arc::clone(m.image()), m.layout());
+        let (image, layout) = (Arc::clone(m.image()), m.layout.clone());
         let (counter, table) = (image.globals["counter"], image.globals["table"]);
         kernel.mem.write_uint(counter, Size(8), 99).unwrap();
         kernel.mem.write_uint(table, Size(8), 5).unwrap();

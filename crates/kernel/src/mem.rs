@@ -25,26 +25,15 @@ use parking_lot::Mutex;
 use kop_core::layout::{PAGE_SHIFT, PAGE_SIZE};
 use kop_core::{KernelError, KernelResult, Size, VAddr};
 
-/// Deterministic fault-injection seam for kernel memory and the heap.
+/// Deterministic fault-injection seam for simulated-memory reads.
 ///
-/// Installed with [`SimMemory::set_fault_hook`]; every method has a no-op
-/// default so implementors (notably `kop-faultline`) override only the
-/// faults they model. Implementations must be deterministic (seeded RNG
-/// only) so fault trials reproduce byte-identically.
+/// Installed with [`SimMemory::set_fault_hook`] and consulted on every
+/// integer load while installed. Implementations must be deterministic
+/// so runs that use them reproduce byte-identically.
 pub trait FaultHook: Send {
-    /// Consulted by `kmalloc` before carving an allocation; return `true`
-    /// to make this allocation fail (simulated page-allocation failure).
-    fn fail_kmalloc(&mut self, size: u64) -> bool {
-        let _ = size;
-        false
-    }
-
     /// May corrupt the value of an integer load from simulated memory
     /// (transient bit-flip). Return `value` unchanged for no fault.
-    fn corrupt_read(&mut self, addr: VAddr, size: Size, value: u64) -> u64 {
-        let _ = (addr, size);
-        value
-    }
+    fn corrupt_read(&mut self, addr: VAddr, size: Size, value: u64) -> u64;
 }
 
 /// Sparse simulated memory with page permissions.
@@ -127,8 +116,8 @@ impl SimMemory {
         SimMemory::default()
     }
 
-    /// Install a fault-injection hook consulted by integer reads and (via
-    /// the kernel) `kmalloc`. Replaces any previous hook.
+    /// Install a fault-injection hook consulted by integer reads.
+    /// Replaces any previous hook.
     pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
         self.fault_hook = Some(Mutex::new(hook));
     }
@@ -136,13 +125,6 @@ impl SimMemory {
     /// Remove and return the installed fault hook, if any.
     pub fn clear_fault_hook(&mut self) -> Option<Box<dyn FaultHook>> {
         self.fault_hook.take().map(Mutex::into_inner)
-    }
-
-    /// Whether the installed hook (if any) fails a kmalloc of `size`.
-    pub(crate) fn hook_fail_kmalloc(&mut self, size: u64) -> bool {
-        self.fault_hook
-            .as_mut()
-            .is_some_and(|h| h.get_mut().fail_kmalloc(size))
     }
 
     /// Mark the pages covering `[base, base+len)` read-only (they are

@@ -97,15 +97,6 @@ impl Kernel {
         self.mem.read_uint(inode + INODE_MODE_OFF, Size(8))
     }
 
-    /// The kernel's own (trusted, unguarded) chmod path.
-    pub fn vfs_chmod(&mut self, name: &str, mode: u64) -> KernelResult<()> {
-        let inode = self
-            .vfs_lookup(name)
-            .ok_or_else(|| KernelError::InvalidArgument(format!("no file '{name}'")))?
-            .inode;
-        self.mem.write_uint(inode + INODE_MODE_OFF, Size(8), mode)
-    }
-
     /// Create an IPC message queue in kernel memory.
     pub fn ipc_create(
         &mut self,
@@ -185,13 +176,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vfs_create_lookup_chmod() {
+    fn vfs_create_and_lookup() {
         let (mut kernel, _) = Kernel::boot_default();
         let f = kernel.vfs_create("/etc/shadow", 0o600, 0).unwrap();
-        assert!(f.inode.is_kernel_half());
+        assert!(f.inode.raw() >= kop_core::layout::DIRECT_MAP_BASE);
         assert_eq!(kernel.vfs_mode("/etc/shadow").unwrap(), 0o600);
-        kernel.vfs_chmod("/etc/shadow", 0o644).unwrap();
-        assert_eq!(kernel.vfs_mode("/etc/shadow").unwrap(), 0o644);
         assert!(kernel.vfs_lookup("/etc/shadow").is_some());
         assert!(kernel.vfs_lookup("/nope").is_none());
         assert!(kernel.vfs_create("/etc/shadow", 0, 0).is_err());

@@ -45,7 +45,6 @@ pub struct FlowGen {
     rng: StdRng,
     flows: Vec<FlowState>,
     next_seq: u64,
-    frames: u64,
 }
 
 impl FlowGen {
@@ -64,13 +63,7 @@ impl FlowGen {
             rng: StdRng::seed_from_u64(seed),
             flows: states,
             next_seq: 0,
-            frames: 0,
         }
-    }
-
-    /// Frames emitted so far.
-    pub fn frames_emitted(&self) -> u64 {
-        self.frames
     }
 
     /// The sequence number the *next* emitted frame will carry.
@@ -130,9 +123,7 @@ impl FlowGen {
         payload[..SEQ_LEN].copy_from_slice(&self.next_seq.to_le_bytes());
         payload[SEQ_LEN..SEQ_LEN + FLOW_ID_LEN].copy_from_slice(&(idx as u32).to_le_bytes());
         self.next_seq += 1;
-        let bytes = Frame::new(flow.dst, flow.src, EtherType::Experimental, payload).to_bytes();
-        self.frames += 1;
-        bytes
+        Frame::new(flow.dst, flow.src, EtherType::Experimental, payload).to_bytes()
     }
 }
 
@@ -194,11 +185,13 @@ mod tests {
                 ledger.deliver(&f);
             }
         }
-        assert_eq!(ledger.frames, g.frames_emitted());
+        // Sequence numbers start at 0, one per frame emitted.
+        let emitted = g.next_seq();
+        assert_eq!(ledger.frames, emitted);
         assert_eq!(ledger.duplicates, 0);
         assert_eq!(ledger.unsequenced, 0);
-        assert_eq!(ledger.distinct(), g.frames_emitted());
-        assert!(ledger.missing(g.frames_emitted()).is_empty());
+        assert_eq!(ledger.distinct(), emitted);
+        assert!(ledger.missing(emitted).is_empty());
         assert!(seen_flows.len() > 50, "many flows active");
     }
 

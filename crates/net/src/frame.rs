@@ -20,11 +20,6 @@ impl MacAddr {
     pub fn bytes(&self) -> [u8; 6] {
         self.0
     }
-
-    /// Whether the address is multicast/broadcast (low bit of first byte).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 1 == 1
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -149,11 +144,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mac_display_and_classes() {
+    fn mac_display_and_local() {
         let m = MacAddr([0x02, 0x4b, 0x4f, 0x50, 0x00, 0x07]);
         assert_eq!(m.to_string(), "02:4b:4f:50:00:07");
-        assert!(!m.is_multicast());
-        assert!(MacAddr::BROADCAST.is_multicast());
         assert_eq!(MacAddr::local(7), m);
     }
 

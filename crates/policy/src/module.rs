@@ -137,13 +137,6 @@ pub enum GuardOutcome {
     Panicked(KernelError),
 }
 
-impl GuardOutcome {
-    /// Whether the access may proceed.
-    pub fn is_allowed(&self) -> bool {
-        matches!(self, GuardOutcome::Allowed)
-    }
-}
-
 /// A classified check: the result plus, when a region grant permitted it,
 /// the [`Grant`]: the granting region and the generation of the snapshot
 /// that granted it — what a [`crate::front::GuardFront`] slot is filled
@@ -503,12 +496,6 @@ impl PolicyModule {
         self.stats.snapshot()
     }
 
-    /// The live counter cells (e.g. to
-    /// [`GuardStats::register_into`] a tracer's counter registry).
-    pub fn guard_stats(&self) -> &GuardStats {
-        &self.stats
-    }
-
     /// Register every policy counter — guard stats, snapshot publishes,
     /// dropped log entries — into a counter registry (the tracer's, so
     /// `/dev/trace counters` shows them).
@@ -532,12 +519,6 @@ impl PolicyModule {
     /// The raw retained violations (most recent last).
     pub fn violations(&self) -> Vec<Violation> {
         self.log.entries()
-    }
-
-    /// How many violation log entries were overwritten by the bounded
-    /// ring.
-    pub fn violations_dropped(&self) -> u64 {
-        self.log.dropped()
     }
 
     /// Whether this access is the vacuous empty interval a coalesced
@@ -802,7 +783,10 @@ mod tests {
             GuardOutcome::Denied(_)
         ));
         pm.set_violation_action(ViolationAction::LogAndAllow);
-        assert!(pm.enforce(addr, Size(8), AccessFlags::READ).is_allowed());
+        assert!(matches!(
+            pm.enforce(addr, Size(8), AccessFlags::READ),
+            GuardOutcome::Allowed
+        ));
         pm.set_violation_action(ViolationAction::Quarantine);
         match pm.enforce(addr, Size(8), AccessFlags::READ) {
             GuardOutcome::Quarantined(v) => {
@@ -1054,7 +1038,8 @@ mod tests {
             let _ = pm.check(VAddr(i as u64 * 8), Size(8), AccessFlags::READ);
         }
         assert_eq!(pm.violation_log().len(), LOG_CAP);
-        assert_eq!(pm.violations_dropped(), 10);
+        // The ten oldest were overwritten.
+        assert_eq!(pm.violations()[0].addr, VAddr(10 * 8));
     }
 
     #[test]

@@ -74,12 +74,8 @@ impl ViolationLog {
         self.cap
     }
 
-    /// How many entries have been overwritten so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// The live dropped-entries counter cell (for registry registration).
+    /// The live dropped-entries counter cell: how many entries have been
+    /// overwritten so far (and what a counter registry registers).
     pub fn dropped_counter(&self) -> &Counter {
         &self.dropped
     }
@@ -112,7 +108,7 @@ mod tests {
             log.push(v(i));
         }
         assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
+        assert_eq!(log.dropped_counter().get(), 6);
         let kept: Vec<u64> = log.entries().iter().map(|v| v.addr.raw()).collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
     }

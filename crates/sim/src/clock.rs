@@ -31,11 +31,6 @@ impl CycleClock {
     pub fn advance(&mut self, cycles: f64) {
         self.now += Cycles(cycles.max(0.0).round() as u64);
     }
-
-    /// Advance by an integer cycle count.
-    pub fn advance_cycles(&mut self, cycles: Cycles) {
-        self.now += cycles;
-    }
 }
 
 /// Seeded log-normal multiplicative jitter.
@@ -88,10 +83,8 @@ mod tests {
         let mut c = CycleClock::new();
         c.advance(99.6);
         assert_eq!(c.now(), Cycles(100));
-        c.advance_cycles(Cycles(10));
-        assert_eq!(c.now(), Cycles(110));
         c.advance(-5.0); // clamped
-        assert_eq!(c.now(), Cycles(110));
+        assert_eq!(c.now(), Cycles(100));
     }
 
     #[test]

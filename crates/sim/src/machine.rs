@@ -163,11 +163,6 @@ impl MachineProfile {
         cycles / self.cpu_hz
     }
 
-    /// Convert a per-packet cycle cost to packets/second.
-    pub fn cycles_to_pps(&self, cycles_per_packet: f64) -> f64 {
-        self.cpu_hz / cycles_per_packet
-    }
-
     /// Integer cycles (for latency histograms).
     pub fn to_cycles(&self, cycles: f64) -> Cycles {
         Cycles(cycles.round() as u64)
@@ -197,7 +192,7 @@ mod tests {
     fn r415_median_throughput_near_paper() {
         let m = MachineProfile::r415();
         let base = m.packet_cycles_base(&typical_work(), 128);
-        let pps = m.cycles_to_pps(base);
+        let pps = 1.0 / m.cycles_to_secs(base);
         // Paper Figure 3: roughly 105k–130k pps; median ~118k.
         assert!(pps > 105_000.0 && pps < 130_000.0, "pps={pps}");
     }
@@ -206,7 +201,7 @@ mod tests {
     fn r350_median_throughput_near_paper() {
         let m = MachineProfile::r350();
         let base = m.packet_cycles_base(&typical_work(), 128);
-        let pps = m.cycles_to_pps(base);
+        let pps = 1.0 / m.cycles_to_secs(base);
         // Paper Figure 4: roughly 90k–130k pps; median ~112k.
         assert!(pps > 100_000.0 && pps < 125_000.0, "pps={pps}");
     }
@@ -288,7 +283,6 @@ mod tests {
     fn unit_conversions() {
         let m = MachineProfile::r350();
         assert!((m.cycles_to_secs(2.8e9) - 1.0).abs() < 1e-12);
-        assert!((m.cycles_to_pps(2.8e6) - 1000.0).abs() < 1e-9);
         assert_eq!(m.to_cycles(693.6), Cycles(694));
     }
 }

@@ -73,7 +73,7 @@ impl Supervisor {
         let m = kernel
             .module(name)
             .ok_or_else(|| KernelError::NoSuchModule(name.to_string()))?;
-        let layout = m.layout();
+        let layout = m.layout.clone();
         if signed.content_hash() != layout.content_hash {
             return Err(KernelError::BadSignature(
                 "attach: container does not match loaded module".into(),

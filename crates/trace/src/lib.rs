@@ -298,11 +298,6 @@ impl Tracer {
 
     // --- profiles ------------------------------------------------------
 
-    /// Profile of one site (zeros if never hit).
-    pub fn site_profile(&self, id: SiteId) -> SiteProfile {
-        self.profiler.lock().get(id)
-    }
-
     /// All sites with at least one hit, joined with their metadata.
     pub fn profile_snapshot(&self) -> Vec<(SiteMeta, SiteProfile)> {
         let profiles = self.profiler.lock().snapshot();
@@ -550,8 +545,9 @@ mod tests {
         t.set_enabled(true);
         t.record_check(a, 100, false, None);
         t.record_check(a, 200, true, None);
-        assert_eq!(t.site_profile(a).hits, 2);
-        assert_eq!(t.site_profile(a).denied, 1);
+        let profiles = t.profile_snapshot();
+        let (_, prof) = profiles.iter().find(|(m, _)| m.id == a).unwrap();
+        assert_eq!((prof.hits, prof.denied), (2, 1));
         assert_eq!(t.total_checks(), 2);
         let top = report::top_sites(&t, 5);
         assert!(top.contains("tx_desc_store"), "{top}");

@@ -200,13 +200,6 @@ impl Profiler {
         }
     }
 
-    pub(crate) fn get(&self, site: SiteId) -> SiteProfile {
-        self.per_site
-            .get(site.0 as usize)
-            .cloned()
-            .unwrap_or_default()
-    }
-
     pub(crate) fn snapshot(&self) -> Vec<(SiteId, SiteProfile)> {
         self.per_site
             .iter()
@@ -228,6 +221,16 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Profiler {
+        /// One site's profile (zeros if never hit).
+        fn get(&self, site: SiteId) -> SiteProfile {
+            self.per_site
+                .get(site.0 as usize)
+                .cloned()
+                .unwrap_or_default()
+        }
+    }
 
     #[test]
     fn buckets_are_log2() {

@@ -518,26 +518,6 @@ impl CompiledModule {
         self.promoted.tier.load().gen
     }
 
-    /// Number of guard ops with a baked grant across the current tier.
-    pub fn promoted_guard_count(&self) -> usize {
-        self.promoted
-            .tier
-            .load()
-            .funcs
-            .iter()
-            .flatten()
-            .flat_map(|f| f.code.iter())
-            .filter(|op| {
-                matches!(
-                    op,
-                    Op::GuardLoad { bound: Some(_), .. }
-                        | Op::GuardStore { bound: Some(_), .. }
-                        | Op::Guard { bound: Some(_), .. }
-                )
-            })
-            .count()
-    }
-
     /// Atomically drop the promoted tier: every subsequent
     /// [`CompiledModule::promoted_tier`] load sees the empty tier. The
     /// kernel's promotion sweep uses it on a stale tier it can bake
@@ -617,7 +597,6 @@ mod promote_tests {
         assert_ne!(m.tier_id(), id, "a publish stores a fresh id");
         assert_eq!(m.promoted_tier().ns, 1);
         assert_eq!(m.promoted_generation(), 5);
-        assert_eq!(m.promoted_guard_count(), 2);
 
         let tier = m.promoted_tier();
         let pf = tier.func(0).expect("tier holds the function");

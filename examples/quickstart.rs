@@ -69,8 +69,8 @@ fn main() {
     // The module's own data section must be reachable too.
     let loaded = kernel.insmod(&out.signed).expect("insmod");
     let data_rule = Region::new(
-        loaded.data_base,
-        Size(loaded.data_size.max(1)),
+        loaded.layout.data_base,
+        Size(loaded.layout.data_size.max(1)),
         Protection::READ_WRITE,
     )
     .expect("rule");

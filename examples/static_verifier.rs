@@ -106,7 +106,7 @@ fn scenario_static_insmod() {
     let loaded = kernel.insmod(&out.signed).unwrap();
     println!(
         "loaded '{}' without a trusted signature; protected: {}\n",
-        loaded.name, loaded.is_protected
+        loaded.name, loaded.layout.is_protected
     );
 }
 

@@ -75,8 +75,8 @@ fn full_pipeline_happy_path() {
     // Insert and allow the module's data section.
     let loaded = kernel.insmod(&out.signed).expect("insmod");
     let data_rule = Region::new(
-        loaded.data_base,
-        Size(loaded.data_size.max(1)),
+        loaded.layout.data_base,
+        Size(loaded.layout.data_size.max(1)),
         Protection::READ_WRITE,
     )
     .unwrap();
@@ -110,8 +110,8 @@ fn policy_structure_swap_without_recompile() {
             .unwrap();
         let loaded = kernel.insmod(&out.signed).expect("insmod");
         let data_rule = Region::new(
-            loaded.data_base,
-            Size(loaded.data_size.max(1)),
+            loaded.layout.data_base,
+            Size(loaded.layout.data_size.max(1)),
             Protection::READ_WRITE,
         )
         .unwrap();
@@ -216,7 +216,7 @@ fn baseline_build_runs_without_checks() {
     let policy = Arc::new(PolicyModule::two_region_paper_policy());
     let mut kernel = Kernel::boot(policy, vec![key()], KernelConfig::default());
     let loaded = kernel.insmod(&out.signed).unwrap();
-    assert!(!loaded.is_protected);
+    assert!(!loaded.layout.is_protected);
     let buf = kernel.kmalloc(64).unwrap();
     let mut interp = Interp::new(&mut kernel).unwrap();
     interp.call("drv", "touch", &[buf.raw(), 4]).unwrap();

@@ -119,7 +119,7 @@ fn injected_modules_prove_and_load_in_static_mode() {
         assert!(out.signed.attestation.guards_covered);
         let mut kernel = static_kernel();
         let loaded = kernel.insmod(&out.signed).unwrap();
-        assert!(loaded.is_protected);
+        assert!(loaded.layout.is_protected);
         kernel.rmmod("honest").unwrap();
     }
 }

@@ -471,7 +471,6 @@ impl Walk {
         let config = KernelConfig {
             verification,
             hot_threshold: 1,
-            ..KernelConfig::default()
         };
         let mut kernel = Kernel::boot(Arc::clone(&policy), vec![trusted_key()], config);
         kernel.insmod(&signed).expect("loads");
@@ -583,7 +582,7 @@ fn promotion_cycles_leave_no_hook_behind() {
     for _ in 0..5 {
         let (image, layout) = {
             let m = walk.kernel.module("mut").unwrap();
-            (Arc::clone(m.image()), m.layout())
+            (Arc::clone(m.image()), m.layout.clone())
         };
         walk.kernel.rmmod("mut").unwrap();
         let signed = walk.signed.clone();
