@@ -9,7 +9,8 @@
 //! The answer is one bit per instruction, solved to fixpoint per
 //! function: `gep` and a `ptrtoint`→`inttoptr` round trip pass their
 //! pointer's bit through, and a `select` or pointer `phi` is laundered
-//! only when every input is.
+//! when any input is — so neither a `select` against `null` nor a
+//! pointer-walking loop hides a laundered pointer.
 
 use std::collections::HashSet;
 
@@ -65,9 +66,9 @@ fn transfer(f: &Function, iid: InstId, laundered: &HashSet<InstId>) -> bool {
         },
         Inst::Select {
             then_val, else_val, ..
-        } => is_laundered(then_val, laundered) && is_laundered(else_val, laundered),
+        } => is_laundered(then_val, laundered) || is_laundered(else_val, laundered),
         Inst::Phi { incomings, ty } if *ty == Type::Ptr => {
-            !incomings.is_empty() && incomings.iter().all(|(_, v)| is_laundered(v, laundered))
+            incomings.iter().any(|(_, v)| is_laundered(v, laundered))
         }
         // Allocas, loads of pointers, call results, arithmetic, …
         _ => false,
@@ -215,6 +216,48 @@ entry:
 }
 "#;
         assert_eq!(ka003(src), 0);
+    }
+
+    #[test]
+    fn select_against_null_stays_laundered() {
+        let src = r#"
+module "sel"
+define i64 @f(i1 %c, i64 %addr) {
+entry:
+  %p = inttoptr i64 %addr to ptr
+  %q = select i1 %c, ptr %p, ptr null
+  %v = load i64, ptr %q
+  ret i64 %v
+}
+"#;
+        assert_eq!(ka003(src), 1);
+    }
+
+    #[test]
+    fn a_loop_walking_a_laundered_pointer_stays_laundered() {
+        let src = r#"
+module "walk"
+define void @f(i64 %addr, i64 %n) {
+entry:
+  %p = inttoptr i64 %addr to ptr
+  br %head
+head:
+  %i = phi i64 [ 0, %entry ], [ %i2, %head ]
+  %m = phi ptr [ %p, %entry ], [ %m2, %head ]
+  store i64 0, ptr %m
+  %m2 = gep i64, ptr %m, i64 1
+  %i2 = add i64 %i, 1
+  %more = icmp ult i64 %i2, %n
+  condbr i1 %more, %head, %exit
+exit:
+  ret void
+}
+"#;
+        let m = parse_module(src).unwrap();
+        let r = analyze_provenance(&m);
+        let hits: Vec<_> = r.with_code(LintCode::LaunderedPointer).collect();
+        assert_eq!(hits.len(), 1);
+        assert_eq!((hits[0].block.as_str(), hits[0].inst_index), ("head", 2));
     }
 
     #[test]

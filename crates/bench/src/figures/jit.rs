@@ -8,15 +8,15 @@ use super::quick;
 use super::rig::{default_site_map, forward_once, guarded, unguarded, TxRig};
 use super::{FigureData, Series};
 
-/// JIT: the profile-directed superblock trace tier (`reproduce jit`).
+/// JIT: the profile-directed promotion tier (`reproduce jit`).
 /// Closes the loop between kop-trace and kop-vm: per-site hit/latency
-/// profiles select hot guard sites, the kernel re-lowers their
-/// containing functions with the granting region's `[lo, hi)` bound
-/// inlined as immediate compares (each baked bound audited against the
-/// pinned snapshot before install), and the promoted dispatch runs the
-/// specialized copies until a policy publish stales the tier's tags. The
-/// native forwarding datapath gets the same tag-and-bound check from a
-/// per-queue [`kop_policy::GuardFront`], whose slots fill on miss.
+/// profiles select hot guard sites, the kernel bakes each one's
+/// granting region into the module's promoted tier as a per-site
+/// [`kop_core::Grant`] (each audited against the pinned snapshot before
+/// install), and the promoted engine admits those sites' guards by
+/// [`kop_core::Grant::admits`] until a policy publish stales the tier's
+/// tags. The native forwarding datapath keeps the same per-site grants
+/// in a per-queue [`kop_policy::GuardFront`], whose slots fill on miss.
 ///
 /// Asserted, not just measured: (a) the promoted tier and the front at
 /// least halve the guard *overhead* (guarded minus baseline ns/packet)
@@ -30,7 +30,7 @@ use super::{FigureData, Series};
 /// every guard inline, zero deopts — and its per-site hits equal a
 /// traced general-bytecode pass exactly; (e) a policy publish leaves the
 /// tier installed but stale — the next run admits nothing inline and
-/// deopts every bound guard — and `tick()` re-bakes it at the new
+/// deopts every baked guard — and `tick()` re-bakes it at the new
 /// generation.
 pub fn jit() -> FigureData {
     use kop_interp::Engine;
@@ -184,8 +184,8 @@ pub fn jit() -> FigureData {
     };
 
     // Invalidation and lazy re-promotion: a policy publish moves the
-    // generation the tier's bound guards compare against, so the tier
-    // stays installed but every bound guard deopts to the general path
+    // generation the tier's baked guards compare against, so the tier
+    // stays installed but every baked guard deopts to the general path
     // (zero stale admits), and the next sweep re-bakes at the new
     // generation.
     let bump_generation_delta = {
@@ -221,7 +221,7 @@ pub fn jit() -> FigureData {
             r2.inline_admits, 0,
             "zero stale admits after the epoch bump"
         );
-        // Every guard of r1 ran inline, so every guard is a bound one.
+        // Every guard of r1 ran inline, so every guard is a baked one.
         assert_eq!(
             r2.inline_deopts, r2.stats.guards,
             "every bound guard deopts"
@@ -328,7 +328,7 @@ pub fn jit() -> FigureData {
     let guards_per_packet = general.stats.guards / packets;
     let notes = vec![
         "tx: x=0 baseline build, x=1 guarded general bytecode, x=2 guarded promoted tier (ns/packet); fwd: x=0 unguarded, x=1 general check, x=2 GuardFront (ns/frame)".into(),
-        "promotion: tracer envelopes -> region of the pinned snapshot that grants the site -> inlined [lo,hi)+perm+generation, audited against that snapshot before install".into(),
+        "promotion: tracer envelopes -> region of the pinned snapshot that grants the site -> per-site grant [lo,hi)+perm+generation, audited against that snapshot before install".into(),
         format!(
             "steady state: {} inline admits, {} deopts; traced promoted pass: {traced_admits} inline admits, 0 deopts, {traced_checks} profiled checks == {traced_guards} guards, per-site hits == traced bytecode",
             promoted.inline_admits, promoted.inline_deopts

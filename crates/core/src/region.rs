@@ -107,8 +107,8 @@ impl Region {
 /// A cached grant: the region a policy lookup permitted an access by,
 /// tagged with the generation of the snapshot that granted it.
 ///
-/// Both guard fast paths keep grants: a guard front's per-site slot and
-/// a promoted guard op's baked bound. [`Grant::admits`] is their one
+/// Both guard fast paths keep grants per site: a guard front's slot and
+/// a promoted tier's baked table. [`Grant::admits`] is their one
 /// admit rule, so neither can admit an access the general check would
 /// not permit by the same region.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

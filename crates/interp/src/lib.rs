@@ -53,21 +53,22 @@ pub enum Engine {
     /// engine and for benchmarks' unguarded baselines.
     Bytecode,
     /// The production engine: the bytecode with the promoted tier on.
-    /// Functions whose hot guard sites carry a baked bound dispatch
-    /// through the promoted copy, tracing on or off; everything else
-    /// runs the general bytecode. The interpreter keeps the tier it
-    /// loaded across calls, keyed by the module's never-reused tier id:
-    /// each [`Interp::call`] checks the id with one load, reloads the
-    /// tier only if a promotion or invalidation moved it, and runs every
-    /// frame from that one tier, so a tier published between calls
-    /// governs the next call and one published mid-call reaches the call
-    /// after. The tier runs only when the call's policy has the namespace
-    /// id it was baked from; otherwise the call runs the general
-    /// bytecode. A policy publish moves no tier: a promoted guard
-    /// compares its baked generation with the live policy's per op, and
-    /// one that no longer matches, or that cannot fast-admit, deopts into
-    /// the exact general policy path. The generation and the namespace id
-    /// are the tier's only invalidation. With tracing on, an inline admit is
+    /// The program is the same one [`Engine::Bytecode`] runs; a memory
+    /// guard whose site the tier holds a grant for admits by that grant,
+    /// tracing on or off, and every other guard consults the policy.
+    /// The interpreter keeps the tier it loaded across calls, keyed by
+    /// the module's never-reused tier id: each [`Interp::call`] checks
+    /// the id with one load, reloads the tier only if a promotion or
+    /// invalidation moved it, and answers every guard of the call from
+    /// that one tier, so a tier published between calls governs the next
+    /// call and one published mid-call reaches the call after. The tier
+    /// runs only when the call's policy has the namespace id it was baked
+    /// from; otherwise every guard of the call consults the policy. A
+    /// policy publish moves no tier: a promoted guard compares its grant's
+    /// generation with the live policy's per op, and one that no longer
+    /// matches, or that cannot fast-admit, deopts into the exact general
+    /// policy path. The generation and the namespace id are the tier's
+    /// only invalidation. With tracing on, an inline admit is
     /// counted against its site (hits and address envelope, batched per
     /// call) but emits no ring events and is not timed; a deopt emits
     /// the full GuardEnter/GuardExit pair and a timed profile entry,
@@ -111,7 +112,7 @@ pub struct Interp<'k> {
     vm_frames: Vec<Vec<u64>>,
     /// Retired argument vectors, same purpose.
     vm_args_pool: Vec<Vec<u64>>,
-    /// Guards admitted by an inlined bound (promoted engine only).
+    /// Guards admitted by a tier's grant (promoted engine only).
     /// Kept off [`ExecStats`] so stats stay engine-identical for the
     /// differential tests.
     vm_inline_admits: u64,
@@ -119,11 +120,12 @@ pub struct Interp<'k> {
     /// (generation bump, out-of-bounds, or permission miss).
     vm_inline_deopts: u64,
     /// The policy governing the running call's module, on every engine:
-    /// revalidated on the call's first promoted frame or first
-    /// general-path memory or intrinsic guard ([`PolicyPin`]), and kept
-    /// past the call's return. Sound for the call's duration: remapping
-    /// a module's policy (`set_module_policy`/`clear_module_policy`)
-    /// needs `&mut Kernel`, which this interpreter holds exclusively, and
+    /// revalidated where a call with a promoted tier starts, or on the
+    /// call's first general-path memory or intrinsic guard
+    /// ([`PolicyPin`]), and kept past the call's return. Sound for the
+    /// call's duration: remapping a module's policy
+    /// (`set_module_policy`/`clear_module_policy`) needs `&mut Kernel`,
+    /// which this interpreter holds exclusively, and
     /// the one in-run mutation path (quarantine) unwinds the call before
     /// another guard executes. A swap through the shared
     /// `NamespaceStore` from another thread moves the store's version,
@@ -146,7 +148,7 @@ pub struct Interp<'k> {
     /// every post-call observer still sees `policy.checks ==
     /// stats.guards`. Non-zero only while `vm_policy` is pinned.
     vm_pending_fast_permits: u64,
-    /// Inline admits of promoted frames entered with tracing on, tallied
+    /// Inline admits of frames that run a tier with tracing on, tallied
     /// per guard site and not yet handed to the tracer. Drained with
     /// `vm_pending_fast_permits` when the call returns, in one
     /// `Tracer::record_inline` call, so per-site hits reconcile with
@@ -297,7 +299,7 @@ impl<'k> Interp<'k> {
         self.stats
     }
 
-    /// Guards admitted by an inlined bound since construction (promoted
+    /// Guards admitted by a tier's grant since construction (promoted
     /// engine only; 0 on the other engines).
     pub fn inline_admits(&self) -> u64 {
         self.vm_inline_admits

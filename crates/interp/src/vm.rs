@@ -1,8 +1,9 @@
 //! Bytecode executor: the dispatch loop for `kop-vm`'s flat register
 //! programs, compiled once at insmod and cached in the loaded-module
-//! image. It runs the general tier and the promoted tier alike: one arm
-//! per op shape, where a memory guard's baked grant (promoted) admits
-//! inline or deopts and its absence (general) consults the policy.
+//! image. Every call runs the module's one program: one arm per op
+//! shape, where a memory guard whose site the call's promoted tier
+//! holds a grant for admits inline or deopts, and any other consults
+//! the policy.
 //!
 //! Everything observable — fuel accounting, squash ordering, masking,
 //! error messages, stats, trace events — matches the reference tree
@@ -14,8 +15,9 @@
 
 use std::sync::Arc;
 
-use kop_core::{AccessFlags, Grant, KernelError, KernelResult, Size, VAddr};
+use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
+use kop_trace::SiteId;
 use kop_vm::{CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
 use crate::{sign_extend, Engine, Interp, ModuleCtx, MAX_CALL_DEPTH};
@@ -24,7 +26,7 @@ impl<'k> Interp<'k> {
     /// Bytecode-engine entry point, mirroring the tree engine's
     /// `call_in` contract (same error precedence and messages). On the
     /// promoted engine this is where the call settles its promoted tier:
-    /// once, so every frame of the call finds its code in the same tier
+    /// once, so every guard of the call finds its grant in the same tier
     /// by reference. The tier runs only if the call's policy has the
     /// namespace id it was baked from; pinning that policy here is what
     /// lets inline guards read a field instead of resolving.
@@ -81,17 +83,14 @@ impl<'k> Interp<'k> {
         idx: u32,
         args: Vec<u64>,
     ) -> KernelResult<Option<u64>> {
-        // Promoted dispatch: a function the call's tier re-lowered runs
-        // its inline-bounds code instead, tracing on or off.
-        let promoted = tier.and_then(|t| t.func(idx));
-        // A promoted frame entered with tracing on counts each inline
-        // admit per site (`vm_inline_batch`, drained with the fast
-        // permits when the call returns) so per-site hits still
-        // reconcile with the guard count; a deopt takes the full traced
-        // general path. Decided once per frame: the untraced frame's
-        // admit carries no tracer test at all.
-        let traced = promoted.is_some() && self.kernel.tracer().enabled();
-        let cf = promoted.unwrap_or_else(|| compiled.func(idx));
+        // A frame of a call that runs a tier, entered with tracing on,
+        // counts each inline admit per site (`vm_inline_batch`, drained
+        // with the fast permits when the call returns) so per-site hits
+        // still reconcile with the guard count; a deopt takes the full
+        // traced general path. Decided once per frame: the untraced
+        // frame's admit carries no tracer test at all.
+        let traced = tier.is_some() && self.kernel.tracer().enabled();
+        let cf = compiled.func(idx);
         if cf.n_params != args.len() {
             return Err(KernelError::InvalidArgument(format!(
                 "@{} takes {} args, got {}",
@@ -163,79 +162,56 @@ impl<'k> Interp<'k> {
         }
     }
 
-    /// The promoted guard check: admit when the baked grant admits the
-    /// access ([`Grant::admits`]) against the pinned policy's live
-    /// generation, else deopt into the exact general policy path with
-    /// the original operands. The generation is read per op, so a
-    /// publish that lands mid-call deopts the very next inline guard.
-    /// The fast admit still counts as a guard and as a policy check
-    /// (batched: `vm_pending_fast_permits`, drained when the call
-    /// returns), so every reconciliation invariant — `stats.guards ==
-    /// policy.checks` — survives promotion; in a `TRACED` frame it is
-    /// also tallied against its site for the tracer (hits and envelope,
-    /// no events, no timing). A degenerate request (zero size, empty
-    /// flags, wrapping range) always deopts; the general path owns the
-    /// malformed-input verdicts.
-    #[inline]
-    fn vm_inline_guard<const TRACED: bool>(
-        &mut self,
-        ctx: &ModuleCtx,
-        grant: &Grant,
-        addr: u64,
-        size: u64,
-        flags: u32,
-        site: Option<kop_trace::SiteId>,
-    ) -> KernelResult<()> {
-        let live = self.vm_policy.pinned().store_generation();
-        if grant.admits(live, VAddr(addr), Size(size), AccessFlags::from_raw(flags)) {
-            self.stats.guards += 1;
-            self.vm_pending_fast_permits += 1;
-            self.vm_inline_admits += 1;
-            if TRACED {
-                if let Some(site) = site {
-                    self.vm_inline_batch.admit(site, addr, size);
-                }
-            }
-            return Ok(());
-        }
-        self.vm_inline_deopts += 1;
-        self.run_mem_guard(
-            &ctx.ir.name,
-            VAddr(addr),
-            Size(size),
-            AccessFlags::from_raw(flags),
-            site,
-        )
-    }
-
-    /// A memory guard of either tier: a promoted op's baked grant admits
-    /// inline or deopts ([`Self::vm_inline_guard`]); a general op's
-    /// absent bound consults the policy.
+    /// A memory guard. A site the call's tier holds a grant for admits
+    /// inline when the grant admits the access
+    /// ([`kop_core::Grant::admits`]) against the pinned policy's live
+    /// generation; otherwise it deopts into the exact general policy
+    /// path with the same operands. Any other site takes that path and
+    /// counts no deopt.
+    ///
+    /// The generation is read per op, so a publish that lands mid-call
+    /// deopts the very next inline guard. The fast admit still counts as
+    /// a guard and as a policy check (batched: `vm_pending_fast_permits`,
+    /// drained when the call returns), so every reconciliation invariant
+    /// — `stats.guards == policy.checks` — survives promotion; in a
+    /// `TRACED` frame it is also tallied against its site for the tracer
+    /// (hits and envelope, no events, no timing). A degenerate request
+    /// (zero size, empty flags, wrapping range) never admits; the
+    /// general path owns the malformed-input verdicts.
+    ///
+    /// The admit is written here rather than in a helper of its own: out
+    /// of line, the release build stopped inlining it into the dispatch
+    /// loop, and an always-inlined helper grew the debug build's
+    /// recursive frames past the test thread's stack.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn vm_guard<const TRACED: bool>(
         &mut self,
         ctx: &ModuleCtx,
         regs: &[u64],
-        site: Option<kop_trace::SiteId>,
-        bound: Option<&Grant>,
+        tier: Option<&PromotedTier>,
+        site: Option<SiteId>,
         addr: Src,
         size: Src,
         flags: Src,
     ) -> KernelResult<()> {
-        let addr = self.vm_src(regs, addr);
-        let size = self.vm_src(regs, size);
-        let flags = self.vm_src(regs, flags) as u32;
-        match bound {
-            Some(b) => self.vm_inline_guard::<TRACED>(ctx, b, addr, size, flags, site),
-            None => self.run_mem_guard(
-                &ctx.ir.name,
-                VAddr(addr),
-                Size(size),
-                AccessFlags::from_raw(flags),
-                site,
-            ),
+        let addr = VAddr(self.vm_src(regs, addr));
+        let size = Size(self.vm_src(regs, size));
+        let flags = AccessFlags::from_raw(self.vm_src(regs, flags) as u32);
+        if let Some((s, grant)) = site.and_then(|s| Some((s, tier?.grant(s)?))) {
+            let live = self.vm_policy.pinned().store_generation();
+            if grant.admits(live, addr, size, flags) {
+                self.stats.guards += 1;
+                self.vm_pending_fast_permits += 1;
+                self.vm_inline_admits += 1;
+                if TRACED {
+                    self.vm_inline_batch.admit(s, addr.raw(), size.raw());
+                }
+                return Ok(());
+            }
+            self.vm_inline_deopts += 1;
         }
+        self.run_mem_guard(&ctx.ir.name, addr, size, flags, site)
     }
 
     /// The access body of [`Op::Load`] and [`Op::GuardLoad`]: a load the
@@ -313,8 +289,8 @@ impl<'k> Interp<'k> {
     /// The dispatch loop. `pc` indexes `cf.code`; every op charges one
     /// fuel unit up front (fused guard-access ops charge a second for
     /// the access, preserving the tree's per-IR-instruction fuel
-    /// checkpoints). `TRACED` is set for a promoted frame entered with
-    /// tracing on (see [`Self::vm_inline_guard`]).
+    /// checkpoints). `TRACED` is set for a frame of a call that runs a
+    /// tier, entered with tracing on (see [`Self::vm_guard`]).
     fn vm_run<const TRACED: bool>(
         &mut self,
         ctx: &ModuleCtx,
@@ -353,7 +329,6 @@ impl<'k> Interp<'k> {
                 } => self.vm_store(regs, *size, *mask, *val, *ptr)?,
                 Op::GuardLoad {
                     site,
-                    bound,
                     gaddr,
                     gsize,
                     gflags,
@@ -362,14 +337,12 @@ impl<'k> Interp<'k> {
                     ptr,
                     dst,
                 } => {
-                    let b = bound.as_ref();
-                    self.vm_guard::<TRACED>(ctx, regs, *site, b, *gaddr, *gsize, *gflags)?;
+                    self.vm_guard::<TRACED>(ctx, regs, tier, *site, *gaddr, *gsize, *gflags)?;
                     self.burn(1)?;
                     self.vm_load(regs, *size, *mask, *ptr, *dst)?;
                 }
                 Op::GuardStore {
                     site,
-                    bound,
                     gaddr,
                     gsize,
                     gflags,
@@ -378,8 +351,7 @@ impl<'k> Interp<'k> {
                     val,
                     ptr,
                 } => {
-                    let b = bound.as_ref();
-                    self.vm_guard::<TRACED>(ctx, regs, *site, b, *gaddr, *gsize, *gflags)?;
+                    self.vm_guard::<TRACED>(ctx, regs, tier, *site, *gaddr, *gsize, *gflags)?;
                     self.burn(1)?;
                     self.vm_store(regs, *size, *mask, *val, *ptr)?;
                 }
@@ -509,14 +481,10 @@ impl<'k> Interp<'k> {
                 }
                 Op::Guard {
                     site,
-                    bound,
                     addr,
                     size,
                     flags,
-                } => {
-                    let b = bound.as_ref();
-                    self.vm_guard::<TRACED>(ctx, regs, *site, b, *addr, *size, *flags)?;
-                }
+                } => self.vm_guard::<TRACED>(ctx, regs, tier, *site, *addr, *size, *flags)?,
                 Op::IntrinsicGuard { site, id } => {
                     let id = self.vm_src(regs, *id) as u32;
                     self.run_intrinsic_guard(&ctx.ir.name, id, *site)?;

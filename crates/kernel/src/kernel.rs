@@ -69,7 +69,7 @@ pub struct KernelConfig {
     /// How guard coverage is established at insmod time.
     pub verification: Verification,
     /// Profiled checks a guard site needs before [`Kernel::tick`]
-    /// promotes it into the inline-bounds tier (default 1024). Explicit
+    /// bakes a grant for it into the promoted tier (default 1024). Explicit
     /// [`Kernel::promote_hot`] calls pass their own threshold.
     pub hot_threshold: u64,
 }
@@ -373,8 +373,8 @@ impl Kernel {
         &self.config
     }
 
-    /// Profile-directed promotion: re-lower `module`'s hot guard sites
-    /// into the inline-bounds tier.
+    /// Profile-directed promotion: bake a grant for each of `module`'s
+    /// hot guard sites into its promoted tier.
     ///
     /// Sites with at least `min_hits` profiled checks — and not a single
     /// denial — whose guard call has constant flags are baked from one
@@ -383,17 +383,17 @@ impl Kernel {
     /// by, with the guard's flags — the first region in store order that
     /// covers the envelope *and grants its flags* (the policy admits on
     /// any covering grant, so the first covering region may not be the
-    /// one that admits). That region goes into promoted copies of the
-    /// containing functions as a [`kop_core::Grant`] tagged with the
-    /// snapshot's generation, under the policy's namespace id. Before
-    /// installing, the kernel audits its own work:
-    /// [`kop_analysis::audit_baked_bounds`] re-derives every region from
+    /// one that admits). That region goes into the tier's per-site table
+    /// as a [`kop_core::Grant`] tagged with the snapshot's generation,
+    /// under the policy's namespace id; the module's program is not
+    /// copied or changed. Before installing, the kernel audits its own
+    /// work: [`kop_analysis::audit_baked_bounds`] re-derives every region from
     /// the IR's guard flags and its own scan of the pinned snapshot and
     /// refuses the tier on any mismatch (KA009–KA011). Coverage is not
     /// re-proved here; insmod established it.
     ///
     /// A later publish or policy swap leaves the tier installed but
-    /// stale: its tags stop matching, so every bound guard deopts to the
+    /// stale: its tags stop matching, so every baked guard deopts to the
     /// general path until this runs again — or
     /// [`Kernel::tick`] runs it. When nothing can be baked, a stale tier
     /// is dropped.

@@ -144,19 +144,11 @@ impl PolicyCmd {
             PolicyCmd::List => out.push(OP_LIST),
             PolicyCmd::SetDefault(a) => {
                 out.push(OP_SET_DEFAULT);
-                out.push(match a {
-                    DefaultAction::Allow => 0,
-                    DefaultAction::Deny => 1,
-                });
+                out.push(a.to_u8());
             }
             PolicyCmd::SetViolation(a) => {
                 out.push(OP_SET_VIOLATION);
-                out.push(match a {
-                    ViolationAction::Panic => 0,
-                    ViolationAction::LogAndDeny => 1,
-                    ViolationAction::LogAndAllow => 2,
-                    ViolationAction::Quarantine => 3,
-                });
+                out.push(a.to_u8());
             }
             PolicyCmd::Stats => out.push(OP_STATS),
             PolicyCmd::Reset => out.push(OP_RESET),
@@ -188,24 +180,20 @@ impl PolicyCmd {
                     .get(1)
                     .ok_or_else(|| PolicyCmdError("truncated".into()))?;
                 off = 2;
-                PolicyCmd::SetDefault(match b {
-                    0 => DefaultAction::Allow,
-                    1 => DefaultAction::Deny,
-                    other => return Err(PolicyCmdError(format!("bad default action {other}"))),
-                })
+                PolicyCmd::SetDefault(
+                    DefaultAction::from_u8(b)
+                        .ok_or_else(|| PolicyCmdError(format!("bad default action {b}")))?,
+                )
             }
             OP_SET_VIOLATION => {
                 let b = *data
                     .get(1)
                     .ok_or_else(|| PolicyCmdError("truncated".into()))?;
                 off = 2;
-                PolicyCmd::SetViolation(match b {
-                    0 => ViolationAction::Panic,
-                    1 => ViolationAction::LogAndDeny,
-                    2 => ViolationAction::LogAndAllow,
-                    3 => ViolationAction::Quarantine,
-                    other => return Err(PolicyCmdError(format!("bad violation action {other}"))),
-                })
+                PolicyCmd::SetViolation(
+                    ViolationAction::from_u8(b)
+                        .ok_or_else(|| PolicyCmdError(format!("bad violation action {b}")))?,
+                )
             }
             OP_STATS => PolicyCmd::Stats,
             OP_RESET => PolicyCmd::Reset,

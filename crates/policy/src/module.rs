@@ -64,17 +64,21 @@ pub enum DefaultAction {
 }
 
 impl DefaultAction {
-    fn to_u8(self) -> u8 {
+    /// The action's byte, in the policy's atomic and on the ioctl wire.
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             DefaultAction::Allow => 0,
             DefaultAction::Deny => 1,
         }
     }
 
-    fn from_u8(v: u8) -> DefaultAction {
+    /// The action a byte names; `None` for a byte [`Self::to_u8`] never
+    /// writes.
+    pub(crate) fn from_u8(v: u8) -> Option<DefaultAction> {
         match v {
-            0 => DefaultAction::Allow,
-            _ => DefaultAction::Deny,
+            0 => Some(DefaultAction::Allow),
+            1 => Some(DefaultAction::Deny),
+            _ => None,
         }
     }
 }
@@ -104,7 +108,8 @@ pub enum ViolationAction {
 }
 
 impl ViolationAction {
-    fn to_u8(self) -> u8 {
+    /// The action's byte, in the policy's atomic and on the ioctl wire.
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             ViolationAction::Panic => 0,
             ViolationAction::LogAndDeny => 1,
@@ -113,12 +118,15 @@ impl ViolationAction {
         }
     }
 
-    fn from_u8(v: u8) -> ViolationAction {
+    /// The action a byte names; `None` for a byte [`Self::to_u8`] never
+    /// writes.
+    pub(crate) fn from_u8(v: u8) -> Option<ViolationAction> {
         match v {
-            1 => ViolationAction::LogAndDeny,
-            2 => ViolationAction::LogAndAllow,
-            3 => ViolationAction::Quarantine,
-            _ => ViolationAction::Panic,
+            0 => Some(ViolationAction::Panic),
+            1 => Some(ViolationAction::LogAndDeny),
+            2 => Some(ViolationAction::LogAndAllow),
+            3 => Some(ViolationAction::Quarantine),
+            _ => None,
         }
     }
 }
@@ -337,7 +345,7 @@ impl PolicyModule {
     }
 
     /// Republish the unchanged rule set so the store generation
-    /// advances. Every guard-front slot and promoted inline bound tagged
+    /// advances. Every guard-front slot and promoted-tier grant tagged
     /// with an older generation becomes stale in this single publish —
     /// the live-upgrade swap uses this so no check can admit against a
     /// grant observed before the swap. Returns the new generation.
@@ -375,7 +383,7 @@ impl PolicyModule {
 
     /// The store generation: bumped by every table write. The one
     /// staleness tag of every fast path (guard-front slots, promoted
-    /// inline bounds): only a table write can change what a cached
+    /// tiers' grants): only a table write can change what a cached
     /// region grant admits.
     #[inline]
     pub fn store_generation(&self) -> u64 {
@@ -387,12 +395,12 @@ impl PolicyModule {
         self.snapshot.publish_counter().get()
     }
 
-    /// Account `n` guards admitted by a fast path (a bound filled from a
-    /// region grant of the *current* generation) without
+    /// Account `n` guards admitted by a fast path (a cached grant of the
+    /// *current* generation) without
     /// re-running the lookup, with one pair of counter updates. Keeps
     /// `stats.checks` equal to the number of guard invocations even when
     /// a fast path answers most of them. Callers that batch their admits
-    /// (guard fronts, promoted frames) drain through here before any
+    /// (guard fronts, the promoted VM tier) drain through here before any
     /// reader can observe the stats.
     #[inline]
     pub fn record_fast_permits(&self, n: u64) {
@@ -478,6 +486,7 @@ impl PolicyModule {
     /// Current default action (one atomic load).
     pub fn default_action(&self) -> DefaultAction {
         DefaultAction::from_u8(self.default_action.load(Ordering::SeqCst))
+            .expect("only to_u8 stores the default action")
     }
 
     /// Set the violation action.
@@ -489,6 +498,7 @@ impl PolicyModule {
     /// Current violation action (one atomic load).
     pub fn violation_action(&self) -> ViolationAction {
         ViolationAction::from_u8(self.violation_action.load(Ordering::SeqCst))
+            .expect("only to_u8 stores the violation action")
     }
 
     /// Guard statistics snapshot.

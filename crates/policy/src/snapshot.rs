@@ -14,10 +14,10 @@
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
 //! only invalidation signal for the guard front's per-site slots
-//! ([`crate::front::GuardFront`]) and the VM's promoted bounds: a filled
+//! ([`crate::front::GuardFront`]) and the VM's promoted grants: a filled
 //! grant is valid only while its recorded generation equals the store's
 //! current one, so any table write — grant, revoke, wholesale replace —
-//! stales every slot and every baked bound at the cost of one atomic
+//! stales every slot and every baked grant at the cost of one atomic
 //! store.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer

@@ -35,8 +35,8 @@
 //! ## Enabled-path cost
 //!
 //! A general-path guard check costs two ring events, two clock reads and
-//! a profiler update. A promoted guard answered by its baked bound costs
-//! neither: the executor counts it per site in an [`InlineBatch`] and
+//! a profiler update. A guard answered by its promoted tier's grant
+//! costs neither: the executor counts it per site in an [`InlineBatch`] and
 //! hands the batch over once per interpreter call
 //! ([`Tracer::record_inline`]), so per-site hits and envelopes stay
 //! exact while the ring and the latency histogram see only the timed
@@ -188,8 +188,8 @@ impl Tracer {
         outcome
     }
 
-    /// Fold a batch of inline admits (guards a promoted tier answered
-    /// from a baked bound) into the per-site profiles under one profiler
+    /// Fold a batch of inline admits (guards a promoted tier's grants
+    /// answered) into the per-site profiles under one profiler
     /// lock. Each admit counts as a hit and widens its site's envelope,
     /// but carries no latency and emits no ring event. No-op while
     /// disabled; the batch is emptied either way.

@@ -8,7 +8,7 @@
 //!
 //! Checks arrive two ways. A *timed* check (the general guard path)
 //! lands one at a time with its host latency. An *inline* admit (a
-//! promoted guard answered by its baked bound) is counted per site in
+//! guard answered by its promoted tier's grant) is counted per site in
 //! an [`InlineBatch`] the executor owns and folded in a batch when the
 //! interpreter call returns: it adds to `hits` and the address envelope,
 //! never to the latency histogram. So Σ`hits` == guards and Σ`hist` +
@@ -30,8 +30,8 @@ pub fn latency_bucket(ns: u64) -> usize {
 pub struct SiteProfile {
     /// Total checks observed at this site, timed and inline.
     pub hits: u64,
-    /// Checks answered by a baked bound (the promoted tier's inline
-    /// admit): counted in `hits` and folded into the envelope, never
+    /// Checks answered by a promoted tier's grant (the inline admit):
+    /// counted in `hits` and folded into the envelope, never
     /// timed. `hist`, `total_ns` and [`SiteProfile::mean_ns`] describe
     /// only the [`SiteProfile::timed`] checks.
     pub inline: u64,
@@ -95,9 +95,9 @@ struct InlineTally {
 
 /// Inline admits not yet handed to the profiler, counted per site.
 ///
-/// The executor of promoted code owns one and calls
-/// [`InlineBatch::admit`] for every guard a baked bound answers in a
-/// frame entered with tracing on, then hands the batch to
+/// The bytecode executor owns one and calls [`InlineBatch::admit`] for
+/// every guard a promoted tier's grant answers in a frame entered with
+/// tracing on, then hands the batch to
 /// [`crate::Tracer::record_inline`] once, where the interpreter call
 /// returns (on success and on error alike): one profiler lock per call
 /// instead of a lock, two ring events and two clock reads per guard.

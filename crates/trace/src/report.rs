@@ -8,7 +8,7 @@ use crate::Tracer;
 
 /// Render the top-`n` guard sites by hit count as an aligned text table,
 /// mirroring `perf report` / ftrace's `trace_stat` output. `INLINE` is
-/// the share of `HITS` a baked bound answered untimed; `MEAN_NS`
+/// the share of `HITS` a promoted tier's grant answered untimed; `MEAN_NS`
 /// averages the rest.
 pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     let mut rows: Vec<(SiteMeta, SiteProfile)> = tracer.profile_snapshot();

@@ -24,8 +24,8 @@
 //!   check and perform the access in one dispatch.
 //!
 //! Profile-directed promotion ([`CompiledModule::promote`]) publishes a
-//! copy of the hot functions with each hot guard's `bound` filled in
-//! with a [`Grant`]: the same instruction set, the same program, with
+//! [`PromotedTier`]: one [`Grant`] per hot guard site, beside the one
+//! program. A guard op whose site the tier holds runs
 //! [`Grant::admits`] where the policy call was.
 //!
 //! The bytecode preserves the observable semantics of `kop-interp`'s
@@ -150,13 +150,12 @@ impl HostFn {
 /// executing (the fused guard-access ops charge two — one per original
 /// IR instruction — with the guard/access fuel checkpoint preserved).
 ///
-/// The general and the promoted tier share this one instruction set.
 /// Each memory guard ([`Op::Guard`], [`Op::GuardLoad`],
-/// [`Op::GuardStore`]) carries a `bound`: `None` in the general tier,
-/// where the guard consults the policy, and the baked [`Grant`] in a
-/// promoted copy, where the guard admits when [`Grant::admits`] holds
-/// against the live generation and otherwise deopts to the general
-/// path with the same operands. Fuel and observable semantics are
+/// [`Op::GuardStore`]) carries its trace site. A call that runs a
+/// [`PromotedTier`] asks it for the site's grant: with one, the guard
+/// admits when [`Grant::admits`] holds against the live generation and
+/// otherwise deopts to the general path with the same operands; without
+/// one, it consults the policy. Fuel and observable semantics are
 /// identical either way.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)] // field meanings documented per variant
@@ -177,11 +176,9 @@ pub enum Op {
         val: Src,
         ptr: Src,
     },
-    /// Fused `carat_guard` + load superinstruction. `bound` is `None`
-    /// in the general tier and the baked grant in a promoted copy.
+    /// Fused `carat_guard` + load superinstruction.
     GuardLoad {
         site: Option<SiteId>,
-        bound: Option<Grant>,
         gaddr: Src,
         gsize: Src,
         gflags: Src,
@@ -190,11 +187,9 @@ pub enum Op {
         ptr: Src,
         dst: u32,
     },
-    /// Fused `carat_guard` + store superinstruction; `bound` as for
-    /// [`Op::GuardLoad`].
+    /// Fused `carat_guard` + store superinstruction.
     GuardStore {
         site: Option<SiteId>,
-        bound: Option<Grant>,
         gaddr: Src,
         gsize: Src,
         gflags: Src,
@@ -259,10 +254,9 @@ pub enum Op {
         dst: u32,
     },
     /// Standalone memory guard (not adjacent to its access — e.g. a
-    /// hoisted loop-invariant guard); `bound` as for [`Op::GuardLoad`].
+    /// hoisted loop-invariant guard).
     Guard {
         site: Option<SiteId>,
-        bound: Option<Grant>,
         addr: Src,
         size: Src,
         flags: Src,
@@ -313,33 +307,39 @@ pub struct CompiledFunc {
     pub edges: Vec<Edge>,
 }
 
-/// One published generation of promoted code: the re-lowered functions
-/// plus the policy and snapshot generation their bounds were baked from.
-/// Swapped wholesale — readers either see the complete tier or none of
-/// it.
+/// One published promotion: a grant per baked guard site, plus the
+/// policy and snapshot generation they were baked from. Swapped
+/// wholesale — readers either see the complete tier or none of it.
 #[derive(Debug, Default)]
 pub struct PromotedTier {
-    /// Namespace id of the policy the bounds were baked from (0 = the
+    /// Namespace id of the policy the grants were baked from (0 = the
     /// empty tier). Namespace ids are never reused and no policy has id
     /// 0, so an executor runs the tier only for a call whose policy has
     /// this id: two policies' generations both start at 1 and cannot
     /// tell the policies apart.
     pub ns: u64,
-    /// Snapshot generation every baked bound in this tier cites
+    /// Snapshot generation every grant in this tier cites
     /// (0 = the empty tier; real generations start at 1).
     pub gen: u64,
-    /// Function index → its promoted re-lowering, if it has one.
-    funcs: Vec<Option<CompiledFunc>>,
+    /// Id of the first site `grants` covers.
+    base: u32,
+    /// Site `base + i` → its grant, dense over the baked id range: a
+    /// module's sites are registered contiguously, so the table spans at
+    /// most the module's own sites.
+    grants: Box<[Option<Grant>]>,
 }
 
 impl PromotedTier {
-    /// The promoted re-lowering of function `idx`, if this tier has
-    /// one; `None` means run the general bytecode. An executor loads
-    /// the tier once ([`CompiledModule::promoted_tier`]) and finds every
-    /// frame's code here by reference, so one call never mixes two
-    /// tiers' code.
-    pub fn func(&self, idx: u32) -> Option<&CompiledFunc> {
-        self.funcs.get(idx as usize)?.as_ref()
+    /// The grant baked for `site`, if this tier holds one; `None` means
+    /// the guard takes the general path. One subtraction and one bounds
+    /// check, no map probe. An executor loads the tier once per call
+    /// ([`CompiledModule::promoted_tier`]), so one call never mixes two
+    /// tiers' grants.
+    #[inline]
+    pub fn grant(&self, site: SiteId) -> Option<&Grant> {
+        self.grants
+            .get(site.0.wrapping_sub(self.base) as usize)?
+            .as_ref()
     }
 }
 
@@ -380,9 +380,9 @@ impl TierCell {
 /// A module lowered to bytecode: built once at insmod, cached in the
 /// loaded-module image, shared by every subsequent call.
 ///
-/// The optional *promoted tier* holds re-lowered copies of hot
-/// functions whose guard ops carry inlined bounds. It lives behind an
-/// [`ArcSwap`] so the promotion pass can publish (or drop) it without
+/// A module has one program. The optional *promoted tier* beside it
+/// holds a grant per hot guard site ([`PromotedTier`]). It lives behind
+/// an [`ArcSwap`] so the promotion pass can publish (or drop) it without
 /// locking executors, next to a never-reused id
 /// ([`CompiledModule::tier_id`]) executors key a kept tier by; clones
 /// of the module share one tier. Policy publishes never touch it: its
@@ -422,11 +422,6 @@ impl CompiledModule {
         &self.funcs[idx as usize]
     }
 
-    /// Number of compiled functions.
-    pub fn func_count(&self) -> usize {
-        self.funcs.len()
-    }
-
     /// Number of fused guard-access superinstructions across the module
     /// (diagnostics / tests).
     pub fn fused_guard_count(&self) -> usize {
@@ -437,63 +432,47 @@ impl CompiledModule {
             .count()
     }
 
-    /// Copy every function containing one of `sites` into the promoted
-    /// tier, filling each matching guard op's `bound` in place with the
-    /// [`Grant`] of the site's region at `gen`. Offsets, edges, register
-    /// counts, and fuel accounting are untouched — a promoted function
-    /// is the same program with [`Grant::admits`] where the policy call
-    /// was. Publishes the new tier atomically (replacing any prior tier
-    /// wholesale) and returns the number of guard ops promoted.
+    /// Bake the [`Grant`] of each of `sites`' regions at `gen` into a new
+    /// promoted tier: every memory guard op carrying one of the sites
+    /// admits by that grant, with [`Grant::admits`] where the policy call
+    /// was. The program is untouched. Publishes the new tier atomically
+    /// (replacing any prior tier wholesale) and returns the number of
+    /// guard ops whose site it baked.
     ///
-    /// Sites are promoted wherever they occur; sites that match no
-    /// guard op are skipped. An empty result publishes nothing and
-    /// leaves the existing tier in place.
+    /// Only sites some guard op carries are baked; the rest are
+    /// skipped. An empty result publishes nothing and leaves the
+    /// existing tier in place.
     ///
     /// `ns` is the namespace id of the policy the regions come from; an
     /// executor runs the tier only for a call governed by that policy.
     pub fn promote(&self, ns: u64, gen: u64, sites: &[(SiteId, Region)]) -> usize {
         let by_site: BTreeMap<SiteId, Region> = sites.iter().copied().collect();
-        let mut tier = PromotedTier {
+        let mut baked = BTreeMap::new();
+        let mut promoted_ops = 0usize;
+        for op in self.funcs.iter().flat_map(|f| f.code.iter()) {
+            if let Op::GuardLoad { site: Some(s), .. }
+            | Op::GuardStore { site: Some(s), .. }
+            | Op::Guard { site: Some(s), .. } = op
+            {
+                if let Some(&region) = by_site.get(s) {
+                    baked.insert(s.0, Grant { region, gen });
+                    promoted_ops += 1;
+                }
+            }
+        }
+        let (Some(&base), Some(&last)) = (baked.keys().next(), baked.keys().next_back()) else {
+            return 0;
+        };
+        let mut grants = vec![None; (last - base) as usize + 1];
+        for (site, grant) in baked {
+            grants[(site - base) as usize] = Some(grant);
+        }
+        self.promoted.publish(PromotedTier {
             ns,
             gen,
-            funcs: vec![None; self.funcs.len()],
-        };
-        let mut promoted_ops = 0usize;
-        for (idx, func) in self.funcs.iter().enumerate() {
-            let mut clone = func.clone();
-            let mut hits = 0usize;
-            for op in &mut clone.code {
-                if let Op::GuardLoad {
-                    site: Some(s),
-                    bound,
-                    ..
-                }
-                | Op::GuardStore {
-                    site: Some(s),
-                    bound,
-                    ..
-                }
-                | Op::Guard {
-                    site: Some(s),
-                    bound,
-                    ..
-                } = op
-                {
-                    if let Some(&region) = by_site.get(s) {
-                        *bound = Some(Grant { region, gen });
-                        hits += 1;
-                    }
-                }
-            }
-            if hits > 0 {
-                promoted_ops += hits;
-                tier.funcs[idx] = Some(clone);
-            }
-        }
-        if promoted_ops == 0 {
-            return 0;
-        }
-        self.promoted.publish(tier);
+            base,
+            grants: grants.into(),
+        });
         promoted_ops
     }
 
@@ -533,7 +512,15 @@ mod promote_tests {
     use super::*;
     use kop_core::{Protection, Size, VAddr};
 
+    /// Site 7 on two ops (a fused load and a standalone guard), sites 9
+    /// and 11 on one each.
     fn guard_func() -> CompiledFunc {
+        let guard = |site, flags| Op::Guard {
+            site: Some(SiteId(site)),
+            addr: Src::Arg(0),
+            size: Src::Imm(8),
+            flags: Src::Imm(flags),
+        };
         CompiledFunc {
             name: "tx".into(),
             n_params: 1,
@@ -542,7 +529,6 @@ mod promote_tests {
             code: vec![
                 Op::GuardLoad {
                     site: Some(SiteId(7)),
-                    bound: None,
                     gaddr: Src::Arg(0),
                     gsize: Src::Imm(4),
                     gflags: Src::Imm(1),
@@ -551,16 +537,9 @@ mod promote_tests {
                     ptr: Src::Arg(0),
                     dst: 0,
                 },
-                Op::Guard {
-                    site: Some(SiteId(9)),
-                    bound: None,
-                    addr: Src::Arg(0),
-                    size: Src::Imm(8),
-                    flags: Src::Imm(2),
-                },
+                guard(9, 2),
                 Op::GuardStore {
                     site: Some(SiteId(11)),
-                    bound: None,
                     gaddr: Src::Arg(0),
                     gsize: Src::Imm(4),
                     gflags: Src::Imm(2),
@@ -569,10 +548,15 @@ mod promote_tests {
                     val: Src::Reg(0),
                     ptr: Src::Arg(0),
                 },
+                guard(7, 1),
                 Op::Ret(Some(Src::Reg(0))),
             ],
             edges: Vec::new(),
         }
+    }
+
+    fn module() -> CompiledModule {
+        CompiledModule::new("m".into(), vec![guard_func()])
     }
 
     fn spec(site: u32, lo: u64, hi: u64) -> (SiteId, Region) {
@@ -580,85 +564,72 @@ mod promote_tests {
         (SiteId(site), region)
     }
 
-    #[test]
-    fn a_baked_grant_keeps_an_op_at_144_bytes() {
-        assert_eq!(std::mem::size_of::<Op>(), 144);
+    fn grant(tier: &PromotedTier, site: u32) -> Option<Grant> {
+        tier.grant(SiteId(site)).copied()
     }
 
     #[test]
-    fn promote_fills_the_bound_in_place() {
-        let m = CompiledModule::new("m".into(), vec![guard_func()]);
-        assert_eq!(m.promoted_generation(), 0);
-        assert!(m.promoted_tier().func(0).is_none());
+    fn an_op_is_104_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 104);
+    }
+
+    #[test]
+    fn promote_bakes_the_given_sites_and_only_they() {
+        let m = module();
+        let empty = m.promoted_tier();
+        assert_eq!((empty.ns, empty.gen), (0, 0));
+        assert!((0..16).all(|s| grant(&empty, s).is_none()));
 
         let id = m.tier_id();
-        let n = m.promote(1, 5, &[spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000)]);
-        assert_eq!(n, 2);
+        let (a, b) = (spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000));
+        // Site 7 sits on two ops, site 11 on one; site 9 is not given.
+        assert_eq!(m.promote(1, 5, &[a, b]), 3, "counted per guard op");
         assert_ne!(m.tier_id(), id, "a publish stores a fresh id");
-        assert_eq!(m.promoted_tier().ns, 1);
-        assert_eq!(m.promoted_generation(), 5);
-
         let tier = m.promoted_tier();
-        let pf = tier.func(0).expect("tier holds the function");
-        // Same shape: offsets, edges, register counts all unchanged.
-        assert_eq!(pf.code.len(), m.func(0).code.len());
-        assert_eq!(pf.n_regs, m.func(0).n_regs);
-        match &pf.code[0] {
-            Op::GuardLoad {
-                site,
-                bound: Some(b),
-                ptr,
-                ..
-            } => {
-                assert_eq!(*site, Some(SiteId(7)));
-                let baked = Grant {
-                    region: spec(7, 0x1000, 0x2000).1,
-                    gen: 5,
-                };
-                assert_eq!(*b, baked);
-                assert_eq!(*ptr, Src::Arg(0));
-            }
-            other => panic!("expected a bound GuardLoad, got {other:?}"),
+        assert_eq!((tier.ns, tier.gen), (1, 5));
+        assert_eq!(m.promoted_generation(), 5);
+        assert_eq!(
+            grant(&tier, 7),
+            Some(Grant {
+                region: a.1,
+                gen: 5
+            })
+        );
+        assert_eq!(
+            grant(&tier, 11),
+            Some(Grant {
+                region: b.1,
+                gen: 5
+            })
+        );
+        for unbaked in [0, 6, 8, 9, 10, 12, u32::MAX] {
+            assert_eq!(grant(&tier, unbaked), None, "site {unbaked}");
         }
-        // Site 9, absent from the sites, keeps the general path.
-        assert!(matches!(
-            &pf.code[1],
-            Op::Guard { site: Some(s), bound: None, .. } if *s == SiteId(9)
-        ));
-        assert!(matches!(
-            &pf.code[2],
-            Op::GuardStore {
-                bound: Some(Grant { gen: 5, .. }),
-                ..
-            }
-        ));
-        // The general tier is untouched.
-        assert!(matches!(
-            &m.func(0).code[0],
-            Op::GuardLoad { bound: None, .. }
-        ));
-        assert!(matches!(
-            &m.func(0).code[2],
-            Op::GuardStore { bound: None, .. }
-        ));
     }
 
     #[test]
     fn promoting_unknown_sites_publishes_nothing() {
-        let m = CompiledModule::new("m".into(), vec![guard_func()]);
-        m.promote(1, 3, &[spec(7, 0, 0x100)]);
-        assert_eq!(m.promoted_generation(), 3);
-        // A later pass with no matching sites must not clobber the tier.
+        let m = module();
+        assert_eq!(m.promote(1, 3, &[spec(9, 0, 0x100)]), 1);
         let id = m.tier_id();
-        assert_eq!(m.promote(1, 4, &[spec(999, 0, 0x100)]), 0);
-        assert_eq!(m.promoted_generation(), 3);
+        // A site no op carries is skipped even beside a carried one ...
+        assert_eq!(
+            m.promote(1, 4, &[spec(9, 0, 0x100), spec(999, 0, 0x100)]),
+            1
+        );
+        assert_eq!(grant(&m.promoted_tier(), 999), None);
+        assert_ne!(m.tier_id(), id);
+        // ... and on its own bakes nothing: the old tier and its id stay.
+        let id = m.tier_id();
+        assert_eq!(m.promote(1, 5, &[spec(999, 0, 0x100)]), 0);
         assert_eq!(m.tier_id(), id, "nothing published");
-        assert!(m.promoted_tier().func(0).is_some());
+        assert_eq!(m.promoted_generation(), 4);
+        assert!(grant(&m.promoted_tier(), 9).is_some());
     }
 
     #[test]
     fn invalidate_drops_the_tier_and_clones_share_it() {
-        let m = CompiledModule::new("m".into(), vec![guard_func()]);
+        let m = module();
         let alias = m.clone();
         m.promote(1, 9, &[spec(9, 0x10, 0x20)]);
         assert_eq!(alias.promoted_generation(), 9, "clones share the tier");
@@ -666,22 +637,20 @@ mod promote_tests {
         let promoted_id = m.tier_id();
         let tier = alias.promoted_tier();
         assert_eq!(tier.ns, 1, "the tier carries its bake namespace");
-        assert!(matches!(
-            &tier.func(0).unwrap().code[1],
-            Op::Guard {
-                bound: Some(Grant { gen: 9, .. }),
-                ..
-            }
-        ));
+
         alias.invalidate_promotions();
-        assert_eq!(m.promoted_generation(), 0);
         assert!(m.tier_id() > promoted_id, "an invalidation is a publish");
-        assert_eq!(m.promoted_tier().ns, 0, "no policy runs the empty tier");
-        assert!(m.promoted_tier().func(0).is_none());
+        let empty = m.promoted_tier();
+        assert_eq!(
+            (empty.ns, empty.gen),
+            (0, 0),
+            "no policy runs the empty tier"
+        );
+        assert_eq!(grant(&empty, 9), None);
         // A tier loaded before the invalidation stays whole for its
-        // holder: same code, same tags.
+        // holder: same grants, same tags.
         assert_eq!((tier.ns, tier.gen), (1, 9));
-        assert!(tier.func(0).is_some());
+        assert_eq!(grant(&tier, 9).map(|g| g.gen), Some(9));
         // Re-promotion after invalidation works (lazy re-promote path).
         assert_eq!(m.promote(1, 10, &[spec(9, 0x10, 0x20)]), 1);
         assert_eq!(alias.promoted_generation(), 10);

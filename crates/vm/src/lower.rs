@@ -316,7 +316,6 @@ impl<'a> FnLowerer<'a> {
                     let (addr, size, flags) = self.lower_guard_operands(args)?;
                     Op::Guard {
                         site: self.site_of(iid),
-                        bound: None,
                         addr,
                         size,
                         flags,
@@ -358,7 +357,6 @@ impl<'a> FnLowerer<'a> {
             Inst::Load { ty, ptr } => {
                 self.code.push(Op::GuardLoad {
                     site,
-                    bound: None,
                     gaddr,
                     gsize,
                     gflags,
@@ -372,7 +370,6 @@ impl<'a> FnLowerer<'a> {
             Inst::Store { ty, val, ptr } => {
                 self.code.push(Op::GuardStore {
                     site,
-                    bound: None,
                     gaddr,
                     gsize,
                     gflags,

@@ -17,7 +17,6 @@ use carat_kop::ir::parse_module;
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::policy::{PolicyModule, ViolationAction};
 use carat_kop::trace::{self, Producer, SiteId, TraceEvent, Tracer};
-use carat_kop::vm::Op;
 
 const DRIVERISH_SRC: &str = r#"
 module "drv"
@@ -316,31 +315,14 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
         .image()
         .compiled
         .clone();
-    let mut baked: BTreeMap<SiteId, Region> = BTreeMap::new();
     let tier = compiled.promoted_tier();
-    for f in (0..compiled.func_count() as u32).filter_map(|i| tier.func(i)) {
-        for op in &f.code {
-            if let Op::GuardLoad {
-                site: Some(s),
-                bound: Some(b),
-                ..
-            }
-            | Op::GuardStore {
-                site: Some(s),
-                bound: Some(b),
-                ..
-            }
-            | Op::Guard {
-                site: Some(s),
-                bound: Some(b),
-                ..
-            } = op
-            {
-                baked.insert(*s, b.region);
-            }
-        }
-    }
-    assert!(!baked.is_empty(), "promoted code carries baked bounds");
+    // Each profiled site's baked region, read from the tier's table.
+    let baked: BTreeMap<SiteId, Region> = tracer
+        .profile_snapshot()
+        .into_iter()
+        .filter_map(|(meta, _)| Some((meta.id, tier.grant(meta.id)?.region)))
+        .collect();
+    assert!(!baked.is_empty(), "the tier carries baked grants");
     let envelopes_inside_baked_bounds = |tracer: &Tracer| {
         for (meta, prof) in tracer.profile_snapshot() {
             let region = baked[&meta.id];
