@@ -125,7 +125,7 @@ pub fn smp() -> FigureData {
 
     // Single-thread ns/check from the measured rates.
     let [mutex_ns, snapshot_ns, front_ns] = rates.each_ref().map(|pts| 1e9 / at(pts, 1.0));
-    let [pin_ns, lookup_ns, stats_ns] = check_layers_ns(iters, repeats);
+    let [held_ns, lookup_ns, stats_ns, miss_ns] = check_layers_ns(iters, repeats);
 
     // Multi-queue TX throughput: N queues, each its own driver + ring,
     // sharing one policy. Either way the shared policy's checks reconcile
@@ -278,7 +278,7 @@ pub fn smp() -> FigureData {
         "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +front adds a per-thread GuardFront (one self-filling slot per site)".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
-            "general check layers, one thread, two-region rules (ns, not gated): snapshot pin {pin_ns:.1}, frozen lookup on a held snapshot {lookup_ns:.1}, one permit's stats accounting {stats_ns:.1}"
+            "general check layers, one thread, two-region rules (ns, not gated): held-snapshot read {held_ns:.1}, frozen lookup on a held snapshot {lookup_ns:.1}, one permit's stats accounting {stats_ns:.1}; a held snapshot's miss (the pin: load_full) {miss_ns:.1}, paid once per publish per thread"
         ),
         format!(
             "writer churn: {churns} grant/revoke pairs against {readers} concurrent front readers -> 0 stale admits (asserted)"
@@ -302,9 +302,10 @@ pub fn smp() -> FigureData {
         headlines: vec![
             ("mutex_ns_check_1t".into(), mutex_ns),
             ("snapshot_ns_check_1t".into(), snapshot_ns),
-            ("snapshot_pin_ns".into(), pin_ns),
+            ("snapshot_held_ns".into(), held_ns),
             ("snapshot_lookup_ns".into(), lookup_ns),
             ("snapshot_stats_ns".into(), stats_ns),
+            ("snapshot_miss_ns".into(), miss_ns),
             ("snapshot_front_ns_check_1t".into(), front_ns),
             ("snapshot_front_scaling_1_to_4".into(), front_scaling),
             ("mutex_scaling_1_to_4".into(), mutex_scaling),
@@ -321,28 +322,33 @@ pub fn smp() -> FigureData {
 /// One layer of the general check, timed alone.
 #[derive(Clone, Copy)]
 enum Layer {
-    /// `SnapshotStore::load` and dropping the guard it returns.
-    Pin,
+    /// `SnapshotStore::read` answering from the thread's held snapshot:
+    /// what every check pays while the generation stands still.
+    Held,
     /// `PolicySnapshot::lookup` on a snapshot the loop already holds.
     Lookup,
     /// `GuardStats::record_permitted`.
     Stats,
+    /// `SnapshotStore::load_full` and dropping the `Arc` it returns: the
+    /// pin a held snapshot's miss takes, once per publish per thread.
+    Miss,
 }
 
-/// Single-thread ns per call of the snapshot pin, the frozen lookup and
-/// the stats accounting of one permit, under the two-region rules the
-/// check-rate legs use, `iters` calls per run, best of `repeats`
-/// interleaved rounds. Each loop asserts what it timed.
-fn check_layers_ns(iters: u64, repeats: usize) -> [f64; 3] {
+/// Single-thread ns per call of the held-snapshot read, the frozen
+/// lookup, the stats accounting of one permit and a held snapshot's miss,
+/// under the two-region rules the check-rate legs use, `iters` calls per
+/// run, best of `repeats` interleaved rounds. Each loop asserts what it
+/// timed.
+fn check_layers_ns(iters: u64, repeats: usize) -> [f64; 4] {
     let store = SnapshotStore::new();
-    store.publish(setup::two_region_policy().regions());
+    let gen = store.publish(setup::two_region_policy().regions());
     let held = store.load_full();
     let stats = GuardStats::new();
     let base = kop_core::layout::DIRECT_MAP_BASE;
     let run = |layer| {
         let (done, ns) = timed(|| match layer {
-            Layer::Pin => (0..iters)
-                .filter(|_| black_box(store.load()).generation() > 0)
+            Layer::Held => (0..iters)
+                .filter(|_| store.read(|snap| black_box(snap).generation()) == gen)
                 .count() as u64,
             Layer::Lookup => (0..iters)
                 .filter(|i| {
@@ -356,12 +362,18 @@ fn check_layers_ns(iters: u64, repeats: usize) -> [f64; 3] {
                 (0..iters).for_each(|_| stats.record_permitted());
                 stats.snapshot().permitted - before
             }
+            Layer::Miss => (0..iters)
+                .filter(|_| black_box(store.load_full()).generation() == gen)
+                .count() as u64,
         });
-        assert_eq!(done, iters, "every pin loaded, lookup hit, permit counted");
+        assert_eq!(
+            done, iters,
+            "every held read and pin current, lookup hit, permit counted"
+        );
         ns / iters as f64
     };
     best_of(
-        [Layer::Pin, Layer::Lookup, Layer::Stats],
+        [Layer::Held, Layer::Lookup, Layer::Stats, Layer::Miss],
         repeats,
         run,
         |&ns| ns,

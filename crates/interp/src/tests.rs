@@ -624,8 +624,25 @@ entry:
     });
 }
 
+/// Stack for [`unbounded_recursion_is_contained`]'s body. Every engine
+/// recurses on the host stack once per module call, and `MAX_CALL_DEPTH`
+/// nested calls in an unoptimized build take about 2 MiB, nearly all of
+/// a default test thread's stack; this leaves room to grow.
+const RECURSION_TEST_STACK: usize = 16 << 20;
+
 #[test]
 fn unbounded_recursion_is_contained() {
+    let body = std::thread::Builder::new()
+        .name("unbounded_recursion_is_contained".into())
+        .stack_size(RECURSION_TEST_STACK)
+        .spawn(unbounded_recursion_body)
+        .expect("spawn the test body");
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+fn unbounded_recursion_body() {
     on_each_engine(|engine| {
         let src = r#"
 module "recurse"

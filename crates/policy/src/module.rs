@@ -368,12 +368,12 @@ impl PolicyModule {
 
     /// Number of rules.
     pub fn region_count(&self) -> usize {
-        self.snapshot.load().len()
+        self.snapshot.load_full().len()
     }
 
     /// Snapshot of all rules.
     pub fn regions(&self) -> Vec<Region> {
-        self.snapshot.load().regions().to_vec()
+        self.snapshot.load_full().regions().to_vec()
     }
 
     /// The current published policy snapshot (lock-free).
@@ -602,9 +602,12 @@ impl PolicyModule {
     /// The pure check: classify the access, update stats, log violations.
     /// Does **not** apply the violation action — see [`Self::enforce`].
     ///
-    /// Takes **no lock**: one pinned snapshot load, a frozen-table
-    /// lookup, and relaxed counter updates (the denial paths additionally
-    /// take the cold log mutex).
+    /// Takes **no lock**: one generation load that validates this
+    /// thread's held snapshot (a pinned `load_full` only when a publish
+    /// or another policy's check replaced it), a frozen-table lookup, and
+    /// counter adds into the thread's own stripes (the denial paths
+    /// additionally take the cold log mutex). No locked instruction while
+    /// the generation stands still.
     pub fn check(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
         self.check_classified(addr, size, flags).result
     }
@@ -629,13 +632,11 @@ impl PolicyModule {
                 grant: None,
             };
         }
-        let snap = self.snapshot.load();
-        let lookup = snap.lookup(addr, size, flags);
+        let (lookup, gen) = self
+            .snapshot
+            .read(|snap| (snap.lookup(addr, size, flags), snap.generation()));
         let grant = match lookup {
-            Lookup::Permitted(region) => Some(Grant {
-                region,
-                gen: snap.generation(),
-            }),
+            Lookup::Permitted(region) => Some(Grant { region, gen }),
             _ => None,
         };
         ClassifiedCheck {
@@ -1088,6 +1089,62 @@ mod tests {
         assert_eq!(pm.snapshot_publishes(), before + 1);
         assert_eq!(pm.region_count(), 2);
         assert!(pm.check(VAddr(0x1100), Size(8), AccessFlags::RW).is_ok());
+    }
+
+    #[test]
+    fn held_snapshot_is_keyed_by_store_as_well_as_generation() {
+        // Two policies at one generation with different rules, checked
+        // alternately on this thread: each answers by its own rules.
+        let (a, b) = (PolicyModule::new(), PolicyModule::new());
+        a.add_region(rw(0x1000, 0x1000)).unwrap();
+        b.add_region(rw(0x8000, 0x1000)).unwrap();
+        assert_eq!(a.store_generation(), b.store_generation());
+        for _ in 0..3 {
+            assert!(a.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
+            assert!(b.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_err());
+            assert!(b.check(VAddr(0x8800), Size(8), AccessFlags::RW).is_ok());
+            assert!(a.check(VAddr(0x8800), Size(8), AccessFlags::RW).is_err());
+        }
+    }
+
+    #[test]
+    fn a_revoke_on_another_thread_stales_the_held_snapshot() {
+        use std::sync::mpsc::channel;
+        let pm = Arc::new(PolicyModule::new());
+        pm.add_region(rw(0x1000, 0x1000)).unwrap();
+        let (checked_tx, checked) = channel();
+        let (revoked, revoked_rx) = channel();
+        let reader = {
+            let pm = Arc::clone(&pm);
+            std::thread::spawn(move || {
+                let first = pm.check(VAddr(0x1800), Size(8), AccessFlags::RW);
+                checked_tx.send(pm.store_generation()).unwrap();
+                revoked_rx.recv().unwrap();
+                (first, pm.check(VAddr(0x1800), Size(8), AccessFlags::RW))
+            })
+        };
+        // The reader holds this generation's snapshot, then we revoke.
+        let held = checked.recv().unwrap();
+        pm.remove_region(VAddr(0x1000)).unwrap();
+        assert!(pm.store_generation() > held);
+        revoked.send(()).unwrap();
+        let (first, second) = reader.join().unwrap();
+        assert!(first.is_ok());
+        assert_eq!(second.unwrap_err().kind, ViolationKind::NoMatchingRegion);
+    }
+
+    #[test]
+    fn dropping_a_policy_releases_this_threads_held_snapshot() {
+        let pm = PolicyModule::new();
+        pm.add_region(rw(0x1000, 0x1000)).unwrap();
+        assert!(pm.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
+        let snap = Arc::downgrade(&pm.policy_snapshot());
+        assert!(snap.upgrade().is_some());
+        drop(pm);
+        assert!(
+            snap.upgrade().is_none(),
+            "the held snapshot outlived its policy"
+        );
     }
 
     #[test]

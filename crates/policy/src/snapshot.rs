@@ -4,31 +4,48 @@
 //! The region table is textbook read-mostly state: writes happen at
 //! insmod/rmmod and grant/revoke rates, reads on *every* module load and
 //! store. [`SnapshotStore`] therefore keeps an immutable
-//! [`PolicySnapshot`] behind an `arc-swap` atomic pointer: readers load
-//! the snapshot and run `lookup` with zero locks; writers, serialized by
-//! the policy module's writer lock, build the next rule list from the
-//! published one and publish it whole. The published snapshot is the
-//! only copy of the rule list. A reader mid-check keeps the snapshot it pinned alive — it can
-//! never observe a torn table — and reclamation of the old snapshot is
-//! deferred until the last reader drops it.
+//! [`PolicySnapshot`] behind an `arc-swap` atomic pointer: readers look
+//! up in a snapshot with zero locks; writers, serialized by the policy
+//! module's writer lock, build the next rule list from the published one
+//! and publish it whole. The published snapshot is the only copy of the
+//! rule list. A reader mid-check keeps the snapshot it read alive — it
+//! can never observe a torn table — and reclamation of the old snapshot
+//! is deferred until the last reader drops it.
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
 //! only invalidation signal for the guard front's per-site slots
-//! ([`crate::front::GuardFront`]) and the VM's promoted grants: a filled
-//! grant is valid only while its recorded generation equals the store's
-//! current one, so any table write — grant, revoke, wholesale replace —
-//! stales every slot and every baked grant at the cost of one atomic
-//! store.
+//! ([`crate::front::GuardFront`]), the VM's promoted grants and each
+//! thread's held snapshot: a cached grant or snapshot is valid only while
+//! its recorded generation equals the store's current one, so any table
+//! write — grant, revoke, wholesale replace — stales every slot, every
+//! baked grant and every held snapshot at the cost of one atomic store.
+//!
+//! **The held snapshot.** Each thread keeps the snapshot it last read
+//! ([`SnapshotStore::read`]), stamped with the never-reused id of the
+//! store that published it and the generation it was published at. A
+//! read loads the store's generation and answers from the held snapshot
+//! when both the store id and the generation match: one atomic load and
+//! no locked instruction, the same compare a front slot makes per admit.
+//! Otherwise it takes one pinned `load_full` of the current snapshot and
+//! keeps it. Every read on a thread shares its one entry, so a thread
+//! that alternates between two stores misses on every switch. A dropped
+//! store clears the dropping thread's entry if it came from that store.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
 //! installs the new snapshot pointer *before* it stores the new
 //! generation, and both are `SeqCst`. A revoke therefore does not return
 //! until the shrunken table is the published one. Any reader that starts
 //! a check after revoke returns (i.e. observes any effect ordered after
-//! it) loads either the new generation — forcing a slot miss and a lookup
-//! in the new snapshot — or the new snapshot directly. A slot tagged
-//! with the old generation can never match again.
+//! it) loads the new generation, so neither a slot nor a held snapshot
+//! tagged with an older one can match again, and its `load_full` then
+//! observes a snapshot at least as new as that generation. A held
+//! snapshot that matches the generation a reader loaded is the very
+//! snapshot the store published at that generation (a store publishes
+//! each generation once, and its id is never reused), so answering from
+//! it is answering from what the store held when the reader loaded the
+//! generation.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -50,16 +67,19 @@ use crate::store::Lookup;
 /// a layered index when they overlap — O(log n) either way, with
 /// bit-exact flat-scan semantics (store-order any-grant-wins).
 pub struct PolicySnapshot {
+    /// The id of the [`SnapshotStore`] that published this snapshot.
+    store: u64,
     generation: u64,
     /// The frozen index (also owns the store-order region list).
     frozen: FrozenStore,
 }
 
 impl PolicySnapshot {
-    /// Build a snapshot over `regions` (the rule list in store order) at
-    /// `generation`.
-    pub fn build(regions: Vec<Region>, generation: u64) -> PolicySnapshot {
+    /// Build store `store`'s snapshot over `regions` (the rule list in
+    /// store order) at `generation`.
+    fn build(store: u64, regions: Vec<Region>, generation: u64) -> PolicySnapshot {
         PolicySnapshot {
+            store,
             generation,
             frozen: FrozenStore::build(regions),
         }
@@ -106,12 +126,22 @@ impl PolicySnapshot {
 impl std::fmt::Debug for PolicySnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicySnapshot")
+            .field("store", &self.store)
             .field("generation", &self.generation)
             .field("regions", &self.frozen.len())
             .field("frozen", &self.frozen.kind())
             .finish()
     }
 }
+
+thread_local! {
+    /// This thread's held snapshot: the one its last [`SnapshotStore::read`]
+    /// answered from, whichever store published it.
+    static HELD: Cell<Option<Arc<PolicySnapshot>>> = const { Cell::new(None) };
+}
+
+/// The source of store ids. 0 is never issued.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The epoch/RCU cell: current snapshot + generation + publish counter.
 /// It keeps no history and calls nobody back: a fast path learns of a
@@ -120,6 +150,9 @@ impl std::fmt::Debug for PolicySnapshot {
 /// Writers must be externally serialized (the policy module publishes
 /// while holding its writer lock); readers are lock-free.
 pub struct SnapshotStore {
+    /// Never reused: it tells this store's snapshots from those of any
+    /// other store, live or dropped, at the same generation.
+    id: u64,
     current: ArcSwap<PolicySnapshot>,
     /// Stored *after* the snapshot pointer on publish; the fast paths'
     /// validity tag. Starts at 1 so 0 can mean "never filled".
@@ -130,8 +163,10 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     /// An empty store at generation 1.
     pub fn new() -> SnapshotStore {
+        let id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
         SnapshotStore {
-            current: ArcSwap::from_pointee(PolicySnapshot::build(Vec::new(), 1)),
+            id,
+            current: ArcSwap::from_pointee(PolicySnapshot::build(id, Vec::new(), 1)),
             generation: AtomicU64::new(1),
             publishes: Counter::new("policy.snapshot_publishes"),
         }
@@ -144,13 +179,27 @@ impl SnapshotStore {
         self.generation.load(Ordering::SeqCst)
     }
 
-    /// Pin and borrow the current snapshot (lock-free).
+    /// Run `f` on the current snapshot through this thread's held one
+    /// (see the module docs): one generation load, and a `load_full`
+    /// that the thread keeps only when the held snapshot is another
+    /// store's or another generation's. Takes no locked instruction
+    /// while the generation stands still.
     #[inline]
-    pub fn load(&self) -> arc_swap::Guard<'_, PolicySnapshot> {
-        self.current.load()
+    pub fn read<R>(&self, f: impl FnOnce(&PolicySnapshot) -> R) -> R {
+        let gen = self.generation();
+        // Taken out while `f` runs, so a read nested in `f` finds the
+        // entry empty and only costs a miss.
+        let snap = match HELD.with(Cell::take) {
+            Some(s) if s.store == self.id && s.generation == gen => s,
+            _ => self.current.load_full(),
+        };
+        let out = f(&snap);
+        HELD.with(|held| held.set(Some(snap)));
+        out
     }
 
-    /// Clone out the current snapshot.
+    /// Clone out the current snapshot: a pin for the refcount bump, the
+    /// cost of a held snapshot's miss.
     pub fn load_full(&self) -> Arc<PolicySnapshot> {
         self.current.load_full()
     }
@@ -163,7 +212,7 @@ impl SnapshotStore {
     pub fn publish(&self, regions: Vec<Region>) -> u64 {
         let gen = self.generation.load(Ordering::SeqCst) + 1;
         self.current
-            .store(Arc::new(PolicySnapshot::build(regions, gen)));
+            .store(Arc::new(PolicySnapshot::build(self.id, regions, gen)));
         // Snapshot first, generation second: a reader that sees the new
         // generation is guaranteed the new snapshot is already live.
         self.generation.store(gen, Ordering::SeqCst);
@@ -174,6 +223,21 @@ impl SnapshotStore {
     /// The live publish counter cell (for registry registration).
     pub fn publish_counter(&self) -> &Counter {
         &self.publishes
+    }
+}
+
+impl Drop for SnapshotStore {
+    /// Release the dropping thread's held snapshot if this store published
+    /// it. Other threads' entries go on their next read or at their exit.
+    /// During thread teardown the entry may be gone already: nothing to do.
+    fn drop(&mut self) {
+        let _ = HELD.try_with(|held| {
+            if let Some(snap) = held.take() {
+                if snap.store != self.id {
+                    held.set(Some(snap));
+                }
+            }
+        });
     }
 }
 
@@ -197,7 +261,7 @@ mod tests {
         let s = SnapshotStore::new();
         assert_eq!(s.generation(), 1);
         assert_eq!(
-            s.load().lookup(VAddr(0x1000), Size(8), AccessFlags::READ),
+            s.read(|snap| snap.lookup(VAddr(0x1000), Size(8), AccessFlags::READ)),
             Lookup::NoMatch
         );
     }
@@ -210,13 +274,13 @@ mod tests {
         assert_eq!(s.generation(), 2);
         assert_eq!(s.publish_counter().get(), 1);
         assert!(matches!(
-            s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
+            s.read(|snap| snap.lookup(VAddr(0x1800), Size(8), AccessFlags::RW)),
             Lookup::Permitted(_)
         ));
         let g = s.publish(Vec::new());
         assert_eq!(g, 3);
         assert_eq!(
-            s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
+            s.read(|snap| snap.lookup(VAddr(0x1800), Size(8), AccessFlags::RW)),
             Lookup::NoMatch
         );
     }
@@ -229,7 +293,7 @@ mod tests {
             r(0x3000, 0x1000, Protection::READ_ONLY),
             r(0x8000, 0x100, Protection::NONE),
         ];
-        let snap = PolicySnapshot::build(disjoint.clone(), 1);
+        let snap = PolicySnapshot::build(0, disjoint.clone(), 1);
         assert_eq!(snap.frozen_kind(), FrozenKind::Sorted);
         let probes = [
             (0x1800u64, 8u64, AccessFlags::RW),
@@ -270,7 +334,7 @@ mod tests {
             r(0x1000, 0x1000, Protection::NONE),
             r(0x1000, 0x1000, Protection::READ_WRITE),
         ];
-        let snap = PolicySnapshot::build(regions, 1);
+        let snap = PolicySnapshot::build(0, regions, 1);
         assert_eq!(
             snap.frozen_kind(),
             FrozenKind::Interval,

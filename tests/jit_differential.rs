@@ -14,6 +14,7 @@
 //! next one, although the interpreter keeps its policy and promoted tier
 //! across calls.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,16 +24,50 @@ use carat_kop::e1000e::{
 };
 use carat_kop::interp::{Engine, ExecStats, Interp};
 use carat_kop::kernel::{FaultHook, Kernel, KernelConfig};
-use carat_kop::policy::{DefaultAction, GuardFront, PolicyModule, ViolationAction};
+use carat_kop::policy::{DefaultAction, GuardFront, PolicyCheck, PolicyModule, ViolationAction};
 use kop_bench::figures::rig::{TxBufs, TxBytes, TxRig, MMIO_BYTES, XMIT_MODULE};
-use kop_core::{Protection, Region, Size, VAddr};
+use kop_core::{AccessFlags, Protection, Region, Size, VAddr, Violation};
+
+/// A fresh per-queue [`GuardFront`] over `pm`, mapping `mem`'s sites.
+fn front_over(pm: &Arc<PolicyModule>, mem: &DirectMem) -> GuardFront {
+    let map = driver_site_map(mem.arena_base(), mem.mmio_base());
+    GuardFront::new(Arc::clone(pm), map)
+}
 
 /// A guarded memory space whose guards go through a fresh per-queue
 /// [`GuardFront`] over `pm`.
 fn front_mem(pm: &Arc<PolicyModule>) -> GuardedMem<GuardFront> {
     let mem = DirectMem::with_defaults(E1000Device::default());
-    let map = driver_site_map(mem.arena_base(), mem.mmio_base());
-    GuardedMem::new(mem, GuardFront::new(Arc::clone(pm), map))
+    let front = front_over(pm, &mem);
+    GuardedMem::new(mem, front)
+}
+
+/// A [`GuardFront`] that, at its `wait_at`-th guard, yields until the
+/// policy's generation moves past the one it reads there, so a
+/// concurrent `bump_epoch` lands mid-run on every queue, however the
+/// host schedules the threads.
+struct BumpedFront {
+    front: GuardFront,
+    pm: Arc<PolicyModule>,
+    guards: Cell<u64>,
+    wait_at: u64,
+}
+
+impl PolicyCheck for BumpedFront {
+    fn carat_guard(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
+        self.guards.set(self.guards.get() + 1);
+        if self.guards.get() == self.wait_at {
+            let gen = self.pm.store_generation();
+            while self.pm.store_generation() == gen {
+                std::thread::yield_now();
+            }
+        }
+        self.front.carat_guard(addr, size, flags)
+    }
+
+    fn flush_admits(&self) -> u64 {
+        self.front.flush_admits()
+    }
 }
 
 /// Generation-bump torture on the native datapath: several TX queues,
@@ -64,6 +99,16 @@ fn mq_tx_generation_bump_torture() {
     );
 
     // ---- Phase B: the same run under a bump_epoch storm. ----
+    // Halfway through each queue's guards, after `up()`, the queue waits
+    // for a bump, so its filled slots go stale mid-run.
+    let wait_at = rep.queues[0].guard_calls / 2;
+    let mut drv = E1000Driver::probe(front_mem(&pm)).expect("probe");
+    drv.up().expect("up");
+    assert!(
+        drv.counts().guard_calls < wait_at,
+        "the wait falls after up()"
+    );
+    drop(drv);
     let stop = Arc::new(AtomicBool::new(false));
     let storm = {
         let pm = Arc::clone(&pm);
@@ -79,7 +124,17 @@ fn mq_tx_generation_bump_torture() {
         })
     };
     let checks1 = pm.stats().checks;
-    let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |_q| front_mem(&pm)).expect("stormed MQ run");
+    let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |_q| {
+        let mem = DirectMem::with_defaults(E1000Device::default());
+        let front = BumpedFront {
+            front: front_over(&pm, &mem),
+            pm: Arc::clone(&pm),
+            guards: Cell::new(0),
+            wait_at,
+        };
+        GuardedMem::new(mem, front)
+    })
+    .expect("stormed MQ run");
     stop.store(true, Ordering::Relaxed);
     let bumps = storm.join().expect("storm thread");
     assert!(bumps > 0);
