@@ -15,7 +15,7 @@ use super::{FigureData, Series};
 /// The SMP guard-path figure (`reproduce smp`): guarded check rate and
 /// multi-queue TX throughput vs thread count, for the mutex baseline
 /// (one lock around every check, [`baseline::LockedPolicy`]), the
-/// lock-free snapshot path, and snapshot + per-thread
+/// snapshot path (lock-free on a hit), and snapshot + per-thread
 /// [`kop_policy::GuardFront`] — plus a writer-churn phase proving revoked
 /// grants are never admitted (DESIGN §3.13).
 ///
@@ -275,10 +275,10 @@ pub fn smp() -> FigureData {
 
     let notes = vec![
         "checkrate_*: N threads hammer one shared PolicyModule with permitted accesses (Mchecks/s, best of repeats)".into(),
-        "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is lock-free RCU-style; +front adds a per-thread GuardFront (one self-filling slot per site)".into(),
+        "mutex path serializes every guard on one lock around PolicyModule::check (the pre-snapshot baseline); snapshot path is RCU-style, lock-free on a hit; +front adds a per-thread GuardFront (one self-filling slot per site)".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
-            "general check layers, one thread, two-region rules (ns, not gated): held-snapshot read {held_ns:.1}, frozen lookup on a held snapshot {lookup_ns:.1}, one permit's stats accounting {stats_ns:.1}; a held snapshot's miss (the pin: load_full) {miss_ns:.1}, paid once per publish per thread"
+            "general check layers, one thread, two-region rules (ns, not gated): held-snapshot read {held_ns:.1}, frozen lookup on a held snapshot {lookup_ns:.1}, one permit's stats accounting {stats_ns:.1}; a held snapshot's miss (one short lock and an Arc clone: load_full) {miss_ns:.1}, paid once per publish per thread"
         ),
         format!(
             "writer churn: {churns} grant/revoke pairs against {readers} concurrent front readers -> 0 stale admits (asserted)"
@@ -330,7 +330,8 @@ enum Layer {
     /// `GuardStats::record_permitted`.
     Stats,
     /// `SnapshotStore::load_full` and dropping the `Arc` it returns: the
-    /// pin a held snapshot's miss takes, once per publish per thread.
+    /// short lock and `Arc` clone a held snapshot's miss takes, once per
+    /// publish per thread.
     Miss,
 }
 
@@ -368,7 +369,7 @@ fn check_layers_ns(iters: u64, repeats: usize) -> [f64; 4] {
         });
         assert_eq!(
             done, iters,
-            "every held read and pin current, lookup hit, permit counted"
+            "every held read and miss current, lookup hit, permit counted"
         );
         ns / iters as f64
     };

@@ -49,4 +49,4 @@ pub use intrinsics::{
 pub use obligations::ObligationRecorder;
 pub use opt::{RangeCoalescing, RedundantGuardElim};
 pub use pass::PassStats;
-pub use signing::{CompilerKey, SignedModule, SigningError};
+pub use signing::{CompilerKey, ContainerCode, ContainerError, SignedModule, SigningError};

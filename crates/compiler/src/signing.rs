@@ -14,7 +14,7 @@
 
 use core::fmt;
 
-use kop_analysis::{AnalysisReport, ObligationLedger};
+use kop_analysis::{AnalysisReport, LedgerError, ObligationLedger};
 use kop_ir::{parse_module, print_module, Module, ParseError};
 
 use crate::attest::Attestation;
@@ -70,7 +70,60 @@ pub enum SigningError {
     /// The attestation embedded in the container does not match the IR.
     AttestationMismatch(String),
     /// The on-disk container bytes are malformed.
-    Malformed(String),
+    Malformed(ContainerError),
+}
+
+/// What was wrong with a container's bytes (see [`ContainerError`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ContainerCode {
+    /// The bytes do not start with the container magic.
+    BadMagic,
+    /// The named field runs past the end of the bytes.
+    Truncated(&'static str),
+    /// The named string field is not UTF-8.
+    InvalidUtf8(&'static str),
+    /// The flags byte sets these bits, which the signer never writes.
+    UnknownFlagBits(u8),
+    /// Bytes follow the IR text, the container's last field.
+    TrailingBytes,
+    /// The obligation ledger does not parse.
+    Ledger(LedgerError),
+}
+
+impl fmt::Display for ContainerCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ContainerCode::BadMagic => f.write_str("bad magic"),
+            ContainerCode::Truncated(field) => write!(f, "truncated {field}"),
+            ContainerCode::InvalidUtf8(field) => write!(f, "invalid utf-8 in {field}"),
+            ContainerCode::UnknownFlagBits(bits) => write!(f, "unknown flag bits {bits:#04x}"),
+            ContainerCode::TrailingBytes => f.write_str("trailing bytes"),
+            ContainerCode::Ledger(e) => write!(f, "obligation {e}"),
+        }
+    }
+}
+
+/// A container that did not decode: the code of what was wrong and the
+/// byte offset where decoding stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ContainerError {
+    /// Offset into the container bytes: the magic (0), the start of what
+    /// a truncated field could not read (its length or its bytes), a
+    /// string's first invalid byte, the flags byte, the first trailing
+    /// byte, or the start of the refused ledger line.
+    pub offset: usize,
+    /// What was wrong there.
+    pub code: ContainerCode,
+}
+
+impl fmt::Display for ContainerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.code, self.offset)
+    }
+}
+
+fn malformed(offset: usize, code: ContainerCode) -> SigningError {
+    SigningError::Malformed(ContainerError { offset, code })
 }
 
 impl fmt::Display for SigningError {
@@ -80,7 +133,7 @@ impl fmt::Display for SigningError {
             SigningError::UnknownKey(id) => write!(f, "unknown signing key '{id}'"),
             SigningError::CorruptIr(e) => write!(f, "corrupt module IR: {e}"),
             SigningError::AttestationMismatch(s) => write!(f, "attestation mismatch: {s}"),
-            SigningError::Malformed(s) => write!(f, "malformed module container: {s}"),
+            SigningError::Malformed(e) => write!(f, "malformed module container: {e}"),
         }
     }
 }
@@ -192,69 +245,74 @@ impl SignedModule {
     /// Parse a container from its on-disk format. Parsing does **not**
     /// imply trust — callers must still [`SignedModule::verify`].
     pub fn from_bytes(data: &[u8]) -> Result<SignedModule, SigningError> {
-        fn get_str<'a>(data: &'a [u8], off: &mut usize) -> Result<&'a str, SigningError> {
-            let malformed = || SigningError::Malformed("truncated string".into());
-            let len_end = off.checked_add(4).ok_or_else(malformed)?;
-            if len_end > data.len() {
-                return Err(malformed());
-            }
-            let len = u32::from_le_bytes(data[*off..len_end].try_into().expect("4 bytes")) as usize;
-            let end = len_end.checked_add(len).ok_or_else(malformed)?;
-            if end > data.len() {
-                return Err(malformed());
-            }
-            let s = std::str::from_utf8(&data[len_end..end])
-                .map_err(|_| SigningError::Malformed("invalid utf-8".into()))?;
-            *off = end;
-            Ok(s)
+        /// The `n` bytes of `field` at `*off`, stepping past them.
+        fn take<'a>(
+            data: &'a [u8],
+            off: &mut usize,
+            n: usize,
+            field: &'static str,
+        ) -> Result<&'a [u8], SigningError> {
+            let bytes = data[*off..]
+                .get(..n)
+                .ok_or_else(|| malformed(*off, ContainerCode::Truncated(field)))?;
+            *off += n;
+            Ok(bytes)
         }
-        fn get_u64(data: &[u8], off: &mut usize) -> Result<u64, SigningError> {
-            let end = *off + 8;
-            if end > data.len() {
-                return Err(SigningError::Malformed("truncated u64".into()));
-            }
-            let v = u64::from_le_bytes(data[*off..end].try_into().expect("8 bytes"));
-            *off = end;
-            Ok(v)
+        fn get_str<'a>(
+            data: &'a [u8],
+            off: &mut usize,
+            field: &'static str,
+        ) -> Result<&'a str, SigningError> {
+            let len = take(data, off, 4, field)?;
+            let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+            let at = *off;
+            std::str::from_utf8(take(data, off, len, field)?)
+                .map_err(|e| malformed(at + e.valid_up_to(), ContainerCode::InvalidUtf8(field)))
         }
-        if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-            return Err(SigningError::Malformed("bad magic".into()));
+        fn get_u64(data: &[u8], off: &mut usize, field: &'static str) -> Result<u64, SigningError> {
+            let bytes = take(data, off, 8, field)?;
+            Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        }
+        if data.get(..MAGIC.len()) != Some(&MAGIC[..]) {
+            return Err(malformed(0, ContainerCode::BadMagic));
         }
         let mut off = MAGIC.len();
-        let key_id = get_str(data, &mut off)?.to_string();
-        if off + DIGEST_LEN > data.len() {
-            return Err(SigningError::Malformed("truncated signature".into()));
-        }
-        let mut signature = [0u8; DIGEST_LEN];
-        signature.copy_from_slice(&data[off..off + DIGEST_LEN]);
-        off += DIGEST_LEN;
-        let module_name = get_str(data, &mut off)?.to_string();
-        let flags = *data
-            .get(off)
-            .ok_or_else(|| SigningError::Malformed("truncated flags".into()))?;
+        let key_id = get_str(data, &mut off, "key id")?.to_string();
+        let signature = take(data, &mut off, DIGEST_LEN, "signature")?
+            .try_into()
+            .expect("DIGEST_LEN bytes");
+        let module_name = get_str(data, &mut off, "module name")?.to_string();
+        let flags = take(data, &mut off, 1, "flags")?[0];
         if flags & !FLAG_BITS != 0 {
-            return Err(SigningError::Malformed(format!(
-                "unknown flag bits {:#04x}",
-                flags & !FLAG_BITS
-            )));
+            return Err(malformed(
+                off - 1,
+                ContainerCode::UnknownFlagBits(flags & !FLAG_BITS),
+            ));
         }
-        off += 1;
-        let guard_count = get_u64(data, &mut off)?;
-        let mem_access_count = get_u64(data, &mut off)?;
-        let privileged_calls = get_u64(data, &mut off)?;
-        let guard_sites = get_u64(data, &mut off)?;
-        let site_digest = get_str(data, &mut off)?.to_string();
-        let compiler_id = get_str(data, &mut off)?.to_string();
-        let obligations = get_str(data, &mut off)?.to_string();
-        let ir_text = get_str(data, &mut off)?.to_string();
+        let guard_count = get_u64(data, &mut off, "guard count")?;
+        let mem_access_count = get_u64(data, &mut off, "memory access count")?;
+        let privileged_calls = get_u64(data, &mut off, "privileged call count")?;
+        let guard_sites = get_u64(data, &mut off, "guard site count")?;
+        let site_digest = get_str(data, &mut off, "guard site digest")?.to_string();
+        let compiler_id = get_str(data, &mut off, "compiler id")?.to_string();
+        let ledger_at = off + 4;
+        let obligations = get_str(data, &mut off, "obligation ledger")?.to_string();
+        let ir_text = get_str(data, &mut off, "IR text")?.to_string();
         if off != data.len() {
-            return Err(SigningError::Malformed("trailing bytes".into()));
+            return Err(malformed(off, ContainerCode::TrailingBytes));
         }
         // A ledger is compiler obligations in `obligations-v1` text, or
         // nothing: an unknown header or kind (an `inline` claim, say) is
-        // no container this decoder accepts.
-        kop_analysis::ObligationLedger::parse(&obligations)
-            .map_err(|e| SigningError::Malformed(format!("obligation {e}")))?;
+        // no container this decoder accepts. The error points at the
+        // start of the refused line.
+        ObligationLedger::parse(&obligations).map_err(|e| {
+            let line_at: usize = obligations
+                .split_inclusive('\n')
+                .take(e.line - 1)
+                .map(str::len)
+                .sum();
+            malformed(ledger_at + line_at, ContainerCode::Ledger(e))
+        })?;
         Ok(SignedModule {
             ir_text,
             attestation: Attestation {
@@ -313,6 +371,7 @@ const MAGIC: &[u8; 8] = b"KOPMOD\x02\0";
 mod tests {
     use super::*;
     use crate::guard::GuardInjectionPass;
+    use kop_analysis::LedgerCode;
 
     fn demo_module() -> Module {
         let src = r#"
@@ -452,12 +511,10 @@ entry:
         for bit in 5..8 {
             let mut forged = bytes.clone();
             forged[at] |= 1 << bit;
-            assert!(
-                matches!(
-                    SignedModule::from_bytes(&forged),
-                    Err(SigningError::Malformed(_))
-                ),
-                "flag bit {bit} must be refused"
+            assert_eq!(
+                SignedModule::from_bytes(&forged).unwrap_err(),
+                malformed(at, ContainerCode::UnknownFlagBits(1 << bit)),
+                "flag bit {bit} must be refused at the flags byte"
             );
         }
     }
@@ -469,20 +526,35 @@ entry:
         assert_eq!(att.obligations, "", "the empty ledger decodes");
         SignedModule::from_bytes(&SignedModule::sign(&m, att.clone(), &key()).to_bytes())
             .expect("empty ledger");
-        for (ledger, line) in [
-            ("obligations-v1\nwarp fn=f", 2),
-            ("obligations-v2\n", 1),
+        for (ledger, line, code, refused) in [
+            (
+                "obligations-v1\nwarp fn=f",
+                2,
+                LedgerCode::UnknownKind,
+                "warp",
+            ),
+            ("obligations-v2\n", 1, LedgerCode::Header, "obligations-v2"),
             (
                 "obligations-v1\ninline fn=f guard=entry#0 lo=0 hi=8 flags=1 gen=1",
                 2,
+                LedgerCode::UnknownKind,
+                "inline",
             ),
         ] {
             att.obligations = ledger.into();
             let bytes = SignedModule::sign(&m, att.clone(), &key()).to_bytes();
             let err = SignedModule::from_bytes(&bytes).unwrap_err();
+            let SigningError::Malformed(ContainerError {
+                offset,
+                code: ContainerCode::Ledger(e),
+            }) = err
+            else {
+                panic!("{ledger:?}: {err:?}");
+            };
+            assert_eq!(e, LedgerError { line, code }, "{ledger:?}");
             assert!(
-                matches!(&err, SigningError::Malformed(m) if m.contains(&format!("line {line}:"))),
-                "{ledger:?}: {err:?}"
+                bytes[offset..].starts_with(refused.as_bytes()),
+                "{ledger:?}: offset {offset} is not the refused line"
             );
         }
     }

@@ -9,14 +9,19 @@
 //! byte flipped or one length field rewritten. The obligation ledger the
 //! decoder parses gets arbitrary text and token soup from its keywords,
 //! the `inline` kind and `obligations-v2` header it refuses among them;
-//! every refusal names a line of the text it refused.
+//! every refusal names a line of the text it refused. Every refused
+//! container reports an offset within its bytes, and a container cut
+//! inside a field names that field.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use kop_analysis::ObligationLedger;
-use kop_compiler::{compile_module, CompileOptions, CompilerKey, SignedModule, SigningError};
+use kop_compiler::{
+    compile_module, CompileOptions, CompilerKey, ContainerCode, SignedModule, SigningError,
+};
 use kop_ir::parse_module;
 
 /// An element walk plus scalar `@g` traffic: the optimized build carries
@@ -67,34 +72,64 @@ fn containers() -> &'static [Vec<u8>; 2] {
     })
 }
 
-/// Decodes `bytes`: a refusal must be `Malformed`, and an accepted
-/// container must re-encode to exactly `bytes`.
+/// Decodes `bytes`: a refusal must be `Malformed` at an offset within
+/// `bytes`, and an accepted container must re-encode to exactly `bytes`.
 fn decode(bytes: &[u8]) -> Result<Option<SignedModule>, TestCaseError> {
     match SignedModule::from_bytes(bytes) {
         Ok(module) => {
             prop_assert!(module.to_bytes() == bytes, "accepted bytes re-encode");
             Ok(Some(module))
         }
-        Err(SigningError::Malformed(_)) => Ok(None),
+        Err(SigningError::Malformed(e)) => {
+            prop_assert!(e.offset <= bytes.len(), "{e} beyond {} bytes", bytes.len());
+            Ok(None)
+        }
         Err(other) => Err(TestCaseError::Fail(format!("untyped refusal {other:?}"))),
     }
+}
+
+/// The fields after the magic, in order, named as the decoder names
+/// them: `Some(n)` is a fixed size, `None` a string behind a `u32` length.
+const LAYOUT: [(&str, Option<usize>); 12] = [
+    ("key id", None),
+    ("signature", Some(SIG_LEN)),
+    ("module name", None),
+    ("flags", Some(1)),
+    ("guard count", Some(8)),
+    ("memory access count", Some(8)),
+    ("privileged call count", Some(8)),
+    ("guard site count", Some(8)),
+    ("guard site digest", None),
+    ("compiler id", None),
+    ("obligation ledger", None),
+    ("IR text", None),
+];
+
+/// Each field of a valid container with the bytes it spans (a string's
+/// span starts at its length).
+fn field_spans(bytes: &[u8]) -> Vec<(&'static str, Range<usize>)> {
+    let mut at = MAGIC_LEN;
+    LAYOUT
+        .iter()
+        .map(|&(name, fixed)| {
+            let n = fixed.unwrap_or_else(|| {
+                4 + u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize
+            });
+            at += n;
+            (name, at - n..at)
+        })
+        .collect()
 }
 
 /// Offsets of a valid container's six `u32` length fields, in order:
 /// key id, module name, site digest, compiler id, ledger, IR text.
 fn length_fields(bytes: &[u8]) -> Vec<usize> {
-    let len_at =
-        |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-    let key_id = MAGIC_LEN;
-    let name = key_id + 4 + len_at(key_id) + SIG_LEN;
-    // The flags byte and four u64 counts sit between the name and the
-    // site digest.
-    let mut fields = vec![key_id, name, name + 4 + len_at(name) + 1 + 4 * 8];
-    for _ in 0..3 {
-        let last = *fields.last().expect("non-empty");
-        fields.push(last + 4 + len_at(last));
-    }
-    fields
+    LAYOUT
+        .iter()
+        .zip(field_spans(bytes))
+        .filter(|((_, fixed), _)| fixed.is_none())
+        .map(|(_, (_, span))| span.start)
+        .collect()
 }
 
 /// A length value: small, at the container's size, or huge.
@@ -208,17 +243,25 @@ fn the_fixtures_are_valid_and_cover_both_ledger_kinds() {
     }
 }
 
+/// A prefix cut inside the magic is a bad magic; one cut inside a field
+/// names that field, at an offset inside it.
 #[test]
 fn every_strict_prefix_is_refused() {
     for bytes in containers() {
+        let spans = field_spans(bytes);
+        assert_eq!(spans.last().expect("fields").1.end, bytes.len());
         for cut in 0..bytes.len() {
-            assert!(
-                matches!(
-                    SignedModule::from_bytes(&bytes[..cut]),
-                    Err(SigningError::Malformed(_))
-                ),
-                "prefix of {cut} bytes"
-            );
+            let (want, from) = match spans.iter().find(|(_, span)| span.contains(&cut)) {
+                Some((field, span)) => (ContainerCode::Truncated(field), span.start),
+                None => (ContainerCode::BadMagic, 0),
+            };
+            match SignedModule::from_bytes(&bytes[..cut]) {
+                Err(SigningError::Malformed(e)) => {
+                    assert_eq!(e.code, want, "prefix of {cut} bytes");
+                    assert!((from..=cut).contains(&e.offset), "prefix of {cut}: {e}");
+                }
+                other => panic!("prefix of {cut} bytes: {other:?}"),
+            }
         }
     }
 }
@@ -228,7 +271,11 @@ fn every_strict_prefix_is_refused() {
 #[test]
 fn every_bit_flip_of_the_fixed_fields_is_refused_or_fails_verification() {
     for bytes in containers() {
-        let flags = length_fields(bytes)[2] - 4 * 8 - 1;
+        let (_, span) = field_spans(bytes)
+            .into_iter()
+            .find(|(name, _)| *name == "flags")
+            .expect("a flags byte");
+        let flags = span.start;
         for at in flags..flags + 1 + 4 * 8 {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();

@@ -21,9 +21,10 @@
 //! * [`manager::PolicyCmd`] — the binary ioctl protocol spoken by the
 //!   `policy-manager` user-space tool,
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]
-//!   (RCU-style published tables — the lock-free check path; a publish
-//!   stores the snapshot, then the generation, then the count, and takes
-//!   no lock),
+//!   (RCU-style published tables — a check path that is lock-free on a
+//!   hit; a publish installs the snapshot under the cell's short lock,
+//!   then stores the generation, then the count, and a reader locks the
+//!   cell only on a miss),
 //!   [`front::GuardFront`] (a per-queue front with one self-filling slot
 //!   per guard site, staled by the store generation), and
 //!   [`vlog::ViolationLog`] (bounded violation ring with a dropped

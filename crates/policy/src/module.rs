@@ -10,17 +10,17 @@
 //! # SMP structure
 //!
 //! The check path is read-mostly, so it is split RCU-style (DESIGN
-//! §3.13): the rule list and the intrinsic grants are each stored once,
-//! published. A mutation takes the one writer lock, edits a copy of the
-//! published list, passes it through the [`StoreKind`]'s admission
-//! contract, and publishes an immutable [`PolicySnapshot`]; checks read
-//! only what is published and touch no lock at all. Default and
-//! violation actions are atomics for the same reason.
+//! §3.13): the rule list is stored once, published. A mutation takes the
+//! one writer lock, edits a copy of the published list, passes it
+//! through the [`StoreKind`]'s admission contract, and publishes an
+//! immutable [`PolicySnapshot`]; a memory check reads only what is
+//! published, through its thread's held snapshot, and touches no lock on
+//! a hit. The intrinsic grants are a short list behind a lock of their
+//! own, edited in place. Default and violation actions are atomics.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use kop_core::error::ViolationKind;
@@ -176,15 +176,18 @@ const LOG_CAP: usize = 1024;
 pub struct PolicyModule {
     /// The admission contract every rule-list mutation passes.
     kind: StoreKind,
-    /// Serializes writers. A mutation holds it from reading the
-    /// published rule list or intrinsic grants to publishing its edit,
-    /// so generation order matches mutation order.
+    /// Serializes rule-list writers. A mutation holds it from reading
+    /// the published rule list to publishing its edit, so generation
+    /// order matches mutation order. It is not the snapshot cell's lock,
+    /// so a reader's miss never waits behind a rebuild.
     writer: Mutex<()>,
     /// The rule list in store order, published: every check is answered
     /// here and every mutation starts from it.
     snapshot: SnapshotStore,
-    /// The granted intrinsic ids, sorted, published for lock-free checks.
-    intrinsics: ArcSwap<Vec<u32>>,
+    /// The granted intrinsic ids, sorted. Grants and revokes edit the
+    /// list in place under its own short lock, which every intrinsic
+    /// check takes too.
+    intrinsics: Mutex<Vec<u32>>,
     default_action: AtomicU8,
     violation_action: AtomicU8,
     stats: GuardStats,
@@ -207,7 +210,7 @@ impl PolicyModule {
             kind,
             writer: Mutex::new(()),
             snapshot: SnapshotStore::new(),
-            intrinsics: ArcSwap::from_pointee(Vec::new()),
+            intrinsics: Mutex::new(Vec::new()),
             default_action: AtomicU8::new(DefaultAction::Deny.to_u8()),
             violation_action: AtomicU8::new(ViolationAction::Panic.to_u8()),
             stats: GuardStats::new(),
@@ -376,7 +379,7 @@ impl PolicyModule {
         self.snapshot.load_full().regions().to_vec()
     }
 
-    /// The current published policy snapshot (lock-free).
+    /// The current published policy snapshot (one short lock).
     pub fn policy_snapshot(&self) -> Arc<PolicySnapshot> {
         self.snapshot.load_full()
     }
@@ -413,36 +416,32 @@ impl PolicyModule {
     /// table could be consulted to determine if a given kernel module has
     /// access to a privileged intrinsic".
     pub fn allow_intrinsic(&self, id: u32) {
-        let _writer = self.writer.lock();
-        let mut ids = self.granted_intrinsics();
+        let mut ids = self.intrinsics.lock();
         if let Err(at) = ids.binary_search(&id) {
             ids.insert(at, id);
-            self.intrinsics.store(Arc::new(ids));
         }
     }
 
     /// Revoke a privileged intrinsic; returns whether it was granted.
     pub fn revoke_intrinsic(&self, id: u32) -> bool {
-        let _writer = self.writer.lock();
-        let mut ids = self.granted_intrinsics();
+        let mut ids = self.intrinsics.lock();
         let Ok(at) = ids.binary_search(&id) else {
             return false;
         };
         ids.remove(at);
-        self.intrinsics.store(Arc::new(ids));
         true
     }
 
     /// The granted intrinsic ids, ascending.
     pub fn granted_intrinsics(&self) -> Vec<u32> {
-        self.intrinsics.load().to_vec()
+        self.intrinsics.lock().clone()
     }
 
     /// The pure intrinsic check: classify, update stats, log violations.
-    /// Lock-free: consults the published grants. Unlisted intrinsics are
-    /// denied.
+    /// Takes the grant list's short lock for one binary search. Unlisted
+    /// intrinsics are denied.
     pub fn check_intrinsic(&self, id: u32) -> Result<(), Violation> {
-        if self.intrinsics.load().binary_search(&id).is_ok() {
+        if self.intrinsics.lock().binary_search(&id).is_ok() {
             self.stats.record_permitted();
             Ok(())
         } else {
@@ -602,12 +601,12 @@ impl PolicyModule {
     /// The pure check: classify the access, update stats, log violations.
     /// Does **not** apply the violation action — see [`Self::enforce`].
     ///
-    /// Takes **no lock**: one generation load that validates this
-    /// thread's held snapshot (a pinned `load_full` only when a publish
-    /// or another policy's check replaced it), a frozen-table lookup, and
-    /// counter adds into the thread's own stripes (the denial paths
-    /// additionally take the cold log mutex). No locked instruction while
-    /// the generation stands still.
+    /// Takes **no lock** on a hit: one generation load that validates
+    /// this thread's held snapshot (one short lock for a `load_full` only
+    /// when a publish or another policy's check replaced it), a
+    /// frozen-table lookup, and counter adds into the thread's own
+    /// stripes (the denial paths additionally take the cold log mutex).
+    /// No locked instruction while the generation stands still.
     pub fn check(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
         self.check_classified(addr, size, flags).result
     }
@@ -1144,6 +1143,29 @@ mod tests {
         assert!(
             snap.upgrade().is_none(),
             "the held snapshot outlived its policy"
+        );
+    }
+
+    #[test]
+    fn a_superseded_snapshot_is_freed_when_its_last_reader_drops_it() {
+        let pm = PolicyModule::new();
+        pm.add_region(rw(0x1000, 0x1000)).unwrap();
+        // A reader's snapshot, taken before the publish; this thread has
+        // not checked `pm`, so its held snapshot is not this one.
+        let old = pm.policy_snapshot();
+        let freed = Arc::downgrade(&old);
+        pm.add_region(rw(0x8000, 0x1000)).unwrap();
+        // The reader still reads the rules it took, whole.
+        assert_eq!(old.len(), 1);
+        assert_eq!(
+            old.lookup(VAddr(0x8800), Size(8), AccessFlags::RW),
+            Lookup::NoMatch
+        );
+        assert!(pm.check(VAddr(0x8800), Size(8), AccessFlags::RW).is_ok());
+        drop(old);
+        assert!(
+            freed.upgrade().is_none(),
+            "the superseded snapshot outlived its last reader"
         );
     }
 

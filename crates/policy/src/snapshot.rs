@@ -1,16 +1,17 @@
-//! RCU-style published snapshots of the region store — the lock-free
-//! guard read path.
+//! RCU-style published snapshots of the region store — the guard read
+//! path, lock-free on a hit.
 //!
 //! The region table is textbook read-mostly state: writes happen at
 //! insmod/rmmod and grant/revoke rates, reads on *every* module load and
 //! store. [`SnapshotStore`] therefore keeps an immutable
-//! [`PolicySnapshot`] behind an `arc-swap` atomic pointer: readers look
-//! up in a snapshot with zero locks; writers, serialized by the policy
-//! module's writer lock, build the next rule list from the published one
-//! and publish it whole. The published snapshot is the only copy of the
-//! rule list. A reader mid-check keeps the snapshot it read alive — it
-//! can never observe a torn table — and reclamation of the old snapshot
-//! is deferred until the last reader drops it.
+//! [`PolicySnapshot`] in a cell behind a short lock that only a miss
+//! takes: readers look up in the snapshot their thread holds with zero
+//! locks; writers, serialized by the policy module's writer lock, build
+//! the next rule list from the published one and publish it whole. The
+//! published snapshot is the only copy of the rule list. A reader
+//! mid-check keeps the snapshot it read alive — it can never observe a
+//! torn table — and the superseded snapshot is freed when its last
+//! reader drops it.
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
 //! only invalidation signal for the guard front's per-site slots
@@ -26,30 +27,35 @@
 //! read loads the store's generation and answers from the held snapshot
 //! when both the store id and the generation match: one atomic load and
 //! no locked instruction, the same compare a front slot makes per admit.
-//! Otherwise it takes one pinned `load_full` of the current snapshot and
-//! keeps it. Every read on a thread shares its one entry, so a thread
-//! that alternates between two stores misses on every switch. A dropped
-//! store clears the dropping thread's entry if it came from that store.
+//! Otherwise it locks the cell for one `Arc` clone of the current
+//! snapshot and keeps it. Every read on a thread shares its one entry,
+//! so a thread that alternates between two stores misses on every
+//! switch. A dropped store clears the dropping thread's entry if it came
+//! from that store.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
-//! installs the new snapshot pointer *before* it stores the new
-//! generation, and both are `SeqCst`. A revoke therefore does not return
-//! until the shrunken table is the published one. Any reader that starts
-//! a check after revoke returns (i.e. observes any effect ordered after
-//! it) loads the new generation, so neither a slot nor a held snapshot
-//! tagged with an older one can match again, and its `load_full` then
-//! observes a snapshot at least as new as that generation. A held
-//! snapshot that matches the generation a reader loaded is the very
-//! snapshot the store published at that generation (a store publishes
-//! each generation once, and its id is never reused), so answering from
-//! it is answering from what the store held when the reader loaded the
-//! generation.
+//! builds the next snapshot, installs it under the cell's lock, and only
+//! then stores the new generation (`SeqCst`). A revoke therefore does
+//! not return until the shrunken table is the published one. Any reader
+//! that starts a check after revoke returns (i.e. observes any effect
+//! ordered after it) loads the new generation, so neither a slot nor a
+//! held snapshot tagged with an older one can match again; and since the
+//! install happens before that generation store, which the reader's load
+//! observed before it locked, the reader's lock comes after the writer's
+//! unlock and its clone is a snapshot at least as new as that
+//! generation. A held snapshot that matches the generation a reader
+//! loaded is the very snapshot the store published at that generation (a
+//! store publishes each generation once, and its id is never reused), so
+//! answering from it is answering from what the store held when the
+//! reader loaded the generation. The writer drops the superseded
+//! snapshot only after it unlocks, so freeing a large table never holds
+//! up a reader's miss.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
+use parking_lot::Mutex;
 
 use kop_core::{AccessFlags, Region, Size, VAddr};
 use kop_trace::Counter;
@@ -148,14 +154,17 @@ static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 /// publish only by comparing its generation tag.
 ///
 /// Writers must be externally serialized (the policy module publishes
-/// while holding its writer lock); readers are lock-free.
+/// while holding its writer lock); a reader takes the cell's lock only on
+/// a miss.
 pub struct SnapshotStore {
     /// Never reused: it tells this store's snapshots from those of any
     /// other store, live or dropped, at the same generation.
     id: u64,
-    current: ArcSwap<PolicySnapshot>,
-    /// Stored *after* the snapshot pointer on publish; the fast paths'
-    /// validity tag. Starts at 1 so 0 can mean "never filled".
+    /// Locked by a held snapshot's miss, [`Self::load_full`] and
+    /// [`Self::publish`], each for one `Arc` clone or swap.
+    current: Mutex<Arc<PolicySnapshot>>,
+    /// Stored *after* the snapshot is installed on publish; the fast
+    /// paths' validity tag. Starts at 1 so 0 can mean "never filled".
     generation: AtomicU64,
     publishes: Counter,
 }
@@ -166,7 +175,7 @@ impl SnapshotStore {
         let id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
         SnapshotStore {
             id,
-            current: ArcSwap::from_pointee(PolicySnapshot::build(id, Vec::new(), 1)),
+            current: Mutex::new(Arc::new(PolicySnapshot::build(id, Vec::new(), 1))),
             generation: AtomicU64::new(1),
             publishes: Counter::new("policy.snapshot_publishes"),
         }
@@ -182,8 +191,8 @@ impl SnapshotStore {
     /// Run `f` on the current snapshot through this thread's held one
     /// (see the module docs): one generation load, and a `load_full`
     /// that the thread keeps only when the held snapshot is another
-    /// store's or another generation's. Takes no locked instruction
-    /// while the generation stands still.
+    /// store's or another generation's. Takes no lock and no locked
+    /// instruction while the generation stands still.
     #[inline]
     pub fn read<R>(&self, f: impl FnOnce(&PolicySnapshot) -> R) -> R {
         let gen = self.generation();
@@ -191,32 +200,35 @@ impl SnapshotStore {
         // entry empty and only costs a miss.
         let snap = match HELD.with(Cell::take) {
             Some(s) if s.store == self.id && s.generation == gen => s,
-            _ => self.current.load_full(),
+            _ => self.load_full(),
         };
         let out = f(&snap);
         HELD.with(|held| held.set(Some(snap)));
         out
     }
 
-    /// Clone out the current snapshot: a pin for the refcount bump, the
-    /// cost of a held snapshot's miss.
+    /// Clone out the current snapshot: one short lock around the
+    /// refcount bump, the cost of a held snapshot's miss.
     pub fn load_full(&self) -> Arc<PolicySnapshot> {
-        self.current.load_full()
+        Arc::clone(&self.current.lock())
     }
 
     /// Rebuild and publish a new snapshot; returns the new generation.
-    /// A publish is three steps and takes no lock: the snapshot, then
-    /// the generation, then the publish count. Callers serialize
-    /// publishes (the policy module holds its writer lock across
-    /// mutate + publish, so generation order matches mutation order).
+    /// The snapshot is built before the cell is locked, installed under
+    /// the lock, then the generation and the publish count are stored;
+    /// the superseded snapshot is dropped after the unlock. Callers
+    /// serialize publishes (the policy module holds its writer lock
+    /// across mutate + publish, so generation order matches mutation
+    /// order).
     pub fn publish(&self, regions: Vec<Region>) -> u64 {
         let gen = self.generation.load(Ordering::SeqCst) + 1;
-        self.current
-            .store(Arc::new(PolicySnapshot::build(self.id, regions, gen)));
+        let next = Arc::new(PolicySnapshot::build(self.id, regions, gen));
+        let superseded = std::mem::replace(&mut *self.current.lock(), next);
         // Snapshot first, generation second: a reader that sees the new
-        // generation is guaranteed the new snapshot is already live.
+        // generation and then locks finds the new snapshot installed.
         self.generation.store(gen, Ordering::SeqCst);
         self.publishes.inc();
+        drop(superseded);
         gen
     }
 

@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
+use parking_lot::Mutex;
 
 pub use lower::{lower_module, LowerError};
 
@@ -343,11 +343,14 @@ impl PromotedTier {
     }
 }
 
-/// Where a module's promoted tier is published: the tier behind an
-/// [`ArcSwap`], and the id it was published under.
+/// Where a module's promoted tier is published: the tier behind a short
+/// lock, and the id it was published under.
 #[derive(Debug)]
 struct TierCell {
-    tier: ArcSwap<PromotedTier>,
+    /// Locked by a publish and by a reader that needs the tier itself:
+    /// [`CompiledModule::promoted_tier`], [`CompiledModule::promoted_generation`]
+    /// and an executor whose kept tier's id moved.
+    tier: Mutex<Arc<PromotedTier>>,
     /// Stored after every publish, from [`NEXT_TIER_ID`]: never reused,
     /// so an executor that keeps a tier across calls revalidates it with
     /// one load.
@@ -364,16 +367,18 @@ fn fresh_tier_id() -> u64 {
 impl TierCell {
     fn new() -> TierCell {
         TierCell {
-            tier: ArcSwap::from_pointee(PromotedTier::default()),
+            tier: Mutex::new(Arc::default()),
             id: AtomicU64::new(fresh_tier_id()),
         }
     }
 
-    /// Publish `tier`, then its fresh id: a reader that loads the id and
-    /// then the tier holds a tier at least as new as the id it keys.
+    /// Install `tier` under the lock, then store its fresh id: a reader
+    /// that loads the id and then locks holds a tier at least as new as
+    /// the id it keys. The superseded tier is dropped after the unlock.
     fn publish(&self, tier: PromotedTier) {
-        self.tier.store(Arc::new(tier));
+        let superseded = std::mem::replace(&mut *self.tier.lock(), Arc::new(tier));
         self.id.store(fresh_tier_id(), Ordering::SeqCst);
+        drop(superseded);
     }
 }
 
@@ -382,11 +387,11 @@ impl TierCell {
 ///
 /// A module has one program. The optional *promoted tier* beside it
 /// holds a grant per hot guard site ([`PromotedTier`]). It lives behind
-/// an [`ArcSwap`] so the promotion pass can publish (or drop) it without
-/// locking executors, next to a never-reused id
-/// ([`CompiledModule::tier_id`]) executors key a kept tier by; clones
-/// of the module share one tier. Policy publishes never touch it: its
-/// generation and namespace tags make a stale tier deopt.
+/// a short lock, next to a never-reused id ([`CompiledModule::tier_id`])
+/// that executors key a kept tier by, so an executor locks only when the
+/// promotion pass published (or dropped) a tier since its last call;
+/// clones of the module share one tier. Policy publishes never touch
+/// it: its generation and namespace tags make a stale tier deopt.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// The module's name (used for policy lookup and diagnostics).
@@ -481,7 +486,7 @@ impl CompiledModule {
     /// it reaches the executor's next call; a policy publish reaches no
     /// tier, whose generation tag makes its inline guards deopt.
     pub fn promoted_tier(&self) -> Arc<PromotedTier> {
-        self.promoted.tier.load_full()
+        Arc::clone(&self.promoted.tier.lock())
     }
 
     /// Id of the current promoted tier: stored after every publish and
@@ -494,7 +499,7 @@ impl CompiledModule {
 
     /// Snapshot generation of the current promoted tier (0 = none).
     pub fn promoted_generation(&self) -> u64 {
-        self.promoted.tier.load().gen
+        self.promoted.tier.lock().gen
     }
 
     /// Atomically drop the promoted tier: every subsequent
@@ -654,5 +659,23 @@ mod promote_tests {
         // Re-promotion after invalidation works (lazy re-promote path).
         assert_eq!(m.promote(1, 10, &[spec(9, 0x10, 0x20)]), 1);
         assert_eq!(alias.promoted_generation(), 10);
+    }
+
+    #[test]
+    fn a_superseded_tier_is_freed_once_no_executor_holds_it() {
+        let m = module();
+        m.promote(1, 5, &[spec(9, 0x10, 0x20)]);
+        let promoted = Arc::downgrade(&m.promoted_tier());
+        m.promote(1, 6, &[spec(9, 0x10, 0x20)]);
+        assert!(
+            promoted.upgrade().is_none(),
+            "a re-promote frees the tier it replaced"
+        );
+        let repromoted = Arc::downgrade(&m.promoted_tier());
+        m.invalidate_promotions();
+        assert!(
+            repromoted.upgrade().is_none(),
+            "an invalidation frees the tier it dropped"
+        );
     }
 }
