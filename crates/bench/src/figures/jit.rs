@@ -132,9 +132,10 @@ pub fn jit() -> FigureData {
     let vm_reduction = general_over / promoted_over.max(1.0);
 
     // Traced correctness pass: with the tracer on, the promoted tier
-    // stays promoted (every guard inline, zero deopts), and its batched
-    // per-site attribution equals a traced general-bytecode pass over
-    // the same packets, site for site.
+    // stays promoted (every guard inline, zero deopts), and its per-site
+    // attribution (inline tallies in the interpreter's profile shard)
+    // equals a traced general-bytecode pass over the same packets, site
+    // for site.
     let tp = if quick() { 512 } else { 2_048 };
     let traced_pass = |engine: Engine| {
         let mut rig = boot(&carat);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use kop_core::{AccessFlags, Size, VAddr, Violation};
 use kop_policy::{PolicyCheck, SiteMap};
-use kop_trace::{GuardDecision, Producer, SiteId, Tracer};
+use kop_trace::{GuardDecision, Producer, ProfileShard, SiteId, Tracer};
 
 use crate::device::{DmaMem, E1000Device, FrameSink};
 use crate::driver::{RX_BUFS_OFF, RX_RING_OFF, STATS_OFF, TX_BUFS_OFF, TX_RING_OFF};
@@ -272,8 +272,10 @@ impl MemSpace for DirectMem {
 /// guarded address into one of a fixed set of sites by arena region
 /// ([`driver_site_map`]) — the same granularity the paper's per-path
 /// breakdown uses (descriptor ring vs stats block vs doorbell ...).
+/// Checks tally into this space's own profile shard, so queues on one
+/// tracer never share a profile lock.
 struct GuardTrace {
-    tracer: Arc<Tracer>,
+    shard: ProfileShard,
     map: SiteMap,
     /// Sites indexed by `map`'s classification.
     sites: [SiteId; 7],
@@ -293,7 +295,11 @@ const DRIVER_SITE_LABELS: [&str; 7] = [
 impl GuardTrace {
     fn new(tracer: Arc<Tracer>, map: SiteMap) -> GuardTrace {
         let sites = DRIVER_SITE_LABELS.map(|l| tracer.register_site("e1000e", l));
-        GuardTrace { tracer, map, sites }
+        GuardTrace {
+            shard: ProfileShard::new(tracer),
+            map,
+            sites,
+        }
     }
 
     fn site_for(&self, addr: u64) -> SiteId {
@@ -357,14 +363,15 @@ impl<P: PolicyCheck> GuardedMem<P> {
     #[inline(always)]
     fn guard(&mut self, addr: u64, size: u64, flags: AccessFlags) -> Result<(), Violation> {
         self.inner.counts.guard_calls += 1;
-        if let Some(t) = self.trace.as_ref().filter(|t| t.tracer.enabled()) {
+        if let Some(t) = self.trace.as_mut().filter(|t| t.shard.tracer().enabled()) {
             // The site's profile keeps its address range
             // (`SiteProfile::envelope`). No native guard is promoted;
             // the guard front's slots fill from grants.
+            let site = t.site_for(addr);
             let policy = &self.policy;
-            return t.tracer.traced_check(
+            return t.shard.traced_check(
                 Producer::Driver,
-                t.site_for(addr),
+                site,
                 Some((addr, size)),
                 || policy.carat_guard(VAddr(addr), Size(size), flags),
                 |r| match r {
@@ -437,7 +444,7 @@ impl<P: PolicyCheck> MemSpace for GuardedMem<P> {
     }
 
     fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.trace.as_ref().map(|t| &t.tracer)
+        self.trace.as_ref().map(|t| t.shard.tracer())
     }
 }
 

@@ -30,7 +30,7 @@ use kop_ir::{BinOp, BlockId, CastOp, IcmpPred, Inst, Terminator, Type, Value};
 use kop_kernel::{Kernel, ModuleImage};
 use kop_policy::module::GuardOutcome;
 use kop_policy::PolicyModule;
-use kop_trace::{GuardDecision, InlineBatch, Producer, SiteId};
+use kop_trace::{GuardDecision, Producer, ProfileShard, SiteId};
 use kop_vm::{HostFn, PromotedTier};
 
 mod vm;
@@ -69,10 +69,10 @@ pub enum Engine {
     /// matches, or that cannot fast-admit, deopts into the exact general
     /// policy path. The generation and the namespace id are the tier's
     /// only invalidation. With tracing on, an inline admit is
-    /// counted against its site (hits and address envelope, batched per
-    /// call) but emits no ring events and is not timed; a deopt emits
-    /// the full GuardEnter/GuardExit pair and a timed profile entry,
-    /// like any general-path guard.
+    /// counted against its site (hits and address envelope, in the
+    /// interpreter's profile shard) but emits no ring events and is not
+    /// timed; a deopt emits the full GuardEnter/GuardExit pair and a
+    /// timed profile entry, like any general-path guard.
     #[default]
     Promoted,
 }
@@ -148,12 +148,17 @@ pub struct Interp<'k> {
     /// every post-call observer still sees `policy.checks ==
     /// stats.guards`. Non-zero only while `vm_policy` is pinned.
     vm_pending_fast_permits: u64,
-    /// Inline admits of frames that run a tier with tracing on, tallied
-    /// per guard site and not yet handed to the tracer. Drained with
-    /// `vm_pending_fast_permits` when the call returns, in one
-    /// `Tracer::record_inline` call, so per-site hits reconcile with
-    /// `stats.guards` for any post-call observer.
-    vm_inline_batch: InlineBatch,
+    /// This interpreter's shard of the kernel tracer's per-site profile.
+    /// Every traced guard of every engine tallies into it with no lock:
+    /// a timed general-path check through
+    /// [`ProfileShard::traced_check`], an inline admit of a traced frame
+    /// (one that runs a tier, entered with tracing on) through
+    /// [`ProfileShard::admit`]. Readers of the tracer merge it while the
+    /// interpreter lives, so per-site hits reconcile with `stats.guards`
+    /// at any point between calls, and nothing drains at call return.
+    /// Registered on the first traced guard; dropping the interpreter
+    /// folds it into the tracer's retired totals.
+    vm_profile: ProfileShard,
 }
 
 const DEFAULT_FUEL: u64 = 50_000_000;
@@ -243,6 +248,7 @@ impl<'k> Interp<'k> {
     /// stack once — via one [`Interp::new`] and [`Interp::stack_base`] —
     /// and thread it through here instead of kmallocing per round.
     pub fn with_stack(kernel: &'k mut Kernel, stack_base: VAddr) -> Interp<'k> {
+        let vm_profile = ProfileShard::new(Arc::clone(kernel.tracer()));
         Interp {
             kernel,
             fuel: DEFAULT_FUEL,
@@ -264,7 +270,7 @@ impl<'k> Interp<'k> {
             vm_tier: None,
             vm_tier_id: 0,
             vm_pending_fast_permits: 0,
-            vm_inline_batch: InlineBatch::default(),
+            vm_profile,
         }
     }
 
@@ -338,10 +344,10 @@ impl<'k> Interp<'k> {
             // promoted tier loaded at entry (see `vm_call`).
             Engine::Bytecode | Engine::Promoted => self.vm_call(&image, func, args),
         };
-        // The call is the unit of accounting: its fast admits and inline
-        // tallies drain here, on `Ok` and `Err` alike, against the policy
-        // it pinned. The policy stays resolved for the next call, which
-        // revalidates it on first use.
+        // The call is the unit of accounting: its fast admits drain here,
+        // on `Ok` and `Err` alike, against the policy it pinned. The
+        // policy stays resolved for the next call, which revalidates it
+        // on first use.
         self.vm_flush_fast_permits();
         self.vm_policy.fresh = false;
         result
@@ -673,12 +679,12 @@ impl<'k> Interp<'k> {
 
     /// Run one policy check against the policy governing `module` (§5:
     /// guards consult the policy of the module that executed them),
-    /// pinned for the call. When tracing is on and the guard has a site
-    /// identity, it runs as the tracer's one traced check
-    /// ([`Tracer::traced_check`](kop_trace::Tracer::traced_check)): a
-    /// memory guard's `[addr, addr + size)` span widens the site's
-    /// envelope, which promotion maps onto the region that grants it.
-    /// The caller acts on the outcome after.
+    /// pinned for the call. A guard with a site identity runs as its
+    /// host's one traced check ([`ProfileShard::traced_check`], which
+    /// only checks while tracing is off): a memory guard's
+    /// `[addr, addr + size)` span widens the site's envelope, which
+    /// promotion maps onto the region that grants it. The caller acts on
+    /// the outcome after.
     fn checked(
         &mut self,
         module: &str,
@@ -687,12 +693,11 @@ impl<'k> Interp<'k> {
         check: impl FnOnce(&PolicyModule) -> GuardOutcome,
     ) -> GuardOutcome {
         let policy = self.vm_policy.pin(self.kernel, module);
-        let tracer = self.kernel.tracer();
-        let Some(site) = site.filter(|_| tracer.enabled()) else {
+        let Some(site) = site else {
             return check(policy);
         };
         let span = span.map(|(addr, size)| (addr.raw(), size.raw()));
-        tracer.traced_check(
+        self.vm_profile.traced_check(
             Producer::Interp,
             site,
             span,

@@ -84,11 +84,10 @@ impl<'k> Interp<'k> {
         args: Vec<u64>,
     ) -> KernelResult<Option<u64>> {
         // A frame of a call that runs a tier, entered with tracing on,
-        // counts each inline admit per site (`vm_inline_batch`, drained
-        // with the fast permits when the call returns) so per-site hits
-        // still reconcile with the guard count; a deopt takes the full
-        // traced general path. Decided once per frame: the untraced
-        // frame's admit carries no tracer test at all.
+        // tallies each inline admit per site into the interpreter's
+        // profile shard, so per-site hits still reconcile with the guard
+        // count; a deopt takes the full traced general path. Decided
+        // once per frame, so an admit tests a local flag, not the tracer.
         let traced = tier.is_some() && self.kernel.tracer().enabled();
         let cf = compiled.func(idx);
         if cf.n_params != args.len() {
@@ -116,11 +115,7 @@ impl<'k> Interp<'k> {
         let mut regs = self.vm_frames.pop().unwrap_or_default();
         regs.clear();
         regs.resize(cf.n_regs, 0);
-        let result = if traced {
-            self.vm_run::<true>(ctx, compiled, tier, cf, &mut regs)
-        } else {
-            self.vm_run::<false>(ctx, compiled, tier, cf, &mut regs)
-        };
+        let result = self.vm_run(ctx, compiled, tier, traced, cf, &mut regs);
         self.vm_frames.push(regs);
         self.stack_cursor = saved_stack;
         let retired = std::mem::replace(&mut self.cur_args, saved_args);
@@ -141,24 +136,16 @@ impl<'k> Interp<'k> {
     }
 
     /// Drain the call's fast admits into its pinned policy's
-    /// `checks`/`permitted` counters with one counted add, and any
-    /// per-site inline tallies of its traced frames into the tracer with
-    /// one batched call (one profiler lock). [`Interp::call`] runs it
-    /// once, where the call returns, on `Ok` and `Err` alike; the policy
-    /// is pinned for the whole call, so the count lands on the policy it
-    /// was accumulated against. Every batched admit is also a pending
-    /// fast permit, so a call with no inline admit pays one test.
+    /// `checks`/`permitted` counters with one counted add.
+    /// [`Interp::call`] runs it once, where the call returns, on `Ok` and
+    /// `Err` alike; the policy is pinned for the whole call, so the count
+    /// lands on the policy it was accumulated against.
     #[inline]
     pub(crate) fn vm_flush_fast_permits(&mut self) {
         if self.vm_pending_fast_permits > 0 {
             let n = self.vm_pending_fast_permits;
             self.vm_pending_fast_permits = 0;
             self.vm_policy.pinned().record_fast_permits(n);
-            if !self.vm_inline_batch.is_empty() {
-                self.kernel
-                    .tracer()
-                    .record_inline(&mut self.vm_inline_batch);
-            }
         }
     }
 
@@ -174,10 +161,11 @@ impl<'k> Interp<'k> {
     /// a guard and as a policy check (batched: `vm_pending_fast_permits`,
     /// drained when the call returns), so every reconciliation invariant
     /// — `stats.guards == policy.checks` — survives promotion; in a
-    /// `TRACED` frame it is also tallied against its site for the tracer
-    /// (hits and envelope, no events, no timing). A degenerate request
-    /// (zero size, empty flags, wrapping range) never admits; the
-    /// general path owns the malformed-input verdicts.
+    /// `traced` frame it is also tallied against its site in the
+    /// interpreter's profile shard (hits and envelope, no events, no
+    /// timing). A degenerate request (zero size, empty flags, wrapping
+    /// range) never admits; the general path owns the malformed-input
+    /// verdicts.
     ///
     /// The admit is written here rather than in a helper of its own: out
     /// of line, the release build stopped inlining it into the dispatch
@@ -185,11 +173,12 @@ impl<'k> Interp<'k> {
     /// recursive frames past the test thread's stack.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn vm_guard<const TRACED: bool>(
+    fn vm_guard(
         &mut self,
         ctx: &ModuleCtx,
         regs: &[u64],
         tier: Option<&PromotedTier>,
+        traced: bool,
         site: Option<SiteId>,
         addr: Src,
         size: Src,
@@ -204,8 +193,8 @@ impl<'k> Interp<'k> {
                 self.stats.guards += 1;
                 self.vm_pending_fast_permits += 1;
                 self.vm_inline_admits += 1;
-                if TRACED {
-                    self.vm_inline_batch.admit(s, addr.raw(), size.raw());
+                if traced {
+                    self.vm_profile.admit(s, addr.raw(), size.raw());
                 }
                 return Ok(());
             }
@@ -289,13 +278,15 @@ impl<'k> Interp<'k> {
     /// The dispatch loop. `pc` indexes `cf.code`; every op charges one
     /// fuel unit up front (fused guard-access ops charge a second for
     /// the access, preserving the tree's per-IR-instruction fuel
-    /// checkpoints). `TRACED` is set for a frame of a call that runs a
-    /// tier, entered with tracing on (see [`Self::vm_guard`]).
-    fn vm_run<const TRACED: bool>(
+    /// checkpoints). `traced` is set for a frame of a call that runs a
+    /// tier, entered with tracing on (see [`Self::vm_guard`]); traced and
+    /// untraced frames run this one loop.
+    fn vm_run(
         &mut self,
         ctx: &ModuleCtx,
         compiled: &CompiledModule,
         tier: Option<&PromotedTier>,
+        traced: bool,
         cf: &CompiledFunc,
         regs: &mut [u64],
     ) -> KernelResult<Option<u64>> {
@@ -337,7 +328,7 @@ impl<'k> Interp<'k> {
                     ptr,
                     dst,
                 } => {
-                    self.vm_guard::<TRACED>(ctx, regs, tier, *site, *gaddr, *gsize, *gflags)?;
+                    self.vm_guard(ctx, regs, tier, traced, *site, *gaddr, *gsize, *gflags)?;
                     self.burn(1)?;
                     self.vm_load(regs, *size, *mask, *ptr, *dst)?;
                 }
@@ -351,7 +342,7 @@ impl<'k> Interp<'k> {
                     val,
                     ptr,
                 } => {
-                    self.vm_guard::<TRACED>(ctx, regs, tier, *site, *gaddr, *gsize, *gflags)?;
+                    self.vm_guard(ctx, regs, tier, traced, *site, *gaddr, *gsize, *gflags)?;
                     self.burn(1)?;
                     self.vm_store(regs, *size, *mask, *val, *ptr)?;
                 }
@@ -484,7 +475,7 @@ impl<'k> Interp<'k> {
                     addr,
                     size,
                     flags,
-                } => self.vm_guard::<TRACED>(ctx, regs, tier, *site, *addr, *size, *flags)?,
+                } => self.vm_guard(ctx, regs, tier, traced, *site, *addr, *size, *flags)?,
                 Op::IntrinsicGuard { site, id } => {
                     let id = self.vm_src(regs, *id) as u32;
                     self.run_intrinsic_guard(&ctx.ir.name, id, *site)?;

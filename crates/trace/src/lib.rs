@@ -34,13 +34,14 @@
 //!
 //! ## Enabled-path cost
 //!
-//! A general-path guard check costs two ring events, two clock reads and
-//! a profiler update. A guard answered by its promoted tier's grant
-//! costs neither: the executor counts it per site in an [`InlineBatch`] and
-//! hands the batch over once per interpreter call
-//! ([`Tracer::record_inline`]), so per-site hits and envelopes stay
-//! exact while the ring and the latency histogram see only the timed
-//! checks.
+//! Every guard host owns a [`ProfileShard`] and tallies its checks into
+//! it with relaxed loads and stores, taking no lock; readers merge the
+//! live shards with the retired ones ([`profile`]). A general-path guard
+//! check ([`ProfileShard::traced_check`]) costs two ring events, two
+//! clock reads and its tally. A guard answered by its promoted tier's
+//! grant costs only the tally ([`ProfileShard::admit`]), so per-site
+//! hits and envelopes stay exact while the ring and the latency
+//! histogram see only the timed checks.
 
 #![warn(missing_docs)]
 
@@ -59,7 +60,7 @@ use parking_lot::Mutex;
 
 pub use counter::{Counter, CounterRegistry};
 pub use event::{GuardDecision, Producer, TraceEvent, TraceRecord};
-pub use profile::{latency_bucket, InlineBatch, SiteProfile, LATENCY_BUCKETS};
+pub use profile::{latency_bucket, ProfileShard, SiteProfile, LATENCY_BUCKETS};
 pub use sites::{
     assign_guard_sites, canonical_site_text, GuardSite, SiteId, SiteKind, SiteMeta, SiteTable,
     GUARD_SYMBOL, INTRINSIC_GUARD_SYMBOL,
@@ -105,7 +106,9 @@ pub struct Tracer {
     enabled: AtomicBool,
     ring: Mutex<ring::Ring>,
     sites: Mutex<SiteRegistry>,
-    profiler: Mutex<profile::Profiler>,
+    /// The profile lock: retired shard totals and the live shards. A
+    /// shard grows and retires under it, and every reader takes it.
+    profiles: Mutex<profile::Profiler>,
     counters: CounterRegistry,
 }
 
@@ -121,7 +124,7 @@ impl Tracer {
             enabled: AtomicBool::new(false),
             ring: Mutex::new(ring::Ring::new(capacity)),
             sites: Mutex::new(SiteRegistry { metas: Vec::new() }),
-            profiler: Mutex::new(profile::Profiler::default()),
+            profiles: Mutex::new(profile::Profiler::default()),
             counters: CounterRegistry::new(),
         })
     }
@@ -145,63 +148,6 @@ impl Tracer {
             return;
         }
         self.ring.lock().push(producer, event);
-    }
-
-    /// Aggregate one guard check into the per-site profile, folding the
-    /// guarded `[addr, addr + size)` span, when there is one, into the
-    /// site's observed address envelope. For an interpreted module's
-    /// site the envelope is what `Kernel::promote_hot` maps onto the
-    /// region that grants it; a native driver site's envelope is only
-    /// kept in its profile. No-op while disabled. Independent of the
-    /// ring: wraparound never loses a check.
-    #[inline]
-    pub fn record_check(&self, site: SiteId, ns: u64, denied: bool, span: Option<(u64, u64)>) {
-        if !self.enabled() {
-            return;
-        }
-        self.profiler.lock().record(site, ns, denied, span);
-    }
-
-    /// One traced guard check, as every guard host runs it while tracing
-    /// is on: bracket `check` with GuardEnter/GuardExit events from
-    /// `producer`, time it on the host clock, and fold its latency, the
-    /// verdict `decide` reads from its outcome and, for a memory guard,
-    /// its `(addr, size)` span into `site`'s profile
-    /// ([`Tracer::record_check`]). Returns the outcome for the host to
-    /// act on.
-    #[inline]
-    pub fn traced_check<R>(
-        &self,
-        producer: Producer,
-        site: SiteId,
-        span: Option<(u64, u64)>,
-        check: impl FnOnce() -> R,
-        decide: impl FnOnce(&R) -> GuardDecision,
-    ) -> R {
-        self.record(producer, TraceEvent::GuardEnter { site });
-        let t0 = std::time::Instant::now();
-        let outcome = check();
-        let ns = (t0.elapsed().as_nanos() as u64).max(1);
-        let decision = decide(&outcome);
-        self.record(producer, TraceEvent::GuardExit { site, decision, ns });
-        self.record_check(site, ns, decision.is_denied(), span);
-        outcome
-    }
-
-    /// Fold a batch of inline admits (guards a promoted tier's grants
-    /// answered) into the per-site profiles under one profiler
-    /// lock. Each admit counts as a hit and widens its site's envelope,
-    /// but carries no latency and emits no ring event. No-op while
-    /// disabled; the batch is emptied either way.
-    pub fn record_inline(&self, batch: &mut InlineBatch) {
-        if batch.is_empty() {
-            return;
-        }
-        if self.enabled() {
-            self.profiler.lock().record_inline(batch);
-        } else {
-            batch.clear();
-        }
     }
 
     /// Consistent snapshot of the ring, sequences, and drop counters.
@@ -299,31 +245,29 @@ impl Tracer {
     // --- profiles ------------------------------------------------------
 
     /// All sites with at least one hit, joined with their metadata.
+    /// Merges the retired totals with every live [`ProfileShard`].
     pub fn profile_snapshot(&self) -> Vec<(SiteMeta, SiteProfile)> {
-        let profiles = self.profiler.lock().snapshot();
+        let profiles = self.profiles.lock().merged();
         let reg = self.sites.lock();
         profiles
             .into_iter()
-            .map(|(id, prof)| {
-                let meta = reg
-                    .metas
-                    .get(id.0 as usize)
-                    .cloned()
-                    .unwrap_or_else(|| SiteMeta {
-                        id,
-                        module: "?".to_string(),
-                        label: format!("{id}"),
-                        kind: SiteKind::Synthetic,
-                    });
-                (meta, prof)
-            })
+            .zip(&reg.metas)
+            .filter(|(prof, _)| prof.hits > 0)
+            .map(|(prof, meta)| (meta.clone(), prof))
             .collect()
     }
 
-    /// Total guard checks aggregated across every site — the number that
-    /// must reconcile with the interpreter's/policy's own check count.
+    /// Total guard checks aggregated across every site, retired and live
+    /// shards alike — the number that must reconcile with the
+    /// interpreter's/policy's own check count.
     pub fn total_checks(&self) -> u64 {
-        self.profiler.lock().total_hits()
+        self.profiles.lock().total_hits()
+    }
+
+    /// Profile shards registered and not yet retired: one per guard host
+    /// that has tallied a check and is still alive.
+    pub fn live_profile_shards(&self) -> usize {
+        self.profiles.lock().live_shards()
     }
 
     /// The hotness query the promotion tier runs: every profiled site
@@ -341,9 +285,12 @@ impl Tracer {
         hot
     }
 
-    /// Reset all per-site profiles (site registrations are kept).
+    /// Reset all per-site profiles, live shards included (site
+    /// registrations are kept). A live shard's owner writes with a load
+    /// and a store, so a concurrent tally can undo the reset: reset only
+    /// quiesced tracers, like [`Counter::set`].
     pub fn reset_profiles(&self) {
-        self.profiler.lock().reset();
+        self.profiles.lock().reset();
     }
 
     // --- counters ------------------------------------------------------
@@ -360,7 +307,7 @@ impl Default for Tracer {
             enabled: AtomicBool::new(false),
             ring: Mutex::new(ring::Ring::new(DEFAULT_CAPACITY)),
             sites: Mutex::new(SiteRegistry { metas: Vec::new() }),
-            profiler: Mutex::new(profile::Profiler::default()),
+            profiles: Mutex::new(profile::Profiler::default()),
             counters: CounterRegistry::new(),
         }
     }
@@ -373,6 +320,7 @@ impl std::fmt::Debug for Tracer {
             .field("capacity", &self.capacity())
             .field("sites", &self.site_count())
             .field("total_checks", &self.total_checks())
+            .field("live_profile_shards", &self.live_profile_shards())
             .finish()
     }
 }
@@ -468,11 +416,21 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::with_capacity(8);
+        let site = t.register_site("m", "s");
+        let mut shard = ProfileShard::new(Arc::clone(&t));
         t.record(Producer::Driver, ev());
-        t.record_check(SiteId(0), 10, false, None);
+        let checked = shard.traced_check(
+            Producer::Driver,
+            site,
+            None,
+            || 7,
+            |_| GuardDecision::Allowed,
+        );
+        assert_eq!(checked, 7, "the check still runs");
         assert!(t.snapshot().records.is_empty());
         assert_eq!(t.total_checks(), 0);
         assert_eq!(t.seq(Producer::Driver), 0);
+        assert_eq!(t.live_profile_shards(), 0, "no shard registered");
     }
 
     #[test]
@@ -543,8 +501,9 @@ mod tests {
         assert_eq!(t.site_label(b).unwrap(), "tdt_doorbell");
         assert_eq!(t.site_count(), 2);
         t.set_enabled(true);
-        t.record_check(a, 100, false, None);
-        t.record_check(a, 200, true, None);
+        let mut shard = ProfileShard::new(Arc::clone(&t));
+        shard.record(a, 100, false, None);
+        shard.record(a, 200, true, None);
         let profiles = t.profile_snapshot();
         let (_, prof) = profiles.iter().find(|(m, _)| m.id == a).unwrap();
         assert_eq!((prof.hits, prof.denied), (2, 1));
@@ -554,20 +513,40 @@ mod tests {
     }
 
     #[test]
+    fn top_reads_its_total_and_rows_from_one_snapshot() {
+        let t = Tracer::new();
+        let none = report::top_sites(&t, 10);
+        assert!(none.contains("(0 checks total)"), "{none}");
+        assert!(none.contains("(no guard checks profiled)"), "{none}");
+        let site = t.register_site("m", "only");
+        t.set_enabled(true);
+        ProfileShard::new(Arc::clone(&t)).record(site, 40, false, None);
+        let top = report::top_sites(&t, 0);
+        assert!(top.contains("(1 checks total)"), "{top}");
+        assert!(
+            !top.contains("no guard checks profiled"),
+            "a profiled check truncated away is still a check:\n{top}"
+        );
+        let all = report::top_sites(&t, 10);
+        assert!(all.contains("only") && all.contains("100.0%"), "{all}");
+    }
+
+    #[test]
     fn hot_sites_ranks_by_hits_and_excludes_denied_and_cold() {
         let t = Tracer::new();
         let hot = t.register_site("m", "hot");
         let cold = t.register_site("m", "cold");
         let bad = t.register_site("m", "violator");
         t.set_enabled(true);
+        let mut shard = ProfileShard::new(Arc::clone(&t));
         for i in 0..100u64 {
-            t.record_check(hot, 10, false, Some((0x1000 + i * 8, 8)));
+            shard.record(hot, 10, false, Some((0x1000 + i * 8, 8)));
         }
-        t.record_check(cold, 10, false, None);
+        shard.record(cold, 10, false, None);
         for _ in 0..200 {
-            t.record_check(bad, 10, false, None);
+            shard.record(bad, 10, false, None);
         }
-        t.record_check(bad, 10, true, None); // one denial disqualifies
+        shard.record(bad, 10, true, None); // one denial disqualifies
         let hits = t.hot_sites(50);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.id, hot);

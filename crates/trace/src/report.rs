@@ -10,8 +10,11 @@ use crate::Tracer;
 /// mirroring `perf report` / ftrace's `trace_stat` output. `INLINE` is
 /// the share of `HITS` a promoted tier's grant answered untimed; `MEAN_NS`
 /// averages the rest.
+/// The header's total and the rows come from one merged snapshot.
 pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     let mut rows: Vec<(SiteMeta, SiteProfile)> = tracer.profile_snapshot();
+    let total: u64 = rows.iter().map(|(_, p)| p.hits).sum();
+    let profiled = !rows.is_empty();
     rows.sort_by(|a, b| {
         b.1.hits
             .cmp(&a.1.hits)
@@ -21,7 +24,6 @@ pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     rows.truncate(n);
 
     let mut s = String::new();
-    let total: u64 = tracer.total_checks();
     let _ = writeln!(s, "# top guard sites ({} checks total)", total);
     let _ = writeln!(
         s,
@@ -47,7 +49,7 @@ pub fn top_sites(tracer: &Tracer, n: usize) -> String {
             prof.mean_ns()
         );
     }
-    if rows.is_empty() {
+    if !profiled {
         let _ = writeln!(s, "(no guard checks profiled)");
     }
     s

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use kop_trace::{control, Tracer};
+use kop_trace::{control, GuardDecision, Producer, ProfileShard, Tracer};
 
 /// The documented grammar, spelled independently of the handler.
 fn well_formed(req: &str) -> bool {
@@ -33,7 +33,13 @@ fn tracer() -> std::sync::Arc<Tracer> {
     let t = Tracer::with_capacity(16);
     let site = t.register_site("m", "f/g0");
     t.set_enabled(true);
-    t.record_check(site, 40, false, None);
+    ProfileShard::new(std::sync::Arc::clone(&t)).traced_check(
+        Producer::Driver,
+        site,
+        None,
+        || (),
+        |_| GuardDecision::Allowed,
+    );
     t.counters().counter("e1000e.rx_packets").add(3);
     t
 }

@@ -395,3 +395,173 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
     }
     envelopes_inside_baked_bounds(&tracer);
 }
+
+/// Compile `DRIVERISH_SRC` under another module name.
+fn driverish(module: &str) -> carat_kop::compiler::SignedModule {
+    let src = DRIVERISH_SRC.replace("module \"drv\"", &format!("module \"{module}\""));
+    compile_module(
+        parse_module(&src).unwrap(),
+        &CompileOptions::carat_kop(),
+        &key(),
+    )
+    .expect("compiles")
+    .signed
+}
+
+/// A kernel allowing everything, with `drv` loaded, tracing on, and a
+/// 16-word buffer for `touch`.
+fn traced_allow_kernel() -> (Kernel, u64) {
+    let policy = Arc::new(PolicyModule::new());
+    policy.set_default_action(carat_kop::policy::DefaultAction::Allow);
+    let mut kernel = Kernel::boot(policy, vec![key()], KernelConfig::default());
+    kernel.tracer().set_enabled(true);
+    kernel.insmod(&driverish("drv")).expect("insmod");
+    let buf = kernel.kmalloc(16 * 8).unwrap().raw();
+    (kernel, buf)
+}
+
+/// The interpreter's profile shard across its life: it covers the sites
+/// registered at its first traced guard, grows (and stays one shard)
+/// when a module loaded later runs, is zeroed by `reset_profiles` while
+/// it lives, and keeps its totals in the tracer once the interpreter is
+/// dropped.
+#[test]
+fn interpreter_shard_grows_resets_and_retires_with_exact_totals() {
+    let (mut kernel, buf) = traced_allow_kernel();
+    let tracer = Arc::clone(kernel.tracer());
+    let mut interp = Interp::new(&mut kernel).unwrap();
+    assert_eq!(tracer.live_profile_shards(), 0, "nothing traced yet");
+    interp.call("drv", "touch", &[buf, 16]).unwrap();
+    assert_eq!(tracer.live_profile_shards(), 1);
+    let first_sites = tracer.site_count();
+
+    // A module inserted after the first traced call: its site ids lie
+    // past the end of the interpreter's shard.
+    interp.kernel().insmod(&driverish("late")).expect("insmod");
+    assert!(tracer.site_count() > first_sites);
+    interp.call("late", "touch", &[buf, 16]).unwrap();
+    interp.call("drv", "touch", &[buf, 16]).unwrap();
+    let guards = interp.stats().guards;
+    assert_eq!(
+        tracer.live_profile_shards(),
+        1,
+        "the grown shard replaced it"
+    );
+    assert_eq!(tracer.total_checks(), guards);
+    assert_eq!(profile_sums(&tracer), (guards, 0, guards));
+    let late: u64 = tracer
+        .profile_snapshot()
+        .iter()
+        .filter(|(m, _)| m.module == "late")
+        .map(|(_, p)| p.hits)
+        .sum();
+    assert_eq!(late, guards / 3, "one of three equal calls ran `late`");
+
+    // A reset zeroes the live shard; later checks count from zero.
+    tracer.reset_profiles();
+    assert_eq!(tracer.total_checks(), 0);
+    interp.call("drv", "touch", &[buf, 16]).unwrap();
+    let since_reset = interp.stats().guards - guards;
+    assert_eq!(tracer.total_checks(), since_reset);
+
+    // Dropping the interpreter retires its shard and keeps the totals.
+    let before = tracer.profile_snapshot();
+    drop(interp);
+    assert_eq!(tracer.live_profile_shards(), 0);
+    assert_eq!(tracer.profile_snapshot(), before);
+    assert_eq!(tracer.total_checks(), since_reset);
+}
+
+/// Another thread holding a clone of the tracer reads exact totals
+/// between calls while the interpreter lives: the reader merges the
+/// live shard, so nothing has to drain at call return.
+#[test]
+fn a_reader_on_another_thread_reconciles_between_calls() {
+    let (mut kernel, buf) = traced_allow_kernel();
+    let tracer = Arc::clone(kernel.tracer());
+    let (to_reader, calls) = std::sync::mpsc::channel::<u64>();
+    let (to_caller, acks) = std::sync::mpsc::channel::<(u64, u64, u64)>();
+    let reader = std::thread::spawn(move || {
+        for guards in calls {
+            let (hits, _, timed) = profile_sums(&tracer);
+            assert_eq!(hits, guards, "Σhits == guards between calls");
+            to_caller
+                .send((tracer.total_checks(), hits, timed))
+                .unwrap();
+        }
+    });
+    let mut interp = Interp::new(&mut kernel).unwrap();
+    for _ in 0..4 {
+        interp.call("drv", "touch", &[buf, 16]).unwrap();
+        let guards = interp.stats().guards;
+        to_reader.send(guards).unwrap();
+        assert_eq!(acks.recv().unwrap(), (guards, guards, guards));
+    }
+    drop(to_reader);
+    reader.join().expect("reader");
+}
+
+/// An interpreter that never runs a traced guard registers no shard.
+#[test]
+fn an_untraced_interpreter_registers_no_shard() {
+    let (mut kernel, buf) = traced_allow_kernel();
+    kernel.tracer().set_enabled(false);
+    let tracer = Arc::clone(kernel.tracer());
+    let mut interp = Interp::new(&mut kernel).unwrap();
+    interp.call("drv", "touch", &[buf, 16]).unwrap();
+    assert!(interp.stats().guards > 0);
+    assert_eq!(tracer.live_profile_shards(), 0);
+    assert_eq!(tracer.total_checks(), 0);
+}
+
+/// Multi-queue tracing, asserted structurally on every host: three TX
+/// queues, each a traced `GuardedMem` on one shared tracer, tally into
+/// their own shards with no shared profile lock, and the merged profile
+/// reconciles exactly with every queue's guard calls. A reader polling
+/// the tracer meanwhile never sees the total fall or pass the final
+/// count.
+#[test]
+fn multi_queue_traced_tx_reconciles_exactly() {
+    use carat_kop::e1000e::{run_mq_tx_with, DirectMem, E1000Device, GuardedMem};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let tracer = Tracer::new();
+    tracer.set_enabled(true);
+    let policy = Arc::new(PolicyModule::two_region_paper_policy());
+    let done = AtomicBool::new(false);
+    let (report, peak) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut last = 0;
+            while !done.load(Ordering::Acquire) {
+                let n = tracer.total_checks();
+                assert!(n >= last, "total_checks fell from {last} to {n}");
+                last = n;
+                std::thread::yield_now();
+            }
+            last
+        });
+        let report = run_mq_tx_with(3, 200, 64, |_q| {
+            GuardedMem::with_tracer(
+                DirectMem::with_defaults(E1000Device::default()),
+                Arc::clone(&policy),
+                Arc::clone(&tracer),
+            )
+        })
+        .expect("mq tx");
+        done.store(true, Ordering::Release);
+        (report, reader.join().expect("reader"))
+    });
+    let guards = report.guard_calls();
+    assert_eq!(report.delivered(), 3 * 200);
+    assert!(guards > 0);
+    assert_eq!(tracer.live_profile_shards(), 0, "every queue retired");
+    let (hits, inline, timed) = profile_sums(&tracer);
+    assert_eq!(hits, guards, "Σhits == guard calls");
+    assert_eq!(
+        timed, hits,
+        "Σhist == Σhits: the native path has no inline admits"
+    );
+    assert_eq!(inline, 0);
+    assert_eq!(tracer.total_checks(), guards);
+    assert!(peak <= guards, "a reader saw {peak} > final {guards}");
+}
