@@ -15,7 +15,8 @@ use super::{FigureData, Series};
 /// * `untraced`  — `GuardedMem::new`, no tracer attached at all;
 /// * `tracing_off` — a tracer is wired in but disabled (the shipping
 ///   configuration: one relaxed atomic load per guard);
-/// * `tracing_on` — full ring events + per-site profiling.
+/// * `tracing_on` — per-site profiling of every guard, with ring events
+///   and latency for the one in [`kop_trace::SAMPLE_EVERY`] it times.
 ///
 /// Plus the per-site breakdown the enabled run collects (which arena
 /// region the TX path's guards actually hit), reconciled against the
@@ -80,21 +81,41 @@ pub fn trace() -> FigureData {
         "per-site profile totals must reconcile with the driver's guard counter"
     );
 
-    // Per-site breakdown from the kept enabled run.
+    // Per-site breakdown from the kept enabled run, which holds the
+    // sampling rule exactly: with no denial, a site's timed checks are
+    // its 1st, 17th, 33rd… hits.
     let mut site_points = Vec::new();
     let mut site_notes = Vec::new();
+    let mut timed_checks = 0;
     for (i, (meta, prof)) in on_tracer.profile_snapshot().into_iter().enumerate() {
+        assert_eq!(prof.denied, 0, "{}: the pass denies nothing", meta.label);
+        assert_eq!(
+            prof.timed(),
+            prof.hits.div_ceil(kop_trace::SAMPLE_EVERY),
+            "{}: one check in SAMPLE_EVERY is timed",
+            meta.label
+        );
+        timed_checks += prof.timed();
         site_points.push((i as f64, prof.hits as f64));
         site_notes.push(format!(
-            "site {} = {}/{}: hits {} ({:.1}%), mean {:.0} ns",
+            "site {} = {}/{}: hits {} ({:.1}%), mean {:.0} ns, timed {} of {}",
             i,
             meta.module,
             meta.label,
             prof.hits,
             100.0 * prof.hits as f64 / total_checks.max(1) as f64,
-            prof.mean_ns()
+            prof.mean_ns(),
+            prof.timed(),
+            prof.hits
         ));
     }
+    // The driver's events: a GuardEnter/GuardExit pair per timed check
+    // and one Xmit per frame.
+    assert_eq!(
+        on_tracer.seq(kop_trace::Producer::Driver),
+        2 * timed_checks + frames,
+        "the ring holds one event pair per timed check"
+    );
 
     let off_overhead = off_ns / untraced_ns - 1.0;
     let on_overhead = on_ns / untraced_ns - 1.0;
@@ -105,7 +126,7 @@ pub fn trace() -> FigureData {
     );
     let mut notes = vec![
         "tracing_off is the shipping configuration: the only added work per guard is one relaxed atomic load".into(),
-        "expected: tracing_off within noise of untraced (<2%); tracing_on pays for ring events + histograms".into(),
+        "expected: tracing_off within noise of untraced (<2%); tracing_on pays a per-site tally per guard, and ring events + clock reads for the timed ones".into(),
     ];
     notes.extend(site_notes);
 

@@ -583,7 +583,8 @@ mod tests {
         assert!(labels.contains(&"tx_desc_ring".to_string()), "{labels:?}");
         assert!(labels.contains(&"stats_block".to_string()));
         assert!(labels.contains(&"mmio_doorbell".to_string()));
-        // GuardEnter + GuardExit per check, all from the Driver producer.
+        // Each check is its site's first, so each is timed: GuardEnter +
+        // GuardExit per check, all from the Driver producer.
         let snap = tracer.snapshot();
         assert_eq!(snap.records.len(), 6);
         assert!(snap.records.iter().all(|r| r.producer == Producer::Driver));

@@ -71,8 +71,11 @@ pub enum Engine {
     /// only invalidation. With tracing on, an inline admit is
     /// counted against its site (hits and address envelope, in the
     /// interpreter's profile shard) but emits no ring events and is not
-    /// timed; a deopt emits the full GuardEnter/GuardExit pair and a
-    /// timed profile entry, like any general-path guard.
+    /// timed; a deopt takes the general path's traced check like any
+    /// general-path guard: it is counted, and timed with a
+    /// GuardEnter/GuardExit pair when it is the first of every
+    /// [`kop_trace::SAMPLE_EVERY`] general-path checks of its site, or
+    /// follows a denial there.
     #[default]
     Promoted,
 }
@@ -150,8 +153,9 @@ pub struct Interp<'k> {
     vm_pending_fast_permits: u64,
     /// This interpreter's shard of the kernel tracer's per-site profile.
     /// Every traced guard of every engine tallies into it with no lock:
-    /// a timed general-path check through
-    /// [`ProfileShard::traced_check`], an inline admit of a traced frame
+    /// a general-path check through [`ProfileShard::traced_check`]
+    /// (which times one in [`kop_trace::SAMPLE_EVERY`] per site), an
+    /// inline admit of a traced frame
     /// (one that runs a tier, entered with tracing on) through
     /// [`ProfileShard::admit`]. Readers of the tracer merge it while the
     /// interpreter lives, so per-site hits reconcile with `stats.guards`

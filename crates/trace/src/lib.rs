@@ -36,12 +36,16 @@
 //!
 //! Every guard host owns a [`ProfileShard`] and tallies its checks into
 //! it with relaxed loads and stores, taking no lock; readers merge the
-//! live shards with the retired ones ([`profile`]). A general-path guard
-//! check ([`ProfileShard::traced_check`]) costs two ring events, two
-//! clock reads and its tally. A guard answered by its promoted tier's
-//! grant costs only the tally ([`ProfileShard::admit`]), so per-site
-//! hits and envelopes stay exact while the ring and the latency
-//! histogram see only the timed checks.
+//! live shards with the retired ones ([`profile`]). Every check costs
+//! its tally, so per-site hits, denials and envelopes stay exact. A
+//! general-path guard check ([`ProfileShard::traced_check`]) is timed
+//! one in [`SAMPLE_EVERY`] per site and shard, and every time after the
+//! site's first denial there; a timed check adds two ring events (two
+//! pushes under the ring's lock) and two clock reads. A guard answered
+//! by its promoted tier's grant ([`ProfileShard::admit`]) is never
+//! timed. So the ring and the latency histogram see only the timed
+//! checks, and a site's general-path guards pay for events and clock
+//! reads once per [`SAMPLE_EVERY`] checks instead of on each.
 
 #![warn(missing_docs)]
 
@@ -60,7 +64,7 @@ use parking_lot::Mutex;
 
 pub use counter::{Counter, CounterRegistry};
 pub use event::{GuardDecision, Producer, TraceEvent, TraceRecord};
-pub use profile::{latency_bucket, ProfileShard, SiteProfile, LATENCY_BUCKETS};
+pub use profile::{latency_bucket, ProfileShard, SiteProfile, LATENCY_BUCKETS, SAMPLE_EVERY};
 pub use sites::{
     assign_guard_sites, canonical_site_text, GuardSite, SiteId, SiteKind, SiteMeta, SiteTable,
     GUARD_SYMBOL, INTRINSIC_GUARD_SYMBOL,
@@ -419,18 +423,33 @@ mod tests {
         let site = t.register_site("m", "s");
         let mut shard = ProfileShard::new(Arc::clone(&t));
         t.record(Producer::Driver, ev());
-        let checked = shard.traced_check(
-            Producer::Driver,
-            site,
-            None,
-            || 7,
-            |_| GuardDecision::Allowed,
-        );
-        assert_eq!(checked, 7, "the check still runs");
+        for _ in 0..20 {
+            let checked = shard.traced_check(
+                Producer::Driver,
+                site,
+                None,
+                || 7,
+                |_| GuardDecision::Denied,
+            );
+            assert_eq!(checked, 7, "the check still runs");
+        }
         assert!(t.snapshot().records.is_empty());
         assert_eq!(t.total_checks(), 0);
         assert_eq!(t.seq(Producer::Driver), 0);
         assert_eq!(t.live_profile_shards(), 0, "no shard registered");
+        // They left no sampling phase and no denial behind: once tracing
+        // is on, the site's first check is timed and its second is not.
+        t.set_enabled(true);
+        for _ in 0..2 {
+            shard.traced_check(
+                Producer::Driver,
+                site,
+                None,
+                || 7,
+                |_| GuardDecision::Allowed,
+            );
+        }
+        assert_eq!(t.seq(Producer::Driver), 2);
     }
 
     #[test]
@@ -529,6 +548,29 @@ mod tests {
         );
         let all = report::top_sites(&t, 10);
         assert!(all.contains("only") && all.contains("100.0%"), "{all}");
+    }
+
+    #[test]
+    fn top_shows_how_many_checks_its_mean_is_over() {
+        let t = Tracer::new();
+        let site = t.register_site("m", "sampled");
+        t.set_enabled(true);
+        let mut shard = ProfileShard::new(Arc::clone(&t));
+        for _ in 0..17 {
+            shard.traced_check(
+                Producer::Driver,
+                site,
+                None,
+                || (),
+                |_| GuardDecision::Allowed,
+            );
+        }
+        shard.admit(site, 0x1000, 8);
+        let top = report::top_sites(&t, 1);
+        let row: Vec<&str> = top.lines().nth(2).unwrap().split_whitespace().collect();
+        // SITE LABEL MODULE HITS % INLINE TIMED DENIED MEAN_NS
+        assert_eq!(row[1..4], ["sampled", "m", "18"], "{top}");
+        assert_eq!(row[5..8], ["1", "2", "0"], "{top}");
     }
 
     #[test]

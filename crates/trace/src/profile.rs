@@ -10,23 +10,30 @@
 //! each traced native `GuardedMem` one. A host writes its shard's
 //! per-site cells itself, with relaxed loads and stores and no lock: a
 //! shard has one writer, the host, through `&mut`. Checks arrive two
-//! ways. A *timed* check (the general guard path,
-//! [`ProfileShard::traced_check`]) lands with its host latency. An
-//! *inline* admit ([`ProfileShard::admit`], a guard answered by its
-//! promoted tier's grant) adds to `hits` and the address envelope,
-//! never to the latency histogram. So Σ`hits` == guards and Σ`hist` +
-//! Σ`inline` == guards.
+//! ways. A general-path check ([`ProfileShard::traced_check`]) is
+//! *timed* — bracketed by a GuardEnter/GuardExit pair in the ring and
+//! its host latency put in the histogram — when it is the 1st, 17th,
+//! 33rd… general-path check of its site in the shard (one in
+//! [`SAMPLE_EVERY`]; the phase is the shard's own per-site count, so the
+//! choice is deterministic), or when the site has denied before in the
+//! shard. An *inline* admit ([`ProfileShard::admit`], a guard answered by
+//! its promoted tier's grant) is never timed. Every check, timed or not,
+//! adds to `hits`, `denied` and the address envelope. So Σ`hits` ==
+//! guards exactly, and Σ`hist` + Σuntimed == guards, where the untimed
+//! checks are the inline admits plus the general-path checks the rule
+//! left untimed; the ring holds one event pair per timed check.
 //!
 //! Readers merge. The tracer keeps, under one lock, the totals of every
 //! retired shard and the cells of every live one; a reader sums both
 //! under that lock. A shard registers on its first write, sized to the
 //! sites registered at that moment, and a write to a site registered
 //! later replaces it, under the same lock, with a larger one that
-//! starts from its counts. Dropping the handle folds the shard into the
-//! retired totals and unregisters it in one critical section, so a
-//! reader counts every shard exactly once. A reader racing a live
-//! writer sees, per cell, a value between the counts before and after
-//! the writes in flight, and each cell only grows between two reads.
+//! starts from its counts (and so keeps each site's phase). Dropping the
+//! handle folds the shard into the retired totals and unregisters it in
+//! one critical section, so a reader counts every shard exactly once. A
+//! reader racing a live writer sees, per cell, a value between the
+//! counts before and after the writes in flight, and each cell only
+//! grows between two reads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,10 +52,15 @@ pub fn latency_bucket(ns: u64) -> usize {
     (63 - ns.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
 }
 
+/// One general-path check in this many per site and shard is timed and
+/// put in the ring (the 1st, 17th, 33rd…); after the site's first denial
+/// in the shard, every one is.
+pub const SAMPLE_EVERY: u64 = 16;
+
 /// Aggregated profile of one guard site.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SiteProfile {
-    /// Total checks observed at this site, timed and inline.
+    /// Total checks observed at this site, timed or not.
     pub hits: u64,
     /// Checks answered by a promoted tier's grant (the inline admit):
     /// counted in `hits` and folded into the envelope, never
@@ -85,10 +97,13 @@ impl Default for SiteProfile {
 }
 
 impl SiteProfile {
-    /// Checks that went through the timed general path (`hits -
-    /// inline`); equals the histogram total.
+    /// Checks that were timed: the histogram total. The rest of `hits`
+    /// are inline admits and general-path checks left untimed by
+    /// sampling. A view read while the host writes may be a check apart
+    /// between `hits`, `inline` and `hist`, so nothing is derived by
+    /// subtraction.
     pub fn timed(&self) -> u64 {
-        self.hits - self.inline
+        self.hist.iter().sum()
     }
 
     /// Mean latency of the timed checks in ns (0 when none was timed).
@@ -169,6 +184,34 @@ impl SiteCells {
             hist: std::array::from_fn(|i| get(&self.hist[i])),
             lo_addr: get(&self.lo),
             hi_addr: get(&self.hi),
+        }
+    }
+
+    /// Whether the next general-path check here is timed: the first of
+    /// every [`SAMPLE_EVERY`] (`hits - inline` counts the general-path
+    /// checks so far), or any after a denial. Read by the cells' one
+    /// writer; wrapping only if a reset races it.
+    #[inline]
+    fn times_next(&self) -> bool {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let general = get(&self.hits).wrapping_sub(get(&self.inline));
+        general % SAMPLE_EVERY == 0 || get(&self.denied) > 0
+    }
+
+    /// Tally one general-path check, with its latency `ns` if timed, by
+    /// the cells' one writer.
+    #[inline]
+    fn tally(&self, ns: Option<u64>, denied: bool, span: Option<(u64, u64)>) {
+        add(&self.hits, 1);
+        if denied {
+            add(&self.denied, 1);
+        }
+        if let Some(ns) = ns {
+            add(&self.total_ns, ns);
+            add(&self.hist[latency_bucket(ns)], 1);
+        }
+        if let Some((addr, size)) = span {
+            widen(&self.lo, &self.hi, addr, addr.saturating_add(size));
         }
     }
 
@@ -260,7 +303,9 @@ fn fold(into: &mut Vec<SiteProfile>, shard: &[SiteCells]) {
 ///
 /// The host writes it with relaxed loads and stores through `&mut` and
 /// never locks: [`ProfileShard::admit`] for an inline admit and
-/// [`ProfileShard::traced_check`] for a timed check. Readers of the
+/// [`ProfileShard::traced_check`] for a general-path check, which it
+/// times one in [`SAMPLE_EVERY`] per site, and every one after the
+/// site's first denial. Readers of the
 /// tracer's profile ([`Tracer::profile_snapshot`],
 /// [`Tracer::total_checks`], the `top` report) merge it in while it
 /// lives; dropping the handle folds it into the tracer's retired totals.
@@ -306,12 +351,17 @@ impl ProfileShard {
         }
     }
 
-    /// One traced guard check, as every guard host runs it while tracing
-    /// is on: bracket `check` with GuardEnter/GuardExit events from
-    /// `producer`, time it on the host clock, and tally its latency, the
-    /// verdict `decide` reads from its outcome and, for a memory guard,
-    /// its `(addr, size)` span into `site`'s cells. Returns the outcome
-    /// for the host to act on. While the tracer is disabled it only runs
+    /// One traced general-path guard check, as every guard host runs it
+    /// while tracing is on. It tallies into `site`'s cells a hit, the
+    /// verdict `decide` reads from the outcome and, for a memory guard,
+    /// its `(addr, size)` span. When the check is one the sampling rule
+    /// times (the first of every [`SAMPLE_EVERY`] general-path checks of
+    /// the site in this shard, or any after the site's first denial
+    /// here), it is also bracketed with GuardEnter/GuardExit events from
+    /// `producer`, timed on the host clock, and its latency goes in the
+    /// histogram; any other check reads no clock and emits no event.
+    /// Returns the outcome for the host to act on. While the tracer is
+    /// disabled, or for a site it never registered, it only runs
     /// `check`.
     #[inline]
     pub fn traced_check<R>(
@@ -322,8 +372,14 @@ impl ProfileShard {
         check: impl FnOnce() -> R,
         decide: impl FnOnce(&R) -> GuardDecision,
     ) -> R {
-        if !self.tracer.enabled() {
+        if !self.tracer.enabled() || !self.covers(site) {
             return check();
+        }
+        let c = &self.cells[site.0 as usize];
+        if !c.times_next() {
+            let outcome = check();
+            c.tally(None, decide(&outcome).is_denied(), span);
+            return outcome;
         }
         self.tracer
             .record(producer, TraceEvent::GuardEnter { site });
@@ -333,34 +389,31 @@ impl ProfileShard {
         let decision = decide(&outcome);
         self.tracer
             .record(producer, TraceEvent::GuardExit { site, decision, ns });
-        self.record(site, ns, decision.is_denied(), span);
+        c.tally(Some(ns), decision.is_denied(), span);
         outcome
     }
 
-    /// Tally one timed check of `ns` at `site`.
+    /// Tally one timed check of `ns` at `site`, outside the sampling rule.
+    #[cfg(test)]
     pub(crate) fn record(&mut self, site: SiteId, ns: u64, denied: bool, span: Option<(u64, u64)>) {
         if let Some(c) = self.cell(site) {
-            add(&c.hits, 1);
-            if denied {
-                add(&c.denied, 1);
-            }
-            add(&c.total_ns, ns);
-            add(&c.hist[latency_bucket(ns)], 1);
-            if let Some((addr, size)) = span {
-                widen(&c.lo, &c.hi, addr, addr.saturating_add(size));
-            }
+            c.tally(Some(ns), denied, span);
         }
+    }
+
+    /// Whether the shard covers `site`, registering or growing it first
+    /// if it does not yet; false for a site the tracer never registered.
+    #[inline]
+    fn covers(&mut self, site: SiteId) -> bool {
+        let i = site.0 as usize;
+        i < self.cells.len() || self.grow(i)
     }
 
     /// `site`'s cells, registering or growing the shard first if it
     /// does not cover `site` yet.
     #[inline]
     fn cell(&mut self, site: SiteId) -> Option<&SiteCells> {
-        let i = site.0 as usize;
-        if i >= self.cells.len() && !self.grow(i) {
-            return None;
-        }
-        Some(&self.cells[i])
+        self.covers(site).then(|| &self.cells[site.0 as usize])
     }
 
     /// Replace the cells with ones covering every registered site, with
@@ -515,5 +568,137 @@ mod tests {
         drop(s);
         assert_eq!(t.live_profile_shards(), 0);
         assert_eq!((t.total_checks(), get(&t, late).hits), (1, 1));
+    }
+
+    /// Run `n` general-path checks at `site` through `s`, denied when
+    /// `deny`, each spanning `[0x1000, 0x1008)`.
+    fn checks(s: &mut ProfileShard, site: SiteId, n: u64, deny: bool) {
+        for _ in 0..n {
+            let verdict = if deny {
+                GuardDecision::Denied
+            } else {
+                GuardDecision::Allowed
+            };
+            s.traced_check(
+                Producer::Driver,
+                site,
+                Some((0x1000, 8)),
+                || (),
+                |_| verdict,
+            );
+        }
+    }
+
+    /// `(GuardEnter, GuardExit)` events in the ring.
+    fn event_pairs(t: &Tracer) -> (u64, u64) {
+        let snap = t.snapshot();
+        let count =
+            |f: fn(&TraceEvent) -> bool| snap.records.iter().filter(|r| f(&r.event)).count() as u64;
+        (
+            count(|e| matches!(e, TraceEvent::GuardEnter { .. })),
+            count(|e| matches!(e, TraceEvent::GuardExit { .. })),
+        )
+    }
+
+    #[test]
+    fn one_general_check_in_sample_every_is_timed_the_first_included() {
+        for g in [1, 2, 15, 16, 17, 32, 33, 100] {
+            let t = tracer(1);
+            let mut s = ProfileShard::new(Arc::clone(&t));
+            checks(&mut s, SiteId(0), 1, false);
+            assert_eq!(get(&t, SiteId(0)).timed(), 1, "the first check is timed");
+            checks(&mut s, SiteId(0), g - 1, false);
+            let p = get(&t, SiteId(0));
+            assert_eq!(
+                (p.hits, p.timed()),
+                (g, g.div_ceil(SAMPLE_EVERY)),
+                "g = {g}"
+            );
+            assert_eq!(event_pairs(&t), (p.timed(), p.timed()), "g = {g}");
+            assert_eq!(p.envelope(), Some((0x1000, 0x1008)), "every check widens");
+        }
+    }
+
+    #[test]
+    fn the_phase_is_per_site_and_shard_kept_by_grow_and_restarted_by_reset() {
+        let t = tracer(2);
+        let mut a = ProfileShard::new(Arc::clone(&t));
+        checks(&mut a, SiteId(0), 10, false);
+        // Another site's first check, and another shard's, are timed.
+        checks(&mut a, SiteId(1), 1, false);
+        assert_eq!(get(&t, SiteId(1)).timed(), 1, "a phase per site");
+        let mut b = ProfileShard::new(Arc::clone(&t));
+        checks(&mut b, SiteId(0), 1, false);
+        assert_eq!(get(&t, SiteId(0)).timed(), 2, "a phase per shard");
+        drop(b);
+
+        // A write to a late site grows `a`; site 0 keeps its phase, so
+        // its 17th check is the next one timed.
+        let late = t.register_site("m", "late");
+        checks(&mut a, late, 1, false);
+        checks(&mut a, SiteId(0), 6, false);
+        assert_eq!(get(&t, SiteId(0)).timed(), 2, "checks 11-16 untimed");
+        checks(&mut a, SiteId(0), 1, false);
+        assert_eq!(get(&t, SiteId(0)).timed(), 3, "check 17 timed");
+
+        // Inline admits do not move the phase.
+        for _ in 0..20 {
+            a.admit(SiteId(0), 0x1000, 8);
+        }
+        checks(&mut a, SiteId(0), 16, false);
+        assert_eq!(
+            get(&t, SiteId(0)).timed(),
+            4,
+            "checks 18-32 untimed, 33 timed"
+        );
+
+        // A reset restarts every phase: the next check is timed.
+        t.reset_profiles();
+        checks(&mut a, SiteId(0), 1, false);
+        assert_eq!(get(&t, SiteId(0)).timed(), 1);
+    }
+
+    #[test]
+    fn every_check_after_a_sites_first_denial_is_timed() {
+        let t = tracer(2);
+        let mut s = ProfileShard::new(Arc::clone(&t));
+        checks(&mut s, SiteId(0), 3, false);
+        checks(&mut s, SiteId(0), 1, true); // the 4th check: untimed
+        assert_eq!(get(&t, SiteId(0)).timed(), 1);
+        checks(&mut s, SiteId(0), 5, false);
+        checks(&mut s, SiteId(0), 2, true);
+        checks(&mut s, SiteId(1), 5, false);
+        let p = get(&t, SiteId(0));
+        assert_eq!((p.hits, p.denied, p.timed()), (11, 3, 8));
+        assert_eq!(get(&t, SiteId(1)).timed(), 1, "another site keeps sampling");
+        assert_eq!(event_pairs(&t), (9, 9));
+        assert!(t.hot_sites(1).iter().all(|(m, _)| m.id != SiteId(0)));
+    }
+
+    #[test]
+    fn an_untimed_check_emits_no_event_and_counts_nothing_inline() {
+        let t = tracer(1);
+        let mut s = ProfileShard::new(Arc::clone(&t));
+        checks(&mut s, SiteId(0), 2, false);
+        let p = get(&t, SiteId(0));
+        assert_eq!((p.hits, p.inline, p.timed()), (2, 0, 1));
+        assert_eq!(event_pairs(&t), (1, 1));
+        assert_eq!(t.seq(Producer::Driver), 2);
+    }
+
+    #[test]
+    fn a_view_read_between_a_writers_stores_does_not_underflow() {
+        // What a reader can load from an all-inline site between `admit`'s
+        // store of `hits` and its store of `inline`.
+        let view = SiteProfile {
+            hits: 5,
+            inline: 6,
+            ..SiteProfile::default()
+        };
+        assert_eq!((view.timed(), view.mean_ns()), (0, 0));
+        let mut timed = view.clone();
+        timed.hist[latency_bucket(40)] = 2;
+        timed.total_ns = 80;
+        assert_eq!((timed.timed(), timed.mean_ns()), (2, 40));
     }
 }

@@ -8,8 +8,9 @@ use crate::Tracer;
 
 /// Render the top-`n` guard sites by hit count as an aligned text table,
 /// mirroring `perf report` / ftrace's `trace_stat` output. `INLINE` is
-/// the share of `HITS` a promoted tier's grant answered untimed; `MEAN_NS`
-/// averages the rest.
+/// the share of `HITS` a promoted tier's grant answered; `TIMED` the
+/// general-path checks the sampling rule timed
+/// ([`crate::SAMPLE_EVERY`]), and `MEAN_NS` averages over those only.
 /// The header's total and the rows come from one merged snapshot.
 pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     let mut rows: Vec<(SiteMeta, SiteProfile)> = tracer.profile_snapshot();
@@ -27,8 +28,8 @@ pub fn top_sites(tracer: &Tracer, n: usize) -> String {
     let _ = writeln!(s, "# top guard sites ({} checks total)", total);
     let _ = writeln!(
         s,
-        "{:<6} {:<28} {:<10} {:>10} {:>8} {:>10} {:>8} {:>9}",
-        "SITE", "LABEL", "MODULE", "HITS", "%", "INLINE", "DENIED", "MEAN_NS"
+        "{:<6} {:<28} {:<10} {:>10} {:>8} {:>10} {:>8} {:>8} {:>9}",
+        "SITE", "LABEL", "MODULE", "HITS", "%", "INLINE", "TIMED", "DENIED", "MEAN_NS"
     );
     for (meta, prof) in &rows {
         let pct = if total == 0 {
@@ -38,13 +39,14 @@ pub fn top_sites(tracer: &Tracer, n: usize) -> String {
         };
         let _ = writeln!(
             s,
-            "{:<6} {:<28} {:<10} {:>10} {:>7.1}% {:>10} {:>8} {:>9}",
+            "{:<6} {:<28} {:<10} {:>10} {:>7.1}% {:>10} {:>8} {:>8} {:>9}",
             meta.id.0,
             truncate(&meta.label, 28),
             truncate(&meta.module, 10),
             prof.hits,
             pct,
             prof.inline,
+            prof.timed(),
             prof.denied,
             prof.mean_ns()
         );

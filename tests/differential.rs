@@ -39,7 +39,7 @@ use carat_kop::ir::{parse_module, print_module, verify_module, BinOp, Module};
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::policy::stats::GuardStatsSnapshot;
 use carat_kop::policy::{DefaultAction, PolicyModule, ViolationAction};
-use carat_kop::trace::Producer;
+use carat_kop::trace::{Producer, SAMPLE_EVERY};
 
 /// One step of the loop body over registers 0–3, the scratch buffer, the
 /// induction variable `%i` and the global `@g`.
@@ -687,9 +687,10 @@ fn stale_generation_promotion_deopts_every_guard() {
     assert_eq!(s1.checks - s0.checks, stats.guards);
     assert_eq!(s1.permitted - s0.permitted, stats.guards);
 
-    // Traced, a deopt keeps the full general path too: one
-    // GuardEnter/GuardExit pair and one timed profile entry per check,
-    // nothing counted inline.
+    // Traced, a deopt takes the general path too: the sampling rule
+    // times one check in SAMPLE_EVERY per site, each with one
+    // GuardEnter/GuardExit pair and one histogram entry, and counts
+    // nothing inline.
     let tracer = Arc::clone(kernel.tracer());
     tracer.reset_profiles();
     tracer.set_enabled(true);
@@ -703,10 +704,17 @@ fn stale_generation_promotion_deopts_every_guard() {
     assert_eq!(interp.inline_admits(), 0);
     assert_eq!(interp.inline_deopts(), guards);
     drop(interp);
-    assert_eq!(tracer.seq(Producer::Interp) - events0, 2 * guards);
     assert_eq!(tracer.total_checks(), guards);
-    for (meta, prof) in tracer.profile_snapshot() {
+    let snap = tracer.profile_snapshot();
+    let timed: u64 = snap.iter().map(|(_, p)| p.timed()).sum();
+    assert_eq!(tracer.seq(Producer::Interp) - events0, 2 * timed);
+    for (meta, prof) in snap {
         assert_eq!(prof.inline, 0, "{}", meta.label);
-        assert_eq!(prof.hist.iter().sum::<u64>(), prof.hits, "{}", meta.label);
+        assert_eq!(
+            prof.hist.iter().sum::<u64>(),
+            prof.hits.div_ceil(SAMPLE_EVERY),
+            "{}",
+            meta.label
+        );
     }
 }

@@ -16,7 +16,7 @@ use carat_kop::interp::{Engine, Interp};
 use carat_kop::ir::parse_module;
 use carat_kop::kernel::{Kernel, KernelConfig};
 use carat_kop::policy::{PolicyModule, ViolationAction};
-use carat_kop::trace::{self, Producer, SiteId, TraceEvent, Tracer};
+use carat_kop::trace::{self, Producer, SiteId, TraceEvent, Tracer, SAMPLE_EVERY};
 
 const DRIVERISH_SRC: &str = r#"
 module "drv"
@@ -86,28 +86,33 @@ fn traced_touch_run(n: u64) -> (Kernel, u64) {
     (kernel, guards)
 }
 
-/// The reconciliation guarantee: per-site histogram totals equal the
+/// The reconciliation guarantee: per-site hit totals equal the
 /// interpreter's aggregate guard count exactly — the profiler sits off
-/// the ring, so wraparound can never lose a check.
+/// the ring, so wraparound can never lose a check — and each site's
+/// histogram holds exactly the checks the sampling rule timed.
 #[test]
 fn per_site_totals_reconcile_with_interp_guard_count() {
     let (kernel, guards) = traced_touch_run(64);
     let tracer = kernel.tracer();
     assert_eq!(guards, 257, "64 iterations × 4 accesses + final load");
     assert_eq!(tracer.total_checks(), guards);
-    // Sum of per-site hits — and of per-site histogram buckets — both
-    // reconcile with the same aggregate.
+    // Per-site hits reconcile with the aggregate; the histograms hold
+    // each loop site's checks 1, 17, 33 and 49 and the exit load's one.
     let snap = tracer.profile_snapshot();
     let hit_sum: u64 = snap.iter().map(|(_, p)| p.hits).sum();
     let bucket_sum: u64 = snap.iter().map(|(_, p)| p.hist.iter().sum::<u64>()).sum();
     assert_eq!(hit_sum, guards);
-    assert_eq!(bucket_sum, guards);
+    assert_eq!(bucket_sum, 4 * 4 + 1);
     // Every profiled site resolves to a labelled site in @touch.
     for (meta, prof) in &snap {
         assert!(meta.label.starts_with("touch/g"), "label {}", meta.label);
         assert_eq!(meta.module, "drv");
         assert!(prof.hits > 0);
-        assert!(prof.total_ns >= prof.hits, "at least 1 ns per check");
+        assert_eq!(prof.timed(), prof.hits.div_ceil(SAMPLE_EVERY));
+        assert!(
+            prof.total_ns >= prof.timed(),
+            "at least 1 ns per timed check"
+        );
     }
     // The hot loop has 4 guard sites doing 64 hits each; the exit load
     // does one. Per-site attribution must reflect that shape.
@@ -117,11 +122,13 @@ fn per_site_totals_reconcile_with_interp_guard_count() {
 }
 
 /// The ring holds paired GuardEnter/GuardExit events from the interp
-/// producer with gap-free sequence numbers (capacity is larger than the
-/// event count here, so nothing is dropped).
+/// producer, one pair per timed check, with gap-free sequence numbers
+/// (capacity is larger than the event count here, so nothing is
+/// dropped).
 #[test]
 fn ring_pairs_guard_events_with_gap_free_seqs() {
     let (kernel, guards) = traced_touch_run(8);
+    assert_eq!(guards, 33);
     let snap = kernel.tracer().snapshot();
     assert_eq!(snap.total_drops(), 0);
     let interp_events: Vec<_> = snap
@@ -137,8 +144,10 @@ fn ring_pairs_guard_events_with_gap_free_seqs() {
         .iter()
         .filter(|r| matches!(r.event, TraceEvent::GuardExit { .. }))
         .count() as u64;
-    assert_eq!(enters, guards);
-    assert_eq!(exits, guards);
+    // Each of the five sites checked at most 16 times: only its first
+    // check was timed.
+    assert_eq!(enters, 5);
+    assert_eq!(exits, 5);
     for (i, r) in interp_events.iter().enumerate() {
         assert_eq!(r.seq, i as u64, "per-producer seqs are gap-free");
     }
@@ -284,9 +293,10 @@ fn guard_event_pairs(tracer: &Tracer) -> (u64, u64) {
 /// Tracing keeps the promoted tier on: each inline admit is counted
 /// against its site (hits and envelope) with no ring event and no
 /// timing. A policy publish between two calls stales the tier, so every
-/// inline guard deopts, and from then on every check is a
-/// GuardEnter/GuardExit pair plus a timed histogram entry. Both
-/// reconciliation sums hold throughout.
+/// inline guard deopts to the general path, whose sampling rule times
+/// each site's first general-path check (the inline admits before it
+/// move no phase) as a GuardEnter/GuardExit pair plus a histogram
+/// entry. Both reconciliation sums hold throughout.
 #[test]
 fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
     let out = compile_module(
@@ -375,19 +385,22 @@ fn promoted_guards_stay_inline_under_tracing_until_a_publish() {
     assert_eq!(interp.inline_deopts(), g2, "every inline guard deopted");
     let (hits, inline, timed) = profile_sums(&tracer);
     assert_eq!(hits, guards, "Σhits == guards");
-    assert_eq!(timed + inline, guards, "Σhist + Σinline == guards");
     assert_eq!(
         (inline, timed),
-        (g1, g2),
-        "every post-publish check was timed"
+        (g1, 5),
+        "the first of each site's 16 (or 1) post-publish checks was timed"
     );
     assert_eq!(
         guard_event_pairs(&tracer),
-        (g2, g2),
+        (5, 5),
         "one event pair per timed check"
     );
     for (_, prof) in tracer.profile_snapshot() {
         assert_eq!(prof.timed(), prof.hist.iter().sum::<u64>());
+        assert_eq!(
+            prof.timed(),
+            (prof.hits - prof.inline).div_ceil(SAMPLE_EVERY)
+        );
         assert!(
             prof.total_ns >= prof.timed(),
             "at least 1 ns per timed check"
@@ -448,7 +461,10 @@ fn interpreter_shard_grows_resets_and_retires_with_exact_totals() {
         "the grown shard replaced it"
     );
     assert_eq!(tracer.total_checks(), guards);
-    assert_eq!(profile_sums(&tracer), (guards, 0, guards));
+    // drv's four loop sites timed checks 1 and 17 of 32 and its exit
+    // load the first of 2, across the grow; late's five sites their
+    // first.
+    assert_eq!(profile_sums(&tracer), (guards, 0, 4 * 2 + 1 + 5));
     let late: u64 = tracer
         .profile_snapshot()
         .iter()
@@ -491,11 +507,13 @@ fn a_reader_on_another_thread_reconciles_between_calls() {
         }
     });
     let mut interp = Interp::new(&mut kernel).unwrap();
-    for _ in 0..4 {
+    for k in 1..=4 {
         interp.call("drv", "touch", &[buf, 16]).unwrap();
         let guards = interp.stats().guards;
         to_reader.send(guards).unwrap();
-        assert_eq!(acks.recv().unwrap(), (guards, guards, guards));
+        // Each loop site has run 16k checks and timed k; the exit load
+        // timed its first.
+        assert_eq!(acks.recv().unwrap(), (guards, guards, 4 * k + 1));
     }
     drop(to_reader);
     reader.join().expect("reader");
@@ -555,13 +573,19 @@ fn multi_queue_traced_tx_reconciles_exactly() {
     assert_eq!(report.delivered(), 3 * 200);
     assert!(guards > 0);
     assert_eq!(tracer.live_profile_shards(), 0, "every queue retired");
-    let (hits, inline, timed) = profile_sums(&tracer);
+    let (hits, inline, _) = profile_sums(&tracer);
     assert_eq!(hits, guards, "Σhits == guard calls");
-    assert_eq!(
-        timed, hits,
-        "Σhist == Σhits: the native path has no inline admits"
-    );
-    assert_eq!(inline, 0);
+    assert_eq!(inline, 0, "the native path has no inline admits");
+    // Each queue registers its own driver sites, so every site is one
+    // shard's, and timed one check in SAMPLE_EVERY.
+    for (meta, prof) in tracer.profile_snapshot() {
+        assert_eq!(
+            prof.timed(),
+            prof.hits.div_ceil(SAMPLE_EVERY),
+            "{}",
+            meta.label
+        );
+    }
     assert_eq!(tracer.total_checks(), guards);
     assert!(peak <= guards, "a reader saw {peak} > final {guards}");
 }
