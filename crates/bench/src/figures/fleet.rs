@@ -21,13 +21,13 @@ use super::{FigureData, Series};
 ///    sorted / interval indexes. Flat grows ≥ 10× from 1 → 256
 ///    modules; frozen stays within 2× (sub-linear, O(log n)).
 /// 2. **Namespaced MQ forwarding** — per-tenant policies resolved
-///    through the sharded [`kop_policy::NamespaceStore`]; aggregate guarded
+///    through the [`kop_policy::NamespaceStore`]; aggregate guarded
 ///    throughput at a 256-module registry ≥ 0.8× the 1-module rate,
 ///    with exact per-tenant guard-call reconciliation.
 /// 3. **Fleet-wide upgrade storm** — ruleset churn across every
-///    tenant, live re-registrations (fresh namespace ids), and an epoch
-///    bump of the forwarding tenant's policy mid-load: zero stale-grant
-///    admits, exact ledger accounting, namespace ids never reused.
+///    tenant, live re-registrations (fresh policies), and an epoch bump
+///    of the forwarding tenant's policy mid-load: zero stale-grant
+///    admits, exact ledger accounting, generations never reused.
 /// 4. **Concurrent insmod storm** — 64 modules staged on worker
 ///    threads through [`kop_kernel::ModuleStager`] while the guard
 ///    check path runs: checks never stall (bounded p99), and all 64
@@ -345,7 +345,7 @@ pub fn fleet() -> FigureData {
             });
             // The storm, concurrent with forwarding: churn every
             // tenant's ruleset, live-upgrade a rotating tenant to a
-            // fresh namespace id, then bump tenant0's epoch.
+            // fresh policy, then bump tenant0's epoch.
             let mut regs = 0u64;
             for c in 0..churns {
                 for t in 0..fleet {
@@ -355,12 +355,11 @@ pub fn fleet() -> FigureData {
                 }
                 // Upgrade one tenant per round (never tenant0).
                 let t = 1 + (c as usize % (fleet - 1));
-                let old_ns = ns.namespace_of(&format!("tenant{t}")).expect("registered");
-                let new_ns = ns.register(
-                    &format!("tenant{t}"),
-                    Arc::new(PolicyModule::two_region_paper_policy()),
-                );
-                assert!(new_ns > old_ns, "namespace ids are never reused");
+                let tenant = format!("tenant{t}");
+                let old_gen = ns.resolve(&tenant).store_generation();
+                ns.register(&tenant, Arc::new(PolicyModule::two_region_paper_policy()));
+                let new_gen = ns.resolve(&tenant).store_generation();
+                assert!(new_gen > old_gen, "generations are never reused");
                 regs += 1;
             }
             swap_gen.store(pm.bump_epoch(), AO::SeqCst);

@@ -204,6 +204,7 @@ pub fn jit() -> FigureData {
         assert!(rig.promote() > 0);
         let gen1 = compiled.promoted_generation();
         assert_eq!(gen1, policy.store_generation(), "tier is current");
+        let publishes1 = policy.snapshot_publishes();
         let r1 = rig.run(Engine::Promoted, 64);
         assert_eq!(r1.inline_admits, r1.stats.guards);
         assert_eq!(r1.inline_deopts, 0);
@@ -247,7 +248,7 @@ pub fn jit() -> FigureData {
             "inline admits resume at the new generation"
         );
         assert_eq!(r3.inline_deopts, 0);
-        gen2 - gen1
+        policy.snapshot_publishes() - publishes1
     };
 
     // ---- The native forwarding datapath: a per-queue GuardFront in ----

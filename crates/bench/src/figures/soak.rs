@@ -190,7 +190,8 @@ struct UpgradeSoak {
     duplicates: u64,
     missing: u64,
     stale_admits: u64,
-    generation_delta: u64,
+    /// The policy's snapshot publishes across the upgrade.
+    publishes: u64,
     delivered: u64,
     expected: u64,
 }
@@ -245,6 +246,7 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
     };
 
     let gen_before = policy.store_generation();
+    let publishes_before = policy.snapshot_publishes();
     let swap_gen = AtomicU64::new(u64::MAX);
     let stale = AtomicU64::new(0);
 
@@ -348,7 +350,7 @@ fn soak_upgrade(signed: &kop_compiler::SignedModule) -> UpgradeSoak {
         duplicates: l.duplicates,
         missing,
         stale_admits,
-        generation_delta: report.generation - gen_before,
+        publishes: policy.snapshot_publishes() - publishes_before,
         delivered: l.frames,
         expected,
     }
@@ -432,10 +434,7 @@ pub fn soak() -> FigureData {
     headlines.push(("upgrade_duplicates".into(), up.duplicates as f64));
     headlines.push(("upgrade_missing".into(), up.missing as f64));
     headlines.push(("upgrade_stale_admits".into(), up.stale_admits as f64));
-    headlines.push((
-        "upgrade_generation_delta".into(),
-        up.generation_delta as f64,
-    ));
+    headlines.push(("upgrade_generation_delta".into(), up.publishes as f64));
     headlines.push(("upgrade_delivered".into(), up.delivered as f64));
     headlines.push(("upgrade_expected".into(), up.expected as f64));
 

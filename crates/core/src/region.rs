@@ -106,6 +106,8 @@ impl Region {
 
 /// A cached grant: the region a policy lookup permitted an access by,
 /// tagged with the generation of the snapshot that granted it.
+/// Generations are drawn from one process-wide counter, so the tag names
+/// one snapshot of one policy: a grant never admits under another policy.
 ///
 /// Both guard fast paths keep grants per site: a guard front's slot and
 /// a promoted tier's baked table. [`Grant::admits`] is their one
@@ -115,8 +117,8 @@ impl Region {
 pub struct Grant {
     /// The region that granted.
     pub region: Region,
-    /// Generation of the snapshot the grant came from. Store
-    /// generations start at 1, so a generation-0 grant is cold.
+    /// Generation of the snapshot the grant came from. No snapshot has
+    /// generation 0, so a generation-0 grant is cold.
     pub gen: u64,
 }
 

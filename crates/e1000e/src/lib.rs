@@ -38,4 +38,4 @@ pub mod regs;
 pub use device::{E1000Device, FrameSink, VecSink};
 pub use driver::{DriverError, DriverStats, E1000Driver};
 pub use memspace::{driver_site_map, AccessCounts, DirectMem, GuardedMem, MemSpace};
-pub use mq::{run_mq_tx, run_mq_tx_with, MqReport, QueueReport};
+pub use mq::{run_mq_tx, run_mq_tx_with, run_queues, MqReport, QueueReport};

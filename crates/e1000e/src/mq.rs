@@ -12,6 +12,7 @@
 //! on every queue serializes; with the lock-free snapshot path (plus a
 //! per-queue [`kop_policy::GuardFront`]) queues scale independently.
 
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use kop_policy::PolicyCheck;
@@ -105,39 +106,69 @@ where
     M: MemSpace + Send,
     F: Fn(usize) -> M + Sync,
 {
-    assert!(queues >= 1, "need at least one queue");
-    let barrier = std::sync::Barrier::new(queues);
     let dst = [0xffu8; 6];
     let payload = vec![0u8; payload_len];
-
-    let worker = |queue: usize| -> Result<(QueueReport, Duration), DriverError> {
+    let (queues, elapsed) = run_queues(queues, |queue, line| {
         let mut drv = E1000Driver::probe(make_mem(queue))?;
         drv.up()?;
         let mut sink = CountSink::default();
-        barrier.wait();
-        let start = Instant::now();
-        let mut delivered = 0u64;
-        for _ in 0..frames_per_queue {
-            delivered += drv.xmit_and_flush(dst, 0x88b5, &payload, &mut sink)?;
-        }
-        let elapsed = start.elapsed();
+        let (delivered, elapsed) = line.timed(|| {
+            let mut delivered = 0u64;
+            for _ in 0..frames_per_queue {
+                delivered += drv.xmit_and_flush(dst, 0x88b5, &payload, &mut sink)?;
+            }
+            Ok(delivered)
+        })?;
         // Whole-lifetime counts (probe + up + the measured loop), read
         // through the accessor that drains the front's admits, so they
         // reconcile exactly with the shared policy's check counter.
         let counts = drv.counts();
-        Ok((
-            QueueReport {
-                queue,
-                delivered,
-                guard_calls: counts.guard_calls,
-                inline_admits: counts.inline_admits,
-            },
-            elapsed,
-        ))
-    };
+        let report = QueueReport {
+            queue,
+            delivered,
+            guard_calls: counts.guard_calls,
+            inline_admits: counts.inline_admits,
+        };
+        Ok((report, elapsed))
+    })?;
+    Ok(MqReport { queues, elapsed })
+}
 
+/// Where every queue of a [`run_queues`] run starts its measured phase.
+pub struct StartLine(Barrier);
+
+impl StartLine {
+    /// Wait until every queue reaches the line, then run `phase` and
+    /// time it.
+    pub fn timed<T>(
+        &self,
+        phase: impl FnOnce() -> Result<T, DriverError>,
+    ) -> Result<(T, Duration), DriverError> {
+        self.0.wait();
+        let start = Instant::now();
+        let out = phase()?;
+        Ok((out, start.elapsed()))
+    }
+}
+
+/// The multi-queue scaffold: run `worker(queue, line)` for each of
+/// `queues` queues on a scoped thread of its own. A worker sets its queue
+/// up, runs its measured phase through [`StartLine::timed`] — so every
+/// queue's phase starts together — and returns its report with that
+/// phase's time. Returns the reports in queue order and the slowest
+/// queue's time, or the first error in queue order.
+pub fn run_queues<R, W>(queues: usize, worker: W) -> Result<(Vec<R>, Duration), DriverError>
+where
+    R: Send,
+    W: Fn(usize, &StartLine) -> Result<(R, Duration), DriverError> + Sync,
+{
+    assert!(queues >= 1, "need at least one queue");
+    let line = StartLine(Barrier::new(queues));
+    let (worker, line) = (&worker, &line);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..queues).map(|q| s.spawn(move || worker(q))).collect();
+        let handles: Vec<_> = (0..queues)
+            .map(|q| s.spawn(move || worker(q, line)))
+            .collect();
         let mut reports = Vec::with_capacity(queues);
         let mut elapsed = Duration::ZERO;
         for h in handles {
@@ -145,11 +176,7 @@ where
             elapsed = elapsed.max(queue_elapsed);
             reports.push(report);
         }
-        reports.sort_by_key(|r| r.queue);
-        Ok(MqReport {
-            queues: reports,
-            elapsed,
-        })
+        Ok((reports, elapsed))
     })
 }
 

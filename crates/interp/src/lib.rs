@@ -61,18 +61,17 @@ pub enum Engine {
     /// the id with one load, reloads the tier only if a promotion or
     /// invalidation moved it, and answers every guard of the call from
     /// that one tier, so a tier published between calls governs the next
-    /// call and one published mid-call reaches the call after. The tier
-    /// runs only when the call's policy has the namespace id it was baked
-    /// from; otherwise every guard of the call consults the policy. A
-    /// policy publish moves no tier: a promoted guard compares its grant's
-    /// generation with the live policy's per op, and one that no longer
-    /// matches, or that cannot fast-admit, deopts into the exact general
-    /// policy path. The generation and the namespace id are the tier's
-    /// only invalidation. With tracing on, an inline admit is
-    /// counted against its site (hits and address envelope, in the
-    /// interpreter's profile shard) but emits no ring events and is not
-    /// timed; a deopt takes the general path's traced check like any
-    /// general-path guard: it is counted, and timed with a
+    /// call and one published mid-call reaches the call after. A policy
+    /// publish or swap moves no tier: a promoted guard compares its
+    /// grant's generation with the call's policy's live one per op, and
+    /// one that no longer matches (generations are process-wide, so a
+    /// grant baked from one policy never matches another), or that
+    /// cannot fast-admit, deopts into the exact general policy path. The
+    /// generation is the tier's only invalidation. With tracing on, an
+    /// inline admit is counted against its site (hits and address
+    /// envelope, in the interpreter's profile shard) but emits no ring
+    /// events and is not timed; a deopt takes the general path's traced
+    /// check like any general-path guard: it is counted, and timed with a
     /// GuardEnter/GuardExit pair when it is the first of every
     /// [`kop_trace::SAMPLE_EVERY`] general-path checks of its site, or
     /// follows a denial there.
@@ -132,9 +131,9 @@ pub struct Interp<'k> {
     /// the one in-run mutation path (quarantine) unwinds the call before
     /// another guard executes. A swap through the shared
     /// `NamespaceStore` from another thread moves the store's version,
-    /// so it takes effect at the next call. Staleness *within* the
-    /// pinned policy — a publish — is still caught per op by the
-    /// generation tag.
+    /// so it takes effect at the next call. A promoted grant baked
+    /// before a publish of the pinned policy, or from another policy, is
+    /// caught per op by the generation tag: no two snapshots share one.
     vm_policy: PolicyPin,
     /// The promoted tier the last promoted call ran, with the tier id it
     /// was loaded under. Taken out for the duration of a call (so frames

@@ -27,9 +27,10 @@ impl<'k> Interp<'k> {
     /// `call_in` contract (same error precedence and messages). On the
     /// promoted engine this is where the call settles its promoted tier:
     /// once, so every guard of the call finds its grant in the same tier
-    /// by reference. The tier runs only if the call's policy has the
-    /// namespace id it was baked from; pinning that policy here is what
-    /// lets inline guards read a field instead of resolving.
+    /// by reference. Any tier but the empty one runs, and its grants
+    /// admit only at the generation they were baked at, which no other
+    /// policy has; pinning the call's policy here is what lets inline
+    /// guards read its generation instead of resolving it.
     pub(crate) fn vm_call(
         &mut self,
         ctx: &ModuleCtx,
@@ -41,9 +42,10 @@ impl<'k> Interp<'k> {
             KernelError::InvalidArgument(format!("no function @{func} in module {}", ctx.ir.name))
         })?;
         let tier = (self.engine == Engine::Promoted).then(|| self.vm_take_tier(compiled));
-        let run = tier.as_deref().filter(|t| {
-            t.ns != 0 && self.vm_policy.pin(self.kernel, &ctx.ir.name).namespace() == t.ns
-        });
+        let run = tier.as_deref().filter(|t| t.gen != 0);
+        if run.is_some() {
+            self.vm_policy.pin(self.kernel, &ctx.ir.name);
+        }
         let mut argv = self.vm_args_pool.pop().unwrap_or_default();
         argv.clear();
         argv.extend_from_slice(args);
@@ -73,8 +75,8 @@ impl<'k> Interp<'k> {
     /// [`Op::CallInternal`], skipping the name lookup entirely).
     /// Takes `args` by value: callers hand over a pooled vector, which
     /// retires back into the pool on exit. `tier` is the promoted tier
-    /// the call runs (`None` off the promoted engine, or when the call's
-    /// policy is not the one the tier was baked from).
+    /// the call runs (`None` off the promoted engine, or when the tier is
+    /// the empty one).
     fn vm_call_idx(
         &mut self,
         ctx: &ModuleCtx,

@@ -126,10 +126,8 @@ pub struct Kernel {
     /// Whether maskable interrupts are enabled (cli/sti state).
     interrupts_enabled: bool,
     /// Per-module policy namespaces (§5: "determine if a *given* kernel
-    /// module has access"), sharded by module id so concurrent insmod
-    /// registrations contend on different locks. Modules without a
-    /// namespace of their own fall back to the global policy (bound to
-    /// namespace id [`kop_policy::GLOBAL_NAMESPACE`] at boot).
+    /// module has access"). Modules without a namespace of their own
+    /// fall back to the global policy.
     namespaces: Arc<NamespaceStore>,
     /// Registered VFS files (§5 object protection).
     pub(crate) files: Vec<crate::objects::FileHandle>,
@@ -255,8 +253,6 @@ impl Kernel {
 
         // The heap starts 1 GiB into the direct map.
         let heap_base = VAddr(DIRECT_MAP_BASE + (1 << 30));
-        // Binds the global policy to namespace id 1; per-module policies
-        // get fresh ids as they register.
         let namespaces = Arc::new(NamespaceStore::new(Arc::clone(&policy)));
         let mut kernel = Kernel {
             mem: SimMemory::new(),
@@ -336,34 +332,34 @@ impl Kernel {
     /// consult this policy instead of the global one. This is how an
     /// operator gives, say, a perf-monitoring module MSR access while the
     /// NIC driver keeps a tight memory-only policy.
+    ///
+    /// A promoted tier stays installed: its grants cite a generation of
+    /// the policy they were baked from, which no other policy has, so
+    /// under another policy every baked guard deopts until the next
+    /// `tick()` bakes from this one. (A native guard front is bound to
+    /// one policy object for life, so it never answers for the new one.)
     pub fn set_module_policy(&mut self, module: &str, policy: Arc<PolicyModule>) {
-        let ns = self.namespaces.register(module, policy);
-        self.printk(&format!(
-            "policy: per-module override for '{module}' (namespace {ns})"
-        ));
-        // A promoted tier baked from the previous policy stays installed
-        // but never runs under this one: it carries that policy's
-        // namespace id. The next `tick()` bakes from this policy. (A
-        // native guard front is bound to one policy object for life, so
-        // it never answers for the new one.)
+        self.namespaces.register(module, policy);
+        self.printk(&format!("policy: per-module override for '{module}'"));
     }
 
     /// Remove a per-module override; returns whether one existed. As
     /// with [`Kernel::set_module_policy`], a tier baked from the removed
-    /// policy stays installed and never runs under the global one.
+    /// policy stays installed, and every baked guard deopts under the
+    /// global one until the next `tick()`.
     pub fn clear_module_policy(&mut self, module: &str) -> bool {
         self.namespaces.remove(module).is_some()
     }
 
-    /// The sharded per-module policy namespace registry. Shared with
-    /// check-path holders (`Arc`): resolving a module's policy never
-    /// takes a kernel-wide lock.
+    /// The per-module policy namespace registry. Shared (`Arc`), so a
+    /// holder resolves a module's policy without the kernel; no guard
+    /// reads it.
     pub fn namespaces(&self) -> &Arc<NamespaceStore> {
         &self.namespaces
     }
 
     /// The policy governing `module`: its own namespace if registered,
-    /// else the global policy. One shard read-lock.
+    /// else the global policy. One read-lock.
     pub fn policy_for(&self, module: &str) -> Arc<PolicyModule> {
         self.namespaces.resolve(module)
     }
@@ -384,17 +380,17 @@ impl Kernel {
     /// covers the envelope *and grants its flags* (the policy admits on
     /// any covering grant, so the first covering region may not be the
     /// one that admits). That region goes into the tier's per-site table
-    /// as a [`kop_core::Grant`] tagged with the snapshot's generation,
-    /// under the policy's namespace id; the module's program is not
-    /// copied or changed. Before installing, the kernel audits its own
-    /// work: [`kop_analysis::audit_baked_bounds`] re-derives every region from
-    /// the IR's guard flags and its own scan of the pinned snapshot and
-    /// refuses the tier on any mismatch (KA009–KA011). Coverage is not
-    /// re-proved here; insmod established it.
+    /// as a [`kop_core::Grant`] tagged with the snapshot's generation; the
+    /// module's program is not copied or changed. Before installing, the
+    /// kernel audits its own work: [`kop_analysis::audit_baked_bounds`]
+    /// re-derives every region from the IR's guard flags and its own scan
+    /// of the pinned snapshot and refuses the tier on any mismatch
+    /// (KA009–KA011). Coverage is not re-proved here; insmod established
+    /// it.
     ///
     /// A later publish or policy swap leaves the tier installed but
-    /// stale: its tags stop matching, so every baked guard deopts to the
-    /// general path until this runs again — or
+    /// stale: its generation stops matching, so every baked guard deopts
+    /// to the general path until this runs again — or
     /// [`Kernel::tick`] runs it. When nothing can be baked, a stale tier
     /// is dropped.
     ///
@@ -432,7 +428,6 @@ impl Kernel {
         // stale (per-op generation mismatch, prompt deopt), never falsely
         // fresh.
         let policy = self.policy_for(module);
-        let ns = policy.namespace();
         let snap = policy.policy_snapshot();
         let gen = snap.generation();
         let mut baked = Vec::new();
@@ -463,7 +458,7 @@ impl Kernel {
         }
         if baked.is_empty() {
             let tier = compiled.promoted_tier();
-            if tier.ns != 0 && (tier.ns != ns || tier.gen != gen) {
+            if tier.gen != 0 && tier.gen != gen {
                 compiled.invalidate_promotions();
             }
             return Ok(0);
@@ -485,7 +480,7 @@ impl Kernel {
             return Err(err);
         }
 
-        let n = compiled.promote(ns, gen, &baked);
+        let n = compiled.promote(gen, &baked);
         let sites_promoted = baked.len();
         self.printk(&format!(
             "carat-jit {module}: promoted {n} guard op(s) across {sites_promoted} site(s) at generation {gen}"

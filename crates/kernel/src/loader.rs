@@ -593,7 +593,7 @@ impl Kernel {
     /// through [`ModuleStager::stage`] under the kernel's configuration —
     /// and its content hash must match the one the image was built from.
     /// A promoted tier the image carries stays installed: its generation
-    /// and namespace tags decide whether it still admits.
+    /// tag decides whether it still admits.
     pub fn restart_module(
         &mut self,
         signed: &SignedModule,

@@ -16,9 +16,9 @@
 //! come out the TX side byte-identically (modulo the forwarding
 //! rewrite), which the ledger-auditing callers assert.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use kop_e1000e::{DriverError, E1000Driver, FrameSink, MemSpace};
+use kop_e1000e::{run_queues, DriverError, E1000Driver, FrameSink, MemSpace};
 
 use crate::flowgen::FlowGen;
 use crate::frame::{Frame, MacAddr};
@@ -235,10 +235,7 @@ where
     M: MemSpace + Send,
     F: Fn(usize) -> M + Sync,
 {
-    assert!(queues >= 1, "need at least one queue");
-    let barrier = std::sync::Barrier::new(queues);
-
-    let worker = |queue: usize| -> Result<(ForwardQueueReport, Duration), DriverError> {
+    let (queues, elapsed) = run_queues(queues, |queue, line| {
         let mut drv = E1000Driver::probe(make_mem(queue))?;
         drv.up()?;
         let mut gen = FlowGen::new(
@@ -246,40 +243,21 @@ where
             flows,
         );
         let mut ledger = LedgerSink::new();
-        barrier.wait();
-        let start = Instant::now();
-        let report = run_forward(&mut drv, &mut gen, &mut ledger, offered_per_queue, budget)?;
-        let elapsed = start.elapsed();
+        let (report, elapsed) =
+            line.timed(|| run_forward(&mut drv, &mut gen, &mut ledger, offered_per_queue, budget))?;
         let ledger_clean = ledger.duplicates == 0
             && ledger.unsequenced == 0
             && ledger.frames == report.forwarded
             && ledger.missing(report.offered).len() as u64 == report.wire_dropped;
-        Ok((
-            ForwardQueueReport {
-                queue,
-                report,
-                guard_calls: drv.counts().guard_calls,
-                ledger_clean,
-            },
-            elapsed,
-        ))
-    };
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..queues).map(|q| s.spawn(move || worker(q))).collect();
-        let mut reports = Vec::with_capacity(queues);
-        let mut elapsed = Duration::ZERO;
-        for h in handles {
-            let (report, queue_elapsed) = h.join().expect("queue worker panicked")?;
-            elapsed = elapsed.max(queue_elapsed);
-            reports.push(report);
-        }
-        reports.sort_by_key(|r| r.queue);
-        Ok(MqForwardReport {
-            queues: reports,
-            elapsed,
-        })
-    })
+        let report = ForwardQueueReport {
+            queue,
+            report,
+            guard_calls: drv.counts().guard_calls,
+            ledger_clean,
+        };
+        Ok((report, elapsed))
+    })?;
+    Ok(MqForwardReport { queues, elapsed })
 }
 
 #[cfg(test)]

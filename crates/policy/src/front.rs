@@ -25,7 +25,7 @@
 //! The generation is the only tag. Only a table write can change what a
 //! region grant admits, and every table write bumps the bound policy's
 //! generation, so it stales every slot at once. A front cannot be handed
-//! another policy, so there is no namespace to tell apart.
+//! another policy, and no two policies share a generation.
 //!
 //! Admits are counted in a plain cell and drained into the policy's
 //! `checks`/`permitted` cells through

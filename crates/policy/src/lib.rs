@@ -48,7 +48,7 @@ pub use manager::{PolicyCmd, PolicyCmdError, PolicyResponse};
 pub use module::{
     ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule, ViolationAction,
 };
-pub use namespace::{NamespaceStore, GLOBAL_NAMESPACE, NAMESPACE_SHARDS};
+pub use namespace::NamespaceStore;
 pub use snapshot::{PolicySnapshot, SnapshotStore};
 pub use stats::GuardStats;
 pub use store::{Lookup, PolicyError, StoreKind, MAX_REGIONS};

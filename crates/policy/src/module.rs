@@ -18,7 +18,7 @@
 //! a hit. The intrinsic grants are a short list behind a lock of their
 //! own, edited in place. Default and violation actions are atomics.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -192,9 +192,6 @@ pub struct PolicyModule {
     violation_action: AtomicU8,
     stats: GuardStats,
     log: ViolationLog,
-    /// Namespace id assigned by the [`crate::namespace::NamespaceStore`]
-    /// this policy is registered in (0 = unbound).
-    ns: AtomicU64,
 }
 
 impl PolicyModule {
@@ -215,7 +212,6 @@ impl PolicyModule {
             violation_action: AtomicU8::new(ViolationAction::Panic.to_u8()),
             stats: GuardStats::new(),
             log: ViolationLog::new(LOG_CAP),
-            ns: AtomicU64::new(0),
         }
     }
 
@@ -357,18 +353,6 @@ impl PolicyModule {
         self.snapshot.publish(self.regions())
     }
 
-    /// The namespace id this policy is bound to (0 = unbound).
-    #[inline]
-    pub fn namespace(&self) -> u64 {
-        self.ns.load(Ordering::SeqCst)
-    }
-
-    /// Bind this policy to a namespace id. Called exactly once by the
-    /// namespace store at registration.
-    pub fn set_namespace(&self, ns: u64) {
-        self.ns.store(ns, Ordering::SeqCst);
-    }
-
     /// Number of rules.
     pub fn region_count(&self) -> usize {
         self.snapshot.load_full().len()
@@ -384,7 +368,8 @@ impl PolicyModule {
         self.snapshot.load_full()
     }
 
-    /// The store generation: bumped by every table write. The one
+    /// The store generation: a fresh one from the process-wide counter
+    /// on every table write, so no other policy ever has it. The one
     /// staleness tag of every fast path (guard-front slots, promoted
     /// tiers' grants): only a table write can change what a cached
     /// region grant admits.
@@ -1091,13 +1076,22 @@ mod tests {
     }
 
     #[test]
-    fn held_snapshot_is_keyed_by_store_as_well_as_generation() {
-        // Two policies at one generation with different rules, checked
-        // alternately on this thread: each answers by its own rules.
+    fn two_policies_never_share_a_generation_or_a_held_snapshot() {
+        // Two policies after one publish each, with different rules: no
+        // generation is both's, so `a`'s grant does not admit against
+        // `b`'s, and checked alternately on this thread each answers by
+        // its own rules.
         let (a, b) = (PolicyModule::new(), PolicyModule::new());
         a.add_region(rw(0x1000, 0x1000)).unwrap();
         b.add_region(rw(0x8000, 0x1000)).unwrap();
-        assert_eq!(a.store_generation(), b.store_generation());
+        assert_ne!(a.store_generation(), b.store_generation());
+        let grant = a
+            .check_classified(VAddr(0x1800), Size(8), AccessFlags::RW)
+            .grant
+            .expect("region grant");
+        let admits_at = |gen| grant.admits(gen, VAddr(0x1800), Size(8), AccessFlags::RW);
+        assert!(admits_at(a.store_generation()));
+        assert!(!admits_at(b.store_generation()));
         for _ in 0..3 {
             assert!(a.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
             assert!(b.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_err());

@@ -1,22 +1,20 @@
-//! [`NamespaceStore`] — sharded per-module policy namespaces.
+//! [`NamespaceStore`] — per-module policy namespaces.
 //!
 //! With one global policy, every tenant's ruleset churn bumps one shared
 //! generation, staling *every* module's guard-front slots and promoted
 //! bounds; and the check path scans one flat table holding every tenant's
-//! regions. The namespace store splits both axes (DESIGN §3.19):
+//! regions. The namespace store maps each module id to its **own**
+//! [`PolicyModule`] (DESIGN §3.19), so a tenant's publish stales only its
+//! own policy's cached grants, and other tenants' stay warm.
 //!
-//! * each module id maps to its **own** [`PolicyModule`], so a tenant's
-//!   publish bumps only its own per-namespace generation — other tenants'
-//!   cached grants stay warm;
-//! * the map is sharded by module-id hash, so concurrent insmod of many
-//!   tenants contends on different locks (and never on the check path,
-//!   which holds only an `Arc` to its tenant's policy).
-//!
-//! Namespace ids are never reused: re-registering a module id assigns a
-//! fresh id. A guard front needs no namespace tag: it is bound to one
-//! policy object, whose own generation is its tag. The VM's promoted
-//! tier records the id of the policy it was baked from, and runs only
-//! for a call whose policy still has that id.
+//! No guard reads the map: a check holds an `Arc` to its policy, and
+//! the map is read where a policy is resolved — at promotion, by an
+//! interpreter whose kept policy is another module's or predates the
+//! current [`NamespaceStore::version`], at live upgrade — so one lock
+//! serves it. The map records no identity of its own: every snapshot's
+//! generation is process-wide ([`crate::snapshot`]), so a grant baked
+//! from one policy never admits under another, however the two are
+//! registered.
 //!
 //! The store's [`NamespaceStore::version`] moves after every
 //! [`NamespaceStore::register`] and [`NamespaceStore::remove`], so a
@@ -31,52 +29,20 @@ use parking_lot::RwLock;
 
 use crate::module::PolicyModule;
 
-/// Number of shards. A power of two well above typical core counts:
-/// concurrent registration of distinct tenants almost never shares a
-/// lock, and the per-shard maps stay tiny even at a 1000-module fleet.
-pub const NAMESPACE_SHARDS: usize = 64;
-
-/// FNV-1a — cheap, deterministic (no per-process seed), good enough to
-/// spread module names across 64 shards.
-fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h as usize) & (NAMESPACE_SHARDS - 1)
-}
-
-#[derive(Clone)]
-struct Entry {
-    ns: u64,
-    policy: Arc<PolicyModule>,
-}
-
-/// Sharded module-id → policy namespace map. See the module docs.
+/// Module-id → policy namespace map. See the module docs.
 pub struct NamespaceStore {
-    shards: Vec<RwLock<HashMap<String, Entry>>>,
-    /// Monotonic namespace id allocator. Starts at 2: id 1 is reserved
-    /// for the kernel's global (default) policy, 0 means unbound.
-    next_ns: AtomicU64,
+    policies: RwLock<HashMap<String, Arc<PolicyModule>>>,
     /// The fall-back policy for modules with no namespace of their own.
     global: Arc<PolicyModule>,
     /// Bumped after every `register` and `remove`.
     version: AtomicU64,
 }
 
-/// Namespace id reserved for the global (default) policy.
-pub const GLOBAL_NAMESPACE: u64 = 1;
-
 impl NamespaceStore {
-    /// A store whose fall-back is `global` (bound to namespace id 1).
+    /// A store whose fall-back is `global`.
     pub fn new(global: Arc<PolicyModule>) -> NamespaceStore {
-        global.set_namespace(GLOBAL_NAMESPACE);
         NamespaceStore {
-            shards: (0..NAMESPACE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            next_ns: AtomicU64::new(GLOBAL_NAMESPACE + 1),
+            policies: RwLock::new(HashMap::new()),
             global,
             version: AtomicU64::new(0),
         }
@@ -87,55 +53,29 @@ impl NamespaceStore {
         &self.global
     }
 
-    /// Register (or replace) the policy namespace for `module`. The
-    /// policy is bound to a **fresh** namespace id either way — ids are
-    /// never reused, so grants cached under a previous registration of
-    /// the same module id can never satisfy checks against the new
-    /// policy. Returns the assigned id.
-    pub fn register(&self, module: &str, policy: Arc<PolicyModule>) -> u64 {
-        let ns = self.next_ns.fetch_add(1, Ordering::SeqCst);
-        policy.set_namespace(ns);
-        let entry = Entry {
-            ns,
-            policy: Arc::clone(&policy),
-        };
-        self.shards[shard_of(module)]
-            .write()
-            .insert(module.to_string(), entry);
+    /// Register (or replace) the policy namespace for `module`.
+    pub fn register(&self, module: &str, policy: Arc<PolicyModule>) {
+        self.policies.write().insert(module.to_string(), policy);
         self.version.fetch_add(1, Ordering::SeqCst);
-        ns
     }
 
     /// The policy for `module`, if it has a namespace of its own.
     pub fn get(&self, module: &str) -> Option<Arc<PolicyModule>> {
-        self.shards[shard_of(module)]
-            .read()
-            .get(module)
-            .map(|e| Arc::clone(&e.policy))
-    }
-
-    /// The namespace id for `module`, if registered.
-    pub fn namespace_of(&self, module: &str) -> Option<u64> {
-        self.shards[shard_of(module)]
-            .read()
-            .get(module)
-            .map(|e| e.ns)
+        self.policies.read().get(module).map(Arc::clone)
     }
 
     /// The policy that governs `module`: its own namespace if registered,
-    /// else the global fall-back. This is the loader/check-path resolver;
-    /// one shard read-lock (uncontended unless that shard is registering).
+    /// else the global fall-back.
     pub fn resolve(&self, module: &str) -> Arc<PolicyModule> {
         self.get(module).unwrap_or_else(|| Arc::clone(&self.global))
     }
 
     /// Drop `module`'s namespace (its modules fall back to the global
-    /// policy). The removed policy keeps its id — nothing else will ever
-    /// be bound to it. Returns the removed policy, if any.
+    /// policy). Returns the removed policy, if any.
     pub fn remove(&self, module: &str) -> Option<Arc<PolicyModule>> {
-        let removed = self.shards[shard_of(module)].write().remove(module);
+        let removed = self.policies.write().remove(module);
         self.version.fetch_add(1, Ordering::SeqCst);
-        removed.map(|e| e.policy)
+        removed
     }
 
     /// The registry's version: it moves after every [`Self::register`]
@@ -149,7 +89,7 @@ impl NamespaceStore {
 
     /// Number of registered namespaces (excluding the global fall-back).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.policies.read().len()
     }
 
     /// Whether no per-module namespaces are registered.
@@ -157,13 +97,9 @@ impl NamespaceStore {
         self.len() == 0
     }
 
-    /// Registered module ids (diagnostics; unordered across shards).
+    /// Registered module ids (diagnostics; unordered).
     pub fn modules(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.read().keys().cloned());
-        }
-        out
+        self.policies.read().keys().cloned().collect()
     }
 }
 
@@ -182,29 +118,28 @@ mod tests {
     #[test]
     fn resolve_falls_back_to_global() {
         let ns = NamespaceStore::new(rw_policy(0x1000));
-        assert_eq!(ns.global().namespace(), GLOBAL_NAMESPACE);
         let p = ns.resolve("unregistered");
+        assert!(Arc::ptr_eq(&p, ns.global()));
         assert!(p.check(VAddr(0x1100), Size(8), AccessFlags::RW).is_ok());
         assert!(ns.get("unregistered").is_none());
         assert!(ns.is_empty());
     }
 
     #[test]
-    fn register_assigns_fresh_monotonic_ids() {
+    fn registered_policies_have_fresh_monotonic_generations() {
         let ns = NamespaceStore::new(rw_policy(0x1000));
         let v = ns.version();
-        let a = ns.register("mod_a", rw_policy(0x10_0000));
+        ns.register("mod_a", rw_policy(0x10_0000));
         assert!(ns.version() > v, "a register moves the version");
-        let b = ns.register("mod_b", rw_policy(0x20_0000));
-        assert!(a > GLOBAL_NAMESPACE);
+        ns.register("mod_b", rw_policy(0x20_0000));
+        let gen = |m: &str| ns.resolve(m).store_generation();
+        let (a, b) = (gen("mod_a"), gen("mod_b"));
+        assert!(a > ns.global().store_generation());
         assert_ne!(a, b);
-        assert_eq!(ns.namespace_of("mod_a"), Some(a));
-        assert_eq!(ns.resolve("mod_a").namespace(), a);
         assert_eq!(ns.len(), 2);
-        // Replacement gets a NEW id — old cached (ns, gen) tags die.
-        let a2 = ns.register("mod_a", rw_policy(0x30_0000));
-        assert!(a2 > b);
-        assert_eq!(ns.namespace_of("mod_a"), Some(a2));
+        // Replacement brings a NEW generation — old cached tags die.
+        ns.register("mod_a", rw_policy(0x30_0000));
+        assert!(gen("mod_a") > b);
         assert_eq!(ns.len(), 2);
     }
 
@@ -240,13 +175,13 @@ mod tests {
         let v = ns.version();
         let removed = ns.remove("mod_a").expect("registered");
         assert!(ns.version() > v, "a remove moves the version");
-        assert!(removed.namespace() > GLOBAL_NAMESPACE, "keeps its id");
-        assert_eq!(ns.resolve("mod_a").namespace(), GLOBAL_NAMESPACE);
+        assert!(!Arc::ptr_eq(&removed, ns.global()));
+        assert!(Arc::ptr_eq(&ns.resolve("mod_a"), ns.global()));
         assert!(ns.remove("mod_a").is_none());
     }
 
     #[test]
-    fn concurrent_registration_across_shards() {
+    fn concurrent_registrations_all_land_with_distinct_generations() {
         let ns = Arc::new(NamespaceStore::new(rw_policy(0x1000)));
         let mut handles = Vec::new();
         for t in 0..8 {
@@ -261,14 +196,14 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(ns.len(), 8 * 32);
-        // All ids distinct.
-        let mut ids: Vec<u64> = ns
+        // All generations distinct.
+        let mut gens: Vec<u64> = ns
             .modules()
             .iter()
-            .map(|m| ns.namespace_of(m).unwrap())
+            .map(|m| ns.resolve(m).store_generation())
             .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 8 * 32);
+        gens.sort_unstable();
+        gens.dedup();
+        assert_eq!(gens.len(), 8 * 32);
     }
 }

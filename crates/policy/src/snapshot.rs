@@ -13,25 +13,28 @@
 //! torn table — and the superseded snapshot is freed when its last
 //! reader drops it.
 //!
-//! Every publish bumps a monotonic **generation**. The generation is the
-//! only invalidation signal for the guard front's per-site slots
+//! Every snapshot — a new store's empty one and each publish — takes a
+//! fresh **generation** from one process-wide counter, so a generation
+//! names one snapshot of one store: two stores never share one, and a
+//! store's generations only grow. The generation is the only
+//! invalidation signal for the guard front's per-site slots
 //! ([`crate::front::GuardFront`]), the VM's promoted grants and each
 //! thread's held snapshot: a cached grant or snapshot is valid only while
-//! its recorded generation equals the store's current one, so any table
+//! its recorded generation equals its policy's current one, so any table
 //! write — grant, revoke, wholesale replace — stales every slot, every
-//! baked grant and every held snapshot at the cost of one atomic store.
+//! baked grant and every held snapshot at the cost of one atomic store,
+//! and a grant baked from one policy never matches another.
 //!
 //! **The held snapshot.** Each thread keeps the snapshot it last read
-//! ([`SnapshotStore::read`]), stamped with the never-reused id of the
-//! store that published it and the generation it was published at. A
-//! read loads the store's generation and answers from the held snapshot
-//! when both the store id and the generation match: one atomic load and
-//! no locked instruction, the same compare a front slot makes per admit.
+//! ([`SnapshotStore::read`]), stamped with the generation it was
+//! published at. A read loads the store's generation and answers from
+//! the held snapshot when the two are equal: one atomic load and no
+//! locked instruction, the same compare a front slot makes per admit.
 //! Otherwise it locks the cell for one `Arc` clone of the current
 //! snapshot and keeps it. Every read on a thread shares its one entry,
 //! so a thread that alternates between two stores misses on every
-//! switch. A dropped store clears the dropping thread's entry if it came
-//! from that store.
+//! switch. A dropped store clears the dropping thread's entry whichever
+//! store it came from; another store pays at most one miss for that.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
 //! builds the next snapshot, installs it under the cell's lock, and only
@@ -44,12 +47,11 @@
 //! observed before it locked, the reader's lock comes after the writer's
 //! unlock and its clone is a snapshot at least as new as that
 //! generation. A held snapshot that matches the generation a reader
-//! loaded is the very snapshot the store published at that generation (a
-//! store publishes each generation once, and its id is never reused), so
-//! answering from it is answering from what the store held when the
-//! reader loaded the generation. The writer drops the superseded
-//! snapshot only after it unlocks, so freeing a large table never holds
-//! up a reader's miss.
+//! loaded is the very snapshot the store published at that generation
+//! (the counter issues each generation once), so answering from it is
+//! answering from what the store held when the reader loaded the
+//! generation. The writer drops the superseded snapshot only after it
+//! unlocks, so freeing a large table never holds up a reader's miss.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,19 +75,16 @@ use crate::store::Lookup;
 /// a layered index when they overlap — O(log n) either way, with
 /// bit-exact flat-scan semantics (store-order any-grant-wins).
 pub struct PolicySnapshot {
-    /// The id of the [`SnapshotStore`] that published this snapshot.
-    store: u64,
     generation: u64,
     /// The frozen index (also owns the store-order region list).
     frozen: FrozenStore,
 }
 
 impl PolicySnapshot {
-    /// Build store `store`'s snapshot over `regions` (the rule list in
-    /// store order) at `generation`.
-    fn build(store: u64, regions: Vec<Region>, generation: u64) -> PolicySnapshot {
+    /// Build the snapshot over `regions` (the rule list in store order)
+    /// at `generation`.
+    fn build(regions: Vec<Region>, generation: u64) -> PolicySnapshot {
         PolicySnapshot {
-            store,
             generation,
             frozen: FrozenStore::build(regions),
         }
@@ -132,7 +131,6 @@ impl PolicySnapshot {
 impl std::fmt::Debug for PolicySnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicySnapshot")
-            .field("store", &self.store)
             .field("generation", &self.generation)
             .field("regions", &self.frozen.len())
             .field("frozen", &self.frozen.kind())
@@ -146,8 +144,16 @@ thread_local! {
     static HELD: Cell<Option<Arc<PolicySnapshot>>> = const { Cell::new(None) };
 }
 
-/// The source of store ids. 0 is never issued.
-static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+/// The source of every store's generations. 0 is never issued.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// A generation no snapshot has had. `Relaxed`: the value publishes no
+/// data (the store's own `SeqCst` generation does), and uniqueness, and
+/// growth across one store's serialized publishes, come from the
+/// read-modify-write order alone.
+fn next_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The epoch/RCU cell: current snapshot + generation + publish counter.
 /// It keeps no history and calls nobody back: a fast path learns of a
@@ -157,26 +163,22 @@ static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 /// while holding its writer lock); a reader takes the cell's lock only on
 /// a miss.
 pub struct SnapshotStore {
-    /// Never reused: it tells this store's snapshots from those of any
-    /// other store, live or dropped, at the same generation.
-    id: u64,
     /// Locked by a held snapshot's miss, [`Self::load_full`] and
     /// [`Self::publish`], each for one `Arc` clone or swap.
     current: Mutex<Arc<PolicySnapshot>>,
     /// Stored *after* the snapshot is installed on publish; the fast
-    /// paths' validity tag. Starts at 1 so 0 can mean "never filled".
+    /// paths' validity tag. Never 0, so 0 can mean "never filled".
     generation: AtomicU64,
     publishes: Counter,
 }
 
 impl SnapshotStore {
-    /// An empty store at generation 1.
+    /// An empty store at a fresh generation.
     pub fn new() -> SnapshotStore {
-        let id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
+        let gen = next_generation();
         SnapshotStore {
-            id,
-            current: Mutex::new(Arc::new(PolicySnapshot::build(id, Vec::new(), 1))),
-            generation: AtomicU64::new(1),
+            current: Mutex::new(Arc::new(PolicySnapshot::build(Vec::new(), gen))),
+            generation: AtomicU64::new(gen),
             publishes: Counter::new("policy.snapshot_publishes"),
         }
     }
@@ -190,16 +192,16 @@ impl SnapshotStore {
 
     /// Run `f` on the current snapshot through this thread's held one
     /// (see the module docs): one generation load, and a `load_full`
-    /// that the thread keeps only when the held snapshot is another
-    /// store's or another generation's. Takes no lock and no locked
-    /// instruction while the generation stands still.
+    /// that the thread keeps only when the held snapshot has another
+    /// generation. Takes no lock and no locked instruction while the
+    /// generation stands still.
     #[inline]
     pub fn read<R>(&self, f: impl FnOnce(&PolicySnapshot) -> R) -> R {
         let gen = self.generation();
         // Taken out while `f` runs, so a read nested in `f` finds the
         // entry empty and only costs a miss.
         let snap = match HELD.with(Cell::take) {
-            Some(s) if s.store == self.id && s.generation == gen => s,
+            Some(s) if s.generation == gen => s,
             _ => self.load_full(),
         };
         let out = f(&snap);
@@ -213,16 +215,16 @@ impl SnapshotStore {
         Arc::clone(&self.current.lock())
     }
 
-    /// Rebuild and publish a new snapshot; returns the new generation.
-    /// The snapshot is built before the cell is locked, installed under
-    /// the lock, then the generation and the publish count are stored;
-    /// the superseded snapshot is dropped after the unlock. Callers
-    /// serialize publishes (the policy module holds its writer lock
-    /// across mutate + publish, so generation order matches mutation
-    /// order).
+    /// Rebuild and publish a new snapshot at a fresh generation, which
+    /// it returns. The snapshot is built before the cell is locked,
+    /// installed under the lock, then the generation and the publish
+    /// count are stored; the superseded snapshot is dropped after the
+    /// unlock. Callers serialize publishes (the policy module holds its
+    /// writer lock across mutate + publish, so generation order matches
+    /// mutation order).
     pub fn publish(&self, regions: Vec<Region>) -> u64 {
-        let gen = self.generation.load(Ordering::SeqCst) + 1;
-        let next = Arc::new(PolicySnapshot::build(self.id, regions, gen));
+        let gen = next_generation();
+        let next = Arc::new(PolicySnapshot::build(regions, gen));
         let superseded = std::mem::replace(&mut *self.current.lock(), next);
         // Snapshot first, generation second: a reader that sees the new
         // generation and then locks finds the new snapshot installed.
@@ -239,17 +241,12 @@ impl SnapshotStore {
 }
 
 impl Drop for SnapshotStore {
-    /// Release the dropping thread's held snapshot if this store published
-    /// it. Other threads' entries go on their next read or at their exit.
-    /// During thread teardown the entry may be gone already: nothing to do.
+    /// Release the dropping thread's held snapshot, whichever store
+    /// published it: another store's read pays one miss for it. Other
+    /// threads' entries go on their next read or at their exit. During
+    /// thread teardown the entry may be gone already: nothing to do.
     fn drop(&mut self) {
-        let _ = HELD.try_with(|held| {
-            if let Some(snap) = held.take() {
-                if snap.store != self.id {
-                    held.set(Some(snap));
-                }
-            }
-        });
+        let _ = HELD.try_with(Cell::take);
     }
 }
 
@@ -271,7 +268,7 @@ mod tests {
     #[test]
     fn empty_snapshot_matches_nothing() {
         let s = SnapshotStore::new();
-        assert_eq!(s.generation(), 1);
+        assert_ne!(s.generation(), 0);
         assert_eq!(
             s.read(|snap| snap.lookup(VAddr(0x1000), Size(8), AccessFlags::READ)),
             Lookup::NoMatch
@@ -281,16 +278,17 @@ mod tests {
     #[test]
     fn publish_bumps_generation_and_swaps_table() {
         let s = SnapshotStore::new();
+        let g0 = s.generation();
         let g = s.publish(vec![r(0x1000, 0x1000, Protection::READ_WRITE)]);
-        assert_eq!(g, 2);
-        assert_eq!(s.generation(), 2);
+        assert!(g > g0);
+        assert_eq!(s.generation(), g);
         assert_eq!(s.publish_counter().get(), 1);
         assert!(matches!(
             s.read(|snap| snap.lookup(VAddr(0x1800), Size(8), AccessFlags::RW)),
             Lookup::Permitted(_)
         ));
-        let g = s.publish(Vec::new());
-        assert_eq!(g, 3);
+        let g1 = s.publish(Vec::new());
+        assert!(g1 > g);
         assert_eq!(
             s.read(|snap| snap.lookup(VAddr(0x1800), Size(8), AccessFlags::RW)),
             Lookup::NoMatch
@@ -305,7 +303,7 @@ mod tests {
             r(0x3000, 0x1000, Protection::READ_ONLY),
             r(0x8000, 0x100, Protection::NONE),
         ];
-        let snap = PolicySnapshot::build(0, disjoint.clone(), 1);
+        let snap = PolicySnapshot::build(disjoint.clone(), 1);
         assert_eq!(snap.frozen_kind(), FrozenKind::Sorted);
         let probes = [
             (0x1800u64, 8u64, AccessFlags::RW),
@@ -346,7 +344,7 @@ mod tests {
             r(0x1000, 0x1000, Protection::NONE),
             r(0x1000, 0x1000, Protection::READ_WRITE),
         ];
-        let snap = PolicySnapshot::build(0, regions, 1);
+        let snap = PolicySnapshot::build(regions, 1);
         assert_eq!(
             snap.frozen_kind(),
             FrozenKind::Interval,

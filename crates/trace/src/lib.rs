@@ -305,18 +305,6 @@ impl Tracer {
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Tracer {
-        Tracer {
-            enabled: AtomicBool::new(false),
-            ring: Mutex::new(ring::Ring::new(DEFAULT_CAPACITY)),
-            sites: Mutex::new(SiteRegistry { metas: Vec::new() }),
-            profiles: Mutex::new(profile::Profiler::default()),
-            counters: CounterRegistry::new(),
-        }
-    }
-}
-
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")

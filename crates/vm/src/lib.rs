@@ -308,18 +308,14 @@ pub struct CompiledFunc {
 }
 
 /// One published promotion: a grant per baked guard site, plus the
-/// policy and snapshot generation they were baked from. Swapped
-/// wholesale — readers either see the complete tier or none of it.
+/// snapshot generation they were baked from. Swapped wholesale —
+/// readers either see the complete tier or none of it.
 #[derive(Debug, Default)]
 pub struct PromotedTier {
-    /// Namespace id of the policy the grants were baked from (0 = the
-    /// empty tier). Namespace ids are never reused and no policy has id
-    /// 0, so an executor runs the tier only for a call whose policy has
-    /// this id: two policies' generations both start at 1 and cannot
-    /// tell the policies apart.
-    pub ns: u64,
-    /// Snapshot generation every grant in this tier cites
-    /// (0 = the empty tier; real generations start at 1).
+    /// Snapshot generation every grant in this tier cites (0 = the
+    /// empty tier; no snapshot has generation 0). Generations are
+    /// process-wide, so it names one snapshot of one policy: under any
+    /// other policy, or after a publish, every grant deopts.
     pub gen: u64,
     /// Id of the first site `grants` covers.
     base: u32,
@@ -390,8 +386,8 @@ impl TierCell {
 /// a short lock, next to a never-reused id ([`CompiledModule::tier_id`])
 /// that executors key a kept tier by, so an executor locks only when the
 /// promotion pass published (or dropped) a tier since its last call;
-/// clones of the module share one tier. Policy publishes never touch
-/// it: its generation and namespace tags make a stale tier deopt.
+/// clones of the module share one tier. Policy publishes and swaps never
+/// touch it: its generation tag makes a stale tier deopt.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// The module's name (used for policy lookup and diagnostics).
@@ -447,10 +443,7 @@ impl CompiledModule {
     /// Only sites some guard op carries are baked; the rest are
     /// skipped. An empty result publishes nothing and leaves the
     /// existing tier in place.
-    ///
-    /// `ns` is the namespace id of the policy the regions come from; an
-    /// executor runs the tier only for a call governed by that policy.
-    pub fn promote(&self, ns: u64, gen: u64, sites: &[(SiteId, Region)]) -> usize {
+    pub fn promote(&self, gen: u64, sites: &[(SiteId, Region)]) -> usize {
         let by_site: BTreeMap<SiteId, Region> = sites.iter().copied().collect();
         let mut baked = BTreeMap::new();
         let mut promoted_ops = 0usize;
@@ -473,7 +466,6 @@ impl CompiledModule {
             grants[(site - base) as usize] = Some(grant);
         }
         self.promoted.publish(PromotedTier {
-            ns,
             gen,
             base,
             grants: grants.into(),
@@ -582,16 +574,16 @@ mod promote_tests {
     fn promote_bakes_the_given_sites_and_only_they() {
         let m = module();
         let empty = m.promoted_tier();
-        assert_eq!((empty.ns, empty.gen), (0, 0));
+        assert_eq!(empty.gen, 0);
         assert!((0..16).all(|s| grant(&empty, s).is_none()));
 
         let id = m.tier_id();
         let (a, b) = (spec(7, 0x1000, 0x2000), spec(11, 0x3000, 0x4000));
         // Site 7 sits on two ops, site 11 on one; site 9 is not given.
-        assert_eq!(m.promote(1, 5, &[a, b]), 3, "counted per guard op");
+        assert_eq!(m.promote(5, &[a, b]), 3, "counted per guard op");
         assert_ne!(m.tier_id(), id, "a publish stores a fresh id");
         let tier = m.promoted_tier();
-        assert_eq!((tier.ns, tier.gen), (1, 5));
+        assert_eq!(tier.gen, 5);
         assert_eq!(m.promoted_generation(), 5);
         assert_eq!(
             grant(&tier, 7),
@@ -615,18 +607,15 @@ mod promote_tests {
     #[test]
     fn promoting_unknown_sites_publishes_nothing() {
         let m = module();
-        assert_eq!(m.promote(1, 3, &[spec(9, 0, 0x100)]), 1);
+        assert_eq!(m.promote(3, &[spec(9, 0, 0x100)]), 1);
         let id = m.tier_id();
         // A site no op carries is skipped even beside a carried one ...
-        assert_eq!(
-            m.promote(1, 4, &[spec(9, 0, 0x100), spec(999, 0, 0x100)]),
-            1
-        );
+        assert_eq!(m.promote(4, &[spec(9, 0, 0x100), spec(999, 0, 0x100)]), 1);
         assert_eq!(grant(&m.promoted_tier(), 999), None);
         assert_ne!(m.tier_id(), id);
         // ... and on its own bakes nothing: the old tier and its id stay.
         let id = m.tier_id();
-        assert_eq!(m.promote(1, 5, &[spec(999, 0, 0x100)]), 0);
+        assert_eq!(m.promote(5, &[spec(999, 0, 0x100)]), 0);
         assert_eq!(m.tier_id(), id, "nothing published");
         assert_eq!(m.promoted_generation(), 4);
         assert!(grant(&m.promoted_tier(), 9).is_some());
@@ -636,37 +625,32 @@ mod promote_tests {
     fn invalidate_drops_the_tier_and_clones_share_it() {
         let m = module();
         let alias = m.clone();
-        m.promote(1, 9, &[spec(9, 0x10, 0x20)]);
+        m.promote(9, &[spec(9, 0x10, 0x20)]);
         assert_eq!(alias.promoted_generation(), 9, "clones share the tier");
         assert_eq!(alias.tier_id(), m.tier_id(), "and its id");
         let promoted_id = m.tier_id();
         let tier = alias.promoted_tier();
-        assert_eq!(tier.ns, 1, "the tier carries its bake namespace");
 
         alias.invalidate_promotions();
         assert!(m.tier_id() > promoted_id, "an invalidation is a publish");
         let empty = m.promoted_tier();
-        assert_eq!(
-            (empty.ns, empty.gen),
-            (0, 0),
-            "no policy runs the empty tier"
-        );
+        assert_eq!(empty.gen, 0, "no policy runs the empty tier");
         assert_eq!(grant(&empty, 9), None);
         // A tier loaded before the invalidation stays whole for its
         // holder: same grants, same tags.
-        assert_eq!((tier.ns, tier.gen), (1, 9));
+        assert_eq!(tier.gen, 9);
         assert_eq!(grant(&tier, 9).map(|g| g.gen), Some(9));
         // Re-promotion after invalidation works (lazy re-promote path).
-        assert_eq!(m.promote(1, 10, &[spec(9, 0x10, 0x20)]), 1);
+        assert_eq!(m.promote(10, &[spec(9, 0x10, 0x20)]), 1);
         assert_eq!(alias.promoted_generation(), 10);
     }
 
     #[test]
     fn a_superseded_tier_is_freed_once_no_executor_holds_it() {
         let m = module();
-        m.promote(1, 5, &[spec(9, 0x10, 0x20)]);
+        m.promote(5, &[spec(9, 0x10, 0x20)]);
         let promoted = Arc::downgrade(&m.promoted_tier());
-        m.promote(1, 6, &[spec(9, 0x10, 0x20)]);
+        m.promote(6, &[spec(9, 0x10, 0x20)]);
         assert!(
             promoted.upgrade().is_none(),
             "a re-promote frees the tier it replaced"

@@ -666,7 +666,7 @@ fn stale_generation_promotion_deopts_every_guard() {
         .image()
         .compiled
         .clone();
-    assert!(compiled.promote(policy.namespace(), stale_gen, &sites) > 0);
+    assert!(compiled.promote(stale_gen, &sites) > 0);
     assert_eq!(compiled.promoted_generation(), stale_gen);
 
     let s0 = policy.stats();

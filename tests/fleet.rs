@@ -5,7 +5,7 @@
 //! [`carat_kop::kernel::ModuleStager`] — signature verification, layout
 //! sealing, static proof, and guard-site assignment all off the kernel
 //! lock — while multi-queue guarded forwarding runs against per-tenant
-//! policies resolved through the kernel's sharded `NamespaceStore`.
+//! policies resolved through the kernel's `NamespaceStore`.
 //! Invariants held throughout:
 //!
 //! * every staged module commits (64/64 loaded, then callable with live
@@ -203,16 +203,15 @@ fn namespace_registration_is_monotone_and_falls_back_to_global() {
     kernel.set_module_policy("a", Arc::new(PolicyModule::two_region_paper_policy()));
     kernel.set_module_policy("b", Arc::new(PolicyModule::two_region_paper_policy()));
     let ns = Arc::clone(kernel.namespaces());
-    let ns_a = ns.namespace_of("a").expect("a registered");
-    let ns_b = ns.namespace_of("b").expect("b registered");
-    assert_ne!(ns_a, ns_b, "tenants get distinct namespace ids");
+    let gen = |m: &str| ns.get(m).expect("registered").store_generation();
+    let (gen_a, gen_b) = (gen("a"), gen("b"));
+    assert_ne!(gen_a, gen_b, "tenants never share a generation");
     assert!(!Arc::ptr_eq(&ns.resolve("a"), &ns.resolve("b")));
 
-    // Re-registration (live upgrade) always gets a fresh id — stale
-    // cache tags keyed on the old namespace can never match again.
+    // Re-registration (live upgrade) always brings a fresh generation —
+    // stale cache tags keyed on the old policy can never match again.
     kernel.set_module_policy("a", Arc::new(PolicyModule::two_region_paper_policy()));
-    let ns_a2 = ns.namespace_of("a").expect("a still registered");
-    assert!(ns_a2 > ns_a.max(ns_b), "namespace ids are never reused");
+    assert!(gen("a") > gen_a.max(gen_b), "generations are never reused");
 
     // Removal falls back to the global policy.
     assert!(kernel.clear_module_policy("b"));

@@ -571,10 +571,10 @@ fn elsewhere<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
 /// A namespace swap through the shared `NamespaceStore`, from another
 /// thread, governs the next call on every engine of one long-lived
 /// interpreter, and so does removing it again. The swapped-in policy
-/// (default deny, no rules, bumped once) has the generation the promoted
-/// tier was baked under, so only the namespace id tells it from the
-/// global policy: the tier must not run under it, and runs
-/// inline again once the global policy governs the module again.
+/// (default deny, no rules, bumped once) never has the generation the
+/// promoted tier was baked under, so the tier admits nothing under it,
+/// and runs inline again once the global policy governs the module
+/// again.
 #[test]
 fn shared_store_swap_between_calls_governs_the_next_call() {
     for engine in [Engine::Tree, Engine::Bytecode, Engine::Promoted] {
@@ -591,10 +591,10 @@ fn shared_store_swap_between_calls_governs_the_next_call() {
             .expect("loaded")
             .image()
             .compiled;
-        assert_eq!(
+        assert_ne!(
             own.store_generation(),
             compiled.promoted_generation(),
-            "the swapped-in policy carries the tier's generation"
+            "the swapped-in policy never carries the tier's generation"
         );
         let inline = if engine == Engine::Promoted { 10 } else { 0 };
         let mut interp = x.interp(engine);
@@ -685,7 +685,8 @@ fn tier_changes_between_calls_govern_the_next_call() {
     assert_eq!(interp.kernel().tick(), 10 - denied as usize);
 }
 
-/// After a swap through the shared store, `tick()` bakes the tier from
+/// After a swap through the shared store, the global policy's tier runs
+/// stale and deopts every baked guard, and `tick()` bakes the tier from
 /// the policy that now governs: that policy's next publish stales the
 /// tier, so the call after admits nothing inline and deopts every
 /// inline guard.
@@ -717,7 +718,7 @@ fn tick_after_a_shared_store_swap_follows_the_new_policy() {
     };
     let (s, o) = (Arc::clone(&store), Arc::clone(&own));
     elsewhere(move || s.register(XMIT_MODULE, o));
-    assert_eq!(call(&mut interp), (0, 0, 10), "the global tier stays off");
+    assert_eq!(call(&mut interp), (0, 10, 10), "the global tier runs stale");
     assert_eq!(interp.kernel().tick(), 10);
     assert_eq!(call(&mut interp), (10, 0, 10), "baked from the new policy");
     let o = Arc::clone(&own);
@@ -727,4 +728,26 @@ fn tick_after_a_shared_store_swap_follows_the_new_policy() {
         (0, 10, 10),
         "its publish stales the tier"
     );
+}
+
+/// Registering the policy that already governs a module under another
+/// module's name changes no generation, so the promoted `xmit` keeps
+/// admitting every baked guard inline, before and after.
+#[test]
+fn registering_the_governing_policy_under_another_name_keeps_the_tier() {
+    let mut x = boot_xmit(ViolationAction::LogAndDeny);
+    let b = x.bufs;
+    let mut interp = x.interp(Engine::Promoted);
+    let mut p = PROFILE_PKTS;
+    // `(inline admits, deopts)` over one call.
+    let mut call = |interp: &mut Interp<'_>| {
+        let (a0, d0) = (interp.inline_admits(), interp.inline_deopts());
+        xmit(interp, &b, p).expect("xmit");
+        p += 1;
+        (interp.inline_admits() - a0, interp.inline_deopts() - d0)
+    };
+    assert_eq!(call(&mut interp), (10, 0), "promoted");
+    let global = Arc::clone(interp.kernel().policy());
+    interp.kernel().set_module_policy("another-module", global);
+    assert_eq!(call(&mut interp), (10, 0), "the same policy governs");
 }
