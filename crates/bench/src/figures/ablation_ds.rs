@@ -11,9 +11,9 @@ use super::{FigureData, Series};
 
 /// ABL-DS: guard-check latency of the paper's linear table walk against
 /// the two frozen indexes every production check uses (§3.1/§4.2's
-/// sketched alternatives, as built): the one-probe sorted index over
-/// disjoint rules and the layered index the same rules freeze to under
-/// one overlapping shared window. Each structure is timed on hits and on
+/// sketched alternatives, as built): the one-layer index over disjoint
+/// rules and the two-layer index the same rules freeze to under one
+/// overlapping shared window, each layer a static 9-ary search tree. Each structure is timed on hits and on
 /// default-deny misses. The headlines add one warm 8-byte `SimMemory`
 /// load and store, the access every guard sits in front of. Wall-clock
 /// measured on the host (relative ordering is the result).
@@ -127,7 +127,7 @@ pub fn ablation_ds() -> FigureData {
         headlines,
         notes: vec![
             "paper §4.2: linear scan is fine to ~64 regions; beyond that a logarithmic structure should win".into(),
-            "flat-scan: the paper's table walk; frozen-sorted: one binary search over disjoint rules; frozen-interval: the same rules under one overlapping window, one binary search per layer".into(),
+            "flat-scan: the paper's table walk; frozen-sorted: one search-tree descent over disjoint rules (1-4 node probes up to 1,024 rules); frozen-interval: the same rules under one overlapping window, one descent per layer (two layers)".into(),
             "expected ordering at large n: frozen-sorted < frozen-interval (two layers) < flat-scan (linear)".into(),
             "*-miss: default-deny misses below every rule and past the last; the scan walks every rule, each index one search".into(),
             "sim_read_ns / sim_write_ns: one warm 8-byte SimMemory load / store on a resident page".into(),

@@ -12,7 +12,8 @@
 //! on every queue serializes; with the lock-free snapshot path (plus a
 //! per-queue [`kop_policy::GuardFront`]) queues scale independently.
 
-use std::sync::Barrier;
+use std::cell::Cell;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use kop_policy::PolicyCheck;
@@ -94,7 +95,7 @@ where
 
 /// Run `queues` TX workers concurrently, each driving its own driver over
 /// the memory space `make_mem(queue)` builds (called on the worker's
-/// thread). Workers start together behind a barrier so `elapsed` measures
+/// thread). Workers start together at one line so `elapsed` measures
 /// genuinely concurrent transmit.
 pub fn run_mq_tx_with<M, F>(
     queues: usize,
@@ -135,19 +136,63 @@ where
 }
 
 /// Where every queue of a [`run_queues`] run starts its measured phase.
-pub struct StartLine(Barrier);
+/// Each queue holds its own place at the line; a queue that is done
+/// without reaching it — its set-up returned an error or panicked —
+/// gives its place up when its place drops, so the queues at the line
+/// never wait for it.
+pub struct StartLine<'a> {
+    gate: &'a Gate,
+    passed: Cell<bool>,
+}
 
-impl StartLine {
-    /// Wait until every queue reaches the line, then run `phase` and
-    /// time it.
+/// The line every queue of a run waits at: how many queues have neither
+/// reached it nor given their place up.
+struct Gate {
+    pending: Mutex<usize>,
+    open: Condvar,
+}
+
+impl Gate {
+    /// Count one queue off the line; with `wait`, return only once every
+    /// queue is off it.
+    fn leave(&self, wait: bool) {
+        // Nothing panics while the lock is held, so a poisoned lock
+        // still holds a good count.
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        *pending -= 1;
+        if *pending == 0 {
+            self.open.notify_all();
+        }
+        while wait && *pending > 0 {
+            pending = self
+                .open
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl StartLine<'_> {
+    /// Wait until every other queue reaches the line or gives its place
+    /// up, then run `phase` and time it.
     pub fn timed<T>(
         &self,
         phase: impl FnOnce() -> Result<T, DriverError>,
     ) -> Result<(T, Duration), DriverError> {
-        self.0.wait();
+        if !self.passed.replace(true) {
+            self.gate.leave(true);
+        }
         let start = Instant::now();
         let out = phase()?;
         Ok((out, start.elapsed()))
+    }
+}
+
+impl Drop for StartLine<'_> {
+    fn drop(&mut self) {
+        if !self.passed.get() {
+            self.gate.leave(false);
+        }
     }
 }
 
@@ -156,18 +201,31 @@ impl StartLine {
 /// up, runs its measured phase through [`StartLine::timed`] — so every
 /// queue's phase starts together — and returns its report with that
 /// phase's time. Returns the reports in queue order and the slowest
-/// queue's time, or the first error in queue order.
+/// queue's time, or the first error in queue order. A worker that fails
+/// or panics before the line gives its place up, so the others still
+/// start; a panic reaches the caller once every worker is done.
 pub fn run_queues<R, W>(queues: usize, worker: W) -> Result<(Vec<R>, Duration), DriverError>
 where
     R: Send,
-    W: Fn(usize, &StartLine) -> Result<(R, Duration), DriverError> + Sync,
+    W: Fn(usize, &StartLine<'_>) -> Result<(R, Duration), DriverError> + Sync,
 {
     assert!(queues >= 1, "need at least one queue");
-    let line = StartLine(Barrier::new(queues));
-    let (worker, line) = (&worker, &line);
+    let gate = Gate {
+        pending: Mutex::new(queues),
+        open: Condvar::new(),
+    };
+    let (worker, gate) = (&worker, &gate);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..queues)
-            .map(|q| s.spawn(move || worker(q, line)))
+            .map(|q| {
+                s.spawn(move || {
+                    let line = StartLine {
+                        gate,
+                        passed: Cell::new(false),
+                    };
+                    worker(q, &line)
+                })
+            })
             .collect();
         let mut reports = Vec::with_capacity(queues);
         let mut elapsed = Duration::ZERO;
@@ -185,6 +243,18 @@ mod tests {
     use super::*;
     use kop_policy::{GuardFront, PolicyModule};
     use std::sync::Arc;
+
+    /// Run `f` on a thread of its own and return what it returns; fail
+    /// the test instead of hanging if it has not returned in a minute.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || tx.send(f()).expect("the test waits"));
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run_queues hung: a worker never left the start line");
+        run.join().expect("sent its result");
+        out
+    }
 
     fn permissive_policy() -> Arc<PolicyModule> {
         // Kernel half allowed, user half denied — covers the arena and
@@ -232,5 +302,38 @@ mod tests {
             "slots must answer most guards ({admits} of {})",
             report.guard_calls()
         );
+    }
+
+    #[test]
+    fn a_queue_failing_before_the_line_returns_its_error() {
+        // Queue 1's default-deny policy refuses its probe's first
+        // register write, so it never reaches the line; queue 0 must
+        // still start and the run must return queue 1's error.
+        let pm = permissive_policy();
+        let result = within_a_minute(move || {
+            run_mq_tx(2, 10, 64, |q| {
+                if q == 1 {
+                    Arc::new(PolicyModule::new())
+                } else {
+                    Arc::clone(&pm)
+                }
+            })
+            .map(|report| report.delivered())
+        });
+        assert!(result.is_err(), "queue 1's denial must fail the run");
+    }
+
+    #[test]
+    fn a_queue_panicking_before_the_line_panics_the_run() {
+        let panicked = within_a_minute(|| {
+            std::panic::catch_unwind(|| {
+                run_queues(3, |q, line| {
+                    assert_ne!(q, 2, "queue 2's set-up fails");
+                    line.timed(|| Ok(()))
+                })
+            })
+            .is_err()
+        });
+        assert!(panicked, "a worker's panic reaches the caller");
     }
 }

@@ -221,7 +221,7 @@ impl MqForwardReport {
 /// [`FlowGen`] (seed derived from `seed` and the queue index) and audited
 /// by its own [`LedgerSink`]; `make_mem(queue)` builds each worker's
 /// memory space, so a shared policy (or per-queue guard fronts over one)
-/// is the only contended object. Workers start behind a barrier so
+/// is the only contended object. Workers start together at one line so
 /// `elapsed` measures genuinely concurrent forwarding.
 pub fn run_mq_forward<M, F>(
     queues: usize,

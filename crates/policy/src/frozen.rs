@@ -3,7 +3,8 @@
 //! Every guard check is answered here. The SMP check path (DESIGN §3.13)
 //! reads a snapshot concurrently from every core, so lookup takes `&self`;
 //! the index is built once at publish time from the policy's rule list
-//! and serves O(log n) lookups with **bit-exact** flat-scan semantics:
+//! and serves lookups in a few cache-line probes with **bit-exact**
+//! flat-scan semantics:
 //!
 //! * Permitted(r) where `r` is the *first region in store order* that
 //!   covers the whole access and grants the intent,
@@ -15,6 +16,15 @@
 //! base order for the sorted kind) — the frozen index remembers each
 //! region's position so the tiebreak is preserved even when the search
 //! visits regions out of order.
+//!
+//! The index is a list of **layers**: pairwise-disjoint regions in base
+//! order, so within a layer at most one region — the last whose base is
+//! at most the address — can cover an access. Each layer finds that
+//! region with a static 9-ary search tree over its bases (`Tree`):
+//! eight `u64` keys per 64-byte node, counted without branches, one node
+//! per level, then one load of the candidate region. A lookup makes
+//! `layers × depth` node probes: 1 for the datapath's 6 rules, 2 for the
+//! paper's 64, 4 for a 4,102-rule fleet.
 
 use kop_core::{AccessFlags, Region, Size, VAddr};
 
@@ -23,14 +33,14 @@ use crate::store::Lookup;
 /// How a [`FrozenStore`] indexes its regions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrozenKind {
-    /// Disjoint regions sorted by base: one `partition_point` probe.
+    /// Disjoint regions: one layer, one tree descent.
     Sorted,
     /// Overlapping regions: layered decomposition — base-sorted regions
-    /// greedily partitioned into pairwise-disjoint layers, one binary
-    /// search per layer. O(L · log n) with L = max overlap depth, and
-    /// every probe walks a contiguous array (no pointer chasing), so a
-    /// fleet-shaped set (thousands of disjoint rules under a few shared
-    /// windows) pays L = 2 cache-friendly searches.
+    /// greedily partitioned into pairwise-disjoint layers, one tree
+    /// descent per layer, `L × depth` node probes with L = max overlap
+    /// depth. Every probe reads a contiguous array (no pointer chasing),
+    /// so a fleet-shaped set (thousands of disjoint rules under a few
+    /// shared windows) pays L = 2 descents.
     Interval,
 }
 
@@ -44,72 +54,212 @@ impl FrozenKind {
     }
 }
 
-/// One entry of a layer: a region plus its position in the original
-/// store order (the tiebreak among overlapping candidates).
+/// Keys per tree node: eight `u64` bases fill one 64-byte line.
+const KEYS: usize = 8;
+/// Children per inner node.
+const FANOUT: usize = KEYS + 1;
+
+/// One tree node: [`KEYS`] keys in one cache line.
 #[derive(Clone, Copy, Debug)]
-struct Entry {
-    region: Region,
-    order: usize,
+#[repr(align(64))]
+struct Node([u64; KEYS]);
+
+/// How many of `node`'s keys are at most `x`, for `x < u64::MAX`: all
+/// of them less those above `x`, which are exactly the keys `k` for
+/// which `x - k` borrows. Taking each borrow off a running count
+/// compiles to a chain of scalar compare-and-borrow pairs. A sum of
+/// `(k <= x) as usize`, or of the borrows, can instead be vectorized on
+/// the x86-64 baseline, which has no 64-bit vector compare, into scalar
+/// compares packed into a vector and counted with multiplies, measured
+/// several times slower.
+#[inline(always)]
+fn count_le(node: &Node, x: u64) -> usize {
+    node.0.iter().fold(KEYS, |count, &k| {
+        count - usize::from(x.overflowing_sub(k).1)
+    })
 }
 
+/// A static search tree over ascending keys: a B+ tree with [`KEYS`]
+/// keys and [`FANOUT`] children per node, laid out level by level, root
+/// first, in one array. The bottom level is the keys themselves, eight
+/// to a node. The children of inner node `m` of a level are nodes
+/// `FANOUT·m ..= FANOUT·m + 8` of the level below, and its `j`-th key is
+/// the first key under child `j + 1`. Every slot past the last key or
+/// child holds `u64::MAX`, so a search for any `x < u64::MAX` never
+/// counts one.
 #[derive(Clone, Debug)]
-enum Index {
-    /// Base-sorted, pairwise-disjoint regions (store-order positions are
-    /// irrelevant for disjoint sets: at most one region covers an access).
-    Sorted(Vec<Region>),
-    /// Layered decomposition: each layer is base-sorted and pairwise
-    /// disjoint, so within a layer at most one region can cover an
-    /// access — found with one `partition_point` probe. Every region
-    /// lives in exactly one layer, so probing all layers visits every
-    /// possible covering candidate.
-    Interval(Vec<Vec<Entry>>),
+struct Tree {
+    nodes: Box<[Node]>,
+    /// Where each level starts in `nodes`, root first; the last entry is
+    /// the bottom level.
+    levels: Box<[usize]>,
+    /// Number of keys.
+    len: usize,
+}
+
+impl Tree {
+    /// The tree over `keys`, which ascend.
+    fn new(keys: impl ExactSizeIterator<Item = u64>) -> Tree {
+        let len = keys.len();
+        // Node counts per level, bottom up, ending at the one root.
+        let mut counts = vec![len.div_ceil(KEYS).max(1)];
+        while let Some(&below) = counts.last().filter(|&&c| c > 1) {
+            counts.push(below.div_ceil(FANOUT));
+        }
+        let levels: Box<[usize]> = counts
+            .iter()
+            .rev()
+            .scan(0, |start, &count| {
+                let at = *start;
+                *start += count;
+                Some(at)
+            })
+            .collect();
+        let mut nodes = vec![Node([u64::MAX; KEYS]); counts.iter().sum()];
+        let bottom = levels[levels.len() - 1];
+        for (i, key) in keys.enumerate() {
+            nodes[bottom + i / KEYS].0[i % KEYS] = key;
+        }
+        // The first key under each node of the level just filled; every
+        // node holds at least one key.
+        let mut firsts: Vec<u64> = nodes[bottom..].iter().map(|n| n.0[0]).collect();
+        for (&start, &count) in levels.iter().rev().zip(&counts).skip(1) {
+            for (m, node) in nodes[start..start + count].iter_mut().enumerate() {
+                for (j, key) in node.0.iter_mut().enumerate() {
+                    *key = firsts.get(FANOUT * m + j + 1).copied().unwrap_or(u64::MAX);
+                }
+            }
+            firsts = (0..count).map(|m| firsts[FANOUT * m]).collect();
+        }
+        Tree {
+            nodes: nodes.into_boxed_slice(),
+            levels,
+            len,
+        }
+    }
+
+    /// How many keys are at most `x`: one counted node per level.
+    #[inline(always)]
+    fn rank(&self, x: u64) -> usize {
+        // Every key is at most `u64::MAX`, the padding included.
+        if x == u64::MAX {
+            return self.len;
+        }
+        let (&bottom, inner) = self.levels.split_last().expect("a tree has a level");
+        let mut child = 0;
+        for &start in inner {
+            child = FANOUT * child + count_le(&self.nodes[start + child], x);
+        }
+        KEYS * child + count_le(&self.nodes[bottom + child], x)
+    }
+}
+
+/// Pairwise-disjoint regions in base order, searched by their bases.
+#[derive(Clone, Debug)]
+struct Layer {
+    tree: Tree,
+    /// The store-order position of the layer's `i`-th region; empty when
+    /// the layer is the whole rule list in store order.
+    positions: Box<[usize]>,
+}
+
+impl Layer {
+    /// The store-order position of the one region that can cover an
+    /// access at `addr`: the last whose base is at most `addr`. Always
+    /// inlined: both arms of [`FrozenStore::lookup_frozen`] call it, and
+    /// a call per lookup made 6 rules slower than the binary search this
+    /// tree replaced.
+    #[inline(always)]
+    fn candidate(&self, addr: VAddr) -> Option<usize> {
+        let i = self.tree.rank(addr.raw()).checked_sub(1)?;
+        Some(self.positions.get(i).copied().unwrap_or(i))
+    }
 }
 
 /// Immutable region set with `&self` lookup, built at snapshot-publish
 /// time. See the module docs for the exact semantics contract.
 #[derive(Clone, Debug)]
 pub struct FrozenStore {
-    /// Regions in original store order (what `regions()` exposes).
+    /// Regions in original store order (what `regions()` exposes); the
+    /// layers index into it, so each region is kept once.
     regions: Vec<Region>,
-    index: Index,
+    layers: Vec<Layer>,
 }
 
 impl FrozenStore {
-    /// Build the best index for this region set: a one-probe sorted array
-    /// when the set is pairwise disjoint, the layered index otherwise.
-    /// `regions` is the rule list in store order.
+    /// Build the index for `regions`, the rule list in store order: one
+    /// layer when the set is pairwise disjoint, the layered
+    /// decomposition otherwise. A list already in base order with each
+    /// region ending below the next one's base (the sorted kind's, and a
+    /// datapath table's) is the one layer as it stands: no sort, no
+    /// positions. Zero-length regions cover nothing and join no layer.
     pub fn build(regions: Vec<Region>) -> FrozenStore {
-        let mut sorted: Vec<(usize, Region)> = regions.iter().copied().enumerate().collect();
-        sorted.sort_by_key(|(_, r)| r.base);
-        let disjoint = sorted.windows(2).all(|w| !w[0].1.overlaps(&w[1].1));
-        let index = if disjoint {
-            Index::Sorted(sorted.into_iter().map(|(_, r)| r).collect())
-        } else {
+        let ascending = regions.iter().all(|r| !r.is_empty())
+            && regions
+                .windows(2)
+                .all(|w| w[0].last().is_some_and(|last| last < w[1].base));
+        let layers = if !ascending {
+            // Stable: equal bases keep their store order.
+            let mut by_base: Vec<usize> = (0..regions.len())
+                .filter(|&p| !regions[p].is_empty())
+                .collect();
+            by_base.sort_by_key(|&p| regions[p].base);
             // Greedy interval partitioning in base order: each region
-            // goes into the first layer whose most recent region it
-            // does not overlap. Layers stay base-sorted and disjoint.
-            let mut layers: Vec<Vec<Entry>> = Vec::new();
-            'place: for (order, region) in sorted {
-                let entry = Entry { region, order };
-                for layer in &mut layers {
-                    if !layer.last().is_some_and(|e| e.region.overlaps(&region)) {
-                        layer.push(entry);
-                        continue 'place;
-                    }
+            // goes into the first layer whose most recent region it does
+            // not overlap. Layers stay base-sorted and disjoint.
+            let mut layers: Vec<Vec<usize>> = Vec::new();
+            for p in by_base {
+                let fits = |layer: &&mut Vec<usize>| {
+                    !layer
+                        .last()
+                        .is_some_and(|&q| regions[q].overlaps(&regions[p]))
+                };
+                match layers.iter_mut().find(fits) {
+                    Some(layer) => layer.push(p),
+                    None => layers.push(vec![p]),
                 }
-                layers.push(vec![entry]);
             }
-            Index::Interval(layers)
+            layers
+                .into_iter()
+                .map(|positions| Layer {
+                    tree: Tree::new(positions.iter().map(|&p| regions[p].base.raw())),
+                    positions: positions.into_boxed_slice(),
+                })
+                .collect()
+        } else if regions.is_empty() {
+            Vec::new()
+        } else {
+            vec![Layer {
+                tree: Tree::new(regions.iter().map(|r| r.base.raw())),
+                positions: Box::default(),
+            }]
         };
-        FrozenStore { regions, index }
+        FrozenStore { regions, layers }
     }
 
     /// Which index this store built.
     pub fn kind(&self) -> FrozenKind {
-        match self.index {
-            Index::Sorted(_) => FrozenKind::Sorted,
-            Index::Interval(_) => FrozenKind::Interval,
+        if self.layers.len() > 1 {
+            FrozenKind::Interval
+        } else {
+            FrozenKind::Sorted
         }
+    }
+
+    /// Node probes per layer: the depth of the deepest layer's tree (0
+    /// for an empty store). A lookup makes at most `layers × depth`.
+    pub fn depth(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| l.tree.levels.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Number of layers: 1 for a disjoint set, the greedy partition's
+    /// size for an overlapping one, 0 for an empty store.
+    pub fn layers(&self) -> usize {
+        self.layers.len()
     }
 
     /// The regions in original store order.
@@ -132,55 +282,46 @@ impl FrozenStore {
     /// `regions()` (any-grant-wins, first in store order).
     #[inline]
     pub fn lookup_frozen(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Lookup {
-        match &self.index {
-            Index::Sorted(sorted) => {
-                // Disjoint: the only candidate is the last region with
-                // base <= addr.
-                let n = sorted.partition_point(|r| r.base <= addr);
-                let Some(r) = n.checked_sub(1).map(|i| sorted[i]) else {
-                    return Lookup::NoMatch;
-                };
-                if !r.covers(addr, size) {
-                    return Lookup::NoMatch;
-                }
-                if r.prot.allows(flags) {
-                    Lookup::Permitted(r)
-                } else {
-                    Lookup::Forbidden(r)
-                }
+        // A disjoint set, the common shape: its one candidate decides.
+        if let [layer] = &self.layers[..] {
+            let Some(r) = layer.candidate(addr).map(|pos| self.regions[pos]) else {
+                return Lookup::NoMatch;
+            };
+            return if !r.covers(addr, size) {
+                Lookup::NoMatch
+            } else if r.prot.allows(flags) {
+                Lookup::Permitted(r)
+            } else {
+                Lookup::Forbidden(r)
+            };
+        }
+        // One candidate per layer. Track the granting and covering
+        // candidates with the smallest store-order position — no early
+        // exit, the first-in-store-order grant may sit in any layer.
+        let mut grant: Option<(usize, Region)> = None;
+        let mut cover: Option<(usize, Region)> = None;
+        for layer in &self.layers {
+            let Some(pos) = layer.candidate(addr) else {
+                continue;
+            };
+            let r = self.regions[pos];
+            if !r.covers(addr, size) {
+                continue;
             }
-            Index::Interval(layers) => {
-                // One probe per layer: within a layer the only possible
-                // coverer of `addr` is the last region with base <=
-                // addr. Track the granting and covering candidates with
-                // the smallest store-order index — no early exit, the
-                // first-in-store-order grant may sit in any layer.
-                let mut grant: Option<(usize, Region)> = None;
-                let mut cover: Option<(usize, Region)> = None;
-                for layer in layers {
-                    let n = layer.partition_point(|e| e.region.base <= addr);
-                    let Some(e) = n.checked_sub(1).map(|i| layer[i]) else {
-                        continue;
-                    };
-                    if !e.region.covers(addr, size) {
-                        continue;
-                    }
-                    if e.region.prot.allows(flags) {
-                        if grant.is_none_or(|(o, _)| e.order < o) {
-                            grant = Some((e.order, e.region));
-                        }
-                    } else if cover.is_none_or(|(o, _)| e.order < o) {
-                        cover = Some((e.order, e.region));
-                    }
+            if r.prot.allows(flags) {
+                if grant.is_none_or(|(p, _)| pos < p) {
+                    grant = Some((pos, r));
                 }
-                if let Some((_, r)) = grant {
-                    Lookup::Permitted(r)
-                } else if let Some((_, r)) = cover {
-                    Lookup::Forbidden(r)
-                } else {
-                    Lookup::NoMatch
-                }
+            } else if cover.is_none_or(|(p, _)| pos < p) {
+                cover = Some((pos, r));
             }
+        }
+        if let Some((_, r)) = grant {
+            Lookup::Permitted(r)
+        } else if let Some((_, r)) = cover {
+            Lookup::Forbidden(r)
+        } else {
+            Lookup::NoMatch
         }
     }
 }
@@ -301,6 +442,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_length_regions_join_no_layer() {
+        // An empty region covers nothing, so it must not stand in for
+        // the region it sits inside as the layer's candidate.
+        let regions = vec![
+            r(0x1000, 0x100, Protection::ALL),
+            Region::new(VAddr(0x1050), Size(0), Protection::NONE).unwrap(),
+        ];
+        let f = FrozenStore::build(regions.clone());
+        assert_eq!((f.len(), f.layers()), (2, 1));
+        assert_eq!(
+            f.lookup_frozen(VAddr(0x1060), Size(8), AccessFlags::READ),
+            Lookup::Permitted(regions[0])
+        );
+    }
+
+    #[test]
     fn empty_store_is_no_match() {
         let f = FrozenStore::build(Vec::new());
         assert!(f.is_empty());
@@ -329,8 +486,8 @@ mod tests {
 
     #[test]
     fn region_ending_at_address_space_top() {
-        // last() is inclusive u64::MAX; end() would be None. The interval
-        // augmentation must survive this.
+        // last() is inclusive u64::MAX; end() would be None. The layered
+        // index must survive this.
         let regions = vec![
             r(0, u64::MAX, Protection::READ_ONLY),
             r(0x1000, 0x1000, Protection::ALL),

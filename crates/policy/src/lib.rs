@@ -15,9 +15,10 @@
 //!   sorted table it sketches for scaling (§4.2: base order, no cap,
 //!   overlaps rejected),
 //! * [`frozen::FrozenStore`] — the immutable index every check is
-//!   answered from: one binary search over disjoint rules, a layered
-//!   decomposition over overlapping ones, both bit-exact with the paper's
-//!   linear scan,
+//!   answered from: disjoint rules form one layer, overlapping ones a
+//!   layered decomposition, and each layer is searched with a static
+//!   9-ary tree of 64-byte nodes (a few node probes at any size), all
+//!   bit-exact with the paper's linear scan,
 //! * [`manager::PolicyCmd`] — the binary ioctl protocol spoken by the
 //!   `policy-manager` user-space tool,
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]

@@ -257,33 +257,34 @@ impl PolicyModule {
     /// MMIO window is read-write. Everything else is default-deny.
     pub fn datapath_policy(geo: &DatapathGeometry) -> PolicyModule {
         use kop_core::Protection;
+        let windows: Vec<(Region, &str)> = geo
+            .control
+            .iter()
+            .map(|&window| (window, Protection::READ_WRITE, "control"))
+            .chain([
+                (geo.tx_buffers, Protection::READ_WRITE, "tx buffer"),
+                (geo.rx_buffers, Protection::READ_ONLY, "rx buffer"),
+                (geo.mmio, Protection::READ_WRITE, "mmio"),
+            ])
+            .filter(|&((_, len), _, _)| len != 0)
+            .map(|((base, len), prot, what)| {
+                let region = Region::new(VAddr(base), Size(len), prot)
+                    .unwrap_or_else(|| panic!("bad {what} region"));
+                (region, what)
+            })
+            .collect();
         let pm = PolicyModule::new();
-        let add = |base: u64, len: u64, prot, what: &str| {
-            if len == 0 {
-                return;
+        if pm.replace_regions(windows.iter().map(|&(r, _)| r)).is_err() {
+            // One reload refuses exactly what a run of single inserts
+            // would: replay them to name the window refused first.
+            let probe = PolicyModule::new();
+            for &(region, what) in &windows {
+                probe
+                    .add_region(region)
+                    .unwrap_or_else(|_| panic!("insert {what} region"));
             }
-            pm.add_region(
-                Region::new(VAddr(base), Size(len), prot)
-                    .unwrap_or_else(|| panic!("bad {what} region")),
-            )
-            .unwrap_or_else(|_| panic!("insert {what} region"));
-        };
-        for &(base, len) in &geo.control {
-            add(base, len, Protection::READ_WRITE, "control");
+            unreachable!("a reload refused windows every single insert admits");
         }
-        add(
-            geo.tx_buffers.0,
-            geo.tx_buffers.1,
-            Protection::READ_WRITE,
-            "tx buffer",
-        );
-        add(
-            geo.rx_buffers.0,
-            geo.rx_buffers.1,
-            Protection::READ_ONLY,
-            "rx buffer",
-        );
-        add(geo.mmio.0, geo.mmio.1, Protection::READ_WRITE, "mmio");
         pm
     }
 
@@ -679,6 +680,10 @@ mod tests {
         };
         let pm = PolicyModule::datapath_policy(&geo);
         assert_eq!(pm.region_count(), 5);
+        // One publish installs every window, in geometry order.
+        assert_eq!(pm.snapshot_publishes(), 1);
+        let bases: Vec<u64> = pm.regions().iter().map(|r| r.base.raw()).collect();
+        assert_eq!(bases, [0x1000, 0x3000, 0x10_000, 0x90_000, 0xf000_0000]);
         // Control and TX windows are read-write.
         assert!(pm.check(VAddr(0x1008), Size(8), AccessFlags::RW).is_ok());
         assert!(pm.check(VAddr(0x10_100), Size(8), AccessFlags::RW).is_ok());
@@ -696,6 +701,17 @@ mod tests {
             .check(VAddr(0xf000_0100), Size(4), AccessFlags::RW)
             .is_ok());
         assert!(pm.check(VAddr(0x8000), Size(8), AccessFlags::READ).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "insert tx buffer region")]
+    fn datapath_policy_names_the_window_the_table_refuses() {
+        let geo = DatapathGeometry {
+            control: vec![(0x1000, 0x1000)],
+            tx_buffers: (0x1000, 0x800),
+            ..DatapathGeometry::default()
+        };
+        PolicyModule::datapath_policy(&geo);
     }
 
     #[test]

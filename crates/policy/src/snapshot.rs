@@ -71,9 +71,10 @@ use crate::store::Lookup;
 /// permitted if **any** covering region grants the intent; otherwise the
 /// first covering region makes it [`Lookup::Forbidden`]; otherwise
 /// [`Lookup::NoMatch`]. Lookups are served by a [`FrozenStore`] built at
-/// publish time: a one-probe sorted array when the regions are disjoint,
-/// a layered index when they overlap — O(log n) either way, with
-/// bit-exact flat-scan semantics (store-order any-grant-wins).
+/// publish time: one layer when the regions are disjoint, a layered
+/// index when they overlap, each layer a static 9-ary search tree
+/// (`layers × depth` node probes), with bit-exact flat-scan semantics
+/// (store-order any-grant-wins).
 pub struct PolicySnapshot {
     generation: u64,
     /// The frozen index (also owns the store-order region list).

@@ -8,8 +8,14 @@
 //!    reference linear scan over the same region vector: same verdict
 //!    class and the same witness region, including store-order
 //!    tiebreaks among overlapping rules. Checked for arbitrary
-//!    (overlapping) sets, for every store kind's published snapshot, and
-//!    at 5,000 regions.
+//!    (overlapping) sets, for every store kind's published snapshot, at
+//!    5,000 regions, and at the search tree's edges: every rule count
+//!    from 0 to 200 (one node holds 8 keys, so the tree deepens at 9 and
+//!    73 rules) and 4,102, probed at and beside every base and last
+//!    byte and at both ends of the address space, with the top rule
+//!    ending at 2^64 or sitting at base `u64::MAX` — the key that
+//!    equals the tree's padding. The tree's depth is checked too: it is
+//!    the number of node probes a layer's lookup makes.
 //!
 //! 2. **Admission** — for both [`StoreKind`]s, `add_region` must return
 //!    exactly what a one-rule-at-a-time linear reference of the insert
@@ -279,5 +285,166 @@ fn frozen_agrees_with_linear_scan_at_5000_regions() {
         let flags = flags_of((next() % 3) as u32);
         let expect = linear_scan(&regions, addr, size, flags);
         assert_eq!(frozen.lookup_frozen(addr, size, flags), expect);
+    }
+}
+
+/// `n` disjoint rules in base order, with mixed lengths and gaps (some
+/// adjacent), protections cycling through all four. With `top` the last
+/// rule moves to the top of the address space: `Top::End` ends it at
+/// 2^64, `Top::Byte` makes it one byte at base `u64::MAX`.
+fn ladder(n: usize, top: Top) -> Vec<Region> {
+    let mut base = 0x10_0000u64;
+    let mut rules: Vec<Region> = (0..n as u64)
+        .map(|i| {
+            let len = 0x10 + (i * 0x37) % 0x200;
+            let r = Region::new(VAddr(base), Size(len), prot_of((i % 4) as u32)).expect("fits");
+            base += len + [0, 1, 0x40][(i % 3) as usize];
+            r
+        })
+        .collect();
+    if let Some(last) = rules.last_mut() {
+        let (base, len) = match top {
+            Top::Below => (last.base.raw(), last.len.raw()),
+            Top::End => (u64::MAX - 0xff, 0x100),
+            Top::Byte => (u64::MAX, 1),
+        };
+        *last = Region::new(VAddr(base), Size(len), last.prot).expect("fits");
+    }
+    rules
+}
+
+/// Where [`ladder`]'s last rule sits.
+#[derive(Clone, Copy, Debug)]
+enum Top {
+    Below,
+    End,
+    Byte,
+}
+
+/// The probes the tree's edges live at: each base −1, +0 and +1, each
+/// last byte and the byte past it, and 0, `u64::MAX − 1` and
+/// `u64::MAX`.
+fn edge_probes(rules: &[Region]) -> Vec<u64> {
+    let mut probes = vec![0, u64::MAX - 1, u64::MAX];
+    for r in rules {
+        let (base, last) = (r.base.raw(), r.last().expect("non-empty").raw());
+        probes.extend([base.wrapping_sub(1), base, base.wrapping_add(1)]);
+        probes.extend([last, last.wrapping_add(1)]);
+    }
+    probes
+}
+
+/// Every store-order shape of the same rules: base order (one layer
+/// over the list as it stands), reversed (one layer whose positions
+/// differ from its order), and behind a read-only window over all of
+/// them that comes first in store order (two layers; reads grant from
+/// the window, writes from a rule under it).
+fn shapes(rules: &[Region]) -> [Vec<Region>; 3] {
+    let reversed = rules.iter().rev().copied().collect();
+    let mut windowed = rules.to_vec();
+    if let (Some(first), Some(last)) = (rules.first(), rules.iter().map(|r| r.last()).max()) {
+        let last = last.expect("non-empty").raw();
+        let len = last - first.base.raw() + 1;
+        windowed.insert(
+            0,
+            Region::new(first.base, Size(len), Protection::READ_ONLY).expect("fits"),
+        );
+    }
+    [rules.to_vec(), reversed, windowed]
+}
+
+/// Exact parity with the scan at every edge probe of `rules`, for
+/// one-byte and 8-byte reads and writes.
+fn assert_edges_agree(rules: &[Region], probes: &[u64]) {
+    let frozen = FrozenStore::build(rules.to_vec());
+    for (i, &addr) in probes.iter().enumerate() {
+        let size = Size([1, 8][i % 2]);
+        let flags = [AccessFlags::READ, AccessFlags::WRITE][(i / 2) % 2];
+        assert_eq!(
+            frozen.lookup_frozen(VAddr(addr), size, flags),
+            linear_scan(rules, VAddr(addr), size, flags),
+            "{} of {} rules ({} layers) at {addr:#x}, {size:?} {flags:?}",
+            frozen.kind().name(),
+            rules.len(),
+            frozen.layers(),
+        );
+    }
+}
+
+#[test]
+fn frozen_agrees_at_every_node_boundary_up_to_200_rules() {
+    for n in 0..=200 {
+        let rules = ladder(n, [Top::Below, Top::End, Top::Byte][n % 3]);
+        let probes = edge_probes(&rules);
+        for shape in shapes(&rules) {
+            assert_edges_agree(&shape, &probes);
+        }
+    }
+}
+
+#[test]
+fn frozen_agrees_at_the_edges_of_4102_rules() {
+    // Base order and windowed; the scan is the cost, so one top.
+    let rules = ladder(4102, Top::End);
+    let probes = edge_probes(&rules);
+    let [sorted, _, windowed] = shapes(&rules);
+    assert_edges_agree(&sorted, &probes);
+    assert_edges_agree(&windowed, &probes);
+}
+
+#[test]
+fn the_top_byte_and_a_rule_ending_at_2_64_are_found() {
+    // Both keys sit at the tree's padding value or next to it; a full
+    // last node (8 and 72 keys) and a part-filled one both count.
+    for n in [1, 7, 8, 9, 72, 73, 81, 4102] {
+        let mut rules = ladder(n - 1, Top::Below);
+        rules.push(Region::new(VAddr(u64::MAX), Size(1), Protection::READ_ONLY).expect("fits"));
+        let frozen = FrozenStore::build(rules.clone());
+        assert_eq!(
+            frozen.lookup_frozen(VAddr(u64::MAX), Size(1), AccessFlags::READ),
+            Lookup::Permitted(rules[n - 1]),
+            "{n} rules"
+        );
+        rules[n - 1] =
+            Region::new(VAddr(u64::MAX - 0xff), Size(0x100), Protection::READ_WRITE).expect("fits");
+        let frozen = FrozenStore::build(rules.clone());
+        for addr in [u64::MAX - 0xff, u64::MAX - 7, u64::MAX] {
+            assert_eq!(
+                frozen.lookup_frozen(VAddr(addr), Size(1), AccessFlags::WRITE),
+                Lookup::Permitted(rules[n - 1]),
+                "{n} rules at {addr:#x}"
+            );
+        }
+    }
+}
+
+/// The probe bound as structure, not timing: a disjoint set is one
+/// layer whose tree is 1, 2 and 4 nodes deep at the datapath's 6 rules,
+/// the paper's 64 and the fleet's 4,102; one wide window adds a layer,
+/// not depth.
+#[test]
+fn tree_depth_is_the_node_probe_count() {
+    for (n, depth) in [
+        (0, 0),
+        (6, 1),
+        (8, 1),
+        (9, 2),
+        (64, 2),
+        (72, 2),
+        (73, 3),
+        (4102, 4),
+    ] {
+        let [sorted, _, windowed] = shapes(&ladder(n, Top::Below));
+        let frozen = FrozenStore::build(sorted);
+        assert_eq!(frozen.depth(), depth, "{n} disjoint rules");
+        assert_eq!(frozen.layers(), usize::from(n > 0), "{n} disjoint rules");
+        if n > 0 {
+            let frozen = FrozenStore::build(windowed);
+            assert_eq!(
+                (frozen.layers(), frozen.depth()),
+                (2, depth),
+                "{n} rules under a window"
+            );
+        }
     }
 }
